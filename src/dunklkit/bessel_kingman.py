@@ -22,7 +22,7 @@ from scipy.special import betainc, erf, gammainc, gammainccinv, gammaln, roots_j
 
 from .errors import ConfigError, NumericalError, PositivityError, ResolutionError
 from .measures import RadialProfileMeasure, deposit_on_grid, dirac, as_weighted_atoms
-from .quadrature import gauss_jacobi, panel_gauss_legendre
+from .quadrature import gauss_jacobi, log_panel_rule, panel_gauss_legendre
 from .special import bessel_j, bessel_j_envelope
 
 __all__ = [
@@ -30,7 +30,6 @@ __all__ = [
     "convolve_points",
     "convolve_measures",
     "hankel_transform",
-    "hankel_density_transform",
     "rayleigh_measure",
     "rayleigh_density",
     "rayleigh_radial_cdf",
@@ -47,6 +46,11 @@ def _check_index(lam: float) -> float:
     if lam <= -0.5:
         raise ConfigError(f"hypergroup index must exceed -1/2, got {lam}")
     return lam
+
+
+def _check_positive_time(t: float) -> None:
+    if not 0.0 < t < np.inf:
+        raise ConfigError(f"time must be finite and positive, got {t}")
 
 
 def _angular_norm(lam: float) -> float:
@@ -121,6 +125,21 @@ def convolve_points_nodes(lam: float, x: np.ndarray, y: np.ndarray,
     return z, masses
 
 
+def _pair_nodes(lam: float, ax, aw, bx, bw, points_per_pair: int):
+    """Point convolutions of every atom pair (|a|, |b|), in chunks of rows of a.
+
+    Yields (a, z, m, pair_w) per chunk: the chunk's atom positions, the
+    nodes and angle-rule masses of shape (len(a), len(b), points_per_pair),
+    and the pair masses a_w * b_w broadcast against them.
+    """
+    chunk = max(1, int(2e6) // (bx.size * points_per_pair))
+    for i0 in range(0, ax.size, chunk):
+        a = ax[i0:i0 + chunk]
+        z, m = convolve_points_nodes(lam, np.abs(a)[:, None], np.abs(bx)[None, :],
+                                     n=points_per_pair)
+        yield a, z, m, (aw[i0:i0 + chunk][:, None] * bw[None, :])[..., None]
+
+
 def convolve_measures(lam: float, sigma: RadialProfileMeasure, tau: RadialProfileMeasure,
                       grid_n: int = 16384, atom_cap: int = 2048,
                       points_per_pair: int = 32) -> RadialProfileMeasure:
@@ -161,13 +180,8 @@ def convolve_measures(lam: float, sigma: RadialProfileMeasure, tau: RadialProfil
     node_mass = np.zeros(grid_n)
     far_atoms: dict[float, float] = {}
 
-    chunk = max(1, int(2e6) // (bx.size * points_per_pair))
-    for i0 in range(0, ax.size, chunk):
-        a = ax[i0:i0 + chunk]
-        wa = aw[i0:i0 + chunk]
-        z, m = convolve_points_nodes(lam, a[:, None], bx[None, :], n=points_per_pair)
-        m = m * (wa[:, None] * bw[None, :])[..., None]
-        z, m = z.ravel(), m.ravel()
+    for _, z, m, pair_w in _pair_nodes(lam, ax, aw, bx, bw, points_per_pair):
+        z, m = z.ravel(), (m * pair_w).ravel()
         ok = z <= z_max
         if np.any(ok):
             node_mass += deposit_on_grid(z[ok], m[ok], grid)
@@ -190,26 +204,7 @@ def hankel_transform(lam: float, mu: RadialProfileMeasure, r):
     node_vals = bessel_j(lam, np.multiply.outer(mu.grid, r)) if mu.grid.size else None
     atom_vals = (bessel_j(lam, np.multiply.outer(np.array([p for p, _ in mu.atoms]), r))
                  if mu.atoms else None)
-    total = 0.0
-    if node_vals is not None:
-        total = total + np.tensordot(mu.node_masses, node_vals, axes=([0], [0]))
-    if atom_vals is not None:
-        masses = np.array([w for _, w in mu.atoms])
-        total = total + np.tensordot(masses, atom_vals, axes=([0], [0]))
-    return total
-
-
-def hankel_density_transform(lam: float, g, s, r_max: float, n: int = 512):
-    """Hankel transform of a density on [0, r_max]:
-
-        H(g)(s) = (1 / (2^lam Gamma(lam+1))) int_0^rmax g(r) j_lam(r s) r^(2lam+1) dr
-    """
-    lam = _check_index(lam)
-    rule = gauss_jacobi(n, 0.0, 2.0 * lam + 1.0, 0.0, r_max)
-    s = np.asarray(s, dtype=float)
-    vals = g(rule.nodes)[:, None] * bessel_j(lam, np.multiply.outer(rule.nodes, s))
-    norm = np.exp(-lam * np.log(2.0) - gammaln(lam + 1.0))
-    return norm * np.tensordot(rule.weights, vals, axes=([0], [0]))
+    return mu.integrate_values(node_vals, atom_vals)
 
 
 # ---------------------------------------------------------------------------
@@ -234,8 +229,8 @@ def rayleigh_measure(lam: float, t: float, n: int = 256) -> RadialProfileMeasure
     mass and smooth moments hold to rounding.  t = 0 gives the identity.
     """
     lam = _check_index(lam)
-    if t < 0:
-        raise ConfigError("time must be nonnegative")
+    if not 0.0 <= t < np.inf:
+        raise ConfigError(f"time must be finite and nonnegative, got {t}")
     if t == 0.0:
         return dirac(0.0, lam=lam)
     u_max = float(gammainccinv(lam + 1.0, 1e-14))
@@ -304,8 +299,7 @@ def cauchy_measure(lam: float, t: float, freq_max: float = 8.0, r_min: float = 0
     r = 0 and for r >= r_min.
     """
     lam = _check_index(lam)
-    if t <= 0:
-        raise ConfigError("time must be positive")
+    _check_positive_time(t)
     rho = stable_half_subordinator(t, tail_mass=min(1e-9, 0.1 * tail_tol))
     return subordinate(lam, lambda s: rayleigh_measure(lam, s), rho,
                        freq_max=freq_max, r_min=r_min, tail_tol=tail_tol,
@@ -323,13 +317,10 @@ def stable_half_subordinator(t: float, tail_mass: float = 1e-9,
     which is then carried by a single far atom (the CDF is erfc(t/2sqrt(s)),
     so the cut is exact).
     """
-    if t <= 0:
-        raise ConfigError("time must be positive")
+    _check_positive_time(t)
     s_lo = t * t / 160.0
     s_hi = (t / (np.sqrt(np.pi) * tail_mass)) ** 2
-    n_dec = int(np.ceil(np.log10(s_hi / s_lo)))
-    edges = np.geomspace(s_lo, s_hi, n_dec + 1)
-    rule = panel_gauss_legendre(edges, nodes_per_decade)
+    rule = log_panel_rule(s_lo, s_hi, nodes_per_decade)
 
     def dens_fn(s, t=t):
         s = np.asarray(s, dtype=float)

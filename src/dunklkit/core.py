@@ -25,6 +25,7 @@ from scipy.special import gammaln
 
 from . import rank_one
 from .errors import ConfigError
+from .quadrature import _tensor_grid
 from .special import bessel_j, bessel_j_imag
 
 __all__ = [
@@ -58,8 +59,8 @@ class MultiplicityVector:
             object.__setattr__(self, "k", tuple(float(v) for v in self.k))
         if len(self.k) == 0:
             raise ConfigError("need at least one axis")
-        if any(v < 0 for v in self.k):
-            raise ConfigError(f"multiplicities must be nonnegative, got {self.k}")
+        if not all(0.0 <= v < np.inf for v in self.k):
+            raise ConfigError(f"multiplicities must be finite and nonnegative, got {self.k}")
 
     @property
     def n_axes(self) -> int:
@@ -77,8 +78,7 @@ class MultiplicityVector:
     @cached_property
     def c_norm(self) -> float:
         """Gaussian normalization: integral of e^(-|x|^2/2) w_k over R^N."""
-        return float(np.prod([2.0 ** (2.0 * ki + 0.5) * np.exp(gammaln(ki + 0.5))
-                              for ki in self.k]))
+        return float(np.prod([_axis_c_norm(ki) for ki in self.k]))
 
     @cached_property
     def d_norm(self) -> float:
@@ -103,12 +103,26 @@ class MultiplicityVector:
         return cls(k=tuple(float(v) for v in k))
 
 
+def _axis_c_norm(k: float) -> float:
+    """One axis of c_norm: integral of e^(-x^2/2) (2 x^2)^k over R."""
+    return 2.0 ** (2.0 * k + 0.5) * float(np.exp(gammaln(k + 0.5)))
+
+
 def _as_kv(kv) -> MultiplicityVector:
     if isinstance(kv, MultiplicityVector):
         return kv
     if isinstance(kv, (int, float)):
         return MultiplicityVector(k=(float(kv),))
     return MultiplicityVector(k=tuple(kv))
+
+
+def _coords(kv: MultiplicityVector, name: str, p) -> np.ndarray:
+    """p as a float array whose last axis holds the N coordinates."""
+    p = np.asarray(p, dtype=float)
+    if p.shape[-1:] != (kv.n_axes,):
+        raise ConfigError(f"{name} has shape {p.shape}; its last axis must hold "
+                          f"the {kv.n_axes} coordinates")
+    return p
 
 
 def group_elements(N: int) -> np.ndarray:
@@ -121,9 +135,7 @@ def group_elements(N: int) -> np.ndarray:
 def weight(kv, x) -> np.ndarray:
     """w_k(x), vectorized over leading axes of x (last axis = coordinates)."""
     kv = _as_kv(kv)
-    x = np.asarray(x, dtype=float)
-    if x.shape[-1] != kv.n_axes:
-        raise ConfigError(f"points have {x.shape[-1]} coordinates, expected {kv.n_axes}")
+    x = _coords(kv, "x", x)
     return np.prod((2.0 * x**2) ** np.asarray(kv.k), axis=-1)
 
 
@@ -210,30 +222,30 @@ def dunkl_laplacian(kv, f, x, h: float = 1e-4) -> float:
 # kernels
 
 
+def _axis_product(kv, factor, x, y):
+    """prod_i factor(k_i, x_i, y_i), axis 0 first; x, y broadcast over
+    leading axes (last axis = coordinates)."""
+    kv = _as_kv(kv)
+    x = _coords(kv, "x", x)
+    y = _coords(kv, "y", y)
+    out = factor(kv.k[0], x[..., 0], y[..., 0])
+    for i, ki in enumerate(kv.k[1:], start=1):
+        out = out * factor(ki, x[..., i], y[..., i])
+    return out
+
+
 def dunkl_kernel(kv, x, y):
     """E_k(x, y) for real arguments; the product of rank-one kernels.
 
     x, y broadcast over leading axes (last axis = coordinates).
     E_k(x, 0) = 1, E_k is symmetric, and E_k(x, y) > 0 on real pairs.
     """
-    kv = _as_kv(kv)
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    out = rank_one.kernel_real(kv.k[0], x[..., 0], y[..., 0])
-    for i, ki in enumerate(kv.k[1:], start=1):
-        out = out * rank_one.kernel_real(ki, x[..., i], y[..., i])
-    return out
+    return _axis_product(kv, rank_one.kernel_real, x, y)
 
 
 def dunkl_kernel_unitary(kv, x, y):
     """E_k(i x, y) for real x, y: bounded by 1 in modulus."""
-    kv = _as_kv(kv)
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    out = rank_one.kernel_unitary(kv.k[0], x[..., 0], y[..., 0])
-    for i, ki in enumerate(kv.k[1:], start=1):
-        out = out * rank_one.kernel_unitary(ki, x[..., i], y[..., i])
-    return out
+    return _axis_product(kv, rank_one.kernel_unitary, x, y)
 
 
 def generalized_bessel(kv, x, y):
@@ -241,24 +253,12 @@ def generalized_bessel(kv, x, y):
 
     Factorizes into prod_i j_{k_i - 1/2}(i x_i y_i); real arguments.
     """
-    kv = _as_kv(kv)
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    out = bessel_j_imag(kv.k[0] - 0.5, x[..., 0] * y[..., 0])
-    for i, ki in enumerate(kv.k[1:], start=1):
-        out = out * bessel_j_imag(ki - 0.5, x[..., i] * y[..., i])
-    return out
+    return _axis_product(kv, lambda k, a, b: bessel_j_imag(k - 0.5, a * b), x, y)
 
 
 def generalized_bessel_unitary(kv, x, y):
     """Group average of E_k(i x, y) = prod_i j_{k_i - 1/2}(x_i y_i); real output."""
-    kv = _as_kv(kv)
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    out = bessel_j(kv.k[0] - 0.5, x[..., 0] * y[..., 0])
-    for i, ki in enumerate(kv.k[1:], start=1):
-        out = out * bessel_j(ki - 0.5, x[..., i] * y[..., i])
-    return out
+    return _axis_product(kv, lambda k, a, b: bessel_j(k - 0.5, a * b), x, y)
 
 
 def intertwiner_atoms(kv, x, n_per_axis: int = 64) -> tuple[np.ndarray, np.ndarray]:
@@ -283,11 +283,7 @@ def intertwiner_atoms(kv, x, n_per_axis: int = 64) -> tuple[np.ndarray, np.ndarr
         else:
             axis_nodes.append(mu.grid)
             axis_masses.append(mu.node_masses)
-    grids = np.meshgrid(*axis_nodes, indexing="ij")
-    points = np.stack([g.ravel() for g in grids], axis=-1)
-    mass = np.meshgrid(*axis_masses, indexing="ij")
-    masses = np.prod(np.stack([m.ravel() for m in mass], axis=0), axis=0)
-    return points, masses
+    return _tensor_grid(axis_nodes, axis_masses)
 
 
 # ---------------------------------------------------------------------------

@@ -42,11 +42,11 @@ from .bessel_kingman import (
     rayleigh_radial_cdf,
     stable_half_subordinator,
 )
-from .core import MultiplicityVector, _as_kv, dunkl_kernel_unitary
+from .core import MultiplicityVector, _as_kv, _axis_c_norm, dunkl_kernel_unitary
 from .errors import ConfigError, ConsistencyError, PositivityError
 from .measures import RadialProfileMeasure, as_weighted_atoms, dirac
-from .rank_one import spherical_mean as _rank_one_mean
-from .transform import _gauss_kernel_axis, axis_rule, heat_kernel, radial_translate
+from .rank_one import kernel_unitary, spherical_mean as _rank_one_mean
+from .transform import _gauss_kernel_axis, axis_rule, heat_kernel, spherical_mean_radial
 
 __all__ = [
     "KRadialMeasure",
@@ -145,21 +145,6 @@ def radial_hat(kv, mu: KRadialMeasure, xi):
 # translation of k-radial measures and the Markov kernels they generate
 
 
-def _radial_means(kv, f0, x, radii, n_sphere: int = 64, n_per_axis: int = 48):
-    """Spherical means M_f(x, r) of a radial f = f0(|.|), batched over radii."""
-    from .harmonics import SphereQuadrature
-
-    radii = np.asarray(radii, dtype=float)
-    if kv.n_axes == 1:
-        y = np.concatenate([radii, -radii])[:, None]
-        v = radial_translate(kv, f0, x, y, n_per_axis=n_per_axis)
-        return 0.5 * (v[: radii.size] + v[radii.size:])
-    rule = SphereQuadrature(kv, n=n_sphere)
-    pts = radii[:, None, None] * rule.points[None, :, :]
-    v = radial_translate(kv, f0, x, pts.reshape(-1, kv.n_axes), n_per_axis=n_per_axis)
-    return v.reshape(radii.size, -1) @ rule.weights / kv.d_norm
-
-
 def translate_measure(kv, x, mu: KRadialMeasure, f=None, f0=None, mean_fn=None,
                       n_sphere: int = 64, n_per_axis: int = 48, n_line: int = 128,
                       atom_cap: int = 4096):
@@ -183,7 +168,8 @@ def translate_measure(kv, x, mu: KRadialMeasure, f=None, f0=None, mean_fn=None,
         raise ConfigError("pass exactly one of f, f0, mean_fn")
     radii, masses = as_weighted_atoms(mu.profile, cap=atom_cap)
     if f0 is not None:
-        vals = _radial_means(kv, f0, x, radii, n_sphere=n_sphere, n_per_axis=n_per_axis)
+        vals = spherical_mean_radial(kv, f0, x, radii, n_sphere=n_sphere,
+                                     n_per_axis=n_per_axis)
     elif mean_fn is not None:
         vals = np.asarray([mean_fn(x, float(r)) for r in radii])
     else:
@@ -404,17 +390,12 @@ def semigroup_from_json(text: str, tol: float | None = None) -> KernelSemigroup:
 
 def _per_axis_heat_hat(k: float, t: float, x_scalar, xi_scalar, n: int) -> complex:
     """One axis of int E_k(-i xi, y) Gamma_k(t, x, y) w_k(y) dy by quadrature."""
-    from scipy.special import gammaln
-
-    from .rank_one import kernel_unitary
-
     scale = 1.0 / np.sqrt(2.0 * t)
     extent = float(np.max(np.abs(x_scalar))) + np.sqrt(160.0 * t)
     rule = axis_rule(k, extent, n)
     g = _gauss_kernel_axis(k, np.asarray(x_scalar) * scale, rule.nodes * scale)
     e = np.conj(kernel_unitary(k, xi_scalar, rule.nodes))
-    c_axis = 2.0 ** (2.0 * k + 0.5) * float(np.exp(gammaln(k + 0.5)))
-    return (2.0 * t) ** (-(k + 0.5)) / c_axis * np.sum(rule.weights * g * e)
+    return (2.0 * t) ** (-(k + 0.5)) / _axis_c_norm(k) * np.sum(rule.weights * g * e)
 
 
 def gaussian_kernel_hat(kv, t: float, x, xi, n: int = 160) -> complex:
@@ -444,10 +425,6 @@ def composed_kernel_hat(kv, s: float, t: float, x, xi, n: int = 160) -> complex:
     by nested per-axis quadrature.  The semigroup law makes this equal
     gaussian_kernel_hat(s + t) and that is how it is verified.
     """
-    from scipy.special import gammaln
-
-    from .rank_one import kernel_unitary
-
     kv = _as_kv(kv)
     if s <= 0 or t <= 0:
         raise ConfigError("kernel times must be positive")
@@ -456,7 +433,7 @@ def composed_kernel_hat(kv, s: float, t: float, x, xi, n: int = 160) -> complex:
     total = 1.0 + 0.0j
     for i in range(kv.n_axes):
         k = kv.k[i]
-        c_axis = 2.0 ** (2.0 * k + 0.5) * float(np.exp(gammaln(k + 0.5)))
+        c_axis = _axis_c_norm(k)
         scale_s, scale_t = 1.0 / np.sqrt(2.0 * s), 1.0 / np.sqrt(2.0 * t)
         ext_z = abs(float(x[i])) + np.sqrt(160.0 * s)
         rule_z = axis_rule(k, ext_z, n)
@@ -611,6 +588,8 @@ def simulate_paths(kv, t_grid, n_paths: int, seed: int, kind: str = "gaussian",
     times = np.asarray(t_grid, dtype=float)
     if times.ndim != 1 or times.size < 2:
         raise ConfigError("t_grid must hold at least the start and one later time")
+    if not np.all(np.isfinite(times)):
+        raise ConfigError("t_grid times must be finite")
     if times[0] != 0.0:
         raise ConfigError("t_grid must start at 0")
     if np.any(np.diff(times) <= 0):

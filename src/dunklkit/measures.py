@@ -26,12 +26,10 @@ from .errors import ConfigError, PositivityError
 __all__ = [
     "LineMeasure",
     "RadialProfileMeasure",
-    "SignedLineMeasure",
     "dirac",
     "measure_to_json",
     "measure_from_json",
     "as_weighted_atoms",
-    "resample_atoms",
     "deposit_on_grid",
 ]
 
@@ -48,10 +46,14 @@ def _trapezoid_weights(grid: np.ndarray) -> np.ndarray:
 
 @dataclass
 class LineMeasure:
-    """Density-plus-atoms measure on the line (weights may be signed)."""
+    """Density-plus-atoms measure on the line (weights may be signed).
 
-    grid: np.ndarray
-    density: np.ndarray
+    grid and density default to empty, so an atom-only measure needs
+    just its atoms.
+    """
+
+    grid: np.ndarray = field(default_factory=lambda: np.empty(0))
+    density: np.ndarray = field(default_factory=lambda: np.empty(0))
     weights: np.ndarray | None = None
     atoms: list[tuple[float, float]] = field(default_factory=list)
     lam: float | None = None
@@ -99,7 +101,8 @@ class LineMeasure:
         """
         total = 0.0
         if self.grid.size:
-            total = np.tensordot(self.node_masses, np.asarray(node_values), axes=([0], [0]))
+            total = total + np.tensordot(self.node_masses, np.asarray(node_values),
+                                         axes=([0], [0]))
         if self.atoms:
             if atom_values is None:
                 raise ConfigError("atom_values required when the measure has atoms")
@@ -140,14 +143,9 @@ class RadialProfileMeasure(LineMeasure):
             raise ConfigError("radial atoms must sit at r >= 0")
 
 
-class SignedLineMeasure(LineMeasure):
-    """Alias with signed weights allowed; same mechanics as LineMeasure."""
-
-
 def dirac(position: float, cls=RadialProfileMeasure, lam: float | None = None):
     """Unit point mass."""
-    return cls(grid=np.zeros(0), density=np.zeros(0), weights=np.zeros(0),
-               atoms=[(position, 1.0)], lam=lam)
+    return cls(atoms=[(position, 1.0)], lam=lam)
 
 
 def measure_to_json(mu: LineMeasure, meta: dict | None = None) -> str:
@@ -217,10 +215,6 @@ def as_weighted_atoms(mu: LineMeasure, cap: int = 1024) -> tuple[np.ndarray, np.
             out_m.append(mm)
     order = np.argsort(out_p)
     return np.asarray(out_p)[order], np.asarray(out_m)[order]
-
-
-def resample_atoms(mu: LineMeasure, cap: int = 512) -> tuple[np.ndarray, np.ndarray]:
-    return as_weighted_atoms(mu, cap=cap)
 
 
 def deposit_on_grid(positions: np.ndarray, masses: np.ndarray,

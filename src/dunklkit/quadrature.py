@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
 from scipy.special import roots_jacobi, roots_legendre
 
 from .errors import QuadratureError
@@ -22,7 +21,6 @@ __all__ = [
     "gauss_jacobi",
     "panel_gauss_legendre",
     "log_panel_rule",
-    "adaptive_quad",
 ]
 
 
@@ -43,10 +41,6 @@ class QuadratureRule:
 
     def integrate(self, f) -> float | complex:
         return np.sum(self.weights * f(self.nodes))
-
-    def apply(self, values: np.ndarray):
-        """Contract precomputed integrand values against the weights."""
-        return np.tensordot(self.weights, values, axes=([0], [0]))
 
 
 def gauss_legendre(n: int, a: float, b: float) -> QuadratureRule:
@@ -110,16 +104,15 @@ def log_panel_rule(a: float, b: float, nodes_per_decade: int = 16,
     return panel_gauss_legendre(edges, n)
 
 
-def adaptive_quad(f, a: float, b: float, tol: float = 1e-11) -> float:
-    """scipy adaptive quadrature with the failure modes surfaced as errors."""
-    import warnings
+def _tensor_grid(nodes, weights=None):
+    """Tensor product of per-axis node arrays, in C order.
 
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", IntegrationWarning)
-        try:
-            val, err = quad(f, a, b, epsabs=tol, epsrel=tol, limit=200)
-        except IntegrationWarning as exc:
-            raise QuadratureError(f"adaptive quadrature on [{a}, {b}] failed: {exc}") from exc
-    if not np.isfinite(val):
-        raise QuadratureError(f"adaptive quadrature returned {val}")
-    return val
+    Returns the (M, N) array of all points; given per-axis weights as
+    well, returns (points, product weights of shape (M,)).
+    """
+    mesh = np.meshgrid(*nodes, indexing="ij")
+    points = np.stack([m.ravel() for m in mesh], axis=-1)
+    if weights is None:
+        return points
+    wmesh = np.meshgrid(*weights, indexing="ij")
+    return points, np.prod(np.stack([w.ravel() for w in wmesh]), axis=0)

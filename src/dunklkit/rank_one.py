@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.special import gammaln, roots_jacobi
 
-from .bessel_kingman import convolve_points_nodes, product_kernel
+from .bessel_kingman import _pair_nodes, convolve_points_nodes, product_kernel
 from .errors import ConfigError
 from .measures import LineMeasure, as_weighted_atoms, deposit_on_grid
 from .special import bessel_j, bessel_j_imag
@@ -87,6 +87,27 @@ def _mirror_weights(x, y, z):
     return 0.5 * (1.0 - s1 + s23), 0.5 * (1.0 - s1 - s23)
 
 
+def _mirrored_measure(k: float, a: float, b: float, split, n: int) -> LineMeasure:
+    """Signed measure on +/-z built from the radial convolution of a, b > 0.
+
+    split(z) returns the weights (w_plus, w_minus) that send the radial
+    node z to +z and -z.
+    """
+    lam = k - 0.5
+    z, masses = convolve_points_nodes(lam, a, b, n=n)
+    order = np.argsort(z)
+    z, masses = z[order], masses[order]
+    w_plus, w_minus = split(z)
+    dens_radial = product_kernel(lam, a, b, z) * z ** (2.0 * k)
+    # node density of the signed measure = radial density times the split weight
+    grid = np.concatenate([-z[::-1], z])
+    node_dens = np.concatenate([(dens_radial * w_minus)[::-1], dens_radial * w_plus])
+    node_mass = np.concatenate([(masses * w_minus)[::-1], masses * w_plus])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        weights = np.where(node_dens != 0.0, node_mass / np.where(node_dens != 0.0, node_dens, 1.0), 0.0)
+    return LineMeasure(grid=grid, density=node_dens, weights=weights, lam=k)
+
+
 def signed_product_measure(k: float, x: float, y: float, n: int = 128) -> LineMeasure:
     """Product-formula measure mu_{x,y}: for every real or imaginary s,
 
@@ -102,28 +123,14 @@ def signed_product_measure(k: float, x: float, y: float, n: int = 128) -> LineMe
     k = _check_k(k)
     x, y = float(x), float(y)
     if k == 0.0:
-        return LineMeasure(grid=np.empty(0), density=np.empty(0), weights=np.empty(0),
-                           atoms=[(x + y, 1.0)], lam=k)
+        return LineMeasure(atoms=[(x + y, 1.0)], lam=k)
     hi = abs(x) + abs(y)
     # the convolution nodes live on a band of width 2 min(|x|,|y|); once
     # that is below float resolution of the band location the node set
     # collapses, and the measure is the point mass to the same accuracy
     if min(abs(x), abs(y)) <= 1e-11 * hi or hi < 1e-150:
-        return LineMeasure(grid=np.empty(0), density=np.empty(0), weights=np.empty(0),
-                           atoms=[(x + y, 1.0)], lam=k)
-    lam = k - 0.5
-    z, masses = convolve_points_nodes(lam, abs(x), abs(y), n=n)
-    order = np.argsort(z)
-    z, masses = z[order], masses[order]
-    w_plus, w_minus = _mirror_weights(x, y, z)
-    dens_radial = product_kernel(lam, abs(x), abs(y), z) * z ** (2.0 * k)
-    # node density of the signed measure = radial density times the split weight
-    grid = np.concatenate([-z[::-1], z])
-    node_dens = np.concatenate([(dens_radial * w_minus)[::-1], dens_radial * w_plus])
-    node_mass = np.concatenate([(masses * w_minus)[::-1], masses * w_plus])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        weights = np.where(node_dens != 0.0, node_mass / np.where(node_dens != 0.0, node_dens, 1.0), 0.0)
-    return LineMeasure(grid=grid, density=node_dens, weights=weights, lam=k)
+        return LineMeasure(atoms=[(x + y, 1.0)], lam=k)
+    return _mirrored_measure(k, abs(x), abs(y), lambda z: _mirror_weights(x, y, z), n)
 
 
 def spherical_mean_measure(k: float, x: float, t: float, n: int = 128) -> LineMeasure:
@@ -137,29 +144,19 @@ def spherical_mean_measure(k: float, x: float, t: float, n: int = 128) -> LineMe
     k = _check_k(k)
     x, t = float(x), abs(float(t))
     if t <= 1e-11 * abs(x):
-        return LineMeasure(grid=np.empty(0), density=np.empty(0), weights=np.empty(0),
-                           atoms=[(x, 1.0)], lam=k)
+        return LineMeasure(atoms=[(x, 1.0)], lam=k)
     if k == 0.0 or abs(x) + t < 1e-150:
         # classical mean: half mass at x - t and x + t
-        return LineMeasure(grid=np.empty(0), density=np.empty(0), weights=np.empty(0),
-                           atoms=[(x - t, 0.5), (x + t, 0.5)], lam=k)
+        return LineMeasure(atoms=[(x - t, 0.5), (x + t, 0.5)], lam=k)
     # same band-collapse threshold as the product measure
     if abs(x) <= 1e-11 * t:
-        return LineMeasure(grid=np.empty(0), density=np.empty(0), weights=np.empty(0),
-                           atoms=[(-t, 0.5), (t, 0.5)], lam=k)
-    lam = k - 0.5
-    z, masses = convolve_points_nodes(lam, abs(x), t, n=n)
-    order = np.argsort(z)
-    z, masses = z[order], masses[order]
-    sig = _sigma(z, x, t)
-    w_plus, w_minus = 0.5 * (1.0 + sig), 0.5 * (1.0 - sig)
-    dens_radial = product_kernel(lam, abs(x), t, z) * z ** (2.0 * k)
-    grid = np.concatenate([-z[::-1], z])
-    node_dens = np.concatenate([(dens_radial * w_minus)[::-1], dens_radial * w_plus])
-    node_mass = np.concatenate([(masses * w_minus)[::-1], masses * w_plus])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        weights = np.where(node_dens != 0.0, node_mass / np.where(node_dens != 0.0, node_dens, 1.0), 0.0)
-    return LineMeasure(grid=grid, density=node_dens, weights=weights, lam=k)
+        return LineMeasure(atoms=[(-t, 0.5), (t, 0.5)], lam=k)
+
+    def split(z):
+        sig = _sigma(z, x, t)
+        return 0.5 * (1.0 + sig), 0.5 * (1.0 - sig)
+
+    return _mirrored_measure(k, abs(x), t, split, n)
 
 
 def spherical_mean(k: float, f, x: float, t: float, n: int = 128):
@@ -188,8 +185,7 @@ def convolve(k: float, mu: LineMeasure, nu: LineMeasure, grid_n: int = 16384,
 
     L = 1.0001 * (_extent(mu) + _extent(nu))
     if L == 0.0:  # both inputs sit at the origin
-        return LineMeasure(grid=np.empty(0), density=np.empty(0), weights=np.empty(0),
-                           atoms=[(0.0, float(mu.mass() * nu.mass()))], lam=k)
+        return LineMeasure(atoms=[(0.0, float(mu.mass() * nu.mass()))], lam=k)
     grid = np.linspace(-L, L, grid_n)
     node_mass = np.zeros(grid_n)
 
@@ -198,14 +194,8 @@ def convolve(k: float, mu: LineMeasure, nu: LineMeasure, grid_n: int = 16384,
         mass = (aw[:, None] * bw[None, :]).ravel()
         node_mass += deposit_on_grid(pos, mass, grid)
     else:
-        lam = k - 0.5
-        chunk = max(1, int(2e6) // (bx.size * points_per_pair))
-        for i0 in range(0, ax.size, chunk):
-            a, wa = ax[i0:i0 + chunk], aw[i0:i0 + chunk]
-            z, m = convolve_points_nodes(lam, np.abs(a)[:, None], np.abs(bx)[None, :],
-                                         n=points_per_pair)
+        for a, z, m, pair_w in _pair_nodes(k - 0.5, ax, aw, bx, bw, points_per_pair):
             w_plus, w_minus = _mirror_weights(a[:, None, None], bx[None, :, None], z)
-            pair_w = (wa[:, None] * bw[None, :])[..., None]
             node_mass += deposit_on_grid(z.ravel(), (m * w_plus * pair_w).ravel(), grid)
             node_mass += deposit_on_grid(-z.ravel(), (m * w_minus * pair_w).ravel(), grid)
 
@@ -226,8 +216,7 @@ def intertwiner_measure(k: float, x: float, n: int = 64) -> LineMeasure:
     k = _check_k(k)
     x = float(x)
     if k == 0.0 or x == 0.0:
-        return LineMeasure(grid=np.empty(0), density=np.empty(0), weights=np.empty(0),
-                           atoms=[(x, 1.0)], lam=k)
+        return LineMeasure(atoms=[(x, 1.0)], lam=k)
     t, w = roots_jacobi(n, k - 1.0, k)
     b_k = np.exp(gammaln(k + 0.5) - gammaln(k)) / np.sqrt(np.pi)
     nodes = x * t

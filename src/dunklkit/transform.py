@@ -21,9 +21,10 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import gammaln, ive
 
-from .core import _as_kv, dunkl_laplacian, intertwiner_atoms, weight
+from .core import (_as_kv, _axis_c_norm, _coords, dunkl_kernel_unitary, dunkl_laplacian,
+                   intertwiner_atoms)
 from .errors import ConfigError, NumericalError
-from .quadrature import QuadratureRule, gauss_jacobi
+from .quadrature import QuadratureRule, _tensor_grid, gauss_jacobi
 from .rank_one import kernel_unitary
 from .special import bessel_j, radial_bessel_operator
 
@@ -81,15 +82,12 @@ class GridFunction:
 
     def points(self) -> np.ndarray:
         """All grid points as an (M, N) array in C order."""
-        mesh = np.meshgrid(*self.axes, indexing="ij")
-        return np.stack([m.ravel() for m in mesh], axis=-1)
+        return _tensor_grid(self.axes)
 
     @classmethod
     def sample(cls, axes, f) -> "GridFunction":
         axes = tuple(np.asarray(a, dtype=float) for a in axes)
-        mesh = np.meshgrid(*axes, indexing="ij")
-        pts = np.stack([m.ravel() for m in mesh], axis=-1)
-        vals = np.asarray(f(pts)).reshape(tuple(a.size for a in axes))
+        vals = np.asarray(f(_tensor_grid(axes))).reshape(tuple(a.size for a in axes))
         return cls(axes, vals)
 
     # -- CSV ---------------------------------------------------------------
@@ -177,11 +175,18 @@ def weighted_grid(kv, extents, n) -> tuple[np.ndarray, np.ndarray]:
     extents = np.broadcast_to(np.asarray(extents, dtype=float), (kv.n_axes,))
     ns = np.broadcast_to(np.asarray(n, dtype=int), (kv.n_axes,))
     rules = [axis_rule(kv.k[i], extents[i], int(ns[i])) for i in range(kv.n_axes)]
-    mesh = np.meshgrid(*[r.nodes for r in rules], indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=-1)
-    wmesh = np.meshgrid(*[r.weights for r in rules], indexing="ij")
-    wts = np.prod(np.stack([w.ravel() for w in wmesh], axis=-1), axis=-1)
-    return pts, wts
+    return _tensor_grid([r.nodes for r in rules], [r.weights for r in rules])
+
+
+def _contract_axes(values, factors) -> np.ndarray:
+    """Contract axis i of values with the i-th (matrix, weights) pair:
+    out[.., a, ..] = sum_j matrix[a, j] weights[j] values[.., j, ..]."""
+    out = np.asarray(values, dtype=complex)
+    for i, (mat, wts) in enumerate(factors):
+        out = np.moveaxis(out, i, 0)
+        res = np.tensordot(mat, wts[:, None] * out.reshape(wts.size, -1), axes=([1], [0]))
+        out = np.moveaxis(res.reshape((mat.shape[0],) + out.shape[1:]), 0, i)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -232,37 +237,22 @@ class TransformPlan:
     def freq_shape(self) -> tuple:
         return tuple(r.n for r in self.freq_rules)
 
-    @staticmethod
-    def _mesh(rules) -> np.ndarray:
-        mesh = np.meshgrid(*[r.nodes for r in rules], indexing="ij")
-        return np.stack([m.ravel() for m in mesh], axis=-1)
-
     def grid(self) -> np.ndarray:
-        return self._mesh(self.rules)
+        return _tensor_grid([r.nodes for r in self.rules])
 
     def freq_grid(self) -> np.ndarray:
-        return self._mesh(self.freq_rules)
+        return _tensor_grid([r.nodes for r in self.freq_rules])
 
     def sample(self, f) -> np.ndarray:
         return np.asarray(f(self.grid())).reshape(self.shape)
 
     def forward(self, values: np.ndarray) -> np.ndarray:
-        out = np.asarray(values, dtype=complex)
-        for i, (rule, kern) in enumerate(zip(self.rules, self.kernels)):
-            out = np.moveaxis(out, i, 0)
-            res = np.tensordot(np.conj(kern), rule.weights[:, None] * out.reshape(rule.n, -1),
-                               axes=([1], [0]))
-            out = np.moveaxis(res.reshape((kern.shape[0],) + out.shape[1:]), 0, i)
-        return out / self.kv.c_norm
+        factors = ((np.conj(kern), rule.weights) for rule, kern in zip(self.rules, self.kernels))
+        return _contract_axes(values, factors) / self.kv.c_norm
 
     def inverse(self, values: np.ndarray) -> np.ndarray:
-        out = np.asarray(values, dtype=complex)
-        for i, (rule, kern) in enumerate(zip(self.freq_rules, self.kernels)):
-            out = np.moveaxis(out, i, 0)
-            res = np.tensordot(kern.T, rule.weights[:, None] * out.reshape(rule.n, -1),
-                               axes=([1], [0]))
-            out = np.moveaxis(res.reshape((kern.shape[1],) + out.shape[1:]), 0, i)
-        return out / self.kv.c_norm
+        factors = ((kern.T, rule.weights) for rule, kern in zip(self.freq_rules, self.kernels))
+        return _contract_axes(values, factors) / self.kv.c_norm
 
     def norm_sq(self, values: np.ndarray, freq: bool = False) -> float:
         """Squared L^2(w_k dx) norm of grid values on either side."""
@@ -303,16 +293,12 @@ def dunkl_transform_grid(kv, gf: GridFunction, inverse: bool = False) -> GridFun
     kv = _as_kv(kv)
     if gf.n_axes != kv.n_axes:
         raise ConfigError("grid dimension does not match multiplicity vector")
-    out = np.asarray(gf.values, dtype=complex)
-    for i, ax in enumerate(gf.axes):
-        wts = np.gradient(ax) * (2.0 * ax**2) ** kv.k[i]
-        kern = kernel_unitary(kv.k[i], ax[:, None], ax[None, :])
-        if not inverse:
-            kern = np.conj(kern)
-        out = np.moveaxis(out, i, 0)
-        out = np.tensordot(kern, wts[:, None] * out.reshape(ax.size, -1),
-                           axes=([1], [0])).reshape(out.shape)
-        out = np.moveaxis(out, 0, i)
+
+    def factor(k, ax):
+        kern = kernel_unitary(k, ax[:, None], ax[None, :])
+        return (kern if inverse else np.conj(kern)), np.gradient(ax) * (2.0 * ax**2) ** k
+
+    out = _contract_axes(gf.values, (factor(k, ax) for k, ax in zip(kv.k, gf.axes)))
     return GridFunction(gf.axes, out / kv.c_norm)
 
 
@@ -352,13 +338,14 @@ def heat_kernel(kv, s: float, x, y):
     functions so large |x|, |y|, or small s do not overflow.
     """
     kv = _as_kv(kv)
-    if s <= 0:
-        raise ConfigError("heat kernel time must be positive")
+    if not 0.0 < s < np.inf:
+        raise ConfigError(f"heat kernel time must be finite and positive, got {s}")
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    y = np.asarray(y, dtype=float)
+    if x.shape != (kv.n_axes,):
+        raise ConfigError("x must be a point of R^N")
     scale = 1.0 / np.sqrt(2.0 * s)
     a = x * scale
-    b = np.atleast_1d(y) * scale
+    b = _coords(kv, "y", np.atleast_1d(y)) * scale
     fac = (2.0 * s) ** (-(kv.gamma + 0.5 * kv.n_axes)) / kv.c_norm
     prod = fac * np.ones(b.shape[:-1] if b.ndim > 1 else ())
     for i in range(kv.n_axes):
@@ -384,7 +371,7 @@ def heat_kernel_spectral(kv, s: float, x, y, extent=None, n: int = 128):
     y = np.atleast_1d(np.asarray(y, dtype=float))
     if extent is None:
         extent = np.sqrt(80.0 / s)
-    per_axis_c = [2.0 ** (2.0 * k + 0.5) * float(np.exp(gammaln(k + 0.5))) for k in kv.k]
+    per_axis_c = [_axis_c_norm(k) for k in kv.k]
     total = 1.0 + 0.0j
     for i in range(kv.n_axes):
         rule = axis_rule(kv.k[i], float(extent), n)
@@ -482,32 +469,39 @@ def spherical_mean_spectral(kv, plan: TransformPlan, fhat_values: np.ndarray,
     """
     kv = _as_kv(kv)
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    pts = plan.freq_grid()
+    rules = plan.freq_rules
+    pts, wts = _tensor_grid([r.nodes for r in rules], [r.weights for r in rules])
     rad = np.sqrt(np.sum(pts * pts, axis=-1))
-    kern = np.ones(pts.shape[0], dtype=complex)
-    for i in range(kv.n_axes):
-        kern *= kernel_unitary(kv.k[i], x[i], pts[:, i])
-    mesh = np.meshgrid(*[r.weights for r in plan.freq_rules], indexing="ij")
-    wts = np.prod(np.stack([m.ravel() for m in mesh], axis=-1), axis=-1)
+    kern = dunkl_kernel_unitary(kv, x, pts)
     vals = np.asarray(fhat_values).ravel()
     return np.sum(wts * vals * kern * bessel_j(kv.lam, t * rad)) / kv.c_norm
 
 
-def spherical_mean_radial(kv, f0, x, t: float, n_sphere: int = 64,
+def spherical_mean_radial(kv, f0, x, t, n_sphere: int = 64,
                           n_per_axis: int = 48):
     """Spherical mean of a radial function f = f0(|.|) by averaging the
-    translation over the weighted sphere."""
+    translation over the weighted sphere.
+
+    t is one radius (the mean comes back as a float) or an array of
+    radii (one mean per radius, all from a single translation call).
+    """
     from .harmonics import SphereQuadrature
 
     kv = _as_kv(kv)
     x = np.atleast_1d(np.asarray(x, dtype=float))
+    radii = np.asarray(t, dtype=float)
+    r = radii.ravel()
     if kv.n_axes == 1:
         # the sphere is two signed points, each carrying half of d_norm
-        vals = radial_translate(kv, f0, x, np.array([[t], [-t]]))
-        return 0.5 * float(vals[0] + vals[1])
-    rule = SphereQuadrature(kv, n=n_sphere)
-    vals = radial_translate(kv, f0, x, t * rule.points, n_per_axis=n_per_axis)
-    return float(rule.integrate_values(vals)) / kv.d_norm
+        vals = radial_translate(kv, f0, x, np.concatenate([r, -r])[:, None],
+                                n_per_axis=n_per_axis)
+        means = 0.5 * (vals[:r.size] + vals[r.size:])
+    else:
+        rule = SphereQuadrature(kv, n=n_sphere)
+        pts = (r[:, None, None] * rule.points[None, :, :]).reshape(-1, kv.n_axes)
+        vals = radial_translate(kv, f0, x, pts, n_per_axis=n_per_axis)
+        means = rule.integrate_values(vals.reshape(r.size, -1).T) / kv.d_norm
+    return float(means[0]) if radii.ndim == 0 else means.reshape(radii.shape)
 
 
 def spherical_mean_wave(kv, z, x, t: float):
@@ -518,8 +512,6 @@ def spherical_mean_wave(kv, z, x, t: float):
     The wave is an eigenfunction of the mean operator; this is the
     reference value the quadrature routes are tested against.
     """
-    from .core import dunkl_kernel_unitary
-
     kv = _as_kv(kv)
     z = np.atleast_1d(np.asarray(z, dtype=float))
     return dunkl_kernel_unitary(kv, np.atleast_1d(np.asarray(x, dtype=float)), z) \

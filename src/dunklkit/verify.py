@@ -36,6 +36,7 @@ from .core import (
 )
 from .errors import ConfigError
 from .measures import as_weighted_atoms
+from .quadrature import _tensor_grid
 from .special import bessel_j, bessel_j_imag
 from .rank_one import kernel_unitary, signed_product_measure, spherical_mean_measure
 from .transform import (
@@ -206,15 +207,12 @@ def _battery_means(kv, plan: TransformPlan, bumps, pairs) -> np.ndarray:
     """means[i, j] = M_{f_i}(x_j, t_j) through the frequency representation,
     with the per-pair frequency profiles built once and each bump costing
     one forward transform plus dot products."""
-    pts = plan.freq_grid()
+    rules = plan.freq_rules
+    pts, wts = _tensor_grid([r.nodes for r in rules], [r.weights for r in rules])
     rad = np.sqrt(np.sum(pts * pts, axis=-1))
-    mesh = np.meshgrid(*[r.weights for r in plan.freq_rules], indexing="ij")
-    wts = np.prod(np.stack([m.ravel() for m in mesh], axis=-1), axis=-1)
     combo = np.empty((len(pairs), pts.shape[0]), dtype=complex)
     for j, (x, t) in enumerate(pairs):
-        kern = np.ones(pts.shape[0], dtype=complex)
-        for i in range(kv.n_axes):
-            kern = kern * kernel_unitary(kv.k[i], float(x[i]), pts[:, i])
+        kern = dunkl_kernel_unitary(kv, x, pts)
         combo[j] = wts * kern * bessel_j(kv.lam, t * rad)
     means = np.empty((len(bumps), len(pairs)))
     for i, f in enumerate(bumps):
@@ -713,16 +711,17 @@ def _suite_appendix(tol: float | None) -> list[CaseResult]:
     t_ = _tol("appendix", tol)
     out = []
     grid = np.linspace(-3.0, 3.0, 20)
-    X, L = np.meshgrid(grid, grid, indexing="ij")
-    alt = alternating_sum_bessel(X.ravel()[:, None], L.ravel()[:, None])
-    closed = bessel_j_imag(0.5, X.ravel() * L.ravel())
+    xl = _tensor_grid([grid, grid])
+    X, L = xl[:, 0], xl[:, 1]
+    alt = alternating_sum_bessel(X[:, None], L[:, None])
+    closed = bessel_j_imag(0.5, X * L)
     out.append(CaseResult("alternating sum vs j_(1/2), 20x20",
                           float(np.max(np.abs(alt - closed))), t_))
     kv = MultiplicityVector((1.0,))
     avg = np.array([complex(generalized_bessel_unitary(kv, np.array([x]),
                                                        np.array([l])))
-                    for x, l in zip(X.ravel()[::37], L.ravel()[::37])])
-    closed_u = bessel_j(0.5, X.ravel()[::37] * L.ravel()[::37])
+                    for x, l in zip(X[::37], L[::37])])
+    closed_u = bessel_j(0.5, X[::37] * L[::37])
     out.append(CaseResult("group average vs j_(1/2)",
                           float(np.max(np.abs(avg - closed_u))), t_))
     kv2 = MultiplicityVector((1.0, 1.0))

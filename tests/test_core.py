@@ -6,6 +6,8 @@ finite-differenced).  Normalization constants were frozen from a 40-digit
 mpmath evaluation of the defining Gamma products.
 """
 
+import json
+
 import numpy as np
 import pytest
 
@@ -23,8 +25,10 @@ from dunklkit import (
     intertwiner_atoms,
     kernel_real,
     kernel_unitary,
+    heat_kernel,
     weight,
 )
+from dunklkit.cli import main
 from dunklkit.special import bessel_j, bessel_j_imag
 
 
@@ -60,6 +64,18 @@ def test_multiplicity_validation():
         MultiplicityVector(k=())
     # scalar coerces to one axis
     assert MultiplicityVector(k=1.5).k == (1.5,)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_multiplicity_rejects_non_finite(bad, tmp_path, capsys):
+    with pytest.raises(ConfigError):
+        MultiplicityVector((bad, 1.0))
+    with pytest.raises(ConfigError):
+        MultiplicityVector.from_json(json.dumps({"N": 2, "k": [bad, 1.0]}))
+    cfg = tmp_path / "eval.json"
+    cfg.write_text(json.dumps({"target": "kernel", "k": [bad], "x": [1.0], "y": [0.5]}))
+    assert main(["eval", "--config", str(cfg)]) == 2
+    assert json.loads(capsys.readouterr().err)["error"]["kind"] == "config"
 
 
 def test_multiplicity_json_roundtrip():
@@ -194,6 +210,31 @@ def test_dunkl_kernel_broadcasting_and_normalization():
     # symmetry of the real kernel
     r = dunkl_kernel(kv, x[:, None, :], x[None, :, :])
     np.testing.assert_allclose(r, r.T, rtol=1e-13)
+
+
+KV_COORDS = MultiplicityVector(k=(1.0, 0.5))
+
+
+@pytest.mark.parametrize("fn", [
+    dunkl_kernel,
+    dunkl_kernel_unitary,
+    generalized_bessel,
+    generalized_bessel_unitary,
+    lambda kv, x, y: heat_kernel(kv, 0.5, x, y),
+], ids=["dunkl_kernel", "dunkl_kernel_unitary", "generalized_bessel",
+        "generalized_bessel_unitary", "heat_kernel"])
+@pytest.mark.parametrize("x, y", [
+    ([1.0, 2.0, 3.0], [0.5, 0.1, 9.0]),
+    ([1.0, 2.0, 3.0], [0.5, 0.1]),
+    ([1.0, 2.0], [0.5, 0.1, 9.0]),
+    ([1.0], [0.5, 0.1]),
+    ([1.0, 2.0], [[0.5], [0.1]]),
+])
+def test_kernels_check_coordinate_count(fn, x, y):
+    # a third coordinate must not be dropped silently
+    with pytest.raises(ConfigError):
+        fn(KV_COORDS, x, y)
+    fn(KV_COORDS, [1.0, 2.0], [0.5, 0.1])
 
 
 def test_generalized_bessel_is_group_average():

@@ -20,7 +20,8 @@ from dunklkit import (
     simulate_paths,
     translate_measure,
 )
-from dunklkit.bessel_kingman import rayleigh_measure
+from dunklkit.bessel_kingman import cauchy_measure, rayleigh_measure, stable_half_subordinator
+from dunklkit.transform import heat_kernel
 from dunklkit.markov import (
     composed_kernel_hat,
     gaussian_kernel_hat,
@@ -275,6 +276,21 @@ def test_simulate_paths_validation():
         simulate_paths(KV1, [0.0, 1.0], 0, seed=1)
     with pytest.raises(ConfigError):
         simulate_paths(KV1, [0.0, 1.0], 10, seed=1, kind="levy-flight")
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+@pytest.mark.parametrize("call", [
+    lambda t: simulate_paths(KV1, [0.0, 0.5, t], 10, seed=1),
+    lambda t: simulate_paths(KV1, [0.0, t], 10, seed=1, kind="cauchy"),
+    lambda t: rayleigh_measure(0.5, t),
+    lambda t: cauchy_measure(0.5, t),
+    lambda t: stable_half_subordinator(t),
+    lambda t: heat_kernel(KV1, t, [0.3], [[0.5]]),
+], ids=["simulate_paths", "simulate_paths_cauchy", "rayleigh_measure", "cauchy_measure",
+        "stable_half_subordinator", "heat_kernel"])
+def test_non_finite_times_are_config_errors(call, bad):
+    with pytest.raises(ConfigError):
+        call(bad)
 
 
 def test_simulate_paths_reproducible_and_thread_invariant():

@@ -1,11 +1,9 @@
-"""Quadrature rules: polynomial exactness and the adaptive integrator."""
+"""Quadrature rules: polynomial exactness of Gauss and panel rules."""
 
 import numpy as np
 import pytest
 
-from dunklkit.errors import QuadratureError
 from dunklkit.quadrature import (
-    adaptive_quad,
     gauss_jacobi,
     gauss_legendre,
     log_panel_rule,
@@ -49,9 +47,3 @@ def test_log_panel_rule_handles_wide_ranges():
     fine = log_panel_rule(1e-6, 1e3, nodes_per_decade=24)
     assert np.sum(fine.weights / fine.nodes) == pytest.approx(want, rel=1e-12)
 
-
-def test_adaptive_quad_smooth_and_failure():
-    assert adaptive_quad(np.sin, 0.0, np.pi) == pytest.approx(2.0, rel=1e-11)
-    with pytest.raises(QuadratureError):
-        # non-integrable endpoint singularity must be reported, not returned
-        adaptive_quad(lambda x: 1.0 / x, 0.0, 1.0)

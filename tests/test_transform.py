@@ -249,6 +249,25 @@ def test_spherical_mean_routes_agree():
     assert spectral.real == pytest.approx(radial, abs=1e-9)
 
 
+def test_spherical_mean_radial_rank_one_honours_n_per_axis():
+    kv = MultiplicityVector(k=(1.0,))
+    x, t = 0.7, 0.9
+    vals = radial_translate(kv, np.cos, x, np.array([[t], [-t]]), n_per_axis=2)
+    assert spherical_mean_radial(kv, np.cos, x, t, n_per_axis=2) == 0.5 * float(vals[0] + vals[1])
+    assert spherical_mean_radial(kv, np.cos, x, t, n_per_axis=2) != \
+        spherical_mean_radial(kv, np.cos, x, t)
+
+
+def test_spherical_mean_radial_batches_radii():
+    f0 = lambda r: np.exp(-0.5 * np.asarray(r) ** 2)
+    x = np.array([0.7, -0.5])
+    radii = np.array([0.3, 0.9, 1.4])
+    batched = spherical_mean_radial(KV2, f0, x, radii, n_sphere=24, n_per_axis=16)
+    single = [spherical_mean_radial(KV2, f0, x, r, n_sphere=24, n_per_axis=16) for r in radii]
+    assert batched.shape == radii.shape
+    np.testing.assert_allclose(batched, single, rtol=1e-14)
+
+
 def test_spherical_mean_wave_closed_form():
     # the kernel wave is an eigenfunction of the mean operator; the
     # measure-based route must land on E_k(ix, z) j_lam(t |z|)
