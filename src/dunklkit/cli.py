@@ -361,7 +361,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
         "n_paths": int(n_paths),
         "t_grid": [float(t) for t in t_grid],
         "n_blocks": int(min(n_blocks, n_paths)),
-        "threads": _resolve_threads(threads),
+        "threads": _resolve_threads(threads, min(n_blocks, n_paths)),
         "paths": cfg.out,
         "p_threshold": _KS_THRESHOLD,
         "ks": ks_rows,

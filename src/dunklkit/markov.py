@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import json
 
@@ -407,8 +407,8 @@ def gaussian_kernel_hat(kv, t: float, x, xi, n: int = 160) -> complex:
     so comparing against E_k(-ix, xi) e^(-t |xi|^2) is a real check.
     """
     kv = _as_kv(kv)
-    if t <= 0:
-        raise ConfigError("kernel time must be positive")
+    if not 0.0 < t < np.inf:
+        raise ConfigError(f"kernel time must be finite and positive, got {t}")
     x = np.atleast_1d(np.asarray(x, dtype=float))
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
     total = 1.0 + 0.0j
@@ -426,8 +426,8 @@ def composed_kernel_hat(kv, s: float, t: float, x, xi, n: int = 160) -> complex:
     gaussian_kernel_hat(s + t) and that is how it is verified.
     """
     kv = _as_kv(kv)
-    if s <= 0 or t <= 0:
-        raise ConfigError("kernel times must be positive")
+    if not (0.0 < s < np.inf and 0.0 < t < np.inf):
+        raise ConfigError(f"kernel times must be finite and positive, got s={s}, t={t}")
     x = np.atleast_1d(np.asarray(x, dtype=float))
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
     total = 1.0 + 0.0j
@@ -564,11 +564,16 @@ class PathEnsemble:
                     fh.write(f"{pid},{tj:.17g},{coords}\n")
 
 
-def _resolve_threads(threads: int | None) -> int:
-    if threads is not None:
-        return max(1, int(threads))
-    env = os.environ.get("DUNKL_KIT_THREADS")
-    return max(1, int(env)) if env else 1
+def _resolve_threads(threads: int | None, n_blocks: int) -> int:
+    """Worker count: the request (argument, else DUNKL_KIT_THREADS, else 1)
+    capped at the number of blocks and at os.cpu_count()."""
+    if threads is None:
+        env = os.environ.get("DUNKL_KIT_THREADS")
+        try:
+            threads = int(env) if env else 1
+        except ValueError:
+            raise ConfigError(f"DUNKL_KIT_THREADS must be an integer, got {env!r}") from None
+    return max(1, min(int(threads), int(n_blocks), os.cpu_count() or 1))
 
 
 def simulate_paths(kv, t_grid, n_paths: int, seed: int, kind: str = "gaussian",
@@ -623,7 +628,7 @@ def simulate_paths(kv, t_grid, n_paths: int, seed: int, kind: str = "gaussian",
                 x[:, i] = scale * _heat_step(rng, kv.k[i], x[:, i] / scale)
             states[lo:hi, j] = x
 
-    workers = _resolve_threads(threads)
+    workers = _resolve_threads(threads, len(bounds) - 1)
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(run_block, range(len(bounds) - 1)))

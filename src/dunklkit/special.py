@@ -8,6 +8,11 @@ The normalized Bessel function used everywhere in this package is
 i.e. the hypergeometric 0F1(; alpha+1; -z^2/4), normalized so that
 j_alpha(0) = 1.  It is even and entire, and for half-integer orders it
 collapses to trigonometric closed forms (j_{-1/2} = cos, j_{1/2} = sinc).
+
+bessel_j dispatches on |z| and the order: the power series for |z| <= 12;
+beyond that, for half-integer alpha < 12, the trig closed forms carried up
+by the three-term recurrence (DLMF 10.49, 10.6.1); otherwise scipy's jv
+(real z) or iv (imaginary z), and mpmath's 0F1 for general complex z.
 """
 
 from __future__ import annotations
@@ -28,7 +33,8 @@ __all__ = [
 ]
 
 # Power series is used below this |z|; beyond it the series loses digits to
-# cancellation and we switch to scipy's Bessel backends.
+# cancellation and we switch to the half-integer recurrence or scipy's Bessel
+# backends.  Half-integer orders below it take the recurrence.
 _SERIES_RADIUS = 12.0
 _SERIES_MAX_TERMS = 220
 
@@ -53,6 +59,20 @@ def _prefactor(alpha: float, x: np.ndarray) -> np.ndarray:
 
 def _bessel_large_real(alpha: float, x: np.ndarray) -> np.ndarray:
     x = np.abs(x)
+    if alpha < _SERIES_RADIUS and float(alpha + 0.5).is_integer():
+        # Half-integer order: start from j_{-1/2} = cos, j_{1/2} = sin x / x and
+        # step up with j_{nu+1} = 4 nu (nu+1) / x^2 (j_nu - j_{nu-1}), which is
+        # stable for x > nu (here x > 12 > alpha).  Dividing by x twice keeps
+        # x^2 from overflowing.
+        prev = np.cos(x)
+        if alpha == -0.5:
+            return prev
+        cur = np.sin(x) / x
+        nu = 0.5
+        while nu < alpha:
+            prev, cur = cur, (4.0 * nu * (nu + 1.0) / x) / x * (cur - prev)
+            nu += 1.0
+        return cur
     return _prefactor(alpha, x) * jv(alpha, x)
 
 
@@ -90,10 +110,15 @@ def bessel_j(alpha: float, z):
     Notes
     -----
     |z| <= 12 uses the defining power series with term-ratio stopping at
-    1e-16.  Larger arguments go through scipy's J/I Bessel routines
-    (real and purely imaginary z) or an arbitrary-precision 0F1 fallback
-    for general complex z, since the double-precision series loses too
-    many digits to cancellation out there.
+    1e-16; beyond that the series loses too many digits to cancellation.
+    Real (or real-like complex) |z| > 12 at a half-integer order
+    alpha < 12 starts from j_{-1/2} = cos, j_{1/2} = sin z / z and steps up
+    with j_{nu+1} = 4 nu (nu+1) / z^2 (j_nu - j_{nu-1}), stable since
+    |z| > alpha; its error is a few 1e-16 of the decay envelope
+    Gamma(alpha+1) (|z|/2)^(-alpha) sqrt(2/(pi |z|)), at most about 2e-15
+    next to |z| = 12.  Other orders go
+    through scipy's J/I Bessel routines (real and purely imaginary z) or
+    an arbitrary-precision 0F1 fallback for general complex z.
     """
     if alpha < -0.5:
         raise ValueError(f"order must satisfy alpha >= -1/2, got {alpha}")

@@ -16,14 +16,14 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gammaln, ive
 
 from .core import (_as_kv, _axis_c_norm, _coords, dunkl_kernel_unitary, dunkl_laplacian,
                    intertwiner_atoms)
-from .errors import ConfigError, NumericalError
+from .errors import ConfigError
 from .quadrature import QuadratureRule, _tensor_grid, gauss_jacobi
 from .rank_one import kernel_unitary
 from .special import bessel_j, radial_bessel_operator
@@ -356,6 +356,8 @@ def heat_kernel(kv, s: float, x, y):
 def radial_heat_profile(kv, t: float, r):
     """Heat kernel seen from the origin: value at |y| = r."""
     kv = _as_kv(kv)
+    if not 0.0 < t < np.inf:
+        raise ConfigError(f"heat kernel time must be finite and positive, got {t}")
     r = np.asarray(r, dtype=float)
     return np.exp(-(r * r) / (4.0 * t)) / ((2.0 * t) ** (kv.lam + 1.0) * kv.c_norm)
 

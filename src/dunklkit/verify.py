@@ -28,7 +28,6 @@ from .bessel_kingman import (
 )
 from .core import (
     MultiplicityVector,
-    _as_kv,
     alternating_sum_bessel,
     dunkl_kernel_unitary,
     generalized_bessel_unitary,
@@ -44,7 +43,6 @@ from .transform import (
     bump,
     chapman_kolmogorov_defect,
     darboux_residual,
-    heat_kernel,
     heat_normalization_defect,
     radial_bump,
     spherical_mean_radial,

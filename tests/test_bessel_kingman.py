@@ -17,7 +17,6 @@ from dunklkit.bessel_kingman import (
     convolve_measures,
     convolve_points,
     hankel_transform,
-    product_kernel,
     rayleigh_density,
     rayleigh_measure,
     rayleigh_radial_cdf,

@@ -7,7 +7,6 @@ entry in pyproject.toml.  The launcher is built from that declaration,
 so no installed distribution or ``dunklkit`` executable is needed.
 """
 
-import csv
 import json
 import os
 import subprocess
@@ -222,6 +221,17 @@ def test_simulate_thread_count_does_not_change_bytes(tmp_path, capsys, monkeypat
     code2, _, csv2 = simulate_once(tmp_path, capsys, "threads1")
     assert code1 == code2 == 0
     assert open(csv1, "rb").read() == open(csv2, "rb").read()
+
+
+def test_simulate_summary_reports_capped_threads(tmp_path, capsys, monkeypatch):
+    # one CPU: the resolved count is 1, so no worker pool is started
+    monkeypatch.setattr("os.cpu_count", lambda: 1)
+    code, stdout, _ = simulate_once(tmp_path, capsys, "cap", extra={"threads": 10**6})
+    assert code == 0
+    assert json.loads(stdout)["threads"] == 1
+    monkeypatch.setenv("DUNKL_KIT_THREADS", "many")
+    code2, _, _ = simulate_once(tmp_path, capsys, "bad_env")
+    assert code2 == 2
 
 
 def test_simulate_requires_out_and_seed(tmp_path, capsys):

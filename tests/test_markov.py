@@ -21,8 +21,9 @@ from dunklkit import (
     translate_measure,
 )
 from dunklkit.bessel_kingman import cauchy_measure, rayleigh_measure, stable_half_subordinator
-from dunklkit.transform import heat_kernel
+from dunklkit.transform import heat_kernel, radial_heat_profile
 from dunklkit.markov import (
+    _resolve_threads,
     composed_kernel_hat,
     gaussian_kernel_hat,
     subordinated_kernel_hat,
@@ -278,7 +279,7 @@ def test_simulate_paths_validation():
         simulate_paths(KV1, [0.0, 1.0], 10, seed=1, kind="levy-flight")
 
 
-@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
 @pytest.mark.parametrize("call", [
     lambda t: simulate_paths(KV1, [0.0, 0.5, t], 10, seed=1),
     lambda t: simulate_paths(KV1, [0.0, t], 10, seed=1, kind="cauchy"),
@@ -286,11 +287,45 @@ def test_simulate_paths_validation():
     lambda t: cauchy_measure(0.5, t),
     lambda t: stable_half_subordinator(t),
     lambda t: heat_kernel(KV1, t, [0.3], [[0.5]]),
+    lambda t: gaussian_kernel_hat(KV1, t, [0.3], [0.5]),
+    lambda t: composed_kernel_hat(KV1, t, 0.4, [0.3], [0.5]),
+    lambda t: composed_kernel_hat(KV1, 0.4, t, [0.3], [0.5]),
+    lambda t: radial_heat_profile(KV1, t, 0.5),
 ], ids=["simulate_paths", "simulate_paths_cauchy", "rayleigh_measure", "cauchy_measure",
-        "stable_half_subordinator", "heat_kernel"])
+        "stable_half_subordinator", "heat_kernel", "gaussian_kernel_hat",
+        "composed_kernel_hat_s", "composed_kernel_hat_t", "radial_heat_profile"])
 def test_non_finite_times_are_config_errors(call, bad):
     with pytest.raises(ConfigError):
         call(bad)
+
+
+@pytest.mark.parametrize("t", [0.0, -0.5])
+def test_radial_heat_profile_needs_positive_time(t):
+    with pytest.raises(ConfigError):
+        radial_heat_profile(KV1, t, 0.5)
+
+
+def test_thread_count_is_capped_by_blocks_and_cpus(monkeypatch):
+    # resolver only: no thread is started
+    monkeypatch.delenv("DUNKL_KIT_THREADS", raising=False)
+    monkeypatch.setattr("os.cpu_count", lambda: 4)
+    assert _resolve_threads(10**6, 16) == 4
+    assert _resolve_threads(10**6, 3) == 3
+    assert _resolve_threads(2, 16) == 2
+    assert _resolve_threads(0, 16) == 1
+    assert _resolve_threads(None, 16) == 1
+    monkeypatch.setenv("DUNKL_KIT_THREADS", "1000000")
+    assert _resolve_threads(None, 16) == 4
+    assert _resolve_threads(1, 16) == 1  # the argument wins over the environment
+    monkeypatch.setattr("os.cpu_count", lambda: None)
+    assert _resolve_threads(None, 16) == 1
+
+
+@pytest.mark.parametrize("env", ["two", "2.5", "1e6"])
+def test_non_integer_thread_setting_is_config_error(monkeypatch, env):
+    monkeypatch.setenv("DUNKL_KIT_THREADS", env)
+    with pytest.raises(ConfigError):
+        _resolve_threads(None, 16)
 
 
 def test_simulate_paths_reproducible_and_thread_invariant():

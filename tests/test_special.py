@@ -6,10 +6,13 @@ j_alpha(iy) through I_alpha, and general complex arguments through the
 confluent limit 0F1(alpha+1; -z^2/4).
 """
 
+import mpmath
 import numpy as np
 import pytest
+from scipy.special import jv
 
 from dunklkit.special import (
+    _prefactor,
     bessel_j,
     bessel_j_envelope,
     bessel_j_imag,
@@ -71,6 +74,64 @@ def test_bessel_j_basic_shape_and_symmetry():
 def test_bessel_j_half_is_sinc():
     z = np.linspace(0.1, 40.0, 57)
     assert np.allclose(bessel_j(0.5, z), np.sin(z) / z, rtol=0, atol=5e-13)
+
+
+# Large-argument branch (|z| > 12) at half-integer orders: trig start plus
+# upward recurrence.  Errors are measured against mpmath relative to the
+# asymptotic envelope Gamma(a+1) (x/2)^(-a) sqrt(2/(pi x)), floored at the
+# smallest normal double (below it j has no relative digits left to keep).
+_HALF_INT_ORDERS = [n - 0.5 for n in range(13)]
+
+
+def _envelope_error(alpha, x, got):
+    with mpmath.workdps(40):
+        xm = mpmath.mpf(float(x))
+        scale = mpmath.gamma(alpha + 1) * (xm / 2) ** (-alpha)
+        exact = scale * mpmath.besselj(alpha, xm)
+        env = max(scale * mpmath.sqrt(2 / (mpmath.pi * xm)), np.finfo(float).tiny)
+        return float(abs(mpmath.mpf(float(got)) - exact) / env)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("alpha", _HALF_INT_ORDERS)
+def test_bessel_j_half_integer_large_argument(alpha):
+    rng = np.random.default_rng(20261018)
+    x = np.concatenate([rng.uniform(12.0, 200.0, 24),
+                        np.exp(rng.uniform(np.log(200.0), np.log(1e6), 24)),
+                        [1e6, 1e150, 1e200]])
+    got = bessel_j(alpha, x)
+    assert np.all(np.isfinite(got))
+    assert max(_envelope_error(alpha, xx, g) for xx, g in zip(x, got)) <= 5e-15
+    np.testing.assert_array_equal(bessel_j(alpha, -x), got)
+
+
+@pytest.mark.parametrize("alpha", _HALF_INT_ORDERS)
+def test_bessel_j_continuous_where_series_meets_recurrence(alpha):
+    edge = np.array([12.0, np.nextafter(12.0, np.inf)])
+    series_side, recurrence_side = bessel_j(alpha, edge)
+    # the jump is bounded by the series branch's own error at its edge
+    # (about 1e-12 of the envelope); the recurrence side is exact to rounding
+    assert _envelope_error(alpha, 12.0, recurrence_side) <= 5e-15
+    env = _prefactor(alpha, np.array([12.0]))[0] * np.sqrt(2.0 / (np.pi * 12.0))
+    assert abs(series_side - recurrence_side) <= 1e-11 * env
+
+
+@pytest.mark.parametrize("alpha", [-0.5, 0.5, 3.5, 11.5])
+def test_bessel_j_complex_real_like_matches_real(alpha):
+    x = np.concatenate([np.linspace(-80.0, -12.5, 70), np.linspace(12.5, 80.0, 70), [1e200]])
+    want = bessel_j(alpha, x)
+    for z in (x + 0j, x + 1e-15j * np.abs(x)):
+        got = bessel_j(alpha, z)
+        np.testing.assert_array_equal(got.real, want)
+        assert np.all(got.imag == 0.0)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 1.0, 2.0, 1.25, 12.5])
+def test_bessel_j_other_orders_keep_scipy_route(alpha):
+    x = np.concatenate([np.linspace(12.5, 300.0, 40), [1e4, 1e8]])
+    want = _prefactor(alpha, x) * jv(alpha, x)
+    np.testing.assert_array_equal(bessel_j(alpha, x), want)
+    np.testing.assert_array_equal(bessel_j(alpha, -x), want)
 
 
 def test_bessel_envelope_bounds_the_function():
