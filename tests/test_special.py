@@ -11,8 +11,10 @@ import numpy as np
 import pytest
 from scipy.special import jv
 
+from dunklkit.errors import NumericalError
 from dunklkit.special import (
     _prefactor,
+    _series_0f1,
     bessel_j,
     bessel_j_envelope,
     bessel_j_imag,
@@ -107,13 +109,23 @@ def test_bessel_j_half_integer_large_argument(alpha):
 
 @pytest.mark.parametrize("alpha", _HALF_INT_ORDERS)
 def test_bessel_j_continuous_where_series_meets_recurrence(alpha):
-    edge = np.array([12.0, np.nextafter(12.0, np.inf)])
+    # half-integer orders switch to the recurrence at min(12, alpha + 1)
+    e = min(12.0, alpha + 1.0)
+    edge = np.array([e, np.nextafter(e, np.inf)])
     series_side, recurrence_side = bessel_j(alpha, edge)
-    # the jump is bounded by the series branch's own error at its edge
-    # (about 1e-12 of the envelope); the recurrence side is exact to rounding
-    assert _envelope_error(alpha, 12.0, recurrence_side) <= 5e-15
-    env = _prefactor(alpha, np.array([12.0]))[0] * np.sqrt(2.0 / (np.pi * 12.0))
-    assert abs(series_side - recurrence_side) <= 1e-11 * env
+    assert _envelope_error(alpha, e, recurrence_side) <= 5e-15
+    env = _prefactor(alpha, np.array([e]))[0] * np.sqrt(2.0 / (np.pi * e))
+    assert abs(series_side - recurrence_side) <= 1e-14 * env
+
+
+@pytest.mark.parametrize("alpha", [a for a in _HALF_INT_ORDERS if a + 1.0 < 12.0])
+def test_bessel_j_half_integer_between_edge_and_twelve(alpha):
+    # (alpha + 1, 12] is on the recurrence, where the series would lose
+    # about 1e-12 of the envelope to cancellation near 12
+    rng = np.random.default_rng(20261019)
+    x = np.concatenate([rng.uniform(alpha + 1.0, 12.0, 40), [np.nextafter(alpha + 1.0, np.inf), 12.0]])
+    got = bessel_j(alpha, x)
+    assert max(_envelope_error(alpha, xx, g) for xx, g in zip(x, got)) <= 5e-15
 
 
 @pytest.mark.parametrize("alpha", [-0.5, 0.5, 3.5, 11.5])
@@ -124,6 +136,63 @@ def test_bessel_j_complex_real_like_matches_real(alpha):
         got = bessel_j(alpha, z)
         np.testing.assert_array_equal(got.real, want)
         assert np.all(got.imag == 0.0)
+
+
+# The |z| <= 12 branch: the power series in Horner form.  Its rounding error
+# is bounded by a small multiple of eps times the sum of |terms|, which is
+# 0F1(alpha+1; |z|^2/4).
+_SERIES_ORDERS = [-0.5, 0.0, 0.5, 1.0, 1.25, 2.0, 2.5, 5.5, 11.5, 20.0]
+
+
+def _series_points():
+    return np.concatenate([np.random.default_rng(20261020).uniform(0.0, 12.0, 300), [12.0]])
+
+
+@pytest.mark.parametrize("alpha", _SERIES_ORDERS)
+def test_series_kernel_against_mpmath(alpha):
+    x = _series_points()
+    got = _series_0f1(alpha, -0.25 * x**2)
+    eps = np.finfo(float).eps
+    with mpmath.workdps(40):
+        for xx, g in zip(x, got):
+            w = mpmath.mpf(float(xx)) ** 2 / 4
+            exact = mpmath.hyp0f1(alpha + 1, -w)
+            assert abs(g - exact) <= 4 * eps * mpmath.hyp0f1(alpha + 1, w)
+
+
+@pytest.mark.parametrize("alpha", _SERIES_ORDERS)
+def test_series_kernel_growing_direction(alpha):
+    x = _series_points()
+    got = bessel_j_imag(alpha, x)
+    with mpmath.workdps(40):
+        for xx, g in zip(x, got):
+            exact = mpmath.hyp0f1(alpha + 1, mpmath.mpf(float(xx)) ** 2 / 4)
+            assert abs(g - exact) <= 2e-15 * exact
+
+
+@pytest.mark.parametrize("alpha", _SERIES_ORDERS)
+def test_series_complex_real_like_matches_real(alpha):
+    x = np.concatenate([-_series_points(), _series_points()])
+    got = bessel_j(alpha, x + 0j)
+    np.testing.assert_array_equal(got.real, bessel_j(alpha, x))
+    assert np.all(got.imag == 0.0)
+
+
+def test_series_kernel_edge_cases():
+    assert _series_0f1(1.0, np.array([])).shape == (0,)
+    for empty in (np.array([]), np.array([], dtype=complex)):
+        assert bessel_j(1.0, empty).shape == (0,)
+    assert bessel_j_imag(1.0, np.array([])).shape == (0,)
+    with pytest.raises(NumericalError):
+        _series_0f1(0.0, np.array([-1e6]))
+
+
+@pytest.mark.parametrize("alpha", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("arg", [1.0, 20.0])
+@pytest.mark.parametrize("func", [bessel_j, bessel_j_imag])
+def test_bessel_rejects_non_finite_order(func, alpha, arg):
+    with pytest.raises(ValueError):
+        func(alpha, arg)
 
 
 @pytest.mark.parametrize("alpha", [0.0, 1.0, 2.0, 1.25, 12.5])
