@@ -32,7 +32,7 @@ from .errors import ConfigError, NumericalError
 from .markov import _resolve_threads, marginal_ks, semigroup_from_json, simulate_paths
 from .measures import measure_from_json, measure_to_json
 from .special import bessel_j
-from .transform import GridFunction, dunkl_transform_grid, heat_kernel
+from .transform import GridFunction, TransformPlan, dunkl_transform_grid, heat_kernel
 from .verify import run_all, suite_names
 from .bessel_kingman import convolve_measures
 
@@ -268,26 +268,19 @@ def cmd_eval(cfg: RunConfig) -> int:
     coords = _coordinate_columns(kv.n_axes)
     k_label = json.dumps(list(kv.k))
 
+    xg, yg, meta = xpts[:, None, :], ypts[None, :, :], {}
     if target == "kernel":
-        vals = dunkl_kernel_unitary(kv, xpts[:, None, :], ypts[None, :, :])
-        vals = np.asarray(vals, dtype=complex)
-        rows = [list(xpts[i]) + list(ypts[j]) + [vals[i, j].real, vals[i, j].imag]
-                for i in range(xpts.shape[0]) for j in range(ypts.shape[0])]
-        _write_table(cfg, coords + ["re", "im"], rows, target=target, k=k_label)
+        vals = np.asarray(dunkl_kernel_unitary(kv, xg, yg), dtype=complex)
+        vals, cols = np.stack([vals.real, vals.imag], axis=-1), ["re", "im"]
     elif target == "generalized-bessel":
-        vals = generalized_bessel_unitary(kv, xpts[:, None, :], ypts[None, :, :])
-        vals = np.asarray(vals, dtype=float)
-        rows = [list(xpts[i]) + list(ypts[j]) + [vals[i, j]]
-                for i in range(xpts.shape[0]) for j in range(ypts.shape[0])]
-        _write_table(cfg, coords + ["value"], rows, target=target, k=k_label)
+        vals, cols = generalized_bessel_unitary(kv, xg, yg), ["value"]
     else:  # heat
         s = _positive_float(o, "s") if "s" in o else _require(o, "s", "eval heat")
-        rows = []
-        for i in range(xpts.shape[0]):
-            vals = np.atleast_1d(heat_kernel(kv, s, xpts[i], ypts))
-            rows += [list(xpts[i]) + list(ypts[j]) + [float(vals[j])]
-                     for j in range(ypts.shape[0])]
-        _write_table(cfg, coords + ["value"], rows, target=target, k=k_label, s=s)
+        vals, cols, meta = heat_kernel(kv, s, xg, yg), ["value"], {"s": s}
+    vals = vals.reshape(xpts.shape[0], ypts.shape[0], len(cols))
+    rows = [list(xpts[i]) + list(ypts[j]) + list(vals[i, j])
+            for i in range(xpts.shape[0]) for j in range(ypts.shape[0])]
+    _write_table(cfg, coords + cols, rows, target=target, k=k_label, **meta)
     return 0
 
 
@@ -380,11 +373,7 @@ def cmd_transform(cfg: RunConfig) -> int:
     inverse = bool(o.get("inverse", False))
     boundary_tol = o.get("boundary_tol", 1e-12)
 
-    vals = np.asarray(gf.values)
-    edge = 0.0
-    for i in range(vals.ndim):
-        edge = max(edge, float(np.abs(np.take(vals, 0, axis=i)).max()),
-                   float(np.abs(np.take(vals, -1, axis=i)).max()))
+    edge = TransformPlan.boundary_decay(gf.values)
     if edge > boundary_tol:
         raise NumericalError(
             f"grid function does not decay at the boundary: max |f| on the "

@@ -185,10 +185,7 @@ def dunkl_operator(kv, f, x, xi, h: float = 1e-5) -> float:
             total += ki * xi[i] * (fx - f(_reflected(x, i))) / x[i]
         else:
             # odd-part derivative: (f(x + s e_i) - f(x - s e_i)) / s at s -> 0
-            e = np.zeros_like(x)
-            e[i] = 1.0
-            total += ki * xi[i] * (-f(x + 2*h*e) + 8.0*f(x + h*e)
-                                   - 8.0*f(x - h*e) + f(x - 2*h*e)) / (6.0 * h)
+            total += ki * xi[i] * (2.0 * _partial(f, x, i, h))
     return float(total)
 
 

@@ -31,7 +31,6 @@ from dataclasses import dataclass
 import json
 
 import numpy as np
-from scipy.special import ive
 
 from .bessel_kingman import (
     cauchy_measure,
@@ -42,11 +41,12 @@ from .bessel_kingman import (
     rayleigh_radial_cdf,
     stable_half_subordinator,
 )
-from .core import MultiplicityVector, _as_kv, _axis_c_norm, dunkl_kernel_unitary
+from .core import MultiplicityVector, _as_kv, _axis_product, dunkl_kernel_unitary
 from .errors import ConfigError, ConsistencyError, PositivityError
 from .measures import RadialProfileMeasure, as_weighted_atoms, dirac
 from .rank_one import kernel_unitary, spherical_mean as _rank_one_mean
-from .transform import _gauss_kernel_axis, axis_rule, heat_kernel, spherical_mean_radial
+from .special import _bessel_ratio
+from .transform import _heat_axis, axis_rule, heat_kernel, spherical_mean_radial
 
 __all__ = [
     "KRadialMeasure",
@@ -388,16 +388,6 @@ def semigroup_from_json(text: str, tol: float | None = None) -> KernelSemigroup:
 # honest transforms of the transition kernels (quadrature, no factorization)
 
 
-def _per_axis_heat_hat(k: float, t: float, x_scalar, xi_scalar, n: int) -> complex:
-    """One axis of int E_k(-i xi, y) Gamma_k(t, x, y) w_k(y) dy by quadrature."""
-    scale = 1.0 / np.sqrt(2.0 * t)
-    extent = float(np.max(np.abs(x_scalar))) + np.sqrt(160.0 * t)
-    rule = axis_rule(k, extent, n)
-    g = _gauss_kernel_axis(k, np.asarray(x_scalar) * scale, rule.nodes * scale)
-    e = np.conj(kernel_unitary(k, xi_scalar, rule.nodes))
-    return (2.0 * t) ** (-(k + 0.5)) / _axis_c_norm(k) * np.sum(rule.weights * g * e)
-
-
 def gaussian_kernel_hat(kv, t: float, x, xi, n: int = 160) -> complex:
     """Transform of the heat transition kernel,
 
@@ -406,15 +396,15 @@ def gaussian_kernel_hat(kv, t: float, x, xi, n: int = 160) -> complex:
     by direct per-axis quadrature.  Nothing about k-invariance enters,
     so comparing against E_k(-ix, xi) e^(-t |xi|^2) is a real check.
     """
-    kv = _as_kv(kv)
     if not 0.0 < t < np.inf:
         raise ConfigError(f"kernel time must be finite and positive, got {t}")
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    total = 1.0 + 0.0j
-    for i in range(kv.n_axes):
-        total *= _per_axis_heat_hat(kv.k[i], t, x[i], xi[i], n)
-    return complex(total)
+
+    def axis(k, x_i, xi_i):
+        rule = axis_rule(k, abs(float(x_i)) + np.sqrt(160.0 * t), n)
+        e = np.conj(kernel_unitary(k, xi_i, rule.nodes))
+        return np.sum(rule.weights * _heat_axis(k, t, x_i, rule.nodes) * e)
+
+    return complex(_axis_product(kv, axis, np.atleast_1d(x), np.atleast_1d(xi)))
 
 
 def composed_kernel_hat(kv, s: float, t: float, x, xi, n: int = 160) -> complex:
@@ -425,28 +415,18 @@ def composed_kernel_hat(kv, s: float, t: float, x, xi, n: int = 160) -> complex:
     by nested per-axis quadrature.  The semigroup law makes this equal
     gaussian_kernel_hat(s + t) and that is how it is verified.
     """
-    kv = _as_kv(kv)
     if not (0.0 < s < np.inf and 0.0 < t < np.inf):
         raise ConfigError(f"kernel times must be finite and positive, got s={s}, t={t}")
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    total = 1.0 + 0.0j
-    for i in range(kv.n_axes):
-        k = kv.k[i]
-        c_axis = _axis_c_norm(k)
-        scale_s, scale_t = 1.0 / np.sqrt(2.0 * s), 1.0 / np.sqrt(2.0 * t)
-        ext_z = abs(float(x[i])) + np.sqrt(160.0 * s)
+
+    def axis(k, x_i, xi_i):
+        ext_z = abs(float(x_i)) + np.sqrt(160.0 * s)
         rule_z = axis_rule(k, ext_z, n)
-        ext_y = ext_z + np.sqrt(160.0 * t)
-        rule_y = axis_rule(k, ext_y, n)
-        g_t = _gauss_kernel_axis(k, rule_z.nodes[:, None] * scale_t,
-                                 rule_y.nodes[None, :] * scale_t)
-        e = np.conj(kernel_unitary(k, xi[i], rule_y.nodes))
-        inner = (2.0 * t) ** (-(k + 0.5)) / c_axis * (g_t @ (rule_y.weights * e))
-        g_s = _gauss_kernel_axis(k, float(x[i]) * scale_s, rule_z.nodes * scale_s)
-        total *= (2.0 * s) ** (-(k + 0.5)) / c_axis \
-            * np.sum(rule_z.weights * g_s * inner)
-    return complex(total)
+        rule_y = axis_rule(k, ext_z + np.sqrt(160.0 * t), n)
+        e = np.conj(kernel_unitary(k, xi_i, rule_y.nodes))
+        inner = _heat_axis(k, t, rule_z.nodes[:, None], rule_y.nodes[None, :]) @ (rule_y.weights * e)
+        return np.sum(rule_z.weights * _heat_axis(k, s, x_i, rule_z.nodes) * inner)
+
+    return complex(_axis_product(kv, axis, np.atleast_1d(x), np.atleast_1d(xi)))
 
 
 def subordinated_kernel_hat(kv, t: float, x, xi, s_quad: float = 50.0,
@@ -485,11 +465,7 @@ def subordinated_density(kv, t: float, x, y, cap: int = 2048):
         raise ConfigError("kernel time must be positive")
     rho = stable_half_subordinator(t)
     s_pos, s_mass = as_weighted_atoms(rho, cap=cap)
-    y = np.asarray(y, dtype=float)
-    out = np.zeros(y.shape[:-1] if y.ndim > 1 else ())
-    for s, m in zip(s_pos, s_mass):
-        out = out + m * heat_kernel(kv, float(s), x, y)
-    return out
+    return sum(m * heat_kernel(kv, float(s), x, y) for s, m in zip(s_pos, s_mass))
 
 
 # ---------------------------------------------------------------------------
@@ -511,10 +487,7 @@ def _heat_step(rng, k: float, a: np.ndarray) -> np.ndarray:
     if k > 0.0:
         r_sq = r_sq + 2.0 * rng.standard_gamma(k, size=a.shape)
     b = np.sqrt(r_sq)
-    u = np.abs(a) * b
-    den = ive(k - 0.5, u)
-    ratio = np.where(u > 0.0, ive(k + 0.5, u) / np.where(den > 0.0, den, 1.0), 0.0)
-    same = rng.random(a.shape) < 0.5 * (1.0 + ratio)
+    same = rng.random(a.shape) < 0.5 * (1.0 + _bessel_ratio(k - 0.5, np.abs(a) * b))
     sign = np.where(same, 1.0, -1.0) * np.where(a < 0.0, -1.0, 1.0)
     return sign * b
 

@@ -85,23 +85,16 @@ def panel_gauss_legendre(edges: np.ndarray, n_per_panel) -> QuadratureRule:
     return QuadratureRule(np.concatenate(nodes), np.concatenate(weights))
 
 
-def log_panel_rule(a: float, b: float, nodes_per_decade: int = 16,
-                   min_total: int = 0) -> QuadratureRule:
+def log_panel_rule(a: float, b: float, nodes_per_decade: int = 16) -> QuadratureRule:
     """Composite Gauss rule on [a, b] with panels split per decade of x.
 
     Suited to integrands that are smooth on a log scale over many orders
-    of magnitude (subordinator densities, heavy radial tails).  When
-    ``min_total`` is given, the per-panel order is raised until the rule
-    holds at least that many nodes.
+    of magnitude (subordinator densities, heavy radial tails).
     """
     if not (0.0 < a < b):
         raise QuadratureError("log panels need 0 < a < b")
     n_dec = max(1, int(np.ceil(np.log10(b / a))))
-    edges = np.geomspace(a, b, n_dec + 1)
-    n = nodes_per_decade
-    if min_total > 0:
-        n = max(n, int(np.ceil(min_total / n_dec)))
-    return panel_gauss_legendre(edges, n)
+    return panel_gauss_legendre(np.geomspace(a, b, n_dec + 1), nodes_per_decade)
 
 
 def _tensor_grid(nodes, weights=None):

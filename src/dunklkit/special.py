@@ -13,8 +13,10 @@ bessel_j dispatches on |z| and the order: the power series, summed in
 Horner form with its degree fixed up front, for |z| <= 12; for half-integer
 alpha, on the real axis beyond min(12, alpha + 1), the trig closed forms
 carried up by the three-term recurrence (DLMF 10.49, 10.6.1); otherwise
-scipy's jv (real z) or iv (imaginary z), and mpmath's 0F1 for general
-complex z.
+scipy's jv (real z), e^|z| times the scaled e^(-u) j_alpha(iu) (imaginary
+z), and mpmath's 0F1 for general complex z.  The scaled value and the ratio
+I_(nu+1)(u) / I_nu(u), which the heat kernel and the sampler use, come
+from scipy's ive up to u = 1e8 and from the Hankel expansion beyond.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from __future__ import annotations
 import cmath
 
 import numpy as np
-from scipy.special import gammaln, iv, jv
+from scipy.special import gammaln, ive, jv
 
 from .errors import NumericalError
 from .quadrature import gauss_jacobi
@@ -42,6 +44,9 @@ __all__ = [
 # axis already beyond alpha + 1.
 _SERIES_RADIUS = 12.0
 _SERIES_MAX_TERMS = 220
+# scipy's ive is exact up to u ~ 1e9 and NaN from ~1e10 on; it never sees
+# more than this, and the Hankel expansion takes over beyond.
+_IVE_MAX = 1e8
 
 
 def _series_0f1(alpha: float, w: np.ndarray) -> np.ndarray:
@@ -98,9 +103,11 @@ def _bessel_large_real(alpha: float, x: np.ndarray) -> np.ndarray:
 
 
 def _bessel_large_imag(alpha: float, y: np.ndarray) -> np.ndarray:
-    # j_alpha(i y) = Gamma(alpha+1) (y/2)^(-alpha) I_alpha(y), y real
-    y = np.abs(y)
-    return _prefactor(alpha, y) * iv(alpha, y)
+    # j_alpha(i y) = e^|y| (e^(-|y|) j_alpha(i |y|)), e^|y| in two halves so
+    # that only a result beyond the float range overflows
+    with np.errstate(over="ignore"):
+        half = np.exp(0.5 * np.abs(y))
+        return half * _scaled_bessel_imag(alpha, np.abs(y)) * half
 
 
 def _bessel_large_generic(alpha: float, z: np.ndarray) -> np.ndarray:
@@ -114,6 +121,60 @@ def _bessel_large_generic(alpha: float, z: np.ndarray) -> np.ndarray:
     return out.reshape(z.shape)
 
 
+def _hankel_sum(nu: float, u: np.ndarray) -> np.ndarray:
+    """sqrt(2 pi u) e^(-u) I_nu(u) for u > _IVE_MAX: the Hankel expansion
+    sum_m (-1)^m a_m(nu) u^(-m) (DLMF 10.40.1) to terms below 1e-17, fine
+    while nu^2 is small against u (orders up to about 10^3)."""
+    mu = 4.0 * nu * nu
+    term = total = np.ones_like(u)
+    for m in range(1, 40):
+        term = term * ((2.0 * m - 1.0) ** 2 - mu) / (8.0 * m * u)
+        total = total + term
+        if np.max(np.abs(term)) <= 1e-17:
+            break
+    return total
+
+
+def _scaled_bessel_imag(alpha: float, u: np.ndarray) -> np.ndarray:
+    """e^(-u) j_alpha(iu) for u >= 0, finite for every u: the positive-term
+    series up to 12, Gamma(alpha+1) (u/2)^(-alpha) ive(alpha, u) up to
+    _IVE_MAX, the Hankel expansion beyond."""
+    out = np.empty(u.shape)
+    small, far = u <= _SERIES_RADIUS, u > _IVE_MAX
+    mid = ~(small | far)
+    if small.any():
+        out[small] = np.exp(-u[small]) * _series_0f1(alpha, 0.25 * u[small] ** 2)
+    if mid.any():
+        out[mid] = _prefactor(alpha, u[mid]) * ive(alpha, u[mid])
+    if far.any():
+        uf = u[far]
+        out[far] = _prefactor(alpha, uf) / np.sqrt(2.0 * np.pi * uf) * _hankel_sum(alpha, uf)
+    return out
+
+
+def _bessel_ratio(nu: float, u: np.ndarray) -> np.ndarray:
+    """R_nu(u) = I_(nu+1)(u) / I_nu(u) for u >= 0, in [0, 1) for nu > -1/2.
+
+    ive(nu+1, u) / ive(nu, u) on u clamped at _IVE_MAX, the ratio of Hankel
+    sums beyond; where ive(nu+1, u) underflows, the backward continued
+    fraction R_(nu-1) = u / (2 nu + u R_nu) (DLMF 10.29.1) from R_(nu+30) = 0.
+    """
+    near = np.minimum(u, _IVE_MAX)
+    num = ive(nu + 1.0, near)
+    den = ive(nu, near)
+    out = np.where(u > 0.0, num / np.where(den > 0.0, den, 1.0), 0.0)
+    low = (num <= 1e-290) & (u > 0.0)
+    if low.any():
+        ul, r = u[low], 0.0
+        for j in range(30, 0, -1):
+            r = ul / (2.0 * (nu + j) + ul * r)
+        out[low] = r
+    far = u > _IVE_MAX
+    if far.any():
+        out[far] = _hankel_sum(nu + 1.0, u[far]) / _hankel_sum(nu, u[far])
+    return out
+
+
 def bessel_j(alpha: float, z):
     """Normalized Bessel function j_alpha(z), vectorized over z.
 
@@ -122,7 +183,7 @@ def bessel_j(alpha: float, z):
     alpha : float
         Order, finite with alpha >= -1/2.
     z : scalar or array, real or complex
-        Argument.  j_alpha is even in z.
+        Argument, finite (ValueError otherwise).  j_alpha is even in z.
 
     Returns
     -------
@@ -150,6 +211,8 @@ def bessel_j(alpha: float, z):
     if not -0.5 <= alpha < np.inf:
         raise ValueError(f"order must be finite with alpha >= -1/2, got {alpha}")
     z_arr = np.asarray(z)
+    if not np.isfinite(z_arr).all():
+        raise ValueError("argument must be finite")
     scalar = z_arr.ndim == 0
     z_arr = np.atleast_1d(z_arr)
 
@@ -204,6 +267,8 @@ def bessel_j_imag(alpha: float, y):
     if not -0.5 <= alpha < np.inf:
         raise ValueError(f"order must be finite with alpha >= -1/2, got {alpha}")
     y_arr = np.asarray(y, dtype=float)
+    if not np.isfinite(y_arr).all():
+        raise ValueError("argument must be finite")
     scalar = y_arr.ndim == 0
     y_arr = np.atleast_1d(y_arr)
     out = np.empty(y_arr.shape, dtype=float)

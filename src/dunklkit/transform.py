@@ -19,14 +19,13 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, ive
 
-from .core import (_as_kv, _axis_c_norm, _coords, dunkl_kernel_unitary, dunkl_laplacian,
+from .core import (_as_kv, _axis_c_norm, _axis_product, dunkl_kernel_unitary, dunkl_laplacian,
                    intertwiner_atoms)
 from .errors import ConfigError
 from .quadrature import QuadratureRule, _tensor_grid, gauss_jacobi
 from .rank_one import kernel_unitary
-from .special import bessel_j, radial_bessel_operator
+from .special import _scaled_bessel_imag, bessel_j, radial_bessel_operator
 
 __all__ = [
     "GridFunction",
@@ -273,7 +272,8 @@ class TransformPlan:
         b = self.norm_sq(self.forward(vals), freq=True)
         return abs(a - b) / max(a, 1e-300)
 
-    def boundary_decay(self, values: np.ndarray) -> float:
+    @staticmethod
+    def boundary_decay(values: np.ndarray) -> float:
         """Largest |values| over the faces of the grid, for support checks."""
         vals = np.abs(np.asarray(values))
         worst = 0.0
@@ -306,51 +306,37 @@ def dunkl_transform_grid(kv, gf: GridFunction, inverse: bool = False) -> GridFun
 # heat kernel
 
 
-def _gauss_kernel_axis(k: float, a, b):
-    """exp(-(a^2+b^2)/2) E_k(a, b) for one axis, overflow-free.
+def _heat_axis(k: float, s: float, x, y):
+    """Rank-one heat kernel Gamma_s(x, y) against (2 y^2)^k dy, overflow-free.
 
-    Written through exponentially scaled Bessel functions: with u = a b,
+    With a, b = x, y over sqrt(2 s) and u = a b,
 
-        e^(-(a^2+b^2)/2) j_alpha(iu)
-            = Gamma(alpha+1) (|u|/2)^(-alpha) ive(alpha, |u|) e^(-(|a|-|b|)^2/2),
+        Gamma_s = (2s)^(-(k+1/2)) / c_k e^(-(|a|-|b|)^2/2)
+                  * e^(-|u|) [j_(k-1/2)(iu) + u / (2k+1) j_(k+1/2)(iu)],
 
-    valid for all magnitudes of a and b.
+    through the scaled Bessel values, valid for all magnitudes of x, y, s.
     """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
+    scale = 1.0 / np.sqrt(2.0 * s)
+    a = np.asarray(x, dtype=float) * scale
+    b = np.asarray(y, dtype=float) * scale
     u = a * b
     au = np.abs(u)
-    damp = np.exp(-0.5 * (np.abs(a) - np.abs(b)) ** 2)
-    safe = np.where(au > 0, au, 1.0)
-    even = np.exp(gammaln(k + 0.5) + (0.5 - k) * np.log(safe / 2.0)) \
-        * ive(k - 0.5, safe) * damp
-    odd = np.exp(gammaln(k + 1.5) - (k + 0.5) * np.log(safe / 2.0)) \
-        * ive(k + 0.5, safe) * damp
-    out = even + (u / (2.0 * k + 1.0)) * odd
-    # u = 0: the odd half vanishes and the even half is plain Gaussian decay
-    return np.where(au > 0, out, np.exp(-0.5 * (a * a + b * b)))
+    kern = _scaled_bessel_imag(k - 0.5, au) + u / (2.0 * k + 1.0) * _scaled_bessel_imag(k + 0.5, au)
+    return (2.0 * s) ** (-(k + 0.5)) / _axis_c_norm(k) \
+        * np.exp(-0.5 * (np.abs(a) - np.abs(b)) ** 2) * kern
 
 
 def heat_kernel(kv, s: float, x, y):
-    """Closed form of the heat kernel at time s, vectorized over y.
+    """Closed form of the heat kernel at time s; x and y broadcast over
+    leading axes (last axis = coordinates).
 
     Factorizes over axes; each factor is evaluated through scaled Bessel
     functions so large |x|, |y|, or small s do not overflow.
     """
-    kv = _as_kv(kv)
     if not 0.0 < s < np.inf:
         raise ConfigError(f"heat kernel time must be finite and positive, got {s}")
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if x.shape != (kv.n_axes,):
-        raise ConfigError("x must be a point of R^N")
-    scale = 1.0 / np.sqrt(2.0 * s)
-    a = x * scale
-    b = _coords(kv, "y", np.atleast_1d(y)) * scale
-    fac = (2.0 * s) ** (-(kv.gamma + 0.5 * kv.n_axes)) / kv.c_norm
-    prod = fac * np.ones(b.shape[:-1] if b.ndim > 1 else ())
-    for i in range(kv.n_axes):
-        prod = prod * _gauss_kernel_axis(kv.k[i], a[i], b[..., i])
-    return prod
+    return _axis_product(kv, lambda k, a, b: _heat_axis(k, s, a, b),
+                         np.atleast_1d(x), np.atleast_1d(y))
 
 
 def radial_heat_profile(kv, t: float, r):
@@ -368,20 +354,16 @@ def heat_kernel_spectral(kv, s: float, x, y, extent=None, n: int = 128):
         (1/c_k^2) int e^(-s |xi|^2) E_k(-ix, xi) E_k(iy, xi) w_k(xi) dxi,
 
     evaluated axis by axis.  Independent of the closed form."""
-    kv = _as_kv(kv)
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    y = np.atleast_1d(np.asarray(y, dtype=float))
     if extent is None:
         extent = np.sqrt(80.0 / s)
-    per_axis_c = [_axis_c_norm(k) for k in kv.k]
-    total = 1.0 + 0.0j
-    for i in range(kv.n_axes):
-        rule = axis_rule(kv.k[i], float(extent), n)
-        ker_x = kernel_unitary(kv.k[i], rule.nodes, x[i])
-        ker_y = kernel_unitary(kv.k[i], rule.nodes, y[i])
-        total *= np.sum(rule.weights * np.exp(-s * rule.nodes**2)
-                        * np.conj(ker_x) * ker_y) / per_axis_c[i] ** 2
-    return total
+
+    def axis(k, a, b):
+        rule = axis_rule(k, float(extent), n)
+        ker_x, ker_y = (kernel_unitary(k, rule.nodes, p[..., None]) for p in (a, b))
+        return np.sum(rule.weights * np.exp(-s * rule.nodes**2) * np.conj(ker_x) * ker_y,
+                      axis=-1) / _axis_c_norm(k) ** 2
+
+    return _axis_product(kv, axis, np.atleast_1d(x), np.atleast_1d(y))
 
 
 def heat_normalization_defect(kv, s: float, x, n: int = 96) -> float:

@@ -26,8 +26,10 @@ from dunklkit import (
     kernel_real,
     kernel_unitary,
     heat_kernel,
+    heat_kernel_spectral,
     weight,
 )
+from dunklkit.markov import composed_kernel_hat, gaussian_kernel_hat
 from dunklkit.cli import main
 from dunklkit.special import bessel_j, bessel_j_imag
 
@@ -221,8 +223,12 @@ KV_COORDS = MultiplicityVector(k=(1.0, 0.5))
     generalized_bessel,
     generalized_bessel_unitary,
     lambda kv, x, y: heat_kernel(kv, 0.5, x, y),
+    lambda kv, x, y: heat_kernel_spectral(kv, 0.5, x, y),
+    lambda kv, x, y: gaussian_kernel_hat(kv, 0.5, x, y),
+    lambda kv, x, y: composed_kernel_hat(kv, 0.3, 0.2, x, y),
 ], ids=["dunkl_kernel", "dunkl_kernel_unitary", "generalized_bessel",
-        "generalized_bessel_unitary", "heat_kernel"])
+        "generalized_bessel_unitary", "heat_kernel", "heat_kernel_spectral",
+        "gaussian_kernel_hat", "composed_kernel_hat"])
 @pytest.mark.parametrize("x, y", [
     ([1.0, 2.0, 3.0], [0.5, 0.1, 9.0]),
     ([1.0, 2.0, 3.0], [0.5, 0.1]),

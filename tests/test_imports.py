@@ -59,3 +59,60 @@ def test_checker_flags_an_unused_import(tmp_path):
     src.write_text("import os\nimport sys as system\nfrom json import dumps, loads\n"
                    "__all__ = ['loads']\nprint(system.argv)\n")
     assert unused_imports(src) == ["dumps (line 3)", "os (line 1)"]
+
+
+# ---------------------------------------------------------------------------
+# modified and ordinary Bessel routines have one owner: special.py
+
+BESSEL_ROUTINES = {"iv", "ive", "jv", "kv", "kve"}
+PACKAGE = sorted((ROOT / "src" / "dunklkit").glob("*.py"))
+
+
+def bessel_imports(path: Path) -> list[str]:
+    """scipy Bessel routines a module imports or reaches as an attribute,
+    anywhere in the module (function-level imports included)."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found, scipy_names = [], set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            scipy_names |= {a.asname or "scipy" for a in node.names
+                            if a.name.split(".")[0] == "scipy"}
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("scipy"):
+            scipy_names |= {a.asname or a.name for a in node.names}
+            found += [f"{a.name} (line {node.lineno})" for a in node.names
+                      if a.name in BESSEL_ROUTINES]
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr in BESSEL_ROUTINES:
+            root = node.value
+            while isinstance(root, ast.Attribute):
+                root = root.value
+            if isinstance(root, ast.Name) and root.id in scipy_names:
+                found.append(f"{node.attr} (line {node.lineno})")
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", [p for p in PACKAGE if p.name != "special.py"],
+                         ids=lambda p: p.name)
+def test_bessel_routines_only_in_special(path):
+    assert bessel_imports(path) == []
+
+
+def test_bessel_checker_flags_imports(tmp_path):
+    src = tmp_path / "mod.py"
+    src.write_text("import scipy.special as sp\nfrom scipy.special import gammaln, ive\n"
+                   "def f(u, self):\n    from scipy.special import jv\n"
+                   "    return sp.kve(0, u) + self.kv.k\n")
+    assert bessel_imports(src) == ["ive (line 2)", "jv (line 4)", "kve (line 5)"]
+
+
+@pytest.mark.parametrize("module, name", [
+    ("transform", "heat_kernel"), ("transform", "heat_kernel_spectral"),
+    ("markov", "gaussian_kernel_hat"), ("markov", "composed_kernel_hat"),
+])
+def test_heat_functions_leave_the_axis_loop_to_the_core(module, name):
+    # the per-axis product is core._axis_product's job
+    tree = ast.parse((ROOT / "src" / "dunklkit" / f"{module}.py").read_text())
+    fn = next(node for node in tree.body
+              if isinstance(node, ast.FunctionDef) and node.name == name)
+    assert not any(isinstance(node, ast.For) for node in ast.walk(fn))
+    assert "_axis_product" in {node.id for node in ast.walk(fn) if isinstance(node, ast.Name)}

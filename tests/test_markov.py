@@ -23,6 +23,7 @@ from dunklkit import (
 from dunklkit.bessel_kingman import cauchy_measure, rayleigh_measure, stable_half_subordinator
 from dunklkit.transform import heat_kernel, radial_heat_profile
 from dunklkit.markov import (
+    _heat_step,
     _resolve_threads,
     composed_kernel_hat,
     gaussian_kernel_hat,
@@ -381,3 +382,14 @@ def test_path_ensemble_csv_format(tmp_path):
     assert len(lines) == 2 + 3 * 2
     first = lines[2].split(",")
     assert first[0] == "0" and float(first[1]) == 0.0
+
+
+@pytest.mark.parametrize("k", [1.0, 0.5])
+@pytest.mark.parametrize("dt", [1e-4, 1e-8, 1e-10, 1e-12, 1e-14])
+def test_heat_step_keeps_the_sign_over_short_times(k, dt):
+    # from x = 1 the sign flips with probability (1 - R)/2 ~ k dt; the
+    # Bessel ratio at u ~ 1/(2 dt) must stay finite for that to hold
+    a = np.full(20_000, 1.0 / np.sqrt(2.0 * dt))
+    b = _heat_step(np.random.default_rng(5), k, a)
+    assert np.all(np.isfinite(b))
+    assert np.mean(b > 0.0) >= 0.999

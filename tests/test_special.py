@@ -9,11 +9,15 @@ confluent limit 0F1(alpha+1; -z^2/4).
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import jv
 
 from dunklkit.errors import NumericalError
 from dunklkit.special import (
+    _bessel_ratio,
     _prefactor,
+    _scaled_bessel_imag,
     _series_0f1,
     bessel_j,
     bessel_j_envelope,
@@ -193,6 +197,75 @@ def test_series_kernel_edge_cases():
 def test_bessel_rejects_non_finite_order(func, alpha, arg):
     with pytest.raises(ValueError):
         func(alpha, arg)
+
+
+@pytest.mark.parametrize("arg", [
+    np.nan, np.inf, -np.inf, complex(np.nan, 0.0), complex(0.0, np.nan),
+    complex(np.inf, 0.0), np.array([0.5, 20.0, np.nan]),
+])
+def test_bessel_j_rejects_non_finite_argument(arg):
+    # a NaN used to reach mpmath's 0F1 (which returns 1) or come back as nan
+    with pytest.raises(ValueError):
+        bessel_j(0.5, arg)
+
+
+@pytest.mark.parametrize("arg", [np.nan, np.inf, -np.inf, np.array([1.0, np.nan])])
+def test_bessel_j_imag_rejects_non_finite_argument(arg):
+    with pytest.raises(ValueError):
+        bessel_j_imag(0.5, arg)
+
+
+def test_bessel_j_imag_overflows_quietly_only_past_the_float_range():
+    # j_(1/2)(i y) = sinh(y) / y is finite up to y ~ 716, inf beyond
+    got = bessel_j_imag(0.5, np.array([700.0, 712.0, 800.0, 2000.0]))
+    np.testing.assert_allclose(got[:2], np.exp([700.0 - np.log(1400.0), 712.0 - np.log(1424.0)]),
+                               rtol=1e-12)
+    assert np.all(np.isinf(got[2:]))
+
+
+# ---------------------------------------------------------------------------
+# scaled modified Bessel functions: series, scipy ive, Hankel expansion
+
+_SCALED_ORDERS = [-0.5, 0.0, 0.5, 1.5, 2.25, 7.5]
+_SCALED_POINTS = np.array([0.0, 1e-3, 0.5, 5.0, 12.0, 12.5, 30.0, 700.0, 1e4,
+                           1e8, 1.5e8, 1e9, 1e10, 1e12])
+
+
+@pytest.mark.parametrize("alpha", _SCALED_ORDERS)
+def test_scaled_bessel_imag_against_mpmath(alpha):
+    got = _scaled_bessel_imag(alpha, _SCALED_POINTS)
+    assert got[0] == 1.0
+    with mpmath.workdps(40):
+        for u, g in zip(_SCALED_POINTS[1:], got[1:]):
+            uu = mpmath.mpf(float(u))
+            exact = mpmath.gamma(alpha + 1) * (uu / 2) ** (-alpha) \
+                * mpmath.besseli(alpha, uu) * mpmath.exp(-uu)
+            assert abs(g - exact) <= 1e-13 * exact
+
+
+@pytest.mark.parametrize("nu", _SCALED_ORDERS)
+def test_bessel_ratio_against_mpmath(nu):
+    got = _bessel_ratio(nu, _SCALED_POINTS)
+    assert got[0] == 0.0
+    with mpmath.workdps(40):
+        for u, g in zip(_SCALED_POINTS[1:], got[1:]):
+            uu = mpmath.mpf(float(u))
+            exact = mpmath.besseli(nu + 1, uu) / mpmath.besseli(nu, uu)
+            assert abs(g - exact) <= 1e-14 * exact
+
+
+@given(nu=st.floats(0.0, 20.0), u=st.floats(0.0, 1e12))
+@settings(max_examples=300, deadline=None)
+def test_bessel_ratio_bounds(nu, u):
+    # Amos, Math. Comp. 28 (1974):
+    # u / (nu + 1/2 + sqrt(u^2 + (nu + 3/2)^2)) <= R_nu(u) <= u / (nu + 1/2 + sqrt(u^2 + (nu + 1/2)^2))
+    # At tiny u scipy's ive loses about |nu log(u/2)| ulps to its power-law
+    # factor (up to ~700), hence the relative slack of 1e-12.
+    r = float(_bessel_ratio(nu, np.array([u]))[0])
+    assert 0.0 <= r < 1.0
+    lo = u / (nu + 0.5 + np.sqrt(u * u + (nu + 1.5) ** 2))
+    hi = u / (nu + 0.5 + np.sqrt(u * u + (nu + 0.5) ** 2))
+    assert lo * (1.0 - 1e-12) <= r <= hi * (1.0 + 1e-12)
 
 
 @pytest.mark.parametrize("alpha", [0.0, 1.0, 2.0, 1.25, 12.5])

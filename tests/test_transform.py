@@ -193,6 +193,23 @@ def test_heat_kernel_extreme_arguments_stay_finite():
     assert val[0] > 0
 
 
+@pytest.mark.parametrize("s", [1e-8, 1e-10, 1e-12, 1e-14])
+def test_heat_kernel_is_continuous_down_to_tiny_times(s):
+    # Gamma_s(x, x) w(x) sqrt(4 pi s) -> 1 as s -> 0, at u = x^2 / (2 s) up to 5e13
+    kv = MultiplicityVector(k=(1.0,))
+    got = float(heat_kernel(kv, s, [1.0], [1.0])) * np.sqrt(4.0 * np.pi * s) * 2.0
+    assert abs(got - 1.0) <= 1e-6
+
+
+def test_heat_kernel_broadcasts_over_both_points():
+    x = np.array([[0.9, -0.4], [0.2, 1.3], [-1.1, 0.0]])
+    y = np.array([[0.5, 0.7], [-0.3, 0.1]])
+    grid = heat_kernel(KV2, 0.6, x[:, None, :], y[None, :, :])
+    assert grid.shape == (3, 2)
+    for i in range(3):
+        np.testing.assert_allclose(grid[i], heat_kernel(KV2, 0.6, x[i], y), rtol=1e-14)
+
+
 def test_heat_normalization_and_chapman_kolmogorov():
     assert heat_normalization_defect(KV2, 0.8, np.array([0.7, -0.2])) < 1e-8
     assert chapman_kolmogorov_defect(KV2, 0.3, 0.5, np.array([0.4, 0.1]),
