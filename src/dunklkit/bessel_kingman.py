@@ -18,11 +18,11 @@ spectrally accurate for integrands even in z (the characters are).
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import betainc, erf, gammainc, gammainccinv, gammaln, roots_jacobi
+from scipy.special import betainc, erf, gammainc, gammainccinv, gammaln
 
 from .errors import ConfigError, NumericalError, PositivityError, ResolutionError
 from .measures import RadialProfileMeasure, deposit_on_grid, dirac, as_weighted_atoms
-from .quadrature import gauss_jacobi, log_panel_rule, panel_gauss_legendre
+from .quadrature import _gauss_roots, gauss_jacobi, log_panel_rule, panel_gauss_legendre
 from .special import bessel_j, bessel_j_envelope
 
 __all__ = [
@@ -78,7 +78,7 @@ def product_kernel(lam: float, x: float, y: float, z) -> np.ndarray:
 
 
 def _angle_rule(lam: float, n: int) -> tuple[np.ndarray, np.ndarray]:
-    u, w = roots_jacobi(n, lam - 0.5, lam - 0.5)
+    u, w = _gauss_roots("jacobi", n, lam - 0.5, lam - 0.5)
     return u, w * _angular_norm(lam)
 
 

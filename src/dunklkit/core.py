@@ -117,11 +117,13 @@ def _as_kv(kv) -> MultiplicityVector:
 
 
 def _coords(kv: MultiplicityVector, name: str, p) -> np.ndarray:
-    """p as a float array whose last axis holds the N coordinates."""
+    """p as a float array whose last axis holds the N finite coordinates."""
     p = np.asarray(p, dtype=float)
     if p.shape[-1:] != (kv.n_axes,):
         raise ConfigError(f"{name} has shape {p.shape}; its last axis must hold "
                           f"the {kv.n_axes} coordinates")
+    if not np.all(np.isfinite(p)):
+        raise ConfigError(f"{name} has a non-finite coordinate")
     return p
 
 

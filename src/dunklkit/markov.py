@@ -526,15 +526,18 @@ class PathEnsemble:
 
     def to_csv(self, path: str, header: dict | None = None) -> None:
         """Rows path_id,time,x1..xN; '#'-prefixed metadata lines on top."""
+        n_paths, n_times, n_axes = self.states.shape
+        path_rows = "".join(f"%d,{t:.17g}" + ",%.17g" * n_axes + "\n" for t in self.times.tolist())
+        step = max(1, 4096 // max(n_times, 1))   # paths per write, so memory stays bounded
         with open(path, "w", newline="") as fh:
             for key, val in (header or {}).items():
                 fh.write(f"# {key}: {val}\n")
-            cols = ["path_id", "time"] + [f"x{i+1}" for i in range(self.n_axes)]
-            fh.write(",".join(cols) + "\n")
-            for pid in range(self.states.shape[0]):
-                for j, tj in enumerate(self.times):
-                    coords = ",".join(f"{c:.17g}" for c in self.states[pid, j])
-                    fh.write(f"{pid},{tj:.17g},{coords}\n")
+            fh.write(",".join(["path_id", "time"] + [f"x{i+1}" for i in range(n_axes)]) + "\n")
+            for p0 in range(0, n_paths, step):
+                states = self.states[p0:p0 + step]
+                pids = np.repeat(np.arange(p0, p0 + len(states), dtype=float), n_times)[:, None]
+                cells = np.hstack([pids, states.reshape(-1, n_axes)]).ravel().tolist()
+                fh.write(path_rows * len(states) % tuple(cells))
 
 
 def _resolve_threads(threads: int | None, n_blocks: int) -> int:

@@ -9,6 +9,7 @@ integral, with any singular endpoint factors absorbed into the weights.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.special import roots_jacobi, roots_legendre
@@ -43,9 +44,18 @@ class QuadratureRule:
         return np.sum(self.weights * f(self.nodes))
 
 
+@lru_cache(maxsize=128)
+def _gauss_roots(family: str, n: int, alpha: float = 0.0, beta: float = 0.0):
+    """The n-point Gauss rule on [-1, 1], "legendre" or "jacobi" for (1-x)^alpha (1+x)^beta;
+    shared, hence read-only.  A hit returns the arrays scipy built on the miss."""
+    x, w = roots_legendre(n) if family == "legendre" else roots_jacobi(n, alpha, beta)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
 def gauss_legendre(n: int, a: float, b: float) -> QuadratureRule:
     """Gauss-Legendre rule with n nodes on [a, b]."""
-    x, w = roots_legendre(n)
+    x, w = _gauss_roots("legendre", n)
     half = 0.5 * (b - a)
     return QuadratureRule(a + half * (x + 1.0), half * w)
 
@@ -62,7 +72,7 @@ def gauss_jacobi(n: int, alpha: float, beta: float, a: float, b: float) -> Quadr
     """
     if alpha <= -1.0 or beta <= -1.0:
         raise QuadratureError(f"Jacobi exponents must exceed -1, got ({alpha}, {beta})")
-    x, w = roots_jacobi(n, alpha, beta)
+    x, w = _gauss_roots("jacobi", n, float(alpha), float(beta))
     half = 0.5 * (b - a)
     # the affine map contributes half^(alpha+beta+1) from the weight factors
     return QuadratureRule(a + half * (x + 1.0), w * half ** (alpha + beta + 1.0))
@@ -77,12 +87,9 @@ def panel_gauss_legendre(edges: np.ndarray, n_per_panel) -> QuadratureRule:
     if edges.ndim != 1 or edges.size < 2 or np.any(np.diff(edges) <= 0):
         raise QuadratureError("panel edges must be strictly increasing")
     counts = np.broadcast_to(np.asarray(n_per_panel, dtype=int), (edges.size - 1,))
-    nodes, weights = [], []
-    for a, b, n in zip(edges[:-1], edges[1:], counts):
-        r = gauss_legendre(int(n), a, b)
-        nodes.append(r.nodes)
-        weights.append(r.weights)
-    return QuadratureRule(np.concatenate(nodes), np.concatenate(weights))
+    rules = [gauss_legendre(int(n), a, b) for a, b, n in zip(edges[:-1], edges[1:], counts)]
+    return QuadratureRule(np.concatenate([r.nodes for r in rules]),
+                          np.concatenate([r.weights for r in rules]))
 
 
 def log_panel_rule(a: float, b: float, nodes_per_decade: int = 16) -> QuadratureRule:

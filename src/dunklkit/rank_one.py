@@ -14,11 +14,12 @@ spherical mean measure, which is a probability measure for every k >= 0.
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import gammaln, roots_jacobi
+from scipy.special import gammaln
 
 from .bessel_kingman import _pair_nodes, convolve_points_nodes, product_kernel
 from .errors import ConfigError
 from .measures import LineMeasure, as_weighted_atoms, deposit_on_grid
+from .quadrature import _gauss_roots
 from .special import bessel_j, bessel_j_imag
 
 __all__ = [
@@ -217,7 +218,7 @@ def intertwiner_measure(k: float, x: float, n: int = 64) -> LineMeasure:
     x = float(x)
     if k == 0.0 or x == 0.0:
         return LineMeasure(atoms=[(x, 1.0)], lam=k)
-    t, w = roots_jacobi(n, k - 1.0, k)
+    t, w = _gauss_roots("jacobi", n, k - 1.0, k)
     b_k = np.exp(gammaln(k + 0.5) - gammaln(k)) / np.sqrt(np.pi)
     nodes = x * t
     masses = b_k * w

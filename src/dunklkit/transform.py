@@ -354,6 +354,8 @@ def heat_kernel_spectral(kv, s: float, x, y, extent=None, n: int = 128):
         (1/c_k^2) int e^(-s |xi|^2) E_k(-ix, xi) E_k(iy, xi) w_k(xi) dxi,
 
     evaluated axis by axis.  Independent of the closed form."""
+    if not 0.0 < s < np.inf:
+        raise ConfigError(f"heat kernel time must be finite and positive, got {s}")
     if extent is None:
         extent = np.sqrt(80.0 / s)
 

@@ -62,14 +62,16 @@ def test_checker_flags_an_unused_import(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# modified and ordinary Bessel routines have one owner: special.py
+# scipy's Bessel routines have one owner, special.py, and its Gauss roots
+# one owner, quadrature.py
 
 BESSEL_ROUTINES = {"iv", "ive", "jv", "kv", "kve"}
+GAUSS_ROUTINES = {"roots_jacobi", "roots_legendre"}
 PACKAGE = sorted((ROOT / "src" / "dunklkit").glob("*.py"))
 
 
-def bessel_imports(path: Path) -> list[str]:
-    """scipy Bessel routines a module imports or reaches as an attribute,
+def scipy_imports(path: Path, routines: set[str] = BESSEL_ROUTINES) -> list[str]:
+    """The given scipy routines a module imports or reaches as an attribute,
     anywhere in the module (function-level imports included)."""
     tree = ast.parse(path.read_text(), filename=str(path))
     found, scipy_names = [], set()
@@ -80,9 +82,9 @@ def bessel_imports(path: Path) -> list[str]:
         elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("scipy"):
             scipy_names |= {a.asname or a.name for a in node.names}
             found += [f"{a.name} (line {node.lineno})" for a in node.names
-                      if a.name in BESSEL_ROUTINES]
+                      if a.name in routines]
     for node in ast.walk(tree):
-        if isinstance(node, ast.Attribute) and node.attr in BESSEL_ROUTINES:
+        if isinstance(node, ast.Attribute) and node.attr in routines:
             root = node.value
             while isinstance(root, ast.Attribute):
                 root = root.value
@@ -94,7 +96,14 @@ def bessel_imports(path: Path) -> list[str]:
 @pytest.mark.parametrize("path", [p for p in PACKAGE if p.name != "special.py"],
                          ids=lambda p: p.name)
 def test_bessel_routines_only_in_special(path):
-    assert bessel_imports(path) == []
+    assert scipy_imports(path) == []
+
+
+@pytest.mark.parametrize("path", [p for p in PACKAGE if p.name != "quadrature.py"],
+                         ids=lambda p: p.name)
+def test_gauss_roots_only_in_quadrature(path):
+    # every rule goes through the cached quadrature._gauss_roots
+    assert scipy_imports(path, GAUSS_ROUTINES) == []
 
 
 def test_bessel_checker_flags_imports(tmp_path):
@@ -102,7 +111,12 @@ def test_bessel_checker_flags_imports(tmp_path):
     src.write_text("import scipy.special as sp\nfrom scipy.special import gammaln, ive\n"
                    "def f(u, self):\n    from scipy.special import jv\n"
                    "    return sp.kve(0, u) + self.kv.k\n")
-    assert bessel_imports(src) == ["ive (line 2)", "jv (line 4)", "kve (line 5)"]
+    assert scipy_imports(src) == ["ive (line 2)", "jv (line 4)", "kve (line 5)"]
+    assert scipy_imports(src, GAUSS_ROUTINES) == []
+    src.write_text("import scipy\nfrom scipy.special import roots_jacobi\n"
+                   "x = scipy.special.roots_legendre(4)\n")
+    assert scipy_imports(src, GAUSS_ROUTINES) == ["roots_jacobi (line 2)",
+                                                  "roots_legendre (line 3)"]
 
 
 @pytest.mark.parametrize("module, name", [

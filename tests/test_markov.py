@@ -11,6 +11,7 @@ from dunklkit import (
     KernelSemigroup,
     KRadialMeasure,
     MultiplicityVector,
+    PathEnsemble,
     PositivityError,
     build_semigroup,
     convolve_k,
@@ -382,6 +383,23 @@ def test_path_ensemble_csv_format(tmp_path):
     assert len(lines) == 2 + 3 * 2
     first = lines[2].split(",")
     assert first[0] == "0" and float(first[1]) == 0.0
+
+
+def test_path_ensemble_csv_bytes_match_per_value_formatting(tmp_path):
+    # enough paths to span several write blocks, plus signed zeros and extremes
+    rng = np.random.default_rng(7)
+    states = rng.standard_normal((3000, 3, 2)) * np.exp(rng.uniform(-30, 30, (3000, 3, 2)))
+    states[0, 0], states[1, 2], states[2999, 1] = (-0.0, 0.0), (1e-300, -1e300), (1e300, -0.0)
+    ens = PathEnsemble(times=np.array([0.0, 0.1, 1.0 / 3.0]), states=states, seed=7)
+    header = {"seed": 7, "k": [1.0, 0.5], "kind": "gaussian"}
+    path = tmp_path / "paths.csv"
+    ens.to_csv(str(path), header=header)
+    want = [f"# {key}: {val}\n" for key, val in header.items()] + ["path_id,time,x1,x2\n"]
+    for pid in range(states.shape[0]):
+        for j, tj in enumerate(ens.times):
+            coords = ",".join(f"{c:.17g}" for c in states[pid, j])
+            want.append(f"{pid},{tj:.17g},{coords}\n")
+    assert path.read_bytes() == "".join(want).encode()
 
 
 @pytest.mark.parametrize("k", [1.0, 0.5])

@@ -1,9 +1,12 @@
-"""Quadrature rules: polynomial exactness of Gauss and panel rules."""
+"""Quadrature rules: polynomial exactness of Gauss and panel rules, and the
+cache of Gauss roots behind them."""
 
 import numpy as np
 import pytest
+from scipy.special import roots_jacobi, roots_legendre
 
 from dunklkit.quadrature import (
+    _gauss_roots,
     gauss_jacobi,
     gauss_legendre,
     log_panel_rule,
@@ -47,3 +50,39 @@ def test_log_panel_rule_handles_wide_ranges():
     fine = log_panel_rule(1e-6, 1e3, nodes_per_decade=24)
     assert np.sum(fine.weights / fine.nodes) == pytest.approx(want, rel=1e-12)
 
+
+# ---------------------------------------------------------------------------
+# the cached Gauss roots
+
+
+@pytest.mark.parametrize("family, n, alpha, beta", [
+    ("legendre", 24, 0.0, 0.0), ("jacobi", 24, 0.0, 0.0), ("jacobi", 64, 0.0, 2.0),
+    ("jacobi", 32, 0.5, 0.5), ("jacobi", 40, -0.5, 0.75), ("jacobi", 256, 0.0, 1.6),
+])
+def test_cached_roots_are_scipy_bit_for_bit(family, n, alpha, beta):
+    want = roots_legendre(n) if family == "legendre" else roots_jacobi(n, alpha, beta)
+    for _ in range(2):   # the miss and the hit
+        got = _gauss_roots(family, n, alpha, beta)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
+def test_cached_roots_are_read_only():
+    x, w = _gauss_roots("jacobi", 12, 0.3, 0.4)
+    for arr in (x, w):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+    # a rule built on top is the caller's own, writable copy
+    rule = gauss_jacobi(12, 0.3, 0.4, 0.0, 1.0)
+    rule.nodes[0] = rule.nodes[0]
+
+
+def test_repeated_key_is_a_cache_hit():
+    gauss_jacobi(20, 0.25, 1.5, 0.0, 2.0)
+    before = _gauss_roots.cache_info()
+    gauss_jacobi(20, 0.25, 1.5, -1.0, 3.0)
+    gauss_legendre(20, 0.0, 1.0)
+    gauss_legendre(20, 2.0, 5.0)
+    after = _gauss_roots.cache_info()
+    # Legendre(20) is a miss unless an earlier test built it
+    assert (after.hits - before.hits, after.misses - before.misses) in {(2, 1), (3, 0)}
+    assert after.maxsize is not None

@@ -15,6 +15,7 @@ from dunklkit import (
     bump,
     chapman_kolmogorov_defect,
     darboux_residual,
+    dunkl_kernel,
     dunkl_transform_grid,
     heat_kernel,
     heat_kernel_spectral,
@@ -171,6 +172,25 @@ def test_heat_kernel_frozen_value():
 def test_heat_kernel_requires_positive_time():
     with pytest.raises(ConfigError):
         heat_kernel(KV2, 0.0, np.zeros(2), np.zeros((1, 2)))
+
+
+@pytest.mark.parametrize("s", [0.0, -1.0, float("nan"), float("inf")])
+def test_heat_kernel_spectral_requires_positive_finite_time(s):
+    with pytest.raises(ConfigError):
+        heat_kernel_spectral(MultiplicityVector(k=(1.0,)), s, [0.5], [0.3])
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("call", [
+    lambda x, y: heat_kernel(MultiplicityVector(k=(1.0,)), 0.5, x, y),
+    lambda x, y: heat_kernel_spectral(MultiplicityVector(k=(1.0,)), 0.5, x, y),
+    lambda x, y: dunkl_kernel(MultiplicityVector(k=(1.0,)), x, y),
+], ids=["heat_kernel", "heat_kernel_spectral", "dunkl_kernel"])
+def test_non_finite_coordinates_are_config_errors(call, bad):
+    with pytest.raises(ConfigError, match="non-finite"):
+        call([bad], [0.3])
+    with pytest.raises(ConfigError, match="non-finite"):
+        call([0.3], [[0.2], [bad]])
 
 
 def test_heat_kernel_matches_spectral_route():
