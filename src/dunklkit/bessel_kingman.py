@@ -20,8 +20,9 @@ from __future__ import annotations
 import numpy as np
 from scipy.special import betainc, erf, gammainc, gammainccinv, gammaln
 
-from .errors import ConfigError, NumericalError, PositivityError, ResolutionError
-from .measures import RadialProfileMeasure, deposit_on_grid, dirac, as_weighted_atoms
+from .errors import ConfigError, NumericalError, PositivityError, ResolutionError, _finite
+from .measures import (_ATOM_CAP, RadialProfileMeasure, _atom_pairs, _grid_measure,
+                       as_weighted_atoms, dirac)
 from .quadrature import _gauss_roots, gauss_jacobi, log_panel_rule, panel_gauss_legendre
 from .special import bessel_j, bessel_j_envelope
 
@@ -42,7 +43,7 @@ __all__ = [
 
 
 def _check_index(lam: float) -> float:
-    lam = float(lam)
+    lam = _finite(lam, "hypergroup index")
     if lam <= -0.5:
         raise ConfigError(f"hypergroup index must exceed -1/2, got {lam}")
     return lam
@@ -82,6 +83,16 @@ def _angle_rule(lam: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     return u, w * _angular_norm(lam)
 
 
+def _point_nodes(lam: float, x: float, y: float, n: int):
+    """Point convolution of x, y > 0 on the n-node angle rule: the sorted
+    nodes z, their masses, and the density against dz at the nodes."""
+    u, w = _angle_rule(lam, n)
+    z = np.sqrt(np.maximum(x * x + y * y - 2.0 * x * y * u, 0.0))
+    order = np.argsort(z)
+    z = z[order]
+    return z, w[order], product_kernel(lam, x, y, z) * z ** (2.0 * lam + 1.0)
+
+
 def convolve_points(lam: float, x: float, y: float, n: int = 128) -> RadialProfileMeasure:
     """Convolution of the point masses at x and y, as a node measure.
 
@@ -91,57 +102,37 @@ def convolve_points(lam: float, x: float, y: float, n: int = 128) -> RadialProfi
     matching point mass.
     """
     lam = _check_index(lam)
+    x, y = _finite(x, "x"), _finite(y, "y")
     if x < 0 or y < 0:
         raise ConfigError("points must be nonnegative radii")
     if x == 0.0 or y == 0.0:
         return dirac(x + y, lam=lam)
-    u, w = _angle_rule(lam, n)
-    z = np.sqrt(np.maximum(x * x + y * y - 2.0 * x * y * u, 0.0))
-    order = np.argsort(z)
-    z, masses = z[order], w[order]
-    dens = product_kernel(lam, x, y, z) * z ** (2.0 * lam + 1.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        weights = np.where(dens > 0, masses / np.where(dens > 0, dens, 1.0), 0.0)
-    mu = RadialProfileMeasure(grid=z, density=dens, weights=weights, lam=lam)
+    z, masses, dens = _point_nodes(lam, x, y, n)
+    mu = RadialProfileMeasure._from_node_masses(z, dens, masses, lam=lam)
     if abs(mu.mass() - 1.0) > 1e-9:
         raise NumericalError(f"point convolution mass {mu.mass()} is off; node budget too small?")
     return mu
 
 
-def convolve_points_nodes(lam: float, x: np.ndarray, y: np.ndarray,
-                          n: int = 32) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized node/mass arrays for many point pairs at once.
-
-    x, y are broadcast against each other; the result gains a trailing
-    node axis of length n.  Zero radii are handled by the z(u) formula
-    collapsing all nodes onto the surviving radius.
-    """
-    lam = _check_index(lam)
-    u, w = _angle_rule(lam, n)
-    x = np.asarray(x, dtype=float)[..., None]
-    y = np.asarray(y, dtype=float)[..., None]
-    z = np.sqrt(np.maximum(x * x + y * y - 2.0 * x * y * u, 0.0))
-    masses = np.broadcast_to(w, z.shape)
-    return z, masses
-
-
-def _pair_nodes(lam: float, ax, aw, bx, bw, points_per_pair: int):
+def _pair_nodes(lam: float, ax, aw, bx, bw, n: int = 32):
     """Point convolutions of every atom pair (|a|, |b|), in chunks of rows of a.
 
-    Yields (a, z, m, pair_w) per chunk: the chunk's atom positions, the
-    nodes and angle-rule masses of shape (len(a), len(b), points_per_pair),
-    and the pair masses a_w * b_w broadcast against them.
+    Yields (a, z, w, pair_w) per chunk: the chunk's atom positions, the
+    nodes z(u) of shape (len(a), len(b), n), the n angle-rule masses, and
+    the pair masses a_w * b_w broadcast against them.
     """
-    chunk = max(1, int(2e6) // (bx.size * points_per_pair))
+    u, w = _angle_rule(lam, n)
+    y = np.abs(bx)[None, :, None]
+    chunk = max(1, int(2e6) // (bx.size * n))
     for i0 in range(0, ax.size, chunk):
         a = ax[i0:i0 + chunk]
-        z, m = convolve_points_nodes(lam, np.abs(a)[:, None], np.abs(bx)[None, :],
-                                     n=points_per_pair)
-        yield a, z, m, (aw[i0:i0 + chunk][:, None] * bw[None, :])[..., None]
+        x = np.abs(a)[:, None, None]
+        z = np.sqrt(np.maximum(x * x + y * y - 2.0 * x * y * u, 0.0))
+        yield a, z, w, (aw[i0:i0 + chunk][:, None] * bw[None, :])[..., None]
 
 
 def convolve_measures(lam: float, sigma: RadialProfileMeasure, tau: RadialProfileMeasure,
-                      grid_n: int = 16384, atom_cap: int = 2048,
+                      grid_n: int = 16384, atom_cap: int = _ATOM_CAP,
                       points_per_pair: int = 32) -> RadialProfileMeasure:
     """Hypergroup convolution of two nonnegative radial measures.
 
@@ -166,35 +157,30 @@ def convolve_measures(lam: float, sigma: RadialProfileMeasure, tau: RadialProfil
         return sigma
     if _is_unit_point(sigma):
         return tau
-    ax, aw = as_weighted_atoms(sigma, cap=atom_cap)
-    bx, bw = as_weighted_atoms(tau, cap=atom_cap)
-    if ax.size == 0 or bx.size == 0:
-        raise ConfigError("cannot convolve an empty measure")
+    ax, aw, bx, bw = _atom_pairs(sigma, tau, grid_n, atom_cap)
 
     # contiguous support estimate: sums of the density supports plus any
     # atoms within a factor ~4 of them; everything further out is tail
     core_a = sigma.grid[-1] if sigma.grid.size else np.max(ax)
     core_b = tau.grid[-1] if tau.grid.size else np.max(bx)
     z_max = 1.0001 * (core_a + core_b)
-    grid = np.linspace(0.0, z_max, grid_n)
-    node_mass = np.zeros(grid_n)
     far_atoms: dict[float, float] = {}
 
-    for _, z, m, pair_w in _pair_nodes(lam, ax, aw, bx, bw, points_per_pair):
-        z, m = z.ravel(), (m * pair_w).ravel()
-        ok = z <= z_max
-        if np.any(ok):
-            node_mass += deposit_on_grid(z[ok], m[ok], grid)
-        if np.any(~ok):
-            # collapse each out-of-range pair at its rms radius
-            zz, mm = z[~ok], m[~ok]
-            key = np.round(np.sqrt(np.mean(zz**2))).item()
-            far_atoms[key] = far_atoms.get(key, 0.0) + float(mm.sum())
+    def pieces():
+        for _, z, w, pair_w in _pair_nodes(lam, ax, aw, bx, bw, points_per_pair):
+            z, m = z.ravel(), (w * pair_w).ravel()
+            ok = z <= z_max
+            if np.any(ok):
+                yield z[ok], m[ok]
+            if np.any(~ok):
+                # collapse each out-of-range pair at its rms radius
+                zz, mm = z[~ok], m[~ok]
+                key = np.round(np.sqrt(np.mean(zz**2))).item()
+                far_atoms[key] = far_atoms.get(key, 0.0) + float(mm.sum())
 
-    h = grid[1] - grid[0]
-    return RadialProfileMeasure(grid=grid, density=node_mass / h,
-                                weights=np.full(grid_n, h),
-                                atoms=sorted(far_atoms.items()), lam=lam)
+    mu = _grid_measure(RadialProfileMeasure, 0.0, z_max, grid_n, pieces(), lam=lam)
+    mu.atoms = sorted(far_atoms.items())
+    return mu
 
 
 def hankel_transform(lam: float, mu: RadialProfileMeasure, r):
@@ -238,11 +224,9 @@ def rayleigh_measure(lam: float, t: float, n: int = 256) -> RadialProfileMeasure
     rule = gauss_jacobi(n, 0.0, 2.0 * lam + 1.0, 0.0, r_max)
     norm = (2.0 * t) ** (lam + 1.0) * 2.0**lam * np.exp(gammaln(lam + 1.0))
     masses = rule.weights * np.exp(-rule.nodes**2 / (4.0 * t)) / norm
-    dens = rayleigh_density(lam, t, rule.nodes)
-    with np.errstate(divide="ignore"):
-        weights = masses / dens
-    return RadialProfileMeasure(grid=rule.nodes, density=dens, weights=weights, lam=lam,
-                                density_fn=lambda r, lam=lam, t=t: rayleigh_density(lam, t, r))
+    return RadialProfileMeasure._from_node_masses(
+        rule.nodes, rayleigh_density(lam, t, rule.nodes), masses, lam=lam,
+        density_fn=lambda r, lam=lam, t=t: rayleigh_density(lam, t, r))
 
 
 def cauchy_density(lam: float, t: float, r):

@@ -53,14 +53,10 @@ class MultiplicityVector:
     k: tuple[float, ...]
 
     def __post_init__(self):
-        if isinstance(self.k, (int, float)):
-            object.__setattr__(self, "k", (float(self.k),))
-        else:
-            object.__setattr__(self, "k", tuple(float(v) for v in self.k))
-        if len(self.k) == 0:
+        k = (self.k,) if isinstance(self.k, (int, float)) else tuple(self.k)
+        if len(k) == 0:
             raise ConfigError("need at least one axis")
-        if not all(0.0 <= v < np.inf for v in self.k):
-            raise ConfigError(f"multiplicities must be finite and nonnegative, got {self.k}")
+        object.__setattr__(self, "k", tuple(rank_one._check_k(v) for v in k))
 
     @property
     def n_axes(self) -> int:
@@ -270,8 +266,8 @@ def intertwiner_atoms(kv, x, n_per_axis: int = 64) -> tuple[np.ndarray, np.ndarr
         int e^(<xi, y>) dmu_x(xi) = E_k(x, y).
     """
     kv = _as_kv(kv)
-    x = np.asarray(x, dtype=float)
-    if x.shape != (kv.n_axes,):
+    x = _coords(kv, "x", x)
+    if x.ndim != 1:
         raise ConfigError("x must be a point of R^N")
     axis_nodes, axis_masses = [], []
     for ki, xi in zip(kv.k, x):

@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the finiteness rule
+the parameter validators share."""
+
+import math
 
 
 class DunklKitError(Exception):
@@ -27,3 +30,11 @@ class PositivityError(NumericalError):
 
 class ConsistencyError(NumericalError):
     """Two independent evaluation routes disagree beyond tolerance."""
+
+
+def _finite(value, what: str) -> float:
+    """value as a float; ConfigError if it is NaN or infinite."""
+    value = float(value)
+    if not math.isfinite(value):
+        raise ConfigError(f"{what} must be finite, got {value}")
+    return value

@@ -144,10 +144,10 @@ def radial_hat(kv, mu: KRadialMeasure, xi):
 # ---------------------------------------------------------------------------
 # translation of k-radial measures and the Markov kernels they generate
 
+_TRANSLATE_ATOM_CAP = 4096  # profile atoms a translation keeps before binning
 
-def translate_measure(kv, x, mu: KRadialMeasure, f=None, f0=None, mean_fn=None,
-                      n_sphere: int = 64, n_per_axis: int = 48, n_line: int = 128,
-                      atom_cap: int = 4096):
+
+def translate_measure(kv, x, mu: KRadialMeasure, f=None, f0=None, mean_fn=None):
     """Integral of f against the translated measure delta_x *_k mu,
 
         (delta_x *_k mu)(f) = int M_f(x, |y|) dmu(y),
@@ -166,10 +166,9 @@ def translate_measure(kv, x, mu: KRadialMeasure, f=None, f0=None, mean_fn=None,
         raise ConfigError("x must be a point of R^N")
     if sum(arg is not None for arg in (f, f0, mean_fn)) != 1:
         raise ConfigError("pass exactly one of f, f0, mean_fn")
-    radii, masses = as_weighted_atoms(mu.profile, cap=atom_cap)
+    radii, masses = as_weighted_atoms(mu.profile, cap=_TRANSLATE_ATOM_CAP)
     if f0 is not None:
-        vals = spherical_mean_radial(kv, f0, x, radii, n_sphere=n_sphere,
-                                     n_per_axis=n_per_axis)
+        vals = spherical_mean_radial(kv, f0, x, radii)
     elif mean_fn is not None:
         vals = np.asarray([mean_fn(x, float(r)) for r in radii])
     else:
@@ -178,7 +177,7 @@ def translate_measure(kv, x, mu: KRadialMeasure, f=None, f0=None, mean_fn=None,
                 "general test functions are supported in rank one only; "
                 "pass f0 for radial functions or mean_fn for precomputed means")
         f1 = lambda z: f(np.asarray(z, dtype=float)[..., None])
-        vals = np.asarray([_rank_one_mean(kv.k[0], f1, float(x[0]), float(r), n=n_line)
+        vals = np.asarray([_rank_one_mean(kv.k[0], f1, float(x[0]), float(r))
                            for r in radii])
     total = np.sum(masses * vals)
     return complex(total) if np.iscomplexobj(vals) else float(total)
@@ -222,7 +221,7 @@ class MarkovKernelHandle:
         raise ConfigError(f"no density available for kernel kind '{self.kind}'")
 
 
-def convolve_k(kv, mu: KRadialMeasure, nu: KRadialMeasure, **kwargs) -> KRadialMeasure:
+def convolve_k(kv, mu: KRadialMeasure, nu: KRadialMeasure) -> KRadialMeasure:
     """Generalized convolution of two k-radial probabilities, computed as
     the hypergroup convolution of their radial profiles.
 
@@ -230,7 +229,7 @@ def convolve_k(kv, mu: KRadialMeasure, nu: KRadialMeasure, **kwargs) -> KRadialM
     neutral element; the transform is multiplicative on the result.
     """
     kv = _as_kv(kv)
-    out = convolve_measures(kv.lam, mu.profile, nu.profile, **kwargs)
+    out = convolve_measures(kv.lam, mu.profile, nu.profile)
     return KRadialMeasure(kv, out)
 
 
@@ -580,6 +579,9 @@ def simulate_paths(kv, t_grid, n_paths: int, seed: int, kind: str = "gaussian",
     n_paths = int(n_paths)
     if n_paths <= 0:
         raise ConfigError("n_paths must be positive")
+    n_blocks = int(n_blocks)
+    if n_blocks <= 0:
+        raise ConfigError("n_blocks must be positive")
     subord = kind in ("cauchy", "subordinated")
     n_axes = kv.n_axes
     dts = np.diff(times)

@@ -75,6 +75,13 @@ class LineMeasure:
                 raise ConfigError("weights must match the grid")
         self.atoms = [(float(r), float(w)) for r, w in self.atoms]
 
+    @classmethod
+    def _from_node_masses(cls, grid, density, masses, **kwargs):
+        """Node measure with these masses: weights masses / density, 0 where density is 0."""
+        nonzero = density != 0.0
+        weights = np.where(nonzero, masses / np.where(nonzero, density, 1.0), 0.0)
+        return cls(grid=grid, density=density, weights=weights, **kwargs)
+
     @property
     def node_masses(self) -> np.ndarray:
         return self.weights * self.density
@@ -238,3 +245,31 @@ def deposit_on_grid(positions: np.ndarray, masses: np.ndarray,
     for off, w in ((-1, w_m1), (0, w_0), (1, w_p1), (2, w_p2)):
         np.add.at(out, idx + off, masses * w)
     return out
+
+
+_ATOM_CAP = 2048  # atoms per input a convolution keeps before binning its node set
+
+
+def _atom_pairs(mu: LineMeasure, nu: LineMeasure, grid_n: int, atom_cap: int = _ATOM_CAP):
+    """Both inputs of a convolution as weighted atoms, once the budgets are
+    checked: the cubic deposit needs 4 grid nodes, each input one atom."""
+    if not grid_n >= 4:
+        raise ConfigError(f"grid_n must be at least 4, got {grid_n}")
+    if not atom_cap >= 1:
+        raise ConfigError(f"atom_cap must be at least 1, got {atom_cap}")
+    ax, aw = as_weighted_atoms(mu, cap=atom_cap)
+    bx, bw = as_weighted_atoms(nu, cap=atom_cap)
+    if ax.size == 0 or bx.size == 0:
+        raise ConfigError("cannot convolve an empty measure")
+    return ax, aw, bx, bw
+
+
+def _grid_measure(cls, lo: float, hi: float, grid_n: int, pieces, **kwargs):
+    """Deposit the (positions, masses) pieces on the uniform grid of grid_n
+    nodes over [lo, hi]; the result has density node_mass / h and weights h."""
+    grid = np.linspace(lo, hi, grid_n)
+    node_mass = np.zeros(grid_n)
+    for positions, masses in pieces:
+        node_mass += deposit_on_grid(positions, masses, grid)
+    h = grid[1] - grid[0]
+    return cls(grid=grid, density=node_mass / h, weights=np.full(grid_n, h), **kwargs)

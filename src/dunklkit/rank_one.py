@@ -16,9 +16,9 @@ from __future__ import annotations
 import numpy as np
 from scipy.special import gammaln
 
-from .bessel_kingman import _pair_nodes, convolve_points_nodes, product_kernel
-from .errors import ConfigError
-from .measures import LineMeasure, as_weighted_atoms, deposit_on_grid
+from .bessel_kingman import _pair_nodes, _point_nodes
+from .errors import ConfigError, _finite
+from .measures import LineMeasure, _atom_pairs, _grid_measure
 from .quadrature import _gauss_roots
 from .special import bessel_j, bessel_j_imag
 
@@ -35,7 +35,7 @@ __all__ = [
 
 
 def _check_k(k: float) -> float:
-    k = float(k)
+    k = _finite(k, "multiplicity")
     if k < 0:
         raise ConfigError(f"multiplicity must be nonnegative, got {k}")
     return k
@@ -94,19 +94,13 @@ def _mirrored_measure(k: float, a: float, b: float, split, n: int) -> LineMeasur
     split(z) returns the weights (w_plus, w_minus) that send the radial
     node z to +z and -z.
     """
-    lam = k - 0.5
-    z, masses = convolve_points_nodes(lam, a, b, n=n)
-    order = np.argsort(z)
-    z, masses = z[order], masses[order]
+    z, masses, dens_radial = _point_nodes(k - 0.5, a, b, n)
     w_plus, w_minus = split(z)
-    dens_radial = product_kernel(lam, a, b, z) * z ** (2.0 * k)
     # node density of the signed measure = radial density times the split weight
     grid = np.concatenate([-z[::-1], z])
     node_dens = np.concatenate([(dens_radial * w_minus)[::-1], dens_radial * w_plus])
     node_mass = np.concatenate([(masses * w_minus)[::-1], masses * w_plus])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        weights = np.where(node_dens != 0.0, node_mass / np.where(node_dens != 0.0, node_dens, 1.0), 0.0)
-    return LineMeasure(grid=grid, density=node_dens, weights=weights, lam=k)
+    return LineMeasure._from_node_masses(grid, node_dens, node_mass, lam=k)
 
 
 def signed_product_measure(k: float, x: float, y: float, n: int = 128) -> LineMeasure:
@@ -122,7 +116,7 @@ def signed_product_measure(k: float, x: float, y: float, n: int = 128) -> LineMe
     pairing.
     """
     k = _check_k(k)
-    x, y = float(x), float(y)
+    x, y = _finite(x, "x"), _finite(y, "y")
     if k == 0.0:
         return LineMeasure(atoms=[(x + y, 1.0)], lam=k)
     hi = abs(x) + abs(y)
@@ -143,7 +137,7 @@ def spherical_mean_measure(k: float, x: float, t: float, n: int = 128) -> LineMe
     [0, 1] on that set for every k >= 0 and every real x.
     """
     k = _check_k(k)
-    x, t = float(x), abs(float(t))
+    x, t = _finite(x, "x"), abs(_finite(t, "t"))
     if t <= 1e-11 * abs(x):
         return LineMeasure(atoms=[(x, 1.0)], lam=k)
     if k == 0.0 or abs(x) + t < 1e-150:
@@ -165,8 +159,7 @@ def spherical_mean(k: float, f, x: float, t: float, n: int = 128):
     return spherical_mean_measure(k, x, t, n=n).integrate(f)
 
 
-def convolve(k: float, mu: LineMeasure, nu: LineMeasure, grid_n: int = 16384,
-             atom_cap: int = 2048, points_per_pair: int = 32) -> LineMeasure:
+def convolve(k: float, mu: LineMeasure, nu: LineMeasure, grid_n: int = 16384) -> LineMeasure:
     """Generalized convolution of two (possibly signed) measures on R.
 
     Atoms of mu x nu are translated pairwise through the signed product
@@ -175,10 +168,7 @@ def convolve(k: float, mu: LineMeasure, nu: LineMeasure, grid_n: int = 16384,
     k = 0) fall out of the same formulas.
     """
     k = _check_k(k)
-    ax, aw = as_weighted_atoms(mu, cap=atom_cap)
-    bx, bw = as_weighted_atoms(nu, cap=atom_cap)
-    if ax.size == 0 or bx.size == 0:
-        raise ConfigError("cannot convolve an empty measure")
+    ax, aw, bx, bw = _atom_pairs(mu, nu, grid_n)
 
     def _extent(m):
         lo, hi = m.support_bounds()
@@ -187,21 +177,17 @@ def convolve(k: float, mu: LineMeasure, nu: LineMeasure, grid_n: int = 16384,
     L = 1.0001 * (_extent(mu) + _extent(nu))
     if L == 0.0:  # both inputs sit at the origin
         return LineMeasure(atoms=[(0.0, float(mu.mass() * nu.mass()))], lam=k)
-    grid = np.linspace(-L, L, grid_n)
-    node_mass = np.zeros(grid_n)
 
-    if k == 0.0:
-        pos = (ax[:, None] + bx[None, :]).ravel()
-        mass = (aw[:, None] * bw[None, :]).ravel()
-        node_mass += deposit_on_grid(pos, mass, grid)
-    else:
-        for a, z, m, pair_w in _pair_nodes(k - 0.5, ax, aw, bx, bw, points_per_pair):
+    def pieces():
+        if k == 0.0:
+            yield (ax[:, None] + bx[None, :]).ravel(), (aw[:, None] * bw[None, :]).ravel()
+            return
+        for a, z, w, pair_w in _pair_nodes(k - 0.5, ax, aw, bx, bw):
             w_plus, w_minus = _mirror_weights(a[:, None, None], bx[None, :, None], z)
-            node_mass += deposit_on_grid(z.ravel(), (m * w_plus * pair_w).ravel(), grid)
-            node_mass += deposit_on_grid(-z.ravel(), (m * w_minus * pair_w).ravel(), grid)
+            yield z.ravel(), (w * w_plus * pair_w).ravel()
+            yield -z.ravel(), (w * w_minus * pair_w).ravel()
 
-    h = grid[1] - grid[0]
-    return LineMeasure(grid=grid, density=node_mass / h, weights=np.full(grid_n, h), lam=k)
+    return _grid_measure(LineMeasure, -L, L, grid_n, pieces(), lam=k)
 
 
 def intertwiner_measure(k: float, x: float, n: int = 64) -> LineMeasure:
@@ -215,7 +201,7 @@ def intertwiner_measure(k: float, x: float, n: int = 64) -> LineMeasure:
     k = 0 is the identity (point mass at x).
     """
     k = _check_k(k)
-    x = float(x)
+    x = _finite(x, "x")
     if k == 0.0 or x == 0.0:
         return LineMeasure(atoms=[(x, 1.0)], lam=k)
     t, w = _gauss_roots("jacobi", n, k - 1.0, k)
@@ -225,6 +211,4 @@ def intertwiner_measure(k: float, x: float, n: int = 64) -> LineMeasure:
     dens = b_k * (1.0 - t) ** (k - 1.0) * (1.0 + t) ** k / abs(x)
     if x < 0:
         nodes, masses, dens = nodes[::-1], masses[::-1], dens[::-1]
-    with np.errstate(divide="ignore"):
-        weights = masses / dens
-    return LineMeasure(grid=nodes, density=dens, weights=weights, lam=k)
+    return LineMeasure._from_node_masses(nodes, dens, masses, lam=k)

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (_as_kv, _axis_c_norm, _axis_product, dunkl_kernel_unitary, dunkl_laplacian,
-                   intertwiner_atoms)
+from .core import (_as_kv, _axis_c_norm, _axis_product, _coords, dunkl_kernel_unitary,
+                   dunkl_laplacian, intertwiner_atoms)
 from .errors import ConfigError
 from .quadrature import QuadratureRule, _tensor_grid, gauss_jacobi
 from .rank_one import kernel_unitary
@@ -409,7 +409,7 @@ def radial_translate(kv, f0, x, y, n_per_axis: int = 48):
     """
     kv = _as_kv(kv)
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    y = np.asarray(y, dtype=float)
+    y = _coords(kv, "y", y)
     squeeze = y.ndim == 1
     ypts = np.atleast_2d(y)
     pts, masses = intertwiner_atoms(kv, x, n_per_axis=n_per_axis)
@@ -476,6 +476,8 @@ def spherical_mean_radial(kv, f0, x, t, n_sphere: int = 64,
     kv = _as_kv(kv)
     x = np.atleast_1d(np.asarray(x, dtype=float))
     radii = np.asarray(t, dtype=float)
+    if not np.all(np.isfinite(radii)):
+        raise ConfigError("t must be finite")
     r = radii.ravel()
     if kv.n_axes == 1:
         # the sphere is two signed points, each carrying half of d_norm

@@ -34,6 +34,44 @@ def test_index_guard():
         convolve_points(-0.6, 1.0, 1.0)
 
 
+NON_FINITE = [float("nan"), float("inf"), float("-inf")]
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+def test_non_finite_index_is_a_config_error(bad):
+    with pytest.raises(ConfigError, match="finite"):
+        rayleigh_measure(bad, 1.0)
+    with pytest.raises(ConfigError, match="finite"):
+        convolve_points(bad, 0.7, 0.3)
+    with pytest.raises(ConfigError, match="finite"):
+        hankel_transform(bad, dirac(0.5), [1.0])
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+def test_non_finite_points_are_config_errors(bad):
+    # the mass check compared against NaN and let a NaN measure through
+    with pytest.raises(ConfigError, match="finite"):
+        convolve_points(1.0, bad, 0.3)
+    with pytest.raises(ConfigError, match="finite"):
+        convolve_points(1.0, 0.3, bad)
+
+
+@pytest.mark.parametrize("budget", [{"grid_n": 3}, {"grid_n": 1}, {"grid_n": 0},
+                                    {"grid_n": -3}, {"atom_cap": 0}, {"atom_cap": -1}])
+def test_convolution_budgets_are_checked(budget):
+    a, b = rayleigh_measure(1.0, 0.4, n=8), rayleigh_measure(1.0, 0.7, n=8)
+    with pytest.raises(ConfigError, match="must be at least"):
+        convolve_measures(1.0, a, b, **budget)
+
+
+def test_smallest_convolution_budgets_run():
+    a, b = rayleigh_measure(1.0, 0.4, n=8), rayleigh_measure(1.0, 0.7, n=8)
+    out = convolve_measures(1.0, a, b, grid_n=4, atom_cap=1)
+    assert out.grid.size == 4
+    # the cubic deposit keeps the mass even when every point is clamped
+    assert out.mass() == pytest.approx(a.mass() * b.mass(), abs=1e-12)
+
+
 def test_product_kernel_is_a_probability_density():
     lam, x, y = 1.5, 0.9, 1.7
     mu = convolve_points(lam, x, y)

@@ -247,6 +247,13 @@ def test_simulate_requires_out_and_seed(tmp_path, capsys):
     assert code3 == 0
 
 
+@pytest.mark.parametrize("n_blocks", [0, -1])
+def test_simulate_rejects_nonpositive_block_count(tmp_path, capsys, n_blocks):
+    code, _, out = simulate_once(tmp_path, capsys, "blocks", extra={"n_blocks": n_blocks})
+    assert code == 2
+    assert not os.path.exists(out)
+
+
 def test_simulate_ks_times_must_be_on_grid(tmp_path, capsys):
     cfg = write_config(tmp_path, "sim.json", {
         "kind": "gaussian", "k": [1.0], "t_grid": [0.0, 1.0], "n_paths": 10,
@@ -346,6 +353,21 @@ def test_convolve_heat_measures(tmp_path, capsys):
     np.testing.assert_allclose(hankel_transform(prof.lam, prof, r),
                                np.exp(-1.0 * r * r), atol=1e-9)
     assert json.loads(doc)["meta"]["version"] == __version__
+
+
+@pytest.mark.parametrize("budget", [{"grid_n": 3}, {"grid_n": 1}, {"grid_n": 0},
+                                    {"grid_n": -3}, {"atom_cap": 0}, {"atom_cap": -1}])
+def test_convolve_budgets_are_config_errors(tmp_path, capsys, budget):
+    # grid_n below the cubic stencil's 4 nodes crashed with exit 1; atom_cap
+    # below 1 exited 0 with each input collapsed to one atom
+    a = heat_measure_json(tmp_path, "a.json", 0.3)
+    b = heat_measure_json(tmp_path, "b.json", 0.7)
+    cfg = write_config(tmp_path, "c.json", {"inputs": [a, b], **budget})
+    out = tmp_path / "conv.json"
+    code, _, err = run_cli(capsys, "convolve", "--config", cfg, "--out", str(out))
+    assert code == 2
+    assert json.loads(err)["error"]["kind"] == "config"
+    assert not out.exists()
 
 
 def test_convolve_needs_exactly_two_inputs(tmp_path, capsys):

@@ -130,3 +130,93 @@ def test_heat_functions_leave_the_axis_loop_to_the_core(module, name):
               if isinstance(node, ast.FunctionDef) and node.name == name)
     assert not any(isinstance(node, ast.For) for node in ast.walk(fn))
     assert "_axis_product" in {node.id for node in ast.walk(fn) if isinstance(node, ast.Name)}
+
+
+# ---------------------------------------------------------------------------
+# the convolution engine exists once: measures._grid_measure is the one
+# deposit step, LineMeasure._from_node_masses the one masses/density division,
+# and bessel_kingman._point_nodes / _pair_nodes the node builders
+
+NODE_MEASURE = "LineMeasure._from_node_masses"
+
+
+def _scoped_nodes(tree: ast.Module):
+    """(dotted name of the enclosing def/class or '', node) for every node."""
+    stack = [("", tree)]
+    while stack:
+        scope, node = stack.pop()
+        yield scope, node
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = f"{scope}.{node.name}" if scope else node.name
+        stack.extend((scope, child) for child in ast.iter_child_nodes(node))
+
+
+def _is_divide_errstate(item: ast.withitem) -> bool:
+    call = item.context_expr
+    return (isinstance(call, ast.Call)
+            and getattr(call.func, "attr", getattr(call.func, "id", None)) == "errstate"
+            and any(kw.arg == "divide" for kw in call.keywords))
+
+
+def _divides_into_weights(body) -> bool:
+    for stmt in body:
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Assign) and any(
+                    "weight" in t.id for t in node.targets if isinstance(t, ast.Name)) and any(
+                    isinstance(op, ast.BinOp) and isinstance(op.op, ast.Div)
+                    for op in ast.walk(node.value)):
+                return True
+    return False
+
+
+def engine_duplicates(paths) -> list[str]:
+    """Breaches of the one-engine layout over the given modules: more than
+    one function calling deposit_on_grid, any use of the retired name
+    convolve_points_nodes, and errstate(divide=...) weight divisions
+    outside the node-measure constructor."""
+    found, depositors = [], set()
+    for path in paths:
+        for scope, node in _scoped_nodes(ast.parse(path.read_text(), filename=str(path))):
+            where = f"{path.stem}:{scope or '<module>'}"
+            if isinstance(node, ast.Call) and "deposit_on_grid" in (
+                    getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+                depositors.add(where)
+            names = {getattr(node, a, None) for a in ("id", "attr", "name", "asname")}
+            if "convolve_points_nodes" in names:
+                found.append(f"convolve_points_nodes ({where}, line {node.lineno})")
+            if (isinstance(node, ast.With) and scope != NODE_MEASURE
+                    and any(map(_is_divide_errstate, node.items))
+                    and _divides_into_weights(node.body)):
+                found.append(f"errstate weight division ({where}, line {node.lineno})")
+    if len(depositors) > 1:
+        found += [f"deposit_on_grid called from {d}" for d in sorted(depositors)]
+    return sorted(found)
+
+
+def test_convolution_engine_exists_once():
+    assert engine_duplicates(PACKAGE) == []
+
+
+def test_engine_checker_flags_each_duplicate(tmp_path):
+    one, two = tmp_path / "one.py", tmp_path / "two.py"
+    one.write_text("from .measures import deposit_on_grid\n"
+                   "def f(p, m, g):\n    return deposit_on_grid(p, m, g)\n")
+    two.write_text("from . import measures\n"
+                   "def g(p, m, g):\n    return measures.deposit_on_grid(p, m, g)\n")
+    assert engine_duplicates([one]) == []
+    assert engine_duplicates([one, two]) == ["deposit_on_grid called from one:f",
+                                             "deposit_on_grid called from two:g"]
+    two.write_text("from .bessel_kingman import convolve_points_nodes as nodes\n"
+                   "class A:\n    def convolve_points_nodes(self):\n        pass\n")
+    assert engine_duplicates([two]) == [
+        "convolve_points_nodes (two:<module>, line 1)",
+        "convolve_points_nodes (two:A, line 3)"]
+    src = ("import numpy as np\n"
+           "class LineMeasure:\n    def {name}(m, d):\n"
+           "        with np.errstate(divide='ignore'):\n"
+           "            weights = m / d\n        return weights\n")
+    two.write_text(src.format(name="_from_node_masses"))
+    assert engine_duplicates([two]) == []
+    two.write_text(src.format(name="rayleigh") + "def sigma(u, v):\n"
+                   "    with np.errstate(divide='ignore'):\n        return u / v\n")
+    assert engine_duplicates([two]) == ["errstate weight division (two:LineMeasure.rayleigh, line 4)"]

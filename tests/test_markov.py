@@ -342,6 +342,13 @@ def test_simulate_paths_reproducible_and_thread_invariant():
     assert not np.array_equal(a.states, d.states)
 
 
+@pytest.mark.parametrize("n_blocks", [0, -1])
+def test_simulate_paths_rejects_nonpositive_block_count(n_blocks):
+    # n_blocks = 0 used to return all-zero paths
+    with pytest.raises(ConfigError, match="n_blocks must be positive"):
+        simulate_paths(KV2, [0.0, 0.5], 8, seed=1, n_blocks=n_blocks)
+
+
 def test_simulate_paths_shapes_and_start():
     ens = simulate_paths(KV2, [0.0, 0.3, 0.8], 32, seed=5)
     assert ens.states.shape == (32, 3, 2)

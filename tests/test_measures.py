@@ -119,3 +119,10 @@ def test_deposit_preserves_mass_and_first_moments():
     for m in (1, 2, 3):
         assert np.sum(out * grid**m) == pytest.approx(np.sum(masses * pos**m),
                                                       rel=1e-12)
+
+
+def test_node_measure_weights_vanish_with_the_density():
+    mu = LineMeasure._from_node_masses(np.array([0.0, 1.0, 2.0]), np.array([0.0, 2.0, 4.0]),
+                                       np.array([1.0, 1.0, 2.0]))
+    np.testing.assert_array_equal(mu.weights, [0.0, 0.5, 0.5])
+    np.testing.assert_array_equal(mu.node_masses, [0.0, 1.0, 2.0])

@@ -87,6 +87,36 @@ def test_kernel_negative_multiplicity_rejected():
         signed_product_measure(-1.0, 1.0, 1.0)
 
 
+NON_FINITE = [float("nan"), float("inf"), float("-inf")]
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+@pytest.mark.parametrize("call", [
+    lambda k: kernel_unitary(k, 1.0, 0.5),
+    lambda k: kernel_real(k, 1.0, 0.5),
+    lambda k: signed_product_measure(k, 0.7, 0.3),
+    lambda k: spherical_mean_measure(k, 0.7, 0.3),
+    lambda k: intertwiner_measure(k, 0.7),
+], ids=["kernel_unitary", "kernel_real", "signed_product_measure",
+        "spherical_mean_measure", "intertwiner_measure"])
+def test_non_finite_multiplicity_is_a_config_error(call, bad):
+    with pytest.raises(ConfigError, match="finite"):
+        call(bad)
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+@pytest.mark.parametrize("call", [
+    lambda p: signed_product_measure(1.0, p, 0.3),
+    lambda p: signed_product_measure(1.0, 0.3, p),
+    lambda p: spherical_mean_measure(1.0, p, 0.3),
+    lambda p: spherical_mean_measure(1.0, 0.3, p),
+    lambda p: intertwiner_measure(1.0, p),
+], ids=["product-x", "product-y", "mean-x", "mean-t", "intertwiner-x"])
+def test_non_finite_points_are_config_errors(call, bad):
+    with pytest.raises(ConfigError, match="finite"):
+        call(bad)
+
+
 # ---------------------------------------------------------------------------
 # product-formula measure
 
@@ -181,6 +211,15 @@ def test_convolve_point_masses_matches_product_measure():
         lhs = conv.integrate_values(kernel_unitary(k, z, conv.grid))
         rhs = mu.integrate(lambda s: kernel_unitary(k, z, s))
         assert abs(lhs - rhs) < 5e-6
+
+
+@pytest.mark.parametrize("grid_n", [3, 1, 0, -3])
+def test_convolve_grid_budget_is_checked(grid_n):
+    from dunklkit.measures import LineMeasure, dirac
+
+    d = dirac(0.5, cls=LineMeasure, lam=1.0)
+    with pytest.raises(ConfigError, match="grid_n must be at least 4"):
+        convolve(1.0, d, d, grid_n=grid_n)
 
 
 def test_convolve_empty_measure_rejected():

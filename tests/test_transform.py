@@ -20,6 +20,7 @@ from dunklkit import (
     heat_kernel,
     heat_kernel_spectral,
     heat_normalization_defect,
+    intertwiner_atoms,
     radial_bump,
     radial_heat_profile,
     radial_translate,
@@ -191,6 +192,30 @@ def test_non_finite_coordinates_are_config_errors(call, bad):
         call([bad], [0.3])
     with pytest.raises(ConfigError, match="non-finite"):
         call([0.3], [[0.2], [bad]])
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("call", [
+    lambda kv, p: intertwiner_atoms(kv, p),
+    lambda kv, p: radial_translate(kv, np.cos, p, [0.3, 0.2]),
+    lambda kv, p: radial_translate(kv, np.cos, [0.3, 0.2], p),
+    lambda kv, p: spherical_mean_radial(kv, np.cos, p, 0.3),
+], ids=["intertwiner_atoms", "translate-x", "translate-y", "mean-x"])
+def test_non_finite_points_in_the_radial_layer_are_config_errors(call, bad):
+    # each of these returned NaN before the boundary checks
+    with pytest.raises(ConfigError, match="non-finite"):
+        call(MultiplicityVector(k=(1.0, 0.5)), [bad, 0.1])
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+@pytest.mark.parametrize("k", [(1.0,), (1.0, 0.5)])
+def test_spherical_mean_radial_rejects_non_finite_radius(k, bad):
+    kv = MultiplicityVector(k=k)
+    x = np.full(len(k), 0.3)
+    with pytest.raises(ConfigError, match="t must be finite"):
+        spherical_mean_radial(kv, np.cos, x, bad)
+    with pytest.raises(ConfigError, match="t must be finite"):
+        spherical_mean_radial(kv, np.cos, x, np.array([0.2, bad]))
 
 
 def test_heat_kernel_matches_spectral_route():
