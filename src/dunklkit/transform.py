@@ -22,7 +22,7 @@ import numpy as np
 
 from .core import (_as_kv, _axis_c_norm, _axis_product, _coords, dunkl_kernel_unitary,
                    dunkl_laplacian, intertwiner_atoms)
-from .errors import ConfigError
+from .errors import ConfigError, _finite
 from .quadrature import QuadratureRule, _tensor_grid, gauss_jacobi
 from .rank_one import kernel_unitary
 from .special import _scaled_bessel_imag, bessel_j, radial_bessel_operator
@@ -152,28 +152,55 @@ class GridFunction:
 # weighted quadrature grids
 
 
+def _node_count(n) -> int:
+    """n as an int >= 1; ConfigError for fractional, non-finite or smaller counts."""
+    try:
+        count = int(n)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"node count must be an integer, got {n!r}") from None
+    if count != n or count < 1:
+        raise ConfigError(f"node count must be an integer >= 1, got {n!r}")
+    return count
+
+
 def axis_rule(k: float, extent: float, n: int) -> QuadratureRule:
     """Rule for integral_{-L}^{L} g(x) (2 x^2)^k dx, singular factor absorbed.
 
-    Two Gauss-Jacobi panels meeting at the origin; g is sampled only at
-    interior nodes, so integrands defined by division with |x|^(2k) stay
-    finite.
+    Two Gauss-Jacobi panels of n nodes meeting at the origin; the weight
+    is even, so the left panel is the exact mirror of the right one.  g
+    is sampled only at interior nodes, so integrands defined by division
+    with |x|^(2k) stay finite.
     """
+    extent = _finite(extent, "axis extent")
     if extent <= 0:
-        raise ConfigError("axis extent must be positive")
-    left = gauss_jacobi(n, 2.0 * k, 0.0, -extent, 0.0)
-    right = gauss_jacobi(n, 0.0, 2.0 * k, 0.0, extent)
-    nodes = np.concatenate([left.nodes, right.nodes])
-    weights = 2.0**k * np.concatenate([left.weights, right.weights])
+        raise ConfigError(f"axis extent must be positive, got {extent}")
+    right = gauss_jacobi(_node_count(n), 0.0, 2.0 * k, 0.0, extent)
+    nodes = np.concatenate([-right.nodes[::-1], right.nodes])
+    weights = 2.0**k * np.concatenate([right.weights[::-1], right.weights])
     return QuadratureRule(nodes, weights)
+
+
+def _per_axis(kv, value, what: str) -> np.ndarray:
+    """value broadcast to one entry per axis of kv."""
+    try:
+        return np.broadcast_to(np.asarray(value), (kv.n_axes,))
+    except ValueError:
+        raise ConfigError(f"{what} has shape {np.shape(value)}; expected a scalar "
+                          f"or shape ({kv.n_axes},)") from None
+
+
+def _check_shape(values, shape: tuple, what: str) -> np.ndarray:
+    values = np.asarray(values)
+    if values.shape != shape:
+        raise ConfigError(f"{what} has shape {values.shape}; expected {shape}")
+    return values
 
 
 def weighted_grid(kv, extents, n) -> tuple[np.ndarray, np.ndarray]:
     """Tensor grid (points (M, N), weights (M,)) for integrals against w_k dx."""
     kv = _as_kv(kv)
-    extents = np.broadcast_to(np.asarray(extents, dtype=float), (kv.n_axes,))
-    ns = np.broadcast_to(np.asarray(n, dtype=int), (kv.n_axes,))
-    rules = [axis_rule(kv.k[i], extents[i], int(ns[i])) for i in range(kv.n_axes)]
+    rules = [axis_rule(k, ext, ni) for k, ext, ni in
+             zip(kv.k, _per_axis(kv, extents, "extents"), _per_axis(kv, n, "n"))]
     return _tensor_grid([r.nodes for r in rules], [r.weights for r in rules])
 
 
@@ -211,19 +238,13 @@ class TransformPlan:
 
     def __init__(self, kv, extent=12.0, n=96, freq_extent=None, freq_n=None):
         self.kv = _as_kv(kv)
-        nax = self.kv.n_axes
-
-        def per_axis(val, dtype):
-            return np.broadcast_to(np.asarray(val, dtype=dtype), (nax,))
-
-        extents = per_axis(extent, float)
-        ns = per_axis(n, int)
-        fextents = extents if freq_extent is None else per_axis(freq_extent, float)
-        fns = ns if freq_n is None else per_axis(freq_n, int)
-        self.rules = [axis_rule(self.kv.k[i], float(extents[i]), int(ns[i]))
-                      for i in range(nax)]
-        self.freq_rules = [axis_rule(self.kv.k[i], float(fextents[i]), int(fns[i]))
-                           for i in range(nax)]
+        extents = _per_axis(self.kv, extent, "extent")
+        ns = _per_axis(self.kv, n, "n")
+        fextents = extents if freq_extent is None else _per_axis(self.kv, freq_extent,
+                                                                 "freq_extent")
+        fns = ns if freq_n is None else _per_axis(self.kv, freq_n, "freq_n")
+        self.rules = [axis_rule(*args) for args in zip(self.kv.k, extents, ns)]
+        self.freq_rules = [axis_rule(*args) for args in zip(self.kv.k, fextents, fns)]
         # kernels[i][a, j] = one-axis unitary kernel E(i xi_a, x_j)
         self.kernels = [kernel_unitary(self.kv.k[i], fr.nodes[:, None], r.nodes[None, :])
                         for i, (r, fr) in enumerate(zip(self.rules, self.freq_rules))]
@@ -246,10 +267,12 @@ class TransformPlan:
         return np.asarray(f(self.grid())).reshape(self.shape)
 
     def forward(self, values: np.ndarray) -> np.ndarray:
+        values = _check_shape(values, self.shape, "forward values")
         factors = ((np.conj(kern), rule.weights) for rule, kern in zip(self.rules, self.kernels))
         return _contract_axes(values, factors) / self.kv.c_norm
 
     def inverse(self, values: np.ndarray) -> np.ndarray:
+        values = _check_shape(values, self.freq_shape, "inverse values")
         factors = ((kern.T, rule.weights) for rule, kern in zip(self.freq_rules, self.kernels))
         return _contract_axes(values, factors) / self.kv.c_norm
 
@@ -443,24 +466,54 @@ def translated_normalization_defect(kv, t: float, x, n: int = 96,
     return abs(float(np.sum(wts * vals)) - 1.0)
 
 
+def _spectral_mean_weights(kv, plan: TransformPlan, x, t: float) -> np.ndarray:
+    """w(xi) E_k(ix, xi) j_lam(t |xi|) / c_k on plan.freq_shape, built per axis.
+
+    The kernel is the outer product of the rank-one kernels on each axis's
+    nodes; j_lam is evaluated once per distinct |xi|, on the tensor grid of
+    the per-axis magnitudes (the axis rules are mirror-symmetric), and
+    gathered back onto the signed grid.
+    """
+    weights, mags, gather = None, [], []
+    for k, x_i, rule in zip(kv.k, x, plan.freq_rules):
+        axis = rule.weights * kernel_unitary(k, x_i, rule.nodes)
+        weights = axis if weights is None else np.multiply.outer(weights, axis)
+        mag, idx = np.unique(np.abs(rule.nodes), return_inverse=True)
+        mags.append(mag)
+        gather.append(idx)
+    rad2 = mags[0] * mags[0]
+    for mag in mags[1:]:
+        rad2 = np.add.outer(rad2, mag * mag)
+    radial = bessel_j(kv.lam, t * np.sqrt(rad2))
+    return weights * radial[np.ix_(*gather)] / kv.c_norm
+
+
 def spherical_mean_spectral(kv, plan: TransformPlan, fhat_values: np.ndarray,
                             x, t: float):
     """Spherical mean from transform data:
 
         M_f(x, t) = (1/c_k) int fhat(xi) E_k(ix, xi) j_lam(t |xi|) w_k(xi) dxi.
 
-    fhat_values are the transform samples on the plan grid.  Exact for
+    fhat_values are the transform samples on the plan's frequency grid
+    (shape plan.freq_shape, or raveled); kv must be the plan's.  Exact for
     band-limited data up to quadrature error; works for any f whose
     transform decays inside the plan extent.
     """
     kv = _as_kv(kv)
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    rules = plan.freq_rules
-    pts, wts = _tensor_grid([r.nodes for r in rules], [r.weights for r in rules])
-    rad = np.sqrt(np.sum(pts * pts, axis=-1))
-    kern = dunkl_kernel_unitary(kv, x, pts)
-    vals = np.asarray(fhat_values).ravel()
-    return np.sum(wts * vals * kern * bessel_j(kv.lam, t * rad)) / kv.c_norm
+    if kv != plan.kv:
+        raise ConfigError(f"multiplicity {kv.k} does not match the plan's {plan.kv.k}")
+    fhat = np.asarray(fhat_values)
+    size = int(np.prod(plan.freq_shape))
+    if fhat.shape not in (plan.freq_shape, (size,)):
+        raise ConfigError(f"fhat_values has shape {fhat.shape}; expected {plan.freq_shape} "
+                          f"or ({size},)")
+    x = _coords(kv, "x", np.atleast_1d(x))
+    if x.ndim != 1:
+        raise ConfigError(f"x has shape {x.shape}; expected one point of shape ({kv.n_axes},)")
+    if np.ndim(t) != 0:
+        raise ConfigError(f"t must be a scalar radius, got shape {np.shape(t)}")
+    t = _finite(t, "t")
+    return np.sum(_spectral_mean_weights(kv, plan, x, t).ravel() * fhat.ravel())
 
 
 def spherical_mean_radial(kv, f0, x, t, n_sphere: int = 64,

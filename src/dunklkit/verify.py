@@ -40,6 +40,7 @@ from .special import bessel_j, bessel_j_imag
 from .rank_one import kernel_unitary, signed_product_measure, spherical_mean_measure
 from .transform import (
     TransformPlan,
+    _spectral_mean_weights,
     bump,
     chapman_kolmogorov_defect,
     darboux_residual,
@@ -203,19 +204,13 @@ def _suite_radial_product_formula(tol: float | None) -> list[CaseResult]:
 
 def _battery_means(kv, plan: TransformPlan, bumps, pairs) -> np.ndarray:
     """means[i, j] = M_{f_i}(x_j, t_j) through the frequency representation,
-    with the per-pair frequency profiles built once and each bump costing
+    with the per-pair frequency weights built once and each bump costing
     one forward transform plus dot products."""
-    rules = plan.freq_rules
-    pts, wts = _tensor_grid([r.nodes for r in rules], [r.weights for r in rules])
-    rad = np.sqrt(np.sum(pts * pts, axis=-1))
-    combo = np.empty((len(pairs), pts.shape[0]), dtype=complex)
-    for j, (x, t) in enumerate(pairs):
-        kern = dunkl_kernel_unitary(kv, x, pts)
-        combo[j] = wts * kern * bessel_j(kv.lam, t * rad)
+    combo = np.array([_spectral_mean_weights(kv, plan, x, t).ravel() for x, t in pairs])
     means = np.empty((len(bumps), len(pairs)))
     for i, f in enumerate(bumps):
         fhat = plan.forward(plan.sample(f)).ravel()
-        means[i] = np.real(combo @ fhat) / kv.c_norm
+        means[i] = np.real(combo @ fhat)
     return means
 
 

@@ -220,3 +220,51 @@ def test_engine_checker_flags_each_duplicate(tmp_path):
     two.write_text(src.format(name="rayleigh") + "def sigma(u, v):\n"
                    "    with np.errstate(divide='ignore'):\n        return u / v\n")
     assert engine_duplicates([two]) == ["errstate weight division (two:LineMeasure.rayleigh, line 4)"]
+
+
+# ---------------------------------------------------------------------------
+# the spectral spherical mean is built per axis, once: the public mean and
+# the verification batteries both take transform._spectral_mean_weights and
+# neither evaluates the kernel on the whole frequency tensor grid
+
+SPECTRAL_ROUTE = {"transform.py": "spherical_mean_spectral", "verify.py": "_battery_means"}
+
+
+def spectral_route_breaches(sources: dict[Path, str]) -> list[str]:
+    """For each (module, function): a missing _spectral_mean_weights call or
+    a dunkl_kernel_unitary call inside the function."""
+    found = []
+    for path, name in sources.items():
+        tree = ast.parse(path.read_text(), filename=str(path))
+        fn = next((node for node in ast.walk(tree)
+                   if isinstance(node, ast.FunctionDef) and node.name == name), None)
+        if fn is None:
+            found.append(f"{path.stem}.{name} is missing")
+            continue
+        called = {getattr(node.func, "id", getattr(node.func, "attr", None))
+                  for node in ast.walk(fn) if isinstance(node, ast.Call)}
+        if "_spectral_mean_weights" not in called:
+            found.append(f"{path.stem}.{name} does not call _spectral_mean_weights")
+        if "dunkl_kernel_unitary" in called:
+            found.append(f"{path.stem}.{name} calls dunkl_kernel_unitary")
+    return found
+
+
+def test_spectral_mean_has_one_per_axis_route():
+    assert spectral_route_breaches({ROOT / "src" / "dunklkit" / module: name
+                                    for module, name in SPECTRAL_ROUTE.items()}) == []
+
+
+def test_spectral_route_checker_flags_a_full_tensor_mean(tmp_path):
+    good, bad = tmp_path / "good.py", tmp_path / "bad.py"
+    good.write_text("from .transform import _spectral_mean_weights\n"
+                    "def mean(kv, plan, fhat, x, t):\n"
+                    "    return (_spectral_mean_weights(kv, plan, x, t) * fhat).sum()\n")
+    bad.write_text("from . import core\n"
+                   "def mean(kv, plan, fhat, x, t):\n"
+                   "    return (core.dunkl_kernel_unitary(kv, x, plan.freq_grid()) * fhat).sum()\n")
+    assert spectral_route_breaches({good: "mean"}) == []
+    assert spectral_route_breaches({bad: "mean", good: "other"}) == [
+        "bad.mean does not call _spectral_mean_weights",
+        "bad.mean calls dunkl_kernel_unitary",
+        "good.other is missing"]

@@ -16,6 +16,7 @@ from dunklkit import (
     chapman_kolmogorov_defect,
     darboux_residual,
     dunkl_kernel,
+    dunkl_kernel_unitary,
     dunkl_transform_grid,
     heat_kernel,
     heat_kernel_spectral,
@@ -29,6 +30,8 @@ from dunklkit import (
     spherical_mean_wave,
     translated_normalization_defect,
 )
+from dunklkit.quadrature import _tensor_grid
+from dunklkit.special import bessel_j
 from dunklkit.transform import axis_rule, weighted_grid
 from scipy.special import gamma
 
@@ -107,6 +110,37 @@ def test_weighted_grid_gaussian_mass():
     assert got == pytest.approx(KV2.c_norm, rel=1e-13)
 
 
+@pytest.mark.parametrize("k", [0.0, 0.5, 1.0, 2.5])
+@pytest.mark.parametrize("n", [1, 7, 40, 160])
+def test_axis_rule_is_bitwise_mirror_symmetric(k, n):
+    # the weight (2 x^2)^k is even: the left panel is the right one mirrored
+    rule = axis_rule(k, 3.7, n)
+    assert rule.n == 2 * n
+    assert np.array_equal(rule.nodes, -rule.nodes[::-1])
+    assert np.array_equal(rule.weights, rule.weights[::-1])
+    assert np.all(rule.nodes[n:] > 0.0)
+
+
+@pytest.mark.parametrize("extent, n", [
+    (4.0, 10.7), (4.0, 0), (4.0, -3), (4.0, float("nan")), (4.0, float("inf")), (4.0, "8"),
+    (float("nan"), 8), (float("inf"), 8), (float("-inf"), 8), (0.0, 8), (-1.0, 8),
+])
+def test_axis_rule_rejects_bad_extent_and_count(extent, n):
+    # 10.7 used to be truncated to 10; n = 0 and NaN extents raised bare
+    # ValueErrors, and an infinite extent warned inside the Gauss build
+    with pytest.raises(ConfigError):
+        axis_rule(1.0, extent, n)
+
+
+def test_weighted_grid_rejects_wrong_axis_counts():
+    with pytest.raises(ConfigError, match=r"\(2,\)"):
+        weighted_grid(KV2, [4.0, 4.0, 4.0], 8)
+    with pytest.raises(ConfigError, match=r"\(2,\)"):
+        weighted_grid(KV2, 4.0, [8, 8, 8])
+    with pytest.raises(ConfigError):
+        weighted_grid(KV2, 4.0, 8.5)
+
+
 # ---------------------------------------------------------------------------
 # transform plan
 
@@ -146,6 +180,33 @@ def test_plan_boundary_decay():
     assert plan.boundary_decay(vals) < 1e-12
     ones = np.ones(plan.shape)
     assert plan.boundary_decay(ones) == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("kwargs", [
+    dict(freq_extent=np.ones((2, 2))), dict(n=[8, 8.5]), dict(freq_n=0),
+    dict(extent=float("nan")), dict(freq_extent=float("inf")),
+])
+def test_plan_rejects_bad_geometry(kwargs):
+    with pytest.raises(ConfigError):
+        TransformPlan(KV2, **kwargs)
+
+
+@pytest.mark.parametrize("name", ["n", "extent", "freq_n", "freq_extent"])
+def test_plan_names_the_per_axis_shape(name):
+    with pytest.raises(ConfigError, match=rf"{name} has shape \(3,\); expected a scalar or shape \(2,\)"):
+        TransformPlan(KV2, **{name: [8, 8, 8]})
+
+
+def test_plan_checks_value_shapes():
+    plan = TransformPlan(KV2, extent=6.0, n=8, freq_n=6)
+    assert plan.shape == (16, 16) and plan.freq_shape == (12, 12)
+    for bad in (np.zeros((12, 12)), np.zeros(256), np.zeros((16, 16, 1))):
+        with pytest.raises(ConfigError, match=r"forward values has shape .*; expected \(16, 16\)"):
+            plan.forward(bad)
+    for bad in (np.zeros((16, 16)), np.zeros(144)):
+        with pytest.raises(ConfigError, match=r"inverse values has shape .*; expected \(12, 12\)"):
+            plan.inverse(bad)
+    assert plan.inverse(plan.forward(np.zeros((16, 16)))).shape == (16, 16)
 
 
 def test_transform_grid_roundtrip_uniform():
@@ -309,6 +370,91 @@ def test_spherical_mean_routes_agree():
     spectral = spherical_mean_spectral(KV2, plan, fhat, x, t)
     assert abs(spectral.imag) < 1e-10
     assert spectral.real == pytest.approx(radial, abs=1e-9)
+
+
+def _spectral_mean_full_tensor(kv, plan, fhat, x, t):
+    """The spectral mean evaluated on the whole frequency tensor grid."""
+    rules = plan.freq_rules
+    pts, wts = _tensor_grid([r.nodes for r in rules], [r.weights for r in rules])
+    rad = np.sqrt(np.sum(pts * pts, axis=-1))
+    kern = dunkl_kernel_unitary(kv, x, pts)
+    return np.sum(wts * fhat.ravel() * kern * bessel_j(kv.lam, t * rad)) / kv.c_norm
+
+
+@pytest.mark.parametrize("k", [(1.0,), (1.0, 1.0), (2.0, 0.5), (0.0, 1.5), (1.0, 0.5, 0.3)])
+def test_spherical_mean_spectral_matches_full_tensor_formula(k):
+    kv = MultiplicityVector(k=k)
+    small = len(k) == 3
+    plan = TransformPlan(kv, extent=4.0, n=16 if small else 40, freq_extent=20.0,
+                         freq_n=[14, 12, 10] if small else 40)
+    f = bump(np.full(len(k), 0.2), 1.0)
+    fhat = plan.forward(plan.sample(f))
+    for x, t in ((np.linspace(0.3, -0.8, len(k)), 0.7), (np.zeros(len(k)), 0.4)):
+        got = spherical_mean_spectral(kv, plan, fhat, x, t)
+        want = _spectral_mean_full_tensor(kv, plan, fhat, x, t)
+        assert abs(got - want) <= 1e-13 * abs(want)
+
+
+def test_spherical_mean_spectral_accepts_raveled_transform():
+    plan = TransformPlan(KV2, extent=4.0, n=24, freq_extent=12.0, freq_n=20)
+    fhat = plan.forward(plan.sample(bump([0.1, -0.2], 0.9)))
+    x = np.array([0.4, 0.3])
+    assert spherical_mean_spectral(KV2, plan, fhat.ravel(), x, 0.6) == \
+        spherical_mean_spectral(KV2, plan, fhat, x, 0.6)
+
+
+@pytest.mark.parametrize("case", [
+    "kv", "fhat-axis", "fhat-size", "t-nan", "t-inf", "t-minus-inf", "t-array",
+    "x-2d", "x-length", "x-nan",
+])
+def test_spherical_mean_spectral_input_contract(case):
+    plan = TransformPlan(KV2, extent=4.0, n=16, freq_extent=12.0, freq_n=12)
+    fhat = plan.forward(plan.sample(bump([0.1, -0.2], 0.9)))
+    args = dict(kv=KV2, fhat_values=fhat, x=np.array([0.4, 0.3]), t=0.6)
+    args.update({
+        # a different k on as many axes used to return a silently wrong mean
+        "kv": dict(kv=MultiplicityVector(k=(2.0, 0.5))),
+        "fhat-axis": dict(fhat_values=fhat[0]),  # used to raise a bare broadcast error
+        "fhat-size": dict(fhat_values=fhat.ravel()[:-1]),
+        "t-nan": dict(t=float("nan")),
+        "t-inf": dict(t=float("inf")),
+        "t-minus-inf": dict(t=float("-inf")),
+        "t-array": dict(t=np.array([0.6, 0.7])),
+        "x-2d": dict(x=np.array([[0.4, 0.3], [0.1, 0.2]])),
+        "x-length": dict(x=np.array([0.4, 0.3, 0.2])),
+        "x-nan": dict(x=np.array([0.4, float("nan")])),
+    }[case])
+    with pytest.raises(ConfigError):
+        spherical_mean_spectral(args["kv"], plan, args["fhat_values"], args["x"], args["t"])
+
+
+def test_spherical_mean_spectral_evaluates_per_axis(monkeypatch):
+    # the kernel sees each axis's nodes once, j_lam each distinct |xi| once
+    # (plus the kernel's own two Bessel calls per node)
+    import dunklkit.rank_one as rank_one
+    import dunklkit.transform as transform
+
+    counts = {"kernel": 0, "bessel": 0}
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            counts[name] += np.size(out)
+            return out
+        return wrapped
+
+    monkeypatch.setattr(transform, "kernel_unitary", counting("kernel", transform.kernel_unitary))
+    for module in (transform, rank_one):
+        monkeypatch.setattr(module, "bessel_j", counting("bessel", module.bessel_j))
+    plan = TransformPlan(KV2, extent=4.0, n=24, freq_extent=30.0, freq_n=[30, 22])
+    fhat = plan.forward(plan.sample(bump([0.1, -0.2], 0.9)))
+    counts.update(kernel=0, bessel=0)
+    spherical_mean_spectral(KV2, plan, fhat, np.array([0.4, 0.3]), 0.6)
+    n_nodes = sum(r.n for r in plan.freq_rules)
+    distinct = np.prod([np.unique(np.abs(r.nodes)).size for r in plan.freq_rules])
+    assert n_nodes == 104 and distinct == 30 * 22
+    assert 0 < counts["kernel"] <= n_nodes
+    assert 0 < counts["bessel"] <= distinct + 2 * n_nodes
 
 
 def test_spherical_mean_radial_rank_one_honours_n_per_axis():
