@@ -20,9 +20,10 @@ from __future__ import annotations
 import numpy as np
 from scipy.special import betainc, erf, gammainc, gammainccinv, gammaln
 
-from .errors import ConfigError, NumericalError, PositivityError, ResolutionError, _finite
+from .errors import (ConfigError, NumericalError, PositivityError, ResolutionError, _finite,
+                     _node_count)
 from .measures import (_ATOM_CAP, RadialProfileMeasure, _atom_pairs, _grid_measure,
-                       as_weighted_atoms, dirac)
+                       _row_blocks, as_weighted_atoms, dirac)
 from .quadrature import _gauss_roots, gauss_jacobi, log_panel_rule, panel_gauss_legendre
 from .special import bessel_j, bessel_j_envelope
 
@@ -103,6 +104,7 @@ def convolve_points(lam: float, x: float, y: float, n: int = 128) -> RadialProfi
     """
     lam = _check_index(lam)
     x, y = _finite(x, "x"), _finite(y, "y")
+    n = _node_count(n, "n")
     if x < 0 or y < 0:
         raise ConfigError("points must be nonnegative radii")
     if x == 0.0 or y == 0.0:
@@ -115,20 +117,18 @@ def convolve_points(lam: float, x: float, y: float, n: int = 128) -> RadialProfi
 
 
 def _pair_nodes(lam: float, ax, aw, bx, bw, n: int = 32):
-    """Point convolutions of every atom pair (|a|, |b|), in chunks of rows of a.
+    """Point convolutions of every atom pair (|a|, |b|), in row blocks of a.
 
-    Yields (a, z, w, pair_w) per chunk: the chunk's atom positions, the
-    nodes z(u) of shape (len(a), len(b), n), the n angle-rule masses, and
-    the pair masses a_w * b_w broadcast against them.
+    Yields (rows, z, w, pair_w) per block: the block's slice of ax, the
+    nodes z(u) of shape (len(ax[rows]), len(bx), n), the n angle-rule
+    masses, and the pair masses a_w * b_w broadcast against them.
     """
     u, w = _angle_rule(lam, n)
     y = np.abs(bx)[None, :, None]
-    chunk = max(1, int(2e6) // (bx.size * n))
-    for i0 in range(0, ax.size, chunk):
-        a = ax[i0:i0 + chunk]
-        x = np.abs(a)[:, None, None]
+    for rows in _row_blocks(ax.size, bx.size * n):
+        x = np.abs(ax[rows])[:, None, None]
         z = np.sqrt(np.maximum(x * x + y * y - 2.0 * x * y * u, 0.0))
-        yield a, z, w, (aw[i0:i0 + chunk][:, None] * bw[None, :])[..., None]
+        yield rows, z, w, (aw[rows][:, None] * bw[None, :])[..., None]
 
 
 def convolve_measures(lam: float, sigma: RadialProfileMeasure, tau: RadialProfileMeasure,
@@ -140,10 +140,17 @@ def convolve_measures(lam: float, sigma: RadialProfileMeasure, tau: RadialProfil
     unchanged when they fit the cap), every atom pair is convolved with
     the shared angle rule, and the resulting point cloud is deposited on
     a uniform output grid with a cubic mass/moment-preserving kernel.
-    Far outliers beyond the contiguous support (e.g. bookkeeping atoms of
-    heavy-tailed inputs) stay explicit atoms at their rms radius.
+
+    The grid ends just past the sum of the two contiguous supports (each
+    input's grid, or its atoms when it has no grid).  A node beyond it
+    comes from a pair with a far input atom, one beyond its measure's
+    grid (the larger one when both are).  Such nodes stay explicit: one
+    atom per far input atom, carrying their mass at their mass-weighted
+    rms radius, so distinct tails stay distinct.
     """
     lam = _check_index(lam)
+    grid_n = _node_count(grid_n, "grid_n", least=4)
+    points_per_pair = _node_count(points_per_pair, "points_per_pair")
     for m in (sigma, tau):
         if m.grid.size and np.min(m.node_masses) < -1e-12 * max(1.0, m.total_variation()):
             raise PositivityError("convolve_measures expects nonnegative measures")
@@ -157,29 +164,35 @@ def convolve_measures(lam: float, sigma: RadialProfileMeasure, tau: RadialProfil
         return sigma
     if _is_unit_point(sigma):
         return tau
-    ax, aw, bx, bw = _atom_pairs(sigma, tau, grid_n, atom_cap)
+    ax, aw, bx, bw = _atom_pairs(sigma, tau, atom_cap)
 
-    # contiguous support estimate: sums of the density supports plus any
-    # atoms within a factor ~4 of them; everything further out is tail
     core_a = sigma.grid[-1] if sigma.grid.size else np.max(ax)
     core_b = tau.grid[-1] if tau.grid.size else np.max(bx)
     z_max = 1.0001 * (core_a + core_b)
-    far_atoms: dict[float, float] = {}
+    # far atoms of each input (0 for the others): a pair's key is the larger
+    far_a = np.where(ax > core_a, ax, 0.0)
+    far_b = np.where(bx > core_b, bx, 0.0)
+    far_sums: dict[float, np.ndarray] = {}  # key -> [sum m, sum m z^2]
 
     def pieces():
-        for _, z, w, pair_w in _pair_nodes(lam, ax, aw, bx, bw, points_per_pair):
-            z, m = z.ravel(), (w * pair_w).ravel()
+        for rows, z, w, pair_w in _pair_nodes(lam, ax, aw, bx, bw, points_per_pair):
+            m = w * pair_w
             ok = z <= z_max
-            if np.any(ok):
-                yield z[ok], m[ok]
-            if np.any(~ok):
-                # collapse each out-of-range pair at its rms radius
-                zz, mm = z[~ok], m[~ok]
-                key = np.round(np.sqrt(np.mean(zz**2))).item()
-                far_atoms[key] = far_atoms.get(key, 0.0) + float(mm.sum())
+            if ok.all():
+                yield z.ravel(), m.ravel()
+                continue
+            yield z[ok], m[ok]
+            far = ~ok
+            key = np.maximum(far_a[rows][:, None], far_b[None, :])[..., None]
+            zz, mm = z[far], m[far]
+            keys, inv = np.unique(np.broadcast_to(key, z.shape)[far], return_inverse=True)
+            sums = np.stack([np.bincount(inv, mm), np.bincount(inv, mm * zz * zz)], axis=1)
+            for k, s in zip(keys.tolist(), sums):
+                far_sums[k] = far_sums.get(k, 0.0) + s
 
     mu = _grid_measure(RadialProfileMeasure, 0.0, z_max, grid_n, pieces(), lam=lam)
-    mu.atoms = sorted(far_atoms.items())
+    mu.atoms = sorted((float(np.sqrt(s[1] / s[0])), float(s[0]))
+                      for s in far_sums.values() if s[0] != 0.0)
     return mu
 
 

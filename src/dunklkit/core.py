@@ -24,7 +24,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from . import rank_one
-from .errors import ConfigError
+from .errors import ConfigError, _node_count
 from .quadrature import _tensor_grid
 from .special import bessel_j, bessel_j_imag
 
@@ -269,6 +269,7 @@ def intertwiner_atoms(kv, x, n_per_axis: int = 64) -> tuple[np.ndarray, np.ndarr
     x = _coords(kv, "x", x)
     if x.ndim != 1:
         raise ConfigError("x must be a point of R^N")
+    n_per_axis = _node_count(n_per_axis, "n_per_axis")
     axis_nodes, axis_masses = [], []
     for ki, xi in zip(kv.k, x):
         mu = rank_one.intertwiner_measure(ki, float(xi), n=n_per_axis)

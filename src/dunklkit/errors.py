@@ -1,5 +1,5 @@
-"""Exception types shared across the package, and the finiteness rule
-the parameter validators share."""
+"""Exception types shared across the package, and the finiteness and
+node-count rules the parameter validators share."""
 
 import math
 
@@ -38,3 +38,16 @@ def _finite(value, what: str) -> float:
     if not math.isfinite(value):
         raise ConfigError(f"{what} must be finite, got {value}")
     return value
+
+
+def _node_count(n, what: str = "node count", least: int = 1) -> int:
+    """n as an int >= least; ConfigError for fractional, non-finite or smaller counts."""
+    try:
+        count = int(n)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{what} must be an integer, got {n!r}") from None
+    if count != n:
+        raise ConfigError(f"{what} must be an integer, got {n!r}")
+    if count < least:
+        raise ConfigError(f"{what} must be at least {least}, got {n!r}")
+    return count

@@ -27,7 +27,7 @@ from scipy.linalg import null_space
 from scipy.special import betaln, gammaln
 
 from .core import MultiplicityVector, _as_kv, dunkl_kernel_unitary, intertwiner_atoms
-from .errors import ConfigError, ConsistencyError
+from .errors import ConfigError, ConsistencyError, _node_count
 from .special import bessel_j, gegenbauer
 from .quadrature import gauss_jacobi
 
@@ -72,6 +72,7 @@ class SphereQuadrature:
     def __init__(self, kv, n: int = 64, method: str = "jacobi"):
         self.kv = _require_planar(kv)
         k1, k2 = self.kv.k
+        n = _node_count(n, "n")
         if method == "jacobi":
             rule = gauss_jacobi(n, k2 - 0.5, k1 - 0.5, 0.0, 1.0)
             c = np.sqrt(rule.nodes)

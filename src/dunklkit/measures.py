@@ -21,7 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigError, PositivityError
+from .errors import ConfigError, PositivityError, _node_count
 
 __all__ = [
     "LineMeasure",
@@ -250,18 +250,28 @@ def deposit_on_grid(positions: np.ndarray, masses: np.ndarray,
 _ATOM_CAP = 2048  # atoms per input a convolution keeps before binning its node set
 
 
-def _atom_pairs(mu: LineMeasure, nu: LineMeasure, grid_n: int, atom_cap: int = _ATOM_CAP):
-    """Both inputs of a convolution as weighted atoms, once the budgets are
-    checked: the cubic deposit needs 4 grid nodes, each input one atom."""
-    if not grid_n >= 4:
-        raise ConfigError(f"grid_n must be at least 4, got {grid_n}")
-    if not atom_cap >= 1:
-        raise ConfigError(f"atom_cap must be at least 1, got {atom_cap}")
+def _atom_pairs(mu: LineMeasure, nu: LineMeasure, atom_cap: int = _ATOM_CAP):
+    """Both inputs of a convolution as weighted atoms, at least one each."""
+    atom_cap = _node_count(atom_cap, "atom_cap")
     ax, aw = as_weighted_atoms(mu, cap=atom_cap)
     bx, bw = as_weighted_atoms(nu, cap=atom_cap)
     if ax.size == 0 or bx.size == 0:
         raise ConfigError("cannot convolve an empty measure")
     return ax, aw, bx, bw
+
+
+# Elements per float64 temporary (256 KiB) of the pair pipelines: radial
+# translation and the convolution engine work through their (row, column)
+# pairs in blocks of this size, so each step's arrays stay in cache.
+_BLOCK = 2**15
+
+
+def _row_blocks(n_rows: int, row_len: int):
+    """Slices covering range(n_rows), each of at most _BLOCK // row_len rows
+    and at least one row."""
+    step = max(1, _BLOCK // row_len)
+    for lo in range(0, n_rows, step):
+        yield slice(lo, min(lo + step, n_rows))
 
 
 def _grid_measure(cls, lo: float, hi: float, grid_n: int, pieces, **kwargs):

@@ -17,8 +17,8 @@ import numpy as np
 from scipy.special import gammaln
 
 from .bessel_kingman import _pair_nodes, _point_nodes
-from .errors import ConfigError, _finite
-from .measures import LineMeasure, _atom_pairs, _grid_measure
+from .errors import ConfigError, _finite, _node_count
+from .measures import LineMeasure, _atom_pairs, _grid_measure, _row_blocks
 from .quadrature import _gauss_roots
 from .special import bessel_j, bessel_j_imag
 
@@ -168,7 +168,8 @@ def convolve(k: float, mu: LineMeasure, nu: LineMeasure, grid_n: int = 16384) ->
     k = 0) fall out of the same formulas.
     """
     k = _check_k(k)
-    ax, aw, bx, bw = _atom_pairs(mu, nu, grid_n)
+    grid_n = _node_count(grid_n, "grid_n", least=4)
+    ax, aw, bx, bw = _atom_pairs(mu, nu)
 
     def _extent(m):
         lo, hi = m.support_bounds()
@@ -180,10 +181,12 @@ def convolve(k: float, mu: LineMeasure, nu: LineMeasure, grid_n: int = 16384) ->
 
     def pieces():
         if k == 0.0:
-            yield (ax[:, None] + bx[None, :]).ravel(), (aw[:, None] * bw[None, :]).ravel()
+            for rows in _row_blocks(ax.size, bx.size):
+                yield ((ax[rows, None] + bx[None, :]).ravel(),
+                       (aw[rows, None] * bw[None, :]).ravel())
             return
-        for a, z, w, pair_w in _pair_nodes(k - 0.5, ax, aw, bx, bw):
-            w_plus, w_minus = _mirror_weights(a[:, None, None], bx[None, :, None], z)
+        for rows, z, w, pair_w in _pair_nodes(k - 0.5, ax, aw, bx, bw):
+            w_plus, w_minus = _mirror_weights(ax[rows, None, None], bx[None, :, None], z)
             yield z.ravel(), (w * w_plus * pair_w).ravel()
             yield -z.ravel(), (w * w_minus * pair_w).ravel()
 

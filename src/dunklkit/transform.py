@@ -22,7 +22,8 @@ import numpy as np
 
 from .core import (_as_kv, _axis_c_norm, _axis_product, _coords, dunkl_kernel_unitary,
                    dunkl_laplacian, intertwiner_atoms)
-from .errors import ConfigError, _finite
+from .errors import ConfigError, _finite, _node_count
+from .measures import _row_blocks
 from .quadrature import QuadratureRule, _tensor_grid, gauss_jacobi
 from .rank_one import kernel_unitary
 from .special import _scaled_bessel_imag, bessel_j, radial_bessel_operator
@@ -152,17 +153,6 @@ class GridFunction:
 # weighted quadrature grids
 
 
-def _node_count(n) -> int:
-    """n as an int >= 1; ConfigError for fractional, non-finite or smaller counts."""
-    try:
-        count = int(n)
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"node count must be an integer, got {n!r}") from None
-    if count != n or count < 1:
-        raise ConfigError(f"node count must be an integer >= 1, got {n!r}")
-    return count
-
-
 def axis_rule(k: float, extent: float, n: int) -> QuadratureRule:
     """Rule for integral_{-L}^{L} g(x) (2 x^2)^k dx, singular factor absorbed.
 
@@ -264,7 +254,12 @@ class TransformPlan:
         return _tensor_grid([r.nodes for r in self.freq_rules])
 
     def sample(self, f) -> np.ndarray:
-        return np.asarray(f(self.grid())).reshape(self.shape)
+        values = np.asarray(f(self.grid()))
+        size = int(np.prod(self.shape))
+        if values.size != size:
+            raise ConfigError(f"f returned shape {values.shape}; expected one value per "
+                              f"grid point, shape ({size},) or {self.shape}")
+        return values.reshape(self.shape)
 
     def forward(self, values: np.ndarray) -> np.ndarray:
         values = _check_shape(values, self.shape, "forward values")
@@ -438,13 +433,19 @@ def radial_translate(kv, f0, x, y, n_per_axis: int = 48):
     pts, masses = intertwiner_atoms(kv, x, n_per_axis=n_per_axis)
     rx2 = float(np.sum(x * x))
     ry2 = np.sum(ypts * ypts, axis=-1)
-    out = np.zeros(ypts.shape[0])
-    chunk = max(1, int(2**22 // max(pts.shape[0], 1)))
-    for lo in range(0, ypts.shape[0], chunk):
-        sl = slice(lo, min(lo + chunk, ypts.shape[0]))
-        cross = ypts[sl] @ pts.T
-        arg = np.sqrt(np.maximum(rx2 + ry2[sl, None] - 2.0 * cross, 0.0))
-        out[sl] = np.asarray(f0(arg)) @ masses
+    out = np.empty(ypts.shape[0])
+    for rows in _row_blocks(ypts.shape[0], pts.shape[0]):
+        cross = ypts[rows] @ pts.T
+        arg = np.sqrt(np.maximum(rx2 + ry2[rows, None] - 2.0 * cross, 0.0))
+        vals = np.asarray(f0(arg))
+        try:
+            vals = np.broadcast_to(vals, arg.shape)
+        except ValueError:
+            raise ConfigError(f"f0 returned shape {vals.shape} for radii of shape "
+                              f"{arg.shape}; expected {arg.shape} or a scalar") from None
+        # einsum sums each row in one order whatever the block's row count
+        # (BLAS gemv does not), so the result does not depend on the blocks
+        out[rows] = np.einsum("ij,j->i", vals, masses)
     return out[0] if squeeze else out
 
 
@@ -527,6 +528,7 @@ def spherical_mean_radial(kv, f0, x, t, n_sphere: int = 64,
     from .harmonics import SphereQuadrature
 
     kv = _as_kv(kv)
+    n_sphere = _node_count(n_sphere, "n_sphere")
     x = np.atleast_1d(np.asarray(x, dtype=float))
     radii = np.asarray(t, dtype=float)
     if not np.all(np.isfinite(radii)):

@@ -7,9 +7,12 @@ regularized incomplete beta gives the radial CDF of the latter, and the
 1/2-stable law has Laplace transform exp(-t sqrt(u)).
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from dunklkit import measures
 from dunklkit.bessel_kingman import (
     cauchy_density,
     cauchy_measure,
@@ -57,11 +60,27 @@ def test_non_finite_points_are_config_errors(bad):
 
 
 @pytest.mark.parametrize("budget", [{"grid_n": 3}, {"grid_n": 1}, {"grid_n": 0},
-                                    {"grid_n": -3}, {"atom_cap": 0}, {"atom_cap": -1}])
+                                    {"grid_n": -3}, {"atom_cap": 0}, {"atom_cap": -1},
+                                    {"points_per_pair": 0}, {"points_per_pair": -2}])
 def test_convolution_budgets_are_checked(budget):
     a, b = rayleigh_measure(1.0, 0.4, n=8), rayleigh_measure(1.0, 0.7, n=8)
     with pytest.raises(ConfigError, match="must be at least"):
         convolve_measures(1.0, a, b, **budget)
+
+
+@pytest.mark.parametrize("call", [
+    lambda v: convolve_measures(1.0, rayleigh_measure(1.0, 0.4, n=8),
+                                rayleigh_measure(1.0, 0.7, n=8), points_per_pair=v),
+    lambda v: convolve_measures(1.0, rayleigh_measure(1.0, 0.4, n=8),
+                                rayleigh_measure(1.0, 0.7, n=8), grid_n=v + 2.0),
+    lambda v: convolve_points(1.0, 0.7, 0.3, n=v),
+], ids=["points_per_pair", "grid_n", "convolve_points"])
+@pytest.mark.parametrize("bad", [0, 2.5])
+def test_fractional_and_zero_node_counts_are_config_errors(call, bad):
+    # scipy raised a bare ValueError for the angle rules, numpy a TypeError
+    # for grid_n = 4.5
+    with pytest.raises(ConfigError, match="must be"):
+        call(bad)
 
 
 def test_smallest_convolution_budgets_run():
@@ -191,3 +210,67 @@ def test_subordination_turns_heat_into_poisson():
     xi = np.concatenate([[0.0], np.linspace(0.25, 6.0, 20)])
     assert np.allclose(hankel_transform(lam, mixed, xi), np.exp(-t * np.abs(xi)),
                        atol=1e-7)
+
+
+# ---------------------------------------------------------------------------
+# the engine works in cache-sized row blocks; results must not depend on them
+
+
+def _two_tail_profile():
+    """Rayleigh(0.4) body (mass 0.98) with far atoms at 20 and 60 (0.01 each)."""
+    body = rayleigh_measure(1.0, 0.4, n=32)
+    return RadialProfileMeasure._from_node_masses(
+        body.grid, body.density, 0.98 * body.node_masses,
+        atoms=[(20.0, 0.01), (60.0, 0.01)], lam=1.0)
+
+
+def test_far_atoms_stay_distinct():
+    # each chunk's far points used to be lumped into one atom at the rounded
+    # rms radius: both tails came back as a single atom at 48.0, and the
+    # image missed the product of the input images by 7.2e-3 at r = 0.1
+    sigma, tau = _two_tail_profile(), rayleigh_measure(1.0, 0.7, n=32)
+    conv = convolve_measures(1.0, sigma, tau)
+    (z1, m1), (z2, m2) = conv.atoms
+    assert 20.0 < z1 < 20.5 and 60.0 < z2 < 60.2
+    assert 0.009 < m1 <= 0.01 and m2 == pytest.approx(0.01, rel=1e-12)
+    assert conv.mass() == pytest.approx(sigma.mass() * tau.mass(), abs=1e-12)
+    r = np.array([0.1, 0.5, 1.0])
+    want = hankel_transform(1.0, sigma, r) * hankel_transform(1.0, tau, r)
+    assert np.max(np.abs(hankel_transform(1.0, conv, r) - want)) < 1e-4
+
+
+def test_zero_mass_far_atom_leaves_no_atom():
+    body = rayleigh_measure(1.0, 0.4, n=16)
+    sigma = RadialProfileMeasure(grid=body.grid, density=body.density, weights=body.weights,
+                                 atoms=[(30.0, 0.0)], lam=1.0)
+    assert convolve_measures(1.0, sigma, rayleigh_measure(1.0, 0.7, n=16)).atoms == []
+
+
+@pytest.fixture(scope="module")
+def cauchy_rayleigh():
+    return cauchy_measure(1.0, 0.5), rayleigh_measure(1.0, 0.5, n=32)
+
+
+@pytest.mark.parametrize("block", [2**10, 2**22])
+def test_convolution_does_not_depend_on_the_blocks(monkeypatch, cauchy_rayleigh, block):
+    sigma, tau = cauchy_rayleigh
+    ref = convolve_measures(1.0, sigma, tau)
+    assert ref.atoms  # the Cauchy profile's bookkeeping atom lands beyond the grid
+    monkeypatch.setattr(measures, "_BLOCK", block)
+    out = convolve_measures(1.0, sigma, tau)
+    scale = np.max(np.abs(ref.node_masses))
+    assert np.max(np.abs(out.node_masses - ref.node_masses)) <= 1e-13 * scale
+    assert out.atoms == ref.atoms
+
+
+def test_convolution_memory_stays_in_blocks(cauchy_rayleigh):
+    # a Cauchy x Rayleigh product has 1.4M pair nodes; built whole they
+    # took 129 MB of temporaries
+    sigma, tau = cauchy_rayleigh
+    tracemalloc.start()
+    try:
+        convolve_measures(1.0, sigma, tau)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8e6

@@ -268,3 +268,61 @@ def test_spectral_route_checker_flags_a_full_tensor_mean(tmp_path):
         "bad.mean does not call _spectral_mean_weights",
         "bad.mean calls dunkl_kernel_unitary",
         "good.other is missing"]
+
+
+# ---------------------------------------------------------------------------
+# the pair pipelines take their blocks from measures._row_blocks, the one
+# owner of the block size; no ad-hoc chunk size is left in the package
+
+BLOCKED = {"transform.py": "radial_translate", "bessel_kingman.py": "_pair_nodes"}
+OLD_CHUNKS = {2**22, 2e6}
+
+
+def block_breaches(blocked: dict[Path, str], paths) -> list[str]:
+    """For each (module, function): a missing _row_blocks call; over the
+    given modules: every 2**22 or 2e6 chunk literal."""
+    found = []
+    for path, name in blocked.items():
+        tree = ast.parse(path.read_text(), filename=str(path))
+        fn = next((node for node in ast.walk(tree)
+                   if isinstance(node, ast.FunctionDef) and node.name == name), None)
+        called = set() if fn is None else {
+            getattr(node.func, "id", getattr(node.func, "attr", None))
+            for node in ast.walk(fn) if isinstance(node, ast.Call)}
+        if "_row_blocks" not in called:
+            found.append(f"{path.stem}.{name} does not take its blocks from _row_blocks")
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            literal = None
+            if (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow)
+                    and isinstance(node.left, ast.Constant) and isinstance(node.right, ast.Constant)
+                    and (node.left.value, node.right.value) == (2, 22)):
+                literal = "2**22"
+            elif (isinstance(node, ast.Constant) and type(node.value) in (int, float)
+                  and node.value in OLD_CHUNKS):
+                literal = repr(node.value)
+            if literal:
+                found.append(f"chunk literal {literal} ({path.stem}, line {node.lineno})")
+    return found
+
+
+def test_pair_pipelines_share_one_block_generator():
+    assert block_breaches({ROOT / "src" / "dunklkit" / module: name
+                           for module, name in BLOCKED.items()}, PACKAGE) == []
+
+
+def test_block_checker_flags_ad_hoc_chunks(tmp_path):
+    good, bad = tmp_path / "good.py", tmp_path / "bad.py"
+    good.write_text("from .measures import _row_blocks\n"
+                    "def translate(y, pts):\n"
+                    "    for rows in _row_blocks(len(y), len(pts)):\n        pass\n")
+    bad.write_text("def translate(y, pts):\n"
+                   "    chunk = max(1, int(2**22 // len(pts)))\n"
+                   "    for lo in range(0, len(y), chunk):\n        pass\n"
+                   "def pairs(a, b):\n    return max(1, int(2e6) // len(b))\n")
+    assert block_breaches({good: "translate"}, [good]) == []
+    assert block_breaches({bad: "translate", good: "pairs"}, [bad, good]) == [
+        "bad.translate does not take its blocks from _row_blocks",
+        "good.pairs does not take its blocks from _row_blocks",
+        "chunk literal 2**22 (bad, line 2)",
+        "chunk literal 2000000.0 (bad, line 6)"]

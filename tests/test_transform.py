@@ -4,6 +4,8 @@ The heat-kernel reference value was frozen from a 40-digit mpmath
 evaluation of the scaled-Bessel closed form.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from dunklkit import (
     ConfigError,
     GridFunction,
     MultiplicityVector,
+    SphereQuadrature,
     TransformPlan,
     bump,
     chapman_kolmogorov_defect,
@@ -30,6 +33,7 @@ from dunklkit import (
     spherical_mean_wave,
     translated_normalization_defect,
 )
+from dunklkit import measures
 from dunklkit.quadrature import _tensor_grid
 from dunklkit.special import bessel_j
 from dunklkit.transform import axis_rule, weighted_grid
@@ -207,6 +211,10 @@ def test_plan_checks_value_shapes():
         with pytest.raises(ConfigError, match=r"inverse values has shape .*; expected \(12, 12\)"):
             plan.inverse(bad)
     assert plan.inverse(plan.forward(np.zeros((16, 16)))).shape == (16, 16)
+    for bad in (lambda p: np.zeros(3), lambda p: 0.0):
+        with pytest.raises(ConfigError, match=r"f returned shape .*\(256,\) or \(16, 16\)"):
+            plan.sample(bad)
+    assert plan.sample(lambda p: p[:, 0]).shape == (16, 16)
 
 
 def test_transform_grid_roundtrip_uniform():
@@ -474,6 +482,60 @@ def test_spherical_mean_radial_batches_radii():
     single = [spherical_mean_radial(KV2, f0, x, r, n_sphere=24, n_per_axis=16) for r in radii]
     assert batched.shape == radii.shape
     np.testing.assert_allclose(batched, single, rtol=1e-14)
+
+
+@pytest.mark.parametrize("k", [(1.0,), (1.0, 0.5)])
+def test_mean_of_a_constant_profile_is_one(k):
+    # a scalar f0 used to crash the atom contraction with numpy's matmul error
+    x = np.linspace(0.7, -0.3, len(k))
+    assert spherical_mean_radial(k, lambda r: 1.0, x, 0.8) == pytest.approx(1.0, abs=1e-14)
+    np.testing.assert_allclose(spherical_mean_radial(k, lambda r: 1.0, x, [0.3, 1.2]),
+                               1.0, rtol=0, atol=1e-14)
+
+
+def test_radial_translate_names_the_profile_shape():
+    with pytest.raises(ConfigError, match=r"f0 returned shape \(3,\) for radii of shape"):
+        radial_translate(KV2, lambda r: np.zeros(3), [0.7, 0.1], [[0.3, 0.2], [0.1, 0.5]])
+
+
+@pytest.mark.parametrize("call", [
+    lambda v: spherical_mean_radial(KV2, np.cos, [0.7, 0.1], 0.8, n_sphere=v),
+    lambda v: spherical_mean_radial((1.0,), np.cos, [0.7], 0.8, n_sphere=v),
+    lambda v: spherical_mean_radial(KV2, np.cos, [0.7, 0.1], 0.8, n_per_axis=v),
+    lambda v: radial_translate(KV2, np.cos, [0.7, 0.1], [0.3, 0.2], n_per_axis=v),
+    lambda v: intertwiner_atoms(KV2, [0.7, 0.1], n_per_axis=v),
+    lambda v: SphereQuadrature(KV2, n=v),
+    lambda v: SphereQuadrature(KV2, n=v, method="trapezoid"),
+], ids=["mean-n_sphere", "mean-rank-one-n_sphere", "mean-n_per_axis", "translate",
+        "intertwiner_atoms", "sphere", "sphere-trapezoid"])
+@pytest.mark.parametrize("bad", [0, 2.5, -1])
+def test_radial_layer_node_budgets_are_config_errors(call, bad):
+    # 0 and 2.5 reached scipy's bare "n must be a positive integer"
+    with pytest.raises(ConfigError, match="must be"):
+        call(bad)
+
+
+@pytest.mark.parametrize("block", [2**10, 2**22])
+def test_radial_translate_does_not_depend_on_the_blocks(monkeypatch, block):
+    f0 = lambda r: np.exp(-np.asarray(r) ** 2)
+    y = np.random.default_rng(5).uniform(-2.0, 2.0, size=(700, 2))
+    ref = radial_translate(KV2, f0, [0.7, -0.4], y)
+    monkeypatch.setattr(measures, "_BLOCK", block)
+    out = radial_translate(KV2, f0, [0.7, -0.4], y)
+    np.testing.assert_allclose(out, ref, rtol=1e-15, atol=0)
+
+
+def test_spherical_mean_radial_memory_stays_in_blocks():
+    # 256 sphere points x 2304 atoms: built whole, the pair arrays took 27.6 MB
+    kv = MultiplicityVector(k=(1.0, 1.0))
+    f0 = lambda r: bessel_j(kv.lam, 2.0 * np.asarray(r))
+    tracemalloc.start()
+    try:
+        spherical_mean_radial(kv, f0, [1.0, 0.5], 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8e6
 
 
 def test_spherical_mean_wave_closed_form():
