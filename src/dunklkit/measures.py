@@ -156,16 +156,24 @@ def dirac(position: float, cls=RadialProfileMeasure, lam: float | None = None):
 
 
 def measure_to_json(mu: LineMeasure, meta: dict | None = None) -> str:
+    """json.dumps of the measure's fields (and meta), byte for byte; bitwise
+    uniform weights, as a grid deposit gives, are formatted once."""
+    bits = mu.weights.view(np.int64)
+    if bits.ndim == 1 and bits.size and (bits == bits[0]).all():
+        weights = "[" + ", ".join([json.dumps(mu.weights[0].item())] * bits.size) + "]"
+    else:
+        weights = json.dumps(mu.weights.tolist())
     payload = {
         "grid": mu.grid.tolist(),
         "density": mu.density.tolist(),
-        "weights": mu.weights.tolist(),
+        "weights": None,
         "atoms": [[r, w] for r, w in mu.atoms],
         "lambda": mu.lam,
     }
     if meta:
         payload["meta"] = dict(meta)
-    return json.dumps(payload)
+    return "{" + ", ".join(f"{json.dumps(k)}: {weights if k == 'weights' else json.dumps(v)}"
+                           for k, v in payload.items()) + "}"
 
 
 def measure_from_json(text: str, cls=RadialProfileMeasure) -> LineMeasure:
@@ -173,6 +181,8 @@ def measure_from_json(text: str, cls=RadialProfileMeasure) -> LineMeasure:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"measure JSON is invalid: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise ConfigError(f"measure JSON must be an object, got {type(payload).__name__}")
     known = {"grid", "density", "weights", "atoms", "lambda", "meta"}
     extra = set(payload) - known
     if extra:
@@ -180,13 +190,21 @@ def measure_from_json(text: str, cls=RadialProfileMeasure) -> LineMeasure:
     for key in ("grid", "density"):
         if key not in payload:
             raise ConfigError(f"measure JSON misses '{key}'")
-    grid = np.asarray(payload["grid"], dtype=float)
-    density = np.asarray(payload["density"], dtype=float)
-    weights = payload.get("weights")
-    weights = None if weights is None else np.asarray(weights, dtype=float)
-    atoms = [(float(r), float(w)) for r, w in payload.get("atoms", [])]
-    return cls(grid=grid, density=density, weights=weights, atoms=atoms,
-               lam=payload.get("lambda"))
+    lam = payload.get("lambda")
+    if lam is not None and type(lam) not in (int, float):
+        raise ConfigError(f"measure 'lambda' must be null or a number, got {lam!r}")
+    try:
+        arrays = {key: np.asarray(payload[key], dtype=float) for key in ("grid", "density", "weights")
+                  if key != "weights" or payload.get(key) is not None}
+        atoms = [(float(r), float(w)) for r, w in payload.get("atoms", [])]
+        finite = np.isfinite(float(lam or 0.0)) and np.isfinite(atoms).all()
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"measure JSON holds a non-numeric or malformed entry: {exc}") from exc
+    if any(a.ndim != 1 for a in arrays.values()):
+        raise ConfigError("measure 'grid', 'density' and 'weights' must be flat lists")
+    if not (finite and all(np.isfinite(a).all() for a in arrays.values())):
+        raise ConfigError("measure JSON holds a NaN or infinite number")
+    return cls(**arrays, atoms=atoms, lam=lam)
 
 
 def as_weighted_atoms(mu: LineMeasure, cap: int = 1024) -> tuple[np.ndarray, np.ndarray]:
@@ -238,12 +256,18 @@ def deposit_on_grid(positions: np.ndarray, masses: np.ndarray,
     # index of the left neighbor, clamped so the 4-point stencil fits
     idx = np.clip(((positions - grid[0]) / h).astype(int), 1, grid.size - 3)
     s = (positions - grid[idx]) / h  # offset in units of h, may leave [0,1) at edges
-    w_m1 = -s * (s - 1.0) * (s - 2.0) / 6.0
-    w_0 = (s + 1.0) * (s - 1.0) * (s - 2.0) / 2.0
-    w_p1 = -(s + 1.0) * s * (s - 2.0) / 2.0
-    w_p2 = (s + 1.0) * s * (s - 1.0) / 6.0
-    for off, w in ((-1, w_m1), (0, w_0), (1, w_p1), (2, w_p2)):
-        np.add.at(out, idx + off, masses * w)
+    # weight * mass per stencil node, built in one buffer:
+    # -s(s-1)(s-2)/6, (s+1)(s-1)(s-2)/2, -(s+1)s(s-2)/2, (s+1)s(s-1)/6,
+    # the sign moved into the divisor (exact, so the bits do not change)
+    sm1, sm2, sp1 = s - 1.0, s - 2.0, s + 1.0
+    buf = np.empty_like(s)
+    for off, a, b, c, d in ((-1, s, sm1, sm2, -6.0), (0, sp1, sm1, sm2, 2.0),
+                            (1, sp1, s, sm2, -2.0), (2, sp1, s, sm1, 6.0)):
+        np.multiply(a, b, out=buf)
+        buf *= c
+        buf /= d
+        buf *= masses
+        np.add.at(out, idx + off, buf)
     return out
 
 

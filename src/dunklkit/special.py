@@ -10,9 +10,10 @@ j_alpha(0) = 1.  It is even and entire, and for half-integer orders it
 collapses to trigonometric closed forms (j_{-1/2} = cos, j_{1/2} = sinc).
 
 bessel_j dispatches on |z| and the order: the power series, summed in
-Horner form with its degree fixed up front, for |z| <= 12; for half-integer
-alpha, on the real axis beyond min(12, alpha + 1), the trig closed forms
-carried up by the three-term recurrence (DLMF 10.49, 10.6.1); otherwise
+Horner form with its degree fixed up front, for |z| <= 12; on the real axis
+beyond, for alpha < 12, one upward recurrence (DLMF 10.6.1) started from the
+trig closed forms at half-integer alpha (already beyond alpha + 1, DLMF
+10.49) and from scipy's j0/j1 at integer alpha up to |z| = 1e3; otherwise
 scipy's jv (real z), e^|z| times the scaled e^(-u) j_alpha(iu) (imaginary
 z), and mpmath's 0F1 for general complex z.  The scaled value and the ratio
 I_(nu+1)(u) / I_nu(u), which the heat kernel and the sampler use, come
@@ -24,7 +25,7 @@ from __future__ import annotations
 import cmath
 
 import numpy as np
-from scipy.special import gammaln, ive, jv
+from scipy.special import gammaln, ive, j0, j1, jv
 
 from .errors import NumericalError
 from .quadrature import gauss_jacobi
@@ -47,6 +48,9 @@ _SERIES_MAX_TERMS = 220
 # scipy's ive is exact up to u ~ 1e9 and NaN from ~1e10 on; it never sees
 # more than this, and the Hankel expansion takes over beyond.
 _IVE_MAX = 1e8
+# Integer orders take the j0/j1-started recurrence up to here only: Cephes
+# j0/j1 lose phase as x grows (bessel_j Notes), jv does not.
+_J01_MAX = 1e3
 
 
 def _series_0f1(alpha: float, w: np.ndarray) -> np.ndarray:
@@ -84,22 +88,29 @@ def _prefactor(alpha: float, x: np.ndarray) -> np.ndarray:
 
 
 def _bessel_large_real(alpha: float, x: np.ndarray) -> np.ndarray:
+    """j_alpha(x) beyond the series radius: the upward recurrence (see
+    bessel_j) where it is used, dividing by x twice so x^2 cannot overflow,
+    and jv for every other element."""
     x = np.abs(x)
-    if alpha < _SERIES_RADIUS and float(alpha + 0.5).is_integer():
-        # Half-integer order: start from j_{-1/2} = cos, j_{1/2} = sin x / x and
-        # step up with j_{nu+1} = 4 nu (nu+1) / x^2 (j_nu - j_{nu-1}), which is
-        # stable for x > nu (here x > 12 > alpha).  Dividing by x twice keeps
-        # x^2 from overflowing.
-        prev = np.cos(x)
-        if alpha == -0.5:
-            return prev
-        cur = np.sin(x) / x
-        nu = 0.5
+    half = float(alpha + 0.5).is_integer()
+    steps = alpha < _SERIES_RADIUS and (half or float(alpha).is_integer())
+    near = (x <= (np.inf if half else _J01_MAX)) & steps
+    out = np.empty_like(x)
+    if not near.all():
+        far = ~near
+        out[far] = _prefactor(alpha, x[far]) * jv(alpha, x[far])
+        x = x[near]
+    if x.size:
+        prev = np.cos(x) if half else j0(x)
+        cur = prev if alpha < 0.5 else np.sin(x) / x if half else 2.0 * j1(x) / x
+        nu = 0.5 if half else 1.0
         while nu < alpha:
             prev, cur = cur, (4.0 * nu * (nu + 1.0) / x) / x * (cur - prev)
             nu += 1.0
-        return cur
-    return _prefactor(alpha, x) * jv(alpha, x)
+        if near.all():
+            return cur
+        out[near] = cur
+    return out
 
 
 def _bessel_large_imag(alpha: float, y: np.ndarray) -> np.ndarray:
@@ -198,15 +209,17 @@ def bessel_j(alpha: float, z):
     Stability of Numerical Algorithms, 5.1); against mpmath it measured
     below 0.4 of that.  Beyond 12 the series loses too many digits to
     cancellation.
-    At a half-integer order, real (or real-like complex) |z| > alpha + 1
-    (and > 12 for alpha = 11.5) starts from j_{-1/2} = cos,
-    j_{1/2} = sin z / z and steps up with
-    j_{nu+1} = 4 nu (nu+1) / z^2 (j_nu - j_{nu-1}), stable since
-    |z| > alpha; its error is a few 1e-16 of the decay envelope
-    Gamma(alpha+1) (|z|/2)^(-alpha) sqrt(2/(pi |z|)), at most about 2e-15
-    next to its edge.  Other orders go
-    through scipy's J/I Bessel routines (real and purely imaginary z) or
-    an arbitrary-precision 0F1 fallback for general complex z.
+    On the real axis (real-like complex z too), orders alpha < 12 that are
+    half-integers, at |z| > min(12, alpha + 1), or integers, at
+    12 < |z| <= 1e3, step up with j_{nu+1} = 4 nu (nu+1) / z^2 (j_nu - j_{nu-1}),
+    stable since |z| > alpha, from j_{-1/2} = cos z, j_{1/2} = sin z / z or
+    from j_0 = J_0(z), j_1 = 2 J_1(z) / z (scipy j0/j1).  Against the decay
+    envelope Gamma(alpha+1) (|z|/2)^(-alpha) sqrt(2/(pi |z|)) the error is a
+    few 1e-16 at half-integers (about 2e-15 next to the edge) and at most
+    3.1e-14 at integers: Cephes j0/j1 lose phase as |z| grows (7.6e-14 at
+    2e3, 2.5e-13 at 1e4), so beyond 1e3 integer orders keep jv (below 1e-14).
+    Other orders go through scipy's J/I Bessel routines (real and purely
+    imaginary z) or an arbitrary-precision 0F1 fallback for general complex z.
     """
     if not -0.5 <= alpha < np.inf:
         raise ValueError(f"order must be finite with alpha >= -1/2, got {alpha}")

@@ -65,7 +65,7 @@ def test_checker_flags_an_unused_import(tmp_path):
 # scipy's Bessel routines have one owner, special.py, and its Gauss roots
 # one owner, quadrature.py
 
-BESSEL_ROUTINES = {"iv", "ive", "jv", "kv", "kve"}
+BESSEL_ROUTINES = {"iv", "ive", "j0", "j1", "jv", "kv", "kve"}
 GAUSS_ROUTINES = {"roots_jacobi", "roots_legendre"}
 PACKAGE = sorted((ROOT / "src" / "dunklkit").glob("*.py"))
 
@@ -117,6 +117,54 @@ def test_bessel_checker_flags_imports(tmp_path):
                    "x = scipy.special.roots_legendre(4)\n")
     assert scipy_imports(src, GAUSS_ROUTINES) == ["roots_jacobi (line 2)",
                                                   "roots_legendre (line 3)"]
+
+
+# ---------------------------------------------------------------------------
+# bessel_j's large-argument branch steps integer and half-integer orders up
+# with one recurrence loop, and scipy's jv is called at one site
+
+LOOPS = (ast.For, ast.AsyncFor, ast.While, ast.ListComp, ast.SetComp, ast.DictComp,
+         ast.GeneratorExp)
+
+
+def recurrence_breaches(path: Path) -> list[str]:
+    """Loops in _bessel_large_real other than exactly one, and jv call
+    sites in the module other than exactly one."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    fn = next((node for node in ast.walk(tree)
+               if isinstance(node, ast.FunctionDef) and node.name == "_bessel_large_real"), None)
+    if fn is None:
+        return ["_bessel_large_real is missing"]
+    found = []
+    loops = [node.lineno for node in ast.walk(fn) if isinstance(node, LOOPS)]
+    if len(loops) != 1:
+        found.append(f"_bessel_large_real has {len(loops)} loops (lines {loops})")
+    sites = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call)
+             and "jv" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))]
+    if len(sites) != 1:
+        found.append(f"jv is called at {len(sites)} sites (lines {sites})")
+    return found
+
+
+def test_large_argument_branch_has_one_recurrence():
+    assert recurrence_breaches(ROOT / "src" / "dunklkit" / "special.py") == []
+
+
+def test_recurrence_checker_flags_a_second_loop(tmp_path):
+    src = tmp_path / "special.py"
+    one = ("from scipy.special import jv\n"
+           "def _bessel_large_real(alpha, x):\n"
+           "    nu = 0.5\n    while nu < alpha:\n        nu += 1.0\n"
+           "    return jv(alpha, x)\n")
+    src.write_text(one)
+    assert recurrence_breaches(src) == []
+    src.write_text(one.replace("    return", "    for n in range(3):\n        nu += n\n    return"))
+    assert recurrence_breaches(src) == ["_bessel_large_real has 2 loops (lines [4, 6])"]
+    src.write_text(one + "def other(x):\n    return sum(jv(n, x) for n in range(3))\n")
+    assert recurrence_breaches(src) == ["jv is called at 2 sites (lines [6, 8])"]
+    src.write_text("def _bessel_large_real(alpha, x):\n    return x\n")
+    assert recurrence_breaches(src) == ["_bessel_large_real has 0 loops (lines [])",
+                                        "jv is called at 0 sites (lines [])"]
 
 
 @pytest.mark.parametrize("module, name", [

@@ -15,6 +15,7 @@ from scipy.special import jv
 
 from dunklkit.errors import NumericalError
 from dunklkit.special import (
+    _J01_MAX,
     _bessel_ratio,
     _prefactor,
     _scaled_bessel_imag,
@@ -132,9 +133,49 @@ def test_bessel_j_half_integer_between_edge_and_twelve(alpha):
     assert max(_envelope_error(alpha, xx, g) for xx, g in zip(x, got)) <= 5e-15
 
 
-@pytest.mark.parametrize("alpha", [-0.5, 0.5, 3.5, 11.5])
+# Integer orders below 12 leave the series at 12 (not at alpha + 1) for the
+# same recurrence, started from scipy's j0/j1, up to _J01_MAX; beyond it
+# they keep jv (test_bessel_j_other_orders_keep_scipy_route).
+_INT_ORDERS = [float(n) for n in range(12)]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("alpha", _INT_ORDERS)
+def test_bessel_j_integer_large_argument(alpha):
+    rng = np.random.default_rng(20261021)
+    x = np.concatenate([rng.uniform(12.0, 400.0, 40),
+                        np.exp(rng.uniform(np.log(400.0), np.log(_J01_MAX), 20)),
+                        [np.nextafter(12.0, np.inf), _J01_MAX]])
+    got = bessel_j(alpha, x)
+    assert np.all(np.isfinite(got))
+    assert max(_envelope_error(alpha, xx, g) for xx, g in zip(x, got)) <= 5e-14
+    np.testing.assert_array_equal(bessel_j(alpha, -x), got)
+
+
+@pytest.mark.parametrize("alpha", _INT_ORDERS)
+@pytest.mark.parametrize("edge", [12.0, _J01_MAX])
+def test_bessel_j_integer_continuous_at_branch_edges(alpha, edge):
+    # series | recurrence at 12, recurrence | jv at _J01_MAX.  Each side is
+    # within its own bound of mpmath: 5e-14 of the envelope, and below 12
+    # the series' 4 eps 0F1(alpha+1; x^2/4) (up to ~1e-11, it cancels
+    # digits there).  The jump is at most their sum plus the change of j
+    # over one ulp of x, about ulp * envelope.
+    x = np.array([edge, np.nextafter(edge, np.inf)])
+    below, above = bessel_j(alpha, x)
+    env = _prefactor(alpha, x[:1])[0] * np.sqrt(2.0 / (np.pi * edge))
+    assert _envelope_error(alpha, x[1], above) <= 5e-14
+    if edge == 12.0:
+        below_bound = 4 * np.finfo(float).eps * float(mpmath.hyp0f1(alpha + 1, 36))
+    else:
+        assert _envelope_error(alpha, edge, below) <= 5e-14
+        below_bound = 5e-14 * env
+    assert abs(below - above) <= below_bound + (5e-14 + 2 * np.spacing(edge)) * env
+
+
+@pytest.mark.parametrize("alpha", [-0.5, 0.5, 3.5, 11.5, 0.0, 1.0, 2.0, 11.0])
 def test_bessel_j_complex_real_like_matches_real(alpha):
-    x = np.concatenate([np.linspace(-80.0, -12.5, 70), np.linspace(12.5, 80.0, 70), [1e200]])
+    x = np.concatenate([np.linspace(-80.0, -12.5, 70), np.linspace(12.5, 80.0, 70),
+                        [_J01_MAX, 2e3, 1e200]])
     want = bessel_j(alpha, x)
     for z in (x + 0j, x + 1e-15j * np.abs(x)):
         got = bessel_j(alpha, z)
@@ -270,7 +311,9 @@ def test_bessel_ratio_bounds(nu, u):
 
 @pytest.mark.parametrize("alpha", [0.0, 1.0, 2.0, 1.25, 12.5])
 def test_bessel_j_other_orders_keep_scipy_route(alpha):
-    x = np.concatenate([np.linspace(12.5, 300.0, 40), [1e4, 1e8]])
+    # integer orders below 12 take the j0/j1 recurrence up to _J01_MAX only
+    near = [] if float(alpha).is_integer() else np.linspace(12.5, 300.0, 40)
+    x = np.concatenate([near, [np.nextafter(_J01_MAX, np.inf), 1e4, 1e8]])
     want = _prefactor(alpha, x) * jv(alpha, x)
     np.testing.assert_array_equal(bessel_j(alpha, x), want)
     np.testing.assert_array_equal(bessel_j(alpha, -x), want)
