@@ -19,11 +19,14 @@ transition density in scaled coordinates, e^(-(a^2+b^2)/2) E_k(a,b) |b|^(2k),
 splits into a noncentral chi-square radius (Z+|a|)^2 + 2 Gamma(k) and a
 sign flip with odds given by a Bessel-function ratio, so the paths carry
 no discretization error.  The k-Cauchy process rides the same stepper
-through an exact 1/2-stable time change.
+through an exact 1/2-stable time change.  Paths come in blocks, each with
+its own seeded generator; a worker draws for its whole run of blocks and
+steps every path of the run in one array pass per step and axis.
 """
 
 from __future__ import annotations
 
+import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -42,8 +45,8 @@ from .bessel_kingman import (
     stable_half_subordinator,
 )
 from .core import MultiplicityVector, _as_kv, _axis_product, dunkl_kernel_unitary
-from .errors import ConfigError, ConsistencyError, PositivityError
-from .measures import RadialProfileMeasure, as_weighted_atoms, dirac
+from .errors import ConfigError, ConsistencyError, PositivityError, _finite, _node_count
+from .measures import _BLOCK, RadialProfileMeasure, as_weighted_atoms, dirac
 from .rank_one import kernel_unitary, spherical_mean as _rank_one_mean
 from .special import _bessel_ratio
 from .transform import _heat_axis, axis_rule, heat_kernel, spherical_mean_radial
@@ -66,8 +69,6 @@ __all__ = [
     "simulate_paths",
     "marginal_ks",
 ]
-
-_MASK64 = (1 << 64) - 1
 
 
 # ---------------------------------------------------------------------------
@@ -471,22 +472,21 @@ def subordinated_density(kv, t: float, x, y, cap: int = 2048):
 # exact path simulation
 
 
-def _heat_step(rng, k: float, a: np.ndarray) -> np.ndarray:
+def _heat_step(k: float, a: np.ndarray, z: np.ndarray, g, v: np.ndarray) -> np.ndarray:
     """One rank-one heat transition in scaled coordinates.
 
     Given a = x / sqrt(2 dt), returns b = y / sqrt(2 dt) with density
     proportional to e^(-(a^2+b^2)/2) E_k(a, b) |b|^(2k): the radius square
-    is noncentral chi-square with 2k+1 degrees of freedom, |b|^2 =
-    (Z + |a|)^2 + 2 Gamma(k), and the sign agrees with a with probability
-    (1 + I_(k+1/2)(u) / I_(k-1/2)(u)) / 2 at u = |a| |b| (a tanh for
+    is noncentral chi-square with 2k+1 degrees of freedom, |b|^2 = (z + |a|)^2
+    + 2 g (normal z, Gamma(k) g), and the sign agrees with a where the uniform
+    v < (1 + I_(k+1/2)(u) / I_(k-1/2)(u)) / 2 at u = |a| |b| (a tanh for
     k = 0, recovering the classical Gaussian step).
     """
-    z = rng.standard_normal(a.shape)
     r_sq = (z + np.abs(a)) ** 2
     if k > 0.0:
-        r_sq = r_sq + 2.0 * rng.standard_gamma(k, size=a.shape)
+        r_sq = r_sq + 2.0 * g
     b = np.sqrt(r_sq)
-    same = rng.random(a.shape) < 0.5 * (1.0 + _bessel_ratio(k - 0.5, np.abs(a) * b))
+    same = v < 0.5 * (1.0 + _bessel_ratio(k - 0.5, np.abs(a) * b))
     sign = np.where(same, 1.0, -1.0) * np.where(a < 0.0, -1.0, 1.0)
     return sign * b
 
@@ -556,13 +556,14 @@ def simulate_paths(kv, t_grid, n_paths: int, seed: int, kind: str = "gaussian",
     """Simulate the Dunkl-type Brownian motion (or its Cauchy subordinate)
     started at 0, with exact transitions observed on t_grid.
 
-    Paths are partitioned into n_blocks blocks, each driven by its own
-    counter-based generator keyed by (seed, block index), so the output
-    is byte-for-byte reproducible for fixed (seed, t_grid, n_paths,
-    kind, n_blocks) no matter how many worker threads run the blocks.
-    The Cauchy case draws one 1/2-stable time change per step per path
-    (shared across coordinates) and reuses the heat stepper at the
-    random time.
+    Blocks are the unit of reproducibility: each of the n_blocks blocks of
+    paths has its own counter-based generator keyed by (seed, block index),
+    so the output is byte-for-byte reproducible for fixed (seed, t_grid,
+    n_paths, kind, n_blocks) however many worker threads run.  A worker
+    steps each contiguous run of blocks (about _BLOCK paths, more if blocks
+    are larger) at once.  The Cauchy case draws one 1/2-stable time change
+    per step per path (shared across coordinates, so dt^2 must be a normal
+    float) and reuses the heat stepper at the random time.
     """
     kv = _as_kv(kv)
     times = np.asarray(t_grid, dtype=float)
@@ -576,43 +577,48 @@ def simulate_paths(kv, t_grid, n_paths: int, seed: int, kind: str = "gaussian",
         raise ConfigError("t_grid must be strictly increasing")
     if kind not in ("gaussian", "cauchy", "subordinated"):
         raise ConfigError(f"unknown process kind '{kind}'")
-    n_paths = int(n_paths)
-    if n_paths <= 0:
-        raise ConfigError("n_paths must be positive")
-    n_blocks = int(n_blocks)
-    if n_blocks <= 0:
+    if not isinstance(seed, numbers.Integral):
+        raise ConfigError(f"seed must be an integer, got {seed!r}")
+    n_paths = _node_count(n_paths, "n_paths")
+    if isinstance(n_blocks, numbers.Real) and n_blocks <= 0:
         raise ConfigError("n_blocks must be positive")
+    n_blocks = _node_count(n_blocks, "n_blocks")
     subord = kind in ("cauchy", "subordinated")
-    n_axes = kv.n_axes
     dts = np.diff(times)
-    states = np.zeros((n_paths, times.size, n_axes))
+    with np.errstate(over="ignore"):
+        if subord and not np.all((dts * dts >= np.finfo(float).tiny) & (dts * dts < np.inf)):
+            raise ConfigError("Cauchy steps need dt^2 to be a normal float")
+    states = np.zeros((n_paths, times.size, kv.n_axes))
     bounds = np.linspace(0, n_paths, min(n_blocks, n_paths) + 1).astype(int)
+    rngs = [np.random.Generator(np.random.Philox(key=np.array([int(seed) % 2**64, b], np.uint64)))
+            for b in range(len(bounds) - 1)]
 
-    def run_block(b: int) -> None:
-        lo, hi = bounds[b], bounds[b + 1]
-        if lo == hi:
-            return
-        key = np.array([seed & _MASK64, b], dtype=np.uint64)
-        rng = np.random.Generator(np.random.Philox(key=key))
-        x = np.zeros((hi - lo, n_axes))
+    def run_blocks(b0: int, b1: int) -> None:
+        blocks = list(zip(rngs[b0:b1], np.diff(bounds[b0:b1 + 1])))
+        draw = lambda name, *args: np.concatenate([getattr(rng, name)(*args, size=m)
+                                                   for rng, m in blocks])
+        x = np.zeros((bounds[b1] - bounds[b0], kv.n_axes))
         for j, dt in enumerate(dts, start=1):
             if subord:
-                z = rng.standard_normal(hi - lo)
+                z = draw("standard_normal")
                 s = (0.5 * dt * dt) / np.maximum(z * z, 1e-300)
             else:
-                s = np.full(hi - lo, dt)
+                s = np.full(len(x), dt)
             scale = np.sqrt(2.0 * s)
-            for i in range(n_axes):
-                x[:, i] = scale * _heat_step(rng, kv.k[i], x[:, i] / scale)
-            states[lo:hi, j] = x
+            for i, k in enumerate(kv.k):
+                z = draw("standard_normal")
+                g = draw("standard_gamma", k) if k > 0.0 else None
+                x[:, i] = scale * _heat_step(k, x[:, i] / scale, z, g, draw("random"))
+            states[bounds[b0]:bounds[b1], j] = x
 
-    workers = _resolve_threads(threads, len(bounds) - 1)
+    workers = _resolve_threads(threads, len(rngs))
+    n_runs = max(workers, min(len(rngs), -(-n_paths // _BLOCK)))  # cache-sized temporaries
+    runs = np.linspace(0, len(rngs), n_runs + 1).astype(int)
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(run_block, range(len(bounds) - 1)))
+            list(pool.map(run_blocks, runs[:-1], runs[1:]))
     else:
-        for b in range(len(bounds) - 1):
-            run_block(b)
+        list(map(run_blocks, runs[:-1], runs[1:]))
     return PathEnsemble(times=times, states=states, seed=int(seed), kind=kind)
 
 
@@ -622,11 +628,16 @@ def marginal_ks(kv, radii, kind: str, t: float) -> tuple[float, float]:
     from scipy.stats import kstest
 
     kv = _as_kv(kv)
+    radii = np.asarray(radii, dtype=float)
+    if radii.ndim != 1 or radii.size == 0 or not np.all(np.isfinite(radii) & (radii >= 0.0)):
+        raise ConfigError("radii must be a non-empty 1-D array of finite values >= 0")
+    if not _finite(t, "t") > 0.0:
+        raise ConfigError(f"t must be positive, got {t}")
     if kind == "gaussian":
         cdf = lambda r: rayleigh_radial_cdf(kv.lam, t, r)
     elif kind in ("cauchy", "subordinated"):
         cdf = lambda r: cauchy_radial_cdf(kv.lam, t, r)
     else:
         raise ConfigError(f"no reference law for process kind '{kind}'")
-    res = kstest(np.asarray(radii, dtype=float), cdf)
+    res = kstest(radii, cdf)
     return float(res.statistic), float(res.pvalue)

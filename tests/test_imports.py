@@ -65,7 +65,7 @@ def test_checker_flags_an_unused_import(tmp_path):
 # scipy's Bessel routines have one owner, special.py, and its Gauss roots
 # one owner, quadrature.py
 
-BESSEL_ROUTINES = {"iv", "ive", "j0", "j1", "jv", "kv", "kve"}
+BESSEL_ROUTINES = {"i0e", "i1e", "iv", "ive", "j0", "j1", "jv", "kv", "kve"}
 GAUSS_ROUTINES = {"roots_jacobi", "roots_legendre"}
 PACKAGE = sorted((ROOT / "src" / "dunklkit").glob("*.py"))
 

@@ -1,5 +1,6 @@
 """k-invariant kernels, semigroups, and the exact path sampler."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -349,6 +350,75 @@ def test_simulate_paths_rejects_nonpositive_block_count(n_blocks):
         simulate_paths(KV2, [0.0, 0.5], 8, seed=1, n_blocks=n_blocks)
 
 
+_FINE_GRID = [0.0, 1 / 3, 2 / 3, 1.0, 1.0 + 1e-8, 1.0 + 2e-8, 1.0 + 2e-8 + 1e-10,
+              1.0 + 2e-8 + 2e-10]
+
+
+# sha256 of states.tobytes() at seed 2024, from the sampler that stepped each
+# block on its own: the draws of a block, and so the paths, must not depend
+# on how blocks are grouped into one array pass
+@pytest.mark.parametrize("kind, k, n_paths, n_blocks, grid, digest", [
+    ("gaussian", (1.0, 0.5), 64, 16, [0.0, 0.25, 0.5, 1.0],
+     "9f0cd4260eb817df3bd19736e81a91407b1ec05dc4477cb95981fae0f18fd5f0"),
+    ("cauchy", (1.0, 0.5), 64, 16, [0.0, 0.25, 0.5, 1.0],
+     "f8e37edec8344a063ce9a6528754482be1ca6d326b9cd389b225b95dd7106da1"),
+    ("gaussian", (0.0, 2.0), 50, 5, [0.0, 0.25, 0.5, 1.0],
+     "0ef89bdcd615be9d1f012fba89518fb34a4b0ff6477e42676d380d0cfeec1179"),
+    ("cauchy", (0.0, 2.0), 50, 5, [0.0, 0.25, 0.5, 1.0],
+     "85f28e76c7c981130c5d2f7c1cb7aaa4e0c7acd9fd25796b284933a757dc5b8b"),
+    ("gaussian", (0.3, 1.7), 37, 200, [0.0, 0.25, 0.5, 1.0],
+     "62f43f8937eb4c0775b3eecf49ae8d9e2d8efdf3d1327da836daf98329b294d7"),
+    ("cauchy", (0.3, 1.7), 37, 200, [0.0, 0.25, 0.5, 1.0],
+     "4c7cd4364bf9b5c16725e2ac36696ddbf895211ee40c75c19bc3c96b6fa10877"),
+    ("gaussian", (1.0, 0.5), 40, 16, _FINE_GRID,
+     "2321418291ac7acd4475362b3ef66888f128adfea6c7a5adbbf296b73c60e88b"),
+    ("cauchy", (1.0,), 40, 16, _FINE_GRID,
+     "9a4de2fb632a3148c4fb5cb493181ada6befdb54ea8a247581bd2ae078706b12"),
+], ids=["gauss-k1,0.5", "cauchy-k1,0.5", "gauss-k0,2-5blocks", "cauchy-k0,2-5blocks",
+        "gauss-k0.3,1.7-200blocks", "cauchy-k0.3,1.7-200blocks", "gauss-fine", "cauchy-fine"])
+def test_simulate_paths_states_are_pinned(monkeypatch, kind, k, n_paths, n_blocks, grid, digest):
+    monkeypatch.setattr("os.cpu_count", lambda: 4)   # so that threads=2 runs two workers
+    kv = MultiplicityVector(k)
+    one = simulate_paths(kv, grid, n_paths, seed=2024, kind=kind, n_blocks=n_blocks, threads=1)
+    two = simulate_paths(kv, grid, n_paths, seed=2024, kind=kind, n_blocks=n_blocks, threads=2)
+    assert hashlib.sha256(one.states.tobytes()).hexdigest() == digest
+    assert np.array_equal(one.states, two.states)
+    monkeypatch.setattr("dunklkit.markov._BLOCK", 8)   # many short runs per worker
+    runs = simulate_paths(kv, grid, n_paths, seed=2024, kind=kind, n_blocks=n_blocks, threads=1)
+    assert np.array_equal(one.states, runs.states)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"seed": 1.5}, {"seed": "7"}, {"n_paths": 2.5}, {"n_blocks": 2.7}, {"n_paths": float("nan")},
+], ids=["seed-float", "seed-str", "n_paths-fraction", "n_blocks-fraction", "n_paths-nan"])
+def test_simulate_paths_rejects_non_integer_counts_and_seeds(kwargs):
+    # seed=1.5 was a bare TypeError; fractional counts were truncated
+    args = {"seed": 1, "n_paths": 8, "n_blocks": 4, **kwargs}
+    with pytest.raises(ConfigError):
+        simulate_paths(KV2, [0.0, 0.5], args["n_paths"], seed=args["seed"],
+                       n_blocks=args["n_blocks"])
+
+
+def test_simulate_paths_accepts_numpy_integer_seeds():
+    a = simulate_paths(KV2, [0.0, 0.5], 8, seed=np.int64(2**62))
+    b = simulate_paths(KV2, [0.0, 0.5], 8, seed=2**62)
+    assert np.array_equal(a.states, b.states) and a.seed == 2**62
+
+
+@pytest.mark.parametrize("kind", ["cauchy", "subordinated"])
+@pytest.mark.parametrize("grid", [[0.0, 1e-300], [0.0, 1e200], [0.0, 1e-160, 1.0]],
+                         ids=["dt-squared-underflows", "dt-squared-overflows", "subnormal"])
+def test_cauchy_steps_need_a_normal_dt_squared(kind, grid):
+    # 0.5 dt^2 used to underflow to 0 (NaN states) or overflow (inf states)
+    with pytest.raises(ConfigError, match="normal float"):
+        simulate_paths(KV1, grid, 10, seed=1, kind=kind)
+
+
+def test_gaussian_steps_take_tiny_dt():
+    ens = simulate_paths(KV2, [0.0, 1e-300, 1.0], 10, seed=1)
+    assert np.all(np.isfinite(ens.states))
+
+
 def test_simulate_paths_shapes_and_start():
     ens = simulate_paths(KV2, [0.0, 0.3, 0.8], 32, seed=5)
     assert ens.states.shape == (32, 3, 2)
@@ -378,6 +448,19 @@ def test_cauchy_marginals_match_cauchy_law():
 def test_marginal_ks_unknown_kind():
     with pytest.raises(ConfigError):
         marginal_ks(KV1, np.ones(10), "poisson", 1.0)
+
+
+@pytest.mark.parametrize("radii, t", [
+    ([0.5, float("nan"), 1.0], 1.0), ([0.5, float("inf")], 1.0), ([0.5, -0.1], 1.0),
+    ([], 1.0), (np.ones((4, 2)), 1.0), (np.ones(10), float("nan")),
+    (np.ones(10), float("inf")), (np.ones(10), -1.0), (np.ones(10), 0.0),
+], ids=["nan-radius", "inf-radius", "negative-radius", "empty", "2d", "nan-t", "inf-t",
+        "negative-t", "zero-t"])
+@pytest.mark.parametrize("kind", ["gaussian", "cauchy"])
+def test_marginal_ks_rejects_bad_radii_and_times(radii, t, kind):
+    # these returned (nan, nan) or (1.0, 0.0), or raised a bare TypeError
+    with pytest.raises(ConfigError):
+        marginal_ks(KV1, radii, kind, t)
 
 
 def test_path_ensemble_csv_format(tmp_path):
@@ -415,6 +498,8 @@ def test_heat_step_keeps_the_sign_over_short_times(k, dt):
     # from x = 1 the sign flips with probability (1 - R)/2 ~ k dt; the
     # Bessel ratio at u ~ 1/(2 dt) must stay finite for that to hold
     a = np.full(20_000, 1.0 / np.sqrt(2.0 * dt))
-    b = _heat_step(np.random.default_rng(5), k, a)
+    rng = np.random.default_rng(5)
+    b = _heat_step(k, a, rng.standard_normal(a.size), rng.standard_gamma(k, a.size),
+                   rng.random(a.size))
     assert np.all(np.isfinite(b))
     assert np.mean(b > 0.0) >= 0.999

@@ -9,12 +9,13 @@ confluent limit 0F1(alpha+1; -z^2/4).
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import jv
 
 from dunklkit.errors import NumericalError
 from dunklkit.special import (
+    _IVE_MAX,
     _J01_MAX,
     _bessel_ratio,
     _prefactor,
@@ -295,7 +296,33 @@ def test_bessel_ratio_against_mpmath(nu):
             assert abs(g - exact) <= 1e-14 * exact
 
 
+# both sides of each branch edge of the closed forms: the continued fraction
+# below u = 1 at nu = 1/2, and the Hankel sums beyond _IVE_MAX
+_CLOSED_FORM_EDGES = [np.nextafter(1.0, 0.0), 1.0, np.nextafter(1.0, 2.0),
+                      _IVE_MAX, np.nextafter(_IVE_MAX, np.inf)]
+
+
+@pytest.mark.parametrize("nu", [-0.5, 0.0, 0.5])
+def test_bessel_ratio_closed_forms_against_mpmath(nu):
+    u = np.concatenate([np.logspace(-12.0, 12.0, 481), _CLOSED_FORM_EDGES])
+    got = _bessel_ratio(nu, u)
+    with mpmath.workdps(40):
+        for uu, g in zip(u, got):
+            uu = mpmath.mpf(float(uu))
+            exact = mpmath.besseli(nu + 1, uu) / mpmath.besseli(nu, uu)
+            assert abs(g - exact) <= 1e-14 * exact, float(uu)
+
+
 @given(nu=st.floats(0.0, 20.0), u=st.floats(0.0, 1e12))
+@example(nu=-0.5, u=1e-6)
+@example(nu=-0.5, u=3.0)
+@example(nu=-0.5, u=18.0)
+@example(nu=0.0, u=1e-300)
+@example(nu=0.0, u=700.0)
+@example(nu=0.0, u=1e12)
+@example(nu=0.5, u=1.0)
+@example(nu=0.5, u=float(np.nextafter(1.0, 2.0)))
+@example(nu=0.5, u=1e12)
 @settings(max_examples=300, deadline=None)
 def test_bessel_ratio_bounds(nu, u):
     # Amos, Math. Comp. 28 (1974):
