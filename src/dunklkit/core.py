@@ -112,12 +112,14 @@ def _as_kv(kv) -> MultiplicityVector:
     return MultiplicityVector(k=tuple(kv))
 
 
-def _coords(kv: MultiplicityVector, name: str, p) -> np.ndarray:
-    """p as a float array whose last axis holds the N finite coordinates."""
-    p = np.asarray(p, dtype=float)
-    if p.shape[-1:] != (kv.n_axes,):
-        raise ConfigError(f"{name} has shape {p.shape}; its last axis must hold "
-                          f"the {kv.n_axes} coordinates")
+def _coords(kv: MultiplicityVector, name: str, p, point: bool = False) -> np.ndarray:
+    """p as a float array whose last axis holds the N finite coordinates;
+    with point=True, one point of shape (N,) (a scalar serves for N = 1)."""
+    p = np.atleast_1d(np.asarray(p, dtype=float)) if point else np.asarray(p, dtype=float)
+    if p.shape[-1:] != (kv.n_axes,) or (point and p.ndim != 1):
+        raise ConfigError(f"{name} has shape {p.shape}; " + (
+            f"expected one point of shape ({kv.n_axes},)" if point else
+            f"its last axis must hold the {kv.n_axes} coordinates"))
     if not np.all(np.isfinite(p)):
         raise ConfigError(f"{name} has a non-finite coordinate")
     return p
@@ -170,10 +172,7 @@ def dunkl_operator(kv, f, x, xi, h: float = 1e-5) -> float:
     (f - f o sigma_i)/x_i -> 2 d_i f picked up automatically at x_i = 0.
     """
     kv = _as_kv(kv)
-    x = np.asarray(x, dtype=float)
-    xi = np.asarray(xi, dtype=float)
-    if x.shape != (kv.n_axes,) or xi.shape != (kv.n_axes,):
-        raise ConfigError("x and xi must be points of R^N")
+    x, xi = _coords(kv, "x", x, point=True), _coords(kv, "xi", xi, point=True)
     total = sum(xi[i] * _partial(f, x, i, h) for i in range(kv.n_axes) if xi[i] != 0.0)
     fx = f(x)
     for i, ki in enumerate(kv.k):
@@ -197,9 +196,7 @@ def dunkl_laplacian(kv, f, x, h: float = 1e-4) -> float:
     the bracket; keep |x_i| either zero or above ~1e-4 for full accuracy.
     """
     kv = _as_kv(kv)
-    x = np.asarray(x, dtype=float)
-    if x.shape != (kv.n_axes,):
-        raise ConfigError("x must be a point of R^N")
+    x = _coords(kv, "x", x, point=True)
     total = sum(_partial2(f, x, i, h) for i in range(kv.n_axes))
     fx = f(x)
     for i, ki in enumerate(kv.k):
@@ -266,9 +263,7 @@ def intertwiner_atoms(kv, x, n_per_axis: int = 64) -> tuple[np.ndarray, np.ndarr
         int e^(<xi, y>) dmu_x(xi) = E_k(x, y).
     """
     kv = _as_kv(kv)
-    x = _coords(kv, "x", x)
-    if x.ndim != 1:
-        raise ConfigError("x must be a point of R^N")
+    x = _coords(kv, "x", x, point=True)
     n_per_axis = _node_count(n_per_axis, "n_per_axis")
     axis_nodes, axis_masses = [], []
     for ki, xi in zip(kv.k, x):

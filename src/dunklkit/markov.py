@@ -44,7 +44,7 @@ from .bessel_kingman import (
     rayleigh_radial_cdf,
     stable_half_subordinator,
 )
-from .core import MultiplicityVector, _as_kv, _axis_product, dunkl_kernel_unitary
+from .core import MultiplicityVector, _as_kv, _axis_product, _coords, dunkl_kernel_unitary
 from .errors import ConfigError, ConsistencyError, PositivityError, _finite, _node_count
 from .measures import _BLOCK, RadialProfileMeasure, as_weighted_atoms, dirac
 from .rank_one import kernel_unitary, spherical_mean as _rank_one_mean
@@ -155,16 +155,14 @@ def translate_measure(kv, x, mu: KRadialMeasure, f=None, f0=None, mean_fn=None):
 
     reduced to the radial profile: sum_j mass_j M_f(x, r_j).  The test
     function enters one of three ways: f0 is a radial profile (spherical
-    means via translation and sphere averaging), f is a general callable
+    means through the law of <xi, omega>), f is a general callable
     on points (rank one only, through the explicit mean measures), and
     mean_fn(x, r) supplies precomputed spherical means directly.  x = 0
     returns the plain integral of f against mu; a point profile at 0
     returns f(x).
     """
     kv = _as_kv(kv)
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if x.shape != (kv.n_axes,):
-        raise ConfigError("x must be a point of R^N")
+    x = _coords(kv, "x", x, point=True)
     if sum(arg is not None for arg in (f, f0, mean_fn)) != 1:
         raise ConfigError("pass exactly one of f, f0, mean_fn")
     radii, masses = as_weighted_atoms(mu.profile, cap=_TRANSLATE_ATOM_CAP)

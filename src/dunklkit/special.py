@@ -177,21 +177,21 @@ def _bessel_ratio(nu: float, u: np.ndarray) -> np.ndarray:
     Up to u = _IVE_MAX: tanh u at nu = -1/2, i1e(u) / i0e(u) at nu = 0,
     coth u - 1/u at nu = 1/2 (continued fraction at u <= 1, where it
     cancels), else ive(nu+1, u) / ive(nu, u) (continued fraction where that
-    underflows); Hankel sums beyond.  Relative error against mpmath on
-    [1e-12, 1e12]: 1.5e-16, 1.2e-15 and 5.3e-16 at nu = -1/2, 0 and 1/2.
+    underflows); Hankel sums beyond; exactly 0 at u = 0.  Relative error against
+    mpmath on [1e-12, 1e12]: 1.5e-16, 1.2e-15 and 5.3e-16 at nu = -1/2, 0 and 1/2.
     """
     near = np.minimum(u, _IVE_MAX)
-    low = u <= (1.0 if nu == 0.5 else 0.0)
+    low = (u > 0.0) & (u <= (1.0 if nu == 0.5 else 0.0))
     if nu == -0.5:
         out = np.tanh(near)
     elif nu == 0.0:
         out = i1e(near) / i0e(near)
     elif nu == 0.5:
-        out = 1.0 / np.tanh(near.clip(1.0)) - 1.0 / near.clip(1.0)
+        out = np.where(u > 0.0, 1.0 / np.tanh(near.clip(1.0)) - 1.0 / near.clip(1.0), 0.0)
     else:
         num, den = ive(nu + 1.0, near), ive(nu, near)
         out = num / np.where(den > 0.0, den, 1.0)
-        low |= num <= 1e-290
+        low |= (num <= 1e-290) & (u > 0.0)
     if low.any():
         out[low] = _ratio_fraction(nu, u[low])
     far = u > _IVE_MAX

@@ -8,7 +8,9 @@ non-smooth |x|^(2k) cases where a uniform rule would stall.
 
 The transform itself is separable: the kernel restricted to an axis pair
 is a one-dimensional unitary kernel, so an N-dimensional transform is a
-chain of small dense matrix contractions.
+chain of small dense matrix contractions.  Spherical means of radial
+functions integrate f0 against one positive rule per point x, the law of
+<xi, omega> in the radial product formula.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from .core import (_as_kv, _axis_c_norm, _axis_product, _coords, dunkl_kernel_un
                    dunkl_laplacian, intertwiner_atoms)
 from .errors import ConfigError, _finite, _node_count
 from .measures import _row_blocks
-from .quadrature import QuadratureRule, _tensor_grid, gauss_jacobi
+from .quadrature import QuadratureRule, _gauss_roots, _tensor_grid, gauss_jacobi
 from .rank_one import kernel_unitary
 from .special import _scaled_bessel_imag, bessel_j, radial_bessel_operator
 
@@ -414,6 +416,16 @@ def chapman_kolmogorov_defect(kv, s1: float, s2: float, x, y, n: int = 96) -> fl
 # translation of radial functions and spherical means
 
 
+def _profile(f0, arg) -> np.ndarray:
+    """f0 at the radii arg, broadcast to arg's shape (f0 may return a scalar)."""
+    vals = np.asarray(f0(arg))
+    try:
+        return np.broadcast_to(vals, arg.shape)
+    except ValueError:
+        raise ConfigError(f"f0 returned shape {vals.shape} for radii of shape "
+                          f"{arg.shape}; expected {arg.shape} or a scalar") from None
+
+
 def radial_translate(kv, f0, x, y, n_per_axis: int = 48):
     """Generalized translation of a radial function f = f0(|.|),
     evaluated by the intertwiner representation
@@ -437,15 +449,9 @@ def radial_translate(kv, f0, x, y, n_per_axis: int = 48):
     for rows in _row_blocks(ypts.shape[0], pts.shape[0]):
         cross = ypts[rows] @ pts.T
         arg = np.sqrt(np.maximum(rx2 + ry2[rows, None] - 2.0 * cross, 0.0))
-        vals = np.asarray(f0(arg))
-        try:
-            vals = np.broadcast_to(vals, arg.shape)
-        except ValueError:
-            raise ConfigError(f"f0 returned shape {vals.shape} for radii of shape "
-                              f"{arg.shape}; expected {arg.shape} or a scalar") from None
         # einsum sums each row in one order whatever the block's row count
         # (BLAS gemv does not), so the result does not depend on the blocks
-        out[rows] = np.einsum("ij,j->i", vals, masses)
+        out[rows] = np.einsum("ij,j->i", _profile(f0, arg), masses)
     return out[0] if squeeze else out
 
 
@@ -508,42 +514,67 @@ def spherical_mean_spectral(kv, plan: TransformPlan, fhat_values: np.ndarray,
     if fhat.shape not in (plan.freq_shape, (size,)):
         raise ConfigError(f"fhat_values has shape {fhat.shape}; expected {plan.freq_shape} "
                           f"or ({size},)")
-    x = _coords(kv, "x", np.atleast_1d(x))
-    if x.ndim != 1:
-        raise ConfigError(f"x has shape {x.shape}; expected one point of shape ({kv.n_axes},)")
+    x = _coords(kv, "x", x, point=True)
     if np.ndim(t) != 0:
         raise ConfigError(f"t must be a scalar radius, got shape {np.shape(t)}")
     t = _finite(t, "t")
     return np.sum(_spectral_mean_weights(kv, plan, x, t).ravel() * fhat.ravel())
 
 
+def _mean_law(kv, x, n_sphere: int, n_per_axis: int):
+    """The law nu_x of spherical_mean_radial as (s, w_src, w_atom): node
+    s[a, j] has mass w_src[a] w_atom[j] >= 0."""
+    if kv.n_axes > 2:
+        raise ConfigError(f"radial spherical means are implemented for N <= 2, not {kv.n_axes}")
+    dirs, w_src = np.ones((1, 1)), np.ones(1)  # N = 1: s = |x| U
+    if kv.n_axes == 2:
+        rule = gauss_jacobi(n_sphere, kv.k[1] - 0.5, kv.k[0] - 0.5, 0.0, 1.0)
+        dirs = np.sqrt(np.stack([rule.nodes, 1.0 - rule.nodes], axis=-1))
+        w_src = rule.weights / np.sum(rule.weights)
+    nodes, masses = [], []
+    for k, a in zip(kv.k, np.abs(x)):
+        if k == 0.0 or a == 0.0:
+            u, w = np.array([-1.0, 1.0]), np.full(2, 0.5)
+        else:
+            u, w = _gauss_roots("jacobi", n_per_axis, k - 1.0, k - 1.0)
+            w = w / np.sum(w)  # 1 / sum(w) is b_k up to rounding; mass 1 exactly
+        nodes.append(a * u)
+        masses.append(w)
+    pts, w_atom = _tensor_grid(nodes, masses)
+    return dirs @ pts.T, w_src, w_atom
+
+
 def spherical_mean_radial(kv, f0, x, t, n_sphere: int = 64,
                           n_per_axis: int = 48):
-    """Spherical mean of a radial function f = f0(|.|) by averaging the
-    translation over the weighted sphere.
+    """Spherical mean of a radial function f = f0(|.|), N <= 2, by the radial
+    product formula M_f(x, t) = int f0(sqrt(|x|^2 + t^2 - 2 t s)) dnu_x(s), nu_x
+    the law of s = <xi, omega> with xi ~ mu_x and omega ~ w_k dsigma / d_k.
 
-    t is one radius (the mean comes back as a float) or an array of
-    radii (one mean per radius, all from a single translation call).
+    w_k dsigma is invariant under every sign change, so axis i enters only
+    as the even part of mu_(x_i), |x_i| U_i with U_i ~ b_k (1 - u^2)^(k_i - 1)
+    on [-1, 1] (+-1 at k_i = 0), and omega as its first quadrant (sqrt(u),
+    sqrt(1 - u)), u ~ u^(k_1 - 1/2) (1 - u)^(k_2 - 1/2).  nu_x is one positive
+    tensor rule of mass 1 per call, Gauss in each factor and exact to degree
+    2n - 1 in it: n_per_axis nodes per axis, n_sphere for u (at N = 2 only).
+    t is one radius (a float comes back) or an array of radii (one mean each).
     """
-    from .harmonics import SphereQuadrature
-
     kv = _as_kv(kv)
     n_sphere = _node_count(n_sphere, "n_sphere")
-    x = np.atleast_1d(np.asarray(x, dtype=float))
+    n_per_axis = _node_count(n_per_axis, "n_per_axis")
+    x = _coords(kv, "x", x, point=True)
     radii = np.asarray(t, dtype=float)
-    if not np.all(np.isfinite(radii)):
-        raise ConfigError("t must be finite")
     r = radii.ravel()
-    if kv.n_axes == 1:
-        # the sphere is two signed points, each carrying half of d_norm
-        vals = radial_translate(kv, f0, x, np.concatenate([r, -r])[:, None],
-                                n_per_axis=n_per_axis)
-        means = 0.5 * (vals[:r.size] + vals[r.size:])
-    else:
-        rule = SphereQuadrature(kv, n=n_sphere)
-        pts = (r[:, None, None] * rule.points[None, :, :]).reshape(-1, kv.n_axes)
-        vals = radial_translate(kv, f0, x, pts, n_per_axis=n_per_axis)
-        means = rule.integrate_values(vals.reshape(r.size, -1).T) / kv.d_norm
+    with np.errstate(over="ignore"):
+        c = np.sum(x * x) + r * r
+    if not np.all(np.isfinite(c)):
+        raise ConfigError("t must be finite, with |x|^2 + t^2 inside the float range")
+    s, w_src, w_atom = _mean_law(kv, x, n_sphere, n_per_axis)
+    sums = np.empty(r.size * w_src.size)  # one per (radius, sphere node) row
+    for rows in _row_blocks(sums.size, w_atom.size):
+        ri, si = np.divmod(np.arange(rows.start, rows.stop), w_src.size)
+        arg = np.sqrt(np.maximum(c[ri, None] - 2.0 * r[ri, None] * s[si], 0.0))
+        sums[rows] = np.einsum("ij,j->i", _profile(f0, arg), w_atom)
+    means = np.einsum("ij,j->i", sums.reshape(r.size, w_src.size), w_src)
     return float(means[0]) if radii.ndim == 0 else means.reshape(radii.shape)
 
 

@@ -176,8 +176,8 @@ def _suite_radial_product_formula(tol: float | None) -> list[CaseResult]:
     """Spherical means of radial characters follow the one-dimensional
     product law at the radial index: averaging y -> j_lam(z |y|) over the
     mean measure at (x, t) gives j_lam(z |x|) j_lam(z t).  The left side
-    goes through translation plus sphere quadrature and knows nothing
-    about that law."""
+    integrates over the law of <xi, omega> (intertwiner atoms against the
+    sphere) and knows nothing about that law."""
     t_ = _tol("radial-product-formula", tol)
     rng = np.random.default_rng(20260819)
     z = np.linspace(0.25, 5.0, 20)

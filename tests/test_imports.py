@@ -319,6 +319,59 @@ def test_spectral_route_checker_flags_a_full_tensor_mean(tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# the radial spherical mean integrates over the law of <xi, omega>, built
+# once per call: it translates nothing and builds no sphere or atom grid,
+# neither itself nor through a helper of its module
+
+TRANSLATION_ROUTE = {"radial_translate", "SphereQuadrature", "intertwiner_atoms"}
+
+
+def radial_mean_breaches(path: Path, name: str = "spherical_mean_radial") -> list[str]:
+    """Calls of the translation route reached from the named function, in
+    its body or in a module-level function it calls, directly or not."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    defs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    if name not in defs:
+        return [f"{path.stem}.{name} is missing"]
+    found, seen, todo = [], set(), [name]
+    while todo:
+        fn = todo.pop()
+        if fn in seen:
+            continue
+        seen.add(fn)
+        for node in ast.walk(defs[fn]):
+            if isinstance(node, ast.Call):
+                callee = getattr(node.func, "id", getattr(node.func, "attr", None))
+                if callee in TRANSLATION_ROUTE:
+                    found.append(f"{fn} calls {callee} (line {node.lineno})")
+                elif callee in defs:
+                    todo.append(callee)
+    return sorted(found)
+
+
+def test_radial_mean_leaves_the_translation_route():
+    assert radial_mean_breaches(ROOT / "src" / "dunklkit" / "transform.py") == []
+
+
+def test_radial_mean_checker_flags_a_reintroduced_call(tmp_path):
+    src = tmp_path / "transform.py"
+    good = ("def _law(kv, x):\n    return x\n"
+            "def spherical_mean_radial(kv, f0, x, t):\n    return f0(_law(kv, x))\n")
+    src.write_text(good)
+    assert radial_mean_breaches(src) == []
+    src.write_text(good.replace("return x", "return intertwiner_atoms(kv, x)"))
+    assert radial_mean_breaches(src) == ["_law calls intertwiner_atoms (line 2)"]
+    src.write_text("from . import harmonics\n"
+                   "def spherical_mean_radial(kv, f0, x, t):\n"
+                   "    rule = harmonics.SphereQuadrature(kv)\n"
+                   "    return radial_translate(kv, f0, x, t * rule.points)\n")
+    assert radial_mean_breaches(src) == ["spherical_mean_radial calls SphereQuadrature (line 3)",
+                                         "spherical_mean_radial calls radial_translate (line 4)"]
+    src.write_text(good.replace("spherical_mean_radial", "mean"))
+    assert radial_mean_breaches(src) == ["transform.spherical_mean_radial is missing"]
+
+
+# ---------------------------------------------------------------------------
 # the pair pipelines take their blocks from measures._row_blocks, the one
 # owner of the block size; no ad-hoc chunk size is left in the package
 

@@ -313,6 +313,21 @@ def test_bessel_ratio_closed_forms_against_mpmath(nu):
             assert abs(g - exact) <= 1e-14 * exact, float(uu)
 
 
+@pytest.mark.parametrize("nu", [-0.5, 0.0, 0.5, 1.5])
+def test_bessel_ratio_is_zero_at_the_origin_without_the_fraction(monkeypatch, nu):
+    # every sampler path starts at 0; u = 0 used to take the 30-pass fraction
+    import dunklkit.special as special
+
+    seen = []
+    fraction = special._ratio_fraction
+    monkeypatch.setattr(special, "_ratio_fraction",
+                        lambda n, u: seen.append(u.copy()) or fraction(n, u))
+    got = _bessel_ratio(nu, np.array([0.0, 0.5, 0.0, 3.0]))
+    assert got[0] == 0.0 and got[2] == 0.0
+    assert np.all(got[[1, 3]] > 0.0)
+    assert all(np.all(u > 0.0) for u in seen)
+
+
 @given(nu=st.floats(0.0, 20.0), u=st.floats(0.0, 1e12))
 @example(nu=-0.5, u=1e-6)
 @example(nu=-0.5, u=3.0)

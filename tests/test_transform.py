@@ -36,8 +36,8 @@ from dunklkit import (
 from dunklkit import measures
 from dunklkit.quadrature import _tensor_grid
 from dunklkit.special import bessel_j
-from dunklkit.transform import axis_rule, weighted_grid
-from scipy.special import gamma
+from dunklkit.transform import _mean_law, axis_rule, weighted_grid
+from scipy.special import gamma, roots_jacobi
 
 KV2 = MultiplicityVector(k=(1.0, 0.5))
 
@@ -466,12 +466,101 @@ def test_spherical_mean_spectral_evaluates_per_axis(monkeypatch):
 
 
 def test_spherical_mean_radial_rank_one_honours_n_per_axis():
-    kv = MultiplicityVector(k=(1.0,))
-    x, t = 0.7, 0.9
-    vals = radial_translate(kv, np.cos, x, np.array([[t], [-t]]), n_per_axis=2)
-    assert spherical_mean_radial(kv, np.cos, x, t, n_per_axis=2) == 0.5 * float(vals[0] + vals[1])
-    assert spherical_mean_radial(kv, np.cos, x, t, n_per_axis=2) != \
-        spherical_mean_radial(kv, np.cos, x, t)
+    # two nodes: the symmetric Gauss rule of b_k (1 - u^2)^(k - 1) du, s = |x| u
+    k, x, t = 1.0, 0.7, 0.9
+    u, w = roots_jacobi(2, k - 1.0, k - 1.0)
+    want = float(np.sum(w / np.sum(w) * np.cos(np.sqrt(x * x + t * t - 2.0 * t * (x * u)))))
+    got = spherical_mean_radial((k,), np.cos, x, t, n_per_axis=2)
+    assert got == pytest.approx(want, rel=1e-15, abs=0)
+    assert got != spherical_mean_radial((k,), np.cos, x, t)
+
+
+def _translation_mean(kv, f0, x, t, n_sphere, n_per_axis):
+    """The mean by translating f once per sphere node and averaging: at one
+    axis over the two signed points, at two over SphereQuadrature."""
+    kv = MultiplicityVector(k=kv)
+    r = np.atleast_1d(np.asarray(t, dtype=float))
+    if kv.n_axes == 1:
+        vals = radial_translate(kv, f0, x, np.concatenate([r, -r])[:, None],
+                                n_per_axis=n_per_axis)
+        return 0.5 * (vals[:r.size] + vals[r.size:])
+    rule = SphereQuadrature(kv, n=n_sphere)
+    pts = (r[:, None, None] * rule.points[None, :, :]).reshape(-1, 2)
+    vals = radial_translate(kv, f0, x, pts, n_per_axis=n_per_axis)
+    return rule.integrate_values(vals.reshape(r.size, -1).T) / kv.d_norm
+
+
+_MEAN_CASES = [((1.0,), [0.7]), ((0.5,), [-1.3]), ((0.0,), [0.8]), ((1.0, 1.0), [0.7, -0.5]),
+               ((2.0, 0.5), [1.1, 0.3]), ((0.0, 1.5), [-0.4, 0.9]), ((0.5, 0.0), [0.0, 1.2])]
+
+
+@pytest.mark.parametrize("k, x", _MEAN_CASES, ids=[str(k) for k, _ in _MEAN_CASES])
+def test_spherical_mean_radial_matches_the_translation_route(k, x):
+    # smooth profiles: the law of <xi, omega> and translation plus sphere
+    # quadrature at the default (64, 48) agree to rounding
+    lam = MultiplicityVector(k=k).lam
+    t = np.array([0.15, 0.6, 1.1, 1.9])
+    for f0 in (lambda r: bessel_j(lam, 2.3 * np.asarray(r)),
+               lambda r: np.exp(-0.5 * np.asarray(r) ** 2)):
+        got = spherical_mean_radial(k, f0, x, t)
+        np.testing.assert_allclose(got, _translation_mean(k, f0, x, t, 64, 48), rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("k, x", [((1.0,), [0.7]), ((1.0, 1.0), [0.7, -0.5])],
+                         ids=["rank-one", "two-axes"])
+def test_spherical_mean_radial_error_on_non_smooth_profiles(k, x):
+    # kinks (r, |r - 1|) and the bump's C^9 edge converge slowly in both
+    # routes.  The reference is the law at (256, 192): the translation route
+    # at (256, 192) costs 4x more and differs from it by a tenth or less of
+    # the errors at the defaults (|r - 1|: 1.4e-5 at one axis, 1.3e-8 at
+    # two).  The law's error stays within 10x the translation route's.
+    t = np.linspace(0.15, 1.95, 6)
+    for f0 in (lambda r: np.asarray(r), lambda r: np.abs(np.asarray(r) - 1.0), radial_bump(1.2)):
+        ref = spherical_mean_radial(k, f0, x, t, n_sphere=256, n_per_axis=192)
+        new = np.max(np.abs(spherical_mean_radial(k, f0, x, t) - ref))
+        old = np.max(np.abs(_translation_mean(k, f0, x, t, 64, 48) - ref))
+        assert new <= 10.0 * old + 1e-14
+
+
+@pytest.mark.parametrize("k, x", [((1.0,), [0.7]), ((0.0,), [-0.8]), ((0.3,), [0.0]),
+                                  ((1.0, 0.5), [0.9, -0.7]), ((0.0, 1.5), [-0.4, 1.1]),
+                                  ((2.0, 0.5), [0.0, 1.3]), ((0.0, 0.0), [0.6, 0.0])])
+def test_mean_law_is_an_even_probability_measure_on_the_ball(k, x):
+    kv = MultiplicityVector(k=k)
+    s, w_src, w_atom = _mean_law(kv, np.asarray(x), 16, 12)
+    w = np.multiply.outer(w_src, w_atom)
+    rx = float(np.sqrt(np.sum(np.square(x))))
+    assert s.shape == w.shape and np.all(w >= 0.0)
+    assert abs(w.sum() - 1.0) <= 1e-15
+    assert np.all(np.abs(s) <= rx)
+    for m in (1, 3, 5):
+        assert abs(np.sum(w * s**m)) <= 1e-15 * max(rx, 1.0) ** m
+
+
+@pytest.mark.parametrize("case", ["x-length", "x-2d", "x-overflow", "t-overflow",
+                                  "f0-shape", "three-axes"])
+def test_spherical_mean_radial_input_contract(case):
+    # non-finite x and t have tests of their own
+    args = dict(kv=KV2, f0=np.cos, x=[0.7, 0.1], t=0.8)
+    args.update({
+        "x-length": dict(x=[0.7, 0.1, 0.2]),
+        "x-2d": dict(x=[[0.7, 0.1], [0.2, 0.3]]),
+        # |x|^2 + t^2 used to stop with an overflow RuntimeWarning
+        "x-overflow": dict(x=[1e200, 0.1]),
+        "t-overflow": dict(t=1e200),
+        "f0-shape": dict(f0=lambda r: np.zeros(3)),
+        "three-axes": dict(kv=(1.0, 0.5, 0.2), x=[0.7, 0.1, 0.2]),
+    }[case])
+    with pytest.raises(ConfigError):
+        spherical_mean_radial(args["kv"], args["f0"], args["x"], args["t"])
+
+
+@pytest.mark.parametrize("t", [[], np.empty((0, 3))])
+@pytest.mark.parametrize("k", [(1.0,), (1.0, 0.5)])
+def test_spherical_mean_radial_of_no_radii_is_empty(k, t):
+    # [] used to fail with numpy's bare "cannot reshape array of size 0"
+    got = spherical_mean_radial(k, np.cos, np.full(len(k), 0.4), t)
+    assert isinstance(got, np.ndarray) and got.shape == np.shape(t)
 
 
 def test_spherical_mean_radial_batches_radii():
