@@ -13,6 +13,11 @@ angle, z(u) = sqrt(x^2 + y^2 - 2 x y u), which turns the measure into the
 fixed weight (1-u^2)^(lam-1/2) du on [-1, 1].  One Gauss-Jacobi rule then
 serves every pair (x, y) uniformly, carries mass exactly 1, and is
 spectrally accurate for integrands even in z (the characters are).
+
+The same angle rule, at lam = k - 1/2, is the rank-one intertwiner: the
+measure of V_k at x is the law of x u with u weighted by (1 + u) against
+it (rank_one.intertwiner_measure), and its even part is each axis's
+factor of the radial product formula's law (transform.spherical_mean_radial).
 """
 
 from __future__ import annotations
@@ -80,8 +85,11 @@ def product_kernel(lam: float, x: float, y: float, z) -> np.ndarray:
 
 
 def _angle_rule(lam: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The n-point Gauss rule of the angle law _angular_norm(lam) (1-u^2)^(lam-1/2) du
+    on [-1, 1]: ascending nodes u, symmetric about 0, and masses w / sum(w), so
+    the mass is 1 by construction.  Exact to degree 2n - 1."""
     u, w = _gauss_roots("jacobi", n, lam - 0.5, lam - 0.5)
-    return u, w * _angular_norm(lam)
+    return u, w / np.sum(w)
 
 
 def _point_nodes(lam: float, x: float, y: float, n: int):

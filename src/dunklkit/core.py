@@ -265,16 +265,9 @@ def intertwiner_atoms(kv, x, n_per_axis: int = 64) -> tuple[np.ndarray, np.ndarr
     kv = _as_kv(kv)
     x = _coords(kv, "x", x, point=True)
     n_per_axis = _node_count(n_per_axis, "n_per_axis")
-    axis_nodes, axis_masses = [], []
-    for ki, xi in zip(kv.k, x):
-        mu = rank_one.intertwiner_measure(ki, float(xi), n=n_per_axis)
-        if mu.atoms:
-            axis_nodes.append(np.array([p for p, _ in mu.atoms]))
-            axis_masses.append(np.array([w for _, w in mu.atoms]))
-        else:
-            axis_nodes.append(mu.grid)
-            axis_masses.append(mu.node_masses)
-    return _tensor_grid(axis_nodes, axis_masses)
+    nodes, masses = zip(*(rank_one._intertwiner_nodes(ki, float(xi), n_per_axis)
+                          for ki, xi in zip(kv.k, x)))
+    return _tensor_grid(nodes, masses)
 
 
 # ---------------------------------------------------------------------------

@@ -28,8 +28,9 @@ from scipy.special import betaln, gammaln
 
 from .core import MultiplicityVector, _as_kv, dunkl_kernel_unitary, intertwiner_atoms
 from .errors import ConfigError, ConsistencyError, _node_count
+from .quadrature import _quadrant_rule
 from .special import bessel_j, gegenbauer
-from .quadrature import gauss_jacobi
+from .transform import radial_translate
 
 __all__ = [
     "SphereQuadrature",
@@ -42,7 +43,6 @@ __all__ = [
     "reproducing_kernel",
     "kernel_series",
     "funk_hecke_pair",
-    "radialize_kernel",
     "orbit_integral",
     "addition_theorem_residual",
     "plane_wave_residual",
@@ -74,16 +74,10 @@ class SphereQuadrature:
         k1, k2 = self.kv.k
         n = _node_count(n, "n")
         if method == "jacobi":
-            rule = gauss_jacobi(n, k2 - 0.5, k1 - 0.5, 0.0, 1.0)
-            c = np.sqrt(rule.nodes)
-            s = np.sqrt(1.0 - rule.nodes)
-            pts, wts = [], []
-            for sc in (1.0, -1.0):
-                for ss in (1.0, -1.0):
-                    pts.append(np.stack([sc * c, ss * s], axis=-1))
-                    wts.append(2.0 ** (self.kv.gamma - 1.0) * rule.weights)
-            self.points = np.concatenate(pts, axis=0)
-            self.weights = np.concatenate(wts)
+            dirs, w = _quadrant_rule(n, k1, k2)
+            self.points = np.concatenate([dirs * sign for sign in
+                                          ((1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0))])
+            self.weights = np.tile(2.0 ** (self.kv.gamma - 1.0) * w, 4)
         elif method == "trapezoid":
             m = max(8 * n, 64)
             theta = (np.arange(m) + 0.5) * (2.0 * np.pi / m)
@@ -316,29 +310,7 @@ def funk_hecke_pair(kv, coeffs: np.ndarray, x, rule: SphereQuadrature | None = N
     return complex(lhs), complex(rhs)
 
 
-def radialize_kernel(kv, z, t: float, n: int = 96, check: bool = True,
-                     tol: float = 1e-9) -> float:
-    """Spherical average (1/d) int E_k(i t eta, z) w_k dsigma(eta) = j_lam(t |z|).
-
-    Computed by sphere quadrature and compared with the closed form; a
-    disagreement beyond tol raises ConsistencyError (check=False skips
-    the quadrature and returns the closed form directly).
-    """
-    kv = _require_planar(kv)
-    z = np.asarray(z, dtype=float)
-    closed = float(bessel_j(kv.lam, t * float(np.hypot(*z))))
-    if not check:
-        return closed
-    rule = SphereQuadrature(kv, n=n)
-    quad = rule.integrate_values(dunkl_kernel_unitary(kv, t * rule.points, z)) / kv.d_norm
-    if abs(quad - closed) > tol:
-        raise ConsistencyError(
-            f"kernel radialization mismatch: quadrature {quad} vs closed form {closed}")
-    return closed
-
-
-def orbit_integral(kv, x, z, r: float, n: int = 96, n_intertwiner: int = 64,
-                   check: bool = True, tol: float = 1e-6) -> float:
+def orbit_integral(kv, x, z, r: float, n_intertwiner: int = 64) -> float:
     """Two-kernel spherical average
 
         I(x, z, r) = (1/d) int_{S^1} E_k(ix, r eta) E_k(-iz, r eta) w_k dsigma(eta),
@@ -347,30 +319,17 @@ def orbit_integral(kv, x, z, r: float, n: int = 96, n_intertwiner: int = 64,
 
         I(x, z, r) = int j_lam( r sqrt(|x|^2 + |z|^2 - 2 <x, eta>) ) dmu_z(eta),
 
-    which collapses the two oscillating kernels into one Bessel profile
-    over the intertwining measure of z.  With check=True the direct
-    sphere quadrature of the first form is also computed and the two
-    must agree within tol; the routes share no code, which makes this
-    the strongest internal cross-check the package has.  The value is
-    real and symmetric in x <-> z; x = 0 or z = 0 degenerates to the
-    plain radialization j_lam(r |z|) resp. j_lam(r |x|).
+    which is the generalized translation radial_translate of the profile
+    s -> j_lam(r s) from z to x: one Bessel profile over the intertwining
+    measure of z instead of two oscillating kernels.  The direct sphere
+    quadrature of the first form shares no code with it and is computed by
+    the verification suite's orbit-integral cases.  The value is real and
+    symmetric in x <-> z; x = 0 or z = 0 degenerates to the plain
+    radialization j_lam(r |z|) resp. j_lam(r |x|).
     """
     kv = _require_planar(kv)
-    x = np.asarray(x, dtype=float)
-    z = np.asarray(z, dtype=float)
-    pts, masses = intertwiner_atoms(kv, z, n_per_axis=n_intertwiner)
-    arg = np.sqrt(np.maximum(float(x @ x) + float(z @ z) - 2.0 * (pts @ x), 0.0))
-    radial = float(np.sum(masses * bessel_j(kv.lam, r * arg)))
-    if not check:
-        return radial
-    rule = SphereQuadrature(kv, n=n)
-    vals = (dunkl_kernel_unitary(kv, x, r * rule.points)
-            * np.conj(dunkl_kernel_unitary(kv, z, r * rule.points)))
-    direct = complex(rule.integrate_values(vals)) / kv.d_norm
-    if abs(direct - radial) > tol:
-        raise ConsistencyError(
-            f"orbit integral routes disagree: quadrature {direct} vs intertwined {radial}")
-    return radial
+    return float(radial_translate(kv, lambda s: bessel_j(kv.lam, r * s), z, x,
+                                  n_per_axis=n_intertwiner))
 
 
 def addition_theorem_residual(lam: float, s: float, t: float, costheta,

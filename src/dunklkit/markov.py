@@ -60,7 +60,6 @@ __all__ = [
     "radial_hat",
     "translate_measure",
     "convolve_k",
-    "build_semigroup",
     "semigroup_from_json",
     "gaussian_kernel_hat",
     "composed_kernel_hat",
@@ -302,16 +301,6 @@ class KernelSemigroup:
         if seed is None:
             raise ConfigError("simulation needs a seed")
         return simulate_paths(self.kv, t_grid, n_paths, seed, kind=self.kind, **kwargs)
-
-
-def build_semigroup(kv, family, **kwargs) -> KernelSemigroup:
-    """Wrap a profile family t -> RadialProfileMeasure as a kernel semigroup.
-
-    The family must satisfy the hypergroup law sigma_s o sigma_t =
-    sigma_(s+t) (checked on sampled pairs in the transform domain) and
-    start from the point mass at 0.
-    """
-    return KernelSemigroup(kv, family, **kwargs)
 
 
 def _gaussian_family(kv, n: int = 256):

@@ -78,6 +78,14 @@ def gauss_jacobi(n: int, alpha: float, beta: float, a: float, b: float) -> Quadr
     return QuadratureRule(a + half * (x + 1.0), w * half ** (alpha + beta + 1.0))
 
 
+def _quadrant_rule(n: int, k1: float, k2: float) -> tuple[np.ndarray, np.ndarray]:
+    """First quadrant of the circle weight (2 y1^2)^k1 (2 y2^2)^k2 in u = y1^2:
+    directions (sqrt(u), sqrt(1 - u)) of shape (n, 2) and the Gauss-Jacobi
+    weights of int_0^1 F u^(k1 - 1/2) (1 - u)^(k2 - 1/2) du."""
+    rule = gauss_jacobi(n, k2 - 0.5, k1 - 0.5, 0.0, 1.0)
+    return np.sqrt(np.stack([rule.nodes, 1.0 - rule.nodes], axis=-1)), rule.weights
+
+
 def panel_gauss_legendre(edges: np.ndarray, n_per_panel) -> QuadratureRule:
     """Composite Gauss-Legendre rule over the panels defined by ``edges``.
 

@@ -9,17 +9,20 @@ a signed measure: the radial part is the Bessel-Kingman convolution at
 index k - 1/2, mirrored to +/-z with weights built from three cosine-rule
 coefficients.  Averaging the translation over t and -t yields the
 spherical mean measure, which is a probability measure for every k >= 0.
+
+The intertwiner measure at x is b_k (1 - u^2)^(k-1) (1 + u) du at xi = x u:
+the Bessel-Kingman angle law at index k - 1/2 (bessel_kingman._angle_rule)
+tilted by (1 + u).  On the n-node angle rule, with masses w (1 + u), it is
+exact for polynomials in u up to degree 2n - 2.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import gammaln
 
-from .bessel_kingman import _pair_nodes, _point_nodes
+from .bessel_kingman import _angle_rule, _angular_norm, _pair_nodes, _point_nodes
 from .errors import ConfigError, _finite, _node_count
 from .measures import LineMeasure, _atom_pairs, _grid_measure, _row_blocks
-from .quadrature import _gauss_roots
 from .special import bessel_j, bessel_j_imag
 
 __all__ = [
@@ -193,6 +196,17 @@ def convolve(k: float, mu: LineMeasure, nu: LineMeasure, grid_n: int = 16384) ->
     return _grid_measure(LineMeasure, -L, L, grid_n, pieces(), lam=k)
 
 
+def _intertwiner_nodes(k: float, x: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending nodes x u and masses w (1 + u) of the intertwiner measure on
+    the n-node angle rule (u, w) at index k - 1/2; the point mass at x when
+    k = 0 or x = 0."""
+    if k == 0.0 or x == 0.0:
+        return np.array([x]), np.ones(1)
+    u, w = _angle_rule(k - 0.5, n)
+    nodes, masses = x * u, w * (1.0 + u)
+    return (nodes, masses) if x > 0 else (nodes[::-1], masses[::-1])
+
+
 def intertwiner_measure(k: float, x: float, n: int = 64) -> LineMeasure:
     """Representing measure of the intertwining operator at the point x:
 
@@ -201,17 +215,15 @@ def intertwiner_measure(k: float, x: float, n: int = 64) -> LineMeasure:
 
     with b_k = Gamma(k + 1/2) / (sqrt(pi) Gamma(k)).  A probability
     measure; exp integrates to the kernel: int e^(xi y) dmu_x = E_k(x, y).
-    k = 0 is the identity (point mass at x).
+    Discretized as xi = x u on the n-node symmetric angle rule (u, w) of
+    (1 - u^2)^(k-1), with masses w (1 + u): exact for polynomials in xi up
+    to degree 2n - 2.  k = 0 is the identity (point mass at x).
     """
     k = _check_k(k)
     x = _finite(x, "x")
     if k == 0.0 or x == 0.0:
         return LineMeasure(atoms=[(x, 1.0)], lam=k)
-    t, w = _gauss_roots("jacobi", n, k - 1.0, k)
-    b_k = np.exp(gammaln(k + 0.5) - gammaln(k)) / np.sqrt(np.pi)
-    nodes = x * t
-    masses = b_k * w
-    dens = b_k * (1.0 - t) ** (k - 1.0) * (1.0 + t) ** k / abs(x)
-    if x < 0:
-        nodes, masses, dens = nodes[::-1], masses[::-1], dens[::-1]
+    nodes, masses = _intertwiner_nodes(k, x, n)
+    u = nodes / x
+    dens = _angular_norm(k - 0.5) * (1.0 - u * u) ** (k - 1.0) * (1.0 + u) / abs(x)
     return LineMeasure._from_node_masses(nodes, dens, masses, lam=k)

@@ -22,11 +22,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bessel_kingman import _angle_rule
 from .core import (_as_kv, _axis_c_norm, _axis_product, _coords, dunkl_kernel_unitary,
                    dunkl_laplacian, intertwiner_atoms)
 from .errors import ConfigError, _finite, _node_count
 from .measures import _row_blocks
-from .quadrature import QuadratureRule, _gauss_roots, _tensor_grid, gauss_jacobi
+from .quadrature import QuadratureRule, _quadrant_rule, _tensor_grid, gauss_jacobi
 from .rank_one import kernel_unitary
 from .special import _scaled_bessel_imag, bessel_j, radial_bessel_operator
 
@@ -523,21 +524,21 @@ def spherical_mean_spectral(kv, plan: TransformPlan, fhat_values: np.ndarray,
 
 def _mean_law(kv, x, n_sphere: int, n_per_axis: int):
     """The law nu_x of spherical_mean_radial as (s, w_src, w_atom): node
-    s[a, j] has mass w_src[a] w_atom[j] >= 0."""
+    s[a, j] has mass w_src[a] w_atom[j] >= 0.  Each axis is the angle rule
+    at k_i - 1/2, the even part of the intertwiner's; the quadrant is the
+    one SphereQuadrature uses."""
     if kv.n_axes > 2:
         raise ConfigError(f"radial spherical means are implemented for N <= 2, not {kv.n_axes}")
     dirs, w_src = np.ones((1, 1)), np.ones(1)  # N = 1: s = |x| U
     if kv.n_axes == 2:
-        rule = gauss_jacobi(n_sphere, kv.k[1] - 0.5, kv.k[0] - 0.5, 0.0, 1.0)
-        dirs = np.sqrt(np.stack([rule.nodes, 1.0 - rule.nodes], axis=-1))
-        w_src = rule.weights / np.sum(rule.weights)
+        dirs, w_src = _quadrant_rule(n_sphere, *kv.k)
+        w_src = w_src / np.sum(w_src)
     nodes, masses = [], []
     for k, a in zip(kv.k, np.abs(x)):
         if k == 0.0 or a == 0.0:
             u, w = np.array([-1.0, 1.0]), np.full(2, 0.5)
         else:
-            u, w = _gauss_roots("jacobi", n_per_axis, k - 1.0, k - 1.0)
-            w = w / np.sum(w)  # 1 / sum(w) is b_k up to rounding; mass 1 exactly
+            u, w = _angle_rule(k - 0.5, n_per_axis)
         nodes.append(a * u)
         masses.append(w)
     pts, w_atom = _tensor_grid(nodes, masses)

@@ -488,16 +488,16 @@ def _suite_orbit(tol: float | None) -> list[CaseResult]:
             x = rng.uniform(-1.5, 1.5, size=2)
             z = rng.uniform(-1.5, 1.5, size=2)
             r = rng.uniform(0.2, 3.0)
-            radial = orbit_integral(kv, x, z, r, check=False)
+            radial = orbit_integral(kv, x, z, r)
             vals = (dunkl_kernel_unitary(kv, x, r * rule.points)
                     * np.conj(dunkl_kernel_unitary(kv, z, r * rule.points)))
             direct = complex(rule.integrate_values(vals)) / kv.d_norm
             worst = max(worst, abs(direct - radial))
         out.append(CaseResult(f"routes k={k}", worst, t_))
         x = rng.uniform(-1.5, 1.5, size=2)
-        res = max(abs(orbit_integral(kv, np.zeros(2), x, 1.7, check=False)
+        res = max(abs(orbit_integral(kv, np.zeros(2), x, 1.7)
                       - bessel_j(kv.lam, 1.7 * np.sqrt(x @ x))),
-                  abs(orbit_integral(kv, x, np.zeros(2), 1.7, check=False)
+                  abs(orbit_integral(kv, x, np.zeros(2), 1.7)
                       - bessel_j(kv.lam, 1.7 * np.sqrt(x @ x))))
         out.append(CaseResult(f"degenerate k={k}", float(res), t_))
     return out

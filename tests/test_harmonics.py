@@ -9,6 +9,7 @@ import json
 
 import numpy as np
 import pytest
+from scipy.special import roots_jacobi
 
 from dunklkit import (
     ConfigError,
@@ -25,7 +26,6 @@ from dunklkit import (
     laplacian_coefficient,
     orbit_integral,
     plane_wave_residual,
-    radialize_kernel,
     reproducing_kernel,
     sphere_moment,
 )
@@ -83,6 +83,22 @@ def test_quadrature_methods_cross_check():
     assert a.integrate(f) == pytest.approx(b.integrate(f), rel=1e-12)
     with pytest.raises(ConfigError):
         SphereQuadrature(kv, method="simpson")
+
+
+@pytest.mark.parametrize("k", [(1.0, 0.5), (0.0, 2.0), (0.3, 0.7)])
+def test_jacobi_quadrature_is_bit_identical_to_the_explicit_build(k):
+    # the quadrant rule shared with the radial spherical mean must reproduce
+    # the explicit construction from scipy's roots to the last bit
+    kv = MultiplicityVector(k=k)
+    alpha, beta = k[1] - 0.5, k[0] - 0.5
+    u, w = roots_jacobi(24, alpha, beta)
+    u, w = 0.0 + 0.5 * (u + 1.0), w * 0.5 ** (alpha + beta + 1.0)
+    c, s = np.sqrt(u), np.sqrt(1.0 - u)
+    points = np.concatenate([np.stack([sc * c, ss * s], axis=-1)
+                             for sc in (1.0, -1.0) for ss in (1.0, -1.0)])
+    rule = SphereQuadrature(kv, n=24)
+    np.testing.assert_array_equal(rule.points, points)
+    np.testing.assert_array_equal(rule.weights, np.tile(2.0 ** (kv.gamma - 1.0) * w, 4))
 
 
 def test_quadrature_average_of_constant():
@@ -194,20 +210,18 @@ def test_funk_hecke_identity(n):
 # radializations
 
 
-def test_radialize_kernel_closed_form():
-    z = np.array([0.9, -1.2])
-    got = radialize_kernel(KV, z, t=1.7)  # raises ConsistencyError on mismatch
-    from dunklkit.special import bessel_j
-    assert got == pytest.approx(float(bessel_j(KV.lam, 1.7 * np.hypot(*z))), rel=1e-14)
-
-
 def test_orbit_integral_routes_agree_and_degenerate():
     from dunklkit.special import bessel_j
     x = np.array([0.8, 0.5])
     z = np.array([-0.4, 1.1])
-    val = orbit_integral(KV, x, z, r=1.3)  # check=True compares both routes
+    val = orbit_integral(KV, x, z, r=1.3)
     sym = orbit_integral(KV, z, x, r=1.3)
     assert val == pytest.approx(sym, abs=1e-8)
+    # the direct sphere quadrature of the two kernels shares no code with it
+    rule = SphereQuadrature(KV, n=96)
+    vals = (dunkl_kernel_unitary(KV, x, 1.3 * rule.points)
+            * np.conj(dunkl_kernel_unitary(KV, z, 1.3 * rule.points)))
+    assert abs(rule.integrate_values(vals) / KV.d_norm - val) < 1e-12
     # x = 0 collapses to the plain radialization of the other argument
     at_zero = orbit_integral(KV, np.zeros(2), z, r=1.3)
     assert at_zero == pytest.approx(float(bessel_j(KV.lam, 1.3 * np.hypot(*z))),

@@ -427,3 +427,55 @@ def test_block_checker_flags_ad_hoc_chunks(tmp_path):
         "good.pairs does not take its blocks from _row_blocks",
         "chunk literal 2**22 (bad, line 2)",
         "chunk literal 2000000.0 (bad, line 6)"]
+
+
+# ---------------------------------------------------------------------------
+# one Gegenbauer angle rule: the Gauss roots are taken by the two public rule
+# builders and by bessel_kingman._angle_rule, which the intertwiner, the
+# radial mean's law and the point convolution all share; the orbit integral
+# is one generalized translation
+
+ROOT_CALLERS = {"quadrature:gauss_legendre", "quadrature:gauss_jacobi",
+                "bessel_kingman:_angle_rule"}
+
+
+def angle_rule_breaches(paths, orbit: Path) -> list[str]:
+    """_gauss_roots calls outside ROOT_CALLERS over the given modules, and an
+    orbit_integral in the orbit module that does not call radial_translate."""
+    found = []
+    for path in paths:
+        for scope, node in _scoped_nodes(ast.parse(path.read_text(), filename=str(path))):
+            where = f"{path.stem}:{scope or '<module>'}"
+            if (isinstance(node, ast.Call) and where not in ROOT_CALLERS and "_gauss_roots" in (
+                    getattr(node.func, "id", None), getattr(node.func, "attr", None))):
+                found.append(f"_gauss_roots called from {where} (line {node.lineno})")
+    tree = ast.parse(orbit.read_text(), filename=str(orbit))
+    fn = next((node for node in tree.body
+               if isinstance(node, ast.FunctionDef) and node.name == "orbit_integral"), None)
+    called = set() if fn is None else {
+        getattr(node.func, "id", getattr(node.func, "attr", None))
+        for node in ast.walk(fn) if isinstance(node, ast.Call)}
+    if "radial_translate" not in called:
+        found.append(f"{orbit.stem}.orbit_integral does not call radial_translate")
+    return sorted(found)
+
+
+def test_gauss_roots_feed_one_angle_rule():
+    assert angle_rule_breaches(PACKAGE, ROOT / "src" / "dunklkit" / "harmonics.py") == []
+
+
+def test_angle_rule_checker_flags_a_reintroduced_rule(tmp_path):
+    rank_one, harmonics = tmp_path / "rank_one.py", tmp_path / "harmonics.py"
+    rank_one.write_text("from . import quadrature\n"
+                        "def intertwiner_measure(k, x, n):\n"
+                        "    return quadrature._gauss_roots('jacobi', n, k - 1.0, k)\n")
+    harmonics.write_text("from .transform import radial_translate\n"
+                         "def orbit_integral(kv, x, z, r):\n"
+                         "    return radial_translate(kv, lambda s: s, z, x)\n")
+    assert angle_rule_breaches([harmonics], harmonics) == []
+    assert angle_rule_breaches([rank_one, harmonics], harmonics) == [
+        "_gauss_roots called from rank_one:intertwiner_measure (line 3)"]
+    harmonics.write_text("def orbit_integral(kv, x, z, r):\n"
+                         "    pts, masses = intertwiner_atoms(kv, z)\n    return masses.sum()\n")
+    assert angle_rule_breaches([harmonics], harmonics) == [
+        "harmonics.orbit_integral does not call radial_translate"]

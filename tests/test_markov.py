@@ -14,7 +14,6 @@ from dunklkit import (
     MultiplicityVector,
     PathEnsemble,
     PositivityError,
-    build_semigroup,
     convolve_k,
     kernel_unitary,
     marginal_ks,
@@ -222,7 +221,7 @@ def test_semigroup_family_checks():
     # a family with broken time scaling violates the hypergroup law
     crooked = lambda t: rayleigh_measure(lam, t**2) if t > 0 else dirac(0.0, lam=lam)
     with pytest.raises(ConsistencyError):
-        build_semigroup(kv, crooked)
+        KernelSemigroup(kv, crooked)
 
 
 def test_semigroup_json_validation():
@@ -259,7 +258,7 @@ def test_semigroup_simulation_needs_seed():
     ens = sg.simulate([0.0, 0.5, 1.0], 8, seed=42)
     assert len(ens) == 8
     # custom families have no sampler
-    sg2 = build_semigroup(KV1, lambda t: rayleigh_measure(KV1.lam, t)
+    sg2 = KernelSemigroup(KV1, lambda t: rayleigh_measure(KV1.lam, t)
                           if t > 0 else dirac(0.0, lam=KV1.lam))
     with pytest.raises(ConfigError):
         sg2.simulate([0.0, 1.0], 4, seed=1)

@@ -235,9 +235,14 @@ def test_convolve_empty_measure_rejected():
 # intertwining operator
 
 
-@pytest.mark.parametrize("k, x", [(0.5, 1.0), (1.0, -1.3), (2.5, 0.4)])
-def test_intertwiner_measure_reproduces_kernel(k, x):
-    nu = intertwiner_measure(k, x)
+@pytest.mark.parametrize("k, x, n", [
+    pytest.param(k, x, n, id=f"{k}-{x}" + ("" if n == 64 else f"-n{n}"))
+    for n in (64, 256) for k, x in [(0.5, 1.0), (1.0, -1.3), (2.5, 0.4)]])
+def test_intertwiner_measure_reproduces_kernel(k, x, n):
+    # the rule is the symmetric angle rule tilted by (1 + u): refining it
+    # must not lose digits (an asymmetric Gauss-Jacobi rule was 4e-12 off
+    # at k = 1/2, n = 256)
+    nu = intertwiner_measure(k, x, n=n)
     nu.check_probability(tol=1e-12)
     lo, hi = nu.support_bounds()
     assert lo >= -abs(x) - 1e-12 and hi <= abs(x) + 1e-12

@@ -506,6 +506,50 @@ def test_spherical_mean_radial_matches_the_translation_route(k, x):
         np.testing.assert_allclose(got, _translation_mean(k, f0, x, t, 64, 48), rtol=0, atol=1e-13)
 
 
+@pytest.mark.parametrize("n_per_axis", [16, 48, 192, 256])
+def test_translation_route_mean_holds_its_digits_as_the_rule_refines(n_per_axis):
+    # the wave j_0(2.3 r) at k = 1/2 has the mean j_0(2.3 |x|) j_0(2.3 t); the
+    # intertwiner rule of an asymmetric Gauss-Jacobi family lost digits as n
+    # grew (1.8e-14 at 48, 8.3e-13 at 256)
+    f0 = lambda r: bessel_j(0.0, 2.3 * np.asarray(r))
+    t = np.array([0.3, 0.6, 1.1])
+    got = _translation_mean((0.5,), f0, [-1.3], t, None, n_per_axis)
+    want = bessel_j(0.0, 2.3 * 1.3) * bessel_j(0.0, 2.3 * t)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
+
+
+def _reference_mean(k, f0, x, t, n_sphere, n_per_axis):
+    """spherical_mean_radial spelled out on scipy's Gauss-Jacobi roots:
+    (k - 1, k - 1) per axis normalized by its sum, the quadrant rule
+    (k_2 - 1/2, k_1 - 1/2) mapped to [0, 1], one block of rows."""
+    dirs, w_src = np.ones((1, 1)), np.ones(1)
+    if len(k) == 2:
+        alpha, beta = k[1] - 0.5, k[0] - 0.5
+        u, w = roots_jacobi(n_sphere, alpha, beta)
+        u, w = 0.0 + 0.5 * (u + 1.0), w * 0.5 ** (alpha + beta + 1.0)
+        dirs = np.sqrt(np.stack([u, 1.0 - u], axis=-1))
+        w_src = w / np.sum(w)
+    axes = [roots_jacobi(n_per_axis, ki - 1.0, ki - 1.0) for ki in k]
+    pts, w_atom = _tensor_grid([abs(xi) * u for xi, (u, _) in zip(x, axes)],
+                               [w / np.sum(w) for _, w in axes])
+    s = dirs @ pts.T
+    c = np.sum(np.square(x)) + t * t
+    sums = np.einsum("ij,j->i", f0(np.sqrt(np.maximum(
+        c[:, None, None] - 2.0 * t[:, None, None] * s, 0.0))).reshape(-1, w_atom.size), w_atom)
+    return np.einsum("ij,j->i", sums.reshape(t.size, w_src.size), w_src)
+
+
+@pytest.mark.parametrize("k, x", [((0.5,), [-1.3]), ((2.0,), [0.7]),
+                                  ((1.0, 0.5), [0.7, -0.5]), ((0.3, 2.0), [1.1, 0.3])])
+def test_spherical_mean_radial_is_bit_identical_to_the_explicit_law(k, x):
+    # the shared angle and quadrant rules must reproduce the explicit
+    # construction to the last bit (markov.translate_measure reads the means)
+    t = np.array([0.15, 0.6, 1.1, 1.9])
+    f0 = lambda r: np.exp(-0.5 * r * r) * np.cos(r)
+    np.testing.assert_array_equal(spherical_mean_radial(k, f0, x, t, n_sphere=12, n_per_axis=10),
+                                  _reference_mean(k, f0, np.asarray(x), t, 12, 10))
+
+
 @pytest.mark.parametrize("k, x", [((1.0,), [0.7]), ((1.0, 1.0), [0.7, -0.5])],
                          ids=["rank-one", "two-axes"])
 def test_spherical_mean_radial_error_on_non_smooth_profiles(k, x):
