@@ -207,11 +207,8 @@ def convolve_measures(lam: float, sigma: RadialProfileMeasure, tau: RadialProfil
 def hankel_transform(lam: float, mu: RadialProfileMeasure, r):
     """Hankel image of a measure: integral of j_lam(r z) d mu(z)."""
     lam = _check_index(lam)
-    r = np.asarray(r, dtype=float)
-    node_vals = bessel_j(lam, np.multiply.outer(mu.grid, r)) if mu.grid.size else None
-    atom_vals = (bessel_j(lam, np.multiply.outer(np.array([p for p, _ in mu.atoms]), r))
-                 if mu.atoms else None)
-    return mu.integrate_values(node_vals, atom_vals)
+    pos, mass = as_weighted_atoms(mu)
+    return np.tensordot(mass, bessel_j(lam, np.multiply.outer(pos, r)), axes=([0], [0]))
 
 
 # ---------------------------------------------------------------------------
@@ -246,8 +243,7 @@ def rayleigh_measure(lam: float, t: float, n: int = 256) -> RadialProfileMeasure
     norm = (2.0 * t) ** (lam + 1.0) * 2.0**lam * np.exp(gammaln(lam + 1.0))
     masses = rule.weights * np.exp(-rule.nodes**2 / (4.0 * t)) / norm
     return RadialProfileMeasure._from_node_masses(
-        rule.nodes, rayleigh_density(lam, t, rule.nodes), masses, lam=lam,
-        density_fn=lambda r, lam=lam, t=t: rayleigh_density(lam, t, r))
+        rule.nodes, rayleigh_density(lam, t, rule.nodes), masses, lam=lam)
 
 
 def cauchy_density(lam: float, t: float, r):
@@ -294,22 +290,16 @@ def cauchy_measure(lam: float, t: float, freq_max: float = 8.0, r_min: float = 0
     """Radial Poisson profile at time t (Hankel image exp(-t r)).
 
     The closed-form density has a heavy z^(-2) tail that cannot be
-    gridded, but the profile is the 1/2-stable time mixture of the
-    Gaussian family, so it is built by subordination: mixture times whose
-    Gaussian image at frequency r_min falls below tail_tol are dropped to
-    one far bookkeeping atom carrying the exact mass remainder.
-    Truncating whole mixture times (rather than the density in z) keeps
-    the certificate honest, because a slice's transform bound exp(-s r^2)
-    applies only to the complete slice.  Transforms are then accurate at
-    r = 0 and for r >= r_min.
+    gridded, but the profile is the 1/2-stable time mixture of the heat
+    profiles, so it is subordinate(lam, rho) for the 1/2-stable law rho at
+    time t, whose tail mass beyond its last panel is min(1e-9, tail_tol / 10).
+    Transforms are accurate at r = 0 and for r >= r_min.
     """
     lam = _check_index(lam)
     _check_positive_time(t)
     rho = stable_half_subordinator(t, tail_mass=min(1e-9, 0.1 * tail_tol))
-    return subordinate(lam, lambda s: rayleigh_measure(lam, s), rho,
-                       freq_max=freq_max, r_min=r_min, tail_tol=tail_tol,
-                       max_nodes=max_nodes,
-                       image_bound=lambda s, r: np.exp(-s * r * r))
+    return subordinate(lam, rho, freq_max=freq_max, r_min=r_min, tail_tol=tail_tol,
+                       max_nodes=max_nodes)
 
 
 def stable_half_subordinator(t: float, tail_mass: float = 1e-9,
@@ -326,12 +316,8 @@ def stable_half_subordinator(t: float, tail_mass: float = 1e-9,
     s_lo = t * t / 160.0
     s_hi = (t / (np.sqrt(np.pi) * tail_mass)) ** 2
     rule = log_panel_rule(s_lo, s_hi, nodes_per_decade)
-
-    def dens_fn(s, t=t):
-        s = np.asarray(s, dtype=float)
-        return t * np.exp(-t * t / (4.0 * s)) / (2.0 * np.sqrt(np.pi) * s**1.5)
-
-    dens = dens_fn(rule.nodes)
+    s = rule.nodes
+    dens = t * np.exp(-t * t / (4.0 * s)) / (2.0 * np.sqrt(np.pi) * s**1.5)
     residual = float(erf(t / (2.0 * np.sqrt(s_hi))))  # mass beyond s_hi
     low_missed = 1.0 - residual - float(np.sum(rule.weights * dens))
     atoms = [(4.0 * s_hi, residual)]
@@ -339,73 +325,42 @@ def stable_half_subordinator(t: float, tail_mass: float = 1e-9,
         # whatever the panels missed numerically (should be ~0) is kept explicit
         atoms.append((s_lo, low_missed))
     return RadialProfileMeasure(grid=rule.nodes, density=dens, weights=rule.weights,
-                                atoms=atoms, density_fn=dens_fn)
+                                atoms=atoms)
 
 
-def subordinate(lam: float, base, rho: RadialProfileMeasure, freq_max: float = 8.0,
+def subordinate(lam: float, rho: RadialProfileMeasure, freq_max: float = 8.0,
                 r_min: float = 0.25, tail_tol: float = 5e-8,
-                max_nodes: int = 200_000, image_bound=None) -> RadialProfileMeasure:
-    """Mixture measure integral sigma_s d rho(s) for a measure family base(s).
+                max_nodes: int = 200_000) -> RadialProfileMeasure:
+    """Heat profiles mixed over a law of times: integral rayleigh_measure(lam, s) d rho(s).
 
-    base maps s > 0 to a RadialProfileMeasure; measures carrying an
-    analytic density_fn are mixed exactly, others through a cubic spline
-    of their sampled density.
-
-    When rho has a heavy tail the mixture cannot be gridded in full.
-    image_bound(s, r), if given, must dominate the Hankel image of
-    base(s) at frequency r (for the Gaussian family: exp(-s r^2)); the
-    construction then drops mixture times whose combined image at r_min
-    is below tail_tol, grids the rest on oscillation-resolving panels,
-    and parks the exact mass remainder in one far bookkeeping atom.  The
-    resulting transform is certified at r = 0 and r >= r_min.  Without
-    image_bound every mixture time is kept.
+    The mixture times are rho's weighted atoms.  The heat profile at time s
+    has Hankel image exp(-s r^2), so the times whose combined image at r_min
+    is below tail_tol / 2 are dropped; truncating whole mixture times (not
+    the density in z) keeps that bound honest.  The kept closed-form
+    densities are summed time by time on oscillation-resolving panels up to
+    the last node of the largest kept time's rayleigh_measure, and the exact
+    mass remainder is parked in one far bookkeeping atom.  The transform is
+    certified at r = 0 and r >= r_min.
     """
     lam = _check_index(lam)
-    s_pos, s_mass = as_weighted_atoms(rho, cap=10**9)
+    s_pos, s_mass = as_weighted_atoms(rho)
     if np.any(s_pos <= 0):
         raise ConfigError("subordination needs a measure on s > 0")
+    order = np.argsort(s_pos)
+    s_pos, s_mass = s_pos[order], s_mass[order]
+    dropped_image = np.cumsum((np.abs(s_mass) * np.exp(-s_pos * r_min * r_min))[::-1])[::-1]
+    keep = dropped_image > 0.5 * tail_tol
+    if not np.any(keep):
+        raise ResolutionError("every mixture time's image is below tail_tol; lower tail_tol")
+    s_pos, s_mass = s_pos[keep], s_mass[keep]
 
-    if image_bound is not None:
-        order = np.argsort(s_pos)
-        s_pos, s_mass = s_pos[order], s_mass[order]
-        dropped_image = np.cumsum((np.abs(s_mass) * image_bound(s_pos, r_min))[::-1])[::-1]
-        keep = dropped_image > 0.5 * tail_tol
-        if not np.any(keep):
-            raise ResolutionError("image bound drops every mixture time; lower tail_tol")
-        s_pos, s_mass = s_pos[keep], s_mass[keep]
-
-    sup = np.empty(s_pos.size)
-    dens_fns = []
-    for j, s in enumerate(s_pos):
-        m = base(float(s))
-        if not isinstance(m, RadialProfileMeasure):
-            raise ConfigError("base(s) must return a RadialProfileMeasure")
-        sup[j] = m.support_bounds()[1]
-        if m.density_fn is not None:
-            dens_fns.append(m.density_fn)
-        else:
-            from scipy.interpolate import CubicSpline
-
-            spl = CubicSpline(m.grid, m.density, extrapolate=False)
-            lo, hi = m.grid[0], m.grid[-1]
-            dens_fns.append(lambda r, spl=spl, lo=lo, hi=hi: np.where(
-                (np.asarray(r) >= lo) & (np.asarray(r) <= hi),
-                np.nan_to_num(spl(np.clip(r, lo, hi))), 0.0))
-
-    z_cut = float(np.max(sup))
+    z_cut = float(rayleigh_measure(lam, float(s_pos[-1])).grid[-1])
     edges, counts = _oscillation_panels(0.0, z_cut, freq_max, max_nodes)
     rule = panel_gauss_legendre(edges, counts)
-
-    def mixture_density(r):
-        r = np.asarray(r, dtype=float)
-        out = np.zeros(r.shape)
-        for w, fn in zip(s_mass, dens_fns):
-            out += w * np.asarray(fn(r))
-        return out
-
-    dens = mixture_density(rule.nodes)
+    dens = np.zeros(rule.nodes.shape)
+    for w, s in zip(s_mass, s_pos):
+        dens += w * rayleigh_density(lam, float(s), rule.nodes)
     lump = float(rho.mass()) - float(np.sum(rule.weights * dens))
     z_far = _far_atom_radius(lam, r_min, 4.0 * z_cut, lump, 0.5 * tail_tol)
     return RadialProfileMeasure(grid=rule.nodes, density=dens, weights=rule.weights,
-                                atoms=[(z_far, lump)], lam=lam,
-                                density_fn=mixture_density)
+                                atoms=[(z_far, lump)], lam=lam)

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import __version__
 from .core import _as_kv, dunkl_kernel_unitary, generalized_bessel_unitary
-from .errors import ConfigError, NumericalError
+from .errors import ConfigError, NumericalError, _finite
 from .markov import _resolve_threads, marginal_ks, semigroup_from_json, simulate_paths
 from .measures import measure_from_json, measure_to_json
 from .special import bessel_j
@@ -329,14 +329,17 @@ def cmd_simulate(cfg: RunConfig) -> int:
         raise NumericalError("sampler produced non-finite states")
 
     ks_times = o.get("ks_times", [float(t_grid[-1])])
+    if not isinstance(ks_times, list):
+        raise ConfigError(f"'ks_times' must be a list of times, got {ks_times!r}")
     ks_rows = []
     for t in ks_times:
-        idx = np.flatnonzero(np.isclose(t_grid, float(t)))
+        t = _finite(t, "ks time")
+        idx = np.flatnonzero(np.isclose(t_grid, t))
         if idx.size == 0:
             raise ConfigError(f"ks time {t} is not a point of t_grid")
         if t_grid[idx[0]] <= 0.0:
             raise ConfigError("ks times must be positive")
-        stat, pval = marginal_ks(kv, ens.radii(int(idx[0])), kind, float(t))
+        stat, pval = marginal_ks(kv, ens.radii(int(idx[0])), kind, t)
         ks_rows.append({
             "time": float(t_grid[idx[0]]),
             "statistic": float(stat),
@@ -370,7 +373,9 @@ def cmd_transform(cfg: RunConfig) -> int:
     kv = _as_kv(_require(o, "k", "transform"))
     src = str(_require(o, "input", "transform"))
     gf = GridFunction.from_npz(src) if src.endswith(".npz") else GridFunction.from_csv(src)
-    inverse = bool(o.get("inverse", False))
+    inverse = o.get("inverse", False)
+    if not isinstance(inverse, bool):
+        raise ConfigError(f"'inverse' must be true or false, got {inverse!r}")
     boundary_tol = o.get("boundary_tol", 1e-12)
 
     edge = TransformPlan.boundary_decay(gf.values)

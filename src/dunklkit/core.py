@@ -91,12 +91,14 @@ class MultiplicityVector:
             payload = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"multiplicity JSON is invalid: {exc}") from exc
+        if not isinstance(payload, dict):
+            raise ConfigError(f"multiplicity JSON must be an object, got {type(payload).__name__}")
         if set(payload) != {"N", "k"}:
             raise ConfigError(f"multiplicity JSON needs exactly N and k, got {sorted(payload)}")
         k = payload["k"]
         if not isinstance(k, list) or len(k) != payload["N"]:
             raise ConfigError("k must be a list of length N")
-        return cls(k=tuple(float(v) for v in k))
+        return cls(k=tuple(k))
 
 
 def _axis_c_norm(k: float) -> float:

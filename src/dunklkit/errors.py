@@ -3,6 +3,8 @@ node-count rules the parameter validators share."""
 
 import math
 
+import numpy as np
+
 
 class DunklKitError(Exception):
     """Base class for all package-specific errors."""
@@ -33,20 +35,24 @@ class ConsistencyError(NumericalError):
 
 
 def _finite(value, what: str) -> float:
-    """value as a float; ConfigError if it is NaN or infinite."""
-    value = float(value)
+    """value as a float; ConfigError if it is not a number, NaN or infinite."""
+    try:
+        value = float(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{what} must be a number, got {value!r}") from None
     if not math.isfinite(value):
         raise ConfigError(f"{what} must be finite, got {value}")
     return value
 
 
 def _node_count(n, what: str = "node count", least: int = 1) -> int:
-    """n as an int >= least; ConfigError for fractional, non-finite or smaller counts."""
+    """n as an int >= least; ConfigError for bools and fractional, non-finite
+    or smaller counts."""
     try:
         count = int(n)
     except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"{what} must be an integer, got {n!r}") from None
-    if count != n:
+    if count != n or isinstance(n, (bool, np.bool_)):
         raise ConfigError(f"{what} must be an integer, got {n!r}")
     if count < least:
         raise ConfigError(f"{what} must be at least {least}, got {n!r}")

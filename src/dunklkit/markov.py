@@ -336,6 +336,8 @@ def semigroup_from_json(text: str, tol: float | None = None) -> KernelSemigroup:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"semigroup JSON is invalid: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise ConfigError(f"semigroup JSON must be an object, got {type(payload).__name__}")
     known = {"type", "k", "params", "seed"}
     extra = set(payload) - known
     if extra:
@@ -346,12 +348,14 @@ def semigroup_from_json(text: str, tol: float | None = None) -> KernelSemigroup:
     kind = payload["type"]
     kv = _as_kv(payload["k"])
     params = payload.get("params", {}) or {}
+    if not isinstance(params, dict):
+        raise ConfigError(f"semigroup params must be an object, got {params!r}")
     seed = payload.get("seed")
     if kind == "gaussian":
         allowed = {"n_profile"}
         if set(params) - allowed:
             raise ConfigError(f"gaussian params allow only {sorted(allowed)}")
-        family = _gaussian_family(kv, n=int(params.get("n_profile", 256)))
+        family = _gaussian_family(kv, n=_node_count(params.get("n_profile", 256), "n_profile"))
         default_tol = 1e-7
     elif kind in ("cauchy", "subordinated"):
         params = dict(params)
@@ -430,7 +434,7 @@ def subordinated_kernel_hat(kv, t: float, x, xi, s_quad: float = 50.0,
     x = np.atleast_1d(np.asarray(x, dtype=float))
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
     rho = stable_half_subordinator(t)
-    s_pos, s_mass = as_weighted_atoms(rho, cap=10**9)
+    s_pos, s_mass = as_weighted_atoms(rho)
     total = 0.0 + 0.0j
     xi_sq = float(np.sum(xi * xi))
     tail_kernel = None
@@ -564,12 +568,14 @@ def simulate_paths(kv, t_grid, n_paths: int, seed: int, kind: str = "gaussian",
         raise ConfigError("t_grid must be strictly increasing")
     if kind not in ("gaussian", "cauchy", "subordinated"):
         raise ConfigError(f"unknown process kind '{kind}'")
-    if not isinstance(seed, numbers.Integral):
+    if not isinstance(seed, numbers.Integral) or isinstance(seed, bool):
         raise ConfigError(f"seed must be an integer, got {seed!r}")
     n_paths = _node_count(n_paths, "n_paths")
     if isinstance(n_blocks, numbers.Real) and n_blocks <= 0:
         raise ConfigError("n_blocks must be positive")
     n_blocks = _node_count(n_blocks, "n_blocks")
+    if threads is not None:
+        threads = _node_count(threads, "threads")
     subord = kind in ("cauchy", "subordinated")
     dts = np.diff(times)
     with np.errstate(over="ignore"):

@@ -1,11 +1,14 @@
 """Line and radial measures as density-on-nodes plus point atoms.
 
 A measure is stored as nodes, a density with respect to dr at the nodes,
-quadrature weights for the node set, and a list of explicit atoms.  The
-single integration contract is
+quadrature weights for the node set, and a list of explicit atoms.  Its
+one (positions, masses) view is as_weighted_atoms(mu): the nodes with
+masses weights_i * density_i, then the atoms.  The single integration
+contract is
 
-    integral f dmu  =  sum_i weights_i * density_i * f(nodes_i)
-                       + sum_a mass_a * f(position_a).
+    integral f dmu  =  sum_j masses_j * f(positions_j)
+
+over that view; LineMeasure.integrate and the Hankel transform take it.
 
 Measures produced by the convolution machinery carry Gauss nodes, so the
 contract is spectrally accurate for smooth f even when the density has
@@ -17,7 +20,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -57,8 +59,6 @@ class LineMeasure:
     weights: np.ndarray | None = None
     atoms: list[tuple[float, float]] = field(default_factory=list)
     lam: float | None = None
-    # optional analytic density, used by mixture constructions; not serialized
-    density_fn: Callable | None = None
 
     def __post_init__(self):
         self.grid = np.asarray(self.grid, dtype=float)
@@ -93,29 +93,9 @@ class LineMeasure:
         return float(np.sum(np.abs(self.node_masses)) + sum(abs(w) for _, w in self.atoms))
 
     def integrate(self, f) -> float | complex:
-        total = 0.0
-        if self.grid.size:
-            total = np.sum(self.node_masses * f(self.grid))
-        for r, w in self.atoms:
-            total = total + w * f(np.asarray(r))
-        return total
-
-    def integrate_values(self, node_values, atom_values=None):
-        """Like integrate, but against precomputed values at nodes/atoms.
-
-        node_values may have extra trailing axes (vectorized integrands);
-        the contraction runs over the leading node axis.
-        """
-        total = 0.0
-        if self.grid.size:
-            total = total + np.tensordot(self.node_masses, np.asarray(node_values),
-                                         axes=([0], [0]))
-        if self.atoms:
-            if atom_values is None:
-                raise ConfigError("atom_values required when the measure has atoms")
-            masses = np.array([w for _, w in self.atoms])
-            total = total + np.tensordot(masses, np.asarray(atom_values), axes=([0], [0]))
-        return total
+        """integral f dmu over the weighted-atoms view (module docstring)."""
+        pos, mass = as_weighted_atoms(self)
+        return np.sum(mass * f(pos))
 
     def support_bounds(self) -> tuple[float, float]:
         points = []
@@ -207,20 +187,20 @@ def measure_from_json(text: str, cls=RadialProfileMeasure) -> LineMeasure:
     return cls(**arrays, atoms=atoms, lam=lam)
 
 
-def as_weighted_atoms(mu: LineMeasure, cap: int = 1024) -> tuple[np.ndarray, np.ndarray]:
-    """Collapse a measure to weighted point masses.
+def as_weighted_atoms(mu: LineMeasure, cap: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """The measure as weighted point masses: its nodes with their masses,
+    then its atoms.  Without a cap this is the measure's one unbinned view.
 
-    Gauss-type node sets are already optimal atom placements, so they are
-    returned as-is whenever the count fits the cap.  Larger node sets are
-    binned mass-preservingly (equal-count bins, atoms at mass centroids),
-    positive and negative parts separately so signed measures stay honest.
+    With a cap, a larger set is binned mass-preservingly (equal-count bins,
+    atoms at mass centroids), positive and negative parts separately so
+    signed measures stay honest; Gauss-type node sets that fit the cap are
+    already optimal atom placements and pass through as they are.
     """
-    pos = mu.grid
-    mass = mu.node_masses if mu.grid.size else np.zeros(0)
+    pos, mass = mu.grid, mu.node_masses
     if mu.atoms:
         pos = np.concatenate([pos, [r for r, _ in mu.atoms]])
         mass = np.concatenate([mass, [w for _, w in mu.atoms]])
-    if pos.size <= cap:
+    if cap is None or pos.size <= cap:
         return pos, mass
     order = np.argsort(pos)
     pos, mass = pos[order], mass[order]

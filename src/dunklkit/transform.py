@@ -103,7 +103,7 @@ class GridFunction:
         with open(path, "w", newline="") as fh:
             for key, val in (header or {}).items():
                 fh.write(f"# {key}: {val}\n")
-            writer = csv.writer(fh)
+            writer = csv.writer(fh, lineterminator="\n")
             cols = [f"x{i+1}" for i in range(self.n_axes)]
             cols += ["value_re", "value_im"] if cplx else ["value"]
             writer.writerow(cols)

@@ -164,7 +164,7 @@ def _suite_product_formula(tol: float | None) -> list[CaseResult]:
         for x in (-1.0, -0.5, 0.5, 1.0, 2.0):
             for y in (-1.0, -0.5, 0.5, 1.0, 2.0):
                 mu = signed_product_measure(k, x, y, n=128)
-                pos, mass = as_weighted_atoms(mu, cap=10**9)
+                pos, mass = as_weighted_atoms(mu)
                 rhs = mass @ kernel_unitary(k, pos[:, None], z[None, :])
                 lhs = kernel_unitary(k, x, z) * kernel_unitary(k, y, z)
                 res = float(np.max(np.abs(lhs - rhs)))
@@ -307,7 +307,7 @@ def _endpoint_case(name: str, k: float, x: float, t: float,
     local node spacing (atoms pin the endpoints exactly)."""
     factor = _tol("support-endpoint", tol)
     mu = spherical_mean_measure(k, x, t, n=128)
-    pos, mass = as_weighted_atoms(mu, cap=10**9)
+    pos, mass = as_weighted_atoms(mu)
     pos = np.sort(np.unique(np.abs(pos[np.abs(mass) > 0])))
     lo_want, hi_want = abs(abs(x) - t), abs(x) + t
     if pos.size < 4:  # purely atomic: endpoints must be exact
@@ -349,7 +349,7 @@ def _suite_support(tol: float | None) -> list[CaseResult]:
         x1 = rng1.uniform(0.3, 2.0)
         t1 = rng1.uniform(0.1, 1.5)
         mu = spherical_mean_measure(1.0, x1, t1, n=128)
-        pos, mass = as_weighted_atoms(mu, cap=10**9)
+        pos, mass = as_weighted_atoms(mu)
         lo, hi = abs(x1 - t1), x1 + t1
         c = rng1.uniform(hi + 0.3, hi + 1.0) * rng1.choice([-1.0, 1.0])
         r = rng1.uniform(0.05, 0.25)

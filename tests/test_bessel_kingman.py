@@ -7,6 +7,7 @@ regularized incomplete beta gives the radial CDF of the latter, and the
 1/2-stable law has Laplace transform exp(-t sqrt(u)).
 """
 
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -26,8 +27,8 @@ from dunklkit.bessel_kingman import (
     stable_half_subordinator,
     subordinate,
 )
-from dunklkit.errors import ConfigError, PositivityError
-from dunklkit.measures import RadialProfileMeasure, dirac
+from dunklkit.errors import ConfigError, PositivityError, ResolutionError
+from dunklkit.measures import RadialProfileMeasure, dirac, measure_to_json
 
 
 def test_index_guard():
@@ -202,14 +203,37 @@ def test_stable_half_subordinator_laplace_transform():
 def test_subordination_turns_heat_into_poisson():
     lam, t = 1.5, 0.8
     rho = stable_half_subordinator(t)
-    # the heavy-tailed mixture needs the documented image bound to certify
-    # truncation of far mixture times; transforms are then good at xi = 0
-    # and xi >= r_min
-    mixed = subordinate(lam, lambda s: rayleigh_measure(lam, s), rho,
-                        image_bound=lambda s, r: np.exp(-s * r * r))
+    # far mixture times are dropped by their image bound exp(-s r^2), so
+    # transforms are good at xi = 0 and xi >= r_min
+    mixed = subordinate(lam, rho)
     xi = np.concatenate([[0.0], np.linspace(0.25, 6.0, 20)])
     assert np.allclose(hankel_transform(lam, mixed, xi), np.exp(-t * np.abs(xi)),
                        atol=1e-7)
+
+
+def test_subordination_needs_positive_times_and_a_kept_time():
+    with pytest.raises(ConfigError, match="s > 0"):
+        subordinate(1.0, dirac(0.0))
+    # one time whose image at r_min is below tail_tol / 2 leaves nothing to grid
+    with pytest.raises(ResolutionError, match="lower tail_tol"):
+        subordinate(1.0, dirac(1e4), tail_tol=1e-3)
+
+
+# sha256 of measure_to_json(cauchy_measure(lam, t)), recorded from the tree
+# that built one rayleigh_measure per mixture time and mixed their density
+# callables: mixing the heat densities directly must not move a byte
+CAUCHY_JSON_SHA256 = {
+    (0.5, 0.3): "ce173414c08b3cca90ddaf0f12cb5d65db164e17c351b6e5264e078b3120a2fe",
+    (1.0, 0.45): "c7b0ce4bddc4fb939a1d6efb0f309b0a81683cb824e10e91280b2cc0cc2f9636",
+    (1.5, 0.6): "f793c9e54be4be7849c731b16df6a4aab182f17482438aabd8c54b360a5b1a68",
+    (2.5, 0.8): "65951e07506d1210c7afc58ef5ce2112af3b0f8893a6b5b38d4291fc3423f087",
+}
+
+
+@pytest.mark.parametrize("lam, t", list(CAUCHY_JSON_SHA256), ids=str)
+def test_cauchy_profile_json_is_pinned(lam, t):
+    text = measure_to_json(cauchy_measure(lam, t))
+    assert hashlib.sha256(text.encode()).hexdigest() == CAUCHY_JSON_SHA256[(lam, t)]
 
 
 # ---------------------------------------------------------------------------

@@ -304,6 +304,18 @@ def test_transform_roundtrip_through_files(tmp_path, capsys):
     assert np.max(np.abs(back.values.real - orig.values)) < 1e-5
 
 
+def test_transform_csv_has_one_line_ending(tmp_path, capsys):
+    # the '#' header lines ended in \n and the rows in the csv module's \r\n
+    src = make_grid_csv(tmp_path, n=41, extent=6.0)
+    cfg = write_config(tmp_path, "t.json", {"k": [1.0], "input": src, "inverse": False})
+    out = tmp_path / "fhat.csv"
+    assert run_cli(capsys, "transform", "--config", cfg, "--out", str(out))[0] == 0
+    data = out.read_bytes()
+    assert b"\r" not in data and b"# inverse: False\n" in data
+    assert data.count(b"\n") == 41 + 1 + sum(line.startswith(b"#") for line in data.splitlines())
+    assert b"\r" not in Path(src).read_bytes()
+
+
 def test_transform_boundary_guard(tmp_path, capsys):
     # a function that does not decay at the grid edge is a numerical error
     axes = (np.linspace(-2.0, 2.0, 41),)
@@ -374,6 +386,32 @@ def test_convolve_needs_exactly_two_inputs(tmp_path, capsys):
     a = heat_measure_json(tmp_path, "a.json", 0.3)
     cfg = write_config(tmp_path, "c.json", {"inputs": [a]})
     assert run_cli(capsys, "convolve", "--config", cfg)[0] == 2
+
+
+@pytest.mark.parametrize("command, payload", [
+    ("simulate", {"kind": "gaussian", "k": [1.0], "t_grid": [0.0, 1.0], "n_paths": 10,
+                  "seed": 1, "ks_times": "x"}),
+    ("simulate", {"kind": "gaussian", "k": [1.0], "t_grid": [0.0, 1.0], "n_paths": 10,
+                  "seed": 1, "ks_times": ["x"]}),
+    ("simulate", {"kind": "gaussian", "k": [1.0], "t_grid": [0.0, 1.0], "n_paths": 10,
+                  "seed": 1, "threads": 0}),
+    ("semigroup", {"type": "gaussian", "k": [1.0], "params": {"n_profile": "a"}}),
+    ("semigroup", {"type": "gaussian", "k": [1.0], "params": {"n_profile": 0}}),
+    ("transform", {"k": [1.0], "inverse": "false"}),
+    ("transform", {"k": [1.0], "inverse": 1}),
+], ids=["simulate-ks_times-str", "simulate-ks_times-entry", "simulate-threads-0",
+        "semigroup-n_profile-str", "semigroup-n_profile-0", "transform-inverse-str",
+        "transform-inverse-int"])
+def test_malformed_values_are_config_errors(tmp_path, capsys, command, payload):
+    # the strings and n_profile 0 escaped as ValueError or TypeError (exit
+    # code 1, a failed suite's code, and a traceback); threads 0 ran as one
+    # worker, and "false" and 1 ran the inverse transform
+    if command == "transform":
+        payload = {**payload, "input": make_grid_csv(tmp_path)}
+    cfg = write_config(tmp_path, "bad.json", payload)
+    code, _, err = run_cli(capsys, command, "--config", cfg, "--out", str(tmp_path / "o"))
+    assert code == 2
+    assert json.loads(err)["error"]["kind"] == "config"
 
 
 # ---------------------------------------------------------------------------

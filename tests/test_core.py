@@ -68,8 +68,9 @@ def test_multiplicity_validation():
     assert MultiplicityVector(k=1.5).k == (1.5,)
 
 
-@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), "a", None, [1.0]])
 def test_multiplicity_rejects_non_finite(bad, tmp_path, capsys):
+    # a string, null or list entry was float()'s ValueError or TypeError
     with pytest.raises(ConfigError):
         MultiplicityVector((bad, 1.0))
     with pytest.raises(ConfigError):
@@ -90,6 +91,13 @@ def test_multiplicity_json_roundtrip():
         MultiplicityVector.from_json('{"k": [1.0]}')
     with pytest.raises(ConfigError):
         MultiplicityVector.from_json("not json")
+
+
+@pytest.mark.parametrize("text", ['1', '["N", "k"]', 'null'])
+def test_multiplicity_json_must_be_an_object(text):
+    # each was a TypeError
+    with pytest.raises(ConfigError):
+        MultiplicityVector.from_json(text)
 
 
 def test_group_elements_and_weight():

@@ -479,3 +479,73 @@ def test_angle_rule_checker_flags_a_reintroduced_rule(tmp_path):
                          "    pts, masses = intertwiner_atoms(kv, z)\n    return masses.sum()\n")
     assert angle_rule_breaches([harmonics], harmonics) == [
         "harmonics.orbit_integral does not call radial_translate"]
+
+
+# ---------------------------------------------------------------------------
+# a measure is integrated through one (positions, masses) view,
+# measures.as_weighted_atoms: only measures.py reads a measure's density,
+# and the mixture callables, the values-based integral and the sentinel cap
+# that bypassed the view stay gone
+
+SENTINEL_CAP = 10**6   # a literal cap this large never bins: use no cap
+
+
+def _literal_number(node):
+    """The value of a numeric literal or a literal power such as 10**9, else None."""
+    if isinstance(node, ast.Constant) and type(node.value) in (int, float):
+        return node.value
+    if (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow)
+            and None not in (_literal_number(node.left), _literal_number(node.right))):
+        return _literal_number(node.left) ** _literal_number(node.right)
+    return None
+
+
+def weighted_atoms_breaches(paths) -> list[str]:
+    """Over the given modules: reads of .density outside measures.py, any
+    density_fn, an integrate_values method other than SphereQuadrature's,
+    and literal cap= arguments of SENTINEL_CAP or more."""
+    found = []
+    for path in paths:
+        for scope, node in _scoped_nodes(ast.parse(path.read_text(), filename=str(path))):
+            where = f"{path.stem}:{scope or '<module>'}, line {getattr(node, 'lineno', '?')}"
+            if (isinstance(node, ast.Attribute) and node.attr == "density"
+                    and isinstance(node.ctx, ast.Load) and path.name != "measures.py"):
+                found.append(f".density read ({where})")
+            names = {getattr(node, a, None) for a in ("id", "attr", "name", "arg")}
+            if "density_fn" in names:
+                found.append(f"density_fn ({where})")
+            if (isinstance(node, ast.FunctionDef) and node.name == "integrate_values"
+                    and scope != "SphereQuadrature"):
+                found.append(f"integrate_values defined ({where})")
+            if isinstance(node, ast.Call):
+                for kw in node.keywords:
+                    cap = _literal_number(kw.value) if kw.arg == "cap" else None
+                    if cap is not None and cap >= SENTINEL_CAP:
+                        found.append(f"sentinel cap={cap} ({where})")
+    return sorted(found)
+
+
+def test_measures_have_one_weighted_atoms_view():
+    assert weighted_atoms_breaches(PACKAGE) == []
+
+
+def test_weighted_atoms_checker_flags_each_breach(tmp_path):
+    measures, other = tmp_path / "measures.py", tmp_path / "other.py"
+    measures.write_text("class LineMeasure:\n    def mass(self):\n"
+                        "        return (self.weights * self.density).sum()\n")
+    other.write_text("class SphereQuadrature:\n    def integrate_values(self, v):\n"
+                     "        return v.sum()\n"
+                     "def f(mu, rule):\n    return as_weighted_atoms(mu, cap=1024)\n")
+    assert weighted_atoms_breaches([measures, other]) == []
+    measures.write_text("class LineMeasure:\n    density_fn = None\n"
+                        "    def integrate_values(self, v):\n        return v.sum()\n")
+    other.write_text("def mix(mu, s):\n    d = mu.density\n"
+                     "    pos, mass = as_weighted_atoms(s, cap=10**9)\n"
+                     "    mu.density = d\n    return sub(s, density_fn=d, cap=1e7)\n")
+    assert weighted_atoms_breaches([measures, other]) == [
+        ".density read (other:mix, line 2)",
+        "density_fn (measures:LineMeasure, line 2)",
+        "density_fn (other:mix, line 5)",
+        "integrate_values defined (measures:LineMeasure, line 3)",
+        "sentinel cap=10000000.0 (other:mix, line 5)",
+        "sentinel cap=1000000000 (other:mix, line 3)"]

@@ -243,6 +243,20 @@ def test_semigroup_json_validation():
                                         "params": {"bananas": 3}}))
 
 
+@pytest.mark.parametrize("text", [
+    '1', '["type", "k"]', '{"type": "gaussian", "k": [1.0], "params": ["n_profile"]}',
+    '{"type": "gaussian", "k": [1.0], "params": {"n_profile": "a"}}',
+    '{"type": "gaussian", "k": [1.0], "params": {"n_profile": 0}}',
+    '{"type": "gaussian", "k": [1.0], "params": {"n_profile": 2.5}}',
+    '{"type": "gaussian", "k": ["a"]}',
+], ids=["number", "list", "params-list", "n_profile-str", "n_profile-0", "n_profile-fraction",
+        "k-str"])
+def test_semigroup_json_boundary_errors_are_typed(text):
+    # each was a TypeError, ValueError or scipy's ValueError
+    with pytest.raises(ConfigError):
+        semigroup_from_json(text)
+
+
 def test_subordinated_semigroup_is_cauchy():
     sg = semigroup_from_json(json.dumps(
         {"type": "subordinated", "k": [1.0], "params": {"alpha": 0.5}}))
@@ -389,13 +403,18 @@ def test_simulate_paths_states_are_pinned(monkeypatch, kind, k, n_paths, n_block
 
 @pytest.mark.parametrize("kwargs", [
     {"seed": 1.5}, {"seed": "7"}, {"n_paths": 2.5}, {"n_blocks": 2.7}, {"n_paths": float("nan")},
-], ids=["seed-float", "seed-str", "n_paths-fraction", "n_blocks-fraction", "n_paths-nan"])
+    {"threads": "a"}, {"threads": 0}, {"threads": -3}, {"threads": 2.7}, {"threads": True},
+    {"n_paths": True}, {"seed": True}, {"n_blocks": np.True_},
+], ids=["seed-float", "seed-str", "n_paths-fraction", "n_blocks-fraction", "n_paths-nan",
+        "threads-str", "threads-0", "threads-negative", "threads-fraction", "threads-bool",
+        "n_paths-bool", "seed-bool", "n_blocks-numpy-bool"])
 def test_simulate_paths_rejects_non_integer_counts_and_seeds(kwargs):
-    # seed=1.5 was a bare TypeError; fractional counts were truncated
+    # seed=1.5 was a bare TypeError; fractional counts were truncated;
+    # threads="a" was a ValueError, threads 0, -3 and 2.7 ran as 1, 1 and 2
+    # workers, and True ran as one path or seed 1
     args = {"seed": 1, "n_paths": 8, "n_blocks": 4, **kwargs}
     with pytest.raises(ConfigError):
-        simulate_paths(KV2, [0.0, 0.5], args["n_paths"], seed=args["seed"],
-                       n_blocks=args["n_blocks"])
+        simulate_paths(KV2, [0.0, 0.5], args.pop("n_paths"), seed=args.pop("seed"), **args)
 
 
 def test_simulate_paths_accepts_numpy_integer_seeds():

@@ -39,16 +39,21 @@ def test_integrate_handles_atoms_and_nodes():
     nodes = np.sum(mu.node_masses * mu.grid**2)
     assert got == pytest.approx(nodes + 0.25 * 9.0)
 
-    vec = mu.integrate_values(np.stack([mu.grid, mu.grid**2], axis=-1),
-                              atom_values=np.array([[3.0, 9.0]]))
-    assert vec.shape == (2,)
-    assert vec[1] == pytest.approx(got)
 
-
-def test_integrate_values_requires_atom_values():
-    mu = dirac(1.0)
-    with pytest.raises(ConfigError):
-        mu.integrate_values(np.zeros(0))
+def test_weighted_atoms_view_is_nodes_then_atoms_unbinned():
+    mu = LineMeasure(grid=np.array([0.0, 1.0, 2.0]), density=np.array([0.0, 1.0, 0.0]),
+                     atoms=[(3.0, 0.25), (-1.0, 0.5)])
+    pos, mass = as_weighted_atoms(mu)
+    assert pos.tolist() == [0.0, 1.0, 2.0, 3.0, -1.0]
+    assert mass.tolist() == mu.node_masses.tolist() + [0.25, 0.5]
+    # without a cap nothing is binned, however many nodes there are
+    big = _gaussian_profile(5000)
+    pos, mass = as_weighted_atoms(big)
+    assert np.array_equal(pos, big.grid) and np.array_equal(mass, big.node_masses)
+    assert as_weighted_atoms(big, cap=128)[0].size <= 128
+    empty = LineMeasure()
+    assert [a.size for a in as_weighted_atoms(empty)] == [0, 0]
+    assert empty.integrate(np.cos) == 0.0
 
 
 def test_validation_errors():
