@@ -285,6 +285,14 @@ def _far_atom_radius(lam: float, r_min: float, z_start: float,
     return z
 
 
+def _check_tuning(freq_max, r_min, tail_tol, max_nodes) -> tuple:
+    """subordinate's knobs: positive finite freq_max, r_min, tail_tol; a node count."""
+    for what, value in (("freq_max", freq_max), ("r_min", r_min), ("tail_tol", tail_tol)):
+        if _finite(value, what) <= 0:
+            raise ConfigError(f"{what} must be positive, got {value}")
+    return float(freq_max), float(r_min), float(tail_tol), _node_count(max_nodes, "max_nodes")
+
+
 def cauchy_measure(lam: float, t: float, freq_max: float = 8.0, r_min: float = 0.25,
                    tail_tol: float = 5e-9, max_nodes: int = 200_000) -> RadialProfileMeasure:
     """Radial Poisson profile at time t (Hankel image exp(-t r)).
@@ -297,6 +305,7 @@ def cauchy_measure(lam: float, t: float, freq_max: float = 8.0, r_min: float = 0
     """
     lam = _check_index(lam)
     _check_positive_time(t)
+    freq_max, r_min, tail_tol, max_nodes = _check_tuning(freq_max, r_min, tail_tol, max_nodes)
     rho = stable_half_subordinator(t, tail_mass=min(1e-9, 0.1 * tail_tol))
     return subordinate(lam, rho, freq_max=freq_max, r_min=r_min, tail_tol=tail_tol,
                        max_nodes=max_nodes)
@@ -343,6 +352,7 @@ def subordinate(lam: float, rho: RadialProfileMeasure, freq_max: float = 8.0,
     certified at r = 0 and r >= r_min.
     """
     lam = _check_index(lam)
+    freq_max, r_min, tail_tol, max_nodes = _check_tuning(freq_max, r_min, tail_tol, max_nodes)
     s_pos, s_mass = as_weighted_atoms(rho)
     if np.any(s_pos <= 0):
         raise ConfigError("subordination needs a measure on s > 0")

@@ -536,7 +536,7 @@ def _resolve_threads(threads: int | None, n_blocks: int) -> int:
     if threads is None:
         env = os.environ.get("DUNKL_KIT_THREADS")
         try:
-            threads = int(env) if env else 1
+            threads = _node_count(int(env), "DUNKL_KIT_THREADS") if env else 1
         except ValueError:
             raise ConfigError(f"DUNKL_KIT_THREADS must be an integer, got {env!r}") from None
     return max(1, min(int(threads), int(n_blocks), os.cpu_count() or 1))

@@ -208,6 +208,35 @@ def _contract_axes(values, factors) -> np.ndarray:
     return out
 
 
+def _parity_contract(values, stacks, sign: float) -> np.ndarray:
+    """Contract axis i of values (2 n_i mirror-symmetric nodes) with even +
+    sign * 1j * odd, (even, odd) = stacks[i] real (m_i, n_i) matrices on the
+    positive nodes: fold each axis, last first, into right +- left for the two
+    matrices, then combine the parity blocks once into 2 m_i entries per axis."""
+    if np.iscomplexobj(values):
+        return (_parity_contract(values.real, stacks, sign)
+                + 1j * _parity_contract(values.imag, stacks, sign))
+    out = np.asarray(values, dtype=float)
+    for even, odd in reversed(stacks):
+        n = even.shape[1]
+        rows = out.reshape(-1, 2 * n)
+        left, right = rows[:, n - 1::-1], rows[:, n:]
+        res = np.empty((2, even.shape[0], rows.shape[0]))
+        np.matmul(even, (right + left).T, out=res[0])
+        np.matmul(odd, (right - left).T, out=res[1])
+        out = res.reshape(res.shape[:2] + out.shape[:-1])
+    for i in range(len(stacks)):
+        head = (slice(None),) * i
+        even, odd = out[head + (0,)], out[head + (1,)]
+        m = even.shape[i]
+        out = np.empty(even.shape[:i] + (2 * m,) + even.shape[i + 1:], dtype=complex)
+        left, right = np.flip(out[head + (slice(m),)], i), out[head + (slice(m, None),)]
+        np.multiply(odd, sign * 1j, out=right)
+        np.subtract(even, right, out=left)
+        right += even
+    return out
+
+
 # ---------------------------------------------------------------------------
 # the transform
 
@@ -227,6 +256,12 @@ class TransformPlan:
     should cover the essential support of f, freq_extent that of fhat;
     for Gaussian-type functions extent 12 with 96 nodes per axis reaches
     machine precision.
+
+    Every node set is mirror-symmetric (axis_rule), and per axis the kernel
+    E(i xi, x) = j_(k-1/2)(xi x) + i xi x / (2k+1) j_(k+1/2)(xi x) is even in
+    its real part and odd in its imaginary part, so each axis stores just
+    those two parts on the positive nodes, and forward and inverse run in
+    real arithmetic on folded halves of the data.
     """
 
     def __init__(self, kv, extent=12.0, n=96, freq_extent=None, freq_n=None):
@@ -238,9 +273,16 @@ class TransformPlan:
         fns = ns if freq_n is None else _per_axis(self.kv, freq_n, "freq_n")
         self.rules = [axis_rule(*args) for args in zip(self.kv.k, extents, ns)]
         self.freq_rules = [axis_rule(*args) for args in zip(self.kv.k, fextents, fns)]
-        # kernels[i][a, j] = one-axis unitary kernel E(i xi_a, x_j)
-        self.kernels = [kernel_unitary(self.kv.k[i], fr.nodes[:, None], r.nodes[None, :])
-                        for i, (r, fr) in enumerate(zip(self.rules, self.freq_rules))]
+        # per axis, the parts of E(i xi_a, x_j) / c_k at positive xi_a, x_j, times
+        # the weights of x_j (forward) or, transposed, those of xi_a (inverse)
+        self._forward, self._inverse = [], []
+        for k, r, fr in zip(self.kv.k, self.rules, self.freq_rules):
+            kern = kernel_unitary(k, fr.nodes[fr.n // 2:, None], r.nodes[None, r.n // 2:])
+            parts = np.stack([kern.real, kern.imag]) / _axis_c_norm(k)
+            self._forward.append(parts * r.weights[r.n // 2:])
+            self._inverse.append(parts.transpose(0, 2, 1) * fr.weights[fr.n // 2:])
+        self._grid = _tensor_grid([r.nodes for r in self.rules])
+        self._grid.flags.writeable = False
 
     @property
     def shape(self) -> tuple:
@@ -251,7 +293,8 @@ class TransformPlan:
         return tuple(r.n for r in self.freq_rules)
 
     def grid(self) -> np.ndarray:
-        return _tensor_grid([r.nodes for r in self.rules])
+        """The space grid points, built once and read-only."""
+        return self._grid
 
     def freq_grid(self) -> np.ndarray:
         return _tensor_grid([r.nodes for r in self.freq_rules])
@@ -266,13 +309,11 @@ class TransformPlan:
 
     def forward(self, values: np.ndarray) -> np.ndarray:
         values = _check_shape(values, self.shape, "forward values")
-        factors = ((np.conj(kern), rule.weights) for rule, kern in zip(self.rules, self.kernels))
-        return _contract_axes(values, factors) / self.kv.c_norm
+        return _parity_contract(values, self._forward, -1.0)
 
     def inverse(self, values: np.ndarray) -> np.ndarray:
         values = _check_shape(values, self.freq_shape, "inverse values")
-        factors = ((kern.T, rule.weights) for rule, kern in zip(self.freq_rules, self.kernels))
-        return _contract_axes(values, factors) / self.kv.c_norm
+        return _parity_contract(values, self._inverse, 1.0)
 
     def norm_sq(self, values: np.ndarray, freq: bool = False) -> float:
         """Squared L^2(w_k dx) norm of grid values on either side."""
@@ -599,26 +640,35 @@ def spherical_mean_wave(kv, z, x, t: float):
 
 def radial_bump(radius: float, order: int = 10):
     """Smooth nonnegative radial profile supported exactly in [0, radius]."""
+    radius = _finite(radius, "bump radius")
     if radius <= 0:
-        raise ConfigError("bump radius must be positive")
+        raise ConfigError(f"bump radius must be positive, got {radius}")
+    order = _node_count(order, "bump order")
 
     def f0(r):
-        u = np.asarray(r, dtype=float) / radius
-        core = np.clip(1.0 - u * u, 0.0, None)
-        return core**order * np.exp(-(u * u))
+        r = np.asarray(r, dtype=float)
+        # |r| >= radius gives u^2 >= 1, so the core is 0 there; NaN stays in
+        out, inside = np.zeros(r.shape), ~(np.abs(r) >= radius)
+        u = r[inside] / radius
+        out[inside] = np.clip(1.0 - u * u, 0.0, None) ** order * np.exp(-(u * u))
+        return out[()]
 
     return f0
 
 
 def bump(center, radius: float, order: int = 10):
     """Smooth nonnegative bump supported exactly in the ball B(center, radius)."""
-    center = np.atleast_1d(np.asarray(center, dtype=float))
-    f0 = radial_bump(radius, order)
+    center = np.array([_finite(c, "bump center") for c in np.ravel(center)])
+    f0, radius = radial_bump(radius, order), float(radius)
 
     def f(pts):
         pts = np.asarray(pts, dtype=float)
-        d = np.sqrt(np.sum((pts - center) ** 2, axis=-1))
-        return f0(d)
+        # a point |p_i - c_i| >= radius away on some axis is outside the ball
+        near = np.all([~(np.abs(p_i - c_i) >= radius)
+                       for p_i, c_i in zip(np.moveaxis(pts, -1, 0), center)], axis=0)
+        out = np.zeros(near.shape)
+        out[near] = f0(np.sqrt(np.sum((pts[near] - center) ** 2, axis=-1)))
+        return out[()]
 
     return f
 

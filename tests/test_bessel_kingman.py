@@ -219,6 +219,20 @@ def test_subordination_needs_positive_times_and_a_kept_time():
         subordinate(1.0, dirac(1e4), tail_tol=1e-3)
 
 
+@pytest.mark.parametrize("knob", [
+    {"freq_max": "a"}, {"freq_max": 0.0}, {"r_min": -1.0}, {"r_min": float("inf")},
+    {"tail_tol": "x"}, {"tail_tol": float("nan")}, {"max_nodes": 2.5}, {"max_nodes": 0},
+], ids=["freq_max-str", "freq_max-0", "r_min-negative", "r_min-inf", "tail_tol-str",
+        "tail_tol-nan", "max_nodes-fraction", "max_nodes-0"])
+@pytest.mark.parametrize("build", [
+    lambda knob: cauchy_measure(1.0, 0.5, **knob),
+    lambda knob: subordinate(1.0, stable_half_subordinator(0.5), **knob),
+], ids=["cauchy_measure", "subordinate"])
+def test_tuning_knobs_are_config_errors(build, knob):
+    with pytest.raises(ConfigError, match=next(iter(knob))):
+        build(knob)
+
+
 # sha256 of measure_to_json(cauchy_measure(lam, t)), recorded from the tree
 # that built one rayleigh_measure per mixture time and mixed their density
 # callables: mixing the heat densities directly must not move a byte

@@ -234,6 +234,15 @@ def test_simulate_summary_reports_capped_threads(tmp_path, capsys, monkeypatch):
     assert code2 == 2
 
 
+@pytest.mark.parametrize("env", ["-3", "0"])
+def test_simulate_rejects_a_thread_setting_below_one(tmp_path, capsys, monkeypatch, env):
+    # ran as one worker with exit code 0
+    monkeypatch.setenv("DUNKL_KIT_THREADS", env)
+    code, _, out = simulate_once(tmp_path, capsys, "bad_env")
+    assert code == 2
+    assert not os.path.exists(out)
+
+
 def test_simulate_requires_out_and_seed(tmp_path, capsys):
     cfg = write_config(tmp_path, "sim.json", {
         "kind": "gaussian", "k": [1.0], "t_grid": [0.0, 1.0], "n_paths": 10})
@@ -399,13 +408,19 @@ def test_convolve_needs_exactly_two_inputs(tmp_path, capsys):
     ("semigroup", {"type": "gaussian", "k": [1.0], "params": {"n_profile": 0}}),
     ("transform", {"k": [1.0], "inverse": "false"}),
     ("transform", {"k": [1.0], "inverse": 1}),
+    ("semigroup", {"type": "cauchy", "k": [1.0], "params": {"freq_max": "a"}}),
+    ("semigroup", {"type": "cauchy", "k": [1.0], "params": {"tail_tol": "x"}}),
+    ("semigroup", {"type": "cauchy", "k": [1.0], "params": {"max_nodes": 2.5}}),
+    ("semigroup", {"type": "cauchy", "k": [1.0], "params": {"r_min": -1}}),
 ], ids=["simulate-ks_times-str", "simulate-ks_times-entry", "simulate-threads-0",
         "semigroup-n_profile-str", "semigroup-n_profile-0", "transform-inverse-str",
-        "transform-inverse-int"])
+        "transform-inverse-int", "semigroup-freq_max-str", "semigroup-tail_tol-str",
+        "semigroup-max_nodes-fraction", "semigroup-r_min-negative"])
 def test_malformed_values_are_config_errors(tmp_path, capsys, command, payload):
     # the strings and n_profile 0 escaped as ValueError or TypeError (exit
     # code 1, a failed suite's code, and a traceback); threads 0 ran as one
-    # worker, and "false" and 1 ran the inverse transform
+    # worker, and "false" and 1 ran the inverse transform; the Cauchy
+    # max_nodes 2.5 and r_min -1 ended in ResolutionError and ConsistencyError
     if command == "transform":
         payload = {**payload, "input": make_grid_csv(tmp_path)}
     cfg = write_config(tmp_path, "bad.json", payload)

@@ -549,3 +549,56 @@ def test_weighted_atoms_checker_flags_each_breach(tmp_path):
         "integrate_values defined (measures:LineMeasure, line 3)",
         "sentinel cap=10000000.0 (other:mix, line 5)",
         "sentinel cap=1000000000 (other:mix, line 3)"]
+
+
+# ---------------------------------------------------------------------------
+# the transform plan runs on real parity halves: TransformPlan.forward and
+# inverse both call transform._parity_contract, and the dense complex
+# contraction _contract_axes serves dunkl_transform_grid alone, whose file
+# axes need not be mirror-symmetric
+
+PARITY_ROUTE = ("TransformPlan.forward", "TransformPlan.inverse")
+DENSE_CALLERS = {"transform:dunkl_transform_grid"}
+
+
+def transform_route_breaches(paths, plan_module: Path) -> list[str]:
+    """_contract_axes calls outside DENSE_CALLERS over the given modules, and
+    each PARITY_ROUTE method of the plan module that misses _parity_contract."""
+    found, plan_calls = [], {}
+    for path in paths:
+        for scope, node in _scoped_nodes(ast.parse(path.read_text(), filename=str(path))):
+            if not isinstance(node, ast.Call):
+                continue
+            callee = getattr(node.func, "id", getattr(node.func, "attr", None))
+            where = f"{path.stem}:{scope or '<module>'}"
+            if callee == "_contract_axes" and where not in DENSE_CALLERS:
+                found.append(f"_contract_axes called from {where} (line {node.lineno})")
+            if path == plan_module:
+                plan_calls.setdefault(scope, set()).add(callee)
+    found += [f"{name} does not call _parity_contract" for name in PARITY_ROUTE
+              if "_parity_contract" not in plan_calls.get(name, set())]
+    return sorted(found)
+
+
+def test_transform_plan_takes_the_parity_route():
+    transform = ROOT / "src" / "dunklkit" / "transform.py"
+    assert transform_route_breaches(PACKAGE, transform) == []
+
+
+def test_transform_route_checker_flags_a_dense_plan(tmp_path):
+    transform, other = tmp_path / "transform.py", tmp_path / "other.py"
+    good = ("class TransformPlan:\n"
+            "    def forward(self, v):\n        return _parity_contract(v, self._forward, -1.0)\n"
+            "    def inverse(self, v):\n        return _parity_contract(v, self._inverse, 1.0)\n"
+            "def dunkl_transform_grid(kv, gf):\n    return _contract_axes(gf.values, [])\n")
+    transform.write_text(good)
+    other.write_text("from .transform import _contract_axes\n")
+    assert transform_route_breaches([transform, other], transform) == []
+    transform.write_text(good.replace("_parity_contract(v, self._forward, -1.0)",
+                                      "_contract_axes(v, self.kernels)"))
+    other.write_text("from . import transform\n"
+                     "def mean(v, f):\n    return transform._contract_axes(v, f)\n")
+    assert transform_route_breaches([transform, other], transform) == [
+        "TransformPlan.forward does not call _parity_contract",
+        "_contract_axes called from other:mean (line 3)",
+        "_contract_axes called from transform:TransformPlan.forward (line 3)"]

@@ -249,10 +249,18 @@ def test_semigroup_json_validation():
     '{"type": "gaussian", "k": [1.0], "params": {"n_profile": 0}}',
     '{"type": "gaussian", "k": [1.0], "params": {"n_profile": 2.5}}',
     '{"type": "gaussian", "k": ["a"]}',
+    '{"type": "cauchy", "k": [1.0], "params": {"freq_max": "a"}}',
+    '{"type": "cauchy", "k": [1.0], "params": {"tail_tol": "x"}}',
+    '{"type": "cauchy", "k": [1.0], "params": {"max_nodes": 2.5}}',
+    '{"type": "cauchy", "k": [1.0], "params": {"r_min": -1}}',
+    '{"type": "cauchy", "k": [1.0], "params": {"freq_max": NaN}}',
 ], ids=["number", "list", "params-list", "n_profile-str", "n_profile-0", "n_profile-fraction",
-        "k-str"])
+        "k-str", "cauchy-freq_max-str", "cauchy-tail_tol-str", "cauchy-max_nodes-fraction",
+        "cauchy-r_min-negative", "cauchy-freq_max-nan"])
 def test_semigroup_json_boundary_errors_are_typed(text):
-    # each was a TypeError, ValueError or scipy's ValueError
+    # each was a TypeError, ValueError or scipy's ValueError; max_nodes 2.5
+    # was a ResolutionError, and r_min -1 built the whole Cauchy family
+    # before its closure check failed with ConsistencyError
     with pytest.raises(ConfigError):
         semigroup_from_json(text)
 
@@ -342,6 +350,16 @@ def test_non_integer_thread_setting_is_config_error(monkeypatch, env):
     monkeypatch.setenv("DUNKL_KIT_THREADS", env)
     with pytest.raises(ConfigError):
         _resolve_threads(None, 16)
+
+
+@pytest.mark.parametrize("env", ["-3", "0"])
+def test_thread_setting_below_one_is_config_error(monkeypatch, env):
+    # ran as one worker, while the threads argument refuses these values
+    monkeypatch.setenv("DUNKL_KIT_THREADS", env)
+    with pytest.raises(ConfigError, match="DUNKL_KIT_THREADS must be at least 1"):
+        _resolve_threads(None, 16)
+    with pytest.raises(ConfigError, match="DUNKL_KIT_THREADS"):
+        simulate_paths(KV1, [0.0, 1.0], 8, seed=1)
 
 
 def test_simulate_paths_reproducible_and_thread_invariant():

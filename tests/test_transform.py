@@ -35,8 +35,9 @@ from dunklkit import (
 )
 from dunklkit import measures
 from dunklkit.quadrature import _tensor_grid
+from dunklkit.rank_one import kernel_unitary
 from dunklkit.special import bessel_j
-from dunklkit.transform import _mean_law, axis_rule, weighted_grid
+from dunklkit.transform import _contract_axes, _mean_law, axis_rule, weighted_grid
 from scipy.special import gamma, roots_jacobi
 
 KV2 = MultiplicityVector(k=(1.0, 0.5))
@@ -215,6 +216,72 @@ def test_plan_checks_value_shapes():
         with pytest.raises(ConfigError, match=r"f returned shape .*\(256,\) or \(16, 16\)"):
             plan.sample(bad)
     assert plan.sample(lambda p: p[:, 0]).shape == (16, 16)
+
+
+def _dense_transform(plan, values, inverse=False):
+    """The reference route: full complex kernels on every node pair of each
+    axis, (2 m_i) x (2 n_i), contracted by _contract_axes."""
+    factors = []
+    for k, rule, freq in zip(plan.kv.k, plan.rules, plan.freq_rules):
+        kern = kernel_unitary(k, freq.nodes[:, None], rule.nodes[None, :])
+        factors.append((kern.T, freq.weights) if inverse else (np.conj(kern), rule.weights))
+    return _contract_axes(values, factors) / plan.kv.c_norm
+
+
+_PARITY_PLANS = [
+    ((1.0,), dict(extent=4.0, n=17, freq_extent=9.0, freq_n=23)),
+    ((1.0,), dict(extent=4.0, n=176, freq_extent=110.0, freq_n=416)),
+    ((0.0, 1.5), dict(extent=5.0, n=[12, 9], freq_n=[7, 14])),
+    ((1.0, 0.5), dict(extent=4.0, n=24, freq_extent=30.0, freq_n=[30, 22])),
+    ((0.5, 0.0, 2.0), dict(extent=3.0, n=[5, 6, 4], freq_extent=[4.0, 2.0, 6.0],
+                           freq_n=[6, 3, 5])),
+]
+
+
+@pytest.mark.parametrize("complex_values", [False, True], ids=["real", "complex"])
+@pytest.mark.parametrize("k, geometry", _PARITY_PLANS,
+                         ids=["1-axis", "1-axis-wide", "k0-n-lists", "k1-ne-k2", "3-axes"])
+def test_parity_route_matches_the_dense_kernels(k, geometry, complex_values):
+    plan = TransformPlan(k, **geometry)
+    rng = np.random.default_rng(7)
+    for route, shape, inverse in ((plan.forward, plan.shape, False),
+                                  (plan.inverse, plan.freq_shape, True)):
+        values = rng.standard_normal(shape)
+        if complex_values:
+            values = values + 1j * rng.standard_normal(shape)
+        want = _dense_transform(plan, values, inverse)
+        got = route(values)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def test_plan_builds_the_kernel_on_positive_node_pairs(monkeypatch):
+    # m_i n_i kernel values per axis, a quarter of the (2 m_i)(2 n_i) node pairs
+    import dunklkit.transform as transform
+
+    sizes = []
+
+    def counting(*args):
+        out = kernel_unitary(*args)
+        sizes.append(np.size(out))
+        return out
+
+    monkeypatch.setattr(transform, "kernel_unitary", counting)
+    TransformPlan(KV2, extent=4.0, n=[24, 10], freq_extent=30.0, freq_n=[30, 22])
+    assert sizes == [30 * 24, 22 * 10]
+
+
+def test_plan_grid_is_built_once_and_read_only():
+    plan = TransformPlan(KV2, extent=4.0, n=[6, 5])
+    pts = plan.grid()
+    assert pts is plan.grid()
+    assert np.array_equal(pts, _tensor_grid([r.nodes for r in plan.rules]))
+    assert not pts.flags.writeable
+    with pytest.raises(ValueError):
+        pts[0, 0] = 1.0
+    seen = []
+    plan.sample(lambda p: seen.append(p) or np.zeros(len(p)))
+    assert seen[0] is pts
 
 
 def test_transform_grid_roundtrip_uniform():
@@ -712,6 +779,57 @@ def test_bump_support():
     pts = np.array([[1.0, -1.0], [1.4, -1.0], [2.0, 0.0]])
     gv = g(pts)
     assert gv[0] > 0 and gv[1] > 0 and gv[2] == 0.0
+
+
+def _unmasked_radial_bump(radius, order):
+    def f0(r):
+        u = np.asarray(r, dtype=float) / radius
+        return np.clip(1.0 - u * u, 0.0, None) ** order * np.exp(-(u * u))
+    return f0
+
+
+@pytest.mark.parametrize("radius, order", [(1.5, 10), (0.55, 13), (1.0, 1), (2.0 / 3.0, 8),
+                                           (1e-3, 12), (0.7, 15)])
+def test_bump_masks_its_support_bit_for_bit(radius, order):
+    # every radius whose unmasked core is > 0 is still evaluated, with the
+    # same bits; points within a few ulps of the sphere included
+    ulps = radius * (1.0 + np.arange(-6, 7) * np.finfo(float).eps)
+    r = np.concatenate([np.linspace(0.0, 2.0 * radius, 401), ulps, -ulps,
+                        np.nextafter(radius, [0.0, np.inf]), [np.nan]])
+    want = _unmasked_radial_bump(radius, order)(r)
+    assert np.array_equal(radial_bump(radius, order)(r), want, equal_nan=True)
+    assert np.any(want[401:414] > 0) and np.all(want[r >= radius] == 0.0)
+    center = np.array([0.3, -0.2])
+    pts = center + np.concatenate([r[:-1, None] * [0.6, 0.8], r[:-1, None] * [-1.0, 0.0]])
+    pts = np.concatenate([pts, _tensor_grid([np.linspace(-2.0, 2.0, 41)] * 2)])
+    dist = np.sqrt(np.sum((pts - center) ** 2, axis=-1))
+    assert np.array_equal(bump(center, radius, order)(pts),
+                          _unmasked_radial_bump(radius, order)(dist))
+    assert isinstance(radial_bump(radius, order)(0.5 * radius), np.float64)
+
+
+def test_bump_computes_nothing_outside_its_support():
+    # the unmasked formula overflows in u * u far outside the ball
+    with np.errstate(all="raise"):
+        assert np.all(radial_bump(1.0)(np.array([1e200, -1e200, 3.0])) == 0.0)
+        assert bump([0.0, 0.0], 0.5)(np.array([[1e160, 0.0]])) == 0.0
+
+
+@pytest.mark.parametrize("call", [
+    lambda: radial_bump(float("nan")), lambda: radial_bump(float("inf")),
+    lambda: radial_bump("a"), lambda: radial_bump(-1.0), lambda: radial_bump(1.0, order=-1),
+    lambda: radial_bump(1.0, order=0), lambda: radial_bump(1.0, order=2.5),
+    lambda: radial_bump(1.0, order=True), lambda: bump([float("nan"), 0.0], 1.0),
+    lambda: bump([0.0, float("-inf")], 1.0), lambda: bump("a", 1.0),
+    lambda: bump([0.0, 0.0], float("nan")),
+], ids=["radius-nan", "radius-inf", "radius-str", "radius-negative", "order-negative",
+        "order-0", "order-fraction", "order-bool", "center-nan", "center-inf", "center-str",
+        "bump-radius-nan"])
+def test_bump_inputs_are_config_errors(call):
+    # NaN gave NaN everywhere, inf the constant 1, order -1 a division by
+    # zero and "a" a bare TypeError
+    with pytest.raises(ConfigError):
+        call()
 
 
 def test_darboux_second_order_ratio():
