@@ -93,13 +93,13 @@ def _angle_rule(lam: float, n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _point_nodes(lam: float, x: float, y: float, n: int):
-    """Point convolution of x, y > 0 on the n-node angle rule: the sorted
-    nodes z, their masses, and the density against dz at the nodes."""
+    """Point convolution of x, y > 0 on the n-node angle rule: the sorted nodes
+    z, their masses, densities against dz and angle nodes u (z^2 = x^2 + y^2 - 2xyu)."""
     u, w = _angle_rule(lam, n)
     z = np.sqrt(np.maximum(x * x + y * y - 2.0 * x * y * u, 0.0))
     order = np.argsort(z)
     z = z[order]
-    return z, w[order], product_kernel(lam, x, y, z) * z ** (2.0 * lam + 1.0)
+    return z, w[order], product_kernel(lam, x, y, z) * z ** (2.0 * lam + 1.0), u[order]
 
 
 def convolve_points(lam: float, x: float, y: float, n: int = 128) -> RadialProfileMeasure:
@@ -117,7 +117,7 @@ def convolve_points(lam: float, x: float, y: float, n: int = 128) -> RadialProfi
         raise ConfigError("points must be nonnegative radii")
     if x == 0.0 or y == 0.0:
         return dirac(x + y, lam=lam)
-    z, masses, dens = _point_nodes(lam, x, y, n)
+    z, masses, dens, _ = _point_nodes(lam, x, y, n)
     mu = RadialProfileMeasure._from_node_masses(z, dens, masses, lam=lam)
     if abs(mu.mass() - 1.0) > 1e-9:
         raise NumericalError(f"point convolution mass {mu.mass()} is off; node budget too small?")

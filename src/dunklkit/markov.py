@@ -552,9 +552,9 @@ def simulate_paths(kv, t_grid, n_paths: int, seed: int, kind: str = "gaussian",
     so the output is byte-for-byte reproducible for fixed (seed, t_grid,
     n_paths, kind, n_blocks) however many worker threads run.  A worker
     steps each contiguous run of blocks (about _BLOCK paths, more if blocks
-    are larger) at once.  The Cauchy case draws one 1/2-stable time change
-    per step per path (shared across coordinates, so dt^2 must be a normal
-    float) and reuses the heat stepper at the random time.
+    are larger) at once.  The Cauchy case runs the heat stepper at a 1/2-stable
+    time s = dt^2 / (2 max(z^2, 1e-300)) per step per path, shared across axes;
+    steps need dt^2 normal and dt <= 1e4 (2 s stays finite), else ConfigError.
     """
     kv = _as_kv(kv)
     times = np.asarray(t_grid, dtype=float)
@@ -579,8 +579,8 @@ def simulate_paths(kv, t_grid, n_paths: int, seed: int, kind: str = "gaussian",
     subord = kind in ("cauchy", "subordinated")
     dts = np.diff(times)
     with np.errstate(over="ignore"):
-        if subord and not np.all((dts * dts >= np.finfo(float).tiny) & (dts * dts < np.inf)):
-            raise ConfigError("Cauchy steps need dt^2 to be a normal float")
+        if subord and not np.all((dts * dts >= np.finfo(float).tiny) & (dts <= 1e4)):
+            raise ConfigError("Cauchy steps need dt^2 to be a normal float and dt <= 1e4")
     states = np.zeros((n_paths, times.size, kv.n_axes))
     bounds = np.linspace(0, n_paths, min(n_blocks, n_paths) + 1).astype(int)
     rngs = [np.random.Generator(np.random.Philox(key=np.array([int(seed) % 2**64, b], np.uint64)))

@@ -94,16 +94,19 @@ def _mirror_weights(x, y, z):
 def _mirrored_measure(k: float, a: float, b: float, split, n: int) -> LineMeasure:
     """Signed measure on +/-z built from the radial convolution of a, b > 0.
 
-    split(z) returns the weights (w_plus, w_minus) that send the radial
-    node z to +z and -z.
+    split(z, u) returns the weights (w_plus, w_minus) that send the radial
+    node z, of angle node u (z^2 = a^2 + b^2 - 2 a b u), to +z and -z.
     """
-    z, masses, dens_radial = _point_nodes(k - 0.5, a, b, n)
-    w_plus, w_minus = split(z)
+    z, masses, dens_radial, u = _point_nodes(k - 0.5, a, b, n)
+    w_plus, w_minus = split(z, u)
     # node density of the signed measure = radial density times the split weight
     grid = np.concatenate([-z[::-1], z])
     node_dens = np.concatenate([(dens_radial * w_minus)[::-1], dens_radial * w_plus])
     node_mass = np.concatenate([(masses * w_minus)[::-1], masses * w_plus])
-    return LineMeasure._from_node_masses(grid, node_dens, node_mass, lam=k)
+    # nodes rounded onto the edge of a band a few ulps wide have density 0: atoms keep their mass
+    edge = (node_dens == 0.0) & (node_mass != 0.0)
+    return LineMeasure._from_node_masses(grid, node_dens, node_mass, lam=k,
+                                         atoms=list(zip(grid[edge], node_mass[edge])))
 
 
 def signed_product_measure(k: float, x: float, y: float, n: int = 128) -> LineMeasure:
@@ -128,7 +131,7 @@ def signed_product_measure(k: float, x: float, y: float, n: int = 128) -> LineMe
     # collapses, and the measure is the point mass to the same accuracy
     if min(abs(x), abs(y)) <= 1e-11 * hi or hi < 1e-150:
         return LineMeasure(atoms=[(x + y, 1.0)], lam=k)
-    return _mirrored_measure(k, abs(x), abs(y), lambda z: _mirror_weights(x, y, z), n)
+    return _mirrored_measure(k, abs(x), abs(y), lambda z, u: _mirror_weights(x, y, z), n)
 
 
 def spherical_mean_measure(k: float, x: float, t: float, n: int = 128) -> LineMeasure:
@@ -150,8 +153,9 @@ def spherical_mean_measure(k: float, x: float, t: float, n: int = 128) -> LineMe
     if abs(x) <= 1e-11 * t:
         return LineMeasure(atoms=[(-t, 0.5), (t, 0.5)], lam=k)
 
-    def split(z):
-        sig = _sigma(z, x, t)
+    def split(z, u):
+        # _sigma(z, x, t) from the angle node: no cancellation when |x| << t
+        sig = np.sign(x) * (abs(x) - t * u) / z
         return 0.5 * (1.0 + sig), 0.5 * (1.0 - sig)
 
     return _mirrored_measure(k, abs(x), t, split, n)

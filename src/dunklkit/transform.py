@@ -19,6 +19,7 @@ import csv
 import io
 import json
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -261,7 +262,8 @@ class TransformPlan:
     E(i xi, x) = j_(k-1/2)(xi x) + i xi x / (2k+1) j_(k+1/2)(xi x) is even in
     its real part and odd in its imaginary part, so each axis stores just
     those two parts on the positive nodes, and forward and inverse run in
-    real arithmetic on folded halves of the data.
+    real arithmetic on folded halves of the data.  The plan also keeps, read-only,
+    the distinct |xi| on the positive frequency quadrant and each node's index.
     """
 
     def __init__(self, kv, extent=12.0, n=96, freq_extent=None, freq_n=None):
@@ -282,7 +284,11 @@ class TransformPlan:
             self._forward.append(parts * r.weights[r.n // 2:])
             self._inverse.append(parts.transpose(0, 2, 1) * fr.weights[fr.n // 2:])
         self._grid = _tensor_grid([r.nodes for r in self.rules])
-        self._grid.flags.writeable = False
+        rad2 = reduce(np.add.outer, [r.nodes[r.n // 2:] ** 2 for r in self.freq_rules])
+        radii2, index = np.unique(rad2, return_inverse=True)
+        self._radii, self._radius_index = np.sqrt(radii2), index.reshape(rad2.shape)
+        for a in (self._grid, self._radii, self._radius_index):
+            a.flags.writeable = False
 
     @property
     def shape(self) -> tuple:
@@ -515,26 +521,15 @@ def translated_normalization_defect(kv, t: float, x, n: int = 96,
     return abs(float(np.sum(wts * vals)) - 1.0)
 
 
-def _spectral_mean_weights(kv, plan: TransformPlan, x, t: float) -> np.ndarray:
-    """w(xi) E_k(ix, xi) j_lam(t |xi|) / c_k on plan.freq_shape, built per axis.
-
-    The kernel is the outer product of the rank-one kernels on each axis's
-    nodes; j_lam is evaluated once per distinct |xi|, on the tensor grid of
-    the per-axis magnitudes (the axis rules are mirror-symmetric), and
-    gathered back onto the signed grid.
+def _spectral_mean_weights(kv, plan: TransformPlan, x, t: float):
+    """w(xi) E_k(ix, xi) j_lam(t |xi|) / c_k as (axes, radial): per axis, w E_k
+    on all its nodes; j_lam(t |xi|) / c_k on the positive quadrant (the rules
+    are mirror-symmetric), run once per distinct |xi| of the plan and gathered.
     """
-    weights, mags, gather = None, [], []
-    for k, x_i, rule in zip(kv.k, x, plan.freq_rules):
-        axis = rule.weights * kernel_unitary(k, x_i, rule.nodes)
-        weights = axis if weights is None else np.multiply.outer(weights, axis)
-        mag, idx = np.unique(np.abs(rule.nodes), return_inverse=True)
-        mags.append(mag)
-        gather.append(idx)
-    rad2 = mags[0] * mags[0]
-    for mag in mags[1:]:
-        rad2 = np.add.outer(rad2, mag * mag)
-    radial = bessel_j(kv.lam, t * np.sqrt(rad2))
-    return weights * radial[np.ix_(*gather)] / kv.c_norm
+    axes = [rule.weights * kernel_unitary(k, x_i, rule.nodes)
+            for k, x_i, rule in zip(kv.k, x, plan.freq_rules)]
+    radial = bessel_j(kv.lam, t * plan._radii) / kv.c_norm
+    return axes, radial[plan._radius_index]
 
 
 def spherical_mean_spectral(kv, plan: TransformPlan, fhat_values: np.ndarray,
@@ -547,6 +542,10 @@ def spherical_mean_spectral(kv, plan: TransformPlan, fhat_values: np.ndarray,
     (shape plan.freq_shape, or raveled); kv must be the plan's.  Exact for
     band-limited data up to quadrature error; works for any f whose
     transform decays inside the plan extent.
+
+    Axes i >= 2 fold into magnitudes, a_i(+m) fhat(+m) + a_i(-m) fhat(-m), and
+    axis 1's rows meet the radial quadrant factor in dot products: a few passes
+    over fhat, one j_lam per distinct |xi|, no weights on the full grid.
     """
     kv = _as_kv(kv)
     if kv != plan.kv:
@@ -560,7 +559,14 @@ def spherical_mean_spectral(kv, plan: TransformPlan, fhat_values: np.ndarray,
     if np.ndim(t) != 0:
         raise ConfigError(f"t must be a scalar radius, got shape {np.shape(t)}")
     t = _finite(t, "t")
-    return np.sum(_spectral_mean_weights(kv, plan, x, t).ravel() * fhat.ravel())
+    axes, radial = _spectral_mean_weights(kv, plan, x, t)
+    out = fhat.reshape(plan.freq_shape)
+    for i in range(kv.n_axes - 1, 0, -1):
+        m, a = axes[i].size // 2, axes[i].reshape((-1,) + (1,) * (kv.n_axes - 1 - i))
+        left, right = np.split(out, 2, axis=i)
+        out = right * a[m:] + np.flip(left, i) * a[m - 1::-1]
+    radial = np.concatenate([np.flip(radial, 0), radial]).reshape(axes[0].size, -1)
+    return axes[0] @ np.einsum("jq,jq->j", out.reshape(axes[0].size, -1), radial)
 
 
 def _mean_law(kv, x, n_sphere: int, n_per_axis: int):

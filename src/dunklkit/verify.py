@@ -16,6 +16,7 @@ import os
 import tempfile
 import time
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 
@@ -203,10 +204,14 @@ def _suite_radial_product_formula(tol: float | None) -> list[CaseResult]:
 
 
 def _battery_means(kv, plan: TransformPlan, bumps, pairs) -> np.ndarray:
-    """means[i, j] = M_{f_i}(x_j, t_j) through the frequency representation,
-    with the per-pair frequency weights built once and each bump costing
-    one forward transform plus dot products."""
-    combo = np.array([_spectral_mean_weights(kv, plan, x, t).ravel() for x, t in pairs])
+    """means[i, j] = M_{f_i}(x_j, t_j) from the transform: one weight row per pair,
+    its axis vectors' outer product times its radial quadrant factor mirrored onto
+    every sign, so that each bump costs one forward transform plus dot products."""
+    def row(x, t):
+        axes, radial = _spectral_mean_weights(kv, plan, x, t)
+        mirror = np.ix_(*[np.r_[a.size // 2 - 1:-1:-1, :a.size // 2] for a in axes])
+        return (reduce(np.multiply.outer, axes) * radial[mirror]).ravel()
+    combo = np.array([row(x, t) for x, t in pairs])
     means = np.empty((len(bumps), len(pairs)))
     for i, f in enumerate(bumps):
         fhat = plan.forward(plan.sample(f)).ravel()

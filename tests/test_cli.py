@@ -243,6 +243,14 @@ def test_simulate_rejects_a_thread_setting_below_one(tmp_path, capsys, monkeypat
     assert not os.path.exists(out)
 
 
+def test_simulate_rejects_cauchy_steps_beyond_the_supported_range(tmp_path, capsys):
+    # exited 0: past dt = 1e4 the Cauchy time change can overflow to inf states
+    code, _, out = simulate_once(tmp_path, capsys, "huge_step",
+                                 extra={"kind": "cauchy", "t_grid": [0.0, 1e150]})
+    assert code == 2
+    assert not os.path.exists(out)
+
+
 def test_simulate_requires_out_and_seed(tmp_path, capsys):
     cfg = write_config(tmp_path, "sim.json", {
         "kind": "gaussian", "k": [1.0], "t_grid": [0.0, 1.0], "n_paths": 10})

@@ -442,12 +442,21 @@ def test_simulate_paths_accepts_numpy_integer_seeds():
 
 
 @pytest.mark.parametrize("kind", ["cauchy", "subordinated"])
-@pytest.mark.parametrize("grid", [[0.0, 1e-300], [0.0, 1e200], [0.0, 1e-160, 1.0]],
-                         ids=["dt-squared-underflows", "dt-squared-overflows", "subnormal"])
+@pytest.mark.parametrize("grid", [[0.0, 1e-300], [0.0, 1e200], [0.0, 1e-160, 1.0],
+                                  [0.0, 1e150], [0.0, 1.0, 1.0 + 2e4]],
+                         ids=["dt-squared-underflows", "dt-squared-overflows", "subnormal",
+                              "dt-1e150", "second-dt-2e4"])
 def test_cauchy_steps_need_a_normal_dt_squared(kind, grid):
-    # 0.5 dt^2 used to underflow to 0 (NaN states) or overflow (inf states)
+    # 0.5 dt^2 used to underflow to 0 (NaN states) or overflow (inf states);
+    # past dt = 1e4 the time change dt^2 / (2 z^2) could overflow ("overflow
+    # encountered in multiply" under -W error at dt = 1e150, 100000 paths)
     with pytest.raises(ConfigError, match="normal float"):
         simulate_paths(KV1, grid, 10, seed=1, kind=kind)
+
+
+def test_cauchy_steps_up_to_the_bound_stay_finite():
+    ens = simulate_paths(KV2, [0.0, 1e4, 2e4], 20000, seed=1, kind="cauchy")
+    assert np.all(np.isfinite(ens.states))
 
 
 def test_gaussian_steps_take_tiny_dt():

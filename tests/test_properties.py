@@ -10,7 +10,7 @@ builds real quadratures or measures.
 import json
 
 import numpy as np
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from dunklkit import (
@@ -98,6 +98,7 @@ def test_signed_product_measure_mass_and_support(k, xm, ym, sx, sy):
     x=st.floats(-3.0, 3.0, **FIN),
     t=st.floats(0.05, 3.0, **FIN),
 )
+@example(k=0.05078125, x=1e-12, t=0.0625)  # lost 31% of its mass on a band few ulps wide
 @settings(max_examples=40, deadline=None)
 def test_spherical_mean_measure_is_probability(k, x, t):
     mu = spherical_mean_measure(k, x, t)

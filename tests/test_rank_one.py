@@ -10,6 +10,8 @@ import pytest
 
 from dunklkit import (
     ConfigError,
+    as_weighted_atoms,
+    bessel_j,
     intertwiner_measure,
     kernel_real,
     kernel_unitary,
@@ -174,6 +176,23 @@ def test_spherical_mean_measure_is_probability(k, x, t):
     r = np.abs(sig.grid)
     assert r.min() >= abs(abs(x) - t) - 1e-12
     assert r.max() <= abs(x) + t + 1e-12
+
+
+@pytest.mark.parametrize("k, x, t", [
+    (0.05078125, 1e-12, 0.0625), (0.05078125, 6.3e-13, 0.0625),
+    (0.05078125, -5.479410368286025e-13, 0.05), (0.0625, 3.287646220971617e-11, 3.0)])
+def test_spherical_mean_measure_keeps_its_mass_on_a_narrow_band(k, x, t):
+    # |x| just above the collapse at 1e-11 t: the band +-[t - |x|, t + |x|] is a
+    # few ulps wide, the outer nodes round onto its edge, where the density is
+    # 0 (mass was 0.687, 0.373 at t = 3), and the split weights from
+    # z^2 + x^2 - t^2 lost their sign there
+    sig = spherical_mean_measure(k, x, t)
+    sig.check_probability(tol=1e-12)
+    pos, _ = as_weighted_atoms(sig)
+    assert np.all(np.abs(pos) >= t - abs(x)) and np.all(np.abs(pos) <= t + abs(x))
+    s = 2.3  # sigma_{x,t} averages E_k(i ., s) to E_k(ix, s) j_(k-1/2)(t s)
+    want = kernel_unitary(k, x, s) * bessel_j(k - 0.5, t * s)
+    assert abs(sig.integrate(lambda z: kernel_unitary(k, z, s)) - want) <= 1e-12
 
 
 def test_spherical_mean_measure_averages_translations():

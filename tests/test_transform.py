@@ -504,12 +504,12 @@ def test_spherical_mean_spectral_input_contract(case):
 
 
 def test_spherical_mean_spectral_evaluates_per_axis(monkeypatch):
-    # the kernel sees each axis's nodes once, j_lam each distinct |xi| once
-    # (plus the kernel's own two Bessel calls per node)
+    # the kernel sees each axis's nodes once (two Bessel calls per node), and
+    # j_lam runs once per distinct |xi|: equal axis rules share half the radii
     import dunklkit.rank_one as rank_one
     import dunklkit.transform as transform
 
-    counts = {"kernel": 0, "bessel": 0}
+    counts = {"kernel": 0, "kernel-bessel": 0, "radial": 0}
 
     def counting(name, fn):
         def wrapped(*args, **kwargs):
@@ -519,17 +519,45 @@ def test_spherical_mean_spectral_evaluates_per_axis(monkeypatch):
         return wrapped
 
     monkeypatch.setattr(transform, "kernel_unitary", counting("kernel", transform.kernel_unitary))
-    for module in (transform, rank_one):
-        monkeypatch.setattr(module, "bessel_j", counting("bessel", module.bessel_j))
-    plan = TransformPlan(KV2, extent=4.0, n=24, freq_extent=30.0, freq_n=[30, 22])
-    fhat = plan.forward(plan.sample(bump([0.1, -0.2], 0.9)))
-    counts.update(kernel=0, bessel=0)
-    spherical_mean_spectral(KV2, plan, fhat, np.array([0.4, 0.3]), 0.6)
-    n_nodes = sum(r.n for r in plan.freq_rules)
-    distinct = np.prod([np.unique(np.abs(r.nodes)).size for r in plan.freq_rules])
-    assert n_nodes == 104 and distinct == 30 * 22
-    assert 0 < counts["kernel"] <= n_nodes
-    assert 0 < counts["bessel"] <= distinct + 2 * n_nodes
+    monkeypatch.setattr(rank_one, "bessel_j", counting("kernel-bessel", rank_one.bessel_j))
+    monkeypatch.setattr(transform, "bessel_j", counting("radial", transform.bessel_j))
+    for k, freq_n, n_nodes, distinct in (((1.0, 1.0), 30, 120, 30 * 31 // 2),
+                                         ((1.0, 0.5), [30, 22], 104, 30 * 22)):
+        kv = MultiplicityVector(k=k)
+        plan = TransformPlan(kv, extent=4.0, n=24, freq_extent=30.0, freq_n=freq_n)
+        fhat = plan.forward(plan.sample(bump([0.1, -0.2], 0.9)))
+        counts.update({name: 0 for name in counts})
+        spherical_mean_spectral(kv, plan, fhat, np.array([0.4, 0.3]), 0.6)
+        m1, m2 = (r.nodes[r.n // 2:] for r in plan.freq_rules)
+        assert sum(r.n for r in plan.freq_rules) == n_nodes
+        assert np.unique(np.add.outer(m1 * m1, m2 * m2)).size == distinct
+        assert 0 < counts["kernel"] <= n_nodes
+        assert 0 < counts["kernel-bessel"] <= 2 * n_nodes
+        assert 0 < counts["radial"] <= distinct
+
+
+def test_plan_radii_are_built_once_and_read_only(monkeypatch):
+    import dunklkit.transform as transform
+
+    kv = MultiplicityVector(k=(1.0, 1.0))
+    plan = TransformPlan(kv, extent=4.0, n=8, freq_extent=10.0, freq_n=6)
+    radii, index = plan._radii, plan._radius_index
+    m1, m2 = (r.nodes[r.n // 2:] for r in plan.freq_rules)
+    assert radii.size == 6 * 7 // 2 and index.shape == (6, 6)
+    assert np.all(np.diff(radii) > 0)
+    assert np.array_equal(radii[index], np.sqrt(np.add.outer(m1 * m1, m2 * m2)))
+    for cached in (radii, index):
+        assert not cached.flags.writeable
+        with pytest.raises(ValueError):
+            cached.flat[0] = 1
+    args = []
+    monkeypatch.setattr(transform, "bessel_j",
+                        lambda lam, z: args.append(z) or np.ones(np.shape(z)))
+    fhat = np.ones(plan.freq_shape, dtype=complex)
+    for t in (0.6, 1.1):
+        spherical_mean_spectral(kv, plan, fhat, np.array([0.4, 0.3]), t)
+        assert np.array_equal(args[-1], t * radii)
+    assert plan._radii is radii and plan._radius_index is index
 
 
 def test_spherical_mean_radial_rank_one_honours_n_per_axis():

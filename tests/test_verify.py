@@ -10,8 +10,9 @@ import json
 import numpy as np
 import pytest
 
-from dunklkit import ConfigError, TOLERANCES, run_all, run_suite, suite_names
-from dunklkit.verify import CaseResult, SuiteReport
+from dunklkit import (ConfigError, TOLERANCES, MultiplicityVector, TransformPlan, bump,
+                      run_all, run_suite, spherical_mean_spectral, suite_names)
+from dunklkit.verify import CaseResult, SuiteReport, _battery_means
 
 
 def test_suite_names_cover_tolerance_table():
@@ -76,3 +77,23 @@ def test_run_all_subset():
     reports = run_all(["appendix", "funk-hecke"])
     assert [r.suite for r in reports] == ["appendix", "funk-hecke"]
     assert all(r.passed for r in reports)
+
+
+@pytest.mark.parametrize("k", [(1.0,), (1.0, 1.0), (2.0, 0.5), (1.0, 0.5, 0.3)])
+def test_battery_means_match_the_spectral_mean_per_pair(k):
+    # one weight row per pair, mirrored from the factored weights, against
+    # the quadrant contraction of spherical_mean_spectral
+    kv = MultiplicityVector(k=k)
+    small = len(k) == 3
+    plan = TransformPlan(kv, extent=4.0, n=12 if small else 32, freq_extent=16.0,
+                         freq_n=[12, 10, 8] if small else [32, 24][:len(k)])
+    bumps = [bump(np.full(len(k), 0.3), 0.9), bump(np.linspace(-0.5, 0.2, len(k)), 1.0)]
+    pairs = [(np.linspace(0.4, -0.3, len(k)), 0.7), (np.zeros(len(k)), 0.5),
+             (np.full(len(k), -0.2), 1.1)]
+    means = _battery_means(kv, plan, bumps, pairs)
+    assert means.shape == (2, 3)
+    for f, row in zip(bumps, means):
+        fhat = plan.forward(plan.sample(f))
+        for (x, t), got in zip(pairs, row):
+            want = spherical_mean_spectral(kv, plan, fhat, x, t)
+            assert abs(got - want.real) <= 1e-14 * abs(want)
