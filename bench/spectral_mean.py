@@ -24,6 +24,7 @@ PLANS = {
     "1-axis": dict(kv=(1.0,), extent=4.0, n=176, freq_extent=110.0, freq_n=416),
     "2-axis": dict(kv=(1.0, 1.0), extent=4.0, n=120, freq_extent=70.0, freq_n=120),
 }
+CALLS = 400  # timed calls per plan
 
 
 def count_bessel_elements():
@@ -43,7 +44,6 @@ def count_bessel_elements():
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--label", required=True, help="name of the measured checkout")
-    parser.add_argument("--calls", type=int, default=400, help="timed calls per plan")
     args = parser.parse_args()
     record = {"label": args.label, "plans": {}}
     for name, geometry in PLANS.items():
@@ -53,7 +53,7 @@ def main() -> None:
         fhat = plan.forward(plan.sample(dk.bump(np.full(len(kv), 0.2), 0.8, order=12)))
         rng = np.random.default_rng(1)
         draws = [(rng.uniform(-1.8, 1.8, size=len(kv)), rng.uniform(0.05, 2.0))
-                 for _ in range(args.calls)]
+                 for _ in range(CALLS)]
         for x, t in draws[:20]:  # warm-up
             dk.spherical_mean_spectral(kv, plan, fhat, x, t)
         times = []

@@ -553,8 +553,8 @@ def simulate_paths(kv, t_grid, n_paths: int, seed: int, kind: str = "gaussian",
     n_paths, kind, n_blocks) however many worker threads run.  A worker
     steps each contiguous run of blocks (about _BLOCK paths, more if blocks
     are larger) at once.  The Cauchy case runs the heat stepper at a 1/2-stable
-    time s = dt^2 / (2 max(z^2, 1e-300)) per step per path, shared across axes;
-    steps need dt^2 normal and dt <= 1e4 (2 s stays finite), else ConfigError.
+    time s = dt^2 / (2 max(z^2, 1e-300)), z normal (exactly 0 once in 2^52), per step per
+    path, shared across axes; to keep 2 s finite, dt > 1e4 (or dt^2 not normal) is a ConfigError.
     """
     kv = _as_kv(kv)
     times = np.asarray(t_grid, dtype=float)

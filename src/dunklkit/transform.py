@@ -263,7 +263,7 @@ class TransformPlan:
     its real part and odd in its imaginary part, so each axis stores just
     those two parts on the positive nodes, and forward and inverse run in
     real arithmetic on folded halves of the data.  The plan also keeps, read-only,
-    the distinct |xi| on the positive frequency quadrant and each node's index.
+    the distinct |xi| of the frequency grid and each signed node's index into them.
     """
 
     def __init__(self, kv, extent=12.0, n=96, freq_extent=None, freq_n=None):
@@ -284,9 +284,11 @@ class TransformPlan:
             self._forward.append(parts * r.weights[r.n // 2:])
             self._inverse.append(parts.transpose(0, 2, 1) * fr.weights[fr.n // 2:])
         self._grid = _tensor_grid([r.nodes for r in self.rules])
-        rad2 = reduce(np.add.outer, [r.nodes[r.n // 2:] ** 2 for r in self.freq_rules])
+        half = [r.nodes[r.n // 2:] for r in self.freq_rules]
+        rad2 = reduce(np.add.outer, [m * m for m in half])  # on the positive quadrant
         radii2, index = np.unique(rad2, return_inverse=True)
-        self._radii, self._radius_index = np.sqrt(radii2), index.reshape(rad2.shape)
+        mirror = np.ix_(*[np.r_[m.size - 1:-1:-1, :m.size] for m in half])
+        self._radii, self._radius_index = np.sqrt(radii2), index.reshape(rad2.shape)[mirror]
         for a in (self._grid, self._radii, self._radius_index):
             a.flags.writeable = False
 
@@ -523,13 +525,12 @@ def translated_normalization_defect(kv, t: float, x, n: int = 96,
 
 def _spectral_mean_weights(kv, plan: TransformPlan, x, t: float):
     """w(xi) E_k(ix, xi) j_lam(t |xi|) / c_k as (axes, radial): per axis, w E_k
-    on all its nodes; j_lam(t |xi|) / c_k on the positive quadrant (the rules
-    are mirror-symmetric), run once per distinct |xi| of the plan and gathered.
+    on all its nodes; j_lam(t |xi|) / c_k once per distinct |xi| of the plan,
+    which radial[plan._radius_index] spreads onto plan.freq_shape.
     """
     axes = [rule.weights * kernel_unitary(k, x_i, rule.nodes)
             for k, x_i, rule in zip(kv.k, x, plan.freq_rules)]
-    radial = bessel_j(kv.lam, t * plan._radii) / kv.c_norm
-    return axes, radial[plan._radius_index]
+    return axes, bessel_j(kv.lam, t * plan._radii) / kv.c_norm
 
 
 def spherical_mean_spectral(kv, plan: TransformPlan, fhat_values: np.ndarray,
@@ -544,8 +545,8 @@ def spherical_mean_spectral(kv, plan: TransformPlan, fhat_values: np.ndarray,
     transform decays inside the plan extent.
 
     Axes i >= 2 fold into magnitudes, a_i(+m) fhat(+m) + a_i(-m) fhat(-m), and
-    axis 1's rows meet the radial quadrant factor in dot products: a few passes
-    over fhat, one j_lam per distinct |xi|, no weights on the full grid.
+    axis 1's rows meet the radial factor on the folded grid in dot products: a
+    few passes over fhat, one j_lam per distinct |xi|, no weights on the full grid.
     """
     kv = _as_kv(kv)
     if kv != plan.kv:
@@ -565,7 +566,8 @@ def spherical_mean_spectral(kv, plan: TransformPlan, fhat_values: np.ndarray,
         m, a = axes[i].size // 2, axes[i].reshape((-1,) + (1,) * (kv.n_axes - 1 - i))
         left, right = np.split(out, 2, axis=i)
         out = right * a[m:] + np.flip(left, i) * a[m - 1::-1]
-    radial = np.concatenate([np.flip(radial, 0), radial]).reshape(axes[0].size, -1)
+    folded = (slice(None),) + tuple(slice(n // 2, None) for n in plan.freq_shape[1:])
+    radial = np.take(radial, plan._radius_index[folded]).reshape(axes[0].size, -1)
     return axes[0] @ np.einsum("jq,jq->j", out.reshape(axes[0].size, -1), radial)
 
 

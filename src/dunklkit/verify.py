@@ -204,13 +204,11 @@ def _suite_radial_product_formula(tol: float | None) -> list[CaseResult]:
 
 
 def _battery_means(kv, plan: TransformPlan, bumps, pairs) -> np.ndarray:
-    """means[i, j] = M_{f_i}(x_j, t_j) from the transform: one weight row per pair,
-    its axis vectors' outer product times its radial quadrant factor mirrored onto
-    every sign, so that each bump costs one forward transform plus dot products."""
+    """means[i, j] = M_{f_i}(x_j, t_j): one weight row per pair (axis vectors' outer product
+    times the radial factor on the grid), so a bump costs a forward transform and dot products."""
     def row(x, t):
         axes, radial = _spectral_mean_weights(kv, plan, x, t)
-        mirror = np.ix_(*[np.r_[a.size // 2 - 1:-1:-1, :a.size // 2] for a in axes])
-        return (reduce(np.multiply.outer, axes) * radial[mirror]).ravel()
+        return (reduce(np.multiply.outer, axes) * radial[plan._radius_index]).ravel()
     combo = np.array([row(x, t) for x, t in pairs])
     means = np.empty((len(bumps), len(pairs)))
     for i, f in enumerate(bumps):

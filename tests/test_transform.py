@@ -542,10 +542,10 @@ def test_plan_radii_are_built_once_and_read_only(monkeypatch):
     kv = MultiplicityVector(k=(1.0, 1.0))
     plan = TransformPlan(kv, extent=4.0, n=8, freq_extent=10.0, freq_n=6)
     radii, index = plan._radii, plan._radius_index
-    m1, m2 = (r.nodes[r.n // 2:] for r in plan.freq_rules)
-    assert radii.size == 6 * 7 // 2 and index.shape == (6, 6)
+    n1, n2 = (r.nodes for r in plan.freq_rules)
+    assert radii.size == 6 * 7 // 2 and index.shape == plan.freq_shape == (12, 12)
     assert np.all(np.diff(radii) > 0)
-    assert np.array_equal(radii[index], np.sqrt(np.add.outer(m1 * m1, m2 * m2)))
+    assert np.array_equal(radii[index], np.sqrt(np.add.outer(n1 * n1, n2 * n2)))
     for cached in (radii, index):
         assert not cached.flags.writeable
         with pytest.raises(ValueError):
