@@ -27,8 +27,7 @@ from scipy.special import betainc, erf, gammainc, gammainccinv, gammaln
 
 from .errors import (ConfigError, NumericalError, PositivityError, ResolutionError, _finite,
                      _node_count)
-from .measures import (_ATOM_CAP, RadialProfileMeasure, _atom_pairs, _grid_measure,
-                       _row_blocks, as_weighted_atoms, dirac)
+from .measures import RadialProfileMeasure, _grid_measure, _row_blocks, as_weighted_atoms, dirac
 from .quadrature import _gauss_roots, gauss_jacobi, log_panel_rule, panel_gauss_legendre
 from .special import bessel_j, bessel_j_envelope
 
@@ -139,6 +138,9 @@ def _pair_nodes(lam: float, ax, aw, bx, bw, n: int = 32):
         yield rows, z, w, (aw[rows][:, None] * bw[None, :])[..., None]
 
 
+_ATOM_CAP = 2048  # atoms per input a convolution keeps before binning its node set
+
+
 def convolve_measures(lam: float, sigma: RadialProfileMeasure, tau: RadialProfileMeasure,
                       grid_n: int = 16384, atom_cap: int = _ATOM_CAP,
                       points_per_pair: int = 32) -> RadialProfileMeasure:
@@ -158,6 +160,7 @@ def convolve_measures(lam: float, sigma: RadialProfileMeasure, tau: RadialProfil
     """
     lam = _check_index(lam)
     grid_n = _node_count(grid_n, "grid_n", least=4)
+    atom_cap = _node_count(atom_cap, "atom_cap")
     points_per_pair = _node_count(points_per_pair, "points_per_pair")
     for m in (sigma, tau):
         if m.grid.size and np.min(m.node_masses) < -1e-12 * max(1.0, m.total_variation()):
@@ -172,7 +175,10 @@ def convolve_measures(lam: float, sigma: RadialProfileMeasure, tau: RadialProfil
         return sigma
     if _is_unit_point(sigma):
         return tau
-    ax, aw, bx, bw = _atom_pairs(sigma, tau, atom_cap)
+    ax, aw = as_weighted_atoms(sigma, cap=atom_cap)
+    bx, bw = as_weighted_atoms(tau, cap=atom_cap)
+    if ax.size == 0 or bx.size == 0:
+        raise ConfigError("cannot convolve an empty measure")
 
     core_a = sigma.grid[-1] if sigma.grid.size else np.max(ax)
     core_b = tau.grid[-1] if tau.grid.size else np.max(bx)

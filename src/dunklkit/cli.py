@@ -33,7 +33,7 @@ from .markov import _resolve_threads, marginal_ks, semigroup_from_json, simulate
 from .measures import measure_from_json, measure_to_json
 from .special import bessel_j
 from .transform import GridFunction, TransformPlan, dunkl_transform_grid, heat_kernel
-from .verify import run_all, suite_names
+from .verify import run_all
 from .bessel_kingman import convolve_measures
 
 _EVAL_TARGETS = ("kernel", "generalized-bessel", "bessel", "heat")
@@ -89,13 +89,6 @@ def _load_config_file(path: str) -> dict:
     return data
 
 
-def _require_int(options: dict, key: str):
-    val = options[key]
-    if isinstance(val, bool) or not isinstance(val, int):
-        raise ConfigError(f"'{key}' must be an integer, got {val!r}")
-    return val
-
-
 def _positive_float(options: dict, key: str) -> float:
     val = options[key]
     try:
@@ -125,8 +118,9 @@ def build_config(command: str, args: argparse.Namespace) -> RunConfig:
     if unknown:
         raise ConfigError(
             f"unknown {command} config keys {unknown}; allowed: {sorted(allowed)}")
-    if "seed" in options:
-        _require_int(options, "seed")
+    seed = options.get("seed")
+    if "seed" in options and (isinstance(seed, bool) or not isinstance(seed, int)):
+        raise ConfigError(f"'seed' must be an integer, got {seed!r}")
     for key in ("tol", "boundary_tol"):
         if key in options:
             _positive_float(options, key)
@@ -293,11 +287,6 @@ def cmd_check(cfg: RunConfig) -> int:
     if names is not None:
         if not names or not all(isinstance(n, str) for n in names):
             raise ConfigError("'suites' must be a non-empty list of suite names")
-        known = set(suite_names())
-        unknown = sorted(set(names) - known)
-        if unknown:
-            raise ConfigError(
-                f"unknown suites {unknown}; available: {suite_names()}")
     reports = run_all(names, tol=cfg.tol)
     all_pass = all(r.passed for r in reports)
     for r in reports:
@@ -316,12 +305,11 @@ def cmd_simulate(cfg: RunConfig) -> int:
     kv = _as_kv(_require(o, "k", "simulate"))
     kind = o.get("kind", "gaussian")
     t_grid = np.asarray(_require(o, "t_grid", "simulate"), dtype=float)
-    n_paths = _require_int(o, "n_paths") if "n_paths" in o else _require(
-        o, "n_paths", "simulate")
+    n_paths = _require(o, "n_paths", "simulate")
     if "seed" not in o:
         raise ConfigError("simulate needs a seed (config file or --seed)")
-    n_blocks = _require_int(o, "n_blocks") if "n_blocks" in o else 16
-    threads = _require_int(o, "threads") if "threads" in o else None
+    n_blocks = o.get("n_blocks", 16)
+    threads = o.get("threads")
 
     ens = simulate_paths(kv, t_grid, n_paths, o["seed"], kind=kind,
                          n_blocks=n_blocks, threads=threads)
@@ -337,9 +325,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
         idx = np.flatnonzero(np.isclose(t_grid, t))
         if idx.size == 0:
             raise ConfigError(f"ks time {t} is not a point of t_grid")
-        if t_grid[idx[0]] <= 0.0:
-            raise ConfigError("ks times must be positive")
-        stat, pval = marginal_ks(kv, ens.radii(int(idx[0])), kind, t)
+        stat, pval = marginal_ks(kv, ens.radii(int(idx[0])), kind, float(t_grid[idx[0]]))
         ks_rows.append({
             "time": float(t_grid[idx[0]]),
             "statistic": float(stat),
@@ -426,11 +412,7 @@ def cmd_convolve(cfg: RunConfig) -> int:
         raise ConfigError(f"conflicting indices {sorted(set(lams))}")
     lam = lams[0]
 
-    kwargs = {}
-    if "grid_n" in o:
-        kwargs["grid_n"] = _require_int(o, "grid_n")
-    if "atom_cap" in o:
-        kwargs["atom_cap"] = _require_int(o, "atom_cap")
+    kwargs = {key: o[key] for key in ("grid_n", "atom_cap") if key in o}
     result = convolve_measures(lam, measures[0], measures[1], **kwargs)
     text = measure_to_json(result, meta=_meta(cfg, **{"lambda": lam}))
     with _sink(cfg.out) as fh:
@@ -454,7 +436,7 @@ def cmd_semigroup(cfg: RunConfig) -> int:
         "k": list(sg.kv.k),
         "lambda": sg.kv.lam,
         "closure_residual": float(sg.closure_residual),
-        "closure_tol": float(cfg.tol) if cfg.tol is not None else 1e-7,
+        "closure_tol": float(sg.tol),
         "pass": True,
     }
     _emit_json(cfg, report)

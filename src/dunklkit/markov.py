@@ -73,6 +73,9 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # the measure class
 
+_MASS_TOL = 1e-10  # |mass - 1| of a profile
+_NEG_TOL = 1e-7    # negative node mass a deposited profile may carry from rounding
+
 
 @dataclass
 class KRadialMeasure:
@@ -80,14 +83,12 @@ class KRadialMeasure:
 
     Stored through its radial profile (the pushforward under |.|), which
     must live at the hypergroup index lam of the multiplicity and carry
-    total mass 1 within mass_tol.  Node masses of gridded profiles may
-    dip slightly negative through deposit rounding; neg_tol bounds that.
+    total mass 1 within _MASS_TOL.  Node masses of gridded profiles may
+    dip slightly negative through deposit rounding; _NEG_TOL bounds that.
     """
 
     kv: MultiplicityVector
     profile: RadialProfileMeasure
-    mass_tol: float = 1e-10
-    neg_tol: float = 1e-7
 
     def __post_init__(self):
         self.kv = _as_kv(self.kv)
@@ -97,13 +98,13 @@ class KRadialMeasure:
             raise ConfigError(
                 f"profile index {self.profile.lam} does not match lam={self.kv.lam}")
         m = self.profile.mass()
-        if abs(m - 1.0) > self.mass_tol:
-            raise PositivityError(f"profile mass {m} differs from 1 beyond {self.mass_tol}")
+        if abs(m - 1.0) > _MASS_TOL:
+            raise PositivityError(f"profile mass {m} differs from 1 beyond {_MASS_TOL}")
         neg = 0.0
         if self.profile.grid.size:
             neg = min(0.0, float(np.min(self.profile.node_masses)))
         neg = min(neg, *(w for _, w in self.profile.atoms), 0.0)
-        if neg < -self.neg_tol:
+        if neg < -_NEG_TOL:
             raise PositivityError(f"profile has negative mass {neg}")
 
     @classmethod
@@ -234,6 +235,12 @@ def convolve_k(kv, mu: KRadialMeasure, nu: KRadialMeasure) -> KRadialMeasure:
 # ---------------------------------------------------------------------------
 # semigroups
 
+# KernelSemigroup's closure check; the certified transform accuracy of the
+# heavy-tailed Cauchy profiles is ~5e-9, well inside _CLOSURE_TOL
+_CHECK_TIMES = (0.25, 0.5)
+_CHECK_FREQS = np.concatenate([[0.0], np.linspace(0.3, 6.0, 20)])
+_CLOSURE_TOL = 1e-7
+
 
 def _hankel_closure_residual(lam: float, family, s: float, t: float,
                              freqs: np.ndarray) -> float:
@@ -247,29 +254,29 @@ def _hankel_closure_residual(lam: float, family, s: float, t: float,
 class KernelSemigroup:
     """Family t -> k-invariant Markov kernel built from radial profiles.
 
-    The constructor verifies the hypergroup semigroup law of the profile
-    family on sampled time pairs (in the transform domain, where the
-    characters separate measures) and that the t = 0 member is the point
-    mass at 0; kernels then come out of kernel(t) = delta_x *_k mu_t.
+    The constructor verifies that the t = 0 member is the point mass at 0
+    and the hypergroup semigroup law of the profile family, in the
+    transform domain, where the characters separate measures: on the time
+    pairs of (0.25, 0.5) at the radial frequencies 0 and 20 points of
+    [0.3, 6], within tol.  Kernels then come out of
+    kernel(t) = delta_x *_k mu_t.
     """
 
     def __init__(self, kv, family, kind: str = "custom", seed: int | None = None,
-                 check_times=(0.25, 0.5), check_freqs=None, tol: float = 1e-7):
+                 tol: float = _CLOSURE_TOL):
         self.kv = _as_kv(kv)
         self.family = family
         self.kind = kind
         self.seed = seed
+        self.tol = tol
         zero = family(0.0)
         lo, hi = zero.support_bounds()
-        if abs(zero.mass() - 1.0) > 1e-10 or max(abs(lo), abs(hi)) > 1e-12:
+        if abs(zero.mass() - 1.0) > _MASS_TOL or max(abs(lo), abs(hi)) > 1e-12:
             raise ConfigError("family(0) must be the unit point mass at 0")
-        if check_freqs is None:
-            check_freqs = np.concatenate([[0.0], np.linspace(0.3, 6.0, 20)])
         self.closure_residual = 0.0
-        for s in check_times:
-            for t in check_times:
-                res = _hankel_closure_residual(self.kv.lam, family, float(s), float(t),
-                                               np.asarray(check_freqs, dtype=float))
+        for s in _CHECK_TIMES:
+            for t in _CHECK_TIMES:
+                res = _hankel_closure_residual(self.kv.lam, family, s, t, _CHECK_FREQS)
                 self.closure_residual = max(self.closure_residual, res)
         if self.closure_residual > tol:
             raise ConsistencyError(
@@ -283,8 +290,6 @@ class KernelSemigroup:
 
     def kernel(self, t: float) -> MarkovKernelHandle:
         return MarkovKernelHandle(self.kv, self.measure(t), time=float(t), kind=self.kind)
-
-    __call__ = kernel
 
     def radial_hat(self, t: float, r):
         """Hankel image of the time-t profile at radial frequencies r."""
@@ -303,20 +308,11 @@ class KernelSemigroup:
         return simulate_paths(self.kv, t_grid, n_paths, seed, kind=self.kind, **kwargs)
 
 
-def _gaussian_family(kv, n: int = 256):
-    lam = kv.lam
+def _profile_family(profile, lam: float, **params):
+    """t -> profile(lam, t, **params) for t > 0, else the point mass at 0."""
 
     def family(t: float) -> RadialProfileMeasure:
-        return rayleigh_measure(lam, t, n=n) if t > 0 else dirac(0.0, lam=lam)
-
-    return family
-
-
-def _cauchy_family(kv, **params):
-    lam = kv.lam
-
-    def family(t: float) -> RadialProfileMeasure:
-        return cauchy_measure(lam, t, **params) if t > 0 else dirac(0.0, lam=lam)
+        return profile(lam, t, **params) if t > 0 else dirac(0.0, lam=lam)
 
     return family
 
@@ -355,8 +351,8 @@ def semigroup_from_json(text: str, tol: float | None = None) -> KernelSemigroup:
         allowed = {"n_profile"}
         if set(params) - allowed:
             raise ConfigError(f"gaussian params allow only {sorted(allowed)}")
-        family = _gaussian_family(kv, n=_node_count(params.get("n_profile", 256), "n_profile"))
-        default_tol = 1e-7
+        family = _profile_family(rayleigh_measure, kv.lam,
+                                 n=_node_count(params.get("n_profile", 256), "n_profile"))
     elif kind in ("cauchy", "subordinated"):
         params = dict(params)
         if kind == "subordinated":
@@ -366,13 +362,11 @@ def semigroup_from_json(text: str, tol: float | None = None) -> KernelSemigroup:
         allowed = {"freq_max", "r_min", "tail_tol", "max_nodes"}
         if set(params) - allowed:
             raise ConfigError(f"{kind} params allow only alpha plus {sorted(allowed)}")
-        family = _cauchy_family(kv, **params)
-        # certified transform accuracy of the heavy-tailed profiles is ~5e-9
-        default_tol = 1e-7
+        family = _profile_family(cauchy_measure, kv.lam, **params)
     else:
         raise ConfigError(f"unknown semigroup type '{kind}'")
     return KernelSemigroup(kv, family, kind=kind, seed=seed,
-                           tol=default_tol if tol is None else float(tol))
+                           tol=_CLOSURE_TOL if tol is None else float(tol))
 
 
 # ---------------------------------------------------------------------------

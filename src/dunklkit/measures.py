@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, PositivityError, _node_count
+from .errors import ConfigError, PositivityError
 
 __all__ = [
     "LineMeasure",
@@ -249,19 +249,6 @@ def deposit_on_grid(positions: np.ndarray, masses: np.ndarray,
         buf *= masses
         np.add.at(out, idx + off, buf)
     return out
-
-
-_ATOM_CAP = 2048  # atoms per input a convolution keeps before binning its node set
-
-
-def _atom_pairs(mu: LineMeasure, nu: LineMeasure, atom_cap: int = _ATOM_CAP):
-    """Both inputs of a convolution as weighted atoms, at least one each."""
-    atom_cap = _node_count(atom_cap, "atom_cap")
-    ax, aw = as_weighted_atoms(mu, cap=atom_cap)
-    bx, bw = as_weighted_atoms(nu, cap=atom_cap)
-    if ax.size == 0 or bx.size == 0:
-        raise ConfigError("cannot convolve an empty measure")
-    return ax, aw, bx, bw
 
 
 # Elements per float64 temporary (256 KiB) of the pair pipelines: radial

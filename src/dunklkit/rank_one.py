@@ -6,9 +6,10 @@ The kernel E_k(z, w) depends on z, w only through u = z w:
 
 with E_0(z, w) = exp(zw).  The generalized translation of point masses is
 a signed measure: the radial part is the Bessel-Kingman convolution at
-index k - 1/2, mirrored to +/-z with weights built from three cosine-rule
-coefficients.  Averaging the translation over t and -t yields the
-spherical mean measure, which is a probability measure for every k >= 0.
+index k - 1/2, whose node z has angle node u (z^2 = a^2 + b^2 - 2abu),
+mirrored to +/-z with weights that are linear in u / z.  Averaging the
+translation over t and -t yields the spherical mean measure, which is a
+probability measure for every k >= 0.
 
 The intertwiner measure at x is b_k (1 - u^2)^(k-1) (1 + u) du at xi = x u:
 the Bessel-Kingman angle law at index k - 1/2 (bessel_kingman._angle_rule)
@@ -20,9 +21,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .bessel_kingman import _angle_rule, _angular_norm, _pair_nodes, _point_nodes
-from .errors import ConfigError, _finite, _node_count
-from .measures import LineMeasure, _atom_pairs, _grid_measure, _row_blocks
+from .bessel_kingman import _angle_rule, _angular_norm, _point_nodes
+from .errors import ConfigError, _finite
+from .measures import LineMeasure
 from .special import bessel_j, bessel_j_imag
 
 __all__ = [
@@ -32,7 +33,6 @@ __all__ = [
     "signed_product_measure",
     "spherical_mean_measure",
     "spherical_mean",
-    "convolve",
     "intertwiner_measure",
 ]
 
@@ -72,25 +72,6 @@ def kernel_value(k: float, z, w):
     return bessel_j(k - 0.5, iu) + u / (2.0 * k + 1.0) * bessel_j(k + 0.5, iu)
 
 
-def _sigma(u, v, w):
-    """Cosine-rule coefficient (u^2 + v^2 - w^2) / (2 u v), zero when u v = 0."""
-    uv = np.asarray(u) * np.asarray(v)
-    num = np.square(u) + np.square(v) - np.square(w)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(uv != 0.0, num / np.where(uv != 0.0, 2.0 * uv, 1.0), 0.0)
-
-
-def _mirror_weights(x, y, z):
-    """Weights of the signed translation measure at +z and -z.
-
-    x, y enter with their signs; z > 0 are radial nodes of the
-    Bessel-Kingman convolution of |x| and |y|.
-    """
-    s1 = _sigma(x, y, z)
-    s23 = _sigma(z, x, y) + _sigma(z, y, x)
-    return 0.5 * (1.0 - s1 + s23), 0.5 * (1.0 - s1 - s23)
-
-
 def _mirrored_measure(k: float, a: float, b: float, split, n: int) -> LineMeasure:
     """Signed measure on +/-z built from the radial convolution of a, b > 0.
 
@@ -120,6 +101,12 @@ def signed_product_measure(k: float, x: float, y: float, n: int = 128) -> LineMe
     Gamma_t(x, y) = int F_t(|z|) dmu_{x,-y}(z); the reflection is the
     usual character-convention twist between convolution and semigroup
     pairing.
+
+    The radial node z of angle node u goes to +z and -z with weights
+    (1 - s1 +/- s23) / 2, where s1 = sign(xy) u and
+    s23 = (sign(x) (|x| - |y| u) + sign(y) (|y| - |x| u)) / z: the
+    cosine-rule coefficients of the triangle (|x|, |y|, z) without the
+    cancellation of z^2 + x^2 - y^2 when min(|x|, |y|) << max(|x|, |y|).
     """
     k = _check_k(k)
     x, y = _finite(x, "x"), _finite(y, "y")
@@ -131,7 +118,14 @@ def signed_product_measure(k: float, x: float, y: float, n: int = 128) -> LineMe
     # collapses, and the measure is the point mass to the same accuracy
     if min(abs(x), abs(y)) <= 1e-11 * hi or hi < 1e-150:
         return LineMeasure(atoms=[(x + y, 1.0)], lam=k)
-    return _mirrored_measure(k, abs(x), abs(y), lambda z, u: _mirror_weights(x, y, z), n)
+    a, b = abs(x), abs(y)
+
+    def split(z, u):
+        s1 = np.sign(x * y) * u
+        s23 = (np.sign(x) * (a - b * u) + np.sign(y) * (b - a * u)) / z
+        return 0.5 * (1.0 - s1 + s23), 0.5 * (1.0 - s1 - s23)
+
+    return _mirrored_measure(k, a, b, split, n)
 
 
 def spherical_mean_measure(k: float, x: float, t: float, n: int = 128) -> LineMeasure:
@@ -154,7 +148,7 @@ def spherical_mean_measure(k: float, x: float, t: float, n: int = 128) -> LineMe
         return LineMeasure(atoms=[(-t, 0.5), (t, 0.5)], lam=k)
 
     def split(z, u):
-        # _sigma(z, x, t) from the angle node: no cancellation when |x| << t
+        # the product split averaged over y = +/-t: s1 and the y-term of s23 cancel
         sig = np.sign(x) * (abs(x) - t * u) / z
         return 0.5 * (1.0 + sig), 0.5 * (1.0 - sig)
 
@@ -164,40 +158,6 @@ def spherical_mean_measure(k: float, x: float, t: float, n: int = 128) -> LineMe
 def spherical_mean(k: float, f, x: float, t: float, n: int = 128):
     """Evaluate the spherical mean M_f(x, t) = int f dsigma_{x,t}."""
     return spherical_mean_measure(k, x, t, n=n).integrate(f)
-
-
-def convolve(k: float, mu: LineMeasure, nu: LineMeasure, grid_n: int = 16384) -> LineMeasure:
-    """Generalized convolution of two (possibly signed) measures on R.
-
-    Atoms of mu x nu are translated pairwise through the signed product
-    measure and deposited on a symmetric uniform grid.  Associative and
-    commutative up to deposit resolution; degeneracies (zero radii,
-    k = 0) fall out of the same formulas.
-    """
-    k = _check_k(k)
-    grid_n = _node_count(grid_n, "grid_n", least=4)
-    ax, aw, bx, bw = _atom_pairs(mu, nu)
-
-    def _extent(m):
-        lo, hi = m.support_bounds()
-        return max(abs(lo), abs(hi))
-
-    L = 1.0001 * (_extent(mu) + _extent(nu))
-    if L == 0.0:  # both inputs sit at the origin
-        return LineMeasure(atoms=[(0.0, float(mu.mass() * nu.mass()))], lam=k)
-
-    def pieces():
-        if k == 0.0:
-            for rows in _row_blocks(ax.size, bx.size):
-                yield ((ax[rows, None] + bx[None, :]).ravel(),
-                       (aw[rows, None] * bw[None, :]).ravel())
-            return
-        for rows, z, w, pair_w in _pair_nodes(k - 0.5, ax, aw, bx, bw):
-            w_plus, w_minus = _mirror_weights(ax[rows, None, None], bx[None, :, None], z)
-            yield z.ravel(), (w * w_plus * pair_w).ravel()
-            yield -z.ravel(), (w * w_minus * pair_w).ravel()
-
-    return _grid_measure(LineMeasure, -L, L, grid_n, pieces(), lam=k)
 
 
 def _intertwiner_nodes(k: float, x: float, n: int) -> tuple[np.ndarray, np.ndarray]:

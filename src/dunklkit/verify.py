@@ -768,4 +768,10 @@ def run_suite(name: str, tol: float | None = None) -> SuiteReport:
 
 
 def run_all(names=None, tol: float | None = None) -> list[SuiteReport]:
-    return [run_suite(n, tol=tol) for n in (names or suite_names())]
+    """Run the named suites (default: all) in order.  Every name is checked
+    before the first suite runs, so an unknown one costs no suite time."""
+    names = names or suite_names()
+    unknown = sorted(set(names) - set(SUITES))
+    if unknown:
+        raise ConfigError(f"unknown suites {unknown}; available: {', '.join(SUITES)}")
+    return [run_suite(n, tol=tol) for n in names]

@@ -69,6 +69,16 @@ def test_convolution_budgets_are_checked(budget):
         convolve_measures(1.0, a, b, **budget)
 
 
+@pytest.mark.parametrize("atom_cap", [-5, "x"])
+@pytest.mark.parametrize("identity_first", [False, True])
+def test_atom_cap_is_checked_before_the_identity_shortcut(atom_cap, identity_first):
+    # a point mass at 0 on either side returned the other input unchecked
+    mu, point = rayleigh_measure(0.5, 0.3), dirac(0.0, lam=0.5)
+    pair = (point, mu) if identity_first else (mu, point)
+    with pytest.raises(ConfigError, match="atom_cap"):
+        convolve_measures(0.5, *pair, atom_cap=atom_cap)
+
+
 @pytest.mark.parametrize("call", [
     lambda v: convolve_measures(1.0, rayleigh_measure(1.0, 0.4, n=8),
                                 rayleigh_measure(1.0, 0.7, n=8), points_per_pair=v),
@@ -169,6 +179,14 @@ def test_convolution_rejects_negative_measures():
                                density=np.full(9, -1.0))
     with pytest.raises(PositivityError):
         convolve_measures(lam, bad, rayleigh_measure(lam, 0.5))
+
+
+def test_convolution_rejects_an_empty_measure():
+    empty = RadialProfileMeasure(grid=np.empty(0), density=np.empty(0), weights=np.empty(0),
+                                 lam=1.0)
+    for pair in [(empty, rayleigh_measure(1.0, 0.5)), (rayleigh_measure(1.0, 0.5), empty)]:
+        with pytest.raises(ConfigError, match="empty"):
+            convolve_measures(1.0, *pair)
 
 
 def test_cauchy_profile_frozen_cdf_and_transform():

@@ -399,6 +399,22 @@ def test_convolve_budgets_are_config_errors(tmp_path, capsys, budget):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("atom_cap", [-5, "x"])
+def test_convolve_checks_atom_cap_with_a_point_mass_input(tmp_path, capsys, atom_cap):
+    # the point mass at 0 is the identity: the other input came back with exit 0
+    from dunklkit import dirac, measure_to_json
+
+    a = heat_measure_json(tmp_path, "a.json", 0.3)
+    b = tmp_path / "b.json"
+    b.write_text(measure_to_json(dirac(0.0, lam=0.5)))
+    cfg = write_config(tmp_path, "c.json", {"inputs": [a, str(b)], "atom_cap": atom_cap})
+    out = tmp_path / "conv.json"
+    code, _, err = run_cli(capsys, "convolve", "--config", cfg, "--out", str(out))
+    assert code == 2
+    assert json.loads(err)["error"]["kind"] == "config"
+    assert not out.exists()
+
+
 def test_convolve_needs_exactly_two_inputs(tmp_path, capsys):
     a = heat_measure_json(tmp_path, "a.json", 0.3)
     cfg = write_config(tmp_path, "c.json", {"inputs": [a]})

@@ -602,3 +602,53 @@ def test_transform_route_checker_flags_a_dense_plan(tmp_path):
         "TransformPlan.forward does not call _parity_contract",
         "_contract_axes called from other:mean (line 3)",
         "_contract_axes called from transform:TransformPlan.forward (line 3)"]
+
+
+# ---------------------------------------------------------------------------
+# no private helper outlives its last caller: every module-level def _name in
+# the package is read somewhere in the package outside its own body
+
+
+def dead_helpers(paths) -> list[str]:
+    """module.name for every module-level private def of the given modules
+    that no Name or Attribute reads outside its own definition and outside
+    the other dead helpers (so a chain of orphans is flagged whole)."""
+    trees = {path: ast.parse(path.read_text(), filename=str(path)) for path in paths}
+    reads = set()   # (name, module, top-level scope of the read)
+    for path, tree in trees.items():
+        for scope, node in _scoped_nodes(tree):
+            name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+            if isinstance(node, (ast.Name, ast.Attribute)) and name.startswith("_"):
+                reads.add((name, path.stem, scope.split(".")[0]))
+    helpers = {(path.stem, node.name) for path, tree in trees.items() for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+               and node.name.startswith("_") and not node.name.startswith("__")}
+    dead: set = set()
+    while True:   # dead only grows, so this ends
+        live = {name for name, module, scope in reads
+                if scope != name and (module, scope) not in dead}
+        found = {(module, name) for module, name in helpers if name not in live}
+        if found == dead:
+            return sorted(f"{module}.{name}" for module, name in dead)
+        dead = found
+
+
+def test_no_dead_private_helpers():
+    assert dead_helpers(PACKAGE) == []
+
+
+def test_dead_helper_checker_flags_orphans(tmp_path):
+    one, two = tmp_path / "one.py", tmp_path / "two.py"
+    one.write_text("def _used(x):\n    return x\n"
+                   "def _by_attribute(x):\n    return x\n"
+                   "def _recursive(n):\n    return _recursive(n - 1) if n else 0\n"
+                   "def _dead():\n    return _dead_chain()\n"
+                   "def _dead_chain():\n    pass\n"
+                   "def public():\n    return _used(1)\n"
+                   "class A:\n    def _method(self):\n        pass\n")
+    two.write_text("from . import one\n"
+                   "def g():\n    return one._by_attribute(2)\n")
+    assert dead_helpers([one, two]) == ["one._dead", "one._dead_chain", "one._recursive"]
+    two.write_text("from . import one\n")
+    assert dead_helpers([one, two]) == ["one._by_attribute", "one._dead", "one._dead_chain",
+                                        "one._recursive"]

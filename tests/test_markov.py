@@ -287,6 +287,35 @@ def test_semigroup_simulation_needs_seed():
 
 
 # ---------------------------------------------------------------------------
+# the kernel handle, each method against a route it does not share
+
+
+def test_kernel_handle_apply_obeys_the_semigroup_law():
+    # delta_x *_k mu_0.4 against the time-0.3 heat profile is the time-0.7 profile at |x|
+    handle = semigroup_from_json(json.dumps({"type": "gaussian", "k": [1.0, 0.5]})).kernel(0.4)
+    f0 = lambda r: radial_heat_profile(KV2, 0.3, r)
+    for x in ([0.0, 0.0], [0.9, -0.7], [-1.4, 0.3]):
+        want = radial_heat_profile(KV2, 0.7, np.hypot(*x))
+        assert handle.apply(np.array(x), f0=f0) == pytest.approx(want, rel=2e-14)
+
+
+def test_kernel_handle_hat_matches_the_quadrature_transform():
+    handle = semigroup_from_json(json.dumps({"type": "gaussian", "k": [1.0, 0.5]})).kernel(0.4)
+    for x, xi in [([0.9, -0.7], [1.1, 0.4]), ([-0.3, 1.2], [-0.8, 1.5]), ([0.0, 0.0], [0.6, -0.2])]:
+        x, xi = np.array(x), np.array(xi)
+        assert abs(handle.hat(x, xi) - gaussian_kernel_hat(KV2, 0.4, x, xi)) <= 2e-14
+
+
+def test_kernel_handle_cauchy_density_is_the_poisson_kernel():
+    # k = 0: the classical Poisson kernel of the half-space over R^2
+    handle = semigroup_from_json(json.dumps({"type": "cauchy", "k": [0.0, 0.0]})).kernel(0.7)
+    for x, y in [([0.0, 0.0], [0.5, -0.3]), ([0.9, -0.7], [-0.2, 0.4]), ([1.5, 0.5], [1.5, 0.5])]:
+        x, y = np.array(x), np.array(y)
+        want = 0.7 / (2.0 * np.pi * (0.7**2 + np.sum((x - y) ** 2)) ** 1.5)
+        assert handle.density(x, y) == pytest.approx(want, rel=1e-7)
+
+
+# ---------------------------------------------------------------------------
 # path simulation
 
 

@@ -20,7 +20,6 @@ from dunklkit import (
     spherical_mean,
     spherical_mean_measure,
 )
-from dunklkit.rank_one import convolve
 
 # k, x, y, E_k(x, y)
 REAL_KERNEL = [
@@ -156,6 +155,19 @@ def test_signed_product_measure_degenerate_cases():
     assert mu.atoms == [(0.8, 1.0)]
 
 
+@pytest.mark.parametrize("k, x, y", [
+    (0.05078125, 1e-12, 0.0625), (0.05078125, 5.48e-13, 0.05),
+    (0.05078125, 3.3e-11, 3.0), (0.05078125, 1e-9, 0.0625)])
+def test_signed_product_measure_keeps_its_mass_near_the_collapse(k, x, y):
+    # min(|x|, |y|) just above the collapse at 1e-11 max: weights from
+    # z^2 + x^2 - y^2 missed the mass by up to 3.8e-6 (1 - 2.1e-10 at x = 1e-9)
+    mu = signed_product_measure(k, x, y)
+    assert abs(mu.mass() - 1.0) <= 1e-14
+    s = 2.3
+    want = kernel_unitary(k, x, s) * kernel_unitary(k, y, s)
+    assert abs(mu.integrate(lambda z: kernel_unitary(k, z, s)) - want) <= 1e-12
+
+
 def test_signed_product_measure_can_go_negative():
     # the measure is genuinely signed; same-sign arguments expose the
     # negative branch near the inner support radius
@@ -211,43 +223,6 @@ def test_spherical_mean_degenerate_cases():
     assert spherical_mean_measure(2.0, 0.0, 0.4).atoms == [(-0.4, 0.5), (0.4, 0.5)]
     # constants are fixed points of the mean
     assert spherical_mean(1.0, lambda s: np.ones_like(s), 1.1, 0.7) == pytest.approx(1.0)
-
-
-# ---------------------------------------------------------------------------
-# convolution of line measures
-
-
-def test_convolve_point_masses_matches_product_measure():
-    from dunklkit.measures import LineMeasure, dirac
-
-    k, x, y = 1.0, 1.2, -0.7
-    dx = dirac(x, cls=LineMeasure, lam=k)
-    dy = dirac(y, cls=LineMeasure, lam=k)
-    conv = convolve(k, dx, dy, grid_n=8192)
-    mu = signed_product_measure(k, x, y)
-    assert conv.mass() == pytest.approx(1.0, abs=1e-10)
-    for z in (0.0, 0.6, 1.7, 3.1):
-        lhs = conv.integrate(lambda s: kernel_unitary(k, z, s))
-        rhs = mu.integrate(lambda s: kernel_unitary(k, z, s))
-        assert abs(lhs - rhs) < 5e-6
-
-
-@pytest.mark.parametrize("grid_n", [3, 1, 0, -3])
-def test_convolve_grid_budget_is_checked(grid_n):
-    from dunklkit.measures import LineMeasure, dirac
-
-    d = dirac(0.5, cls=LineMeasure, lam=1.0)
-    with pytest.raises(ConfigError, match="grid_n must be at least 4"):
-        convolve(1.0, d, d, grid_n=grid_n)
-
-
-def test_convolve_empty_measure_rejected():
-    from dunklkit.measures import LineMeasure
-
-    empty = LineMeasure(grid=np.empty(0), density=np.empty(0),
-                        weights=np.empty(0), lam=1.0)
-    with pytest.raises(ConfigError):
-        convolve(1.0, empty, empty)
 
 
 # ---------------------------------------------------------------------------
