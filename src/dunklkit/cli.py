@@ -29,7 +29,7 @@ import numpy as np
 from . import __version__
 from .core import _as_kv, dunkl_kernel_unitary, generalized_bessel_unitary
 from .errors import ConfigError, NumericalError, _finite
-from .markov import _resolve_threads, marginal_ks, semigroup_from_json, simulate_paths
+from .markov import _CLOSURE_TOL, _resolve_threads, marginal_ks, semigroup_from_json, simulate_paths
 from .measures import measure_from_json, measure_to_json
 from .special import bessel_j
 from .transform import GridFunction, TransformPlan, dunkl_transform_grid, heat_kernel
@@ -39,7 +39,7 @@ from .bessel_kingman import convolve_measures
 _EVAL_TARGETS = ("kernel", "generalized-bessel", "bessel", "heat")
 _KS_THRESHOLD = 0.01
 
-# keys each subcommand accepts in its config, beyond the shared pair
+# keys each subcommand accepts in its config, beyond the shared seed
 _COMMAND_KEYS = {
     "eval": {"target", "k", "x", "y", "alpha", "s"},
     "check": {"suites"},
@@ -48,7 +48,7 @@ _COMMAND_KEYS = {
     "convolve": {"inputs", "lambda", "k", "grid_n", "atom_cap"},
     "semigroup": {"type", "k", "params"},
 }
-_SHARED_KEYS = {"seed", "tol"}
+_SHARED_KEYS = {"seed"}
 
 
 # ---------------------------------------------------------------------------
@@ -68,10 +68,6 @@ class RunConfig:
     @property
     def seed(self):
         return self.options.get("seed")
-
-    @property
-    def tol(self):
-        return self.options.get("tol")
 
 
 def _load_config_file(path: str) -> dict:
@@ -106,8 +102,6 @@ def build_config(command: str, args: argparse.Namespace) -> RunConfig:
     options = _load_config_file(args.config) if args.config else {}
     if args.seed is not None:
         options["seed"] = args.seed
-    if args.tol is not None:
-        options["tol"] = args.tol
     if command == "eval" and getattr(args, "target", None):
         options["target"] = args.target
     if command == "check" and getattr(args, "suites", None):
@@ -121,9 +115,8 @@ def build_config(command: str, args: argparse.Namespace) -> RunConfig:
     seed = options.get("seed")
     if "seed" in options and (isinstance(seed, bool) or not isinstance(seed, int)):
         raise ConfigError(f"'seed' must be an integer, got {seed!r}")
-    for key in ("tol", "boundary_tol"):
-        if key in options:
-            _positive_float(options, key)
+    if "boundary_tol" in options:
+        _positive_float(options, "boundary_tol")
 
     canonical = json.dumps({"command": command, "options": options},
                            sort_keys=True, separators=(",", ":"))
@@ -154,8 +147,6 @@ def _sink(path: str | None):
 
 def _meta(cfg: RunConfig, **extra) -> dict:
     meta = {"version": __version__, "config": cfg.config_hash, "seed": cfg.seed}
-    if cfg.tol is not None:
-        meta["tol"] = cfg.tol
     meta.update(extra)
     return meta
 
@@ -287,7 +278,7 @@ def cmd_check(cfg: RunConfig) -> int:
     if names is not None:
         if not names or not all(isinstance(n, str) for n in names):
             raise ConfigError("'suites' must be a non-empty list of suite names")
-    reports = run_all(names, tol=cfg.tol)
+    reports = run_all(names)
     all_pass = all(r.passed for r in reports)
     for r in reports:
         verdict = "PASS" if r.passed else "FAIL"
@@ -322,12 +313,12 @@ def cmd_simulate(cfg: RunConfig) -> int:
     ks_rows = []
     for t in ks_times:
         t = _finite(t, "ks time")
-        idx = np.flatnonzero(np.isclose(t_grid, t))
-        if idx.size == 0:
+        i = int(np.argmin(np.abs(t_grid - t)))  # the nearest grid time, if it is close
+        if not np.isclose(t_grid[i], t):
             raise ConfigError(f"ks time {t} is not a point of t_grid")
-        stat, pval = marginal_ks(kv, ens.radii(int(idx[0])), kind, float(t_grid[idx[0]]))
+        stat, pval = marginal_ks(kv, ens.radii(i), kind, float(t_grid[i]))
         ks_rows.append({
-            "time": float(t_grid[idx[0]]),
+            "time": float(t_grid[i]),
             "statistic": float(stat),
             "p_value": float(pval),
             "law": "rayleigh" if kind == "gaussian" else "cauchy",
@@ -430,13 +421,13 @@ def cmd_semigroup(cfg: RunConfig) -> int:
         "params": o.get("params", {}),
         "seed": cfg.seed,
     }
-    sg = semigroup_from_json(json.dumps(spec), tol=cfg.tol)
+    sg = semigroup_from_json(json.dumps(spec))
     report = {
         "type": sg.kind,
         "k": list(sg.kv.k),
         "lambda": sg.kv.lam,
         "closure_residual": float(sg.closure_residual),
-        "closure_tol": float(sg.tol),
+        "closure_tol": _CLOSURE_TOL,
         "pass": True,
     }
     _emit_json(cfg, report)
@@ -475,7 +466,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--format", dest="fmt", choices=("csv", "json"),
                         help="output format")
         sp.add_argument("--seed", type=int, help="seed override")
-        sp.add_argument("--tol", type=float, help="tolerance override")
         return sp
 
     pe = add("eval", "tabulate kernels, Bessel functions, heat densities")

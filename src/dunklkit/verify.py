@@ -4,7 +4,8 @@ Every suite pits at least two computational routes that share as little
 code as possible against each other: quadrature against closed forms,
 series against integral representations, samplers against exact laws.
 Residuals are reported raw; the pass decision compares each case
-against its entry in TOLERANCES, the single table all defaults live in.
+against its entry in TOLERANCES, the one table every bound lives in.
+Nothing overrides a bound: a PASS means the same thing on every run.
 
 Suites are registered in SUITES and run through run_suite / run_all;
 reports serialize to plain dicts for the command-line front end.
@@ -63,19 +64,21 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# the tolerance table; all suite defaults live here and nowhere else
+# the tolerance table; every case's bound lives here and nowhere else.
+# Entries bound an absolute error unless their comment gives another unit.
 
 TOLERANCES: dict[str, float] = {
     "product-formula": 1e-6,
-    "radial-product-formula": 1e-6,
+    "radial-product-formula": 1e-6,  # relative to max_z |j_lam(z|x|) j_lam(zt)|
     "positivity": 1e-8,          # means may dip to -tol
     "support": 1e-8,
-    "support-endpoint": 2.0,     # units of local node spacing
-    "plancherel-roundtrip": 1e-5,
-    "plancherel-ratio": 1e-4,
+    "support-endpoint": 2.0,     # endpoint miss in local node spacings
+    "support-endpoint-atomic": 1e-12,  # purely atomic measures: exact endpoints
+    "plancherel-roundtrip": 1e-5,  # relative to max |f|
+    "plancherel-ratio": 1e-4,      # relative: |norm^2 ratio - 1|
     "funk-hecke": 1e-7,
-    "darboux": 0.5,              # |h^2-order ratio - 4|
-    "chapman-kolmogorov": 1e-6,
+    "darboux": 0.5,              # |ratio of residuals at h and h/2 - 4|, no unit
+    "chapman-kolmogorov": 1e-6,  # relative to the one-step density
     "heat-normalization": 1e-6,
     "translated-normalization": 1e-5,
     "addition-theorems": 1e-8,
@@ -86,8 +89,8 @@ TOLERANCES: dict[str, float] = {
     "markov-semigroup": 1e-5,
     "markov-morphism": 1e-7,
     "markov-continuity": 5e-3,
-    "markov-ks": 0.0,            # residual = 0.01 - KS p-value
-    "markov-reproducible": 0.0,
+    "markov-ks": 0.0,            # 0.01 - KS p-value: passes when p >= 0.01
+    "markov-reproducible": 0.0,  # 0/1 flag: 1 when the two CSVs' bytes differ
     "appendix": 1e-10,
     "orbit-integral": 1e-8,
 }
@@ -147,18 +150,14 @@ class SuiteReport:
         return out
 
 
-def _tol(key: str, override: float | None) -> float:
-    return TOLERANCES[key] if override is None else float(override)
-
-
 # ---------------------------------------------------------------------------
 # product formulas
 
 
-def _suite_product_formula(tol: float | None) -> list[CaseResult]:
+def _suite_product_formula() -> list[CaseResult]:
     """Rank-one kernel product formula against the signed point measure:
     E(ixz) E(iyz) = int E(i xi z) dmu_{x,y}(xi) for real frequencies z."""
-    t = _tol("product-formula", tol)
+    t = TOLERANCES["product-formula"]
     z = np.linspace(0.0, 5.0, 20)
     out = []
     for k in (0.5, 1.0, 2.5):
@@ -173,13 +172,13 @@ def _suite_product_formula(tol: float | None) -> list[CaseResult]:
     return out
 
 
-def _suite_radial_product_formula(tol: float | None) -> list[CaseResult]:
+def _suite_radial_product_formula() -> list[CaseResult]:
     """Spherical means of radial characters follow the one-dimensional
     product law at the radial index: averaging y -> j_lam(z |y|) over the
     mean measure at (x, t) gives j_lam(z |x|) j_lam(z t).  The left side
     integrates over the law of <xi, omega> (intertwiner atoms against the
     sphere) and knows nothing about that law."""
-    t_ = _tol("radial-product-formula", tol)
+    t_ = TOLERANCES["radial-product-formula"]
     rng = np.random.default_rng(20260819)
     z = np.linspace(0.25, 5.0, 20)
     out = []
@@ -256,12 +255,12 @@ def _smooth_nonneg(rng, n_axes: int, count: int):
     return fns
 
 
-def _suite_positivity(tol: float | None) -> list[CaseResult]:
+def _suite_positivity() -> list[CaseResult]:
     """200 seeded nonnegative test functions per group, 150 smooth
     rapidly-decaying ones plus 50 compactly supported bumps; every
     spherical mean must stay above -tolerance.  The residual is the
     negated minimum, so a clean battery reports a negative residual."""
-    t_ = _tol("positivity", tol)
+    t_ = TOLERANCES["positivity"]
     rng = np.random.default_rng(11)
     out = []
     for k in ((1.0,), (1.0, 1.0)):
@@ -304,34 +303,32 @@ def _support_batteries(rng, kv, x, t):
     return outside, inside
 
 
-def _endpoint_case(name: str, k: float, x: float, t: float,
-                   tol: float | None) -> CaseResult:
+def _endpoint_case(name: str, k: float, x: float, t: float) -> CaseResult:
     """Support endpoints of the rank-one mean measure, in units of the
     local node spacing (atoms pin the endpoints exactly)."""
-    factor = _tol("support-endpoint", tol)
     mu = spherical_mean_measure(k, x, t, n=128)
     pos, mass = as_weighted_atoms(mu)
     pos = np.sort(np.unique(np.abs(pos[np.abs(mass) > 0])))
     lo_want, hi_want = abs(abs(x) - t), abs(x) + t
     if pos.size < 4:  # purely atomic: endpoints must be exact
         res = float(max(abs(pos[0] - lo_want), abs(pos[-1] - hi_want)))
-        return CaseResult(name, res, 1e-12 if tol is None else float(tol))
+        return CaseResult(name, res, TOLERANCES["support-endpoint-atomic"])
     spacing = float(max(pos[1] - pos[0], pos[-1] - pos[-2]))
     res = float(max(abs(pos[0] - lo_want), abs(pos[-1] - hi_want))) / spacing
     overshoot = float(max(lo_want - pos[0], pos[-1] - hi_want, 0.0)) / spacing
-    return CaseResult(name, max(res, 2.0 * overshoot), factor)
+    return CaseResult(name, max(res, 2.0 * overshoot), TOLERANCES["support-endpoint"])
 
 
-def _suite_support(tol: float | None) -> list[CaseResult]:
+def _suite_support() -> list[CaseResult]:
     """Mean measures live on the annulus intersected with the orbit balls:
     bumps supported off that set integrate to numerical zero, and the
     rank-one node sets end where the annulus does."""
-    t_ = _tol("support", tol)
+    t_ = TOLERANCES["support"]
     out = [
-        _endpoint_case("endpoints k=1 x=1 t=0.3", 1.0, 1.0, 0.3, tol),
-        _endpoint_case("endpoints k=1 x=0 t=1", 1.0, 0.0, 1.0, tol),
-        _endpoint_case("endpoints k=0.5 x=1.5 t=0.7", 0.5, 1.5, 0.7, tol),
-        _endpoint_case("endpoints k=2.5 x=0.4 t=1.1", 2.5, 0.4, 1.1, tol),
+        _endpoint_case("endpoints k=1 x=1 t=0.3", 1.0, 1.0, 0.3),
+        _endpoint_case("endpoints k=1 x=0 t=1", 1.0, 0.0, 1.0),
+        _endpoint_case("endpoints k=0.5 x=1.5 t=0.7", 0.5, 1.5, 0.7),
+        _endpoint_case("endpoints k=2.5 x=0.4 t=1.1", 2.5, 0.4, 1.1),
     ]
     rng = np.random.default_rng(17)
     kv = MultiplicityVector((1.0, 1.0))
@@ -388,12 +385,12 @@ def _schwartz_functions(rng, n_axes: int, count: int):
     return fns
 
 
-def _suite_plancherel(tol: float | None) -> list[CaseResult]:
+def _suite_plancherel() -> list[CaseResult]:
     """Round-trip inversion and norm preservation of the transform on
     random Schwartz-class functions (polynomial times Gaussian times
     oscillation), one and two axes."""
-    t_round = _tol("plancherel-roundtrip", tol)
-    t_ratio = _tol("plancherel-ratio", tol)
+    t_round = TOLERANCES["plancherel-roundtrip"]
+    t_ratio = TOLERANCES["plancherel-ratio"]
     rng = np.random.default_rng(23)
     out = []
     for k in ((1.0,), (1.0, 0.5)):
@@ -411,12 +408,12 @@ def _suite_plancherel(tol: float | None) -> list[CaseResult]:
 # sphere suites
 
 
-def _suite_funk_hecke(tol: float | None) -> list[CaseResult]:
+def _suite_funk_hecke() -> list[CaseResult]:
     """Sphere integrals of kernel times harmonic against their closed
     forms, plus the degree-zero radialization of the kernel."""
     from .harmonics import SphereQuadrature, funk_hecke_pair, harmonic_basis
 
-    t_ = _tol("funk-hecke", tol)
+    t_ = TOLERANCES["funk-hecke"]
     out = []
     for k in ((1.0, 0.5), (2.0, 1.0)):
         kv = MultiplicityVector(k)
@@ -441,15 +438,15 @@ def _suite_funk_hecke(tol: float | None) -> list[CaseResult]:
     return out
 
 
-def _suite_addition_theorems(tol: float | None) -> list[CaseResult]:
+def _suite_addition_theorems() -> list[CaseResult]:
     """Gegenbauer addition and plane-wave expansions at n_max = 40, and
     the harmonic series of the kernel at n_max = 20 against its direct
     evaluation."""
     from .harmonics import (addition_theorem_residual, kernel_series,
                             plane_wave_residual)
 
-    t_add = _tol("addition-theorems", tol)
-    t_ser = _tol("kernel-series", tol)
+    t_add = TOLERANCES["addition-theorems"]
+    t_ser = TOLERANCES["kernel-series"]
     out = []
     costheta = np.linspace(-1.0, 1.0, 41)
     for lam in (0.5, 1.5, 2.0):
@@ -475,12 +472,12 @@ def _suite_addition_theorems(tol: float | None) -> list[CaseResult]:
     return out
 
 
-def _suite_orbit(tol: float | None) -> list[CaseResult]:
+def _suite_orbit() -> list[CaseResult]:
     """Two-kernel sphere averages: direct quadrature against the
     intertwined one-Bessel form, plus the degenerate closed forms."""
     from .harmonics import SphereQuadrature, orbit_integral
 
-    t_ = _tol("orbit-integral", tol)
+    t_ = TOLERANCES["orbit-integral"]
     out = []
     for k in ((1.0, 0.5), (0.5, 2.0)):
         kv = MultiplicityVector(k)
@@ -510,11 +507,11 @@ def _suite_orbit(tol: float | None) -> list[CaseResult]:
 # wave equation
 
 
-def _suite_darboux(tol: float | None) -> list[CaseResult]:
+def _suite_darboux() -> list[CaseResult]:
     """Spherical means solve the radial wave identity; the finite
     difference residual must shrink at second order when the time step
     halves (ratio near 4)."""
-    t_ = _tol("darboux", tol)
+    t_ = TOLERANCES["darboux"]
     out = []
     cases = [((1.0,), np.array([0.8]), 0.6),
              ((1.0, 0.5), np.array([0.9, -0.7]), 0.5)]
@@ -533,12 +530,12 @@ def _suite_darboux(tol: float | None) -> list[CaseResult]:
 # heat kernel
 
 
-def _suite_chapman_kolmogorov(tol: float | None) -> list[CaseResult]:
+def _suite_chapman_kolmogorov() -> list[CaseResult]:
     """Two-step heat compositions against the single step, plus mass
     normalization of plain and translated heat kernels."""
-    t_ck = _tol("chapman-kolmogorov", tol)
-    t_norm = _tol("heat-normalization", tol)
-    t_trans = _tol("translated-normalization", tol)
+    t_ck = TOLERANCES["chapman-kolmogorov"]
+    t_norm = TOLERANCES["heat-normalization"]
+    t_trans = TOLERANCES["translated-normalization"]
     out = []
     cases = [((1.0,), np.array([0.7]), np.array([-0.4])),
              ((0.5,), np.array([1.2]), np.array([0.3])),
@@ -566,12 +563,12 @@ def _suite_chapman_kolmogorov(tol: float | None) -> list[CaseResult]:
 # radial hypergroup
 
 
-def _suite_bessel_kingman(tol: float | None) -> list[CaseResult]:
+def _suite_bessel_kingman() -> list[CaseResult]:
     """Point convolution against the character product formula, and
     closure of the canonical one-parameter families under convolution,
     read in the transform domain."""
-    t_prod = _tol("bessel-kingman-product", tol)
-    t_clos = _tol("bessel-kingman-closure", tol)
+    t_prod = TOLERANCES["bessel-kingman-product"]
+    t_clos = TOLERANCES["bessel-kingman-closure"]
     out = []
     r = np.linspace(0.0, 5.0, 20)
     for lam in (0.5, 1.0, 2.5):
@@ -596,8 +593,7 @@ def _suite_bessel_kingman(tol: float | None) -> list[CaseResult]:
         conv = convolve_measures(1.5, cauchy_measure(1.5, s), cauchy_measure(1.5, t))
         got = hankel_transform(1.5, conv, freqs)
         worst = max(worst, float(np.max(np.abs(got - np.exp(-(s + t) * freqs)))))
-    out.append(CaseResult("cauchy closure lam=1.5", worst,
-                          _tol("bessel-kingman-product", tol)))
+    out.append(CaseResult("cauchy closure lam=1.5", worst, t_clos))
     return out
 
 
@@ -605,7 +601,7 @@ def _suite_bessel_kingman(tol: float | None) -> list[CaseResult]:
 # Markov kernels
 
 
-def _suite_markov(tol: float | None) -> list[CaseResult]:
+def _suite_markov() -> list[CaseResult]:
     """Transform factorization of the transition kernels by direct
     quadrature, the semigroup law for composed kernels, multiplicativity
     on radial profiles, weak continuity in time, marginal laws of the
@@ -614,12 +610,12 @@ def _suite_markov(tol: float | None) -> list[CaseResult]:
                          gaussian_kernel_hat, marginal_ks, simulate_paths,
                          subordinated_kernel_hat)
 
-    t_inv = _tol("markov-invariance", tol)
-    t_sg = _tol("markov-semigroup", tol)
-    t_mor = _tol("markov-morphism", tol)
-    t_cont = _tol("markov-continuity", tol)
-    t_ks = _tol("markov-ks", tol)
-    t_rep = _tol("markov-reproducible", tol)
+    t_inv = TOLERANCES["markov-invariance"]
+    t_sg = TOLERANCES["markov-semigroup"]
+    t_mor = TOLERANCES["markov-morphism"]
+    t_cont = TOLERANCES["markov-continuity"]
+    t_ks = TOLERANCES["markov-ks"]
+    t_rep = TOLERANCES["markov-reproducible"]
     out = []
 
     probes = {1: (np.array([1.0]), [np.array([0.5]), np.array([1.4]),
@@ -700,11 +696,11 @@ def _suite_markov(tol: float | None) -> list[CaseResult]:
 # degenerate closed forms
 
 
-def _suite_appendix(tol: float | None) -> list[CaseResult]:
+def _suite_appendix() -> list[CaseResult]:
     """Multiplicity-one closed forms: the alternating exponential sum,
     the group-averaged kernel, and the half-integer Bessel function all
     coincide."""
-    t_ = _tol("appendix", tol)
+    t_ = TOLERANCES["appendix"]
     out = []
     grid = np.linspace(-3.0, 3.0, 20)
     xl = _tensor_grid([grid, grid])
@@ -757,21 +753,19 @@ def suite_names() -> list[str]:
     return list(SUITES)
 
 
-def run_suite(name: str, tol: float | None = None) -> SuiteReport:
+def run_suite(name: str) -> SuiteReport:
     if name not in SUITES:
         raise ConfigError(f"unknown suite '{name}'; available: {', '.join(SUITES)}")
-    if tol is not None and tol <= 0:
-        raise ConfigError("tolerance override must be positive")
     start = time.perf_counter()
-    results = SUITES[name](tol)
+    results = SUITES[name]()
     return SuiteReport(name, results, time.perf_counter() - start)
 
 
-def run_all(names=None, tol: float | None = None) -> list[SuiteReport]:
+def run_all(names=None) -> list[SuiteReport]:
     """Run the named suites (default: all) in order.  Every name is checked
     before the first suite runs, so an unknown one costs no suite time."""
     names = names or suite_names()
     unknown = sorted(set(names) - set(SUITES))
     if unknown:
         raise ConfigError(f"unknown suites {unknown}; available: {', '.join(SUITES)}")
-    return [run_suite(n, tol=tol) for n in names]
+    return [run_suite(n) for n in names]

@@ -124,7 +124,7 @@ def test_eval_unknown_target_and_keys(tmp_path, capsys):
 
 def test_config_validation_rules(tmp_path, capsys):
     base = {"target": "kernel", "k": [1.0], "x": [1.0], "y": [1.0]}
-    # tolerances must be positive numbers
+    # tol is no config key: every bound comes from the tolerance table
     cfg = write_config(tmp_path, "t.json", {**base, "tol": 0.0})
     assert run_cli(capsys, "eval", "--config", cfg)[0] == 2
     # seed must be an integer
@@ -156,14 +156,39 @@ def test_check_passing_suites(tmp_path, capsys):
     assert "PASS" in err
 
 
-def test_check_failure_serializes_cases(capsys):
-    code, out, err = run_cli(capsys, "check", "appendix", "--tol", "1e-30")
+def test_check_failure_serializes_cases(capsys, monkeypatch):
+    monkeypatch.setitem(dunklkit.verify.TOLERANCES, "appendix", 1e-30)
+    code, out, err = run_cli(capsys, "check", "appendix")
     assert code == 1
     doc = json.loads(out)
     assert doc["pass"] is False
     failing = doc["suites"][0]["failures"]
     assert failing and {"case", "residual", "tolerance", "pass"} <= set(failing[0])
     assert "FAIL" in err
+
+
+_MINIMAL_CONFIGS = {
+    "eval": {"target": "kernel", "k": [1.0], "x": [1.0], "y": [1.0]},
+    "check": {"suites": ["appendix"]},
+    "simulate": {"k": [1.0], "t_grid": [0.0, 1.0], "n_paths": 8, "seed": 1},
+    "transform": {"k": [1.0], "input": "grid.csv"},
+    "convolve": {"inputs": ["a.json", "b.json"], "lambda": 0.5},
+    "semigroup": {"type": "gaussian", "k": [1.0]},
+}
+
+
+def test_tolerance_override_is_refused(tmp_path, capsys):
+    # a tol key or flag used to replace every bound of a check (and was
+    # hashed into, then ignored by, the other subcommands)
+    for command, payload in _MINIMAL_CONFIGS.items():
+        cfg = write_config(tmp_path, f"{command}.json", {**payload, "tol": 1e-6})
+        code, _, err = run_cli(capsys, command, "--config", cfg, "--out", str(tmp_path / "o"))
+        assert code == 2, command
+        assert "'tol'" in json.loads(err)["error"]["message"], command
+    for argv in (["check", "appendix", "--tol", "1e-30"], ["semigroup", "--tol", "1e-3"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
 
 
 def test_check_unknown_suite_is_config_error(capsys):
@@ -278,6 +303,20 @@ def test_simulate_ks_times_must_be_on_grid(tmp_path, capsys):
     code, _, _ = run_cli(capsys, "simulate", "--config", cfg,
                          "--out", str(tmp_path / "p.csv"), "--seed", "4")
     assert code == 2
+
+
+@pytest.mark.parametrize("t_grid, t", [([0.0, 1e-9, 2e-9], 2e-9),
+                                       ([0.0, 1.0, 1.000000001], 1.000000001)])
+def test_simulate_ks_time_takes_the_nearest_grid_point(tmp_path, capsys, t_grid, t):
+    # np.isclose's 1e-8 atol matches several points of these grids; the
+    # first match used to win, so the first grid exited 2 (KS at t = 0)
+    # and the second tested the radii at t = 1
+    cfg = write_config(tmp_path, "sim.json", {
+        "kind": "gaussian", "k": [1.0], "t_grid": t_grid, "n_paths": 50, "ks_times": [t]})
+    code, stdout, _ = run_cli(capsys, "simulate", "--config", cfg,
+                              "--out", str(tmp_path / "p.csv"), "--seed", "4")
+    assert code == 0
+    assert [row["time"] for row in json.loads(stdout)["ks"]] == [t]
 
 
 def test_simulate_cauchy_ks(tmp_path, capsys):

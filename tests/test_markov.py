@@ -21,7 +21,8 @@ from dunklkit import (
     simulate_paths,
     translate_measure,
 )
-from dunklkit.bessel_kingman import cauchy_measure, rayleigh_measure, stable_half_subordinator
+from dunklkit.bessel_kingman import (cauchy_measure, hankel_transform, rayleigh_measure,
+                                     stable_half_subordinator)
 from dunklkit.transform import heat_kernel, radial_heat_profile
 from dunklkit.markov import (
     _heat_step,
@@ -224,6 +225,21 @@ def test_semigroup_family_checks():
         KernelSemigroup(kv, crooked)
 
 
+def test_closure_check_builds_each_time_once():
+    # the check used to build 12 profiles over all ordered pairs of (0.25, 0.5);
+    # its residual must equal that ordered-pair maximum bit for bit
+    calls = []
+    base = lambda t: cauchy_measure(KV1.lam, t) if t > 0 else dirac(0.0, lam=KV1.lam)
+    family = lambda t: calls.append(t) or base(t)
+    sg = KernelSemigroup(KV1, family)
+    assert sorted(calls) == [0.0, 0.25, 0.5, 0.75, 1.0]
+    freqs = np.concatenate([[0.0], np.linspace(0.3, 6.0, 20)])
+    hat = lambda t: hankel_transform(KV1.lam, base(t), freqs)
+    want = max(float(np.max(np.abs(hat(s) * hat(t) - hat(s + t))))
+               for s in (0.25, 0.5) for t in (0.25, 0.5))
+    assert sg.closure_residual == want
+
+
 def test_semigroup_json_validation():
     good = {"type": "gaussian", "k": [1.0]}
     semigroup_from_json(json.dumps(good))
@@ -406,7 +422,7 @@ def test_simulate_paths_reproducible_and_thread_invariant():
 @pytest.mark.parametrize("n_blocks", [0, -1])
 def test_simulate_paths_rejects_nonpositive_block_count(n_blocks):
     # n_blocks = 0 used to return all-zero paths
-    with pytest.raises(ConfigError, match="n_blocks must be positive"):
+    with pytest.raises(ConfigError, match="n_blocks must be at least 1"):
         simulate_paths(KV2, [0.0, 0.5], 8, seed=1, n_blocks=n_blocks)
 
 

@@ -1,10 +1,11 @@
-"""The self-check suites: report plumbing plus the fast suites end to end.
+"""The self-check suites: report plumbing plus the one suite no acceptance
+criterion runs.
 
-The heavyweight suites (positivity, support, markov, plancherel at full
-size) run inside the acceptance tests; here only the quick ones execute
-so the module stays cheap to iterate on.
+Every other suite runs once, inside the acceptance tests; here only
+orbit-integral executes end to end, so the module stays cheap to iterate on.
 """
 
+import inspect
 import json
 
 import numpy as np
@@ -12,7 +13,8 @@ import pytest
 
 from dunklkit import (ConfigError, TOLERANCES, MultiplicityVector, TransformPlan, bump,
                       run_all, run_suite, spherical_mean_spectral, suite_names)
-from dunklkit.verify import CaseResult, SuiteReport, _battery_means
+from dunklkit.markov import KernelSemigroup, semigroup_from_json
+from dunklkit.verify import SUITES, CaseResult, SuiteReport, _battery_means, _endpoint_case
 
 
 def test_suite_names_cover_tolerance_table():
@@ -49,28 +51,29 @@ def test_suite_report_aggregation():
 def test_unknown_suite_and_bad_tolerance():
     with pytest.raises(ConfigError):
         run_suite("no-such-suite")
-    with pytest.raises(ConfigError):
-        run_suite("appendix", tol=0.0)
-    with pytest.raises(ConfigError):
-        run_suite("appendix", tol=-1.0)
+    # bounds come from TOLERANCES only: no entry point takes an override
+    for fn in (run_suite, run_all, _endpoint_case, semigroup_from_json, KernelSemigroup,
+               *SUITES.values()):
+        assert "tol" not in inspect.signature(fn).parameters, fn.__name__
+    with pytest.raises(TypeError):
+        run_suite("appendix", tol=1e-30)
 
 
-@pytest.mark.parametrize("name", ["appendix", "orbit-integral", "funk-hecke",
-                                  "addition-theorems", "bessel-kingman",
-                                  "darboux", "chapman-kolmogorov"])
+@pytest.mark.parametrize("name", ["orbit-integral"])
 def test_fast_suites_pass(name):
+    # the other suites run once, in tests/test_acceptance.py
     rep = run_suite(name)
     assert rep.passed, rep.to_dict()
     assert rep.cases > 0
     assert rep.max_residual <= rep.tolerance
 
 
-def test_tolerance_override_is_respected():
-    strict = run_suite("appendix", tol=1e-30)
-    assert not strict.passed
-    assert all(c.tolerance == 1e-30 for c in strict.results)
-    loose = run_suite("appendix", tol=10.0)
-    assert loose.passed
+def test_endpoint_cases_read_their_bounds_from_the_table(monkeypatch):
+    # the purely atomic case (x = 0) had a literal 1e-12 bound of its own
+    monkeypatch.setitem(TOLERANCES, "support-endpoint-atomic", 0.25)
+    monkeypatch.setitem(TOLERANCES, "support-endpoint", 3.0)
+    assert _endpoint_case("atomic", 1.0, 0.0, 1.0).tolerance == 0.25
+    assert _endpoint_case("spread", 1.0, 1.0, 0.3).tolerance == 3.0
 
 
 def test_run_all_subset():
