@@ -10,7 +10,7 @@ configuration, one byte stream.
 Exit codes:
     0   success
     1   a verification suite reported a failing case
-    2   configuration error (bad JSON, unknown keys, unknown suite)
+    2   configuration error (bad JSON, unknown keys or flags, unknown suite)
     3   numerical guard tripped (sampler range, boundary decay,
         semigroup closure)
 """
@@ -448,8 +448,16 @@ _HANDLERS = {
 # entry point
 
 
+class _Parser(argparse.ArgumentParser):
+    """An unknown flag or a malformed value is a configuration error like
+    any other (JSON on stderr, exit 2); --help and --version still exit."""
+
+    def error(self, message: str):
+        raise ConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="dunklkit",
         description="Batch evaluation, verification, and simulation for "
                     "Dunkl analysis on the sign-change groups.")
@@ -487,8 +495,8 @@ def _print_error(kind: str, exc: Exception) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         cfg = build_config(args.command, args)
         return _HANDLERS[cfg.command](cfg)
     except ConfigError as exc:

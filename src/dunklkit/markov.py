@@ -245,11 +245,11 @@ _CLOSURE_TOL = 1e-7
 def _closure_residual(lam: float, family) -> float:
     """max over s <= t in _CHECK_TIMES and r in _CHECK_FREQS of
     | H(sigma_s)(r) H(sigma_t)(r) - H(sigma_(s+t))(r) |, with the Hankel
-    image of each distinct time's profile built once."""
+    image of each distinct time's profile built once; NaN if any term is."""
     pairs = [(s, t) for i, s in enumerate(_CHECK_TIMES) for t in _CHECK_TIMES[i:]]
     times = {u for s, t in pairs for u in (s, t, s + t)}
     hat = {u: hankel_transform(lam, family(u), _CHECK_FREQS) for u in times}
-    return max(float(np.max(np.abs(hat[s] * hat[t] - hat[s + t]))) for s, t in pairs)
+    return float(np.max([np.abs(hat[s] * hat[t] - hat[s + t]) for s, t in pairs]))
 
 
 class KernelSemigroup:
@@ -273,7 +273,7 @@ class KernelSemigroup:
         if abs(zero.mass() - 1.0) > _MASS_TOL or max(abs(lo), abs(hi)) > 1e-12:
             raise ConfigError("family(0) must be the unit point mass at 0")
         self.closure_residual = _closure_residual(self.kv.lam, family)
-        if self.closure_residual > _CLOSURE_TOL:
+        if not self.closure_residual <= _CLOSURE_TOL:  # NaN fails too
             raise ConsistencyError(
                 f"profile family violates the semigroup law: residual "
                 f"{self.closure_residual:.3e} exceeds {_CLOSURE_TOL}")

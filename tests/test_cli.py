@@ -185,10 +185,14 @@ def test_tolerance_override_is_refused(tmp_path, capsys):
         code, _, err = run_cli(capsys, command, "--config", cfg, "--out", str(tmp_path / "o"))
         assert code == 2, command
         assert "'tol'" in json.loads(err)["error"]["message"], command
+    # an unknown flag is a configuration error like the key, not argparse's usage exit
     for argv in (["check", "appendix", "--tol", "1e-30"], ["semigroup", "--tol", "1e-3"]):
-        with pytest.raises(SystemExit) as exc:
-            main(argv)
-        assert exc.value.code == 2
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2, argv
+        assert out == ""
+        error = json.loads(err)["error"]
+        assert error["kind"] == "config"
+        assert "--tol" in error["message"], argv
 
 
 def test_check_unknown_suite_is_config_error(capsys):

@@ -240,6 +240,18 @@ def test_closure_check_builds_each_time_once():
     assert sg.closure_residual == want
 
 
+def test_closure_check_refuses_nan(monkeypatch):
+    # NaN > tol is false, and a running max drops a NaN that is not first:
+    # the check used to build this semigroup, NaN only at s + t = 1
+    nan_at_one = rayleigh_measure(KV1.lam, 1.0)
+    family = lambda t: (nan_at_one if t == 1.0 else rayleigh_measure(KV1.lam, t) if t > 0
+                        else dirac(0.0, lam=KV1.lam))
+    monkeypatch.setattr("dunklkit.markov.hankel_transform", lambda lam, mu, r: (
+        np.full(np.shape(r), np.nan) if mu is nan_at_one else hankel_transform(lam, mu, r)))
+    with pytest.raises(ConsistencyError, match="nan"):
+        KernelSemigroup(KV1, family)
+
+
 def test_semigroup_json_validation():
     good = {"type": "gaussian", "k": [1.0]}
     semigroup_from_json(json.dumps(good))

@@ -104,9 +104,16 @@ def _envelope_error(alpha, x, got):
 @pytest.mark.parametrize("alpha", _HALF_INT_ORDERS)
 def test_bessel_j_half_integer_large_argument(alpha):
     rng = np.random.default_rng(20261018)
+    # the recurrence starts from t = tan(x/2); it is largest next to the
+    # poles x = (2m+1) pi and must stay accurate on huge arguments.  The
+    # last pole is the double nearest to one (|tan| = 2.1e18 there).
+    poles = np.append((2.0 * np.array([4, 5, 31, 999, 12345, 99999, 100000]) + 1.0) * np.pi,
+                      6381956970095103 * 2.0**798)
     x = np.concatenate([rng.uniform(12.0, 200.0, 24),
                         np.exp(rng.uniform(np.log(200.0), np.log(1e6), 24)),
-                        [1e6, 1e150, 1e200]])
+                        [1e6, 1e150, 1e200],
+                        poles, np.nextafter(poles, 0.0), np.nextafter(poles, np.inf),
+                        np.exp(rng.uniform(np.log(1e12), np.log(1e300), 16)), [1e12, 1e300]])
     got = bessel_j(alpha, x)
     assert np.all(np.isfinite(got))
     assert max(_envelope_error(alpha, xx, g) for xx, g in zip(x, got)) <= 5e-15
