@@ -16,8 +16,8 @@ spectrally accurate for integrands even in z (the characters are).
 
 The same angle rule, at lam = k - 1/2, is the rank-one intertwiner: the
 measure of V_k at x is the law of x u with u weighted by (1 + u) against
-it (rank_one.intertwiner_measure), and its even part is each axis's
-factor of the radial product formula's law (transform.spherical_mean_radial).
+it (rank_one.intertwiner_measure); at the radial index, the point convolution
+of |x| and t is the radial spherical mean (transform.spherical_mean_radial).
 """
 
 from __future__ import annotations
@@ -86,7 +86,10 @@ def product_kernel(lam: float, x: float, y: float, z) -> np.ndarray:
 def _angle_rule(lam: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     """The n-point Gauss rule of the angle law _angular_norm(lam) (1-u^2)^(lam-1/2) du
     on [-1, 1]: ascending nodes u, symmetric about 0, and masses w / sum(w), so
-    the mass is 1 by construction.  Exact to degree 2n - 1."""
+    the mass is 1 by construction.  Exact to degree 2n - 1.  At lam = -1/2, the
+    weak limit: mass 1/2 at u = +-1."""
+    if lam == -0.5:
+        return np.array([-1.0, 1.0]), np.full(2, 0.5)
     u, w = _gauss_roots("jacobi", n, lam - 0.5, lam - 0.5)
     return u, w / np.sum(w)
 
@@ -123,19 +126,18 @@ def convolve_points(lam: float, x: float, y: float, n: int = 128) -> RadialProfi
     return mu
 
 
-def _pair_nodes(lam: float, ax, aw, bx, bw, n: int = 32):
-    """Point convolutions of every atom pair (|a|, |b|), in row blocks of a.
+def _pair_nodes(lam: float, ax, bx, n: int):
+    """Point convolutions of every pair (|a|, |b|) of ax and bx, in row blocks of ax.
 
-    Yields (rows, z, w, pair_w) per block: the block's slice of ax, the
-    nodes z(u) of shape (len(ax[rows]), len(bx), n), the n angle-rule
-    masses, and the pair masses a_w * b_w broadcast against them.
+    Yields (rows, z, w) per block: the block's slice of ax, the nodes z(u)
+    of shape (len(ax[rows]), len(bx), n) and the n angle-rule masses.
     """
     u, w = _angle_rule(lam, n)
     y = np.abs(bx)[None, :, None]
     for rows in _row_blocks(ax.size, bx.size * n):
         x = np.abs(ax[rows])[:, None, None]
         z = np.sqrt(np.maximum(x * x + y * y - 2.0 * x * y * u, 0.0))
-        yield rows, z, w, (aw[rows][:, None] * bw[None, :])[..., None]
+        yield rows, z, w
 
 
 _ATOM_CAP = 2048  # atoms per input a convolution keeps before binning its node set
@@ -189,8 +191,8 @@ def convolve_measures(lam: float, sigma: RadialProfileMeasure, tau: RadialProfil
     far_sums: dict[float, np.ndarray] = {}  # key -> [sum m, sum m z^2]
 
     def pieces():
-        for rows, z, w, pair_w in _pair_nodes(lam, ax, aw, bx, bw, points_per_pair):
-            m = w * pair_w
+        for rows, z, w in _pair_nodes(lam, ax, bx, points_per_pair):
+            m = w * (aw[rows][:, None] * bw[None, :])[..., None]
             ok = z <= z_max
             if ok.all():
                 yield z.ravel(), m.ravel()

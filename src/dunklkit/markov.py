@@ -154,12 +154,12 @@ def translate_measure(kv, x, mu: KRadialMeasure, f=None, f0=None, mean_fn=None):
         (delta_x *_k mu)(f) = int M_f(x, |y|) dmu(y),
 
     reduced to the radial profile: sum_j mass_j M_f(x, r_j).  The test
-    function enters one of three ways: f0 is a radial profile (spherical
-    means through the law of <xi, omega>), f is a general callable
-    on points (rank one only, through the explicit mean measures), and
-    mean_fn(x, r) supplies precomputed spherical means directly.  x = 0
-    returns the plain integral of f against mu; a point profile at 0
-    returns f(x).
+    function enters one of three ways: f0 is a radial profile (at every N,
+    each mean the Bessel-Kingman point convolution of |x| and r_j), f is a
+    general callable on points (rank one only, through the explicit mean
+    measures), and mean_fn(x, r) supplies precomputed spherical means
+    directly.  x = 0 returns the plain integral of f against mu; a point
+    profile at 0 returns f(x).
     """
     kv = _as_kv(kv)
     x = _coords(kv, "x", x, point=True)

@@ -9,8 +9,8 @@ non-smooth |x|^(2k) cases where a uniform rule would stall.
 The transform itself is separable: the kernel restricted to an axis pair
 is a one-dimensional unitary kernel, so an N-dimensional transform is a
 chain of small dense matrix contractions.  Spherical means of radial
-functions integrate f0 against one positive rule per point x, the law of
-<xi, omega> in the radial product formula.
+functions are Bessel-Kingman point convolutions of |x| and t: one positive
+angle rule at the radial index, at every N.
 """
 
 from __future__ import annotations
@@ -23,12 +23,12 @@ from functools import reduce
 
 import numpy as np
 
-from .bessel_kingman import _angle_rule
+from .bessel_kingman import _pair_nodes
 from .core import (_as_kv, _axis_c_norm, _axis_product, _coords, dunkl_kernel_unitary,
                    dunkl_laplacian, intertwiner_atoms)
 from .errors import ConfigError, _finite, _node_count
 from .measures import _row_blocks
-from .quadrature import QuadratureRule, _quadrant_rule, _tensor_grid, gauss_jacobi
+from .quadrature import QuadratureRule, _tensor_grid, gauss_jacobi
 from .rank_one import kernel_unitary
 from .special import _scaled_bessel_imag, bessel_j, radial_bessel_operator
 
@@ -571,60 +571,31 @@ def spherical_mean_spectral(kv, plan: TransformPlan, fhat_values: np.ndarray,
     return axes[0] @ np.einsum("jq,jq->j", out.reshape(axes[0].size, -1), radial)
 
 
-def _mean_law(kv, x, n_sphere: int, n_per_axis: int):
-    """The law nu_x of spherical_mean_radial as (s, w_src, w_atom): node
-    s[a, j] has mass w_src[a] w_atom[j] >= 0.  Each axis is the angle rule
-    at k_i - 1/2, the even part of the intertwiner's; the quadrant is the
-    one SphereQuadrature uses."""
-    if kv.n_axes > 2:
-        raise ConfigError(f"radial spherical means are implemented for N <= 2, not {kv.n_axes}")
-    dirs, w_src = np.ones((1, 1)), np.ones(1)  # N = 1: s = |x| U
-    if kv.n_axes == 2:
-        dirs, w_src = _quadrant_rule(n_sphere, *kv.k)
-        w_src = w_src / np.sum(w_src)
-    nodes, masses = [], []
-    for k, a in zip(kv.k, np.abs(x)):
-        if k == 0.0 or a == 0.0:
-            u, w = np.array([-1.0, 1.0]), np.full(2, 0.5)
-        else:
-            u, w = _angle_rule(k - 0.5, n_per_axis)
-        nodes.append(a * u)
-        masses.append(w)
-    pts, w_atom = _tensor_grid(nodes, masses)
-    return dirs @ pts.T, w_src, w_atom
+def spherical_mean_radial(kv, f0, x, t, n: int = 256):
+    """Spherical mean of a radial function f = f0(|.|) at every N: by the radial
+    product formula, |.| pushes the mean measure sigma_{x,t} onto the
+    Bessel-Kingman point convolution of |x| and t at the radial index lam,
 
+        M_f(x, t) = int f0(sqrt(|x|^2 + t^2 - 2 |x| t u)) dG_lam(u),
 
-def spherical_mean_radial(kv, f0, x, t, n_sphere: int = 64,
-                          n_per_axis: int = 48):
-    """Spherical mean of a radial function f = f0(|.|), N <= 2, by the radial
-    product formula M_f(x, t) = int f0(sqrt(|x|^2 + t^2 - 2 t s)) dnu_x(s), nu_x
-    the law of s = <xi, omega> with xi ~ mu_x and omega ~ w_k dsigma / d_k.
-
-    w_k dsigma is invariant under every sign change, so axis i enters only
-    as the even part of mu_(x_i), |x_i| U_i with U_i ~ b_k (1 - u^2)^(k_i - 1)
-    on [-1, 1] (+-1 at k_i = 0), and omega as its first quadrant (sqrt(u),
-    sqrt(1 - u)), u ~ u^(k_1 - 1/2) (1 - u)^(k_2 - 1/2).  nu_x is one positive
-    tensor rule of mass 1 per call, Gauss in each factor and exact to degree
-    2n - 1 in it: n_per_axis nodes per axis, n_sphere for u (at N = 2 only).
+    G_lam the angle law of bessel_kingman, whatever the direction of x.  One
+    n-node rule of G_lam, exact to degree 2n - 1 in u, serves every radius;
+    kinks such as |r - 1| converge only algebraically, hence the large default.
     t is one radius (a float comes back) or an array of radii (one mean each).
     """
     kv = _as_kv(kv)
-    n_sphere = _node_count(n_sphere, "n_sphere")
-    n_per_axis = _node_count(n_per_axis, "n_per_axis")
+    n = _node_count(n, "n")
     x = _coords(kv, "x", x, point=True)
     radii = np.asarray(t, dtype=float)
     r = radii.ravel()
     with np.errstate(over="ignore"):
-        c = np.sum(x * x) + r * r
+        rx2 = np.sum(x * x)
+        c = rx2 + r * r
     if not np.all(np.isfinite(c)):
         raise ConfigError("t must be finite, with |x|^2 + t^2 inside the float range")
-    s, w_src, w_atom = _mean_law(kv, x, n_sphere, n_per_axis)
-    sums = np.empty(r.size * w_src.size)  # one per (radius, sphere node) row
-    for rows in _row_blocks(sums.size, w_atom.size):
-        ri, si = np.divmod(np.arange(rows.start, rows.stop), w_src.size)
-        arg = np.sqrt(np.maximum(c[ri, None] - 2.0 * r[ri, None] * s[si], 0.0))
-        sums[rows] = np.einsum("ij,j->i", _profile(f0, arg), w_atom)
-    means = np.einsum("ij,j->i", sums.reshape(r.size, w_src.size), w_src)
+    means = np.empty(r.size)
+    for rows, z, w in _pair_nodes(kv.lam, r, np.array([np.sqrt(rx2)]), n):
+        means[rows] = np.einsum("ijk,k->i", _profile(f0, z), w)
     return float(means[0]) if radii.ndim == 0 else means.reshape(radii.shape)
 
 

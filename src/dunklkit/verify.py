@@ -34,8 +34,13 @@ from .core import (
     dunkl_kernel_unitary,
     generalized_bessel_unitary,
     group_elements,
+    intertwiner_atoms,
 )
 from .errors import ConfigError
+from .harmonics import (SphereQuadrature, addition_theorem_residual, funk_hecke_pair,
+                        harmonic_basis, kernel_series, orbit_integral, plane_wave_residual)
+from .markov import (KRadialMeasure, composed_kernel_hat, convolve_k, gaussian_kernel_hat,
+                     marginal_ks, simulate_paths, subordinated_kernel_hat)
 from .measures import as_weighted_atoms
 from .quadrature import _tensor_grid
 from .special import bessel_j, bessel_j_imag
@@ -172,12 +177,32 @@ def _suite_product_formula() -> list[CaseResult]:
     return out
 
 
+def _angle_law_moment_error(kv, x) -> float:
+    """Max error of the law of u = <xi, omega> / |x| (intertwiner atoms against
+    the signed points at N = 1, SphereQuadrature at N = 2; 16 nodes, exact here)
+    against the angle law at lam: E u^(2m) = (1/2)_m / (lam + 1)_m (relative)
+    and E u^(2m - 1) = 0, m <= 6."""
+    pts, masses = intertwiner_atoms(kv, x, n_per_axis=16)
+    dirs, w_dir = np.array([[1.0], [-1.0]]), np.full(2, 0.5)
+    if kv.n_axes == 2:
+        rule = SphereQuadrature(kv, n=16)
+        dirs, w_dir = rule.points, rule.weights / kv.d_norm
+    u = (dirs @ pts.T).ravel() / np.sqrt(x @ x)
+    w = np.multiply.outer(w_dir, masses).ravel()
+    moments = np.array([w @ u**j for j in range(1, 13)])
+    m = np.arange(1, 7)
+    want = np.cumprod((m - 0.5) / (kv.lam + m))
+    return max(np.max(np.abs(moments[1::2] / want - 1.0)), np.max(np.abs(moments[::2])))
+
+
 def _suite_radial_product_formula() -> list[CaseResult]:
     """Spherical means of radial characters follow the one-dimensional
     product law at the radial index: averaging y -> j_lam(z |y|) over the
-    mean measure at (x, t) gives j_lam(z |x|) j_lam(z t).  The left side
-    integrates over the law of <xi, omega> (intertwiner atoms against the
-    sphere) and knows nothing about that law."""
+    mean measure at (x, t) gives j_lam(z |x|) j_lam(z t).  The left side is
+    the Bessel-Kingman point convolution of |x| and t, one angle rule at lam,
+    and knows nothing about j_lam.  The moment cases take the paper's own
+    route to the law of <xi, omega>, intertwiner atoms against the sphere,
+    and check that it is the law of |x| u that the left side integrates."""
     t_ = TOLERANCES["radial-product-formula"]
     rng = np.random.default_rng(20260819)
     z = np.linspace(0.25, 5.0, 20)
@@ -195,6 +220,10 @@ def _suite_radial_product_formula() -> list[CaseResult]:
             scale = max(float(np.max(np.abs(rhs))), 1e-6)
             res = float(np.max(np.abs(lhs - rhs))) / scale
             out.append(CaseResult(f"k={k} case={case}", res, t_))
+    for k, x in (((1.0,), [1.3]), ((0.5,), [-0.8]), ((1.0, 1.0), [0.9, -0.7]),
+                 ((2.0, 0.5), [-0.4, 1.1]), ((0.3, 1.7), [0.9, -0.7])):
+        res = _angle_law_moment_error(MultiplicityVector(k), np.array(x))
+        out.append(CaseResult(f"k={k} moments", res, t_))
     return out
 
 
@@ -411,8 +440,6 @@ def _suite_plancherel() -> list[CaseResult]:
 def _suite_funk_hecke() -> list[CaseResult]:
     """Sphere integrals of kernel times harmonic against their closed
     forms, plus the degree-zero radialization of the kernel."""
-    from .harmonics import SphereQuadrature, funk_hecke_pair, harmonic_basis
-
     t_ = TOLERANCES["funk-hecke"]
     out = []
     for k in ((1.0, 0.5), (2.0, 1.0)):
@@ -442,9 +469,6 @@ def _suite_addition_theorems() -> list[CaseResult]:
     """Gegenbauer addition and plane-wave expansions at n_max = 40, and
     the harmonic series of the kernel at n_max = 20 against its direct
     evaluation."""
-    from .harmonics import (addition_theorem_residual, kernel_series,
-                            plane_wave_residual)
-
     t_add = TOLERANCES["addition-theorems"]
     t_ser = TOLERANCES["kernel-series"]
     out = []
@@ -475,8 +499,6 @@ def _suite_addition_theorems() -> list[CaseResult]:
 def _suite_orbit() -> list[CaseResult]:
     """Two-kernel sphere averages: direct quadrature against the
     intertwined one-Bessel form, plus the degenerate closed forms."""
-    from .harmonics import SphereQuadrature, orbit_integral
-
     t_ = TOLERANCES["orbit-integral"]
     out = []
     for k in ((1.0, 0.5), (0.5, 2.0)):
@@ -606,10 +628,6 @@ def _suite_markov() -> list[CaseResult]:
     quadrature, the semigroup law for composed kernels, multiplicativity
     on radial profiles, weak continuity in time, marginal laws of the
     exact sampler, and bytewise reproducibility."""
-    from .markov import (KRadialMeasure, composed_kernel_hat, convolve_k,
-                         gaussian_kernel_hat, marginal_ks, simulate_paths,
-                         subordinated_kernel_hat)
-
     t_inv = TOLERANCES["markov-invariance"]
     t_sg = TOLERANCES["markov-semigroup"]
     t_mor = TOLERANCES["markov-morphism"]

@@ -319,16 +319,19 @@ def test_spectral_route_checker_flags_a_full_tensor_mean(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# the radial spherical mean integrates over the law of <xi, omega>, built
-# once per call: it translates nothing and builds no sphere or atom grid,
-# neither itself nor through a helper of its module
+# the radial spherical mean is the Bessel-Kingman point convolution of |x|
+# and t: it takes its nodes from bessel_kingman._pair_nodes, translates
+# nothing and builds no sphere, atom grid or rule of its own, neither
+# itself nor through a helper of its module
 
 TRANSLATION_ROUTE = {"radial_translate", "SphereQuadrature", "intertwiner_atoms"}
+OWN_RULES = {"_angle_rule", "_quadrant_rule", "_tensor_grid", "_gauss_roots"}
 
 
 def radial_mean_breaches(path: Path, name: str = "spherical_mean_radial") -> list[str]:
-    """Calls of the translation route reached from the named function, in
-    its body or in a module-level function it calls, directly or not."""
+    """Calls of the translation route or of a rule builder reached from the
+    named function, in its body or in a module-level function it calls,
+    directly or not; and no _pair_nodes call on that path."""
     tree = ast.parse(path.read_text(), filename=str(path))
     defs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
     if name not in defs:
@@ -342,10 +345,14 @@ def radial_mean_breaches(path: Path, name: str = "spherical_mean_radial") -> lis
         for node in ast.walk(defs[fn]):
             if isinstance(node, ast.Call):
                 callee = getattr(node.func, "id", getattr(node.func, "attr", None))
-                if callee in TRANSLATION_ROUTE:
+                if callee in TRANSLATION_ROUTE | OWN_RULES:
                     found.append(f"{fn} calls {callee} (line {node.lineno})")
                 elif callee in defs:
                     todo.append(callee)
+    calls = {getattr(node.func, "id", getattr(node.func, "attr", None))
+             for fn in seen for node in ast.walk(defs[fn]) if isinstance(node, ast.Call)}
+    if "_pair_nodes" not in calls:
+        found.append(f"{name} does not reach _pair_nodes")
     return sorted(found)
 
 
@@ -355,18 +362,23 @@ def test_radial_mean_leaves_the_translation_route():
 
 def test_radial_mean_checker_flags_a_reintroduced_call(tmp_path):
     src = tmp_path / "transform.py"
-    good = ("def _law(kv, x):\n    return x\n"
-            "def spherical_mean_radial(kv, f0, x, t):\n    return f0(_law(kv, x))\n")
+    good = ("def _nodes(lam, t, rx, n):\n    return _pair_nodes(lam, t, rx, n)\n"
+            "def spherical_mean_radial(kv, f0, x, t):\n    return f0(_nodes(kv.lam, t, x, 8))\n")
     src.write_text(good)
     assert radial_mean_breaches(src) == []
-    src.write_text(good.replace("return x", "return intertwiner_atoms(kv, x)"))
-    assert radial_mean_breaches(src) == ["_law calls intertwiner_atoms (line 2)"]
+    src.write_text(good.replace("return _pair_nodes", "return intertwiner_atoms"))
+    assert radial_mean_breaches(src) == ["_nodes calls intertwiner_atoms (line 2)",
+                                         "spherical_mean_radial does not reach _pair_nodes"]
+    src.write_text(good.replace("return f0(", "u, w = bessel_kingman._angle_rule(kv.lam, 8)\n"
+                                "    return f0("))
+    assert radial_mean_breaches(src) == ["spherical_mean_radial calls _angle_rule (line 4)"]
     src.write_text("from . import harmonics\n"
                    "def spherical_mean_radial(kv, f0, x, t):\n"
                    "    rule = harmonics.SphereQuadrature(kv)\n"
                    "    return radial_translate(kv, f0, x, t * rule.points)\n")
     assert radial_mean_breaches(src) == ["spherical_mean_radial calls SphereQuadrature (line 3)",
-                                         "spherical_mean_radial calls radial_translate (line 4)"]
+                                         "spherical_mean_radial calls radial_translate (line 4)",
+                                         "spherical_mean_radial does not reach _pair_nodes"]
     src.write_text(good.replace("spherical_mean_radial", "mean"))
     assert radial_mean_breaches(src) == ["transform.spherical_mean_radial is missing"]
 
@@ -431,8 +443,8 @@ def test_block_checker_flags_ad_hoc_chunks(tmp_path):
 
 # ---------------------------------------------------------------------------
 # one Gegenbauer angle rule: the Gauss roots are taken by the two public rule
-# builders and by bessel_kingman._angle_rule, which the intertwiner, the
-# radial mean's law and the point convolution all share; the orbit integral
+# builders and by bessel_kingman._angle_rule, which the intertwiner and the
+# point convolution (the radial mean among its callers) share; the orbit integral
 # is one generalized translation
 
 ROOT_CALLERS = {"quadrature:gauss_legendre", "quadrature:gauss_jacobi",

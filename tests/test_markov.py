@@ -98,6 +98,22 @@ def test_translate_point_measure_evaluates_f():
     assert got == pytest.approx(float(np.cos(np.linalg.norm(x))), rel=1e-9)
 
 
+def test_translate_at_origin_is_plain_integral_at_three_axes():
+    # the radial mean is a point convolution at every N; N = 3 was refused
+    kv = MultiplicityVector(k=(1.0, 0.5, 0.2))
+    mu = KRadialMeasure.heat(kv, 0.5)
+    f0 = lambda r: np.exp(-np.asarray(r) ** 2)
+    got = translate_measure(kv, np.zeros(3), mu, f0=f0)
+    assert abs(got - mu.profile.integrate(f0)) <= 6e-17
+
+
+def test_translate_point_measure_evaluates_f_at_three_axes():
+    kv = MultiplicityVector(k=(1.0, 0.5, 0.2))
+    x = np.array([0.8, -0.6, 0.3])
+    got = translate_measure(kv, x, KRadialMeasure.point(kv), f0=np.cos)
+    assert abs(got - np.cos(np.linalg.norm(x))) <= 6e-17
+
+
 def test_translate_requires_exactly_one_test_function():
     mu = KRadialMeasure.heat(KV2, 0.5)
     with pytest.raises(ConfigError):

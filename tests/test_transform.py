@@ -37,7 +37,7 @@ from dunklkit import measures
 from dunklkit.quadrature import _tensor_grid
 from dunklkit.rank_one import kernel_unitary
 from dunklkit.special import bessel_j
-from dunklkit.transform import _contract_axes, _mean_law, axis_rule, weighted_grid
+from dunklkit.transform import _contract_axes, axis_rule, weighted_grid
 from scipy.special import gamma, roots_jacobi
 
 KV2 = MultiplicityVector(k=(1.0, 0.5))
@@ -560,12 +560,13 @@ def test_plan_radii_are_built_once_and_read_only(monkeypatch):
     assert plan._radii is radii and plan._radius_index is index
 
 
-def test_spherical_mean_radial_rank_one_honours_n_per_axis():
-    # two nodes: the symmetric Gauss rule of b_k (1 - u^2)^(k - 1) du, s = |x| u
+def test_spherical_mean_radial_rank_one_honours_n():
+    # two nodes: the symmetric Gauss rule of the angle law at lam = k - 1/2,
+    # (1 - u^2)^(k - 1) du, and z^2 = |x|^2 + t^2 - 2 |x| t u
     k, x, t = 1.0, 0.7, 0.9
     u, w = roots_jacobi(2, k - 1.0, k - 1.0)
     want = float(np.sum(w / np.sum(w) * np.cos(np.sqrt(x * x + t * t - 2.0 * t * (x * u)))))
-    got = spherical_mean_radial((k,), np.cos, x, t, n_per_axis=2)
+    got = spherical_mean_radial((k,), np.cos, x, t, n=2)
     assert got == pytest.approx(want, rel=1e-15, abs=0)
     assert got != spherical_mean_radial((k,), np.cos, x, t)
 
@@ -591,8 +592,8 @@ _MEAN_CASES = [((1.0,), [0.7]), ((0.5,), [-1.3]), ((0.0,), [0.8]), ((1.0, 1.0), 
 
 @pytest.mark.parametrize("k, x", _MEAN_CASES, ids=[str(k) for k, _ in _MEAN_CASES])
 def test_spherical_mean_radial_matches_the_translation_route(k, x):
-    # smooth profiles: the law of <xi, omega> and translation plus sphere
-    # quadrature at the default (64, 48) agree to rounding
+    # smooth profiles: the point convolution of |x| and t at the default n
+    # and translation plus sphere quadrature at (64, 48) agree to rounding
     lam = MultiplicityVector(k=k).lam
     t = np.array([0.15, 0.6, 1.1, 1.9])
     for f0 in (lambda r: bessel_j(lam, 2.3 * np.asarray(r)),
@@ -613,73 +614,79 @@ def test_translation_route_mean_holds_its_digits_as_the_rule_refines(n_per_axis)
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
 
 
-def _reference_mean(k, f0, x, t, n_sphere, n_per_axis):
-    """spherical_mean_radial spelled out on scipy's Gauss-Jacobi roots:
-    (k - 1, k - 1) per axis normalized by its sum, the quadrant rule
-    (k_2 - 1/2, k_1 - 1/2) mapped to [0, 1], one block of rows."""
-    dirs, w_src = np.ones((1, 1)), np.ones(1)
-    if len(k) == 2:
-        alpha, beta = k[1] - 0.5, k[0] - 0.5
-        u, w = roots_jacobi(n_sphere, alpha, beta)
-        u, w = 0.0 + 0.5 * (u + 1.0), w * 0.5 ** (alpha + beta + 1.0)
-        dirs = np.sqrt(np.stack([u, 1.0 - u], axis=-1))
-        w_src = w / np.sum(w)
-    axes = [roots_jacobi(n_per_axis, ki - 1.0, ki - 1.0) for ki in k]
-    pts, w_atom = _tensor_grid([abs(xi) * u for xi, (u, _) in zip(x, axes)],
-                               [w / np.sum(w) for _, w in axes])
-    s = dirs @ pts.T
-    c = np.sum(np.square(x)) + t * t
-    sums = np.einsum("ij,j->i", f0(np.sqrt(np.maximum(
-        c[:, None, None] - 2.0 * t[:, None, None] * s, 0.0))).reshape(-1, w_atom.size), w_atom)
-    return np.einsum("ij,j->i", sums.reshape(t.size, w_src.size), w_src)
+_PRODUCT_LAW_CASES = [((0.5,), [-1.3]), ((2.0,), [0.7]), ((1.0, 0.5), [0.7, -0.5]),
+                      ((0.3, 2.0), [1.1, 0.3]), ((0.0,), [0.8]), ((1.0, 0.5, 0.2), [0.7, -0.1, 0.4]),
+                      ((0.0, 0.0, 0.0), [0.3, 0.5, -0.2]), ((2.0, 0.0, 1.5), [0.0, -0.9, 0.6])]
 
 
-@pytest.mark.parametrize("k, x", [((0.5,), [-1.3]), ((2.0,), [0.7]),
-                                  ((1.0, 0.5), [0.7, -0.5]), ((0.3, 2.0), [1.1, 0.3])])
-def test_spherical_mean_radial_is_bit_identical_to_the_explicit_law(k, x):
-    # the shared angle and quadrant rules must reproduce the explicit
-    # construction to the last bit (markov.translate_measure reads the means)
+@pytest.mark.parametrize("k, x", _PRODUCT_LAW_CASES)
+def test_spherical_mean_radial_is_the_product_law(k, x):
+    # the radial product formula: the mean of y -> j_lam(z |y|) at (x, t) is
+    # j_lam(z |x|) j_lam(z t), at N = 1, 2 and 3; lam = -1/2 at k = (0,).  The
+    # bound is bessel_j's: at lam = 0 its integer-order series is off by up
+    # to 2.2e-14 at z = 4.1, with any n
+    lam = MultiplicityVector(k=k).lam
     t = np.array([0.15, 0.6, 1.1, 1.9])
-    f0 = lambda r: np.exp(-0.5 * r * r) * np.cos(r)
-    np.testing.assert_array_equal(spherical_mean_radial(k, f0, x, t, n_sphere=12, n_per_axis=10),
-                                  _reference_mean(k, f0, np.asarray(x), t, 12, 10))
+    for z in (0.7, 2.3, 4.1):
+        got = spherical_mean_radial(k, lambda r: bessel_j(lam, z * np.asarray(r)), x, t)
+        want = bessel_j(lam, z * np.linalg.norm(x)) * bessel_j(lam, z * t)
+        np.testing.assert_allclose(got, want, rtol=0, atol=5e-14)
 
 
 @pytest.mark.parametrize("k, x", [((1.0,), [0.7]), ((1.0, 1.0), [0.7, -0.5])],
                          ids=["rank-one", "two-axes"])
 def test_spherical_mean_radial_error_on_non_smooth_profiles(k, x):
     # kinks (r, |r - 1|) and the bump's C^9 edge converge slowly in both
-    # routes.  The reference is the law at (256, 192): the translation route
-    # at (256, 192) costs 4x more and differs from it by a tenth or less of
-    # the errors at the defaults (|r - 1|: 1.4e-5 at one axis, 1.3e-8 at
-    # two).  The law's error stays within 10x the translation route's.
+    # routes.  The reference is the angle rule at n = 4096; the error at the
+    # default n stays within 10x the translation route's at (64, 48).  At
+    # two axes |r - 1| decides the default: 9.0e-6 at n = 192 and 4.6e-6 at
+    # 256, against the translation route's 6.5e-6.
     t = np.linspace(0.15, 1.95, 6)
     for f0 in (lambda r: np.asarray(r), lambda r: np.abs(np.asarray(r) - 1.0), radial_bump(1.2)):
-        ref = spherical_mean_radial(k, f0, x, t, n_sphere=256, n_per_axis=192)
+        ref = spherical_mean_radial(k, f0, x, t, n=4096)
         new = np.max(np.abs(spherical_mean_radial(k, f0, x, t) - ref))
         old = np.max(np.abs(_translation_mean(k, f0, x, t, 64, 48) - ref))
         assert new <= 10.0 * old + 1e-14
 
 
+def _mean_law(kv, x, n):
+    """The law nu_x of s = <xi, omega>, xi ~ mu_x (intertwiner atoms) and
+    omega ~ w_k dsigma / d_k (the two signed points at one axis,
+    SphereQuadrature at two), as nodes s and masses w."""
+    pts, masses = intertwiner_atoms(kv, x, n_per_axis=n)
+    if kv.n_axes == 1:
+        return np.concatenate([pts[:, 0], -pts[:, 0]]), np.concatenate([masses, masses]) / 2.0
+    rule = SphereQuadrature(kv, n=n)
+    return (rule.points @ pts.T).ravel(), np.multiply.outer(rule.weights / kv.d_norm, masses).ravel()
+
+
 @pytest.mark.parametrize("k, x", [((1.0,), [0.7]), ((0.0,), [-0.8]), ((0.3,), [0.0]),
                                   ((1.0, 0.5), [0.9, -0.7]), ((0.0, 1.5), [-0.4, 1.1]),
-                                  ((2.0, 0.5), [0.0, 1.3]), ((0.0, 0.0), [0.6, 0.0])])
+                                  ((2.0, 0.5), [0.0, 1.3]), ((0.0, 0.0), [0.6, 0.0]),
+                                  ((0.3, 1.7), [0.9, -0.7])])
 def test_mean_law_is_an_even_probability_measure_on_the_ball(k, x):
+    # the paper's own route to nu_x has the moments of |x| u, u ~ the angle
+    # law at lam: (1/2)_m / (lam + 1)_m |x|^(2m), whatever the direction of x.
+    # n = 16 is exact at degree 12 in s; (0.3, 1.7) reads scipy's quadrant
+    # roots (6.7e-14)
     kv = MultiplicityVector(k=k)
-    s, w_src, w_atom = _mean_law(kv, np.asarray(x), 16, 12)
-    w = np.multiply.outer(w_src, w_atom)
+    s, w = _mean_law(kv, np.asarray(x), 16)
     rx = float(np.sqrt(np.sum(np.square(x))))
-    assert s.shape == w.shape and np.all(w >= 0.0)
-    assert abs(w.sum() - 1.0) <= 1e-15
+    assert np.all(w >= 0.0) and abs(w.sum() - 1.0) <= 1e-15
     assert np.all(np.abs(s) <= rx)
-    for m in (1, 3, 5):
-        assert abs(np.sum(w * s**m)) <= 1e-15 * max(rx, 1.0) ** m
+    u = s / rx if rx > 0.0 else s
+    for m in range(1, 7):
+        want = 1.0 if rx > 0.0 else 0.0
+        want *= np.prod([(j + 0.5) / (kv.lam + 1.0 + j) for j in range(m)])
+        assert abs(np.sum(w * u ** (2 * m)) - want) <= 2e-13 * want
+        assert abs(np.sum(w * u ** (2 * m - 1))) <= 1e-15
 
 
 @pytest.mark.parametrize("case", ["x-length", "x-2d", "x-overflow", "t-overflow",
                                   "f0-shape", "three-axes"])
 def test_spherical_mean_radial_input_contract(case):
-    # non-finite x and t have tests of their own
+    # non-finite x and t have tests of their own; three axes are in range
+    # (they were refused while the mean built a tensor law)
     args = dict(kv=KV2, f0=np.cos, x=[0.7, 0.1], t=0.8)
     args.update({
         "x-length": dict(x=[0.7, 0.1, 0.2]),
@@ -690,8 +697,12 @@ def test_spherical_mean_radial_input_contract(case):
         "f0-shape": dict(f0=lambda r: np.zeros(3)),
         "three-axes": dict(kv=(1.0, 0.5, 0.2), x=[0.7, 0.1, 0.2]),
     }[case])
+    call = lambda: spherical_mean_radial(args["kv"], args["f0"], args["x"], args["t"])
+    if case == "three-axes":
+        assert np.isfinite(call())
+        return
     with pytest.raises(ConfigError):
-        spherical_mean_radial(args["kv"], args["f0"], args["x"], args["t"])
+        call()
 
 
 @pytest.mark.parametrize("t", [[], np.empty((0, 3))])
@@ -706,8 +717,8 @@ def test_spherical_mean_radial_batches_radii():
     f0 = lambda r: np.exp(-0.5 * np.asarray(r) ** 2)
     x = np.array([0.7, -0.5])
     radii = np.array([0.3, 0.9, 1.4])
-    batched = spherical_mean_radial(KV2, f0, x, radii, n_sphere=24, n_per_axis=16)
-    single = [spherical_mean_radial(KV2, f0, x, r, n_sphere=24, n_per_axis=16) for r in radii]
+    batched = spherical_mean_radial(KV2, f0, x, radii, n=16)
+    single = [spherical_mean_radial(KV2, f0, x, r, n=16) for r in radii]
     assert batched.shape == radii.shape
     np.testing.assert_allclose(batched, single, rtol=1e-14)
 
@@ -726,10 +737,13 @@ def test_radial_translate_names_the_profile_shape():
         radial_translate(KV2, lambda r: np.zeros(3), [0.7, 0.1], [[0.3, 0.2], [0.1, 0.5]])
 
 
+# the mean's ids keep the names of the node budgets n_sphere and n_per_axis
+# it took before its one angle rule; each now checks n, the three-axis case
+# (refused while the mean built a tensor law) under n_per_axis
 @pytest.mark.parametrize("call", [
-    lambda v: spherical_mean_radial(KV2, np.cos, [0.7, 0.1], 0.8, n_sphere=v),
-    lambda v: spherical_mean_radial((1.0,), np.cos, [0.7], 0.8, n_sphere=v),
-    lambda v: spherical_mean_radial(KV2, np.cos, [0.7, 0.1], 0.8, n_per_axis=v),
+    lambda v: spherical_mean_radial(KV2, np.cos, [0.7, 0.1], 0.8, n=v),
+    lambda v: spherical_mean_radial((1.0,), np.cos, [0.7], 0.8, n=v),
+    lambda v: spherical_mean_radial((1.0, 0.5, 0.2), np.cos, [0.7, 0.1, 0.2], 0.8, n=v),
     lambda v: radial_translate(KV2, np.cos, [0.7, 0.1], [0.3, 0.2], n_per_axis=v),
     lambda v: intertwiner_atoms(KV2, [0.7, 0.1], n_per_axis=v),
     lambda v: SphereQuadrature(KV2, n=v),
@@ -754,16 +768,18 @@ def test_radial_translate_does_not_depend_on_the_blocks(monkeypatch, block):
 
 
 def test_spherical_mean_radial_memory_stays_in_blocks():
-    # 256 sphere points x 2304 atoms: built whole, the pair arrays took 27.6 MB
+    # a translate_measure-sized call, 4096 radii x 256 angle nodes: in blocks
+    # the peak was 1.4 MB, built whole 43 MB
     kv = MultiplicityVector(k=(1.0, 1.0))
     f0 = lambda r: bessel_j(kv.lam, 2.0 * np.asarray(r))
+    radii = np.linspace(0.01, 3.0, 4096)
     tracemalloc.start()
     try:
-        spherical_mean_radial(kv, f0, [1.0, 0.5], 1.0)
+        spherical_mean_radial(kv, f0, [1.0, 0.5], radii)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 8e6
+    assert peak <= 4e6
 
 
 def test_spherical_mean_wave_closed_form():
