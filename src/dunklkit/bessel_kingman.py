@@ -22,6 +22,8 @@ of |x| and t is the radial spherical mean (transform.spherical_mean_radial).
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 from scipy.special import betainc, erf, gammainc, gammainccinv, gammaln
 
@@ -83,15 +85,17 @@ def product_kernel(lam: float, x: float, y: float, z) -> np.ndarray:
     return out[()] if out.ndim == 0 else out
 
 
+@lru_cache(maxsize=128)
 def _angle_rule(lam: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     """The n-point Gauss rule of the angle law _angular_norm(lam) (1-u^2)^(lam-1/2) du
     on [-1, 1]: ascending nodes u, symmetric about 0, and masses w / sum(w), so
     the mass is 1 by construction.  Exact to degree 2n - 1.  At lam = -1/2, the
-    weak limit: mass 1/2 at u = +-1."""
-    if lam == -0.5:
-        return np.array([-1.0, 1.0]), np.full(2, 0.5)
-    u, w = _gauss_roots("jacobi", n, lam - 0.5, lam - 0.5)
-    return u, w / np.sum(w)
+    weak limit: mass 1/2 at u = +-1.  Shared like _gauss_roots, hence read-only."""
+    u, w = ((np.array([-1.0, 1.0]), np.ones(2)) if lam == -0.5
+            else _gauss_roots("jacobi", n, lam - 0.5, lam - 0.5))
+    w = w / np.sum(w)
+    u.flags.writeable = w.flags.writeable = False
+    return u, w
 
 
 def _point_nodes(lam: float, x: float, y: float, n: int):

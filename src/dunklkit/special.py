@@ -24,6 +24,8 @@ ive up to u = 1e8 and from the Hankel expansion beyond.
 from __future__ import annotations
 
 import cmath
+from functools import lru_cache
+from itertools import accumulate
 
 import numpy as np
 from scipy.special import gammaln, i0e, i1e, ive, j0, j1, jv
@@ -54,6 +56,13 @@ _IVE_MAX = 1e8
 _J01_MAX = 1e3
 
 
+@lru_cache(maxsize=128)
+def _series_terms(alpha: float) -> tuple[tuple, tuple]:
+    """_series_0f1's divisors n (n + alpha) and coefficients 1 / (n! (alpha+1)_n), n >= 0."""
+    divisors = (0.0,) + tuple(float(n * (n + alpha)) for n in range(1, _SERIES_MAX_TERMS + 1))
+    return divisors, tuple(accumulate(divisors[1:], lambda c, d: c / d, initial=1.0))
+
+
 def _series_0f1(alpha: float, w: np.ndarray) -> np.ndarray:
     """sum_n w^n / (n! (alpha+1)_n), summed in Horner form.
 
@@ -65,18 +74,17 @@ def _series_0f1(alpha: float, w: np.ndarray) -> np.ndarray:
     if w.size == 0:
         return np.ones_like(w)
     w_top = w.flat[np.argmax(np.abs(w))].item()
-    coefs = [1.0]
+    divisors, coefs = _series_terms(alpha)
     term = total = 1.0
     for n in range(1, _SERIES_MAX_TERMS + 1):
-        coefs.append(coefs[-1] / (n * (n + alpha)))
-        term *= w_top / (n * (n + alpha))
+        term *= w_top / divisors[n]
         total += term
         if abs(term) <= 1e-17 * max(1.0, abs(total)) and cmath.isfinite(total):
             break
     else:
         raise NumericalError("Bessel series did not converge; argument too large for series branch")
-    out = np.full_like(w, coefs[-1])
-    for c in reversed(coefs[:-1]):
+    out = np.full_like(w, coefs[n])
+    for c in coefs[n - 1::-1]:
         out *= w
         out += c
     return out
@@ -267,31 +275,28 @@ def bessel_j(alpha: float, z):
         out = np.empty(z_arr.shape, dtype=complex)
         absz = np.abs(z_arr)
         real_like = np.abs(z_arr.imag) <= 1e-13 * absz
-        imag_like = np.abs(z_arr.real) <= 1e-13 * absz
         small = absz <= np.where(real_like, radius, _SERIES_RADIUS)
-        big = ~small
+        real_like &= ~small
+        imag_like = (np.abs(z_arr.real) <= 1e-13 * absz) & ~small
+        rest = ~(small | real_like | imag_like)
         if np.any(small):
             out[small] = _series_0f1(alpha, -0.25 * z_arr[small] ** 2)
-        if np.any(big):
-            zb = z_arr[big]
-            real_like = real_like[big]
-            imag_like = imag_like[big]
-            res = np.empty(zb.shape, dtype=complex)
-            if np.any(real_like):
-                res[real_like] = _bessel_large_real(alpha, zb[real_like].real)
-            if np.any(imag_like):
-                res[imag_like] = _bessel_large_imag(alpha, zb[imag_like].imag)
-            rest = ~(real_like | imag_like)
-            if np.any(rest):
-                res[rest] = _bessel_large_generic(alpha, zb[rest])
-            out[big] = res
+        if np.any(real_like):
+            out[real_like] = _bessel_large_real(alpha, z_arr[real_like].real)
+        if np.any(imag_like):
+            out[imag_like] = _bessel_large_imag(alpha, z_arr[imag_like].imag)
+        if np.any(rest):
+            out[rest] = _bessel_large_generic(alpha, z_arr[rest])
     else:
         z_arr = z_arr.astype(float, copy=False)
-        out = np.empty(z_arr.shape, dtype=float)
         small = np.abs(z_arr) <= radius
-        if np.any(small):
+        if small.all():  # one branch takes the whole array: no gather, no scatter
+            out = _series_0f1(alpha, -0.25 * z_arr**2)
+        elif not small.any():
+            out = _bessel_large_real(alpha, z_arr)
+        else:
+            out = np.empty(z_arr.shape)
             out[small] = _series_0f1(alpha, -0.25 * z_arr[small] ** 2)
-        if np.any(~small):
             out[~small] = _bessel_large_real(alpha, z_arr[~small])
 
     return out[0] if scalar else out

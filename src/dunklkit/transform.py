@@ -8,7 +8,8 @@ non-smooth |x|^(2k) cases where a uniform rule would stall.
 
 The transform itself is separable: the kernel restricted to an axis pair
 is a one-dimensional unitary kernel, so an N-dimensional transform is a
-chain of small dense matrix contractions.  Spherical means of radial
+chain of small real contractions whose parity blocks go straight into the
+sign quadrants of the one complex output.  Spherical means of radial
 functions are Bessel-Kingman point convolutions of |x| and t: one positive
 angle rule at the radial index, at every N.
 """
@@ -20,6 +21,7 @@ import io
 import json
 from dataclasses import dataclass
 from functools import reduce
+from itertools import accumulate, product
 
 import numpy as np
 
@@ -209,33 +211,53 @@ def _contract_axes(values, factors) -> np.ndarray:
     return out
 
 
+def _parity_part(blocks, factors, c: int, out=None):
+    """Part c (0 real, 1 imag) of sum_q prod_i (1j factors[i])^(q_i) blocks[q[::-1]] as
+    (array, sign): the halves blocks[0] and blocks[1] are added as the axis-by-axis
+    complex assembly adds them, the first into out, with the signs kept aside."""
+    if len(factors) == 1:
+        return blocks[c], factors[0] ** c
+    a, sa = _parity_part(blocks[0], factors[:-1], c, out)
+    b, sb = _parity_part(blocks[1], factors[:-1], 1 - c)
+    sb *= (2 * c - 1) * factors[-1]  # part c of 1j x is -x.imag or x.real
+    return (np.add if sa == sb else np.subtract)(a, b, out=out), sa
+
+
 def _parity_contract(values, stacks, sign: float) -> np.ndarray:
     """Contract axis i of values (2 n_i mirror-symmetric nodes) with even +
-    sign * 1j * odd, (even, odd) = stacks[i] real (m_i, n_i) matrices on the
-    positive nodes: fold each axis, last first, into right +- left for the two
-    matrices, then combine the parity blocks once into 2 m_i entries per axis."""
-    if np.iscomplexobj(values):
-        return (_parity_contract(values.real, stacks, sign)
-                + 1j * _parity_contract(values.imag, stacks, sign))
-    out = np.asarray(values, dtype=float)
-    for even, odd in reversed(stacks):
-        n = even.shape[1]
-        rows = out.reshape(-1, 2 * n)
-        left, right = rows[:, n - 1::-1], rows[:, n:]
-        res = np.empty((2, even.shape[0], rows.shape[0]))
-        np.matmul(even, (right + left).T, out=res[0])
-        np.matmul(odd, (right - left).T, out=res[1])
-        out = res.reshape(res.shape[:2] + out.shape[:-1])
-    for i in range(len(stacks)):
-        head = (slice(None),) * i
-        even, odd = out[head + (0,)], out[head + (1,)]
-        m = even.shape[i]
-        out = np.empty(even.shape[:i] + (2 * m,) + even.shape[i + 1:], dtype=complex)
-        left, right = np.flip(out[head + (slice(m),)], i), out[head + (slice(m, None),)]
-        np.multiply(odd, sign * 1j, out=right)
-        np.subtract(even, right, out=left)
-        right += even
-    return out
+    sign * 1j * odd, (even, odd) = stacks[i] a real (2, m_i, n_i) stack on the
+    positive nodes; complex values are a real batch of two.  Each axis, last first,
+    folds into right +- left and takes one batched matmul, into buffers all axes
+    share.  Sign quadrant s of the one complex output gets sum_p prod_i (sign * 1j *
+    s_i)^(p_i) B_p of the real parity blocks B_p (the batch a last p_i, factor 1j)."""
+    cplx = np.iscomplexobj(values)
+    out = np.asarray(values, dtype=complex if cplx else float)[..., None].view(float)
+    out = out.transpose(-1, *range(out.ndim - 1))  # (real[, imag], ...)
+    sizes = list(accumulate(reversed(stacks), lambda size, st: size // st.shape[2] * st.shape[1],
+                            initial=out.size))  # floats going into each axis
+    fold_buf, res_buf = np.empty(max(sizes[:-1])), np.empty(max(sizes[1:]))
+    for stack, size in zip(reversed(stacks), sizes[1:]):
+        n = stack.shape[2]
+        fold = fold_buf[:out.size].reshape((2,) + out.shape[:-1] + (n,))
+        np.add(out[..., n:], out[..., n - 1::-1], out=fold[0])
+        np.subtract(out[..., n:], out[..., n - 1::-1], out=fold[1])
+        # one (m, n) @ (n, rows) product per parity and batch entry
+        res = res_buf[:size].reshape(2, len(out), stack.shape[1], -1)
+        np.matmul(stack[:, None], fold.reshape(2, len(out), -1, n).transpose(0, 1, 3, 2), out=res)
+        out = res.swapaxes(0, 1).reshape(res.shape[1::-1] + res.shape[2:3] + out.shape[1:-1])
+    m, n_axes = out.shape[2::2], len(stacks)  # out is (batch, 2, m_0, ..., 2, m_(N-1))
+    order = (0, *range(2 * n_axes - 1, 0, -2), *range(2, 2 * n_axes + 1, 2))
+    blocks = out.transpose(order).reshape((2,) * (n_axes + cplx) + m)  # parities last axis first
+    result = np.empty(tuple(2 * mi for mi in m), dtype=complex)
+    for s in product((1.0, -1.0), repeat=n_axes):
+        quad = result[tuple(slice(mi, None) if si > 0 else slice(mi - 1, None, -1)
+                            for mi, si in zip(m, s))]
+        factors = [sign * si for si in s] + [1.0] * cplx
+        for c, part in enumerate((quad.real, quad.imag)):
+            arr, arr_sign = _parity_part(blocks, factors, c, out=part)
+            if arr_sign < 0 or arr is not part:  # 0 - x, not -x: a zero stays +0
+                (np.add if arr_sign > 0 else np.subtract)(0.0, arr, out=part)
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -262,8 +284,9 @@ class TransformPlan:
     E(i xi, x) = j_(k-1/2)(xi x) + i xi x / (2k+1) j_(k+1/2)(xi x) is even in
     its real part and odd in its imaginary part, so each axis stores just
     those two parts on the positive nodes, and forward and inverse run in
-    real arithmetic on folded halves of the data.  The plan also keeps, read-only,
-    the distinct |xi| of the frequency grid and each signed node's index into them.
+    real arithmetic on folded halves of the data; the one complex array a call
+    makes is the one it returns.  The plan is read-only and may be shared: it also
+    keeps the distinct |xi| of the frequency grid and each signed node's index.
     """
 
     def __init__(self, kv, extent=12.0, n=96, freq_extent=None, freq_n=None):
@@ -565,7 +588,8 @@ def spherical_mean_spectral(kv, plan: TransformPlan, fhat_values: np.ndarray,
     for i in range(kv.n_axes - 1, 0, -1):
         m, a = axes[i].size // 2, axes[i].reshape((-1,) + (1,) * (kv.n_axes - 1 - i))
         left, right = np.split(out, 2, axis=i)
-        out = right * a[m:] + np.flip(left, i) * a[m - 1::-1]
+        out = right * a[m:]
+        out += np.flip(left, i) * a[m - 1::-1]
     folded = (slice(None),) + tuple(slice(n // 2, None) for n in plan.freq_shape[1:])
     radial = np.take(radial, plan._radius_index[folded]).reshape(axes[0].size, -1)
     return axes[0] @ np.einsum("jq,jq->j", out.reshape(axes[0].size, -1), radial)

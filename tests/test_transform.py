@@ -4,6 +4,7 @@ The heat-kernel reference value was frozen from a 40-digit mpmath
 evaluation of the scaled-Bessel closed form.
 """
 
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -253,6 +254,103 @@ def test_parity_route_matches_the_dense_kernels(k, geometry, complex_values):
         got = route(values)
         assert got.shape == want.shape
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+# the perfbench `spectral` workload's plans (perfbench/workloads.py)
+_SPECTRAL_PLANS = {
+    "1-axis": ((1.0,), dict(extent=4.0, n=176, freq_extent=110.0, freq_n=416)),
+    "2-axis": ((1.0, 1.0), dict(extent=4.0, n=120, freq_extent=70.0, freq_n=120)),
+}
+
+# sha256 (first 16 hex digits) of the forward and inverse output bytes, recorded
+# from the axis-by-axis complex assembly that the quadrant assembly replaced; the
+# quadrant assembly adds the parity blocks in the same pairs, so it keeps every
+# bit, signed zeros too (the heat profile's transforms have an all-zero imaginary
+# part)
+_ROUTE_DIGESTS = {
+    "spectral 1-axis bump": ("2ef0cd3cbbcd39d1", "494b836cc12ccce1"),
+    "spectral 1-axis heat": ("5e2f98fcfcaa7701", "7e2e4f97205beb38"),
+    "spectral 2-axis bump": ("efd1285e58dc81b1", "9be331bcc2e6b98d"),
+    "spectral 2-axis heat": ("a1610dd0dedadc4b", "f36a7b39c806043a"),
+    "1-axis real": ("ead89314381c07df", "a97c33cae960e29b"),
+    "1-axis complex": ("d0deb55cc3e8a9fb", "281d14dd82e46ee4"),
+    "1-axis-wide real": ("583fec2ee86428f3", "a2c131aa73dbcae0"),
+    "1-axis-wide complex": ("82c66e9a2404cc8b", "919ff285e01595cc"),
+    "k0-n-lists real": ("e37d3746c979ff00", "72a04f2499bc6b55"),
+    "k0-n-lists complex": ("0616b87eb4d1dfa3", "3c409c0017f3b029"),
+    "k1-ne-k2 real": ("ef6d2a3ac0efc0e7", "51250b202dd162be"),
+    "k1-ne-k2 complex": ("f233dca0592b9396", "f6e45c8e58a3c184"),
+    "3-axes real": ("59a60934f11dc248", "759c4b9355aaf002"),
+    "3-axes complex": ("8988208a2ba9703b", "66990663e2e53c7a"),
+}
+# digests of the 2-axis spectral plan's first kernel stack and of one BLAS product
+# with it, on the build the digests above were recorded on
+_RECORDING_BUILD = ("b940e0eac75f2eb4", "22479084e3615773")
+
+
+def _digest(a) -> str:
+    return hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()[:16]
+
+
+@pytest.fixture(scope="module")
+def recording_build():
+    """Skip where the kernel values or the BLAS products have other bits than
+    on the recording build: the digests pin the assembly, not those."""
+    k, geometry = _SPECTRAL_PLANS["2-axis"]
+    stack = TransformPlan(k, **geometry)._forward[0]
+    probe = stack[0] @ np.random.default_rng(7).standard_normal((120, 240))
+    if (_digest(stack), _digest(probe)) != _RECORDING_BUILD:
+        pytest.skip("kernel or BLAS bits differ from the build the digests were recorded on")
+
+
+@pytest.mark.parametrize("profile", ["bump", "heat"])
+@pytest.mark.parametrize("name", list(_SPECTRAL_PLANS))
+def test_spectral_plans_keep_their_transform_bits(recording_build, name, profile):
+    k, geometry = _SPECTRAL_PLANS[name]
+    plan = TransformPlan(k, **geometry)
+    if profile == "bump":
+        f = bump(np.full(len(k), 0.2), 0.8, order=12)
+    else:
+        f = lambda p: radial_heat_profile(plan.kv, 0.08, np.sqrt(np.sum(p * p, axis=-1)))
+    fhat = plan.forward(plan.sample(f))
+    got = (_digest(fhat), _digest(plan.inverse(fhat)))
+    assert got == _ROUTE_DIGESTS[f"spectral {name} {profile}"]
+
+
+_PARITY_NAMES = ["1-axis", "1-axis-wide", "k0-n-lists", "k1-ne-k2", "3-axes"]
+
+
+@pytest.mark.parametrize("complex_values", [False, True], ids=["real", "complex"])
+@pytest.mark.parametrize("name, k, geometry", [(name, *plan) for name, plan in
+                                               zip(_PARITY_NAMES, _PARITY_PLANS)],
+                         ids=_PARITY_NAMES)
+def test_parity_route_keeps_its_bits(recording_build, name, k, geometry, complex_values):
+    plan = TransformPlan(k, **geometry)
+    rng = np.random.default_rng(7)
+    got = []
+    for route, shape in ((plan.forward, plan.shape), (plan.inverse, plan.freq_shape)):
+        values = rng.standard_normal(shape)
+        if complex_values:
+            values = values + 1j * rng.standard_normal(shape)
+        got.append(_digest(route(values)))
+    assert tuple(got) == _ROUTE_DIGESTS[f"{name} {'complex' if complex_values else 'real'}"]
+
+
+def test_forward_allocates_one_output_and_two_half_buffers():
+    # one real forward on the 2-axis spectral plan: the 921,600-byte complex
+    # output, one fold and one product buffer of half that, and ufunc buffers,
+    # 2.22 times the output; the axis-by-axis complex assembly peaked at 3.43
+    k, geometry = _SPECTRAL_PLANS["2-axis"]
+    plan = TransformPlan(k, **geometry)
+    values = plan.sample(bump(np.full(2, 0.2), 0.8, order=12))
+    tracemalloc.start()
+    try:
+        out = plan.forward(values)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.nbytes == 921_600
+    assert peak <= 2.44 * out.nbytes
 
 
 def test_plan_builds_the_kernel_on_positive_node_pairs(monkeypatch):
