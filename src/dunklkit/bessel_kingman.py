@@ -28,7 +28,7 @@ import numpy as np
 from scipy.special import betainc, erf, gammainc, gammainccinv, gammaln
 
 from .errors import (ConfigError, NumericalError, PositivityError, ResolutionError, _finite,
-                     _node_count)
+                     _node_count, _positive_time)
 from .measures import RadialProfileMeasure, _grid_measure, _row_blocks, as_weighted_atoms, dirac
 from .quadrature import _gauss_roots, gauss_jacobi, log_panel_rule, panel_gauss_legendre
 from .special import bessel_j, bessel_j_envelope
@@ -54,11 +54,6 @@ def _check_index(lam: float) -> float:
     if lam <= -0.5:
         raise ConfigError(f"hypergroup index must exceed -1/2, got {lam}")
     return lam
-
-
-def _check_positive_time(t: float) -> None:
-    if not 0.0 < t < np.inf:
-        raise ConfigError(f"time must be finite and positive, got {t}")
 
 
 def _angular_norm(lam: float) -> float:
@@ -245,7 +240,9 @@ def rayleigh_measure(lam: float, t: float, n: int = 256) -> RadialProfileMeasure
     mass and smooth moments hold to rounding.  t = 0 gives the identity.
     """
     lam = _check_index(lam)
-    if not 0.0 <= t < np.inf:
+    n = _node_count(n, "n")
+    t = _finite(t, "time")
+    if t < 0.0:
         raise ConfigError(f"time must be finite and nonnegative, got {t}")
     if t == 0.0:
         return dirac(0.0, lam=lam)
@@ -269,58 +266,43 @@ def cauchy_radial_cdf(lam: float, t: float, r):
     return betainc(lam + 1.0, 0.5, r * r / (r * r + t * t))
 
 
-def _oscillation_panels(z_lo: float, z_cut: float, freq_max: float,
-                        max_nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Geometric panels on [z_lo, z_cut] with node counts resolving freq_max."""
-    edges = [0.0, z_lo] if z_lo > 0 else [0.0]
-    z = max(z_lo, 1e-6)
+# The Cauchy profile's certificate: panels resolve frequencies up to _FREQ_MAX
+# with at most _MAX_NODES nodes, and Hankel images are accurate within
+# _TAIL_TOL at r = 0 and r >= _R_MIN
+_FREQ_MAX, _R_MIN, _TAIL_TOL, _MAX_NODES = 8.0, 0.25, 5e-9, 200_000
+
+
+def _oscillation_panels(z_cut: float) -> tuple[np.ndarray, np.ndarray]:
+    """Geometric panels on [0, z_cut] with node counts resolving _FREQ_MAX."""
+    edges = [0.0]
+    z = 1e-6
     while z < z_cut:
         z = min(z * 2.0, z_cut)
         edges.append(z)
-    edges = np.unique(np.asarray(edges))
-    widths = np.diff(edges)
-    counts = np.maximum(24, (0.55 * freq_max * widths).astype(int) + 12)
-    if counts.sum() > max_nodes:
+    edges = np.asarray(edges)
+    counts = np.maximum(24, (0.55 * _FREQ_MAX * np.diff(edges)).astype(int) + 12)
+    if counts.sum() > _MAX_NODES:
         raise ResolutionError(
-            f"resolving frequencies up to {freq_max} over [0, {z_cut:.3g}] needs "
-            f"{counts.sum()} nodes (cap {max_nodes}); lower freq_max or raise the cap")
+            f"resolving frequencies up to {_FREQ_MAX} over [0, {z_cut:.3g}] needs "
+            f"{counts.sum()} nodes, beyond the cap of {_MAX_NODES}")
     return edges, counts
 
 
-def _far_atom_radius(lam: float, r_min: float, z_start: float,
-                     atom_mass: float, tol: float) -> float:
-    """Radius where an atom of the given mass stays below tol in any
-    Hankel image at frequencies r >= r_min."""
-    z = max(z_start, 1.0)
-    while abs(atom_mass) * bessel_j_envelope(lam, r_min * z) > tol and z < 1e300:
-        z *= 4.0
-    return z
-
-
-def _check_tuning(freq_max, r_min, tail_tol, max_nodes) -> tuple:
-    """subordinate's knobs: positive finite freq_max, r_min, tail_tol; a node count."""
-    for what, value in (("freq_max", freq_max), ("r_min", r_min), ("tail_tol", tail_tol)):
-        if _finite(value, what) <= 0:
-            raise ConfigError(f"{what} must be positive, got {value}")
-    return float(freq_max), float(r_min), float(tail_tol), _node_count(max_nodes, "max_nodes")
-
-
-def cauchy_measure(lam: float, t: float, freq_max: float = 8.0, r_min: float = 0.25,
-                   tail_tol: float = 5e-9, max_nodes: int = 200_000) -> RadialProfileMeasure:
+def cauchy_measure(lam: float, t: float) -> RadialProfileMeasure:
     """Radial Poisson profile at time t (Hankel image exp(-t r)).
 
     The closed-form density has a heavy z^(-2) tail that cannot be
     gridded, but the profile is the 1/2-stable time mixture of the heat
     profiles, so it is subordinate(lam, rho) for the 1/2-stable law rho at
-    time t, whose tail mass beyond its last panel is min(1e-9, tail_tol / 10).
-    Transforms are accurate at r = 0 and for r >= r_min.
+    time t, whose tail mass beyond its last panel is min(1e-9, _TAIL_TOL / 10).
+    The certificate is fixed: panels resolve frequencies up to _FREQ_MAX = 8
+    with at most _MAX_NODES = 200,000 nodes, and the transform is accurate
+    within _TAIL_TOL = 5e-9 at r = 0 and for r >= _R_MIN = 0.25.
     """
     lam = _check_index(lam)
-    _check_positive_time(t)
-    freq_max, r_min, tail_tol, max_nodes = _check_tuning(freq_max, r_min, tail_tol, max_nodes)
-    rho = stable_half_subordinator(t, tail_mass=min(1e-9, 0.1 * tail_tol))
-    return subordinate(lam, rho, freq_max=freq_max, r_min=r_min, tail_tol=tail_tol,
-                       max_nodes=max_nodes)
+    rho = stable_half_subordinator(_positive_time(t, "time"),
+                                   tail_mass=min(1e-9, 0.1 * _TAIL_TOL))
+    return subordinate(lam, rho)
 
 
 def stable_half_subordinator(t: float, tail_mass: float = 1e-9,
@@ -331,9 +313,12 @@ def stable_half_subordinator(t: float, tail_mass: float = 1e-9,
     transform exp(-t sqrt(u)).  Log-scale Gauss panels cover the bulk and
     the slowly decaying s^(-3/2) tail up to the requested residual mass,
     which is then carried by a single far atom (the CDF is erfc(t/2sqrt(s)),
-    so the cut is exact).
+    so the cut is exact).  tail_mass lies in (0, 1).
     """
-    _check_positive_time(t)
+    t = _positive_time(t, "time")
+    if not 0.0 < _finite(tail_mass, "tail_mass") < 1.0:
+        raise ConfigError(f"tail_mass must lie in (0, 1), got {tail_mass}")
+    nodes_per_decade = _node_count(nodes_per_decade, "nodes_per_decade")
     s_lo = t * t / 160.0
     s_hi = (t / (np.sqrt(np.pi) * tail_mass)) ** 2
     rule = log_panel_rule(s_lo, s_hi, nodes_per_decade)
@@ -349,40 +334,43 @@ def stable_half_subordinator(t: float, tail_mass: float = 1e-9,
                                 atoms=atoms)
 
 
-def subordinate(lam: float, rho: RadialProfileMeasure, freq_max: float = 8.0,
-                r_min: float = 0.25, tail_tol: float = 5e-8,
-                max_nodes: int = 200_000) -> RadialProfileMeasure:
+def subordinate(lam: float, rho: RadialProfileMeasure) -> RadialProfileMeasure:
     """Heat profiles mixed over a law of times: integral rayleigh_measure(lam, s) d rho(s).
 
     The mixture times are rho's weighted atoms.  The heat profile at time s
-    has Hankel image exp(-s r^2), so the times whose combined image at r_min
-    is below tail_tol / 2 are dropped; truncating whole mixture times (not
-    the density in z) keeps that bound honest.  The kept closed-form
-    densities are summed time by time on oscillation-resolving panels up to
-    the last node of the largest kept time's rayleigh_measure, and the exact
-    mass remainder is parked in one far bookkeeping atom.  The transform is
-    certified at r = 0 and r >= r_min.
+    has Hankel image exp(-s r^2), so the times whose combined image at
+    _R_MIN is below _TAIL_TOL / 2 are dropped; truncating whole mixture
+    times (not the density in z) keeps that bound honest.  The kept
+    closed-form densities are summed time by time on panels resolving
+    frequencies up to _FREQ_MAX, up to the last node of the largest kept
+    time's rayleigh_measure, and the exact mass remainder is parked in one
+    far bookkeeping atom.  The transform is certified within _TAIL_TOL at
+    r = 0 and r >= _R_MIN, the same certificate as cauchy_measure's.
     """
     lam = _check_index(lam)
-    freq_max, r_min, tail_tol, max_nodes = _check_tuning(freq_max, r_min, tail_tol, max_nodes)
     s_pos, s_mass = as_weighted_atoms(rho)
     if np.any(s_pos <= 0):
         raise ConfigError("subordination needs a measure on s > 0")
     order = np.argsort(s_pos)
     s_pos, s_mass = s_pos[order], s_mass[order]
-    dropped_image = np.cumsum((np.abs(s_mass) * np.exp(-s_pos * r_min * r_min))[::-1])[::-1]
-    keep = dropped_image > 0.5 * tail_tol
+    dropped_image = np.cumsum((np.abs(s_mass) * np.exp(-s_pos * _R_MIN * _R_MIN))[::-1])[::-1]
+    keep = dropped_image > 0.5 * _TAIL_TOL
     if not np.any(keep):
-        raise ResolutionError("every mixture time's image is below tail_tol; lower tail_tol")
+        raise ResolutionError(
+            f"every mixture time's Hankel image at r >= {_R_MIN} is below {0.5 * _TAIL_TOL:g}; "
+            "the mixture has nothing to grid")
     s_pos, s_mass = s_pos[keep], s_mass[keep]
 
     z_cut = float(rayleigh_measure(lam, float(s_pos[-1])).grid[-1])
-    edges, counts = _oscillation_panels(0.0, z_cut, freq_max, max_nodes)
+    edges, counts = _oscillation_panels(z_cut)
     rule = panel_gauss_legendre(edges, counts)
     dens = np.zeros(rule.nodes.shape)
     for w, s in zip(s_mass, s_pos):
         dens += w * rayleigh_density(lam, float(s), rule.nodes)
     lump = float(rho.mass()) - float(np.sum(rule.weights * dens))
-    z_far = _far_atom_radius(lam, r_min, 4.0 * z_cut, lump, 0.5 * tail_tol)
+    # the atom goes where its Hankel image at r >= _R_MIN stays below _TAIL_TOL / 2
+    z_far = max(4.0 * z_cut, 1.0)
+    while abs(lump) * bessel_j_envelope(lam, _R_MIN * z_far) > 0.5 * _TAIL_TOL and z_far < 1e300:
+        z_far *= 4.0
     return RadialProfileMeasure(grid=rule.nodes, density=dens, weights=rule.weights,
                                 atoms=[(z_far, lump)], lam=lam)

@@ -29,7 +29,8 @@ import numpy as np
 from . import __version__
 from .core import _as_kv, dunkl_kernel_unitary, generalized_bessel_unitary
 from .errors import ConfigError, NumericalError, _finite
-from .markov import _CLOSURE_TOL, _resolve_threads, marginal_ks, semigroup_from_json, simulate_paths
+from .markov import (_CLOSURE_TOL, _N_BLOCKS, _resolve_threads, marginal_ks, semigroup_from_json,
+                     simulate_paths)
 from .measures import measure_from_json, measure_to_json
 from .special import bessel_j
 from .transform import GridFunction, TransformPlan, dunkl_transform_grid, heat_kernel
@@ -46,7 +47,7 @@ _COMMAND_KEYS = {
     "simulate": {"kind", "k", "t_grid", "n_paths", "n_blocks", "threads", "ks_times"},
     "transform": {"k", "input", "inverse", "boundary_tol"},
     "convolve": {"inputs", "lambda", "k", "grid_n", "atom_cap"},
-    "semigroup": {"type", "k", "params"},
+    "semigroup": {"type", "k"},
 }
 _SHARED_KEYS = {"seed"}
 
@@ -295,15 +296,16 @@ def cmd_simulate(cfg: RunConfig) -> int:
         raise ConfigError("simulate needs --out PATH for the path table")
     kv = _as_kv(_require(o, "k", "simulate"))
     kind = o.get("kind", "gaussian")
-    t_grid = np.asarray(_require(o, "t_grid", "simulate"), dtype=float)
+    t_grid = _require(o, "t_grid", "simulate")
     n_paths = _require(o, "n_paths", "simulate")
     if "seed" not in o:
         raise ConfigError("simulate needs a seed (config file or --seed)")
-    n_blocks = o.get("n_blocks", 16)
+    n_blocks = o.get("n_blocks", _N_BLOCKS)
     threads = o.get("threads")
 
     ens = simulate_paths(kv, t_grid, n_paths, o["seed"], kind=kind,
                          n_blocks=n_blocks, threads=threads)
+    t_grid = ens.times
     if not np.isfinite(ens.states).all():
         raise NumericalError("sampler produced non-finite states")
 
@@ -418,7 +420,6 @@ def cmd_semigroup(cfg: RunConfig) -> int:
     spec = {
         "type": _require(o, "type", "semigroup"),
         "k": _require(o, "k", "semigroup"),
-        "params": o.get("params", {}),
         "seed": cfg.seed,
     }
     sg = semigroup_from_json(json.dumps(spec))

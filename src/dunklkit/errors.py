@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the finiteness and
+"""Exception types shared across the package, and the finiteness, time and
 node-count rules the parameter validators share."""
 
 import math
@@ -42,6 +42,14 @@ def _finite(value, what: str) -> float:
         raise ConfigError(f"{what} must be a number, got {value!r}") from None
     if not math.isfinite(value):
         raise ConfigError(f"{what} must be finite, got {value}")
+    return value
+
+
+def _positive_time(t, what: str) -> float:
+    """t as a float in (0, inf); ConfigError for anything else."""
+    value = _finite(t, what)
+    if not value > 0.0:
+        raise ConfigError(f"{what} must be finite and positive, got {t}")
     return value
 
 

@@ -45,7 +45,7 @@ from .bessel_kingman import (
     stable_half_subordinator,
 )
 from .core import MultiplicityVector, _as_kv, _axis_product, _coords, dunkl_kernel_unitary
-from .errors import ConfigError, ConsistencyError, PositivityError, _finite, _node_count
+from .errors import ConfigError, ConsistencyError, PositivityError, _node_count, _positive_time
 from .measures import _BLOCK, RadialProfileMeasure, as_weighted_atoms, dirac
 from .rank_one import kernel_unitary, spherical_mean as _rank_one_mean
 from .special import _bessel_ratio
@@ -118,9 +118,9 @@ class KRadialMeasure:
         return cls(kv, rayleigh_measure(kv.lam, t, n=n))
 
     @classmethod
-    def cauchy(cls, kv, t: float, **kwargs) -> "KRadialMeasure":
+    def cauchy(cls, kv, t: float) -> "KRadialMeasure":
         kv = _as_kv(kv)
-        return cls(kv, cauchy_measure(kv.lam, t, **kwargs))
+        return cls(kv, cauchy_measure(kv.lam, t))
 
     def hat(self, xi):
         """Transform of the measure; rotation invariant, so it only sees |xi|."""
@@ -148,33 +148,30 @@ def radial_hat(kv, mu: KRadialMeasure, xi):
 _TRANSLATE_ATOM_CAP = 4096  # profile atoms a translation keeps before binning
 
 
-def translate_measure(kv, x, mu: KRadialMeasure, f=None, f0=None, mean_fn=None):
+def translate_measure(kv, x, mu: KRadialMeasure, f=None, f0=None):
     """Integral of f against the translated measure delta_x *_k mu,
 
         (delta_x *_k mu)(f) = int M_f(x, |y|) dmu(y),
 
     reduced to the radial profile: sum_j mass_j M_f(x, r_j).  The test
-    function enters one of three ways: f0 is a radial profile (at every N,
-    each mean the Bessel-Kingman point convolution of |x| and r_j), f is a
-    general callable on points (rank one only, through the explicit mean
-    measures), and mean_fn(x, r) supplies precomputed spherical means
-    directly.  x = 0 returns the plain integral of f against mu; a point
-    profile at 0 returns f(x).
+    function enters one of two ways: f0 is a radial profile (at every N,
+    each mean the Bessel-Kingman point convolution of |x| and r_j), and f
+    is a general callable on points (rank one only, through the explicit
+    mean measures).  x = 0 returns the plain integral of f against mu; a
+    point profile at 0 returns f(x).
     """
     kv = _as_kv(kv)
     x = _coords(kv, "x", x, point=True)
-    if sum(arg is not None for arg in (f, f0, mean_fn)) != 1:
-        raise ConfigError("pass exactly one of f, f0, mean_fn")
+    if (f is None) == (f0 is None):
+        raise ConfigError("pass exactly one of f, f0")
     radii, masses = as_weighted_atoms(mu.profile, cap=_TRANSLATE_ATOM_CAP)
     if f0 is not None:
         vals = spherical_mean_radial(kv, f0, x, radii)
-    elif mean_fn is not None:
-        vals = np.asarray([mean_fn(x, float(r)) for r in radii])
     else:
         if kv.n_axes != 1:
             raise ConfigError(
                 "general test functions are supported in rank one only; "
-                "pass f0 for radial functions or mean_fn for precomputed means")
+                "pass f0 for radial functions")
         f1 = lambda z: f(np.asarray(z, dtype=float)[..., None])
         vals = np.asarray([_rank_one_mean(kv.k[0], f1, float(x[0]), float(r))
                            for r in radii])
@@ -200,8 +197,8 @@ class MarkovKernelHandle:
     def __post_init__(self):
         self.kv = _as_kv(self.kv)
 
-    def apply(self, x, **kwargs):
-        return translate_measure(self.kv, x, self.mu, **kwargs)
+    def apply(self, x, f=None, f0=None):
+        return translate_measure(self.kv, x, self.mu, f=f, f0=f0)
 
     def hat(self, x, xi):
         xi = np.asarray(xi, dtype=float)
@@ -209,15 +206,11 @@ class MarkovKernelHandle:
         return np.conj(dunkl_kernel_unitary(self.kv, x, xi)) * self.mu.hat(xi)
 
     def density(self, x, y):
-        """Transition density against w_k(y) dy; closed heat form for the
-        Gaussian kind, subordinated mixture for the Cauchy kind."""
-        if self.time is None or self.time <= 0.0:
-            raise ConfigError("density needs a positive kernel time")
-        if self.kind == "gaussian":
-            return heat_kernel(self.kv, self.time, x, y)
-        if self.kind in ("cauchy", "subordinated"):
-            return subordinated_density(self.kv, self.time, x, y)
-        raise ConfigError(f"no density available for kernel kind '{self.kind}'")
+        """Transition density against w_k(y) dy at the kernel's positive
+        time; closed heat form for the Gaussian kind, subordinated mixture
+        for the Cauchy kind."""
+        _, _, density = _process(self.kind)
+        return density(self.kv, self.time, x, y)
 
 
 def convolve_k(kv, mu: KRadialMeasure, nu: KRadialMeasure) -> KRadialMeasure:
@@ -240,6 +233,7 @@ def convolve_k(kv, mu: KRadialMeasure, nu: KRadialMeasure) -> KRadialMeasure:
 _CHECK_TIMES = (0.25, 0.5)
 _CHECK_FREQS = np.concatenate([[0.0], np.linspace(0.3, 6.0, 20)])
 _CLOSURE_TOL = 1e-7
+_N_BLOCKS = 16  # seeded path blocks a simulation runs by default
 
 
 def _closure_residual(lam: float, family) -> float:
@@ -293,35 +287,36 @@ class KernelSemigroup:
             if t > 0 else np.ones_like(r)
 
     def simulate(self, t_grid, n_paths: int, seed: int | None = None,
-                 **kwargs) -> "PathEnsemble":
-        if self.kind not in ("gaussian", "cauchy", "subordinated"):
-            raise ConfigError(f"no exact sampler for kernel kind '{self.kind}'")
-        if seed is None:
-            seed = self.seed
+                 n_blocks: int = _N_BLOCKS, threads: int | None = None) -> "PathEnsemble":
+        """Exact paths of the semigroup's process (simulate_paths); the seed
+        defaults to the semigroup's."""
+        seed = self.seed if seed is None else seed
         if seed is None:
             raise ConfigError("simulation needs a seed")
-        return simulate_paths(self.kv, t_grid, n_paths, seed, kind=self.kind, **kwargs)
+        return simulate_paths(self.kv, t_grid, n_paths, seed, kind=self.kind,
+                              n_blocks=n_blocks, threads=threads)
 
 
-def _profile_family(profile, lam: float, **params):
-    """t -> profile(lam, t, **params) for t > 0, else the point mass at 0."""
-
-    def family(t: float) -> RadialProfileMeasure:
-        return profile(lam, t, **params) if t > 0 else dirac(0.0, lam=lam)
-
-    return family
+def _process(kind):
+    """(radial profile, radial CDF, transition density) of one of the two
+    processes: "gaussian", the Dunkl-type Brownian motion, or "cauchy", its
+    1/2-stable subordinate.  A function rather than a table, so the module
+    names are looked up at each call and a rebinding of them is seen."""
+    if kind == "gaussian":
+        return rayleigh_measure, rayleigh_radial_cdf, heat_kernel
+    if kind == "cauchy":
+        return cauchy_measure, cauchy_radial_cdf, subordinated_density
+    raise ConfigError(f"unknown process kind {kind!r}; choose 'gaussian' or 'cauchy'")
 
 
 def semigroup_from_json(text: str) -> KernelSemigroup:
     """Build a semigroup from its JSON spec:
 
-        {"type": "gaussian" | "cauchy" | "subordinated",
-         "k": [...], "params": {...}, "seed": ...}
+        {"type": "gaussian" | "cauchy", "k": [...], "seed": ...}
 
-    gaussian takes no params (profile resolution aside); cauchy accepts
-    the cauchy_measure tuning knobs; subordinated requires
-    params.alpha = 0.5, the one stable index with an exact sampler and
-    densities, and is then the Cauchy semigroup.
+    gaussian is the heat semigroup of rayleigh_measure profiles, cauchy its
+    1/2-stable subordinate of cauchy_measure profiles; each has an exact
+    sampler and transition densities.  The profiles' resolution is fixed.
     """
     try:
         payload = json.loads(text)
@@ -329,8 +324,7 @@ def semigroup_from_json(text: str) -> KernelSemigroup:
         raise ConfigError(f"semigroup JSON is invalid: {exc}") from exc
     if not isinstance(payload, dict):
         raise ConfigError(f"semigroup JSON must be an object, got {type(payload).__name__}")
-    known = {"type", "k", "params", "seed"}
-    extra = set(payload) - known
+    extra = set(payload) - {"type", "k", "seed"}
     if extra:
         raise ConfigError(f"unknown semigroup keys: {sorted(extra)}")
     for key in ("type", "k"):
@@ -338,29 +332,9 @@ def semigroup_from_json(text: str) -> KernelSemigroup:
             raise ConfigError(f"semigroup JSON misses '{key}'")
     kind = payload["type"]
     kv = _as_kv(payload["k"])
-    params = payload.get("params", {}) or {}
-    if not isinstance(params, dict):
-        raise ConfigError(f"semigroup params must be an object, got {params!r}")
-    seed = payload.get("seed")
-    if kind == "gaussian":
-        allowed = {"n_profile"}
-        if set(params) - allowed:
-            raise ConfigError(f"gaussian params allow only {sorted(allowed)}")
-        family = _profile_family(rayleigh_measure, kv.lam,
-                                 n=_node_count(params.get("n_profile", 256), "n_profile"))
-    elif kind in ("cauchy", "subordinated"):
-        params = dict(params)
-        if kind == "subordinated":
-            alpha = params.pop("alpha", None)
-            if alpha != 0.5:
-                raise ConfigError("subordinated semigroups support alpha = 0.5 only")
-        allowed = {"freq_max", "r_min", "tail_tol", "max_nodes"}
-        if set(params) - allowed:
-            raise ConfigError(f"{kind} params allow only alpha plus {sorted(allowed)}")
-        family = _profile_family(cauchy_measure, kv.lam, **params)
-    else:
-        raise ConfigError(f"unknown semigroup type '{kind}'")
-    return KernelSemigroup(kv, family, kind=kind, seed=seed)
+    profile, _, _ = _process(kind)
+    family = lambda t: profile(kv.lam, t) if t > 0 else dirac(0.0, lam=kv.lam)
+    return KernelSemigroup(kv, family, kind=kind, seed=payload.get("seed"))
 
 
 # ---------------------------------------------------------------------------
@@ -375,8 +349,7 @@ def gaussian_kernel_hat(kv, t: float, x, xi, n: int = 160) -> complex:
     by direct per-axis quadrature.  Nothing about k-invariance enters,
     so comparing against E_k(-ix, xi) e^(-t |xi|^2) is a real check.
     """
-    if not 0.0 < t < np.inf:
-        raise ConfigError(f"kernel time must be finite and positive, got {t}")
+    t = _positive_time(t, "kernel time")
 
     def axis(k, x_i, xi_i):
         rule = axis_rule(k, abs(float(x_i)) + np.sqrt(160.0 * t), n)
@@ -394,8 +367,7 @@ def composed_kernel_hat(kv, s: float, t: float, x, xi, n: int = 160) -> complex:
     by nested per-axis quadrature.  The semigroup law makes this equal
     gaussian_kernel_hat(s + t) and that is how it is verified.
     """
-    if not (0.0 < s < np.inf and 0.0 < t < np.inf):
-        raise ConfigError(f"kernel times must be finite and positive, got s={s}, t={t}")
+    s, t = _positive_time(s, "kernel time s"), _positive_time(t, "kernel time t")
 
     def axis(k, x_i, xi_i):
         ext_z = abs(float(x_i)) + np.sqrt(160.0 * s)
@@ -408,12 +380,14 @@ def composed_kernel_hat(kv, s: float, t: float, x, xi, n: int = 160) -> complex:
     return complex(_axis_product(kv, axis, np.atleast_1d(x), np.atleast_1d(xi)))
 
 
-def subordinated_kernel_hat(kv, t: float, x, xi, s_quad: float = 50.0,
-                            n: int = 160) -> complex:
+_S_QUAD = 50.0  # mixture times up to which subordinated_kernel_hat runs the quadrature
+
+
+def subordinated_kernel_hat(kv, t: float, x, xi, n: int = 160) -> complex:
     """Transform of the subordinated (k-Cauchy) transition kernel.
 
     The kernel is the 1/2-stable time mixture of heat kernels; mixture
-    times s <= s_quad go through the direct quadrature of
+    times s <= _S_QUAD go through the direct quadrature of
     gaussian_kernel_hat, and the far tail uses the dual reading of the
     heat kernel's spectral identity (a separately verified fact), where
     each slice contributes only e^(-s |xi|^2)-small terms.
@@ -427,7 +401,7 @@ def subordinated_kernel_hat(kv, t: float, x, xi, s_quad: float = 50.0,
     xi_sq = float(np.sum(xi * xi))
     tail_kernel = None
     for s, m in zip(s_pos, s_mass):
-        if s <= s_quad:
+        if s <= _S_QUAD:
             total += m * gaussian_kernel_hat(kv, float(s), x, xi, n=n)
         else:
             if tail_kernel is None:
@@ -436,14 +410,12 @@ def subordinated_kernel_hat(kv, t: float, x, xi, s_quad: float = 50.0,
     return complex(total)
 
 
-def subordinated_density(kv, t: float, x, y, cap: int = 2048):
+def subordinated_density(kv, t: float, x, y):
     """Transition density of the k-Cauchy kernel against w_k(y) dy, as
     the 1/2-stable time mixture of closed-form heat kernels."""
     kv = _as_kv(kv)
-    if t <= 0:
-        raise ConfigError("kernel time must be positive")
-    rho = stable_half_subordinator(t)
-    s_pos, s_mass = as_weighted_atoms(rho, cap=cap)
+    rho = stable_half_subordinator(_positive_time(t, "kernel time"))
+    s_pos, s_mass = as_weighted_atoms(rho)
     return sum(m * heat_kernel(kv, float(s), x, y) for s, m in zip(s_pos, s_mass))
 
 
@@ -531,7 +503,7 @@ def _resolve_threads(threads: int | None, n_blocks: int) -> int:
 
 
 def simulate_paths(kv, t_grid, n_paths: int, seed: int, kind: str = "gaussian",
-                   n_blocks: int = 16, threads: int | None = None) -> PathEnsemble:
+                   n_blocks: int = _N_BLOCKS, threads: int | None = None) -> PathEnsemble:
     """Simulate the Dunkl-type Brownian motion (or its Cauchy subordinate)
     started at 0, with exact transitions observed on t_grid.
 
@@ -545,7 +517,10 @@ def simulate_paths(kv, t_grid, n_paths: int, seed: int, kind: str = "gaussian",
     path, shared across axes; to keep 2 s finite, dt > 1e4 (or dt^2 not normal) is a ConfigError.
     """
     kv = _as_kv(kv)
-    times = np.asarray(t_grid, dtype=float)
+    try:
+        times = np.asarray(t_grid, dtype=float)
+    except (TypeError, ValueError):
+        raise ConfigError(f"t_grid times must be numbers, got {t_grid!r}") from None
     if times.ndim != 1 or times.size < 2:
         raise ConfigError("t_grid must hold at least the start and one later time")
     if not np.all(np.isfinite(times)):
@@ -554,15 +529,14 @@ def simulate_paths(kv, t_grid, n_paths: int, seed: int, kind: str = "gaussian",
         raise ConfigError("t_grid must start at 0")
     if np.any(np.diff(times) <= 0):
         raise ConfigError("t_grid must be strictly increasing")
-    if kind not in ("gaussian", "cauchy", "subordinated"):
-        raise ConfigError(f"unknown process kind '{kind}'")
+    _process(kind)  # ConfigError for any other kind
     if not isinstance(seed, numbers.Integral) or isinstance(seed, bool):
         raise ConfigError(f"seed must be an integer, got {seed!r}")
     n_paths = _node_count(n_paths, "n_paths")
     n_blocks = _node_count(n_blocks, "n_blocks")
     if threads is not None:
         threads = _node_count(threads, "threads")
-    subord = kind in ("cauchy", "subordinated")
+    subord = kind == "cauchy"
     dts = np.diff(times)
     with np.errstate(over="ignore"):
         if subord and not np.all((dts * dts >= np.finfo(float).tiny) & (dts <= 1e4)):
@@ -610,13 +584,7 @@ def marginal_ks(kv, radii, kind: str, t: float) -> tuple[float, float]:
     radii = np.asarray(radii, dtype=float)
     if radii.ndim != 1 or radii.size == 0 or not np.all(np.isfinite(radii) & (radii >= 0.0)):
         raise ConfigError("radii must be a non-empty 1-D array of finite values >= 0")
-    if not _finite(t, "t") > 0.0:
-        raise ConfigError(f"t must be positive, got {t}")
-    if kind == "gaussian":
-        cdf = lambda r: rayleigh_radial_cdf(kv.lam, t, r)
-    elif kind in ("cauchy", "subordinated"):
-        cdf = lambda r: cauchy_radial_cdf(kv.lam, t, r)
-    else:
-        raise ConfigError(f"no reference law for process kind '{kind}'")
-    res = kstest(radii, cdf)
+    t = _positive_time(t, "t")
+    _, cdf, _ = _process(kind)
+    res = kstest(radii, lambda r: cdf(kv.lam, t, r))
     return float(res.statistic), float(res.pvalue)

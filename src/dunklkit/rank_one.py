@@ -22,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from .bessel_kingman import _angle_rule, _angular_norm, _point_nodes
-from .errors import ConfigError, _finite
+from .errors import ConfigError, _finite, _node_count
 from .measures import LineMeasure
 from .special import bessel_j, bessel_j_imag
 
@@ -108,7 +108,7 @@ def signed_product_measure(k: float, x: float, y: float, n: int = 128) -> LineMe
     cosine-rule coefficients of the triangle (|x|, |y|, z) without the
     cancellation of z^2 + x^2 - y^2 when min(|x|, |y|) << max(|x|, |y|).
     """
-    k = _check_k(k)
+    k, n = _check_k(k), _node_count(n, "n")
     x, y = _finite(x, "x"), _finite(y, "y")
     if k == 0.0:
         return LineMeasure(atoms=[(x + y, 1.0)], lam=k)
@@ -136,7 +136,7 @@ def spherical_mean_measure(k: float, x: float, t: float, n: int = 128) -> LineMe
     Supported on +/-[||x|-t|, |x|+t]; weights (1 +/- sigma)/2 stay in
     [0, 1] on that set for every k >= 0 and every real x.
     """
-    k = _check_k(k)
+    k, n = _check_k(k), _node_count(n, "n")
     x, t = _finite(x, "x"), abs(_finite(t, "t"))
     if t <= 1e-11 * abs(x):
         return LineMeasure(atoms=[(x, 1.0)], lam=k)
@@ -183,7 +183,7 @@ def intertwiner_measure(k: float, x: float, n: int = 64) -> LineMeasure:
     (1 - u^2)^(k-1), with masses w (1 + u): exact for polynomials in xi up
     to degree 2n - 2.  k = 0 is the identity (point mass at x).
     """
-    k = _check_k(k)
+    k, n = _check_k(k), _node_count(n, "n")
     x = _finite(x, "x")
     if k == 0.0 or x == 0.0:
         return LineMeasure(atoms=[(x, 1.0)], lam=k)

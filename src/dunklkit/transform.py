@@ -28,7 +28,7 @@ import numpy as np
 from .bessel_kingman import _pair_nodes
 from .core import (_as_kv, _axis_c_norm, _axis_product, _coords, dunkl_kernel_unitary,
                    dunkl_laplacian, intertwiner_atoms)
-from .errors import ConfigError, _finite, _node_count
+from .errors import ConfigError, _finite, _node_count, _positive_time
 from .measures import _row_blocks
 from .quadrature import QuadratureRule, _tensor_grid, gauss_jacobi
 from .rank_one import kernel_unitary
@@ -426,8 +426,7 @@ def heat_kernel(kv, s: float, x, y):
     Factorizes over axes; each factor is evaluated through scaled Bessel
     functions so large |x|, |y|, or small s do not overflow.
     """
-    if not 0.0 < s < np.inf:
-        raise ConfigError(f"heat kernel time must be finite and positive, got {s}")
+    s = _positive_time(s, "heat kernel time")
     return _axis_product(kv, lambda k, a, b: _heat_axis(k, s, a, b),
                          np.atleast_1d(x), np.atleast_1d(y))
 
@@ -435,8 +434,7 @@ def heat_kernel(kv, s: float, x, y):
 def radial_heat_profile(kv, t: float, r):
     """Heat kernel seen from the origin: value at |y| = r."""
     kv = _as_kv(kv)
-    if not 0.0 < t < np.inf:
-        raise ConfigError(f"heat kernel time must be finite and positive, got {t}")
+    t = _positive_time(t, "heat kernel time")
     r = np.asarray(r, dtype=float)
     return np.exp(-(r * r) / (4.0 * t)) / ((2.0 * t) ** (kv.lam + 1.0) * kv.c_norm)
 
@@ -447,8 +445,7 @@ def heat_kernel_spectral(kv, s: float, x, y, extent=None, n: int = 128):
         (1/c_k^2) int e^(-s |xi|^2) E_k(-ix, xi) E_k(iy, xi) w_k(xi) dxi,
 
     evaluated axis by axis.  Independent of the closed form."""
-    if not 0.0 < s < np.inf:
-        raise ConfigError(f"heat kernel time must be finite and positive, got {s}")
+    s = _positive_time(s, "heat kernel time")
     if extent is None:
         extent = np.sqrt(80.0 / s)
 

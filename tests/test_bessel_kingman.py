@@ -85,11 +85,15 @@ def test_atom_cap_is_checked_before_the_identity_shortcut(atom_cap, identity_fir
     lambda v: convolve_measures(1.0, rayleigh_measure(1.0, 0.4, n=8),
                                 rayleigh_measure(1.0, 0.7, n=8), grid_n=v + 2.0),
     lambda v: convolve_points(1.0, 0.7, 0.3, n=v),
-], ids=["points_per_pair", "grid_n", "convolve_points"])
+    lambda v: rayleigh_measure(1.0, 0.5, n=v),
+    lambda v: rayleigh_measure(1.0, 0.0, n=v),
+    lambda v: stable_half_subordinator(0.5, nodes_per_decade=v),
+], ids=["points_per_pair", "grid_n", "convolve_points", "rayleigh_measure", "rayleigh_measure-t0",
+        "stable_half_subordinator"])
 @pytest.mark.parametrize("bad", [0, 2.5])
 def test_fractional_and_zero_node_counts_are_config_errors(call, bad):
-    # scipy raised a bare ValueError for the angle rules, numpy a TypeError
-    # for grid_n = 4.5
+    # scipy raised a bare ValueError for the angle rules and the profiles'
+    # Gauss rules, numpy a TypeError for grid_n = 4.5
     with pytest.raises(ConfigError, match="must be"):
         call(bad)
 
@@ -218,6 +222,13 @@ def test_stable_half_subordinator_laplace_transform():
     assert got == pytest.approx(np.exp(-1.0), abs=2e-12)
 
 
+@pytest.mark.parametrize("bad", [0.0, -1.0, 1.0, 2.0, float("nan"), "a"])
+def test_subordinator_tail_mass_lies_in_the_unit_interval(bad):
+    # 0 divided by zero; -1 and 2 put 79% and 99% of the law in the far atom
+    with pytest.raises(ConfigError, match="tail_mass"):
+        stable_half_subordinator(0.5, tail_mass=bad)
+
+
 def test_subordination_turns_heat_into_poisson():
     lam, t = 1.5, 0.8
     rho = stable_half_subordinator(t)
@@ -232,23 +243,10 @@ def test_subordination_turns_heat_into_poisson():
 def test_subordination_needs_positive_times_and_a_kept_time():
     with pytest.raises(ConfigError, match="s > 0"):
         subordinate(1.0, dirac(0.0))
-    # one time whose image at r_min is below tail_tol / 2 leaves nothing to grid
-    with pytest.raises(ResolutionError, match="lower tail_tol"):
-        subordinate(1.0, dirac(1e4), tail_tol=1e-3)
-
-
-@pytest.mark.parametrize("knob", [
-    {"freq_max": "a"}, {"freq_max": 0.0}, {"r_min": -1.0}, {"r_min": float("inf")},
-    {"tail_tol": "x"}, {"tail_tol": float("nan")}, {"max_nodes": 2.5}, {"max_nodes": 0},
-], ids=["freq_max-str", "freq_max-0", "r_min-negative", "r_min-inf", "tail_tol-str",
-        "tail_tol-nan", "max_nodes-fraction", "max_nodes-0"])
-@pytest.mark.parametrize("build", [
-    lambda knob: cauchy_measure(1.0, 0.5, **knob),
-    lambda knob: subordinate(1.0, stable_half_subordinator(0.5), **knob),
-], ids=["cauchy_measure", "subordinate"])
-def test_tuning_knobs_are_config_errors(build, knob):
-    with pytest.raises(ConfigError, match=next(iter(knob))):
-        build(knob)
+    # one time whose image e^(-1e4 r^2) at r = 0.25 (e^-625) is below the
+    # certified tolerance leaves nothing to grid
+    with pytest.raises(ResolutionError, match="the mixture has nothing to grid"):
+        subordinate(1.0, dirac(1e4))
 
 
 # sha256 of measure_to_json(cauchy_measure(lam, t)), recorded from the tree

@@ -479,15 +479,23 @@ def test_convolve_needs_exactly_two_inputs(tmp_path, capsys):
     ("semigroup", {"type": "cauchy", "k": [1.0], "params": {"tail_tol": "x"}}),
     ("semigroup", {"type": "cauchy", "k": [1.0], "params": {"max_nodes": 2.5}}),
     ("semigroup", {"type": "cauchy", "k": [1.0], "params": {"r_min": -1}}),
+    ("semigroup", {"type": "subordinated", "k": [1.0]}),
+    ("simulate", {"kind": "subordinated", "k": [1.0], "t_grid": [0.0, 1.0], "n_paths": 10,
+                  "seed": 1}),
+    ("simulate", {"kind": "gaussian", "k": [1.0], "t_grid": [0.0, "a"], "n_paths": 10,
+                  "seed": 1}),
 ], ids=["simulate-ks_times-str", "simulate-ks_times-entry", "simulate-threads-0",
         "semigroup-n_profile-str", "semigroup-n_profile-0", "transform-inverse-str",
         "transform-inverse-int", "semigroup-freq_max-str", "semigroup-tail_tol-str",
-        "semigroup-max_nodes-fraction", "semigroup-r_min-negative"])
+        "semigroup-max_nodes-fraction", "semigroup-r_min-negative", "semigroup-subordinated",
+        "simulate-subordinated", "simulate-t_grid-str"])
 def test_malformed_values_are_config_errors(tmp_path, capsys, command, payload):
     # the strings and n_profile 0 escaped as ValueError or TypeError (exit
     # code 1, a failed suite's code, and a traceback); threads 0 ran as one
     # worker, and "false" and 1 ran the inverse transform; the Cauchy
-    # max_nodes 2.5 and r_min -1 ended in ResolutionError and ConsistencyError
+    # max_nodes 2.5 and r_min -1 ended in ResolutionError and ConsistencyError.
+    # The semigroup's params key is gone, so its rows are now an unknown key;
+    # "subordinated", once a second name of the Cauchy kind, is no kind
     if command == "transform":
         payload = {**payload, "input": make_grid_csv(tmp_path)}
     cfg = write_config(tmp_path, "bad.json", payload)
@@ -513,6 +521,14 @@ def test_semigroup_report(tmp_path, capsys):
 def test_semigroup_bad_type(tmp_path, capsys):
     cfg = write_config(tmp_path, "sg.json", {"type": "poisson", "k": [1.0]})
     assert run_cli(capsys, "semigroup", "--config", cfg)[0] == 2
+
+
+def test_semigroup_params_are_an_unknown_key(tmp_path, capsys):
+    # the profiles' resolution is fixed: a semigroup config takes type and k
+    cfg = write_config(tmp_path, "sg.json", {"type": "cauchy", "k": [1.0], "params": {}})
+    code, _, err = run_cli(capsys, "semigroup", "--config", cfg)
+    assert code == 2
+    assert "unknown semigroup config keys ['params']" in json.loads(err)["error"]["message"]
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
-"""Every exported name resolves, so deletions cannot leave stale exports."""
+"""Every exported name resolves, so deletions cannot leave stale exports, and
+no public signature hides its parameters behind *args or **kwargs."""
 
 import importlib
+import inspect
 import pkgutil
 
 import pytest
@@ -23,3 +25,29 @@ def test_submodule_exports_resolve(name):
     assert len(exported) == len(set(exported))
     missing = [attr for attr in exported if not hasattr(module, attr)]
     assert missing == []
+
+
+def _public_callables():
+    """(name, callable) for every exported function and every public method
+    or classmethod that a package class defines, through its bases."""
+    for name in dunklkit.__all__:
+        obj = getattr(dunklkit, name)
+        if inspect.isfunction(obj):
+            yield name, obj
+        elif inspect.isclass(obj):
+            for cls in obj.__mro__:
+                if not cls.__module__.startswith("dunklkit"):
+                    continue
+                for attr, val in vars(cls).items():
+                    fn = val.__func__ if isinstance(val, (classmethod, staticmethod)) else val
+                    if not attr.startswith("_") and inspect.isfunction(fn):
+                        yield f"{name}.{attr}", fn
+
+
+def test_public_api_takes_no_star_arguments():
+    # every settable value is named in a signature, so a sweep of the API
+    # can list them from the signatures alone
+    star = (inspect.Parameter.VAR_POSITIONAL, inspect.Parameter.VAR_KEYWORD)
+    offenders = sorted({name for name, fn in _public_callables()
+                        if any(p.kind in star for p in inspect.signature(fn).parameters.values())})
+    assert offenders == []

@@ -23,12 +23,13 @@ from dunklkit import (
 )
 from dunklkit.bessel_kingman import (cauchy_measure, hankel_transform, rayleigh_measure,
                                      stable_half_subordinator)
-from dunklkit.transform import heat_kernel, radial_heat_profile
+from dunklkit.transform import heat_kernel, heat_kernel_spectral, radial_heat_profile
 from dunklkit.markov import (
     _heat_step,
     _resolve_threads,
     composed_kernel_hat,
     gaussian_kernel_hat,
+    subordinated_density,
     subordinated_kernel_hat,
 )
 from dunklkit.measures import dirac
@@ -118,18 +119,16 @@ def test_translate_requires_exactly_one_test_function():
     mu = KRadialMeasure.heat(KV2, 0.5)
     with pytest.raises(ConfigError):
         translate_measure(KV2, np.zeros(2), mu)
-    with pytest.raises(ConfigError):
-        translate_measure(KV2, np.zeros(2), mu, f0=lambda r: r,
-                          mean_fn=lambda x, r: 1.0)
+    with pytest.raises(ConfigError, match="exactly one of f, f0"):
+        translate_measure(KV2, np.zeros(2), mu, f0=lambda r: r, f=lambda pts: pts[:, 0])
     # general callables are a rank-one feature
     with pytest.raises(ConfigError):
         translate_measure(KV2, np.zeros(2), mu, f=lambda pts: pts[:, 0])
 
 
-def test_translate_mean_fn_route():
+def test_translate_constant_profile_keeps_mass_one():
     mu = KRadialMeasure.heat(KV2, 0.5)
-    got = translate_measure(KV2, np.array([0.3, 0.1]), mu,
-                            mean_fn=lambda x, r: 1.0)
+    got = translate_measure(KV2, np.array([0.3, 0.1]), mu, f0=lambda r: 1.0)
     assert got == pytest.approx(1.0, abs=1e-10)
 
 
@@ -279,10 +278,8 @@ def test_semigroup_json_validation():
         semigroup_from_json(json.dumps({"type": "gaussian"}))
     with pytest.raises(ConfigError):
         semigroup_from_json(json.dumps({"type": "poisson", "k": [1.0]}))
-    with pytest.raises(ConfigError):
-        semigroup_from_json(json.dumps({"type": "subordinated", "k": [1.0],
-                                        "params": {"alpha": 0.7}}))
-    with pytest.raises(ConfigError):
+    # the profiles' resolution is fixed: params is no semigroup key
+    with pytest.raises(ConfigError, match=r"unknown semigroup keys: \['params'\]"):
         semigroup_from_json(json.dumps({"type": "gaussian", "k": [1.0],
                                         "params": {"bananas": 3}}))
 
@@ -298,23 +295,19 @@ def test_semigroup_json_validation():
     '{"type": "cauchy", "k": [1.0], "params": {"max_nodes": 2.5}}',
     '{"type": "cauchy", "k": [1.0], "params": {"r_min": -1}}',
     '{"type": "cauchy", "k": [1.0], "params": {"freq_max": NaN}}',
+    '{"type": "subordinated", "k": [1.0]}',
+    '{"type": ["gaussian"], "k": [1.0]}',
 ], ids=["number", "list", "params-list", "n_profile-str", "n_profile-0", "n_profile-fraction",
         "k-str", "cauchy-freq_max-str", "cauchy-tail_tol-str", "cauchy-max_nodes-fraction",
-        "cauchy-r_min-negative", "cauchy-freq_max-nan"])
+        "cauchy-r_min-negative", "cauchy-freq_max-nan", "subordinated", "type-list"])
 def test_semigroup_json_boundary_errors_are_typed(text):
     # each was a TypeError, ValueError or scipy's ValueError; max_nodes 2.5
     # was a ResolutionError, and r_min -1 built the whole Cauchy family
-    # before its closure check failed with ConsistencyError
+    # before its closure check failed with ConsistencyError.  The params
+    # rows are now refused as an unknown key, and "subordinated", once the
+    # Cauchy semigroup under a second name, as an unknown kind
     with pytest.raises(ConfigError):
         semigroup_from_json(text)
-
-
-def test_subordinated_semigroup_is_cauchy():
-    sg = semigroup_from_json(json.dumps(
-        {"type": "subordinated", "k": [1.0], "params": {"alpha": 0.5}}))
-    assert sg.kind == "subordinated"
-    r = np.array([0.5, 1.0, 2.0])
-    np.testing.assert_allclose(sg.radial_hat(0.6, r), np.exp(-0.6 * r), atol=1e-7)
 
 
 def test_semigroup_simulation_needs_seed():
@@ -376,7 +369,7 @@ def test_simulate_paths_validation():
         simulate_paths(KV1, [0.0, 1.0], 10, seed=1, kind="levy-flight")
 
 
-@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf"), "a"])
 @pytest.mark.parametrize("call", [
     lambda t: simulate_paths(KV1, [0.0, 0.5, t], 10, seed=1),
     lambda t: simulate_paths(KV1, [0.0, t], 10, seed=1, kind="cauchy"),
@@ -388,10 +381,15 @@ def test_simulate_paths_validation():
     lambda t: composed_kernel_hat(KV1, t, 0.4, [0.3], [0.5]),
     lambda t: composed_kernel_hat(KV1, 0.4, t, [0.3], [0.5]),
     lambda t: radial_heat_profile(KV1, t, 0.5),
+    lambda t: heat_kernel_spectral(KV1, t, [0.3], [0.5]),
+    lambda t: subordinated_density(KV1, t, [0.3], [0.5]),
 ], ids=["simulate_paths", "simulate_paths_cauchy", "rayleigh_measure", "cauchy_measure",
         "stable_half_subordinator", "heat_kernel", "gaussian_kernel_hat",
-        "composed_kernel_hat_s", "composed_kernel_hat_t", "radial_heat_profile"])
+        "composed_kernel_hat_s", "composed_kernel_hat_t", "radial_heat_profile",
+        "heat_kernel_spectral", "subordinated_density"])
 def test_non_finite_times_are_config_errors(call, bad):
+    # a string time was a bare TypeError in every row, numpy's ValueError in
+    # simulate_paths' t_grid
     with pytest.raises(ConfigError):
         call(bad)
 
@@ -514,7 +512,7 @@ def test_simulate_paths_accepts_numpy_integer_seeds():
     assert np.array_equal(a.states, b.states) and a.seed == 2**62
 
 
-@pytest.mark.parametrize("kind", ["cauchy", "subordinated"])
+@pytest.mark.parametrize("kind", ["cauchy"])
 @pytest.mark.parametrize("grid", [[0.0, 1e-300], [0.0, 1e200], [0.0, 1e-160, 1.0],
                                   [0.0, 1e150], [0.0, 1.0, 1.0 + 2e4]],
                          ids=["dt-squared-underflows", "dt-squared-overflows", "subnormal",

@@ -36,7 +36,8 @@ from dunklkit import (
 )
 from dunklkit import measures
 from dunklkit.quadrature import _tensor_grid
-from dunklkit.rank_one import kernel_unitary
+from dunklkit.rank_one import (intertwiner_measure, kernel_unitary, signed_product_measure,
+                               spherical_mean, spherical_mean_measure)
 from dunklkit.special import bessel_j
 from dunklkit.transform import _contract_axes, axis_rule, weighted_grid
 from scipy.special import gamma, roots_jacobi
@@ -846,11 +847,19 @@ def test_radial_translate_names_the_profile_shape():
     lambda v: intertwiner_atoms(KV2, [0.7, 0.1], n_per_axis=v),
     lambda v: SphereQuadrature(KV2, n=v),
     lambda v: SphereQuadrature(KV2, n=v, method="trapezoid"),
+    lambda v: signed_product_measure(1.0, 0.7, 0.3, n=v),
+    lambda v: signed_product_measure(0.0, 0.7, 0.3, n=v),
+    lambda v: spherical_mean_measure(1.0, 0.7, 0.3, n=v),
+    lambda v: spherical_mean(1.0, np.cos, 0.7, 0.3, n=v),
+    lambda v: intertwiner_measure(1.0, 0.7, n=v),
 ], ids=["mean-n_sphere", "mean-rank-one-n_sphere", "mean-n_per_axis", "translate",
-        "intertwiner_atoms", "sphere", "sphere-trapezoid"])
+        "intertwiner_atoms", "sphere", "sphere-trapezoid", "signed_product_measure",
+        "signed_product_measure-k0", "spherical_mean_measure", "spherical_mean",
+        "intertwiner_measure"])
 @pytest.mark.parametrize("bad", [0, 2.5, -1])
 def test_radial_layer_node_budgets_are_config_errors(call, bad):
-    # 0 and 2.5 reached scipy's bare "n must be a positive integer"
+    # 0 and 2.5 reached scipy's bare "n must be a positive integer"; the
+    # product measure at k = 0 never read n
     with pytest.raises(ConfigError, match="must be"):
         call(bad)
 
