@@ -56,6 +56,13 @@ def _check_index(lam: float) -> float:
     return lam
 
 
+def _match_index(lam: float, *measures: RadialProfileMeasure) -> None:
+    """ConfigError if a measure carries an index other than lam (beyond 1e-12)."""
+    for m in measures:
+        if m.lam is not None and abs(m.lam - lam) > 1e-12:
+            raise ConfigError(f"profile index {m.lam} does not match lam={lam}")
+
+
 def _angular_norm(lam: float) -> float:
     # Gamma(lam+1) / (sqrt(pi) Gamma(lam+1/2)); normalizes (1-u^2)^(lam-1/2) du
     return float(np.exp(gammaln(lam + 1.0) - gammaln(lam + 0.5)) / np.sqrt(np.pi))
@@ -160,6 +167,7 @@ def convolve_measures(lam: float, sigma: RadialProfileMeasure, tau: RadialProfil
     rms radius, so distinct tails stay distinct.
     """
     lam = _check_index(lam)
+    _match_index(lam, sigma, tau)
     grid_n = _node_count(grid_n, "grid_n", least=4)
     atom_cap = _node_count(atom_cap, "atom_cap")
     points_per_pair = _node_count(points_per_pair, "points_per_pair")
@@ -214,6 +222,7 @@ def convolve_measures(lam: float, sigma: RadialProfileMeasure, tau: RadialProfil
 def hankel_transform(lam: float, mu: RadialProfileMeasure, r):
     """Hankel image of a measure: integral of j_lam(r z) d mu(z)."""
     lam = _check_index(lam)
+    _match_index(lam, mu)
     pos, mass = as_weighted_atoms(mu)
     return np.tensordot(mass, bessel_j(lam, np.multiply.outer(pos, r)), axes=([0], [0]))
 

@@ -417,11 +417,7 @@ def cmd_semigroup(cfg: RunConfig) -> int:
     o = cfg.options
     if cfg.fmt != "json":
         raise ConfigError("semigroup reports are JSON; drop --format csv")
-    spec = {
-        "type": _require(o, "type", "semigroup"),
-        "k": _require(o, "k", "semigroup"),
-        "seed": cfg.seed,
-    }
+    spec = {"type": _require(o, "type", "semigroup"), "k": _require(o, "k", "semigroup")}
     sg = semigroup_from_json(json.dumps(spec))
     report = {
         "type": sg.kind,

@@ -24,7 +24,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from . import rank_one
-from .errors import ConfigError, _node_count
+from .errors import ConfigError, _floats, _node_count
 from .quadrature import _tensor_grid
 from .special import bessel_j, bessel_j_imag
 
@@ -117,7 +117,7 @@ def _as_kv(kv) -> MultiplicityVector:
 def _coords(kv: MultiplicityVector, name: str, p, point: bool = False) -> np.ndarray:
     """p as a float array whose last axis holds the N finite coordinates;
     with point=True, one point of shape (N,) (a scalar serves for N = 1)."""
-    p = np.atleast_1d(np.asarray(p, dtype=float)) if point else np.asarray(p, dtype=float)
+    p = np.atleast_1d(_floats(p, name)) if point else _floats(p, name)
     if p.shape[-1:] != (kv.n_axes,) or (point and p.ndim != 1):
         raise ConfigError(f"{name} has shape {p.shape}; " + (
             f"expected one point of shape ({kv.n_axes},)" if point else

@@ -45,6 +45,14 @@ def _finite(value, what: str) -> float:
     return value
 
 
+def _floats(value, what: str) -> np.ndarray:
+    """value as a float array; ConfigError if an entry is not a number."""
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{what} must be numbers, got {value!r}") from None
+
+
 def _positive_time(t, what: str) -> float:
     """t as a float in (0, inf); ConfigError for anything else."""
     value = _finite(t, what)

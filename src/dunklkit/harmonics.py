@@ -301,6 +301,8 @@ def funk_hecke_pair(kv, coeffs: np.ndarray, x, rule: SphereQuadrature | None = N
     kv = _require_planar(kv)
     if rule is None:
         rule = SphereQuadrature(kv, n=96)
+    elif rule.kv != kv:
+        raise ConfigError(f"multiplicity {kv.k} does not match the rule's {rule.kv.k}")
     x = np.asarray(x, dtype=float)
     n = coeffs.size - 1
     vals = dunkl_kernel_unitary(kv, x, rule.points) * eval_homogeneous(coeffs, rule.points)

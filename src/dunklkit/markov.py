@@ -3,7 +3,9 @@
 A probability measure mu on R^N whose deweighted form w_k^{-1} dmu is
 rotation invariant is determined by its radial profile, and the profile
 map carries the generalized convolution over to the hypergroup
-convolution at index lam = gamma + N/2 - 1.  Kernels of the form
+convolution at index lam = gamma + N/2 - 1.  A KRadialMeasure holds its
+multiplicity next to that profile, so translation, convolution and the
+kernel handle read k from the measure.  Kernels of the form
 P(x, .) = delta_x *_k mu are exactly the k-invariant ones: their
 transform factorizes as
 
@@ -21,7 +23,9 @@ sign flip with odds given by a Bessel-function ratio, so the paths carry
 no discretization error.  The k-Cauchy process rides the same stepper
 through an exact 1/2-stable time change.  Paths come in blocks, each with
 its own seeded generator; a worker draws for its whole run of blocks and
-steps every path of the run in one array pass per step and axis.
+steps every path of the run in one array pass per step and axis.  The seed
+and the worker count are arguments of each simulation, and nothing else
+sets them.
 """
 
 from __future__ import annotations
@@ -36,6 +40,7 @@ import json
 import numpy as np
 
 from .bessel_kingman import (
+    _match_index,
     cauchy_measure,
     cauchy_radial_cdf,
     convolve_measures,
@@ -45,7 +50,8 @@ from .bessel_kingman import (
     stable_half_subordinator,
 )
 from .core import MultiplicityVector, _as_kv, _axis_product, _coords, dunkl_kernel_unitary
-from .errors import ConfigError, ConsistencyError, PositivityError, _node_count, _positive_time
+from .errors import (ConfigError, ConsistencyError, PositivityError, _floats, _node_count,
+                     _positive_time)
 from .measures import _BLOCK, RadialProfileMeasure, as_weighted_atoms, dirac
 from .rank_one import kernel_unitary, spherical_mean as _rank_one_mean
 from .special import _bessel_ratio
@@ -57,7 +63,6 @@ __all__ = [
     "KernelSemigroup",
     "PathSample",
     "PathEnsemble",
-    "radial_hat",
     "translate_measure",
     "convolve_k",
     "semigroup_from_json",
@@ -94,9 +99,7 @@ class KRadialMeasure:
         self.kv = _as_kv(self.kv)
         if not isinstance(self.profile, RadialProfileMeasure):
             raise ConfigError("profile must be a RadialProfileMeasure")
-        if self.profile.lam is not None and abs(self.profile.lam - self.kv.lam) > 1e-12:
-            raise ConfigError(
-                f"profile index {self.profile.lam} does not match lam={self.kv.lam}")
+        _match_index(self.kv.lam, self.profile)
         m = self.profile.mass()
         if abs(m - 1.0) > _MASS_TOL:
             raise PositivityError(f"profile mass {m} differs from 1 beyond {_MASS_TOL}")
@@ -123,23 +126,14 @@ class KRadialMeasure:
         return cls(kv, cauchy_measure(kv.lam, t))
 
     def hat(self, xi):
-        """Transform of the measure; rotation invariant, so it only sees |xi|."""
-        return radial_hat(self.kv, self, xi)
+        """Transform at the points xi (last axis = coords):
 
+            mu^(xi) = H_lam(profile)(|xi|),
 
-def radial_hat(kv, mu: KRadialMeasure, xi):
-    """Transform of a k-radial measure at the points xi (last axis = coords):
-
-        mu^(xi) = H_lam(profile)(|xi|),
-
-    real, rotation invariant, equal to 1 at xi = 0 for probabilities.
-    """
-    kv = _as_kv(kv)
-    xi = np.asarray(xi, dtype=float)
-    if xi.ndim == 0:
-        raise ConfigError("xi must be a point of R^N")
-    r = np.sqrt(np.sum(xi * xi, axis=-1))
-    return hankel_transform(kv.lam, mu.profile, r)
+        real, rotation invariant, equal to 1 at xi = 0 for probabilities.
+        """
+        xi = _coords(self.kv, "xi", xi)
+        return hankel_transform(self.kv.lam, self.profile, np.sqrt(np.sum(xi * xi, axis=-1)))
 
 
 # ---------------------------------------------------------------------------
@@ -148,7 +142,7 @@ def radial_hat(kv, mu: KRadialMeasure, xi):
 _TRANSLATE_ATOM_CAP = 4096  # profile atoms a translation keeps before binning
 
 
-def translate_measure(kv, x, mu: KRadialMeasure, f=None, f0=None):
+def translate_measure(x, mu: KRadialMeasure, f=None, f0=None):
     """Integral of f against the translated measure delta_x *_k mu,
 
         (delta_x *_k mu)(f) = int M_f(x, |y|) dmu(y),
@@ -157,10 +151,11 @@ def translate_measure(kv, x, mu: KRadialMeasure, f=None, f0=None):
     function enters one of two ways: f0 is a radial profile (at every N,
     each mean the Bessel-Kingman point convolution of |x| and r_j), and f
     is a general callable on points (rank one only, through the explicit
-    mean measures).  x = 0 returns the plain integral of f against mu; a
-    point profile at 0 returns f(x).
+    mean measures).  The multiplicity is mu's, so x holds its N coordinates.
+    x = 0 returns the plain integral of f against mu; a point profile at 0
+    returns f(x).
     """
-    kv = _as_kv(kv)
+    kv = mu.kv
     x = _coords(kv, "x", x, point=True)
     if (f is None) == (f0 is None):
         raise ConfigError("pass exactly one of f, f0")
@@ -189,40 +184,35 @@ class MarkovKernelHandle:
     friends for quadrature values that do not assume it).
     """
 
-    kv: MultiplicityVector
     mu: KRadialMeasure
     time: float | None = None
     kind: str = "custom"
 
-    def __post_init__(self):
-        self.kv = _as_kv(self.kv)
-
     def apply(self, x, f=None, f0=None):
-        return translate_measure(self.kv, x, self.mu, f=f, f0=f0)
+        return translate_measure(x, self.mu, f=f, f0=f0)
 
     def hat(self, x, xi):
-        xi = np.asarray(xi, dtype=float)
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        return np.conj(dunkl_kernel_unitary(self.kv, x, xi)) * self.mu.hat(xi)
+        return np.conj(dunkl_kernel_unitary(self.mu.kv, np.atleast_1d(x), xi)) * self.mu.hat(xi)
 
     def density(self, x, y):
         """Transition density against w_k(y) dy at the kernel's positive
         time; closed heat form for the Gaussian kind, subordinated mixture
         for the Cauchy kind."""
         _, _, density = _process(self.kind)
-        return density(self.kv, self.time, x, y)
+        return density(self.mu.kv, self.time, x, y)
 
 
-def convolve_k(kv, mu: KRadialMeasure, nu: KRadialMeasure) -> KRadialMeasure:
-    """Generalized convolution of two k-radial probabilities, computed as
-    the hypergroup convolution of their radial profiles.
+def convolve_k(mu: KRadialMeasure, nu: KRadialMeasure) -> KRadialMeasure:
+    """Generalized convolution of two k-radial probabilities of one
+    multiplicity, computed as the hypergroup convolution of their radial
+    profiles.
 
     Commutative, probability-preserving, with the point mass at 0 as the
     neutral element; the transform is multiplicative on the result.
     """
-    kv = _as_kv(kv)
-    out = convolve_measures(kv.lam, mu.profile, nu.profile)
-    return KRadialMeasure(kv, out)
+    if mu.kv != nu.kv:
+        raise ConfigError(f"multiplicities {mu.kv.k} and {nu.kv.k} differ")
+    return KRadialMeasure(mu.kv, convolve_measures(mu.kv.lam, mu.profile, nu.profile))
 
 
 # ---------------------------------------------------------------------------
@@ -257,11 +247,10 @@ class KernelSemigroup:
     kernel(t) = delta_x *_k mu_t.
     """
 
-    def __init__(self, kv, family, kind: str = "custom", seed: int | None = None):
+    def __init__(self, kv, family, kind: str = "custom"):
         self.kv = _as_kv(kv)
         self.family = family
         self.kind = kind
-        self.seed = seed
         zero = family(0.0)
         lo, hi = zero.support_bounds()
         if abs(zero.mass() - 1.0) > _MASS_TOL or max(abs(lo), abs(hi)) > 1e-12:
@@ -278,21 +267,11 @@ class KernelSemigroup:
         return KRadialMeasure(self.kv, self.family(float(t)))
 
     def kernel(self, t: float) -> MarkovKernelHandle:
-        return MarkovKernelHandle(self.kv, self.measure(t), time=float(t), kind=self.kind)
+        return MarkovKernelHandle(self.measure(t), time=float(t), kind=self.kind)
 
-    def radial_hat(self, t: float, r):
-        """Hankel image of the time-t profile at radial frequencies r."""
-        r = np.asarray(r, dtype=float)
-        return hankel_transform(self.kv.lam, self.family(float(t)), r) \
-            if t > 0 else np.ones_like(r)
-
-    def simulate(self, t_grid, n_paths: int, seed: int | None = None,
+    def simulate(self, t_grid, n_paths: int, seed: int,
                  n_blocks: int = _N_BLOCKS, threads: int | None = None) -> "PathEnsemble":
-        """Exact paths of the semigroup's process (simulate_paths); the seed
-        defaults to the semigroup's."""
-        seed = self.seed if seed is None else seed
-        if seed is None:
-            raise ConfigError("simulation needs a seed")
+        """Exact paths of the semigroup's process (simulate_paths)."""
         return simulate_paths(self.kv, t_grid, n_paths, seed, kind=self.kind,
                               n_blocks=n_blocks, threads=threads)
 
@@ -312,11 +291,12 @@ def _process(kind):
 def semigroup_from_json(text: str) -> KernelSemigroup:
     """Build a semigroup from its JSON spec:
 
-        {"type": "gaussian" | "cauchy", "k": [...], "seed": ...}
+        {"type": "gaussian" | "cauchy", "k": [...]}
 
     gaussian is the heat semigroup of rayleigh_measure profiles, cauchy its
     1/2-stable subordinate of cauchy_measure profiles; each has an exact
-    sampler and transition densities.  The profiles' resolution is fixed.
+    sampler and transition densities.  The profiles' resolution is fixed,
+    and a simulation takes its seed per call (KernelSemigroup.simulate).
     """
     try:
         payload = json.loads(text)
@@ -324,7 +304,7 @@ def semigroup_from_json(text: str) -> KernelSemigroup:
         raise ConfigError(f"semigroup JSON is invalid: {exc}") from exc
     if not isinstance(payload, dict):
         raise ConfigError(f"semigroup JSON must be an object, got {type(payload).__name__}")
-    extra = set(payload) - {"type", "k", "seed"}
+    extra = set(payload) - {"type", "k"}
     if extra:
         raise ConfigError(f"unknown semigroup keys: {sorted(extra)}")
     for key in ("type", "k"):
@@ -334,7 +314,7 @@ def semigroup_from_json(text: str) -> KernelSemigroup:
     kv = _as_kv(payload["k"])
     profile, _, _ = _process(kind)
     family = lambda t: profile(kv.lam, t) if t > 0 else dirac(0.0, lam=kv.lam)
-    return KernelSemigroup(kv, family, kind=kind, seed=payload.get("seed"))
+    return KernelSemigroup(kv, family, kind=kind)
 
 
 # ---------------------------------------------------------------------------
@@ -491,15 +471,9 @@ class PathEnsemble:
 
 
 def _resolve_threads(threads: int | None, n_blocks: int) -> int:
-    """Worker count: the request (argument, else DUNKL_KIT_THREADS, else 1)
-    capped at the number of blocks and at os.cpu_count()."""
-    if threads is None:
-        env = os.environ.get("DUNKL_KIT_THREADS")
-        try:
-            threads = _node_count(int(env), "DUNKL_KIT_THREADS") if env else 1
-        except ValueError:
-            raise ConfigError(f"DUNKL_KIT_THREADS must be an integer, got {env!r}") from None
-    return max(1, min(int(threads), int(n_blocks), os.cpu_count() or 1))
+    """Worker count: the request (1 if None) capped at the number of blocks
+    and at os.cpu_count()."""
+    return max(1, min(int(threads or 1), int(n_blocks), os.cpu_count() or 1))
 
 
 def simulate_paths(kv, t_grid, n_paths: int, seed: int, kind: str = "gaussian",
@@ -517,10 +491,7 @@ def simulate_paths(kv, t_grid, n_paths: int, seed: int, kind: str = "gaussian",
     path, shared across axes; to keep 2 s finite, dt > 1e4 (or dt^2 not normal) is a ConfigError.
     """
     kv = _as_kv(kv)
-    try:
-        times = np.asarray(t_grid, dtype=float)
-    except (TypeError, ValueError):
-        raise ConfigError(f"t_grid times must be numbers, got {t_grid!r}") from None
+    times = _floats(t_grid, "t_grid times")
     if times.ndim != 1 or times.size < 2:
         raise ConfigError("t_grid must hold at least the start and one later time")
     if not np.all(np.isfinite(times)):
@@ -581,7 +552,7 @@ def marginal_ks(kv, radii, kind: str, t: float) -> tuple[float, float]:
     from scipy.stats import kstest
 
     kv = _as_kv(kv)
-    radii = np.asarray(radii, dtype=float)
+    radii = _floats(radii, "radii")
     if radii.ndim != 1 or radii.size == 0 or not np.all(np.isfinite(radii) & (radii >= 0.0)):
         raise ConfigError("radii must be a non-empty 1-D array of finite values >= 0")
     t = _positive_time(t, "t")

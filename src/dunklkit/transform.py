@@ -543,11 +543,12 @@ def translated_normalization_defect(kv, t: float, x, n: int = 96,
     return abs(float(np.sum(wts * vals)) - 1.0)
 
 
-def _spectral_mean_weights(kv, plan: TransformPlan, x, t: float):
+def _spectral_mean_weights(plan: TransformPlan, x, t: float):
     """w(xi) E_k(ix, xi) j_lam(t |xi|) / c_k as (axes, radial): per axis, w E_k
     on all its nodes; j_lam(t |xi|) / c_k once per distinct |xi| of the plan,
     which radial[plan._radius_index] spreads onto plan.freq_shape.
     """
+    kv = plan.kv
     axes = [rule.weights * kernel_unitary(k, x_i, rule.nodes)
             for k, x_i, rule in zip(kv.k, x, plan.freq_rules)]
     return axes, bessel_j(kv.lam, t * plan._radii) / kv.c_norm
@@ -580,7 +581,7 @@ def spherical_mean_spectral(kv, plan: TransformPlan, fhat_values: np.ndarray,
     if np.ndim(t) != 0:
         raise ConfigError(f"t must be a scalar radius, got shape {np.shape(t)}")
     t = _finite(t, "t")
-    axes, radial = _spectral_mean_weights(kv, plan, x, t)
+    axes, radial = _spectral_mean_weights(plan, x, t)
     out = fhat.reshape(plan.freq_shape)
     for i in range(kv.n_axes - 1, 0, -1):
         m, a = axes[i].size // 2, axes[i].reshape((-1,) + (1,) * (kv.n_axes - 1 - i))

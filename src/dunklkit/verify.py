@@ -231,11 +231,11 @@ def _suite_radial_product_formula() -> list[CaseResult]:
 # bump batteries: positivity and support of the mean measures
 
 
-def _battery_means(kv, plan: TransformPlan, bumps, pairs) -> np.ndarray:
+def _battery_means(plan: TransformPlan, bumps, pairs) -> np.ndarray:
     """means[i, j] = M_{f_i}(x_j, t_j): one weight row per pair (axis vectors' outer product
     times the radial factor on the grid), so a bump costs a forward transform and dot products."""
     def row(x, t):
-        axes, radial = _spectral_mean_weights(kv, plan, x, t)
+        axes, radial = _spectral_mean_weights(plan, x, t)
         return (reduce(np.multiply.outer, axes) * radial[plan._radius_index]).ravel()
     combo = np.array([row(x, t) for x, t in pairs])
     means = np.empty((len(bumps), len(pairs)))
@@ -297,11 +297,11 @@ def _suite_positivity() -> list[CaseResult]:
         pairs = [(rng.uniform(-1.8, 1.8, size=kv.n_axes), rng.uniform(0.05, 2.0))
                  for _ in range(20)]
         smooth = _smooth_nonneg(rng, kv.n_axes, 150)
-        means_s = _battery_means(kv, TransformPlan(kv), smooth, pairs)
+        means_s = _battery_means(TransformPlan(kv), smooth, pairs)
         radius_lo = 0.55 if kv.n_axes == 1 else 0.6
         compact = _random_bumps(rng, kv.n_axes, 50, 2.0, radius_lo, 1.0)
         plan = TransformPlan(kv, **_BATTERY_PLANS[kv.n_axes])
-        means_c = _battery_means(kv, plan, compact, pairs)
+        means_c = _battery_means(plan, compact, pairs)
         out.append(CaseResult(f"k={k} smooth=150 pairs=20",
                               float(-np.min(means_s)), t_))
         out.append(CaseResult(f"k={k} compact=50 pairs=20",
@@ -365,7 +365,7 @@ def _suite_support() -> list[CaseResult]:
     t = 0.5
     plan = TransformPlan(kv, **_SUPPORT_PLAN)
     outside, inside = _support_batteries(rng, kv, x, t)
-    means = _battery_means(kv, plan, outside + inside, [(x, t)])
+    means = _battery_means(plan, outside + inside, [(x, t)])
     out.append(CaseResult("outside-orbit bumps k=(1,1) x=(1,0) t=0.5",
                           float(np.max(np.abs(means[:25]))), t_))
     out.append(CaseResult("inner-hole bumps k=(1,1) x=(1,0) t=0.5",
@@ -674,7 +674,7 @@ def _suite_markov() -> list[CaseResult]:
 
     kv = MultiplicityVector((1.0, 0.5))
     mu, nu = KRadialMeasure.heat(kv, 0.3), KRadialMeasure.cauchy(kv, 0.6)
-    conv = convolve_k(kv, mu, nu)
+    conv = convolve_k(mu, nu)
     xi = np.stack([np.linspace(0.0, 4.0, 15), np.linspace(0.0, 2.0, 15)], axis=-1)
     res = float(np.max(np.abs(conv.hat(xi) - mu.hat(xi) * nu.hat(xi))))
     out.append(CaseResult("profile morphism k=(1,0.5)", res, t_mor))

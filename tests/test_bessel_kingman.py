@@ -185,6 +185,20 @@ def test_convolution_rejects_negative_measures():
         convolve_measures(lam, bad, rayleigh_measure(lam, 0.5))
 
 
+def test_a_measure_of_another_index_is_a_config_error():
+    # the index sits both in the argument and in the measure; hankel_transform
+    # read 0.8631 for exp(-0.3), and convolve_measures labelled a lam = 1/2
+    # convolution lam = 2; a measure without an index is taken at lam
+    a, b = rayleigh_measure(0.5, 0.3), rayleigh_measure(0.5, 0.4)
+    with pytest.raises(ConfigError, match="does not match lam=2.0"):
+        hankel_transform(2.0, a, [1.0])
+    for pair in [(a, b), (a, dirac(0.0, lam=2.0)), (dirac(0.0, lam=2.0), b)]:
+        with pytest.raises(ConfigError, match="does not match lam=2.0"):
+            convolve_measures(2.0, *pair)
+    np.testing.assert_allclose(hankel_transform(0.5 + 1e-13, a, [1.0]), np.exp(-0.3), atol=1e-10)
+    assert hankel_transform(2.0, dirac(0.0), [1.0]) == 1.0
+
+
 def test_convolution_rejects_an_empty_measure():
     empty = RadialProfileMeasure(grid=np.empty(0), density=np.empty(0), weights=np.empty(0),
                                  lam=1.0)

@@ -29,7 +29,7 @@ from dunklkit import (
     heat_kernel_spectral,
     weight,
 )
-from dunklkit.markov import composed_kernel_hat, gaussian_kernel_hat
+from dunklkit.markov import KRadialMeasure, composed_kernel_hat, gaussian_kernel_hat, translate_measure
 from dunklkit.cli import main
 from dunklkit.special import bessel_j, bessel_j_imag
 
@@ -223,6 +223,7 @@ def test_dunkl_kernel_broadcasting_and_normalization():
 
 
 KV_COORDS = MultiplicityVector(k=(1.0, 0.5))
+HEAT_COORDS = KRadialMeasure.heat(KV_COORDS, 0.5)
 
 
 @pytest.mark.parametrize("fn", [
@@ -234,18 +235,26 @@ KV_COORDS = MultiplicityVector(k=(1.0, 0.5))
     lambda kv, x, y: heat_kernel_spectral(kv, 0.5, x, y),
     lambda kv, x, y: gaussian_kernel_hat(kv, 0.5, x, y),
     lambda kv, x, y: composed_kernel_hat(kv, 0.3, 0.2, x, y),
+    lambda kv, x, y: (weight(kv, x), weight(kv, y)),
+    lambda kv, x, y: (HEAT_COORDS.hat(x), HEAT_COORDS.hat(y)),
+    lambda kv, x, y: (translate_measure(x, HEAT_COORDS, f0=np.cos),
+                      translate_measure(y, HEAT_COORDS, f0=np.cos)),
 ], ids=["dunkl_kernel", "dunkl_kernel_unitary", "generalized_bessel",
         "generalized_bessel_unitary", "heat_kernel", "heat_kernel_spectral",
-        "gaussian_kernel_hat", "composed_kernel_hat"])
+        "gaussian_kernel_hat", "composed_kernel_hat", "weight", "kradial_hat",
+        "translate_measure"])
 @pytest.mark.parametrize("x, y", [
     ([1.0, 2.0, 3.0], [0.5, 0.1, 9.0]),
     ([1.0, 2.0, 3.0], [0.5, 0.1]),
     ([1.0, 2.0], [0.5, 0.1, 9.0]),
     ([1.0], [0.5, 0.1]),
     ([1.0, 2.0], [[0.5], [0.1]]),
+    (["a", "b"], [0.5, 0.1]),
 ])
 def test_kernels_check_coordinate_count(fn, x, y):
-    # a third coordinate must not be dropped silently
+    # a third coordinate must not be dropped silently, and a string
+    # coordinate was numpy's bare ValueError; KRadialMeasure.hat read only
+    # |xi|, so one or three coordinates of a two-axis measure went through
     with pytest.raises(ConfigError):
         fn(KV_COORDS, x, y)
     fn(KV_COORDS, [1.0, 2.0], [0.5, 0.1])

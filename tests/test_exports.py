@@ -51,3 +51,22 @@ def test_public_api_takes_no_star_arguments():
     offenders = sorted({name for name, fn in _public_callables()
                         if any(p.kind in star for p in inspect.signature(fn).parameters.values())})
     assert offenders == []
+
+
+def _signatures():
+    """(name, signature) of every public callable and class constructor."""
+    for name, fn in _public_callables():
+        yield name, inspect.signature(fn)
+    for name in dunklkit.__all__:
+        obj = getattr(dunklkit, name)
+        if inspect.isclass(obj) and not issubclass(obj, BaseException):
+            yield name, inspect.signature(obj)
+
+
+def test_no_public_callable_takes_kv_beside_a_measure():
+    # a KRadialMeasure carries its multiplicity: a kv next to it is a second
+    # source, and a mismatched one gave a silently wrong number
+    offenders = sorted(name for name, sig in _signatures() if "kv" in sig.parameters and any(
+        p.annotation in (dunklkit.KRadialMeasure, "KRadialMeasure")
+        for p in sig.parameters.values()))
+    assert offenders == []

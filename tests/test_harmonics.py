@@ -206,6 +206,16 @@ def test_funk_hecke_identity(n):
         assert abs(lhs - rhs) < 1e-9
 
 
+def test_funk_hecke_refuses_a_rule_of_another_multiplicity():
+    # a k = (2, 1) rule integrated against the wrong weight: lhs 0.0550, not -0.0312
+    coeffs = harmonic_basis(KV, 2)[0]
+    x = np.array([0.9, 0.2])
+    with pytest.raises(ConfigError, match="does not match the rule's"):
+        funk_hecke_pair(KV, coeffs, x, rule=SphereQuadrature((2.0, 1.0), n=96))
+    lhs, rhs = funk_hecke_pair(KV, coeffs, x, rule=SphereQuadrature(KV, n=96))
+    assert abs(lhs - rhs) < 1e-9
+
+
 # ---------------------------------------------------------------------------
 # radializations
 

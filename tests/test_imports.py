@@ -307,7 +307,7 @@ def test_spectral_route_checker_flags_a_full_tensor_mean(tmp_path):
     good, bad = tmp_path / "good.py", tmp_path / "bad.py"
     good.write_text("from .transform import _spectral_mean_weights\n"
                     "def mean(kv, plan, fhat, x, t):\n"
-                    "    return (_spectral_mean_weights(kv, plan, x, t) * fhat).sum()\n")
+                    "    return (_spectral_mean_weights(plan, x, t) * fhat).sum()\n")
     bad.write_text("from . import core\n"
                    "def mean(kv, plan, fhat, x, t):\n"
                    "    return (core.dunkl_kernel_unitary(kv, x, plan.freq_grid()) * fhat).sum()\n")

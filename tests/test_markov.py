@@ -86,7 +86,7 @@ def test_kradial_validation():
 def test_translate_at_origin_is_plain_integral():
     mu = KRadialMeasure.heat(KV2, 0.5)
     f0 = lambda r: np.exp(-np.asarray(r) ** 2)
-    got = translate_measure(KV2, np.zeros(2), mu, f0=f0)
+    got = translate_measure(np.zeros(2), mu, f0=f0)
     want = mu.profile.integrate(f0)
     assert got == pytest.approx(want, rel=1e-10)
 
@@ -95,7 +95,7 @@ def test_translate_point_measure_evaluates_f():
     point = KRadialMeasure.point(KV2)
     x = np.array([0.8, -0.6])
     f0 = lambda r: np.cos(np.asarray(r))
-    got = translate_measure(KV2, x, point, f0=f0)
+    got = translate_measure(x, point, f0=f0)
     assert got == pytest.approx(float(np.cos(np.linalg.norm(x))), rel=1e-9)
 
 
@@ -104,31 +104,31 @@ def test_translate_at_origin_is_plain_integral_at_three_axes():
     kv = MultiplicityVector(k=(1.0, 0.5, 0.2))
     mu = KRadialMeasure.heat(kv, 0.5)
     f0 = lambda r: np.exp(-np.asarray(r) ** 2)
-    got = translate_measure(kv, np.zeros(3), mu, f0=f0)
+    got = translate_measure(np.zeros(3), mu, f0=f0)
     assert abs(got - mu.profile.integrate(f0)) <= 6e-17
 
 
 def test_translate_point_measure_evaluates_f_at_three_axes():
     kv = MultiplicityVector(k=(1.0, 0.5, 0.2))
     x = np.array([0.8, -0.6, 0.3])
-    got = translate_measure(kv, x, KRadialMeasure.point(kv), f0=np.cos)
+    got = translate_measure(x, KRadialMeasure.point(kv), f0=np.cos)
     assert abs(got - np.cos(np.linalg.norm(x))) <= 6e-17
 
 
 def test_translate_requires_exactly_one_test_function():
     mu = KRadialMeasure.heat(KV2, 0.5)
     with pytest.raises(ConfigError):
-        translate_measure(KV2, np.zeros(2), mu)
+        translate_measure(np.zeros(2), mu)
     with pytest.raises(ConfigError, match="exactly one of f, f0"):
-        translate_measure(KV2, np.zeros(2), mu, f0=lambda r: r, f=lambda pts: pts[:, 0])
+        translate_measure(np.zeros(2), mu, f0=lambda r: r, f=lambda pts: pts[:, 0])
     # general callables are a rank-one feature
     with pytest.raises(ConfigError):
-        translate_measure(KV2, np.zeros(2), mu, f=lambda pts: pts[:, 0])
+        translate_measure(np.zeros(2), mu, f=lambda pts: pts[:, 0])
 
 
 def test_translate_constant_profile_keeps_mass_one():
     mu = KRadialMeasure.heat(KV2, 0.5)
-    got = translate_measure(KV2, np.array([0.3, 0.1]), mu, f0=lambda r: 1.0)
+    got = translate_measure(np.array([0.3, 0.1]), mu, f0=lambda r: 1.0)
     assert got == pytest.approx(1.0, abs=1e-10)
 
 
@@ -140,7 +140,7 @@ def test_rank_one_translation_is_k_invariant():
     sg_hat = lambda xi: np.exp(-0.4 * xi * xi)
     for x, xi in [(0.7, 0.9), (-1.1, 0.4), (0.5, 2.0)]:
         lhs = translate_measure(
-            KV1, np.array([x]), mu,
+            np.array([x]), mu,
             f=lambda pts: np.conj(kernel_unitary(k, xi, pts[..., 0])))
         rhs = np.conj(kernel_unitary(k, xi, x)) * sg_hat(xi)
         assert abs(lhs - rhs) < 1e-7
@@ -196,7 +196,7 @@ def test_kernel_hat_validation():
 def test_convolve_k_heat_semigroup():
     a = KRadialMeasure.heat(KV2, 0.3)
     b = KRadialMeasure.heat(KV2, 0.7)
-    c = convolve_k(KV2, a, b)
+    c = convolve_k(a, b)
     xi = np.array([[0.4, -0.2], [1.0, 0.5], [0.0, 2.0]])
     r2 = np.sum(xi * xi, axis=-1)
     np.testing.assert_allclose(c.hat(xi), np.exp(-1.0 * r2), atol=1e-9)
@@ -204,9 +204,16 @@ def test_convolve_k_heat_semigroup():
 
 def test_convolve_k_point_is_neutral():
     mu = KRadialMeasure.heat(KV1, 0.5)
-    out = convolve_k(KV1, mu, KRadialMeasure.point(KV1))
+    out = convolve_k(mu, KRadialMeasure.point(KV1))
     xi = np.array([[0.3], [0.9], [1.7]])
     np.testing.assert_allclose(out.hat(xi), mu.hat(xi), atol=1e-9)
+
+
+def test_convolve_k_refuses_two_multiplicities():
+    # each measure carries its k; (1, 0.5) and (0.5, 1) share lam, so the
+    # profiles alone cannot tell them apart
+    with pytest.raises(ConfigError, match="multiplicities"):
+        convolve_k(KRadialMeasure.heat(KV2, 0.3), KRadialMeasure.heat((0.5, 1.0), 0.7))
 
 
 # ---------------------------------------------------------------------------
@@ -218,8 +225,8 @@ def test_gaussian_semigroup_roundtrip():
     assert sg.kind == "gaussian"
     assert sg.closure_residual < 1e-7
     r = np.array([0.0, 0.5, 1.5])
-    np.testing.assert_allclose(sg.radial_hat(0.7, r), np.exp(-0.7 * r * r),
-                               atol=1e-10)
+    xi = np.stack([r, np.zeros_like(r)], axis=-1)
+    np.testing.assert_allclose(sg.measure(0.7).hat(xi), np.exp(-0.7 * r * r), atol=1e-10)
     handle = sg.kernel(0.7)
     assert handle.kind == "gaussian"
     assert handle.time == 0.7
@@ -297,24 +304,26 @@ def test_semigroup_json_validation():
     '{"type": "cauchy", "k": [1.0], "params": {"freq_max": NaN}}',
     '{"type": "subordinated", "k": [1.0]}',
     '{"type": ["gaussian"], "k": [1.0]}',
+    '{"type": "gaussian", "k": [1.0], "seed": 7}',
 ], ids=["number", "list", "params-list", "n_profile-str", "n_profile-0", "n_profile-fraction",
         "k-str", "cauchy-freq_max-str", "cauchy-tail_tol-str", "cauchy-max_nodes-fraction",
-        "cauchy-r_min-negative", "cauchy-freq_max-nan", "subordinated", "type-list"])
+        "cauchy-r_min-negative", "cauchy-freq_max-nan", "subordinated", "type-list", "seed"])
 def test_semigroup_json_boundary_errors_are_typed(text):
     # each was a TypeError, ValueError or scipy's ValueError; max_nodes 2.5
     # was a ResolutionError, and r_min -1 built the whole Cauchy family
     # before its closure check failed with ConsistencyError.  The params
     # rows are now refused as an unknown key, and "subordinated", once the
-    # Cauchy semigroup under a second name, as an unknown kind
+    # Cauchy semigroup under a second name, as an unknown kind; a simulation
+    # takes its seed per call, so "seed" is an unknown key too
     with pytest.raises(ConfigError):
         semigroup_from_json(text)
 
 
 def test_semigroup_simulation_needs_seed():
     sg = semigroup_from_json(json.dumps({"type": "gaussian", "k": [1.0]}))
-    with pytest.raises(ConfigError):
-        sg.simulate([0.0, 0.5, 1.0], 8)
-    ens = sg.simulate([0.0, 0.5, 1.0], 8, seed=42)
+    with pytest.raises(ConfigError, match="seed must be an integer"):
+        sg.simulate([0.0, 0.5, 1.0], 8, None)
+    ens = sg.simulate([0.0, 0.5, 1.0], 8, 42)
     assert len(ens) == 8
     # custom families have no sampler
     sg2 = KernelSemigroup(KV1, lambda t: rayleigh_measure(KV1.lam, t)
@@ -402,35 +411,14 @@ def test_radial_heat_profile_needs_positive_time(t):
 
 def test_thread_count_is_capped_by_blocks_and_cpus(monkeypatch):
     # resolver only: no thread is started
-    monkeypatch.delenv("DUNKL_KIT_THREADS", raising=False)
     monkeypatch.setattr("os.cpu_count", lambda: 4)
     assert _resolve_threads(10**6, 16) == 4
     assert _resolve_threads(10**6, 3) == 3
     assert _resolve_threads(2, 16) == 2
     assert _resolve_threads(0, 16) == 1
     assert _resolve_threads(None, 16) == 1
-    monkeypatch.setenv("DUNKL_KIT_THREADS", "1000000")
-    assert _resolve_threads(None, 16) == 4
-    assert _resolve_threads(1, 16) == 1  # the argument wins over the environment
     monkeypatch.setattr("os.cpu_count", lambda: None)
     assert _resolve_threads(None, 16) == 1
-
-
-@pytest.mark.parametrize("env", ["two", "2.5", "1e6"])
-def test_non_integer_thread_setting_is_config_error(monkeypatch, env):
-    monkeypatch.setenv("DUNKL_KIT_THREADS", env)
-    with pytest.raises(ConfigError):
-        _resolve_threads(None, 16)
-
-
-@pytest.mark.parametrize("env", ["-3", "0"])
-def test_thread_setting_below_one_is_config_error(monkeypatch, env):
-    # ran as one worker, while the threads argument refuses these values
-    monkeypatch.setenv("DUNKL_KIT_THREADS", env)
-    with pytest.raises(ConfigError, match="DUNKL_KIT_THREADS must be at least 1"):
-        _resolve_threads(None, 16)
-    with pytest.raises(ConfigError, match="DUNKL_KIT_THREADS"):
-        simulate_paths(KV1, [0.0, 1.0], 8, seed=1)
 
 
 def test_simulate_paths_reproducible_and_thread_invariant():
@@ -569,12 +557,13 @@ def test_marginal_ks_unknown_kind():
 @pytest.mark.parametrize("radii, t", [
     ([0.5, float("nan"), 1.0], 1.0), ([0.5, float("inf")], 1.0), ([0.5, -0.1], 1.0),
     ([], 1.0), (np.ones((4, 2)), 1.0), (np.ones(10), float("nan")),
-    (np.ones(10), float("inf")), (np.ones(10), -1.0), (np.ones(10), 0.0),
+    (np.ones(10), float("inf")), (np.ones(10), -1.0), (np.ones(10), 0.0), (["a", 0.5], 1.0),
 ], ids=["nan-radius", "inf-radius", "negative-radius", "empty", "2d", "nan-t", "inf-t",
-        "negative-t", "zero-t"])
+        "negative-t", "zero-t", "str-radius"])
 @pytest.mark.parametrize("kind", ["gaussian", "cauchy"])
 def test_marginal_ks_rejects_bad_radii_and_times(radii, t, kind):
     # these returned (nan, nan) or (1.0, 0.0), or raised a bare TypeError
+    # (a string radius numpy's bare ValueError)
     with pytest.raises(ConfigError):
         marginal_ks(KV1, radii, kind, t)
 

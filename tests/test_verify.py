@@ -93,7 +93,7 @@ def test_battery_means_match_the_spectral_mean_per_pair(k):
     bumps = [bump(np.full(len(k), 0.3), 0.9), bump(np.linspace(-0.5, 0.2, len(k)), 1.0)]
     pairs = [(np.linspace(0.4, -0.3, len(k)), 0.7), (np.zeros(len(k)), 0.5),
              (np.full(len(k), -0.2), 1.1)]
-    means = _battery_means(kv, plan, bumps, pairs)
+    means = _battery_means(plan, bumps, pairs)
     assert means.shape == (2, 3)
     for f, row in zip(bumps, means):
         fhat = plan.forward(plan.sample(f))
