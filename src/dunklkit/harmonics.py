@@ -26,7 +26,7 @@ import numpy as np
 from scipy.linalg import null_space
 from scipy.special import betaln, gammaln
 
-from .core import MultiplicityVector, _as_kv, dunkl_kernel_unitary, intertwiner_atoms
+from .core import MultiplicityVector, _as_kv, _coords, dunkl_kernel_unitary, intertwiner_atoms
 from .errors import ConfigError, ConsistencyError, _node_count
 from .quadrature import _quadrant_rule
 from .special import bessel_j, gegenbauer
@@ -303,7 +303,7 @@ def funk_hecke_pair(kv, coeffs: np.ndarray, x, rule: SphereQuadrature | None = N
         rule = SphereQuadrature(kv, n=96)
     elif rule.kv != kv:
         raise ConfigError(f"multiplicity {kv.k} does not match the rule's {rule.kv.k}")
-    x = np.asarray(x, dtype=float)
+    x = _coords(kv, "x", x, point=True)
     n = coeffs.size - 1
     vals = dunkl_kernel_unitary(kv, x, rule.points) * eval_homogeneous(coeffs, rule.points)
     lhs = rule.integrate_values(vals) / kv.d_norm

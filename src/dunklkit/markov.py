@@ -188,6 +188,10 @@ class MarkovKernelHandle:
     time: float | None = None
     kind: str = "custom"
 
+    def __post_init__(self):
+        if not isinstance(self.mu, KRadialMeasure):
+            raise ConfigError(f"mu must be a KRadialMeasure, got {type(self.mu).__name__}")
+
     def apply(self, x, f=None, f0=None):
         return translate_measure(x, self.mu, f=f, f0=f0)
 
@@ -373,8 +377,7 @@ def subordinated_kernel_hat(kv, t: float, x, xi, n: int = 160) -> complex:
     each slice contributes only e^(-s |xi|^2)-small terms.
     """
     kv = _as_kv(kv)
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    xi = np.atleast_1d(np.asarray(xi, dtype=float))
+    x, xi = _coords(kv, "x", x, point=True), _coords(kv, "xi", xi, point=True)
     rho = stable_half_subordinator(t)
     s_pos, s_mass = as_weighted_atoms(rho)
     total = 0.0 + 0.0j

@@ -10,10 +10,12 @@ contract is
 
 over that view; LineMeasure.integrate and the Hankel transform take it.
 
-Measures produced by the convolution machinery carry Gauss nodes, so the
-contract is spectrally accurate for smooth f even when the density has
-integrable endpoint singularities (the singular factors live inside the
-weights).  Trapezoid weights are filled in for plain sampled grids.
+The closed-form families carry Gauss nodes, so the contract is spectrally
+accurate for smooth f even when the density has integrable endpoint
+singularities (the singular factors live inside the weights).  Trapezoid
+weights are filled in for plain sampled grids.  A convolution's points go
+onto a uniform grid as per-cell sums M_j = sum m s^j (j = 0..3) times one
+fixed 4x4 matrix: mass exact, moments 1-3 to rounding.
 """
 
 from __future__ import annotations
@@ -222,33 +224,42 @@ def as_weighted_atoms(mu: LineMeasure, cap: int | None = None) -> tuple[np.ndarr
     return np.asarray(out_p)[order], np.asarray(out_m)[order]
 
 
+# row o: cubic Lagrange weight of stencil node idx + o - 1, coefficients of 1, s, s^2, s^3
+_CUBIC = np.array([[0.0, -1 / 3, 1 / 2, -1 / 6], [1.0, -1 / 2, -1.0, 1 / 2],
+                   [0.0, 1.0, 1 / 2, -1 / 2], [0.0, -1 / 6, 0.0, 1 / 6]])
+
+
+def _add_moments(moments: np.ndarray, positions, masses, grid: np.ndarray) -> None:
+    """Add the points' cell moments M_j = sum m s^j into moments[j], j = 0..3."""
+    h = grid[1] - grid[0]
+    # index of the left neighbor, clamped so the 4-point stencil fits
+    idx = np.clip(((positions - grid[0]) / h).astype(int), 1, grid.size - 3)
+    s = (positions - grid[idx]) / h  # offset in units of h, may leave [0,1) at edges
+    for j in range(4):
+        np.add.at(moments[j], idx, masses)
+        masses = masses * s if j < 3 else None
+
+
+def _node_masses(moments: np.ndarray) -> np.ndarray:
+    """Node masses of the cubic deposit with these (4, grid_n) cell moments."""
+    # row o, column c: the share of cell c - 2 for its node c + o - 3
+    w = _CUBIC @ np.pad(moments, ((0, 0), (2, 1)))
+    return w[0, 3:] + w[1, 2:-1] + w[2, 1:-2] + w[3, :-3]
+
+
 def deposit_on_grid(positions: np.ndarray, masses: np.ndarray,
                     grid: np.ndarray) -> np.ndarray:
     """Deposit point masses onto a uniform grid, returning node masses.
 
-    Each point is spread over the four surrounding nodes with cubic
-    Lagrange weights, which preserves total mass exactly and the first
-    three moments to rounding.  The deposit error for a smooth test
-    function then scales like h^4.
+    Each point goes to the four surrounding nodes with cubic Lagrange
+    weights, cubics in its offset s from its cell: the cell sums
+    M_j = sum m s^j (j = 0..3) times the fixed 4x4 matrix _CUBIC.  Total
+    mass stays exact and moments 1-3 hold to rounding; the deposit error
+    for a smooth test function scales like h^4.
     """
-    h = grid[1] - grid[0]
-    out = np.zeros(grid.size)
-    # index of the left neighbor, clamped so the 4-point stencil fits
-    idx = np.clip(((positions - grid[0]) / h).astype(int), 1, grid.size - 3)
-    s = (positions - grid[idx]) / h  # offset in units of h, may leave [0,1) at edges
-    # weight * mass per stencil node, built in one buffer:
-    # -s(s-1)(s-2)/6, (s+1)(s-1)(s-2)/2, -(s+1)s(s-2)/2, (s+1)s(s-1)/6,
-    # the sign moved into the divisor (exact, so the bits do not change)
-    sm1, sm2, sp1 = s - 1.0, s - 2.0, s + 1.0
-    buf = np.empty_like(s)
-    for off, a, b, c, d in ((-1, s, sm1, sm2, -6.0), (0, sp1, sm1, sm2, 2.0),
-                            (1, sp1, s, sm2, -2.0), (2, sp1, s, sm1, 6.0)):
-        np.multiply(a, b, out=buf)
-        buf *= c
-        buf /= d
-        buf *= masses
-        np.add.at(out, idx + off, buf)
-    return out
+    moments = np.zeros((4, grid.size))
+    _add_moments(moments, positions, masses, grid)
+    return _node_masses(moments)
 
 
 # Elements per float64 temporary (256 KiB) of the pair pipelines: radial
@@ -269,8 +280,9 @@ def _grid_measure(cls, lo: float, hi: float, grid_n: int, pieces, **kwargs):
     """Deposit the (positions, masses) pieces on the uniform grid of grid_n
     nodes over [lo, hi]; the result has density node_mass / h and weights h."""
     grid = np.linspace(lo, hi, grid_n)
-    node_mass = np.zeros(grid_n)
+    moments = np.zeros((4, grid_n))
     for positions, masses in pieces:
-        node_mass += deposit_on_grid(positions, masses, grid)
+        _add_moments(moments, positions, masses, grid)
+    node_mass = _node_masses(moments)
     h = grid[1] - grid[0]
     return cls(grid=grid, density=node_mass / h, weights=np.full(grid_n, h), **kwargs)

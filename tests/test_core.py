@@ -29,7 +29,9 @@ from dunklkit import (
     heat_kernel_spectral,
     weight,
 )
-from dunklkit.markov import KRadialMeasure, composed_kernel_hat, gaussian_kernel_hat, translate_measure
+from dunklkit.harmonics import funk_hecke_pair
+from dunklkit.markov import (KRadialMeasure, composed_kernel_hat, gaussian_kernel_hat,
+                             subordinated_kernel_hat, translate_measure)
 from dunklkit.cli import main
 from dunklkit.special import bessel_j, bessel_j_imag
 
@@ -239,10 +241,13 @@ HEAT_COORDS = KRadialMeasure.heat(KV_COORDS, 0.5)
     lambda kv, x, y: (HEAT_COORDS.hat(x), HEAT_COORDS.hat(y)),
     lambda kv, x, y: (translate_measure(x, HEAT_COORDS, f0=np.cos),
                       translate_measure(y, HEAT_COORDS, f0=np.cos)),
+    lambda kv, x, y: subordinated_kernel_hat(kv, 0.5, x, y),
+    lambda kv, x, y: (funk_hecke_pair(kv, np.array([1.0, 0.2]), x),
+                      funk_hecke_pair(kv, np.array([1.0, 0.2]), y)),
 ], ids=["dunkl_kernel", "dunkl_kernel_unitary", "generalized_bessel",
         "generalized_bessel_unitary", "heat_kernel", "heat_kernel_spectral",
         "gaussian_kernel_hat", "composed_kernel_hat", "weight", "kradial_hat",
-        "translate_measure"])
+        "translate_measure", "subordinated_kernel_hat", "funk_hecke_pair"])
 @pytest.mark.parametrize("x, y", [
     ([1.0, 2.0, 3.0], [0.5, 0.1, 9.0]),
     ([1.0, 2.0, 3.0], [0.5, 0.1]),

@@ -219,16 +219,20 @@ def _divides_into_weights(body) -> bool:
 
 def engine_duplicates(paths) -> list[str]:
     """Breaches of the one-engine layout over the given modules: more than
-    one function calling deposit_on_grid, any use of the retired name
+    one function calling deposit_on_grid, any caller of the moment
+    accumulator _add_moments outside measures, any use of the retired name
     convolve_points_nodes, and errstate(divide=...) weight divisions
     outside the node-measure constructor."""
     found, depositors = [], set()
     for path in paths:
         for scope, node in _scoped_nodes(ast.parse(path.read_text(), filename=str(path))):
             where = f"{path.stem}:{scope or '<module>'}"
-            if isinstance(node, ast.Call) and "deposit_on_grid" in (
-                    getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+            called = isinstance(node, ast.Call) and {
+                getattr(node.func, "id", None), getattr(node.func, "attr", None)}
+            if called and "deposit_on_grid" in called:
                 depositors.add(where)
+            if called and "_add_moments" in called and path.stem != "measures":
+                found.append(f"_add_moments called from {where}")
             names = {getattr(node, a, None) for a in ("id", "attr", "name", "asname")}
             if "convolve_points_nodes" in names:
                 found.append(f"convolve_points_nodes ({where}, line {node.lineno})")
@@ -254,6 +258,14 @@ def test_engine_checker_flags_each_duplicate(tmp_path):
     assert engine_duplicates([one]) == []
     assert engine_duplicates([one, two]) == ["deposit_on_grid called from one:f",
                                              "deposit_on_grid called from two:g"]
+    # the moment accumulator belongs to measures' deposit and grid measure
+    home = tmp_path / "measures.py"
+    home.write_text("def deposit_on_grid(p, m, g):\n    _add_moments(0, p, m, g)\n"
+                    "def _grid_measure(p, m, g):\n    _add_moments(0, p, m, g)\n")
+    two.write_text("from . import measures\n"
+                   "def g(p, m, g):\n    measures._add_moments(0, p, m, g)\n")
+    assert engine_duplicates([home]) == []
+    assert engine_duplicates([home, two]) == ["_add_moments called from two:g"]
     two.write_text("from .bessel_kingman import convolve_points_nodes as nodes\n"
                    "class A:\n    def convolve_points_nodes(self):\n        pass\n")
     assert engine_duplicates([two]) == [

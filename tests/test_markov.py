@@ -11,6 +11,7 @@ from dunklkit import (
     ConsistencyError,
     KernelSemigroup,
     KRadialMeasure,
+    MarkovKernelHandle,
     MultiplicityVector,
     PathEnsemble,
     PositivityError,
@@ -214,6 +215,14 @@ def test_convolve_k_refuses_two_multiplicities():
     # profiles alone cannot tell them apart
     with pytest.raises(ConfigError, match="multiplicities"):
         convolve_k(KRadialMeasure.heat(KV2, 0.3), KRadialMeasure.heat((0.5, 1.0), 0.7))
+
+
+@pytest.mark.parametrize("mu", ["x", None, rayleigh_measure(0.5, 0.3)],
+                         ids=["string", "none", "radial profile"])
+def test_kernel_handle_refuses_a_mu_that_is_not_k_radial(mu):
+    # a string mu was accepted and failed only in apply() with AttributeError
+    with pytest.raises(ConfigError, match="KRadialMeasure"):
+        MarkovKernelHandle(mu)
 
 
 # ---------------------------------------------------------------------------

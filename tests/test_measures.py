@@ -1,6 +1,7 @@
 """Line measures: construction, integration, serialization, deposits."""
 
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -180,9 +181,10 @@ def test_deposit_preserves_mass_and_first_moments():
                                                       rel=1e-12)
 
 
-def test_deposit_weights_match_the_cubic_formula_bitwise():
-    # the in-place stencil weights equal the plain formula bit for bit,
-    # also for points clamped at the grid edges (s outside [0, 1))
+def test_deposit_matches_the_cubic_formula_in_exact_arithmetic():
+    # the moment-form deposit against the per-point cubic weights summed in
+    # rationals, also for points clamped at the grid edges (s outside [0, 1));
+    # each node's rounding stays within 2 eps sum |m| max(1, |s|)^3 of its points
     rng = np.random.default_rng(12)
     grid = np.linspace(0.0, 10.0, 129)
     pos = np.concatenate([rng.uniform(-0.5, 10.5, 2000), [0.0, 0.01, 9.99, 10.0]])
@@ -191,13 +193,26 @@ def test_deposit_weights_match_the_cubic_formula_bitwise():
     idx = np.clip(((pos - grid[0]) / h).astype(int), 1, grid.size - 3)
     s = (pos - grid[idx]) / h
     assert s.min() < 0.0 and s.max() > 1.0
-    want = np.zeros(grid.size)
-    for off, w in ((-1, -s * (s - 1.0) * (s - 2.0) / 6.0),
-                   (0, (s + 1.0) * (s - 1.0) * (s - 2.0) / 2.0),
-                   (1, -(s + 1.0) * s * (s - 2.0) / 2.0),
-                   (2, (s + 1.0) * s * (s - 1.0) / 6.0)):
-        np.add.at(want, idx + off, masses * w)
-    np.testing.assert_array_equal(deposit_on_grid(pos, masses, grid), want)
+    want = [Fraction(0)] * grid.size
+    for i, f, m in zip(idx.tolist(), map(Fraction, s.tolist()), map(Fraction, masses.tolist())):
+        for off, w in ((-1, -f * (f - 1) * (f - 2) / 6), (0, (f + 1) * (f - 1) * (f - 2) / 2),
+                       (1, -(f + 1) * f * (f - 2) / 2), (2, (f + 1) * f * (f - 1) / 6)):
+            want[i + off] += m * w
+    scale = np.zeros(grid.size)
+    np.add.at(scale, idx[:, None] + np.arange(-1, 3),
+              (np.abs(masses) * np.maximum(1.0, np.abs(s)) ** 3)[:, None])
+    got = deposit_on_grid(pos, masses, grid)
+    err = np.array([abs(Fraction(g) - w) for g, w in zip(got.tolist(), want)], dtype=float)
+    assert np.all(err <= 2.0 * np.finfo(float).eps * scale)
+
+
+def test_grid_measure_is_the_sum_of_its_piece_deposits():
+    # the stencil is applied once to the summed cell moments of all pieces
+    rng = np.random.default_rng(13)
+    pieces = [(rng.uniform(-0.2, 5.2, n), rng.uniform(0.0, 1.0, n)) for n in (1, 300, 4000, 7)]
+    mu = _grid_measure(RadialProfileMeasure, 0.0, 5.0, 257, pieces, lam=1.0)
+    want = sum(deposit_on_grid(p, m, mu.grid) for p, m in pieces)
+    assert np.max(np.abs(mu.node_masses - want)) <= 1e-15 * np.max(np.abs(want))
 
 
 def test_node_measure_weights_vanish_with_the_density():
