@@ -139,11 +139,12 @@ def _pair_nodes(lam: float, ax, bx, n: int):
     of shape (len(ax[rows]), len(bx), n) and the n angle-rule masses.
     """
     u, w = _angle_rule(lam, n)
-    y = np.abs(bx)[None, :, None]
+    y = np.abs(bx)[:, None]
     for rows in _row_blocks(ax.size, bx.size * n):
         x = np.abs(ax[rows])[:, None, None]
-        z = np.sqrt(np.maximum(x * x + y * y - 2.0 * x * y * u, 0.0))
-        yield rows, z, w
+        z = 2.0 * x * y * u  # z^2 = x^2 + y^2 - 2xyu, in place on the node array
+        np.subtract(x * x + y * y, z, out=z)
+        yield rows, np.sqrt(np.maximum(z, 0.0, out=z), out=z), w
 
 
 _ATOM_CAP = 2048  # atoms per input a convolution keeps before binning its node set

@@ -122,7 +122,7 @@ def _coords(kv: MultiplicityVector, name: str, p, point: bool = False) -> np.nda
         raise ConfigError(f"{name} has shape {p.shape}; " + (
             f"expected one point of shape ({kv.n_axes},)" if point else
             f"its last axis must hold the {kv.n_axes} coordinates"))
-    if not np.all(np.isfinite(p)):
+    if not np.isfinite(p).all():
         raise ConfigError(f"{name} has a non-finite coordinate")
     return p
 

@@ -9,7 +9,8 @@ i.e. the hypergeometric 0F1(; alpha+1; -z^2/4), normalized so that
 j_alpha(0) = 1.  It is even and entire, and for half-integer orders it
 collapses to trigonometric closed forms (j_{-1/2} = cos, j_{1/2} = sinc).
 
-bessel_j dispatches on |z| and the order: the power series, summed in
+bessel_j dispatches on |z| and the order (on real z, one max|z| decides
+finiteness, the branch and the series degree): the power series, summed in
 Horner form with its degree fixed up front, for |z| <= 12; on the real axis
 beyond, for alpha < 12, one upward recurrence (DLMF 10.6.1) started from the
 trig closed forms at half-integer alpha (already beyond alpha + 1, DLMF
@@ -24,13 +25,14 @@ ive up to u = 1e8 and from the Hankel expansion beyond.
 from __future__ import annotations
 
 import cmath
+import math
 from functools import lru_cache
 from itertools import accumulate
 
 import numpy as np
 from scipy.special import gammaln, i0e, i1e, ive, j0, j1, jv
 
-from .errors import NumericalError
+from .errors import ConfigError, NumericalError, _finite, _floats, _node_count
 from .quadrature import gauss_jacobi
 
 __all__ = [
@@ -63,17 +65,18 @@ def _series_terms(alpha: float) -> tuple[tuple, tuple]:
     return divisors, tuple(accumulate(divisors[1:], lambda c, d: c / d, initial=1.0))
 
 
-def _series_0f1(alpha: float, w: np.ndarray) -> np.ndarray:
+def _series_0f1(alpha: float, w: np.ndarray, w_top=None) -> np.ndarray:
     """sum_n w^n / (n! (alpha+1)_n), summed in Horner form.
 
-    The degree is fixed before the array pass, on the element of largest |w|
-    (every |term| is largest there): the terms are added up to the first
-    one with |term| <= 1e-17 max(1, |partial sum|).  The array pass is then
-    two in-place ufuncs per coefficient, out = out * w + c_m.
+    The degree is fixed before the array pass, on w_top, the element of
+    largest |w|, where every |term| is largest (bessel_j passes its one
+    max|z|; by default an argmax finds it): the terms are added up to the
+    first one with |term| <= 1e-17 max(1, |partial sum|).  The array pass is
+    then two in-place ufuncs per coefficient, out = out * w + c_m.
     """
     if w.size == 0:
         return np.ones_like(w)
-    w_top = w.flat[np.argmax(np.abs(w))].item()
+    w_top = w.flat[np.argmax(np.abs(w))].item() if w_top is None else w_top
     divisors, coefs = _series_terms(alpha)
     term = total = 1.0
     for n in range(1, _SERIES_MAX_TERMS + 1):
@@ -83,10 +86,11 @@ def _series_0f1(alpha: float, w: np.ndarray) -> np.ndarray:
             break
     else:
         raise NumericalError("Bessel series did not converge; argument too large for series branch")
-    out = np.full_like(w, coefs[n])
-    for c in coefs[n - 1::-1]:
-        out *= w
+    out = w * coefs[n]  # c_n w, the first Horner step, with no array of c_n
+    for c in coefs[n - 1:0:-1]:
         out += c
+        out *= w
+    out += coefs[0]
     return out
 
 
@@ -97,16 +101,16 @@ def _prefactor(alpha: float, x: np.ndarray) -> np.ndarray:
 
 
 def _bessel_large_real(alpha: float, x: np.ndarray) -> np.ndarray:
-    """j_alpha(x) beyond the series radius: the upward recurrence (see
-    bessel_j) where it is used, dividing by x twice so x^2 cannot overflow,
-    and jv for every other element."""
-    x = np.abs(x)
+    """j_alpha(x) for x >= 0 beyond the series radius: the upward recurrence
+    (see bessel_j) where it is used, dividing by x twice so x^2 cannot
+    overflow, and jv for every other element."""
     half = float(alpha + 0.5).is_integer()
     steps = alpha < _SERIES_RADIUS and (half or float(alpha).is_integer())
-    near = (x <= (np.inf if half else _J01_MAX)) & steps
-    out = np.empty_like(x)
-    if not near.all():
+    near = None if steps and half else (x <= _J01_MAX) & steps  # None: every element steps
+    whole = near is None or near.all()
+    if not whole:
         far = ~near
+        out = np.empty_like(x)
         out[far] = _prefactor(alpha, x[far]) * jv(alpha, x[far])
         x = x[near]
     if x.size:
@@ -114,8 +118,9 @@ def _bessel_large_real(alpha: float, x: np.ndarray) -> np.ndarray:
             # cos x, sin x from t = tan(x/2) (DLMF 4.14); no double lies within
             # 4.6e-19 of a pole of tan, so |t| < 2.2e18 and t^2 cannot overflow
             t = np.tan(0.5 * x)
-            s = 1.0 + t * t
-            prev = (1.0 - t * t) / s
+            tt = t * t
+            s = 1.0 + tt
+            prev = (1.0 - tt) / s
             cur = prev if alpha < 0.5 else (2.0 * t / s) / x
         else:
             prev = j0(x)
@@ -124,7 +129,7 @@ def _bessel_large_real(alpha: float, x: np.ndarray) -> np.ndarray:
         while nu < alpha:
             prev, cur = cur, (4.0 * nu * (nu + 1.0) / x) / x * (cur - prev)
             nu += 1.0
-        if near.all():
+        if whole:
             return cur
         out[near] = cur
     return out
@@ -225,7 +230,7 @@ def bessel_j(alpha: float, z):
     alpha : float
         Order, finite with alpha >= -1/2.
     z : scalar or array, real or complex
-        Argument, finite (ValueError otherwise).  j_alpha is even in z.
+        Argument, finite (ConfigError otherwise).  j_alpha is even in z.
 
     Returns
     -------
@@ -233,13 +238,15 @@ def bessel_j(alpha: float, z):
 
     Notes
     -----
-    |z| <= 12 uses the defining power series in Horner form.  Its degree
-    is fixed before the array pass, on the largest |z|, by term-ratio
-    stopping at 1e-17.  Horner's rounding error is bounded by a multiple of
-    eps * 0F1(alpha+1; |z|^2/4), the sum of |terms| (Higham, Accuracy and
-    Stability of Numerical Algorithms, 5.1); against mpmath it measured
-    below 0.4 of that.  Beyond 12 the series loses too many digits to
-    cancellation.
+    On real z one max|z| decides finiteness (NaN and inf make it
+    non-finite), the branch and the series degree, so a whole array within
+    the radius takes the series unmasked.  |z| <= 12 uses the defining power
+    series in Horner form, its degree fixed on that max|z| before the array
+    pass by term-ratio stopping at 1e-17.  Horner's rounding error is bounded
+    by a multiple of eps * 0F1(alpha+1; |z|^2/4), the sum of |terms| (Higham,
+    Accuracy and Stability of Numerical Algorithms, 5.1); against mpmath it
+    measured below 0.4 of that.  Beyond 12 the series loses too many digits
+    to cancellation.
     On the real axis (real-like complex z too), orders alpha < 12 that are
     half-integers, at |z| > min(12, alpha + 1), or integers, at
     12 < |z| <= 1e3, step up with j_{nu+1} = 4 nu (nu+1) / z^2 (j_nu - j_{nu-1}),
@@ -257,13 +264,10 @@ def bessel_j(alpha: float, z):
     Other orders go through scipy's J/I Bessel routines (real and purely
     imaginary z) or an arbitrary-precision 0F1 fallback for general complex z.
     """
-    if not -0.5 <= alpha < np.inf:
-        raise ValueError(f"order must be finite with alpha >= -1/2, got {alpha}")
+    if (alpha := _finite(alpha, "order")) < -0.5:
+        raise ConfigError(f"order must be finite with alpha >= -1/2, got {alpha}")
     z_arr = np.asarray(z)
-    if not np.isfinite(z_arr).all():
-        raise ValueError("argument must be finite")
     scalar = z_arr.ndim == 0
-    z_arr = np.atleast_1d(z_arr)
 
     # Half-integer orders leave the series for the recurrence once it is
     # stable, at |z| > alpha + 1, where the series still cancels digits.
@@ -272,6 +276,9 @@ def bessel_j(alpha: float, z):
         radius = min(radius, alpha + 1.0)
 
     if np.iscomplexobj(z_arr):
+        if not np.isfinite(z_arr).all():
+            raise ConfigError("argument must be finite")
+        z_arr = np.atleast_1d(z_arr)
         out = np.empty(z_arr.shape, dtype=complex)
         absz = np.abs(z_arr)
         real_like = np.abs(z_arr.imag) <= 1e-13 * absz
@@ -282,23 +289,29 @@ def bessel_j(alpha: float, z):
         if np.any(small):
             out[small] = _series_0f1(alpha, -0.25 * z_arr[small] ** 2)
         if np.any(real_like):
-            out[real_like] = _bessel_large_real(alpha, z_arr[real_like].real)
+            out[real_like] = _bessel_large_real(alpha, np.abs(z_arr[real_like].real))
         if np.any(imag_like):
             out[imag_like] = _bessel_large_imag(alpha, z_arr[imag_like].imag)
         if np.any(rest):
             out[rest] = _bessel_large_generic(alpha, z_arr[rest])
-    else:
-        z_arr = z_arr.astype(float, copy=False)
-        small = np.abs(z_arr) <= radius
-        if small.all():  # one branch takes the whole array: no gather, no scatter
-            out = _series_0f1(alpha, -0.25 * z_arr**2)
-        elif not small.any():
-            out = _bessel_large_real(alpha, z_arr)
-        else:
-            out = np.empty(z_arr.shape)
-            out[small] = _series_0f1(alpha, -0.25 * z_arr[small] ** 2)
-            out[~small] = _bessel_large_real(alpha, z_arr[~small])
+        return out[0] if scalar else out
 
+    a = np.abs(np.atleast_1d(_floats(z_arr, "argument")))
+    top = float(a.max()) if a.size else 0.0
+    if not math.isfinite(top):
+        raise ConfigError("argument must be finite")
+    if top <= radius:  # the series takes the whole array: no mask, no gather
+        out = _series_0f1(alpha, -0.25 * a**2, -0.25 * (top * top))
+    else:
+        small = a <= radius
+        a_small = a[small]
+        if a_small.size:
+            s_top = float(a_small.max())
+            out, large = a, ~small  # a is this call's own |z|: the result reuses it
+            out[large] = _bessel_large_real(alpha, a[large])
+            out[small] = _series_0f1(alpha, -0.25 * a_small**2, -0.25 * (s_top * s_top))
+        else:
+            out = _bessel_large_real(alpha, a)
     return out[0] if scalar else out
 
 
@@ -310,11 +323,11 @@ def bessel_j_imag(alpha: float, y):
     through the scaled modified Bessel backend.  Overflows to inf beyond
     y ~ 1400 like cosh does.
     """
-    if not -0.5 <= alpha < np.inf:
-        raise ValueError(f"order must be finite with alpha >= -1/2, got {alpha}")
-    y_arr = np.asarray(y, dtype=float)
+    if (alpha := _finite(alpha, "order")) < -0.5:
+        raise ConfigError(f"order must be finite with alpha >= -1/2, got {alpha}")
+    y_arr = _floats(y, "argument")
     if not np.isfinite(y_arr).all():
-        raise ValueError("argument must be finite")
+        raise ConfigError("argument must be finite")
     scalar = y_arr.ndim == 0
     y_arr = np.atleast_1d(y_arr)
     out = np.empty(y_arr.shape, dtype=float)
@@ -352,11 +365,10 @@ def gegenbauer(n: int, lam: float, t):
     started from p_0 = 1, p_1 = t.  At lam = 0 this is exactly the
     Chebyshev recurrence, which realizes the standard renormalized limit.
     """
+    n, lam = _node_count(n, "degree", least=0), _finite(lam, "index")
     if lam < 0:
-        raise ValueError(f"index must satisfy lam >= 0, got {lam}")
-    if n < 0:
-        raise ValueError("degree must be nonnegative")
-    t = np.asarray(t, dtype=float)
+        raise ConfigError(f"index must satisfy lam >= 0, got {lam}")
+    t = _floats(t, "argument")
     if n == 0:
         return np.ones_like(t)[()]
     prev = np.ones_like(t)
@@ -390,13 +402,13 @@ def riemann_liouville(f, alpha: float, t, n: int = 200):
 
     t may be a scalar or a 1d array.
     """
-    if alpha < 0:
-        raise ValueError(f"order must satisfy alpha >= 0, got {alpha}")
+    if (alpha := _finite(alpha, "order")) < 0:
+        raise ConfigError(f"order must satisfy alpha >= 0, got {alpha}")
     rule = gauss_jacobi(n, alpha - 0.5, 0.0, 0.0, 1.0)
     s = rule.nodes
     smooth = rule.weights * (1.0 + s) ** (alpha - 0.5)
     pref = 2.0 * np.exp(gammaln(alpha + 1.0) - gammaln(alpha + 0.5)) / np.sqrt(np.pi)
-    t_arr = np.asarray(t, dtype=float)
+    t_arr = _floats(t, "t")
     vals = f(np.multiply.outer(s, t_arr))
     out = pref * np.tensordot(smooth, vals, axes=([0], [0]))
     return out[()] if np.ndim(t) == 0 else out
@@ -408,8 +420,8 @@ def radial_bessel_operator(alpha: float, u, t: float, h: float = 1e-4) -> float:
     Second-order central differences; used in eigenfunction and wave
     equation residual tests.
     """
-    if t <= 0:
-        raise ValueError("the radial operator needs t > 0")
+    if _finite(t, "t") <= 0:
+        raise ConfigError("the radial operator needs t > 0")
     upp = (u(t + h) - 2.0 * u(t) + u(t - h)) / h**2
     up = (u(t + h) - u(t - h)) / (2.0 * h)
     return upp + (2.0 * alpha + 1.0) / t * up

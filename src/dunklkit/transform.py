@@ -19,6 +19,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from dataclasses import dataclass
 from functools import reduce
 from itertools import accumulate, product
@@ -28,7 +29,7 @@ import numpy as np
 from .bessel_kingman import _pair_nodes
 from .core import (_as_kv, _axis_c_norm, _axis_product, _coords, dunkl_kernel_unitary,
                    dunkl_laplacian, intertwiner_atoms)
-from .errors import ConfigError, _finite, _node_count, _positive_time
+from .errors import ConfigError, _finite, _floats, _node_count, _positive_time
 from .measures import _row_blocks
 from .quadrature import QuadratureRule, _tensor_grid, gauss_jacobi
 from .rank_one import kernel_unitary
@@ -489,6 +490,8 @@ def chapman_kolmogorov_defect(kv, s1: float, s2: float, x, y, n: int = 96) -> fl
 def _profile(f0, arg) -> np.ndarray:
     """f0 at the radii arg, broadcast to arg's shape (f0 may return a scalar)."""
     vals = np.asarray(f0(arg))
+    if vals.shape == arg.shape:
+        return vals
     try:
         return np.broadcast_to(vals, arg.shape)
     except ValueError:
@@ -608,16 +611,15 @@ def spherical_mean_radial(kv, f0, x, t, n: int = 256):
     kv = _as_kv(kv)
     n = _node_count(n, "n")
     x = _coords(kv, "x", x, point=True)
-    radii = np.asarray(t, dtype=float)
+    radii = _floats(t, "t")
     r = radii.ravel()
-    with np.errstate(over="ignore"):
-        rx2 = np.sum(x * x)
-        c = rx2 + r * r
-    if not np.all(np.isfinite(c)):
+    rx2 = reduce(lambda s, c: s + c * c, x.tolist(), 0.0)  # floats: an overflow is inf, unwarned
+    top = float(np.abs(r).max(initial=0.0))  # NaN if some radius is
+    if not math.isfinite(rx2 + top * top):
         raise ConfigError("t must be finite, with |x|^2 + t^2 inside the float range")
     means = np.empty(r.size)
-    for rows, z, w in _pair_nodes(kv.lam, r, np.array([np.sqrt(rx2)]), n):
-        means[rows] = np.einsum("ijk,k->i", _profile(f0, z), w)
+    for rows, z, w in _pair_nodes(kv.lam, r, np.array([math.sqrt(rx2)]), n):
+        means[rows] = np.einsum("ik,k->i", _profile(f0, z).reshape(len(z), -1), w)
     return float(means[0]) if radii.ndim == 0 else means.reshape(radii.shape)
 
 

@@ -6,14 +6,16 @@ j_alpha(iy) through I_alpha, and general complex arguments through the
 confluent limit 0F1(alpha+1; -z^2/4).
 """
 
+import hashlib
+
 import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.special import jv
+from scipy.special import gammaln, ive, j0, j1, jv
 
-from dunklkit.errors import NumericalError
+from dunklkit.errors import ConfigError, NumericalError
 from dunklkit.special import (
     _IVE_MAX,
     _J01_MAX,
@@ -75,7 +77,7 @@ def test_bessel_j_basic_shape_and_symmetry():
     assert vals.shape == z.shape
     assert np.allclose(vals, bessel_j(1.2, -z), rtol=0, atol=1e-15)
     assert bessel_j(1.2, 0.0) == 1.0
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         bessel_j(-0.7, 1.0)
 
 
@@ -240,28 +242,151 @@ def test_series_kernel_edge_cases():
         _series_0f1(0.0, np.array([-1e6]))
 
 
-@pytest.mark.parametrize("alpha", [np.nan, np.inf, -np.inf])
+# sha256 (first 16 hex digits) of bessel_j's output (type, dtype, shape and
+# bytes) on seeded arguments, one row per branch, recorded on the tree before
+# bessel_j read its finiteness, branch and series degree off one max|z|;
+# that change moved no bit
+def _bessel_pin_cases():
+    rng = np.random.default_rng(2026)
+    cases = {
+        "series 2.0 x256": (2.0, rng.uniform(0.0, 8.75, 256)),
+        "series 0.0 x40": (0.0, rng.uniform(-12.0, 12.0, 40)),
+        "series 3.7 x400": (3.7, rng.uniform(-12.0, 12.0, 400).reshape(20, 20)),
+        "series 0.5 x256": (0.5, rng.uniform(0.0, 1.5, 256)),
+        "half 2.5 x256": (2.5, rng.uniform(0.0, 8.75, 256)),
+        "half 0.5 x256": (0.5, rng.uniform(0.0, 8.75, 256)),
+        "half 1.5 x256": (1.5, rng.uniform(-8.75, 8.75, 256)),
+        "half 11.5 x300": (11.5, rng.uniform(0.0, 60.0, 300)),
+        "int 1 past 12": (1.0, rng.uniform(0.0, 200.0, 300)),
+        "int 3 past 12 only": (3.0, rng.uniform(12.5, 900.0, 100)),
+        "int 2 past 1e3": (2.0, rng.uniform(0.0, 5e4, 100)),
+        "int 0 past 1e3 only": (0.0, rng.uniform(1.5e3, 1e6, 50)),
+        "jv 1.3": (1.3, rng.uniform(-40.0, 40.0, 100)),
+        "jv 14 int": (14.0, rng.uniform(0.0, 40.0, 100)),
+    }
+    x = rng.uniform(-30.0, 30.0, 60)
+    cases.update({
+        "complex real-like": (1.5, x + 0j),
+        "complex imag-like": (2.0, 1j * x),
+        "complex general": (0.7, np.array([10 + 10j, 3 - 4j, -20 + 1j, 0.5 + 0.5j, 1j, 13.0 + 0.1j])),
+        "complex small": (1.0, rng.uniform(-5, 5, 30) + 1j * rng.uniform(-5, 5, 30)),
+        "0-d series": (2.0, 3.3),
+        "0-d half": (0.5, 20.0),
+        "0-d int": (2.0, 5),
+        "0-d bool": (1.0, True),
+        "0-d complex": (1.5, 2.0 + 1.0j),
+        "int array": (1.0, np.arange(-20, 21)),
+        "bool array": (0.0, np.array([True, False])),
+        "empty float": (1.0, np.array([])),
+        "empty complex": (1.0, np.array([], dtype=complex)),
+    })
+    return cases
+
+
+_BESSEL_PINS = {
+    "series 2.0 x256": "4d2c6675c4c6d012",
+    "series 0.0 x40": "72b1ede83d00d657",
+    "series 3.7 x400": "f1b8194b5259cdeb",
+    "series 0.5 x256": "c220c2d74eed412b",
+    "half 2.5 x256": "d2e193437f3eac4c",
+    "half 0.5 x256": "376dc7594a66a6f4",
+    "half 1.5 x256": "aa5bcbfe8d2bddf7",
+    "half 11.5 x300": "f5de1244b8b050a1",
+    "int 1 past 12": "05311b23c11e4844",
+    "int 3 past 12 only": "960ba84041710c4d",
+    "int 2 past 1e3": "006ed24a01cc846c",
+    "int 0 past 1e3 only": "c242827cdbbb3905",
+    "jv 1.3": "9f0af864f672e5d9",
+    "jv 14 int": "7ff6bc3b8a6a78ab",
+    "complex real-like": "66836097a144370f",
+    "complex imag-like": "22a04d5b71a71ad8",
+    "complex general": "2bfd621dde9d6f53",
+    "complex small": "8e402c632d155aea",
+    "0-d series": "0f0c75e86276d9af",
+    "0-d half": "e5c2b43bfbe9424b",
+    "0-d int": "b01ce509550e2aca",
+    "0-d bool": "38373578503f4b86",
+    "0-d complex": "e69008fa88a6795d",
+    "int array": "248f5561615ad15f",
+    "bool array": "80a4aa450072f51b",
+    "empty float": "c5d8df924835578a",
+    "empty complex": "de68c4540ddd5329",
+}
+# digest of the library routines under bessel_j on seeded points, on the
+# build the pins were recorded on
+_BESSEL_PIN_BUILD = "23a480bfbc767ad1"
+
+
+def _pin_digest(out) -> str:
+    a = np.asarray(out)
+    head = f"{type(out).__name__}|{a.dtype.str}|{a.shape}|".encode()
+    return hashlib.sha256(head + np.ascontiguousarray(a).tobytes()).hexdigest()[:16]
+
+
+def _library_digest() -> str:
+    x = np.random.default_rng(5).uniform(0.1, 2e3, 64)
+    return _pin_digest(np.concatenate([
+        np.tan(x), np.exp(-x), np.log(x), gammaln(x), jv(1.3, x), j0(x), j1(x), ive(2.5, x)]))
+
+
+@pytest.mark.parametrize("name", list(_BESSEL_PINS))
+def test_bessel_j_outputs_are_pinned(name):
+    if _library_digest() != _BESSEL_PIN_BUILD:
+        pytest.skip("numpy or scipy routines have other bits than on the recording build")
+    alpha, z = _bessel_pin_cases()[name]
+    assert _pin_digest(bessel_j(alpha, z)) == _BESSEL_PINS[name]
+
+
+@pytest.mark.parametrize("alpha", [np.nan, np.inf, -np.inf, "a", None])
 @pytest.mark.parametrize("arg", [1.0, 20.0])
 @pytest.mark.parametrize("func", [bessel_j, bessel_j_imag])
 def test_bessel_rejects_non_finite_order(func, alpha, arg):
-    with pytest.raises(ValueError):
+    # a string or None order used to raise a bare TypeError
+    with pytest.raises(ConfigError, match="order"):
         func(alpha, arg)
 
 
 @pytest.mark.parametrize("arg", [
     np.nan, np.inf, -np.inf, complex(np.nan, 0.0), complex(0.0, np.nan),
     complex(np.inf, 0.0), np.array([0.5, 20.0, np.nan]),
+    # bessel_j reads finiteness off one max|z|: NaN first, last, beside the
+    # elements past the series radius, and a 0-d NaN; -inf inside an array
+    np.array([np.nan, 0.5, 1.0]), np.array([0.5, 1.0, np.nan]),
+    np.array([20.0, np.nan, 30.0]), np.array([0.5, -np.inf]), np.array(np.nan),
+    # not numbers: a bare TypeError before
+    "x", None,
 ])
 def test_bessel_j_rejects_non_finite_argument(arg):
     # a NaN used to reach mpmath's 0F1 (which returns 1) or come back as nan
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError, match="argument"):
         bessel_j(0.5, arg)
 
 
-@pytest.mark.parametrize("arg", [np.nan, np.inf, -np.inf, np.array([1.0, np.nan])])
+@pytest.mark.parametrize("arg", [np.nan, np.inf, -np.inf, np.array([1.0, np.nan]), "x"])
 def test_bessel_j_imag_rejects_non_finite_argument(arg):
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError, match="argument"):
         bessel_j_imag(0.5, arg)
+
+
+@pytest.mark.parametrize("n,lam,t", [
+    (2, "a", 0.5), (2.5, 1.0, 0.5), (2, np.nan, 0.5), (2, np.inf, 0.5), (-1, 1.0, 0.5),
+    (2, -0.5, 0.5), (True, 1.0, 0.5), (2, 1.0, "x"),
+])
+def test_gegenbauer_rejects_bad_degree_index_and_argument(n, lam, t):
+    # these raised a bare TypeError or ValueError, or (NaN index) returned nan
+    with pytest.raises(ConfigError):
+        gegenbauer(n, lam, t)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: riemann_liouville(np.cos, -0.5, 1.0), lambda: riemann_liouville(np.cos, np.nan, 1.0),
+    lambda: riemann_liouville(np.cos, 0.5, "x"), lambda: radial_bessel_operator(0.5, np.cos, 0.0),
+    lambda: radial_bessel_operator(0.5, np.cos, np.nan),
+], ids=["rl-negative-order", "rl-nan-order", "rl-string-t", "operator-t0", "operator-nan-t"])
+def test_fractional_mean_and_radial_operator_reject_bad_input(call):
+    # numpy's or a bare ValueError before, and a NaN t gave a silent nan
+    with pytest.raises(ConfigError):
+        call()
 
 
 def test_bessel_j_imag_overflows_quietly_only_past_the_float_range():

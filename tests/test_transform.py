@@ -35,6 +35,7 @@ from dunklkit import (
     translated_normalization_defect,
 )
 from dunklkit import measures
+from dunklkit.bessel_kingman import _angle_rule
 from dunklkit.quadrature import _tensor_grid
 from dunklkit.rank_one import (intertwiner_measure, kernel_unitary, signed_product_measure,
                                spherical_mean, spherical_mean_measure)
@@ -451,6 +452,68 @@ def test_spherical_mean_radial_rejects_non_finite_radius(k, bad):
         spherical_mean_radial(kv, np.cos, x, bad)
     with pytest.raises(ConfigError, match="t must be finite"):
         spherical_mean_radial(kv, np.cos, x, np.array([0.2, bad]))
+
+
+@pytest.mark.parametrize("t", ["a", [0.5, "b"]])
+def test_spherical_mean_radial_rejects_non_numeric_radii(t):
+    # numpy's bare "could not convert string to float" before
+    with pytest.raises(ConfigError, match="t must be numbers"):
+        spherical_mean_radial(MultiplicityVector(k=(1.0, 0.5)), np.cos, [0.3, 0.4], t)
+
+
+# sha256 (first 16 hex digits) of spherical_mean_radial's output (type, dtype,
+# shape and bytes) for the perfbench `means` profile f0(r) = j_lam(z r), one
+# scalar t and one array of radii per `means` multiplicity class, recorded on
+# the tree before the mean shed its fixed per-call cost; that change moved no bit
+_MEAN_PIN_CLASSES = [(1.0, 1.0), (2.0, 0.5), (0.5, 2.0), (1.0,), (0.5,)]
+_MEAN_PINS = {
+    "(1.0, 1.0) scalar t": "70f8ca60129db275",
+    "(1.0, 1.0) radii": "1b6385b6a829f2b4",
+    "(2.0, 0.5) scalar t": "caa2b5fc2bf27617",
+    "(2.0, 0.5) radii": "031cbb4ef80fb780",
+    "(0.5, 2.0) scalar t": "82e144f6c084f579",
+    "(0.5, 2.0) radii": "ba06a7e545a1d178",
+    "(1.0,) scalar t": "b22f6309d44b309d",
+    "(1.0,) radii": "7a24025e875decab",
+    "(0.5,) scalar t": "d43a0e8b9980d9fe",
+    "(0.5,) radii": "6f3b7ff5a2f685d9",
+}
+# digest of the angle rules and of one einsum reduction the means use, on the
+# build the pins were recorded on
+_MEAN_PIN_BUILD = "c2c12bbb63db6662"
+
+
+def _mean_pin_cases():
+    rng = np.random.default_rng(2027)
+    cases = {}
+    for k in _MEAN_PIN_CLASSES:
+        kv = MultiplicityVector(k)
+        x = rng.uniform(-2.0, 2.0, len(k))
+        z = rng.uniform(1.5, 2.5)
+        f0 = lambda r, lam=kv.lam, z=z: bessel_j(lam, z * np.asarray(r))
+        cases[f"{k} scalar t"] = (kv, f0, x, rng.uniform(0.5, 1.5))
+        cases[f"{k} radii"] = (kv, f0, x, rng.uniform(0.0, 1.5, 7))
+    return cases
+
+
+def _pin_digest(out) -> str:
+    a = np.asarray(out)
+    head = f"{type(out).__name__}|{a.dtype.str}|{a.shape}|".encode()
+    return hashlib.sha256(head + np.ascontiguousarray(a).tobytes()).hexdigest()[:16]
+
+
+def _mean_build_digest() -> str:
+    rules = [_angle_rule(MultiplicityVector(k).lam, 256) for k in _MEAN_PIN_CLASSES]
+    vals = np.random.default_rng(3).standard_normal((7, 256))
+    return _pin_digest(np.concatenate([np.concatenate(r) for r in rules]
+                                      + [np.einsum("ik,k->i", vals, rules[0][1])]))
+
+
+@pytest.mark.parametrize("name", list(_MEAN_PINS))
+def test_spherical_mean_radial_outputs_are_pinned(name):
+    if _mean_build_digest() != _MEAN_PIN_BUILD:
+        pytest.skip("angle rules or einsum have other bits than on the recording build")
+    assert _pin_digest(spherical_mean_radial(*_mean_pin_cases()[name])) == _MEAN_PINS[name]
 
 
 def test_heat_kernel_matches_spectral_route():
