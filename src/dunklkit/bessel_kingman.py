@@ -16,8 +16,9 @@ spectrally accurate for integrands even in z (the characters are).
 
 The same angle rule, at lam = k - 1/2, is the rank-one intertwiner: the
 measure of V_k at x is the law of x u with u weighted by (1 + u) against
-it (rank_one.intertwiner_measure); at the radial index, the point convolution
-of |x| and t is the radial spherical mean (transform.spherical_mean_radial).
+it (rank_one._intertwiner_nodes, which core.intertwiner_atoms takes on every
+axis); at the radial index, the point convolution of |x| and t is the radial
+spherical mean (transform.spherical_mean_radial).
 """
 
 from __future__ import annotations
@@ -42,7 +43,6 @@ __all__ = [
     "rayleigh_density",
     "rayleigh_radial_cdf",
     "cauchy_measure",
-    "cauchy_density",
     "cauchy_radial_cdf",
     "stable_half_subordinator",
     "subordinate",
@@ -263,12 +263,6 @@ def rayleigh_measure(lam: float, t: float, n: int = 256) -> RadialProfileMeasure
     masses = rule.weights * np.exp(-rule.nodes**2 / (4.0 * t)) / norm
     return RadialProfileMeasure._from_node_masses(
         rule.nodes, rayleigh_density(lam, t, rule.nodes), masses, lam=lam)
-
-
-def cauchy_density(lam: float, t: float, r):
-    r = np.asarray(r, dtype=float)
-    c = 2.0 * np.exp(gammaln(lam + 1.5) - gammaln(lam + 1.0)) / np.sqrt(np.pi)
-    return c * t * r ** (2.0 * lam + 1.0) / (t * t + r * r) ** (lam + 1.5)
 
 
 def cauchy_radial_cdf(lam: float, t: float, r):

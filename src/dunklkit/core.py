@@ -26,17 +26,15 @@ from scipy.special import gammaln
 from . import rank_one
 from .errors import ConfigError, _floats, _node_count
 from .quadrature import _tensor_grid
-from .special import bessel_j, bessel_j_imag
+from .special import bessel_j
 
 __all__ = [
     "MultiplicityVector",
     "group_elements",
-    "weight",
     "dunkl_operator",
     "dunkl_laplacian",
     "dunkl_kernel",
     "dunkl_kernel_unitary",
-    "generalized_bessel",
     "generalized_bessel_unitary",
     "intertwiner_atoms",
     "sinhc",
@@ -132,13 +130,6 @@ def group_elements(N: int) -> np.ndarray:
     if N > 20:
         raise ConfigError(f"2^{N} group elements is not a computation you want")
     return np.array(list(itertools.product((1.0, -1.0), repeat=N)))
-
-
-def weight(kv, x) -> np.ndarray:
-    """w_k(x), vectorized over leading axes of x (last axis = coordinates)."""
-    kv = _as_kv(kv)
-    x = _coords(kv, "x", x)
-    return np.prod((2.0 * x**2) ** np.asarray(kv.k), axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -240,14 +231,6 @@ def dunkl_kernel(kv, x, y):
 def dunkl_kernel_unitary(kv, x, y):
     """E_k(i x, y) for real x, y: bounded by 1 in modulus."""
     return _axis_product(kv, rank_one.kernel_unitary, x, y)
-
-
-def generalized_bessel(kv, x, y):
-    """Group average of the kernel: 2^(-N) sum_g E_k(x, g y).
-
-    Factorizes into prod_i j_{k_i - 1/2}(i x_i y_i); real arguments.
-    """
-    return _axis_product(kv, lambda k, a, b: bessel_j_imag(k - 0.5, a * b), x, y)
 
 
 def generalized_bessel_unitary(kv, x, y):

@@ -20,8 +20,6 @@ verification suite replays as convergence checks.
 
 from __future__ import annotations
 
-import json
-
 import numpy as np
 from scipy.linalg import null_space
 from scipy.special import betaln, gammaln
@@ -38,7 +36,6 @@ __all__ = [
     "laplacian_coefficient",
     "apply_laplacian",
     "harmonic_basis",
-    "harmonic_basis_json",
     "eval_homogeneous",
     "reproducing_kernel",
     "kernel_series",
@@ -59,33 +56,19 @@ def _require_planar(kv) -> MultiplicityVector:
 class SphereQuadrature:
     """Quadrature for integral_{S^1} F(y) w_k(y) dsigma(y).
 
-    method "jacobi" (default): per quadrant, u = cos^2(theta) turns the
-    integral into 2^(gamma-1) int_0^1 F u^(k1-1/2) (1-u)^(k2-1/2) du,
-    and a Gauss-Jacobi rule absorbs both endpoint powers; n nodes per
-    quadrant integrate trigonometric polynomials of degree ~4n against
-    w_k exactly, for every k >= 0.
-
-    method "trapezoid": midpoint rule in theta; spectrally accurate only
-    when 2 k_i are even integers, kept as an independent cross-check.
+    Per quadrant, u = cos^2(theta) turns the integral into
+    2^(gamma-1) int_0^1 F u^(k1-1/2) (1-u)^(k2-1/2) du, and a Gauss-Jacobi
+    rule absorbs both endpoint powers; n nodes per quadrant integrate
+    trigonometric polynomials of degree ~4n against w_k exactly, for every
+    k >= 0.
     """
 
-    def __init__(self, kv, n: int = 64, method: str = "jacobi"):
+    def __init__(self, kv, n: int = 64):
         self.kv = _require_planar(kv)
-        k1, k2 = self.kv.k
-        n = _node_count(n, "n")
-        if method == "jacobi":
-            dirs, w = _quadrant_rule(n, k1, k2)
-            self.points = np.concatenate([dirs * sign for sign in
-                                          ((1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0))])
-            self.weights = np.tile(2.0 ** (self.kv.gamma - 1.0) * w, 4)
-        elif method == "trapezoid":
-            m = max(8 * n, 64)
-            theta = (np.arange(m) + 0.5) * (2.0 * np.pi / m)
-            self.points = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
-            wk = (2.0 * self.points[:, 0] ** 2) ** k1 * (2.0 * self.points[:, 1] ** 2) ** k2
-            self.weights = wk * (2.0 * np.pi / m)
-        else:
-            raise ConfigError(f"unknown sphere quadrature method '{method}'")
+        dirs, w = _quadrant_rule(_node_count(n, "n"), *self.kv.k)
+        self.points = np.concatenate([dirs * sign for sign in
+                                      ((1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0))])
+        self.weights = np.tile(2.0 ** (self.kv.gamma - 1.0) * w, 4)
 
     @property
     def mass(self) -> float:
@@ -198,18 +181,6 @@ def _build_basis(kv, n: int) -> list[np.ndarray]:
     return [ortho[:, j] for j in range(ortho.shape[1])]
 
 
-def harmonic_basis_json(kv, n_max: int) -> str:
-    """Coefficient tables of the orthonormal bases up to degree n_max.
-
-    The JSON document maps each degree to a list of coefficient vectors
-    (coeffs[a] multiplies x^a y^(n-a)), for external inspection.
-    """
-    kv = _require_planar(kv)
-    bases = {str(n): [[float(c) for c in coeffs] for coeffs in harmonic_basis(kv, n)]
-             for n in range(n_max + 1)}
-    return json.dumps({"N": 2, "k": list(kv.k), "bases": bases}, indent=2)
-
-
 def eval_homogeneous(coeffs: np.ndarray, pts) -> np.ndarray:
     """Evaluate sum_a coeffs[a] x^a y^(n-a) at points (..., 2)."""
     pts = np.asarray(pts, dtype=float)
@@ -235,36 +206,33 @@ def _series_weight(lam: float, n: int) -> float:
     return float(np.exp(gammaln(lam + 1.0) - n * np.log(2.0) - gammaln(n + lam + 1.0)))
 
 
-def reproducing_kernel(kv, n: int, x, y, method: str = "basis",
-                       n_intertwiner: int = 64):
-    """Reproducing kernel P_n(x, y) of the degree-n harmonics.
-
-    "basis" sums Y_j(x) Y_j(y) over the orthonormal basis (exact up to
-    null-space rounding).  "gegenbauer" uses the intertwined Gegenbauer
-    form c_n (|x||y|)^n V_k[C~_n(<x/|x|, .>)](y/|y|); the two agree and
-    are cross-checked in the verification suite.
+def reproducing_kernel(kv, n: int, x, y):
+    """Reproducing kernel P_n(x, y) of the degree-n harmonics: the sum of
+    Y_j(x) Y_j(y) over the orthonormal basis (exact up to null-space
+    rounding).  The addition-theorems suite checks it against the
+    intertwined Gegenbauer form (_reproducing_kernel_gegenbauer).
     """
     kv = _require_planar(kv)
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    if method == "basis":
-        total = 0.0
-        for coeffs in harmonic_basis(kv, n):
-            total = total + eval_homogeneous(coeffs, x) * eval_homogeneous(coeffs, y)
-        return total
-    if method != "gegenbauer":
-        raise ConfigError(f"unknown reproducing kernel method '{method}'")
-    if x.shape != (2,) or y.shape != (2,):
-        raise ConfigError("gegenbauer route evaluates one pair at a time")
+    total = 0.0
+    for coeffs in harmonic_basis(kv, n):
+        total = total + eval_homogeneous(coeffs, x) * eval_homogeneous(coeffs, y)
+    return total
+
+
+def _reproducing_kernel_gegenbauer(kv, n: int, x, y) -> float:
+    """P_n(x, y) for one pair of planar points through the intertwiner:
+    c_n (|x||y|)^n V_k[C~_n(<x/|x|, .>)](y/|y|) (Dunkl and Xu, Orthogonal
+    Polynomials of Several Variables, 2001), sharing no code with the basis."""
     rx, ry = float(np.hypot(*x)), float(np.hypot(*y))
     if n == 0:
         return 1.0
     if rx == 0.0 or ry == 0.0:
         return 0.0
     lam = kv.lam
-    pts, masses = intertwiner_atoms(kv, y / ry, n_per_axis=n_intertwiner)
-    cos_vals = pts @ (x / rx)
-    v_geg = float(np.sum(masses * gegenbauer(n, lam, cos_vals)))
+    pts, masses = intertwiner_atoms(kv, y / ry)
+    v_geg = float(np.sum(masses * gegenbauer(n, lam, pts @ (x / rx))))
     return _gegenbauer_constant(lam, n) * (rx * ry) ** n * v_geg
 
 

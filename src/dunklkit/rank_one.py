@@ -13,27 +13,26 @@ probability measure for every k >= 0.
 
 The intertwiner measure at x is b_k (1 - u^2)^(k-1) (1 + u) du at xi = x u:
 the Bessel-Kingman angle law at index k - 1/2 (bessel_kingman._angle_rule)
-tilted by (1 + u).  On the n-node angle rule, with masses w (1 + u), it is
-exact for polynomials in u up to degree 2n - 2.
+tilted by (1 + u), with b_k = Gamma(k + 1/2) / (sqrt(pi) Gamma(k)).  On the
+n-node angle rule, with masses w (1 + u), it is exact for polynomials in u up
+to degree 2n - 2; core.intertwiner_atoms takes these nodes on every axis.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .bessel_kingman import _angle_rule, _angular_norm, _point_nodes
+from .bessel_kingman import _angle_rule, _point_nodes
 from .errors import ConfigError, _finite, _node_count
 from .measures import LineMeasure
 from .special import bessel_j, bessel_j_imag
 
 __all__ = [
-    "kernel_value",
     "kernel_real",
     "kernel_unitary",
     "signed_product_measure",
     "spherical_mean_measure",
     "spherical_mean",
-    "intertwiner_measure",
 ]
 
 
@@ -56,20 +55,6 @@ def kernel_unitary(k: float, x, y):
     k = _check_k(k)
     u = np.asarray(x, dtype=float) * np.asarray(y, dtype=float)
     return bessel_j(k - 0.5, u) + 1j * u / (2.0 * k + 1.0) * bessel_j(k + 0.5, u)
-
-
-def kernel_value(k: float, z, w):
-    """E_k(z, w) for complex arguments (dispatches to the real/unitary paths)."""
-    k = _check_k(k)
-    u = np.asarray(z) * np.asarray(w)
-    if not np.iscomplexobj(u):
-        return kernel_real(k, z, w)
-    if np.all(np.abs(u.real) <= 1e-14 * np.abs(u)):
-        v = u.imag  # u = i v: E = j(v) + i v/(2k+1) j(v) with real Bessel values
-        out = kernel_unitary(k, v, 1.0)
-        return out[()] if np.ndim(out) == 0 else out
-    iu = 1j * u
-    return bessel_j(k - 0.5, iu) + u / (2.0 * k + 1.0) * bessel_j(k + 0.5, iu)
 
 
 def _mirrored_measure(k: float, a: float, b: float, split, n: int) -> LineMeasure:
@@ -170,24 +155,3 @@ def _intertwiner_nodes(k: float, x: float, n: int) -> tuple[np.ndarray, np.ndarr
     nodes, masses = x * u, w * (1.0 + u)
     return (nodes, masses) if x > 0 else (nodes[::-1], masses[::-1])
 
-
-def intertwiner_measure(k: float, x: float, n: int = 64) -> LineMeasure:
-    """Representing measure of the intertwining operator at the point x:
-
-        V_k f(x) = int f dmu_x,
-        dmu_x = b_k (1 - xi/x)^(k-1) (1 + xi/x)^k / |x| dxi on [-|x|, |x|],
-
-    with b_k = Gamma(k + 1/2) / (sqrt(pi) Gamma(k)).  A probability
-    measure; exp integrates to the kernel: int e^(xi y) dmu_x = E_k(x, y).
-    Discretized as xi = x u on the n-node symmetric angle rule (u, w) of
-    (1 - u^2)^(k-1), with masses w (1 + u): exact for polynomials in xi up
-    to degree 2n - 2.  k = 0 is the identity (point mass at x).
-    """
-    k, n = _check_k(k), _node_count(n, "n")
-    x = _finite(x, "x")
-    if k == 0.0 or x == 0.0:
-        return LineMeasure(atoms=[(x, 1.0)], lam=k)
-    nodes, masses = _intertwiner_nodes(k, x, n)
-    u = nodes / x
-    dens = _angular_norm(k - 0.5) * (1.0 - u * u) ** (k - 1.0) * (1.0 + u) / abs(x)
-    return LineMeasure._from_node_masses(nodes, dens, masses, lam=k)

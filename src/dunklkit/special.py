@@ -103,15 +103,19 @@ def _prefactor(alpha: float, x: np.ndarray) -> np.ndarray:
 def _bessel_large_real(alpha: float, x: np.ndarray) -> np.ndarray:
     """j_alpha(x) for x >= 0 beyond the series radius: the upward recurrence
     (see bessel_j) where it is used, dividing by x twice so x^2 cannot
-    overflow, and jv for every other element."""
+    overflow, and jv for every other element: the whole array at orders
+    the recurrence does not start, integer orders past _J01_MAX."""
     half = float(alpha + 0.5).is_integer()
     steps = alpha < _SERIES_RADIUS and (half or float(alpha).is_integer())
-    near = None if steps and half else (x <= _J01_MAX) & steps  # None: every element steps
-    whole = near is None or near.all()
-    if not whole:
-        far = ~near
+    near = None if half or not steps else x <= _J01_MAX  # None: no element is past _J01_MAX
+    out = None
+    if not steps or (near is not None and not near.all()):
+        far = ~near if steps else slice(None)
+        vals = _prefactor(alpha, x[far]) * jv(alpha, x[far])
+        if not steps:
+            return vals
         out = np.empty_like(x)
-        out[far] = _prefactor(alpha, x[far]) * jv(alpha, x[far])
+        out[far] = vals
         x = x[near]
     if x.size:
         if half:
@@ -129,7 +133,7 @@ def _bessel_large_real(alpha: float, x: np.ndarray) -> np.ndarray:
         while nu < alpha:
             prev, cur = cur, (4.0 * nu * (nu + 1.0) / x) / x * (cur - prev)
             nu += 1.0
-        if whole:
+        if out is None:
             return cur
         out[near] = cur
     return out
@@ -222,6 +226,27 @@ def _bessel_ratio(nu: float, u: np.ndarray) -> np.ndarray:
     return out
 
 
+def _real_axis(alpha: float, z, radius: float, c: float, large) -> np.ndarray:
+    """j_alpha(z) (c = -1/4) or j_alpha(iz) (c = 1/4) for real z, at least 1-d:
+    one |z| and one max|z| decide finiteness, the branch and the series degree;
+    the series takes w = c z^2 up to radius, large(alpha, |z|) the rest."""
+    a = np.abs(np.atleast_1d(_floats(z, "argument")))
+    top = float(a.max()) if a.size else 0.0
+    if not math.isfinite(top):
+        raise ConfigError("argument must be finite")
+    if top <= radius:  # the series takes the whole array: no mask, no gather
+        return _series_0f1(alpha, c * a**2, c * (top * top))
+    small = a <= radius
+    a_small = a[small]
+    if not a_small.size:
+        return large(alpha, a)
+    s_top = float(a_small.max())
+    out, big = a, ~small  # a is this call's own |z|: the result reuses it
+    out[big] = large(alpha, a[big])
+    out[small] = _series_0f1(alpha, c * a_small**2, c * (s_top * s_top))
+    return out
+
+
 def bessel_j(alpha: float, z):
     """Normalized Bessel function j_alpha(z), vectorized over z.
 
@@ -296,22 +321,7 @@ def bessel_j(alpha: float, z):
             out[rest] = _bessel_large_generic(alpha, z_arr[rest])
         return out[0] if scalar else out
 
-    a = np.abs(np.atleast_1d(_floats(z_arr, "argument")))
-    top = float(a.max()) if a.size else 0.0
-    if not math.isfinite(top):
-        raise ConfigError("argument must be finite")
-    if top <= radius:  # the series takes the whole array: no mask, no gather
-        out = _series_0f1(alpha, -0.25 * a**2, -0.25 * (top * top))
-    else:
-        small = a <= radius
-        a_small = a[small]
-        if a_small.size:
-            s_top = float(a_small.max())
-            out, large = a, ~small  # a is this call's own |z|: the result reuses it
-            out[large] = _bessel_large_real(alpha, a[large])
-            out[small] = _series_0f1(alpha, -0.25 * a_small**2, -0.25 * (s_top * s_top))
-        else:
-            out = _bessel_large_real(alpha, a)
+    out = _real_axis(alpha, z_arr, radius, -0.25, _bessel_large_real)
     return out[0] if scalar else out
 
 
@@ -325,18 +335,8 @@ def bessel_j_imag(alpha: float, y):
     """
     if (alpha := _finite(alpha, "order")) < -0.5:
         raise ConfigError(f"order must be finite with alpha >= -1/2, got {alpha}")
-    y_arr = _floats(y, "argument")
-    if not np.isfinite(y_arr).all():
-        raise ConfigError("argument must be finite")
-    scalar = y_arr.ndim == 0
-    y_arr = np.atleast_1d(y_arr)
-    out = np.empty(y_arr.shape, dtype=float)
-    small = np.abs(y_arr) <= _SERIES_RADIUS
-    if np.any(small):
-        out[small] = _series_0f1(alpha, 0.25 * y_arr[small] ** 2)
-    if np.any(~small):
-        out[~small] = _bessel_large_imag(alpha, y_arr[~small])
-    return out[0] if scalar else out
+    out = _real_axis(alpha, y, _SERIES_RADIUS, 0.25, _bessel_large_imag)
+    return out[0] if np.ndim(y) == 0 else out
 
 
 def bessel_j_envelope(lam: float, u) -> np.ndarray:

@@ -628,8 +628,8 @@ def spherical_mean_wave(kv, z, x, t: float):
 
         M(x, t) = E_k(ix, z) j_lam(t |z|).
 
-    The wave is an eigenfunction of the mean operator; this is the
-    reference value the quadrature routes are tested against.
+    The wave is an eigenfunction of the mean operator; the product-formula
+    suite holds the rank-one mean measure to this value.
     """
     kv = _as_kv(kv)
     z = np.atleast_1d(np.asarray(z, dtype=float))

@@ -31,29 +31,36 @@ from .bessel_kingman import (
 from .core import (
     MultiplicityVector,
     alternating_sum_bessel,
+    dunkl_kernel,
     dunkl_kernel_unitary,
+    dunkl_operator,
     generalized_bessel_unitary,
     group_elements,
     intertwiner_atoms,
 )
 from .errors import ConfigError
-from .harmonics import (SphereQuadrature, addition_theorem_residual, funk_hecke_pair,
-                        harmonic_basis, kernel_series, orbit_integral, plane_wave_residual)
+from .harmonics import (SphereQuadrature, _reproducing_kernel_gegenbauer,
+                        addition_theorem_residual, funk_hecke_pair, harmonic_basis,
+                        kernel_series, orbit_integral, plane_wave_residual, reproducing_kernel)
 from .markov import (KRadialMeasure, composed_kernel_hat, convolve_k, gaussian_kernel_hat,
                      marginal_ks, simulate_paths, subordinated_kernel_hat)
 from .measures import as_weighted_atoms
 from .quadrature import _tensor_grid
 from .special import bessel_j, bessel_j_imag
-from .rank_one import kernel_unitary, signed_product_measure, spherical_mean_measure
+from .rank_one import kernel_unitary, signed_product_measure, spherical_mean, spherical_mean_measure
 from .transform import (
     TransformPlan,
     _spectral_mean_weights,
     bump,
     chapman_kolmogorov_defect,
     darboux_residual,
+    heat_kernel,
+    heat_kernel_spectral,
     heat_normalization_defect,
     radial_bump,
     spherical_mean_radial,
+    spherical_mean_spectral,
+    spherical_mean_wave,
     translated_normalization_defect,
 )
 
@@ -74,7 +81,8 @@ __all__ = [
 
 TOLERANCES: dict[str, float] = {
     "product-formula": 1e-6,
-    "radial-product-formula": 1e-6,  # relative to max_z |j_lam(z|x|) j_lam(zt)|
+    "kernel-eigen": 1e-8,        # relative to E_k(x, y)
+    "radial-product-formula": 1e-6,  # relative to the case's largest reference value
     "positivity": 1e-8,          # means may dip to -tol
     "support": 1e-8,
     "support-endpoint": 2.0,     # endpoint miss in local node spacings
@@ -84,6 +92,7 @@ TOLERANCES: dict[str, float] = {
     "funk-hecke": 1e-7,
     "darboux": 0.5,              # |ratio of residuals at h and h/2 - 4|, no unit
     "chapman-kolmogorov": 1e-6,  # relative to the one-step density
+    "heat-spectral": 1e-6,
     "heat-normalization": 1e-6,
     "translated-normalization": 1e-5,
     "addition-theorems": 1e-8,
@@ -160,8 +169,13 @@ class SuiteReport:
 
 
 def _suite_product_formula() -> list[CaseResult]:
-    """Rank-one kernel product formula against the signed point measure:
-    E(ixz) E(iyz) = int E(i xi z) dmu_{x,y}(xi) for real frequencies z."""
+    """The kernel's defining identities.  Rank-one product formula against the
+    signed point measure, E(ixz) E(iyz) = int E(i xi z) dmu_{x,y}(xi) for real
+    frequencies z; the kernel wave y -> E(iy, z) as an eigenfunction of the
+    mean, int E(i xi, z) dsigma_{x,t}(xi) = E(ix, z) j_lam(t |z|), whose odd
+    part sees the orientation of sigma_{x,t}; and the eigen-equation of the
+    Dunkl operators, T_xi E_k(., y)(x) = <xi, y> E_k(x, y) (Dunkl, Trans. AMS
+    311, 1989), by finite differences against the product of rank-one kernels."""
     t = TOLERANCES["product-formula"]
     z = np.linspace(0.0, 5.0, 20)
     out = []
@@ -174,6 +188,27 @@ def _suite_product_formula() -> list[CaseResult]:
                 lhs = kernel_unitary(k, x, z) * kernel_unitary(k, y, z)
                 res = float(np.max(np.abs(lhs - rhs)))
                 out.append(CaseResult(f"k={k} x={x} y={y}", res, t))
+    for k in (0.5, 1.0, 2.5):
+        kv = MultiplicityVector((k,))
+        worst = 0.0
+        for x in (-1.3, 0.6, 1.7):
+            for s in (0.4, 1.1):
+                for z in (0.7, 2.3):
+                    mean = spherical_mean(k, lambda p, z=z: kernel_unitary(k, p, z), x, s)
+                    worst = max(worst, abs(mean - complex(spherical_mean_wave(kv, z, x, s))))
+        out.append(CaseResult(f"kernel wave mean k={k}", worst, t))
+    t_eig = TOLERANCES["kernel-eigen"]
+    rng = np.random.default_rng(47)
+    for k in ((1.0,), (1.0, 0.5), (2.0, 0.5)):
+        kv = MultiplicityVector(k)
+        worst = 0.0
+        for _ in range(4):
+            x, y = rng.uniform(-1.5, 1.5, size=(2, kv.n_axes))
+            f = lambda p, y=y: float(dunkl_kernel(kv, p, y))
+            for xi in np.eye(kv.n_axes):
+                got = dunkl_operator(kv, f, x, xi)
+                worst = max(worst, abs(got - (xi @ y) * f(x)) / f(x))
+        out.append(CaseResult(f"eigen-equation k={k}", worst, t_eig))
     return out
 
 
@@ -200,9 +235,11 @@ def _suite_radial_product_formula() -> list[CaseResult]:
     product law at the radial index: averaging y -> j_lam(z |y|) over the
     mean measure at (x, t) gives j_lam(z |x|) j_lam(z t).  The left side is
     the Bessel-Kingman point convolution of |x| and t, one angle rule at lam,
-    and knows nothing about j_lam.  The moment cases take the paper's own
-    route to the law of <xi, omega>, intertwiner atoms against the sphere,
-    and check that it is the law of |x| u that the left side integrates."""
+    and knows nothing about j_lam.  The spectral cases take the mean of
+    e^(-|y|^2) from its transform on a default plan instead.  The moment cases
+    take the paper's own route to the law of <xi, omega>, intertwiner atoms
+    against the sphere, and check that it is the law of |x| u that the left
+    side integrates."""
     t_ = TOLERANCES["radial-product-formula"]
     rng = np.random.default_rng(20260819)
     z = np.linspace(0.25, 5.0, 20)
@@ -220,6 +257,20 @@ def _suite_radial_product_formula() -> list[CaseResult]:
             scale = max(float(np.max(np.abs(rhs))), 1e-6)
             res = float(np.max(np.abs(lhs - rhs))) / scale
             out.append(CaseResult(f"k={k} case={case}", res, t_))
+    rng = np.random.default_rng(53)
+    gauss = lambda r: np.exp(-np.asarray(r) ** 2)
+    for k in ((1.0,), (2.0, 0.5)):
+        kv = MultiplicityVector(k)
+        plan = TransformPlan(kv)
+        fhat = plan.forward(plan.sample(lambda p: gauss(np.sqrt(np.sum(p * p, axis=-1)))))
+        worst = scale = 0.0
+        for _ in range(10):
+            x = rng.uniform(-2.0, 2.0, size=kv.n_axes)
+            t = rng.uniform(0.1, 2.0)
+            radial = spherical_mean_radial(kv, gauss, x, t)
+            worst = max(worst, abs(spherical_mean_spectral(kv, plan, fhat, x, t) - radial))
+            scale = max(scale, abs(radial))
+        out.append(CaseResult(f"k={k} spectral route", worst / max(scale, 1e-6), t_))
     for k, x in (((1.0,), [1.3]), ((0.5,), [-0.8]), ((1.0, 1.0), [0.9, -0.7]),
                  ((2.0, 0.5), [-0.4, 1.1]), ((0.3, 1.7), [0.9, -0.7])):
         res = _angle_law_moment_error(MultiplicityVector(k), np.array(x))
@@ -483,7 +534,7 @@ def _suite_addition_theorems() -> list[CaseResult]:
     for k in ((1.0, 0.5), (2.0, 1.0)):
         kv = MultiplicityVector(k)
         rng = np.random.default_rng(31)
-        worst = 0.0
+        worst = worst_geg = 0.0
         for _ in range(12):
             x = rng.uniform(-1.0, 1.0, size=2)
             x *= rng.uniform(0.2, 2.0) / max(np.sqrt(x @ x), 1e-9)
@@ -492,7 +543,12 @@ def _suite_addition_theorems() -> list[CaseResult]:
             direct = complex(dunkl_kernel_unitary(kv, x, y))
             series = kernel_series(kv, x, y, n_max=20)
             worst = max(worst, abs(direct - series))
+            worst_geg = max(worst_geg, *(abs(reproducing_kernel(kv, n, x, y)
+                                             - _reproducing_kernel_gegenbauer(kv, n, x, y))
+                                         for n in range(5)))
         out.append(CaseResult(f"kernel series k={k}", worst, t_ser))
+        out.append(CaseResult(f"reproducing kernel k={k} basis vs gegenbauer n=0..4",
+                              worst_geg, t_ser))
     return out
 
 
@@ -553,8 +609,9 @@ def _suite_darboux() -> list[CaseResult]:
 
 
 def _suite_chapman_kolmogorov() -> list[CaseResult]:
-    """Two-step heat compositions against the single step, plus mass
-    normalization of plain and translated heat kernels."""
+    """Two-step heat compositions against the single step, mass
+    normalization of plain and translated heat kernels, and the closed form
+    against the kernel's frequency representation."""
     t_ck = TOLERANCES["chapman-kolmogorov"]
     t_norm = TOLERANCES["heat-normalization"]
     t_trans = TOLERANCES["translated-normalization"]
@@ -578,6 +635,11 @@ def _suite_chapman_kolmogorov() -> list[CaseResult]:
         "translated normalization k=(1,0.5) x=(1,-1) s=0.4",
         translated_normalization_defect(MultiplicityVector((1.0, 0.5)), 0.4,
                                         np.array([1.0, -1.0])), t_trans))
+    for k, x, y in (((1.0,), [0.7], [-0.4]), ((1.0, 0.5), [0.8, -0.3], [0.2, 0.9])):
+        kv = MultiplicityVector(k)
+        worst = max(float(np.abs(heat_kernel(kv, s, x, y) - heat_kernel_spectral(kv, s, x, y)))
+                    for s in (0.4, 1.0))
+        out.append(CaseResult(f"spectral vs closed k={k}", worst, TOLERANCES["heat-spectral"]))
     return out
 
 

@@ -12,10 +12,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.special import gammaln
 
 from dunklkit import measures
 from dunklkit.bessel_kingman import (
-    cauchy_density,
     cauchy_measure,
     cauchy_radial_cdf,
     convolve_measures,
@@ -216,9 +216,13 @@ def test_cauchy_profile_frozen_cdf_and_transform():
     xi = np.linspace(0.0, 6.0, 25)
     assert np.allclose(hankel_transform(lam, mu, xi), np.exp(-t * np.abs(xi)),
                        atol=5e-8)
+    # the CDF's derivative is the closed-form Poisson profile
+    # c t r^(2 lam + 1) / (t^2 + r^2)^(lam + 3/2), c = 2 Gamma(lam + 3/2) / (sqrt(pi) Gamma(lam + 1))
     r = np.linspace(0.5, 3.0, 11)
     num = (cauchy_radial_cdf(lam, t, r + 5e-6) - cauchy_radial_cdf(lam, t, r - 5e-6)) / 1e-5
-    assert np.allclose(num, cauchy_density(lam, t, r), rtol=1e-6)
+    c = 2.0 * np.exp(gammaln(lam + 1.5) - gammaln(lam + 1.0)) / np.sqrt(np.pi)
+    assert np.allclose(num, c * t * r ** (2.0 * lam + 1.0) / (t * t + r * r) ** (lam + 1.5),
+                       rtol=1e-6)
 
 
 def test_stable_half_subordinator_laplace_transform():

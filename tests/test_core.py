@@ -19,7 +19,6 @@ from dunklkit import (
     dunkl_kernel_unitary,
     dunkl_laplacian,
     dunkl_operator,
-    generalized_bessel,
     generalized_bessel_unitary,
     group_elements,
     intertwiner_atoms,
@@ -27,7 +26,6 @@ from dunklkit import (
     kernel_unitary,
     heat_kernel,
     heat_kernel_spectral,
-    weight,
 )
 from dunklkit.harmonics import funk_hecke_pair
 from dunklkit.markov import (KRadialMeasure, composed_kernel_hat, gaussian_kernel_hat,
@@ -102,18 +100,10 @@ def test_multiplicity_json_must_be_an_object(text):
         MultiplicityVector.from_json(text)
 
 
-def test_group_elements_and_weight():
+def test_group_elements():
     g = group_elements(2)
     assert g.shape == (4, 2)
     assert sorted(map(tuple, g)) == [(-1, -1), (-1, 1), (1, -1), (1, 1)]
-
-    kv = MultiplicityVector(k=(1.0, 0.5))
-    x = np.array([0.7, -1.2])
-    expected = (2.0 * 0.7**2) ** 1.0 * (2.0 * 1.2**2) ** 0.5
-    assert weight(kv, x) == pytest.approx(expected, rel=1e-14)
-    # invariance under sign changes
-    for sign in g:
-        assert weight(kv, sign * x) == pytest.approx(expected, rel=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -174,13 +164,13 @@ def test_dunkl_laplacian_on_squared_radius():
 
 
 def test_dunkl_laplacian_radial_eigenfunction():
-    # Delta_k applied to x -> J(x, y) gives |y|^2 J(x, y)
+    # Delta_k applied to x -> J(ix, y) gives -|y|^2 J(ix, y)
     kv = MultiplicityVector(k=(1.0, 0.5))
     y = np.array([0.6, -1.1])
-    f = lambda p: float(generalized_bessel(kv, p, y))
+    f = lambda p: float(generalized_bessel_unitary(kv, p, y))
     x = np.array([0.8, 0.5])
     got = dunkl_laplacian(kv, f, x)
-    assert got == pytest.approx(float(np.dot(y, y)) * f(x), rel=1e-6)
+    assert got == pytest.approx(-float(np.dot(y, y)) * f(x), rel=1e-6)
 
 
 def test_kernel_is_dunkl_operator_eigenfunction():
@@ -231,22 +221,20 @@ HEAT_COORDS = KRadialMeasure.heat(KV_COORDS, 0.5)
 @pytest.mark.parametrize("fn", [
     dunkl_kernel,
     dunkl_kernel_unitary,
-    generalized_bessel,
     generalized_bessel_unitary,
     lambda kv, x, y: heat_kernel(kv, 0.5, x, y),
     lambda kv, x, y: heat_kernel_spectral(kv, 0.5, x, y),
     lambda kv, x, y: gaussian_kernel_hat(kv, 0.5, x, y),
     lambda kv, x, y: composed_kernel_hat(kv, 0.3, 0.2, x, y),
-    lambda kv, x, y: (weight(kv, x), weight(kv, y)),
     lambda kv, x, y: (HEAT_COORDS.hat(x), HEAT_COORDS.hat(y)),
     lambda kv, x, y: (translate_measure(x, HEAT_COORDS, f0=np.cos),
                       translate_measure(y, HEAT_COORDS, f0=np.cos)),
     lambda kv, x, y: subordinated_kernel_hat(kv, 0.5, x, y),
     lambda kv, x, y: (funk_hecke_pair(kv, np.array([1.0, 0.2]), x),
                       funk_hecke_pair(kv, np.array([1.0, 0.2]), y)),
-], ids=["dunkl_kernel", "dunkl_kernel_unitary", "generalized_bessel",
+], ids=["dunkl_kernel", "dunkl_kernel_unitary",
         "generalized_bessel_unitary", "heat_kernel", "heat_kernel_spectral",
-        "gaussian_kernel_hat", "composed_kernel_hat", "weight", "kradial_hat",
+        "gaussian_kernel_hat", "composed_kernel_hat", "kradial_hat",
         "translate_measure", "subordinated_kernel_hat", "funk_hecke_pair"])
 @pytest.mark.parametrize("x, y", [
     ([1.0, 2.0, 3.0], [0.5, 0.1, 9.0]),
@@ -269,8 +257,10 @@ def test_generalized_bessel_is_group_average():
     kv = MultiplicityVector(k=(1.0, 0.5))
     x = np.array([0.9, -0.4])
     y = np.array([1.3, 0.8])
+    # on real arguments the average is prod_i j_{k_i - 1/2}(i x_i y_i)
     avg = np.mean([dunkl_kernel(kv, x, g * y) for g in group_elements(2)])
-    assert generalized_bessel(kv, x, y) == pytest.approx(avg, rel=1e-13)
+    want = bessel_j_imag(0.5, 0.9 * 1.3) * bessel_j_imag(0.0, -0.4 * 0.8)
+    assert avg == pytest.approx(want, rel=1e-13)
     avg_u = np.mean([dunkl_kernel_unitary(kv, x, g * y) for g in group_elements(2)])
     got_u = generalized_bessel_unitary(kv, x, y)
     assert abs(got_u - avg_u) < 1e-13
@@ -281,8 +271,6 @@ def test_generalized_bessel_factorizes_to_bessel_j():
     kv = MultiplicityVector(k=(1.0, 0.5))
     x = np.array([0.9, -0.4])
     y = np.array([1.3, 0.8])
-    want = bessel_j_imag(0.5, 0.9 * 1.3) * bessel_j_imag(0.0, -0.4 * 0.8)
-    assert generalized_bessel(kv, x, y) == pytest.approx(want, rel=1e-14)
     want_u = bessel_j(0.5, 0.9 * 1.3) * bessel_j(0.0, -0.4 * 0.8)
     assert generalized_bessel_unitary(kv, x, y) == pytest.approx(want_u, rel=1e-14)
 
@@ -337,9 +325,8 @@ def test_alternating_sum_bessel_smooth_through_zero():
 
 
 def test_alternating_sum_bessel_is_multiplicity_one_bessel():
-    # equals prod_i j_{1/2}(i x_i y_i) = generalized_bessel at k = 1
-    kv = MultiplicityVector(k=(1.0, 1.0))
+    # equals prod_i j_{1/2}(i x_i y_i), the real-argument group average at k = 1
     x = np.array([0.9, 1.7])
     y = np.array([-0.4, 0.8])
     assert alternating_sum_bessel(x, y) == pytest.approx(
-        float(generalized_bessel(kv, x, y)), rel=1e-13)
+        float(np.prod(bessel_j_imag(0.5, x * y))), rel=1e-13)

@@ -1,9 +1,12 @@
-"""Every exported name resolves, so deletions cannot leave stale exports, and
-no public signature hides its parameters behind *args or **kwargs."""
+"""Every exported name resolves, so deletions cannot leave stale exports, is
+reached from the command line or the verify suites, and no public signature
+hides its parameters behind *args or **kwargs."""
 
+import ast
 import importlib
 import inspect
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -70,3 +73,81 @@ def test_no_public_callable_takes_kv_beside_a_measure():
         p.annotation in (dunklkit.KRadialMeasure, "KRadialMeasure")
         for p in sig.parameters.values()))
     assert offenders == []
+
+
+# ---------------------------------------------------------------------------
+# every public name is reached from the command line or the verify suites
+
+_ROOTS = ("cli", "verify")
+
+
+def _package_index():
+    """Per module: its module-level definitions (def, class and assigned
+    names, each with its statement), the names it imports from the package
+    as (module, name), its aliases of package modules, and the statements
+    that run on import."""
+    defs, imports, aliases, on_import = {}, {}, {}, []
+    for path in sorted(Path(dunklkit.__file__).parent.glob("*.py")):
+        mod = path.stem
+        imports[mod], aliases[mod] = {}, {}
+        for stmt in ast.parse(path.read_text()).body:
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defs[mod, stmt.name] = stmt
+            elif isinstance(stmt, ast.ImportFrom) and stmt.level == 1:
+                for a in stmt.names:
+                    if stmt.module is None and a.name in SUBMODULES:
+                        aliases[mod][a.asname or a.name] = a.name
+                    else:
+                        imports[mod][a.asname or a.name] = (stmt.module or "__init__", a.name)
+            elif not isinstance(stmt, (ast.Import, ast.ImportFrom)):
+                on_import.append((mod, stmt))
+                for node in ast.walk(stmt):
+                    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                        defs[mod, node.id] = stmt
+    return defs, imports, aliases, on_import
+
+
+def _resolve(defs, imports, mod, name):
+    """The (module, name) that defines `name` as seen from `mod`, through
+    re-exports; None outside the package."""
+    while (mod, name) not in defs and name in imports.get(mod, {}):
+        mod, name = imports[mod][name]
+    return (mod, name) if (mod, name) in defs else None
+
+
+def _reached() -> set:
+    """(module, name) of every definition that the CLI and the verify suites
+    reach: whole root modules and every module's import-time statements,
+    then every definition a reached body names, through `from . import`
+    aliases, re-exports and `module.attr` references; a reached class
+    brings all its methods."""
+    defs, imports, aliases, on_import = _package_index()
+    todo = [(mod, stmt) for mod, stmt in on_import]
+    todo += [(mod, stmt) for (mod, _), stmt in defs.items() if mod in _ROOTS]
+    reached, seen = set(), set()
+    while todo:
+        mod, stmt = todo.pop()
+        if id(stmt) in seen:
+            continue
+        seen.add(id(stmt))
+        for node in ast.walk(stmt):
+            key = None
+            if isinstance(node, ast.Name):
+                key = _resolve(defs, imports, mod, node.id)
+            elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                  and node.value.id in aliases[mod]):
+                key = _resolve(defs, imports, aliases[mod][node.value.id], node.attr)
+            if key is not None and key not in reached:
+                reached.add(key)
+                todo.append((key[0], defs[key]))
+    return reached
+
+
+def test_every_public_name_is_reached():
+    # a public name that neither `dunklkit check` nor the CLI reaches is
+    # surface that no user-facing route exercises: give it a suite case, as
+    # the second route of an identity, or take it out of the API
+    defs, imports, _, _ = _package_index()
+    reached = _reached()
+    assert [name for name in dunklkit.__all__
+            if _resolve(defs, imports, "__init__", name) not in reached] == []

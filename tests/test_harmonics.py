@@ -5,8 +5,6 @@ Dirichlet-type closed form 2^(gamma+1) B(i + k1 + 1/2, j + k2 + 1/2),
 computed outside the package.
 """
 
-import json
-
 import numpy as np
 import pytest
 from scipy.special import roots_jacobi
@@ -21,7 +19,6 @@ from dunklkit import (
     eval_homogeneous,
     funk_hecke_pair,
     harmonic_basis,
-    harmonic_basis_json,
     kernel_series,
     laplacian_coefficient,
     orbit_integral,
@@ -29,6 +26,7 @@ from dunklkit import (
     reproducing_kernel,
     sphere_moment,
 )
+from dunklkit.harmonics import _reproducing_kernel_gegenbauer
 
 KV = MultiplicityVector(k=(1.0, 0.5))
 
@@ -75,14 +73,16 @@ def test_quadrature_mass_and_exact_moments():
 
 
 def test_quadrature_methods_cross_check():
-    # trapezoid is spectrally exact when every 2 k_i is an even integer
+    # the midpoint rule in theta is spectrally exact when every 2 k_i is an
+    # even integer: an independent reference for the Gauss-Jacobi quadrants
     kv = MultiplicityVector(k=(1.0, 2.0))
-    a = SphereQuadrature(kv, n=48, method="jacobi")
-    b = SphereQuadrature(kv, n=48, method="trapezoid")
     f = lambda p: np.cos(3.0 * p[:, 0]) * np.exp(0.5 * p[:, 1])
-    assert a.integrate(f) == pytest.approx(b.integrate(f), rel=1e-12)
-    with pytest.raises(ConfigError):
-        SphereQuadrature(kv, method="simpson")
+    m = 8 * 48
+    theta = (np.arange(m) + 0.5) * (2.0 * np.pi / m)
+    pts = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
+    wk = (2.0 * pts[:, 0] ** 2) ** 1.0 * (2.0 * pts[:, 1] ** 2) ** 2.0
+    midpoint = np.sum(wk * f(pts)) * (2.0 * np.pi / m)
+    assert SphereQuadrature(kv, n=48).integrate(f) == pytest.approx(midpoint, rel=1e-12)
 
 
 @pytest.mark.parametrize("k", [(1.0, 0.5), (0.0, 2.0), (0.3, 0.7)])
@@ -148,15 +148,6 @@ def test_eval_homogeneous_matches_direct():
     np.testing.assert_allclose(eval_homogeneous(coeffs, pts), want, rtol=1e-15)
 
 
-def test_harmonic_basis_json_roundtrip():
-    doc = json.loads(harmonic_basis_json(KV, 3))
-    assert doc["k"] == [1.0, 0.5]
-    assert set(doc["bases"]) == {"0", "1", "2", "3"}
-    got = np.array(doc["bases"]["2"])
-    want = np.stack(harmonic_basis(KV, 2))
-    np.testing.assert_allclose(got, want, rtol=1e-15)
-
-
 # ---------------------------------------------------------------------------
 # reproducing kernels and the kernel expansion
 
@@ -165,8 +156,8 @@ def test_harmonic_basis_json_roundtrip():
 def test_reproducing_kernel_two_routes(n):
     x = np.array([1.1, -0.4])
     y = np.array([0.3, 0.9])
-    via_basis = reproducing_kernel(KV, n, x, y, method="basis")
-    via_geg = reproducing_kernel(KV, n, x, y, method="gegenbauer")
+    via_basis = reproducing_kernel(KV, n, x, y)
+    via_geg = _reproducing_kernel_gegenbauer(KV, n, x, y)
     assert via_geg == pytest.approx(via_basis, abs=2e-10 * max(1.0, abs(via_basis)))
 
 
@@ -179,12 +170,6 @@ def test_reproducing_kernel_reproduces():
             got = rule.average(
                 lambda pts: reproducing_kernel(KV, n, x, pts) * eval_homogeneous(coeffs, pts))
             assert got == pytest.approx(eval_homogeneous(coeffs, x), abs=1e-10)
-
-
-def test_reproducing_kernel_bad_method():
-    with pytest.raises(ConfigError):
-        reproducing_kernel(KV, 2, np.array([1.0, 0.0]), np.array([0.0, 1.0]),
-                           method="chebyshev")
 
 
 def test_kernel_series_converges_to_kernel():

@@ -10,12 +10,12 @@ import pytest
 
 from dunklkit import (
     ConfigError,
+    MultiplicityVector,
     as_weighted_atoms,
     bessel_j,
-    intertwiner_measure,
+    intertwiner_atoms,
     kernel_real,
     kernel_unitary,
-    kernel_value,
     signed_product_measure,
     spherical_mean,
     spherical_mean_measure,
@@ -64,23 +64,6 @@ def test_kernel_unitary_is_bounded_by_one():
         assert np.max(np.abs(vals)) <= 1.0 + 1e-11
 
 
-def test_kernel_value_dispatch():
-    # real arguments take the real path
-    assert kernel_value(1.3, 0.8, -1.1) == pytest.approx(
-        kernel_real(1.3, 0.8, -1.1), rel=1e-15)
-    # purely imaginary first slot reproduces the unitary kernel
-    got = kernel_value(0.6, 1.9j, 2.3)
-    assert abs(got - kernel_unitary(0.6, 1.9, 2.3)) < 1e-14
-    # fully complex arguments agree with the hypergeometric route used for
-    # the frozen complex Bessel values in test_special
-    z, w = 1.0 + 0.5j, 0.25 - 1.0j
-    u = z * w
-    from dunklkit.special import bessel_j
-    k = 0.75
-    direct = bessel_j(k - 0.5, 1j * u) + u / (2 * k + 1) * bessel_j(k + 0.5, 1j * u)
-    assert abs(kernel_value(k, z, w) - direct) < 1e-13 * abs(direct)
-
-
 def test_kernel_negative_multiplicity_rejected():
     with pytest.raises(ConfigError):
         kernel_real(-0.1, 1.0, 1.0)
@@ -91,13 +74,21 @@ def test_kernel_negative_multiplicity_rejected():
 NON_FINITE = [float("nan"), float("inf"), float("-inf")]
 
 
+def _intertwiner(k, x, n=64):
+    """The rank-one intertwiner measure at x as (nodes, masses): the one-axis
+    intertwiner_atoms (the ids below keep the name of the LineMeasure
+    builder it replaced, intertwiner_measure)."""
+    pts, masses = intertwiner_atoms(MultiplicityVector((k,)), [x], n)
+    return pts[:, 0], masses
+
+
 @pytest.mark.parametrize("bad", NON_FINITE)
 @pytest.mark.parametrize("call", [
     lambda k: kernel_unitary(k, 1.0, 0.5),
     lambda k: kernel_real(k, 1.0, 0.5),
     lambda k: signed_product_measure(k, 0.7, 0.3),
     lambda k: spherical_mean_measure(k, 0.7, 0.3),
-    lambda k: intertwiner_measure(k, 0.7),
+    lambda k: _intertwiner(k, 0.7),
 ], ids=["kernel_unitary", "kernel_real", "signed_product_measure",
         "spherical_mean_measure", "intertwiner_measure"])
 def test_non_finite_multiplicity_is_a_config_error(call, bad):
@@ -111,7 +102,7 @@ def test_non_finite_multiplicity_is_a_config_error(call, bad):
     lambda p: signed_product_measure(1.0, 0.3, p),
     lambda p: spherical_mean_measure(1.0, p, 0.3),
     lambda p: spherical_mean_measure(1.0, 0.3, p),
-    lambda p: intertwiner_measure(1.0, p),
+    lambda p: _intertwiner(1.0, p),
 ], ids=["product-x", "product-y", "mean-x", "mean-t", "intertwiner-x"])
 def test_non_finite_points_are_config_errors(call, bad):
     with pytest.raises(ConfigError, match="finite"):
@@ -236,24 +227,25 @@ def test_intertwiner_measure_reproduces_kernel(k, x, n):
     # the rule is the symmetric angle rule tilted by (1 + u): refining it
     # must not lose digits (an asymmetric Gauss-Jacobi rule was 4e-12 off
     # at k = 1/2, n = 256)
-    nu = intertwiner_measure(k, x, n=n)
-    nu.check_probability(tol=1e-12)
-    lo, hi = nu.support_bounds()
-    assert lo >= -abs(x) - 1e-12 and hi <= abs(x) + 1e-12
+    nodes, masses = _intertwiner(k, x, n)
+    assert masses.sum() == pytest.approx(1.0, abs=1e-12) and masses.min() >= 0.0
+    assert nodes.min() >= -abs(x) - 1e-12 and nodes.max() <= abs(x) + 1e-12
     for y in (-2.0, -0.5, 0.3, 1.7):
-        got = nu.integrate(lambda s, y=y: np.exp(s * y))
+        got = masses @ np.exp(nodes * y)
         assert got == pytest.approx(kernel_real(k, x, y), rel=1e-12)
 
 
 def test_intertwiner_measure_unitary_route():
     # the same measure gives the bounded kernel through e^{i s y}
     k, x = 1.5, 0.9
-    nu = intertwiner_measure(k, x)
+    nodes, masses = _intertwiner(k, x)
     for y in (0.5, 2.0, 4.0):
-        got = nu.integrate(lambda s, y=y: np.exp(1j * s * y))
+        got = masses @ np.exp(1j * nodes * y)
         assert abs(got - kernel_unitary(k, x, y)) < 1e-12
 
 
 def test_intertwiner_identity_cases():
-    assert intertwiner_measure(0.0, 1.7).atoms == [(1.7, 1.0)]
-    assert intertwiner_measure(1.2, 0.0).atoms == [(0.0, 1.0)]
+    # k = 0 and x = 0: the point mass at x
+    for k, x in ((0.0, 1.7), (1.2, 0.0)):
+        nodes, masses = _intertwiner(k, x)
+        assert nodes.tolist() == [x] and masses.tolist() == [1.0]

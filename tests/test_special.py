@@ -337,6 +337,40 @@ def test_bessel_j_outputs_are_pinned(name):
     assert _pin_digest(bessel_j(alpha, z)) == _BESSEL_PINS[name]
 
 
+# the same digests of bessel_j_imag, recorded on the tree before it read its
+# finiteness, branch and series degree off one max|y|; that change moved no bit
+def _bessel_imag_pin_cases():
+    rng = np.random.default_rng(2027)
+    return {
+        "series only": (1.5, rng.uniform(-12.0, 12.0, 256)),
+        "mixed": (0.5, rng.uniform(-40.0, 40.0, 200)),
+        "past 12": (2.0, rng.uniform(12.5, 300.0, 100)),
+        "0-d": (1.0, 7.5),
+        "0-d past 12": (0.0, -30.0),
+        "empty": (1.0, np.array([])),
+        "overflow at 800": (0.5, np.array([1.0, 13.0, 700.0, 800.0, -800.0])),
+    }
+
+
+_BESSEL_IMAG_PINS = {
+    "series only": "6b29884f983b8c10",
+    "mixed": "ad3b305e4829647d",
+    "past 12": "a2c6ddbf76652358",
+    "0-d": "9bca6ad3e4e7ec09",
+    "0-d past 12": "28855d8e7e66d2b1",
+    "empty": "c5d8df924835578a",
+    "overflow at 800": "3eccaa15532fe12d",
+}
+
+
+@pytest.mark.parametrize("name", list(_bessel_imag_pin_cases()))
+def test_bessel_j_imag_outputs_are_pinned(name):
+    if _library_digest() != _BESSEL_PIN_BUILD:
+        pytest.skip("numpy or scipy routines have other bits than on the recording build")
+    alpha, y = _bessel_imag_pin_cases()[name]
+    assert _pin_digest(bessel_j_imag(alpha, y)) == _BESSEL_IMAG_PINS[name]
+
+
 @pytest.mark.parametrize("alpha", [np.nan, np.inf, -np.inf, "a", None])
 @pytest.mark.parametrize("arg", [1.0, 20.0])
 @pytest.mark.parametrize("func", [bessel_j, bessel_j_imag])

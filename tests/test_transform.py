@@ -37,8 +37,8 @@ from dunklkit import (
 from dunklkit import measures
 from dunklkit.bessel_kingman import _angle_rule
 from dunklkit.quadrature import _tensor_grid
-from dunklkit.rank_one import (intertwiner_measure, kernel_unitary, signed_product_measure,
-                               spherical_mean, spherical_mean_measure)
+from dunklkit.rank_one import (kernel_unitary, signed_product_measure, spherical_mean,
+                               spherical_mean_measure)
 from dunklkit.special import bessel_j
 from dunklkit.transform import _contract_axes, axis_rule, weighted_grid
 from scipy.special import gamma, roots_jacobi
@@ -901,7 +901,8 @@ def test_radial_translate_names_the_profile_shape():
 
 # the mean's ids keep the names of the node budgets n_sphere and n_per_axis
 # it took before its one angle rule; each now checks n, the three-axis case
-# (refused while the mean built a tensor law) under n_per_axis
+# (refused while the mean built a tensor law) under n_per_axis; the one-axis
+# intertwiner_atoms keeps the id of the rank-one builder it replaced
 @pytest.mark.parametrize("call", [
     lambda v: spherical_mean_radial(KV2, np.cos, [0.7, 0.1], 0.8, n=v),
     lambda v: spherical_mean_radial((1.0,), np.cos, [0.7], 0.8, n=v),
@@ -909,14 +910,13 @@ def test_radial_translate_names_the_profile_shape():
     lambda v: radial_translate(KV2, np.cos, [0.7, 0.1], [0.3, 0.2], n_per_axis=v),
     lambda v: intertwiner_atoms(KV2, [0.7, 0.1], n_per_axis=v),
     lambda v: SphereQuadrature(KV2, n=v),
-    lambda v: SphereQuadrature(KV2, n=v, method="trapezoid"),
     lambda v: signed_product_measure(1.0, 0.7, 0.3, n=v),
     lambda v: signed_product_measure(0.0, 0.7, 0.3, n=v),
     lambda v: spherical_mean_measure(1.0, 0.7, 0.3, n=v),
     lambda v: spherical_mean(1.0, np.cos, 0.7, 0.3, n=v),
-    lambda v: intertwiner_measure(1.0, 0.7, n=v),
+    lambda v: intertwiner_atoms((1.0,), [0.7], n_per_axis=v),
 ], ids=["mean-n_sphere", "mean-rank-one-n_sphere", "mean-n_per_axis", "translate",
-        "intertwiner_atoms", "sphere", "sphere-trapezoid", "signed_product_measure",
+        "intertwiner_atoms", "sphere", "signed_product_measure",
         "signed_product_measure-k0", "spherical_mean_measure", "spherical_mean",
         "intertwiner_measure"])
 @pytest.mark.parametrize("bad", [0, 2.5, -1])
