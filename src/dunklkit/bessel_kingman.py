@@ -309,23 +309,24 @@ def cauchy_measure(lam: float, t: float) -> RadialProfileMeasure:
     return subordinate(lam, rho)
 
 
-def stable_half_subordinator(t: float, tail_mass: float = 1e-9,
-                             nodes_per_decade: int = 16) -> RadialProfileMeasure:
+_NODES_PER_DECADE = 16  # Gauss nodes per decade of the 1/2-stable law's log panels
+
+
+def stable_half_subordinator(t: float, tail_mass: float = 1e-9) -> RadialProfileMeasure:
     """Law of the 1/2-stable subordinator at time t.
 
     Density t exp(-t^2/4s) / (2 sqrt(pi) s^(3/2)) on s > 0; Laplace
-    transform exp(-t sqrt(u)).  Log-scale Gauss panels cover the bulk and
-    the slowly decaying s^(-3/2) tail up to the requested residual mass,
-    which is then carried by a single far atom (the CDF is erfc(t/2sqrt(s)),
-    so the cut is exact).  tail_mass lies in (0, 1).
+    transform exp(-t sqrt(u)).  Log-scale Gauss panels, _NODES_PER_DECADE
+    nodes per decade, cover the bulk and the slowly decaying s^(-3/2) tail up
+    to the requested residual mass, carried then by a single far atom (the
+    CDF is erfc(t/2sqrt(s)), so the cut is exact).  tail_mass lies in (0, 1).
     """
     t = _positive_time(t, "time")
     if not 0.0 < _finite(tail_mass, "tail_mass") < 1.0:
         raise ConfigError(f"tail_mass must lie in (0, 1), got {tail_mass}")
-    nodes_per_decade = _node_count(nodes_per_decade, "nodes_per_decade")
     s_lo = t * t / 160.0
     s_hi = (t / (np.sqrt(np.pi) * tail_mass)) ** 2
-    rule = log_panel_rule(s_lo, s_hi, nodes_per_decade)
+    rule = log_panel_rule(s_lo, s_hi, _NODES_PER_DECADE)
     s = rule.nodes
     dens = t * np.exp(-t * t / (4.0 * s)) / (2.0 * np.sqrt(np.pi) * s**1.5)
     residual = float(erf(t / (2.0 * np.sqrt(s_hi))))  # mass beyond s_hi

@@ -42,6 +42,7 @@ __all__ = [
 ]
 
 _AXIS_TOL = 1e-9  # coordinates this small are treated as exactly on the wall
+_H_OPERATOR, _H_LAPLACIAN = 1e-5, 1e-4  # finite-difference steps of the two operators
 
 
 @dataclass(frozen=True)
@@ -155,18 +156,19 @@ def _reflected(x, i):
     return y
 
 
-def dunkl_operator(kv, f, x, xi, h: float = 1e-5) -> float:
+def dunkl_operator(kv, f, x, xi) -> float:
     """Dunkl operator T_xi f(x) for a scalar callable f on R^N:
 
         T_xi f = d_xi f + sum_i k_i xi_i (f(x) - f(sigma_i x)) / x_i.
 
-    The derivative uses fourth-order central differences with step h; the
-    difference part is exact, with the wall limit
+    The derivative takes fourth-order central differences, step _H_OPERATOR;
+    the difference part is exact, with the wall limit
     (f - f o sigma_i)/x_i -> 2 d_i f picked up automatically at x_i = 0.
     """
     kv = _as_kv(kv)
     x, xi = _coords(kv, "x", x, point=True), _coords(kv, "xi", xi, point=True)
-    total = sum(xi[i] * _partial(f, x, i, h) for i in range(kv.n_axes) if xi[i] != 0.0)
+    total = sum(xi[i] * _partial(f, x, i, _H_OPERATOR)
+                for i in range(kv.n_axes) if xi[i] != 0.0)
     fx = f(x)
     for i, ki in enumerate(kv.k):
         if ki == 0.0 or xi[i] == 0.0:
@@ -175,21 +177,22 @@ def dunkl_operator(kv, f, x, xi, h: float = 1e-5) -> float:
             total += ki * xi[i] * (fx - f(_reflected(x, i))) / x[i]
         else:
             # odd-part derivative: (f(x + s e_i) - f(x - s e_i)) / s at s -> 0
-            total += ki * xi[i] * (2.0 * _partial(f, x, i, h))
+            total += ki * xi[i] * (2.0 * _partial(f, x, i, _H_OPERATOR))
     return float(total)
 
 
-def dunkl_laplacian(kv, f, x, h: float = 1e-4) -> float:
+def dunkl_laplacian(kv, f, x) -> float:
     """Dunkl Laplacian sum_i T_i^2 f(x), in its explicit one-reflection form:
 
         Delta_k f = Delta f + sum_i k_i [ 2 d_i f / x_i - (f - f o sigma_i) / x_i^2 ].
 
-    On a wall x_i = 0 the bracket degenerates to 2 k_i d_i^2 f.  Points
-    very close to (but not on) a wall suffer the cancellation inherent in
-    the bracket; keep |x_i| either zero or above ~1e-4 for full accuracy.
+    Derivatives are fourth-order differences of step _H_LAPLACIAN.  On a
+    wall x_i = 0 the bracket degenerates to 2 k_i d_i^2 f.  Points very
+    close to (but not on) a wall suffer the cancellation inherent in the
+    bracket; keep |x_i| either zero or above ~1e-4 for full accuracy.
     """
     kv = _as_kv(kv)
-    x = _coords(kv, "x", x, point=True)
+    x, h = _coords(kv, "x", x, point=True), _H_LAPLACIAN
     total = sum(_partial2(f, x, i, h) for i in range(kv.n_axes))
     fx = f(x)
     for i, ki in enumerate(kv.k):

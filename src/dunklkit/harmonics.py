@@ -280,7 +280,7 @@ def funk_hecke_pair(kv, coeffs: np.ndarray, x, rule: SphereQuadrature | None = N
     return complex(lhs), complex(rhs)
 
 
-def orbit_integral(kv, x, z, r: float, n_intertwiner: int = 64) -> float:
+def orbit_integral(kv, x, z, r: float) -> float:
     """Two-kernel spherical average
 
         I(x, z, r) = (1/d) int_{S^1} E_k(ix, r eta) E_k(-iz, r eta) w_k dsigma(eta),
@@ -291,15 +291,14 @@ def orbit_integral(kv, x, z, r: float, n_intertwiner: int = 64) -> float:
 
     which is the generalized translation radial_translate of the profile
     s -> j_lam(r s) from z to x: one Bessel profile over the intertwining
-    measure of z instead of two oscillating kernels.  The direct sphere
-    quadrature of the first form shares no code with it and is computed by
-    the verification suite's orbit-integral cases.  The value is real and
-    symmetric in x <-> z; x = 0 or z = 0 degenerates to the plain
-    radialization j_lam(r |z|) resp. j_lam(r |x|).
+    measure of z, 64 atoms per axis, instead of two oscillating kernels.
+    The direct sphere quadrature of the first form shares no code with it
+    and is computed by the verification suite's orbit-integral cases.  The
+    value is real and symmetric in x <-> z; x = 0 or z = 0 degenerates to
+    the plain radialization j_lam(r |z|) resp. j_lam(r |x|).
     """
     kv = _require_planar(kv)
-    return float(radial_translate(kv, lambda s: bessel_j(kv.lam, r * s), z, x,
-                                  n_per_axis=n_intertwiner))
+    return float(radial_translate(kv, lambda s: bessel_j(kv.lam, r * s), z, x, n_per_axis=64))
 
 
 def addition_theorem_residual(lam: float, s: float, t: float, costheta,

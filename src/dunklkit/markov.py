@@ -116,9 +116,9 @@ class KRadialMeasure:
         return cls(kv, dirac(0.0, lam=kv.lam))
 
     @classmethod
-    def heat(cls, kv, t: float, n: int = 256) -> "KRadialMeasure":
+    def heat(cls, kv, t: float) -> "KRadialMeasure":
         kv = _as_kv(kv)
-        return cls(kv, rayleigh_measure(kv.lam, t, n=n))
+        return cls(kv, rayleigh_measure(kv.lam, t))
 
     @classmethod
     def cauchy(cls, kv, t: float) -> "KRadialMeasure":
@@ -273,11 +273,9 @@ class KernelSemigroup:
     def kernel(self, t: float) -> MarkovKernelHandle:
         return MarkovKernelHandle(self.measure(t), time=float(t), kind=self.kind)
 
-    def simulate(self, t_grid, n_paths: int, seed: int,
-                 n_blocks: int = _N_BLOCKS, threads: int | None = None) -> "PathEnsemble":
-        """Exact paths of the semigroup's process (simulate_paths)."""
-        return simulate_paths(self.kv, t_grid, n_paths, seed, kind=self.kind,
-                              n_blocks=n_blocks, threads=threads)
+    def simulate(self, t_grid, n_paths: int, seed: int) -> "PathEnsemble":
+        """Exact paths of the semigroup's process (simulate_paths, default blocks and threads)."""
+        return simulate_paths(self.kv, t_grid, n_paths, seed, kind=self.kind)
 
 
 def _process(kind):

@@ -132,9 +132,9 @@ class RadialProfileMeasure(LineMeasure):
             raise ConfigError("radial atoms must sit at r >= 0")
 
 
-def dirac(position: float, cls=RadialProfileMeasure, lam: float | None = None):
+def dirac(position: float, lam: float | None = None) -> RadialProfileMeasure:
     """Unit point mass."""
-    return cls(atoms=[(position, 1.0)], lam=lam)
+    return RadialProfileMeasure(atoms=[(position, 1.0)], lam=lam)
 
 
 def measure_to_json(mu: LineMeasure, meta: dict | None = None) -> str:
@@ -158,7 +158,7 @@ def measure_to_json(mu: LineMeasure, meta: dict | None = None) -> str:
                            for k, v in payload.items()) + "}"
 
 
-def measure_from_json(text: str, cls=RadialProfileMeasure) -> LineMeasure:
+def measure_from_json(text: str) -> RadialProfileMeasure:
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -186,7 +186,7 @@ def measure_from_json(text: str, cls=RadialProfileMeasure) -> LineMeasure:
         raise ConfigError("measure 'grid', 'density' and 'weights' must be flat lists")
     if not (finite and all(np.isfinite(a).all() for a in arrays.values())):
         raise ConfigError("measure JSON holds a NaN or infinite number")
-    return cls(**arrays, atoms=atoms, lam=lam)
+    return RadialProfileMeasure(**arrays, atoms=atoms, lam=lam)
 
 
 def as_weighted_atoms(mu: LineMeasure, cap: int | None = None) -> tuple[np.ndarray, np.ndarray]:

@@ -68,14 +68,19 @@ def gauss_jacobi(n: int, alpha: float, beta: float, a: float, b: float) -> Quadr
 
         integral_a^b g(x) (b-x)^alpha (x-a)^beta dx ~ sum(w * g(nodes)).
 
-    Requires alpha, beta > -1.
+    Requires alpha, beta > -1, and weights inside the float range.
     """
     if alpha <= -1.0 or beta <= -1.0:
         raise QuadratureError(f"Jacobi exponents must exceed -1, got ({alpha}, {beta})")
     x, w = _gauss_roots("jacobi", n, float(alpha), float(beta))
     half = 0.5 * (b - a)
-    # the affine map contributes half^(alpha+beta+1) from the weight factors
-    return QuadratureRule(a + half * (x + 1.0), w * half ** (alpha + beta + 1.0))
+    try:  # the affine map contributes half^(alpha+beta+1) from the weight factors
+        scale = float(half) ** (alpha + beta + 1.0)
+    except OverflowError:
+        scale = np.inf
+    if scale * float(w.max()) == np.inf:  # w > 0: the largest weight overflows first
+        raise QuadratureError(f"Gauss-Jacobi weights on [{a}, {b}] overflow the float range")
+    return QuadratureRule(a + half * (x + 1.0), w * scale)
 
 
 def _quadrant_rule(n: int, k1: float, k2: float) -> tuple[np.ndarray, np.ndarray]:

@@ -140,9 +140,9 @@ def spherical_mean_measure(k: float, x: float, t: float, n: int = 128) -> LineMe
     return _mirrored_measure(k, abs(x), t, split, n)
 
 
-def spherical_mean(k: float, f, x: float, t: float, n: int = 128):
-    """Evaluate the spherical mean M_f(x, t) = int f dsigma_{x,t}."""
-    return spherical_mean_measure(k, x, t, n=n).integrate(f)
+def spherical_mean(k: float, f, x: float, t: float):
+    """Evaluate the spherical mean M_f(x, t) = int f dsigma_{x,t} on the 128-node measure."""
+    return spherical_mean_measure(k, x, t, n=128).integrate(f)
 
 
 def _intertwiner_nodes(k: float, x: float, n: int) -> tuple[np.ndarray, np.ndarray]:

@@ -38,13 +38,11 @@ from .special import _scaled_bessel_imag, bessel_j, radial_bessel_operator
 __all__ = [
     "GridFunction",
     "axis_rule",
-    "weighted_grid",
     "TransformPlan",
     "dunkl_transform_grid",
     "heat_kernel",
     "heat_kernel_spectral",
     "radial_heat_profile",
-    "heat_normalization_defect",
     "chapman_kolmogorov_defect",
     "radial_translate",
     "translated_normalization_defect",
@@ -191,14 +189,6 @@ def _check_shape(values, shape: tuple, what: str) -> np.ndarray:
     if values.shape != shape:
         raise ConfigError(f"{what} has shape {values.shape}; expected {shape}")
     return values
-
-
-def weighted_grid(kv, extents, n) -> tuple[np.ndarray, np.ndarray]:
-    """Tensor grid (points (M, N), weights (M,)) for integrals against w_k dx."""
-    kv = _as_kv(kv)
-    rules = [axis_rule(k, ext, ni) for k, ext, ni in
-             zip(kv.k, _per_axis(kv, extents, "extents"), _per_axis(kv, n, "n"))]
-    return _tensor_grid([r.nodes for r in rules], [r.weights for r in rules])
 
 
 def _contract_axes(values, factors) -> np.ndarray:
@@ -440,18 +430,17 @@ def radial_heat_profile(kv, t: float, r):
     return np.exp(-(r * r) / (4.0 * t)) / ((2.0 * t) ** (kv.lam + 1.0) * kv.c_norm)
 
 
-def heat_kernel_spectral(kv, s: float, x, y, extent=None, n: int = 128):
+def heat_kernel_spectral(kv, s: float, x, y):
     """Heat kernel through its frequency representation,
 
         (1/c_k^2) int e^(-s |xi|^2) E_k(-ix, xi) E_k(iy, xi) w_k(xi) dxi,
 
-    evaluated axis by axis.  Independent of the closed form."""
+    evaluated axis by axis on axis_rule(k_i, sqrt(80 / s), 128), where the
+    Gaussian factor is e^(-80).  Independent of the closed form."""
     s = _positive_time(s, "heat kernel time")
-    if extent is None:
-        extent = np.sqrt(80.0 / s)
 
     def axis(k, a, b):
-        rule = axis_rule(k, float(extent), n)
+        rule = axis_rule(k, np.sqrt(80.0 / s), 128)
         ker_x, ker_y = (kernel_unitary(k, rule.nodes, p[..., None]) for p in (a, b))
         return np.sum(rule.weights * np.exp(-s * rule.nodes**2) * np.conj(ker_x) * ker_y,
                       axis=-1) / _axis_c_norm(k) ** 2
@@ -459,27 +448,23 @@ def heat_kernel_spectral(kv, s: float, x, y, extent=None, n: int = 128):
     return _axis_product(kv, axis, np.atleast_1d(x), np.atleast_1d(y))
 
 
-def heat_normalization_defect(kv, s: float, x, n: int = 96) -> float:
-    """|integral Gamma_s(x, y) w_k(y) dy - 1| by weighted-grid quadrature."""
-    kv = _as_kv(kv)
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    extent = float(np.max(np.abs(x))) + np.sqrt(160.0 * s)
-    pts, wts = weighted_grid(kv, extent, n)
-    vals = heat_kernel(kv, s, x, pts)
-    return abs(float(np.sum(wts * vals)) - 1.0)
-
-
-def chapman_kolmogorov_defect(kv, s1: float, s2: float, x, y, n: int = 96) -> float:
+def chapman_kolmogorov_defect(kv, s1: float, s2: float, x, y) -> float:
     """Relative defect of int Gamma_s1(x, z) Gamma_s2(z, y) w(z) dz
-    against Gamma_(s1+s2)(x, y)."""
+    against Gamma_(s1+s2)(x, y).  The integrand factorizes over the axes, so
+    the integral is a product of 1-D sums on axis_rule(k_i, L, 96), with
+    L = max(|x_i|, |y_i|) + sqrt(160 max(s1, s2)): N * 192 nodes, no tensor grid."""
+    s1, s2 = _positive_time(s1, "heat kernel time s1"), _positive_time(s2, "heat kernel time s2")
     kv = _as_kv(kv)
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    reach = float(max(np.max(np.abs(x)), np.max(np.abs(y))))
-    extent = reach + np.sqrt(160.0 * max(s1, s2))
-    pts, wts = weighted_grid(kv, extent, n)
-    lhs = float(np.sum(wts * heat_kernel(kv, s1, x, pts) * heat_kernel(kv, s2, y, pts)))
-    rhs = float(heat_kernel(kv, s1 + s2, x, np.atleast_2d(y))[0])
+    x, y = _coords(kv, "x", x, point=True), _coords(kv, "y", y, point=True)
+    extent = float(np.max(np.abs([x, y]))) + np.sqrt(160.0 * max(s1, s2))
+
+    def axis(k, a, b):
+        rule = axis_rule(k, extent, 96)
+        return np.sum(rule.weights * _heat_axis(k, s1, a, rule.nodes)
+                      * _heat_axis(k, s2, b, rule.nodes))
+
+    lhs = float(_axis_product(kv, axis, x, y))
+    rhs = float(heat_kernel(kv, s1 + s2, x, y))
     return abs(lhs - rhs) / abs(rhs)
 
 
@@ -528,21 +513,22 @@ def radial_translate(kv, f0, x, y, n_per_axis: int = 48):
     return out[0] if squeeze else out
 
 
-def translated_normalization_defect(kv, t: float, x, n: int = 96,
-                                    n_per_axis: int = 40) -> float:
+def translated_normalization_defect(kv, t: float, x) -> float:
     """Mass defect of the translated heat profile:
 
         | int tau_x F_t(y) w_k(y) dy  -  1 |
 
     with F_t the radial heat profile.  Exercises the translation and the
-    weighted grid together; the closed-form heat kernel never enters.
+    weighted quadrature together; the closed-form heat kernel never enters.
+    The translation couples the axes: y runs over the (192)^N tensor grid of
+    axis_rule(k_i, max |x_i| + sqrt(160 t), 96), over 40^N intertwiner atoms.
     """
+    t = _positive_time(t, "heat kernel time")
     kv = _as_kv(kv)
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    extent = float(np.max(np.abs(x))) + np.sqrt(160.0 * t)
-    pts, wts = weighted_grid(kv, extent, n)
-    vals = radial_translate(kv, lambda r: radial_heat_profile(kv, t, r), x, pts,
-                            n_per_axis=n_per_axis)
+    x = _coords(kv, "x", x, point=True)
+    rules = [axis_rule(k, float(np.max(np.abs(x))) + np.sqrt(160.0 * t), 96) for k in kv.k]
+    pts, wts = _tensor_grid([r.nodes for r in rules], [r.weights for r in rules])
+    vals = radial_translate(kv, lambda r: radial_heat_profile(kv, t, r), x, pts, n_per_axis=40)
     return abs(float(np.sum(wts * vals)) - 1.0)
 
 

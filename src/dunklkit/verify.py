@@ -13,6 +13,7 @@ reports serialize to plain dicts for the command-line front end.
 
 from __future__ import annotations
 
+import json
 import os
 import tempfile
 import time
@@ -43,7 +44,7 @@ from .harmonics import (SphereQuadrature, _reproducing_kernel_gegenbauer,
                         addition_theorem_residual, funk_hecke_pair, harmonic_basis,
                         kernel_series, orbit_integral, plane_wave_residual, reproducing_kernel)
 from .markov import (KRadialMeasure, composed_kernel_hat, convolve_k, gaussian_kernel_hat,
-                     marginal_ks, simulate_paths, subordinated_kernel_hat)
+                     marginal_ks, semigroup_from_json, simulate_paths, subordinated_kernel_hat)
 from .measures import as_weighted_atoms
 from .quadrature import _tensor_grid
 from .special import bessel_j, bessel_j_imag
@@ -56,8 +57,8 @@ from .transform import (
     darboux_residual,
     heat_kernel,
     heat_kernel_spectral,
-    heat_normalization_defect,
     radial_bump,
+    radial_heat_profile,
     spherical_mean_radial,
     spherical_mean_spectral,
     spherical_mean_wave,
@@ -611,7 +612,11 @@ def _suite_darboux() -> list[CaseResult]:
 def _suite_chapman_kolmogorov() -> list[CaseResult]:
     """Two-step heat compositions against the single step, mass
     normalization of plain and translated heat kernels, and the closed form
-    against the kernel's frequency representation."""
+    against the kernel's frequency representation.  Composition (96 + 96
+    nodes per axis), mass (gaussian_kernel_hat at xi = 0, 160 + 160) and the
+    spectral route (128 + 128) go axis by axis, composition and mass up to
+    N = 3; the translated mass couples the axes on (192)^N points x 40^N
+    atoms, so it stays at N <= 2."""
     t_ck = TOLERANCES["chapman-kolmogorov"]
     t_norm = TOLERANCES["heat-normalization"]
     t_trans = TOLERANCES["translated-normalization"]
@@ -619,22 +624,19 @@ def _suite_chapman_kolmogorov() -> list[CaseResult]:
     cases = [((1.0,), np.array([0.7]), np.array([-0.4])),
              ((0.5,), np.array([1.2]), np.array([0.3])),
              ((1.0, 1.0), np.array([0.8, -0.5]), np.array([-0.2, 0.9])),
-             ((2.0, 0.5), np.array([1.0, 0.4]), np.array([0.6, -0.8]))]
+             ((2.0, 0.5), np.array([1.0, 0.4]), np.array([0.6, -0.8])),
+             ((1.0, 0.5, 0.3), np.array([0.7, -0.4, 0.5]), np.array([-0.3, 0.6, 0.2]))]
     for k, x, y in cases:
         kv = MultiplicityVector(k)
         worst = max(chapman_kolmogorov_defect(kv, s1, s2, x, y)
                     for s1, s2 in ((0.25, 0.75), (0.5, 0.5)))
         out.append(CaseResult(f"composition k={k}", worst, t_ck))
-        out.append(CaseResult(f"normalization k={k}",
-                              heat_normalization_defect(kv, 0.5, x), t_norm))
-    out.append(CaseResult(
-        "translated normalization k=(1,) x=1 y=-1 s=0.5",
-        translated_normalization_defect(MultiplicityVector((1.0,)), 0.5,
-                                        np.array([1.0])), t_trans))
-    out.append(CaseResult(
-        "translated normalization k=(1,0.5) x=(1,-1) s=0.4",
-        translated_normalization_defect(MultiplicityVector((1.0, 0.5)), 0.4,
-                                        np.array([1.0, -1.0])), t_trans))
+        mass = gaussian_kernel_hat(kv, 0.5, x, np.zeros(kv.n_axes))
+        out.append(CaseResult(f"normalization k={k}", abs(mass - 1.0), t_norm))
+    for name, k, s, x in (("k=(1,) x=1 y=-1 s=0.5", (1.0,), 0.5, [1.0]),
+                          ("k=(1,0.5) x=(1,-1) s=0.4", (1.0, 0.5), 0.4, [1.0, -1.0])):
+        out.append(CaseResult(f"translated normalization {name}",
+                              translated_normalization_defect(k, s, x), t_trans))
     for k, x, y in (((1.0,), [0.7], [-0.4]), ((1.0, 0.5), [0.8, -0.3], [0.2, 0.9])):
         kv = MultiplicityVector(k)
         worst = max(float(np.abs(heat_kernel(kv, s, x, y) - heat_kernel_spectral(kv, s, x, y)))
@@ -687,9 +689,10 @@ def _suite_bessel_kingman() -> list[CaseResult]:
 
 def _suite_markov() -> list[CaseResult]:
     """Transform factorization of the transition kernels by direct
-    quadrature, the semigroup law for composed kernels, multiplicativity
-    on radial profiles, weak continuity in time, marginal laws of the
-    exact sampler, and bytewise reproducibility."""
+    quadrature, the semigroup law for composed kernels and for the heat
+    kernel delta_x *_k mu_t applied to a radial heat profile (P_t F_s =
+    F_(t+s)), multiplicativity on radial profiles, weak continuity in time,
+    marginal laws of the exact sampler, and bytewise reproducibility."""
     t_inv = TOLERANCES["markov-invariance"]
     t_sg = TOLERANCES["markov-semigroup"]
     t_mor = TOLERANCES["markov-morphism"]
@@ -723,6 +726,12 @@ def _suite_markov() -> list[CaseResult]:
                         - gaussian_kernel_hat(kv, s + t, x, xis[0]))
                     for s, t in ((0.25, 0.75), (0.5, 0.5)))
         out.append(CaseResult(f"composition k={k}", worst, t_sg))
+    for k, x in (((1.0,), [1.0]), ((1.0, 0.5), [0.8, -0.5]), ((2.0, 0.5, 0.3), [0.8, -0.5, 0.3])):
+        sg = semigroup_from_json(json.dumps({"type": "gaussian", "k": k}))
+        worst = max(abs(sg.kernel(t).apply(x, f0=lambda r: radial_heat_profile(sg.kv, s, r))
+                        - radial_heat_profile(sg.kv, t + s, float(np.linalg.norm(x))))
+                    for t, s in ((0.3, 0.5), (1.0, 0.25)))
+        out.append(CaseResult(f"translated heat kernel k={k}", worst, t_sg))
     kv = MultiplicityVector((1.0,))
     x, xis = probes[1]
     worst = 0.0

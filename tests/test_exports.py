@@ -151,3 +151,73 @@ def test_every_public_name_is_reached():
     reached = _reached()
     assert [name for name in dunklkit.__all__
             if _resolve(defs, imports, "__init__", name) not in reached] == []
+
+
+# ---------------------------------------------------------------------------
+# every defaulted public parameter is set by some caller of the package
+
+_CALLERS = ("src", "bench", "perfbench")
+# parameters no caller sets, each kept for the reason given
+_UNSET_BY_DESIGN = {
+    "spherical_mean_radial.n": "the node budget that a resolution policy and a "
+                               "refinement ladder study",
+    "LineMeasure.check_probability.tol": "the bound is the caller's: tests check "
+                                         "measures at 1e-12, 1e-10 and 1e-8",
+    "RadialProfileMeasure.check_probability.tol": "inherited from LineMeasure",
+    "MarkovKernelHandle.apply.f": "exactly one of f, f0 is passed: f is the rank-one "
+                                  "general test function, f0 the radial one the suites take",
+}
+
+
+def _calls() -> dict:
+    """Per called name (a bare name or an attribute), one (positional count,
+    keyword names, has * or **) entry for each call in the package and the
+    benchmark scripts."""
+    root = Path(__file__).resolve().parents[1]
+    calls = {}
+    for path in sorted(p for d in _CALLERS for p in (root / d).rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute)):
+                name = node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+                star = (any(isinstance(a, ast.Starred) for a in node.args)
+                        or any(k.arg is None for k in node.keywords))
+                calls.setdefault(name, []).append(
+                    (len(node.args), {k.arg for k in node.keywords}, star))
+    return calls
+
+
+def _defaulted_parameters() -> list:
+    """(dotted name, is set) of every defaulted parameter of _signatures(); a
+    call sets it by keyword, by position or through * / **.  A method call
+    matches by its attribute name, a constructor by the name of its class or
+    a subclass."""
+    calls, out = _calls(), []
+    for name, sig in _signatures():
+        obj = getattr(dunklkit, name.split(".")[0])
+        params = list(sig.parameters.values())
+        if "." in name:
+            names = {name.rsplit(".", 1)[1]}
+            params = params[1:] if params and params[0].name in ("self", "cls") else params
+        elif inspect.isclass(obj):
+            todo, names = [obj], set()
+            while todo:
+                cls = todo.pop()
+                names.add(cls.__name__)
+                todo += cls.__subclasses__()
+        else:
+            names = {name}
+        for i, p in enumerate(params):
+            if p.default is inspect.Parameter.empty:
+                continue
+            positional = p.kind in (p.POSITIONAL_ONLY, p.POSITIONAL_OR_KEYWORD)
+            set_ = any(star or p.name in keywords or (positional and n_pos > i)
+                       for called in names for n_pos, keywords, star in calls.get(called, []))
+            out.append((f"{name}.{p.name}", set_))
+    return out
+
+
+def test_every_public_parameter_is_set():
+    # with one value in use, a parameter is a constant: a default that no
+    # caller overrides is surface to validate, document and sweep for nothing
+    unset = sorted(name for name, set_ in _defaulted_parameters() if not set_)
+    assert unset == sorted(_UNSET_BY_DESIGN)  # a stale allowlist entry fails too

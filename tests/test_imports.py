@@ -170,6 +170,7 @@ def test_recurrence_checker_flags_a_second_loop(tmp_path):
 @pytest.mark.parametrize("module, name", [
     ("transform", "heat_kernel"), ("transform", "heat_kernel_spectral"),
     ("markov", "gaussian_kernel_hat"), ("markov", "composed_kernel_hat"),
+    ("transform", "chapman_kolmogorov_defect"),
 ])
 def test_heat_functions_leave_the_axis_loop_to_the_core(module, name):
     # the per-axis product is core._axis_product's job

@@ -144,7 +144,7 @@ def test_measure_json_roundtrip(offsets, dens, atom_r, atom_w):
     mu = RadialProfileMeasure(
         grid=grid, density=density, atoms=[(atom_r, atom_w)], lam=1.5
     )
-    back = measure_from_json(measure_to_json(mu), cls=RadialProfileMeasure)
+    back = measure_from_json(measure_to_json(mu))
     # JSON uses repr(float), which round-trips doubles exactly
     assert np.array_equal(back.grid, mu.grid)
     assert np.array_equal(back.density, mu.density)

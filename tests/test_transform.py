@@ -12,6 +12,7 @@ import pytest
 
 from dunklkit import (
     ConfigError,
+    QuadratureError,
     GridFunction,
     MultiplicityVector,
     SphereQuadrature,
@@ -24,7 +25,6 @@ from dunklkit import (
     dunkl_transform_grid,
     heat_kernel,
     heat_kernel_spectral,
-    heat_normalization_defect,
     intertwiner_atoms,
     radial_bump,
     radial_heat_profile,
@@ -36,11 +36,11 @@ from dunklkit import (
 )
 from dunklkit import measures
 from dunklkit.bessel_kingman import _angle_rule
+from dunklkit.markov import gaussian_kernel_hat
 from dunklkit.quadrature import _tensor_grid
-from dunklkit.rank_one import (kernel_unitary, signed_product_measure, spherical_mean,
-                               spherical_mean_measure)
+from dunklkit.rank_one import kernel_unitary, signed_product_measure, spherical_mean_measure
 from dunklkit.special import bessel_j
-from dunklkit.transform import _contract_axes, axis_rule, weighted_grid
+from dunklkit.transform import _contract_axes, axis_rule
 from scipy.special import gamma, roots_jacobi
 
 KV2 = MultiplicityVector(k=(1.0, 0.5))
@@ -112,12 +112,6 @@ def test_axis_rule_gaussian_moment():
         assert got == pytest.approx(2.0**k * gamma(k + 0.5), rel=1e-13)
 
 
-def test_weighted_grid_gaussian_mass():
-    pts, wts = weighted_grid(KV2, 12.0, 48)
-    got = float(np.sum(wts * np.exp(-0.5 * np.sum(pts * pts, axis=-1))))
-    assert got == pytest.approx(KV2.c_norm, rel=1e-13)
-
-
 @pytest.mark.parametrize("k", [0.0, 0.5, 1.0, 2.5])
 @pytest.mark.parametrize("n", [1, 7, 40, 160])
 def test_axis_rule_is_bitwise_mirror_symmetric(k, n):
@@ -140,13 +134,16 @@ def test_axis_rule_rejects_bad_extent_and_count(extent, n):
         axis_rule(1.0, extent, n)
 
 
-def test_weighted_grid_rejects_wrong_axis_counts():
-    with pytest.raises(ConfigError, match=r"\(2,\)"):
-        weighted_grid(KV2, [4.0, 4.0, 4.0], 8)
-    with pytest.raises(ConfigError, match=r"\(2,\)"):
-        weighted_grid(KV2, 4.0, [8, 8, 8])
-    with pytest.raises(ConfigError):
-        weighted_grid(KV2, 4.0, 8.5)
+@pytest.mark.parametrize("call", [
+    lambda: axis_rule(1.0, 1e200, 8),
+    lambda: gaussian_kernel_hat(KV2, 0.5, [1e200, 0.2], [0.0, 0.0]),
+    lambda: heat_kernel_spectral(KV2, 1e-300, [0.5, 0.1], [0.3, 0.2]),
+], ids=["axis_rule", "gaussian_kernel_hat", "heat_kernel_spectral"])
+def test_gauss_jacobi_weight_overflow_is_a_quadrature_error(call):
+    # half^(alpha + beta + 1) raised a bare OverflowError; at s = 1e-300 the
+    # spectral extent sqrt(80 / s) is about 9e150
+    with pytest.raises(QuadratureError, match="overflow"):
+        call()
 
 
 # ---------------------------------------------------------------------------
@@ -554,7 +551,8 @@ def test_heat_kernel_broadcasts_over_both_points():
 
 
 def test_heat_normalization_and_chapman_kolmogorov():
-    assert heat_normalization_defect(KV2, 0.8, np.array([0.7, -0.2])) < 1e-8
+    # E_k(0, .) = 1: the transform at xi = 0 is the kernel's mass
+    assert abs(gaussian_kernel_hat(KV2, 0.8, np.array([0.7, -0.2]), np.zeros(2)) - 1.0) < 1e-8
     assert chapman_kolmogorov_defect(KV2, 0.3, 0.5, np.array([0.4, 0.1]),
                                      np.array([-0.6, 0.8])) < 1e-8
 
@@ -587,6 +585,32 @@ def test_radial_translate_classical_limit():
     y = np.array([[1.0, 0.5]])
     got = radial_translate(kv, f0, x, y)[0]
     assert got == pytest.approx(float(np.exp(-np.linalg.norm(x - y[0]))), rel=1e-14)
+
+
+def test_chapman_kolmogorov_axis_sums_match_the_tensor_grid():
+    # the per-axis product of 1-D sums against the (2n)^N tensor sum it replaced
+    s1, s2, x, y = 0.3, 0.5, np.array([0.4, 0.1]), np.array([-0.6, 0.8])
+    extent = 0.8 + np.sqrt(160.0 * s2)
+    rules = [axis_rule(k, extent, 96) for k in KV2.k]
+    pts, wts = _tensor_grid([r.nodes for r in rules], [r.weights for r in rules])
+    lhs = np.sum(wts * heat_kernel(KV2, s1, x, pts) * heat_kernel(KV2, s2, y, pts))
+    rhs = float(heat_kernel(KV2, s1 + s2, x, y))
+    tensor = abs(lhs - rhs) / rhs
+    assert abs(chapman_kolmogorov_defect(KV2, s1, s2, x, y) - tensor) <= 1e-13
+
+
+@pytest.mark.parametrize("bad", [-1.0, 0.0, float("nan"), float("inf")])
+@pytest.mark.parametrize("call", [
+    lambda t: translated_normalization_defect(KV2, t, [1.0, -1.0]),
+    lambda t: chapman_kolmogorov_defect(KV2, t, 0.5, [0.4, 0.1], [-0.6, 0.8]),
+    lambda t: chapman_kolmogorov_defect(KV2, 0.5, t, [0.4, 0.1], [-0.6, 0.8]),
+    lambda t: chapman_kolmogorov_defect(KV2, t, t, [0.4, 0.1], [-0.6, 0.8]),
+], ids=["translated_normalization", "chapman_kolmogorov-s1", "chapman_kolmogorov-s2",
+        "chapman_kolmogorov-both"])
+def test_heat_defects_check_their_times_first(call, bad):
+    # a negative time warned in sqrt and then blamed a NaN axis extent
+    with pytest.raises(ConfigError, match="time"):
+        call(bad)
 
 
 def test_translated_normalization():
@@ -913,11 +937,10 @@ def test_radial_translate_names_the_profile_shape():
     lambda v: signed_product_measure(1.0, 0.7, 0.3, n=v),
     lambda v: signed_product_measure(0.0, 0.7, 0.3, n=v),
     lambda v: spherical_mean_measure(1.0, 0.7, 0.3, n=v),
-    lambda v: spherical_mean(1.0, np.cos, 0.7, 0.3, n=v),
     lambda v: intertwiner_atoms((1.0,), [0.7], n_per_axis=v),
 ], ids=["mean-n_sphere", "mean-rank-one-n_sphere", "mean-n_per_axis", "translate",
         "intertwiner_atoms", "sphere", "signed_product_measure",
-        "signed_product_measure-k0", "spherical_mean_measure", "spherical_mean",
+        "signed_product_measure-k0", "spherical_mean_measure",
         "intertwiner_measure"])
 @pytest.mark.parametrize("bad", [0, 2.5, -1])
 def test_radial_layer_node_budgets_are_config_errors(call, bad):
