@@ -323,7 +323,10 @@ def semigroup_from_json(text: str) -> KernelSemigroup:
 # honest transforms of the transition kernels (quadrature, no factorization)
 
 
-def gaussian_kernel_hat(kv, t: float, x, xi, n: int = 160) -> complex:
+_HAT_NODES = 160  # Gauss-Jacobi nodes per axis panel of the transition-kernel transforms
+
+
+def gaussian_kernel_hat(kv, t: float, x, xi) -> complex:
     """Transform of the heat transition kernel,
 
         int E_k(-i xi, y) Gamma_k(t, x, y) w_k(y) dy,
@@ -334,14 +337,14 @@ def gaussian_kernel_hat(kv, t: float, x, xi, n: int = 160) -> complex:
     t = _positive_time(t, "kernel time")
 
     def axis(k, x_i, xi_i):
-        rule = axis_rule(k, abs(float(x_i)) + np.sqrt(160.0 * t), n)
+        rule = axis_rule(k, abs(float(x_i)) + np.sqrt(160.0 * t), _HAT_NODES)
         e = np.conj(kernel_unitary(k, xi_i, rule.nodes))
         return np.sum(rule.weights * _heat_axis(k, t, x_i, rule.nodes) * e)
 
     return complex(_axis_product(kv, axis, np.atleast_1d(x), np.atleast_1d(xi)))
 
 
-def composed_kernel_hat(kv, s: float, t: float, x, xi, n: int = 160) -> complex:
+def composed_kernel_hat(kv, s: float, t: float, x, xi) -> complex:
     """Transform of the two-step composition (P_s o P_t)(x, .),
 
         int int E_k(-i xi, y) Gamma_k(t, z, y) w_k(y) dy Gamma_k(s, x, z) w_k(z) dz,
@@ -353,8 +356,8 @@ def composed_kernel_hat(kv, s: float, t: float, x, xi, n: int = 160) -> complex:
 
     def axis(k, x_i, xi_i):
         ext_z = abs(float(x_i)) + np.sqrt(160.0 * s)
-        rule_z = axis_rule(k, ext_z, n)
-        rule_y = axis_rule(k, ext_z + np.sqrt(160.0 * t), n)
+        rule_z = axis_rule(k, ext_z, _HAT_NODES)
+        rule_y = axis_rule(k, ext_z + np.sqrt(160.0 * t), _HAT_NODES)
         e = np.conj(kernel_unitary(k, xi_i, rule_y.nodes))
         inner = _heat_axis(k, t, rule_z.nodes[:, None], rule_y.nodes[None, :]) @ (rule_y.weights * e)
         return np.sum(rule_z.weights * _heat_axis(k, s, x_i, rule_z.nodes) * inner)
@@ -365,7 +368,7 @@ def composed_kernel_hat(kv, s: float, t: float, x, xi, n: int = 160) -> complex:
 _S_QUAD = 50.0  # mixture times up to which subordinated_kernel_hat runs the quadrature
 
 
-def subordinated_kernel_hat(kv, t: float, x, xi, n: int = 160) -> complex:
+def subordinated_kernel_hat(kv, t: float, x, xi) -> complex:
     """Transform of the subordinated (k-Cauchy) transition kernel.
 
     The kernel is the 1/2-stable time mixture of heat kernels; mixture
@@ -383,7 +386,7 @@ def subordinated_kernel_hat(kv, t: float, x, xi, n: int = 160) -> complex:
     tail_kernel = None
     for s, m in zip(s_pos, s_mass):
         if s <= _S_QUAD:
-            total += m * gaussian_kernel_hat(kv, float(s), x, xi, n=n)
+            total += m * gaussian_kernel_hat(kv, float(s), x, xi)
         else:
             if tail_kernel is None:
                 tail_kernel = complex(np.conj(dunkl_kernel_unitary(kv, x, xi)))

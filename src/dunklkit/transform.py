@@ -29,7 +29,7 @@ import numpy as np
 from .bessel_kingman import _pair_nodes
 from .core import (_as_kv, _axis_c_norm, _axis_product, _coords, dunkl_kernel_unitary,
                    dunkl_laplacian, intertwiner_atoms)
-from .errors import ConfigError, _finite, _floats, _node_count, _positive_time
+from .errors import ConfigError, QuadratureError, _finite, _floats, _node_count, _positive_time
 from .measures import _row_blocks
 from .quadrature import QuadratureRule, _tensor_grid, gauss_jacobi
 from .rank_one import kernel_unitary
@@ -170,6 +170,8 @@ def axis_rule(k: float, extent: float, n: int) -> QuadratureRule:
     if extent <= 0:
         raise ConfigError(f"axis extent must be positive, got {extent}")
     right = gauss_jacobi(_node_count(n), 0.0, 2.0 * k, 0.0, extent)
+    if 2.0**k * float(right.weights.max()) == math.inf:  # gauss_jacobi's check misses 2^k
+        raise QuadratureError(f"axis rule weights on [-{extent}, {extent}] overflow the float range")
     nodes = np.concatenate([-right.nodes[::-1], right.nodes])
     weights = 2.0**k * np.concatenate([right.weights[::-1], right.weights])
     return QuadratureRule(nodes, weights)

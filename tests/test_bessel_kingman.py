@@ -345,3 +345,110 @@ def test_convolution_memory_stays_in_blocks(cauchy_rayleigh):
     finally:
         tracemalloc.stop()
     assert peak <= 8e6
+
+
+# ---------------------------------------------------------------------------
+# per-pair node tiers: a pair of support width 2 min(|a|, |b|) takes n angle
+# nodes by that width in grid cells, at most points_per_pair
+
+
+@pytest.fixture(scope="module")
+def hypergroup_cauchy():
+    """The profiles of a perfbench `hypergroup` Cauchy op: Cauchy(1.5, 0.5) and
+    Rayleigh(1.5, 0.6) on 32 nodes."""
+    return cauchy_measure(1.5, 0.5), rayleigh_measure(1.5, 0.6, n=32)
+
+
+def _recorded_pair_nodes(monkeypatch):
+    """Patch _pair_nodes to record (rows, cols, n, nodes yielded) per call."""
+    calls, original = [], bessel_kingman._pair_nodes
+
+    def recorder(lam, ax, bx, n):
+        calls.append([ax.size, bx.size, n, 0])
+        for rows, z, w in original(lam, ax, bx, n):
+            calls[-1][3] += z.size
+            yield rows, z, w
+
+    monkeypatch.setattr(bessel_kingman, "_pair_nodes", recorder)
+    return calls
+
+
+def _deposited_points(monkeypatch):
+    """Patch _grid_measure to count the points its pieces deposit."""
+    count, original = [0], bessel_kingman._grid_measure
+
+    def counter(cls, lo, hi, grid_n, pieces, **kwargs):
+        def counted():
+            for positions, masses in pieces:
+                count[0] += positions.size
+                yield positions, masses
+        return original(cls, lo, hi, grid_n, counted(), **kwargs)
+
+    monkeypatch.setattr(bessel_kingman, "_grid_measure", counter)
+    return count
+
+
+def test_every_pair_lands_in_one_rectangle(monkeypatch, hypergroup_cauchy):
+    sigma, tau = hypergroup_cauchy
+    calls = _recorded_pair_nodes(monkeypatch)
+    convolve_measures(1.5, sigma, tau)
+    na, nb = measures.as_weighted_atoms(sigma)[0].size, tau.grid.size
+    assert len(calls) > 1 and sum(rows * cols for rows, cols, _, _ in calls) == na * nb
+    # unsorted radii with zeros and signs on both sides reach every second rectangle
+    rng = np.random.default_rng(7)
+    ax = rng.choice([-1.0, 1.0], 300) * rng.uniform(0.0, 2.0, 300) ** 3
+    bx = np.concatenate([rng.uniform(0.0, 2.0, 200) ** 3, [0.0]])
+    h, hits = 1e-3, np.zeros((ax.size, bx.size), dtype=int)
+    for ia, ib, n in bessel_kingman._node_tiers(ax, bx, h, 32):
+        hits[np.ix_(ia, ib)] += 1
+        width = np.minimum.outer(np.abs(ax[ia]), np.abs(bx[ib]))
+        assert n == 32 or width.max() < n * n * h / 8
+        assert n == 2 or width.min() >= (n // 2) ** 2 * h / 8
+    assert (hits == 1).all()
+
+
+def test_tiered_convolution_keeps_the_mass(hypergroup_cauchy):
+    sigma, tau = hypergroup_cauchy
+    conv = convolve_measures(1.5, sigma, tau)
+    assert conv.atoms  # the Cauchy profile's far atom stays in the far bookkeeping
+    assert abs(conv.mass() - sigma.mass() * tau.mass()) <= 1e-14
+
+
+def test_points_per_pair_caps_every_tier(monkeypatch):
+    # default 256-node profiles start below one grid cell, so four tiers run
+    sigma, tau = rayleigh_measure(1.0, 0.4), rayleigh_measure(1.0, 0.7)
+    calls = _recorded_pair_nodes(monkeypatch)
+    convolve_measures(1.0, sigma, tau, points_per_pair=12)
+    assert {n for _, _, n, _ in calls} == {4, 8, 12}
+    calls.clear()
+    deposited = _deposited_points(monkeypatch)
+    convolve_measures(1.0, sigma, tau, points_per_pair=2)
+    assert [n for _, _, n, _ in calls] == [2]
+    assert deposited[0] == sigma.grid.size * tau.grid.size * 2
+
+
+def test_narrow_pairs_take_fewer_nodes(monkeypatch, hypergroup_cauchy):
+    sigma, tau = hypergroup_cauchy
+    calls = _recorded_pair_nodes(monkeypatch)
+    conv = convolve_measures(1.5, sigma, tau)
+    na, nb = measures.as_weighted_atoms(sigma)[0].size, tau.grid.size
+    assert sum(nodes for _, _, _, nodes in calls) <= 0.75 * na * nb * 32
+    r = np.array([0.0, 0.25, 1.0, 2.0, 3.0, 4.5, 6.0])
+    want = np.exp(-0.5 * r - 0.6 * r * r)
+    assert np.max(np.abs(hankel_transform(1.5, conv, r) - want)) <= 1e-9
+
+
+# sha256 of measure_to_json(convolve_measures(lam, rayleigh_measure(lam, s, n=32),
+# rayleigh_measure(lam, t, n=32))), recorded from the tree that gave every pair
+# 32 angle nodes: these pairs all take the top tier, one rectangle, every bit kept
+RAYLEIGH_CONVOLUTION_SHA256 = {
+    (0.5, 0.3, 0.8): "ad6b4626b2c710812f3ddee3240fe696f06db3c683f8b44291d8da59a5c40079",
+    (1.5, 0.3, 0.3): "a1afeaa52ebc6c4e4bd66b4690cc6e50de6895b69c0b6a5d884dc8780a813eef",
+}
+
+
+@pytest.mark.parametrize("lam, s, t", list(RAYLEIGH_CONVOLUTION_SHA256), ids=str)
+def test_wide_pairs_keep_every_bit(lam, s, t):
+    conv = convolve_measures(lam, rayleigh_measure(lam, s, n=32), rayleigh_measure(lam, t, n=32))
+    text = measure_to_json(conv)
+    assert hashlib.sha256(text.encode()).hexdigest() == RAYLEIGH_CONVOLUTION_SHA256[(lam, s, t)]

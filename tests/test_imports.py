@@ -283,6 +283,68 @@ def test_engine_checker_flags_each_duplicate(tmp_path):
     assert engine_duplicates([two]) == ["errstate weight division (two:LineMeasure.rayleigh, line 4)"]
 
 
+# convolve_measures takes every pair's nodes from _pair_nodes, at whatever
+# node count its tier sets: no rule, root or node formula of its own
+
+NODE_BUILDERS = {"_angle_rule", "_gauss_roots", "_point_nodes"}
+
+
+def node_builder_breaches(path: Path, name: str = "convolve_measures") -> list[str]:
+    """Node-builder calls and numpy square roots reached from the named
+    function, in its body or a module-level function it calls (not through
+    _pair_nodes, the one builder it may call); and no _pair_nodes call."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    defs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    if name not in defs:
+        return [f"{path.stem}.{name} is missing"]
+    found, seen, todo, reached = [], set(), [name], False
+    while todo:
+        fn = todo.pop()
+        if fn in seen:
+            continue
+        seen.add(fn)
+        for node in ast.walk(defs[fn]):
+            if not isinstance(node, ast.Call):
+                continue
+            callee = getattr(node.func, "id", getattr(node.func, "attr", None))
+            owner = getattr(getattr(node.func, "value", None), "id", None)
+            if callee in NODE_BUILDERS or (callee == "sqrt" and owner in ("np", "numpy")):
+                found.append(f"{fn} calls {callee} (line {node.lineno})")
+            elif callee == "_pair_nodes":
+                reached = True
+            elif callee in defs:
+                todo.append(callee)
+    if not reached:
+        found.append(f"{name} does not reach _pair_nodes")
+    return sorted(found)
+
+
+def test_convolution_takes_its_nodes_from_pair_nodes():
+    assert node_builder_breaches(ROOT / "src" / "dunklkit" / "bessel_kingman.py") == []
+
+
+def test_node_builder_checker_flags_a_second_builder(tmp_path):
+    src = tmp_path / "bessel_kingman.py"
+    good = ("import numpy as np\n"
+            "def _pair_nodes(lam, ax, bx, n):\n"
+            "    u, w = _angle_rule(lam, n)\n    return np.sqrt(ax * bx * u), w\n"
+            "def _tiers(ax, bx):\n    yield ax, bx, 8\n"
+            "def convolve_measures(lam, ax, bx):\n"
+            "    for a, b, n in _tiers(ax, bx):\n        yield _pair_nodes(lam, a, b, n)\n")
+    src.write_text(good)
+    assert node_builder_breaches(src) == []
+    src.write_text(good.replace("yield ax, bx, 8", "yield ax, bx, _gauss_roots('jacobi', 8)"))
+    assert node_builder_breaches(src) == ["_tiers calls _gauss_roots (line 6)"]
+    src.write_text(good.replace("yield _pair_nodes(lam, a, b, n)",
+                                "u, w = bessel_kingman._angle_rule(lam, n)\n"
+                                "        yield np.sqrt(a * a + b * b - 2 * a * b * u), w"))
+    assert node_builder_breaches(src) == ["convolve_measures calls _angle_rule (line 9)",
+                                          "convolve_measures calls sqrt (line 10)",
+                                          "convolve_measures does not reach _pair_nodes"]
+    src.write_text(good.replace("convolve_measures", "convolve"))
+    assert node_builder_breaches(src) == ["bessel_kingman.convolve_measures is missing"]
+
+
 # ---------------------------------------------------------------------------
 # the spectral spherical mean is built per axis, once: the public mean and
 # the verification batteries both take transform._spectral_mean_weights and

@@ -136,12 +136,16 @@ def test_axis_rule_rejects_bad_extent_and_count(extent, n):
 
 @pytest.mark.parametrize("call", [
     lambda: axis_rule(1.0, 1e200, 8),
+    lambda: axis_rule(1.0, 1.1e103, 8),
     lambda: gaussian_kernel_hat(KV2, 0.5, [1e200, 0.2], [0.0, 0.0]),
     lambda: heat_kernel_spectral(KV2, 1e-300, [0.5, 0.1], [0.3, 0.2]),
-], ids=["axis_rule", "gaussian_kernel_hat", "heat_kernel_spectral"])
+], ids=["axis_rule", "axis_rule-2^k", "gaussian_kernel_hat", "heat_kernel_spectral"])
+@pytest.mark.filterwarnings("error")
 def test_gauss_jacobi_weight_overflow_is_a_quadrature_error(call):
     # half^(alpha + beta + 1) raised a bare OverflowError; at s = 1e-300 the
-    # spectral extent sqrt(80 / s) is about 9e150
+    # spectral extent sqrt(80 / s) is about 9e150.  At 1.1e103 the Gauss-Jacobi
+    # weights fit the float range but axis_rule's factor 2^k took them to inf
+    # with a bare RuntimeWarning
     with pytest.raises(QuadratureError, match="overflow"):
         call()
 
