@@ -10,6 +10,11 @@ contract is
 
 over that view; LineMeasure.integrate and the Hankel transform take it.
 
+measure_to_json writes the text json.dumps would write, byte for byte, but
+formats the float arrays with orjson: its Ryu encoder gives the same
+shortest round-trip digits as float repr, and the few magnitudes it writes
+in another notation are rewritten by float repr.  The reader is json.loads.
+
 The closed-form families carry Gauss nodes, so the contract is spectrally
 accurate for smooth f even when the density has integrable endpoint
 singularities (the singular factors live inside the weights).  Trapezoid
@@ -24,6 +29,7 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
+import orjson
 
 from .errors import ConfigError, PositivityError
 
@@ -65,6 +71,8 @@ class LineMeasure:
     def __post_init__(self):
         self.grid = np.asarray(self.grid, dtype=float)
         self.density = np.asarray(self.density, dtype=float)
+        if self.grid.ndim != 1 or self.density.ndim != 1:
+            raise ConfigError("grid and density must be 1-D arrays")
         if self.grid.shape != self.density.shape:
             raise ConfigError("grid and density must have the same shape")
         if self.grid.size > 1 and np.any(np.diff(self.grid) <= 0):
@@ -137,25 +145,45 @@ def dirac(position: float, lam: float | None = None) -> RadialProfileMeasure:
     return RadialProfileMeasure(atoms=[(position, 1.0)], lam=lam)
 
 
+# Magnitudes where orjson's notation differs from float.__repr__: it writes
+# [1e-5, 1e-4) as 0.0000ddd, e-5..e-9 exponents without a leading zero and
+# exponents from e16 up without "+"; elsewhere the text is the same.  Shortest
+# digits can round across a decade, so each bound is widened by 0.1%.
+_REPR_BANDS = (0.999e-9, 1.001e-4, 0.999e16)
+
+
+def _float_array_json(a: np.ndarray) -> str:
+    """json.dumps(a.tolist()) of a finite 1-D float array, byte for byte."""
+    if not a.size:
+        return "[]"
+    parts = np.array(orjson.dumps(np.ascontiguousarray(a), option=orjson.OPT_SERIALIZE_NUMPY)
+                     [1:-1].decode().split(","), dtype=object)
+    lo, hi, big = _REPR_BANDS
+    mag = np.abs(a)
+    redo = ((mag >= lo) & (mag < hi)) | (mag >= big)
+    parts[redo] = list(map(float.__repr__, a[redo].tolist()))
+    return "[" + ", ".join(parts.tolist()) + "]"
+
+
 def measure_to_json(mu: LineMeasure, meta: dict | None = None) -> str:
-    """json.dumps of the measure's fields (and meta), byte for byte; bitwise
-    uniform weights, as a grid deposit gives, are formatted once."""
-    bits = mu.weights.view(np.int64)
-    if bits.ndim == 1 and bits.size and (bits == bits[0]).all():
-        weights = "[" + ", ".join([json.dumps(mu.weights[0].item())] * bits.size) + "]"
-    else:
-        weights = json.dumps(mu.weights.tolist())
-    payload = {
-        "grid": mu.grid.tolist(),
-        "density": mu.density.tolist(),
-        "weights": None,
-        "atoms": [[r, w] for r, w in mu.atoms],
-        "lambda": mu.lam,
-    }
+    """json.dumps of the measure's fields (and meta), byte for byte.
+
+    grid, density and weights go through _float_array_json (orjson, with
+    float repr where its notation differs); atoms, lambda and meta through
+    json.dumps.  A NaN or infinite number is a ConfigError, since
+    measure_from_json would refuse the text.
+    """
+    arrays = {key: getattr(mu, key) for key in ("grid", "density", "weights")}
+    atoms = [[r, w] for r, w in mu.atoms]
+    if not (all(np.isfinite(a).all() for a in arrays.values())
+            and np.isfinite(atoms).all() and np.isfinite(float(mu.lam or 0.0))):
+        raise ConfigError("measure holds a NaN or infinite number; JSON cannot carry it")
+    fields = {key: _float_array_json(a) for key, a in arrays.items()}
+    fields["atoms"] = json.dumps(atoms)
+    fields["lambda"] = json.dumps(mu.lam)
     if meta:
-        payload["meta"] = dict(meta)
-    return "{" + ", ".join(f"{json.dumps(k)}: {weights if k == 'weights' else json.dumps(v)}"
-                           for k, v in payload.items()) + "}"
+        fields["meta"] = json.dumps(dict(meta))
+    return "{" + ", ".join(f"{json.dumps(k)}: {v}" for k, v in fields.items()) + "}"
 
 
 def measure_from_json(text: str) -> RadialProfileMeasure:

@@ -47,8 +47,13 @@ class QuadratureRule:
 @lru_cache(maxsize=128)
 def _gauss_roots(family: str, n: int, alpha: float = 0.0, beta: float = 0.0):
     """The n-point Gauss rule on [-1, 1], "legendre" or "jacobi" for (1-x)^alpha (1+x)^beta;
-    shared, hence read-only.  A hit returns the arrays scipy built on the miss."""
-    x, w = roots_legendre(n) if family == "legendre" else roots_jacobi(n, alpha, beta)
+    shared, hence read-only.  A hit returns the arrays scipy built on the miss.
+    A rule scipy cannot build in floats (huge exponents) is a QuadratureError."""
+    with np.errstate(all="ignore"):  # scipy's own overflow shows up as non-finite output
+        x, w = roots_legendre(n) if family == "legendre" else roots_jacobi(n, alpha, beta)
+    if not (np.isfinite(x).all() and np.isfinite(w).all()):
+        raise QuadratureError(f"the {n}-point Gauss-{family} rule ({alpha}, {beta}) "
+                              "overflows the float range")
     x.flags.writeable = w.flags.writeable = False
     return x, w
 

@@ -120,6 +120,41 @@ def test_bessel_checker_flags_imports(tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# orjson has one importer, measures.py: its float text differs from json's in
+# notation, and only measure_to_json corrects that
+
+SCRIPTS = MODULES + sorted((ROOT / "bench").glob("*.py"))
+
+
+def orjson_imports(path: Path) -> list[str]:
+    """Imports of orjson anywhere in the module, function-level ones included."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        names = ([a.name for a in node.names] if isinstance(node, ast.Import)
+                 else [node.module or ""] if isinstance(node, ast.ImportFrom) else [])
+        found += [f"{name} (line {node.lineno})" for name in names
+                  if name.split(".")[0] == "orjson"]
+    return found
+
+
+@pytest.mark.parametrize("path", [p for p in SCRIPTS if p.name != "measures.py"],
+                         ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_orjson_only_in_measures(path):
+    assert orjson_imports(path) == []
+
+
+def test_orjson_checker_flags_imports(tmp_path):
+    assert orjson_imports(ROOT / "src" / "dunklkit" / "measures.py")
+    src = tmp_path / "mod.py"
+    src.write_text("import json\nimport orjson as oj\n"
+                   "def f(a):\n    from orjson import dumps, OPT_SERIALIZE_NUMPY\n"
+                   "    return dumps(a, option=OPT_SERIALIZE_NUMPY)\n")
+    assert orjson_imports(src) == ["orjson (line 2)", "orjson (line 4)"]
+    src.write_text("import json\nfrom .measures import measure_to_json\n")
+    assert orjson_imports(src) == []
+
+
+# ---------------------------------------------------------------------------
 # bessel_j's large-argument branch steps integer and half-integer orders up
 # with one recurrence loop, and scipy's jv is called at one site
 

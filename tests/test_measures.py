@@ -71,6 +71,18 @@ def test_validation_errors():
         mu.check_probability()
 
 
+@pytest.mark.parametrize("grid, density", [
+    (np.zeros((2, 2)), np.ones((2, 2))),
+    ([[0.0, 1.0]], [[1.0, 1.0]]),
+    (2.0, 3.0),
+], ids=["2-D", "nested lists", "0-D"])
+def test_grid_and_density_must_be_flat(grid, density):
+    # a 2-D grid used to be accepted and written as nested lists, which
+    # measure_from_json then refused
+    with pytest.raises(ConfigError, match="1-D"):
+        LineMeasure(grid=grid, density=density)
+
+
 def test_dirac_and_support():
     mu = dirac(2.5, lam=1.0)
     assert mu.mass() == 1.0
@@ -124,8 +136,25 @@ def test_json_rejects_malformed_and_non_finite_entries(text):
         measure_from_json(text)
 
 
+def _edge_floats(rng) -> np.ndarray:
+    """Finite doubles on every notation boundary of float repr and orjson:
+    seeded random bit patterns of both signs, every decade edge 10^e and
+    its neighbours one ulp away, the [1e-5, 1e-4) decade, +-0.0, the
+    smallest subnormal and the largest double."""
+    bits = rng.integers(0, 2**64, 30_000, dtype=np.uint64).view(np.float64)
+    decades = 10.0 ** np.arange(-323, 309).astype(float)
+    edges = np.concatenate([decades, np.nextafter(decades, 0.0), np.nextafter(decades, np.inf)])
+    band = np.concatenate([rng.uniform(1e-5, 1e-4, 5_000),
+                           rng.integers(1, 10**5, 5_000) * 1e-9])  # short digits too
+    ends = np.array([0.0, -0.0, 5e-324, np.finfo(float).max])
+    values = np.concatenate([bits[np.isfinite(bits)], edges, -edges, band, -band, ends, -ends])
+    return values[rng.permutation(values.size)]
+
+
 def _json_cases():
     rng = np.random.default_rng(11)
+    edges = _edge_floats(rng)
+    grid = np.unique(edges)
     pieces = [(rng.uniform(0.5, 4.5, 500), rng.uniform(0.0, 1.0, 500))]
     rule = gauss_legendre(24, 0.0, 3.0)
     return {
@@ -135,22 +164,42 @@ def _json_cases():
         "signed zero weights": LineMeasure(grid=np.arange(4.0), density=np.ones(4),
                                            weights=np.array([0.0, -0.0, 0.0, 0.0])),
         "one node": LineMeasure(grid=[2.0], density=[3.0], lam=0.5),
+        "strided views": LineMeasure(grid=np.arange(20.0)[::2], density=edges[:20:2]),
         "empty": LineMeasure(),
         "atoms only": dirac(1.5, lam=2.0),
+        # density and weights (more than half of the values each) cover every value
+        "float edges": LineMeasure(grid=grid, density=edges[:grid.size],
+                                   weights=edges[::-1][:grid.size],
+                                   atoms=list(zip(edges[:32], edges[32:64])), lam=edges[64]),
     }
 
 
 @pytest.mark.parametrize("case", list(_json_cases()))
 @pytest.mark.parametrize("meta", [None, {"version": "x", "n": [1, 2.5]}])
 def test_json_writer_matches_json_dumps(case, meta):
-    # bitwise uniform weights are formatted once; the text must not change
+    # the float arrays go through orjson, with the entries it writes in
+    # another notation replaced by float repr; the text must not change
     mu = _json_cases()[case]
     payload = {"grid": mu.grid.tolist(), "density": mu.density.tolist(),
                "weights": mu.weights.tolist(), "atoms": [[r, w] for r, w in mu.atoms],
                "lambda": mu.lam}
     if meta:
         payload["meta"] = meta
-    assert measure_to_json(mu, meta) == json.dumps(payload)
+    # compared entry by entry: a mismatch then names its index, where a diff
+    # of the two megabyte strings takes minutes
+    assert measure_to_json(mu, meta).split(", ") == json.dumps(payload).split(", ")
+
+
+@pytest.mark.parametrize("field, value", [
+    ("density", np.array([1.0, np.nan])), ("grid", np.array([0.0, np.inf])),
+    ("weights", np.array([0.5, -np.inf])), ("atoms", [(1.0, np.nan)]), ("lam", np.inf),
+], ids=["density-nan", "grid-inf", "weights-minus-inf", "atoms-nan", "lam-inf"])
+def test_json_writer_rejects_non_finite_entries(field, value):
+    # a NaN density used to be written as NaN, which measure_from_json refuses
+    mu = LineMeasure(grid=[0.0, 1.0], density=[1.0, 1.0])
+    setattr(mu, field, value)
+    with pytest.raises(ConfigError, match="NaN or infinite"):
+        measure_to_json(mu)
 
 
 def test_as_weighted_atoms_preserves_mass_and_moments():

@@ -139,13 +139,17 @@ def test_axis_rule_rejects_bad_extent_and_count(extent, n):
     lambda: axis_rule(1.0, 1.1e103, 8),
     lambda: gaussian_kernel_hat(KV2, 0.5, [1e200, 0.2], [0.0, 0.0]),
     lambda: heat_kernel_spectral(KV2, 1e-300, [0.5, 0.1], [0.3, 0.2]),
-], ids=["axis_rule", "axis_rule-2^k", "gaussian_kernel_hat", "heat_kernel_spectral"])
+    lambda: axis_rule(600.0, 1.0, 8),
+    lambda: TransformPlan(MultiplicityVector((600.0,)), extent=4.0, n=8),
+], ids=["axis_rule", "axis_rule-2^k", "gaussian_kernel_hat", "heat_kernel_spectral",
+        "axis_rule-k600", "TransformPlan-k600"])
 @pytest.mark.filterwarnings("error")
 def test_gauss_jacobi_weight_overflow_is_a_quadrature_error(call):
     # half^(alpha + beta + 1) raised a bare OverflowError; at s = 1e-300 the
     # spectral extent sqrt(80 / s) is about 9e150.  At 1.1e103 the Gauss-Jacobi
     # weights fit the float range but axis_rule's factor 2^k took them to inf
-    # with a bare RuntimeWarning
+    # with a bare RuntimeWarning.  At k = 600 scipy's roots_jacobi itself
+    # overflowed, warned and returned NaN weights
     with pytest.raises(QuadratureError, match="overflow"):
         call()
 
