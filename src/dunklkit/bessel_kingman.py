@@ -13,9 +13,11 @@ angle, z(u) = sqrt(x^2 + y^2 - 2 x y u), which turns the measure into the
 fixed weight (1-u^2)^(lam-1/2) du on [-1, 1].  The n-point Gauss-Jacobi
 rule of that weight serves every pair (x, y), carries mass exactly 1, and
 is exact to degree 2n - 1 in u, spectrally accurate for integrands even in
-z (the characters are).  A measure convolution sizes n per pair: a pair
-whose support [|x-y|, x+y] spans a few cells of the output grid gains
-nothing from more nodes than the cubic deposit's four cell moments use.
+z (the characters are).  A measure convolution deposits its nodes on an
+output grid uniform in u = c asinh(z / c), whose cells widen with z, and
+sizes n per pair: a pair whose support [|x-y|, x+y] spans a few of the
+local cells gains nothing from more nodes than the cubic deposit's four
+cell moments use.
 
 The same angle rule, at lam = k - 1/2, is the rank-one intertwiner: the
 measure of V_k at x is the law of x u with u weighted by (1 + u) against
@@ -159,8 +161,9 @@ def _node_tiers(ax, bx, h: float, top: int):
     (a in its band) x (b above the band's low end) plus (a above the band)
     x (b in the band), so every pair lands in exactly one rectangle."""
     ra, rb = np.abs(ax), np.abs(bx)
-    # n^2 h / 8 keeps the Cauchy closure residual of the bessel-kingman suite
-    # at 4.65e-9; n^2 h / 4 moves it to 4.77e-9
+    # n^2 h / 8 kept the Cauchy closure residual of the bessel-kingman suite at
+    # 4.65e-9 on a uniform 16,384-node grid, where n^2 h / 4 read 4.77e-9; on
+    # the graded 6,144-node grid both read 2.95e-9
     bands = [(n, n * n * h / 8.0) for n in (2, 4, 8, 16) if n < top] + [(top, np.inf)]
     lo = 0.0
     for n, hi in bands:
@@ -171,21 +174,50 @@ def _node_tiers(ax, bx, h: float, top: int):
         lo = hi
 
 
+def _graded_tiers(ax, bx, c: float, h_u: float, top: int):
+    """_node_tiers for the output grid uniform in u = c asinh(z / c) of cell
+    h_u, run band by band on the pair plane: band j >= 1 takes the pairs with
+    max(|a|, |b|) in [c 2^j, c 2^(j+1)), band 0 those below 2c.  Where z is at
+    least c 2^j the local cell width is at least 2^j h_u, so band j tiers with
+    h = 2^j h_u.  Each band is (a in the band) x (b up to the band's top)
+    plus (a below the band) x (b in the band)."""
+    # band index j of each radius: 2^j <= max(r / c, 1) < 2^(j+1)
+    ja = np.frexp(np.maximum(np.abs(ax) / c, 1.0))[1] - 1
+    jb = np.frexp(np.maximum(np.abs(bx) / c, 1.0))[1] - 1
+    for j in np.union1d(ja, jb).tolist():
+        for rows, cols in ((ja == j, jb <= j), (ja < j, jb == j)):
+            ia, ib = np.flatnonzero(rows), np.flatnonzero(cols)
+            if ia.size and ib.size:
+                for sa, sb, n in _node_tiers(ax[ia], bx[ib], 2.0**j * h_u, top):
+                    yield ia[sa], ib[sb], n
+
+
+def _median_radius(x, w) -> float:
+    """Mass-weighted median of |x| under the masses w."""
+    r = np.abs(x)
+    order = np.argsort(r)
+    cum = np.cumsum(w[order])
+    return float(r[order][min(np.searchsorted(cum, 0.5 * cum[-1]), r.size - 1)])
+
+
 _ATOM_CAP = 2048  # atoms per input a convolution keeps before binning its node set
 
 
 def convolve_measures(lam: float, sigma: RadialProfileMeasure, tau: RadialProfileMeasure,
-                      grid_n: int = 16384, atom_cap: int = _ATOM_CAP,
+                      grid_n: int = 6144, atom_cap: int = _ATOM_CAP,
                       points_per_pair: int = 32) -> RadialProfileMeasure:
     """Hypergroup convolution of two nonnegative radial measures.
 
     Both inputs are collapsed to weighted atoms (Gauss nodes pass through
     unchanged when they fit the cap), every atom pair is convolved with
-    the angle rule, and the resulting point cloud is deposited on a
-    uniform output grid of cell h with a cubic mass/moment-preserving
-    kernel.  A pair's node count comes from its support width
-    2 min(|a|, |b|): 2, 4, 8 or 16 nodes while min(|a|, |b|) < n^2 h / 8,
-    and points_per_pair, which also caps every tier, above that.
+    the angle rule, and the resulting point cloud is deposited with a
+    cubic mass/moment-preserving kernel on a graded grid of grid_n nodes,
+    uniform in u = c asinh(z / c): fine below z = c, where the mass sits,
+    and geometric in the tail.  The scale c is the sum of the two inputs'
+    mass-weighted median radii.  A pair's node count comes from its
+    support width 2 min(|a|, |b|) against the local cell width h: 2, 4, 8
+    or 16 nodes while min(|a|, |b|) < n^2 h / 8, and points_per_pair,
+    which also caps every tier, above that.
 
     The grid ends just past the sum of the two contiguous supports (each
     input's grid, or its atoms when it has no grid).  A node beyond it
@@ -220,13 +252,15 @@ def convolve_measures(lam: float, sigma: RadialProfileMeasure, tau: RadialProfil
     core_a = sigma.grid[-1] if sigma.grid.size else np.max(ax)
     core_b = tau.grid[-1] if tau.grid.size else np.max(bx)
     z_max = 1.0001 * (core_a + core_b)
+    c = max(_median_radius(ax, aw) + _median_radius(bx, bw), z_max / grid_n)
+    h_u = c * np.arcsinh(z_max / c) / (grid_n - 1)
     # far atoms of each input (0 for the others): a pair's key is the larger
     far_a = np.where(ax > core_a, ax, 0.0)
     far_b = np.where(bx > core_b, bx, 0.0)
     far_sums: dict[float, np.ndarray] = {}  # key -> [sum m, sum m z^2]
 
     def pieces():
-        for ia, ib, n in _node_tiers(ax, bx, z_max / (grid_n - 1), points_per_pair):
+        for ia, ib, n in _graded_tiers(ax, bx, c, h_u, points_per_pair):
             bw_ib, far_ib = bw[ib], far_b[ib]
             for rows, z, w in _pair_nodes(lam, ax[ia], bx[ib], n):
                 rows = ia[rows]
@@ -244,7 +278,7 @@ def convolve_measures(lam: float, sigma: RadialProfileMeasure, tau: RadialProfil
                 for k, s in zip(keys.tolist(), sums):
                     far_sums[k] = far_sums.get(k, 0.0) + s
 
-    mu = _grid_measure(RadialProfileMeasure, 0.0, z_max, grid_n, pieces(), lam=lam)
+    mu = _grid_measure(RadialProfileMeasure, c, z_max, grid_n, pieces(), lam=lam)
     mu.atoms = sorted((math.sqrt(s[1] / s[0]), float(s[0]))
                       for s in far_sums.values() if s[0] != 0.0)
     return mu

@@ -19,8 +19,10 @@ The closed-form families carry Gauss nodes, so the contract is spectrally
 accurate for smooth f even when the density has integrable endpoint
 singularities (the singular factors live inside the weights).  Trapezoid
 weights are filled in for plain sampled grids.  A convolution's points go
-onto a uniform grid as per-cell sums M_j = sum m s^j (j = 0..3) times one
-fixed 4x4 matrix: mass exact, moments 1-3 to rounding.
+onto a graded grid, uniform in u = c asinh(z / c): fine below z = c, where
+the mass sits, and geometric in the tail.  The deposit works in u, as
+per-cell sums M_j = sum m s^j (j = 0..3) times one fixed 4x4 matrix: mass
+exact, moments 1-3 in u to rounding.
 """
 
 from __future__ import annotations
@@ -75,7 +77,7 @@ class LineMeasure:
             raise ConfigError("grid and density must be 1-D arrays")
         if self.grid.shape != self.density.shape:
             raise ConfigError("grid and density must have the same shape")
-        if self.grid.size > 1 and np.any(np.diff(self.grid) <= 0):
+        if self.grid.size > 1 and not np.all(np.diff(self.grid) > 0):
             raise ConfigError("grid must be strictly increasing")
         if self.weights is None:
             self.weights = _trapezoid_weights(self.grid) if self.grid.size else np.zeros(0)
@@ -304,13 +306,21 @@ def _row_blocks(n_rows: int, row_len: int):
         yield slice(lo, min(lo + step, n_rows))
 
 
-def _grid_measure(cls, lo: float, hi: float, grid_n: int, pieces, **kwargs):
-    """Deposit the (positions, masses) pieces on the uniform grid of grid_n
-    nodes over [lo, hi]; the result has density node_mass / h and weights h."""
-    grid = np.linspace(lo, hi, grid_n)
+def _grid_measure(cls, c: float, z_max: float, grid_n: int, pieces, **kwargs):
+    """Deposit the (positions, masses) pieces on grid_n nodes over [0, z_max]
+    uniform in u = c asinh(z / c), fine for z below c and geometric beyond.
+
+    Each piece's positions are mapped in place to v = u / c = asinh(z / c)
+    and deposited on the uniform v-grid of cell h_v; the nodes are
+    z_i = c sinh(v_i), the weights dz/dv h_v = c h_v cosh(v_i) and the
+    density node_mass / weight, so the mass stays exact.
+    """
+    v = np.linspace(0.0, np.arcsinh(z_max / c), grid_n)
     moments = np.zeros((4, grid_n))
     for positions, masses in pieces:
-        _add_moments(moments, positions, masses, grid)
-    node_mass = _node_masses(moments)
-    h = grid[1] - grid[0]
-    return cls(grid=grid, density=node_mass / h, weights=np.full(grid_n, h), **kwargs)
+        positions /= c
+        np.arcsinh(positions, out=positions)
+        _add_moments(moments, positions, masses, v)
+    weights = c * (v[1] - v[0]) * np.cosh(v)
+    return cls(grid=c * np.sinh(v), density=_node_masses(moments) / weights,
+               weights=weights, **kwargs)

@@ -415,15 +415,15 @@ def test_tiered_convolution_keeps_the_mass(hypergroup_cauchy):
 
 
 def test_points_per_pair_caps_every_tier(monkeypatch):
-    # default 256-node profiles start below one grid cell, so four tiers run
+    # default 256-node profiles start below one grid cell, so every tier runs
     sigma, tau = rayleigh_measure(1.0, 0.4), rayleigh_measure(1.0, 0.7)
     calls = _recorded_pair_nodes(monkeypatch)
     convolve_measures(1.0, sigma, tau, points_per_pair=12)
-    assert {n for _, _, n, _ in calls} == {4, 8, 12}
+    assert {n for _, _, n, _ in calls} == {2, 4, 8, 12}
     calls.clear()
     deposited = _deposited_points(monkeypatch)
     convolve_measures(1.0, sigma, tau, points_per_pair=2)
-    assert [n for _, _, n, _ in calls] == [2]
+    assert {n for _, _, n, _ in calls} == {2}
     assert deposited[0] == sigma.grid.size * tau.grid.size * 2
 
 
@@ -439,11 +439,13 @@ def test_narrow_pairs_take_fewer_nodes(monkeypatch, hypergroup_cauchy):
 
 
 # sha256 of measure_to_json(convolve_measures(lam, rayleigh_measure(lam, s, n=32),
-# rayleigh_measure(lam, t, n=32))), recorded from the tree that gave every pair
-# 32 angle nodes: these pairs all take the top tier, one rectangle, every bit kept
+# rayleigh_measure(lam, t, n=32))), recorded on the graded grid: at (0.5, 0.3, 0.8)
+# the pairs span two bands of max(|a|, |b|) and the first profile's smallest node
+# takes the 16-node tier, four rectangles in all; at (1.5, 0.3, 0.3) every pair
+# takes the top tier in one rectangle of band 0
 RAYLEIGH_CONVOLUTION_SHA256 = {
-    (0.5, 0.3, 0.8): "ad6b4626b2c710812f3ddee3240fe696f06db3c683f8b44291d8da59a5c40079",
-    (1.5, 0.3, 0.3): "a1afeaa52ebc6c4e4bd66b4690cc6e50de6895b69c0b6a5d884dc8780a813eef",
+    (0.5, 0.3, 0.8): "8f01e4f5077cb11a1eca64a6ab242ff7fb048271eb7d0b95b350475164ac675e",
+    (1.5, 0.3, 0.3): "c23facd9be3701146dde8950c55a2130391309e50c523e99bc1f614260564583",
 }
 
 
@@ -452,3 +454,15 @@ def test_wide_pairs_keep_every_bit(lam, s, t):
     conv = convolve_measures(lam, rayleigh_measure(lam, s, n=32), rayleigh_measure(lam, t, n=32))
     text = measure_to_json(conv)
     assert hashlib.sha256(text.encode()).hexdigest() == RAYLEIGH_CONVOLUTION_SHA256[(lam, s, t)]
+
+
+@pytest.mark.parametrize("alpha", [0.5, 3.0])
+@pytest.mark.parametrize("lam, s, t", [(0.5, 0.3, 0.8), (1.5, 0.5, 0.6)], ids=str)
+def test_graded_grid_scales_with_its_inputs(lam, s, t, alpha):
+    # the grid's scale c comes from the inputs' median radii, so profiles
+    # spread by alpha give the same convolution on a grid spread by alpha
+    one = convolve_measures(lam, rayleigh_measure(lam, s, n=32), rayleigh_measure(lam, t, n=32))
+    wide = convolve_measures(lam, rayleigh_measure(lam, alpha**2 * s, n=32),
+                             rayleigh_measure(lam, alpha**2 * t, n=32))
+    assert np.max(np.abs(wide.grid - alpha * one.grid)) <= 1e-14 * alpha * one.grid[-1]
+    assert np.max(np.abs(wide.node_masses - one.node_masses)) <= 1e-14

@@ -158,7 +158,7 @@ def _json_cases():
     pieces = [(rng.uniform(0.5, 4.5, 500), rng.uniform(0.0, 1.0, 500))]
     rule = gauss_legendre(24, 0.0, 3.0)
     return {
-        "grid deposit": _grid_measure(RadialProfileMeasure, 0.0, 5.0, 513, pieces, lam=1.0),
+        "grid deposit": _grid_measure(RadialProfileMeasure, 2.0, 5.0, 513, pieces, lam=1.0),
         "gauss nodes": RadialProfileMeasure(grid=rule.nodes, density=np.exp(-rule.nodes),
                                             weights=rule.weights, atoms=[(4.0, 0.25)]),
         "signed zero weights": LineMeasure(grid=np.arange(4.0), density=np.ones(4),
@@ -256,12 +256,17 @@ def test_deposit_matches_the_cubic_formula_in_exact_arithmetic():
 
 
 def test_grid_measure_is_the_sum_of_its_piece_deposits():
-    # the stencil is applied once to the summed cell moments of all pieces
+    # the stencil is applied once to the summed cell moments of all pieces,
+    # deposited in asinh(z / c) on the uniform grid of that coordinate
     rng = np.random.default_rng(13)
     pieces = [(rng.uniform(-0.2, 5.2, n), rng.uniform(0.0, 1.0, n)) for n in (1, 300, 4000, 7)]
-    mu = _grid_measure(RadialProfileMeasure, 0.0, 5.0, 257, pieces, lam=1.0)
-    want = sum(deposit_on_grid(p, m, mu.grid) for p, m in pieces)
+    c = 1.5
+    v_pieces = [(np.arcsinh(p / c), m) for p, m in pieces]
+    mu = _grid_measure(RadialProfileMeasure, c, 5.0, 257, pieces, lam=1.0)
+    v_grid = np.linspace(0.0, np.arcsinh(5.0 / c), 257)
+    want = sum(deposit_on_grid(v, m, v_grid) for v, m in v_pieces)
     assert np.max(np.abs(mu.node_masses - want)) <= 1e-15 * np.max(np.abs(want))
+    np.testing.assert_allclose(mu.grid, c * np.sinh(v_grid), rtol=1e-15)
 
 
 def test_node_measure_weights_vanish_with_the_density():

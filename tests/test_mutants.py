@@ -8,7 +8,7 @@ prefix to fail; the unmutated tree passes those cases (acceptance tests).
 import numpy as np
 import pytest
 
-from dunklkit import rank_one, verify
+from dunklkit import measures, rank_one, verify
 
 
 def _swap_mean_split(monkeypatch):
@@ -36,11 +36,18 @@ def _gegenbauer_degree_off_by_one(monkeypatch):
                         lambda kv, n, x, y: route(kv, n + 1, x, y))
 
 
+def _swap_deposit_stencil_rows(monkeypatch):
+    # the cubic deposit's weights for stencil nodes idx and idx + 1 swapped
+    monkeypatch.setattr(measures, "_CUBIC", measures._CUBIC[[0, 2, 1, 3]])
+
+
 MUTANTS = {
     "mean-split-swapped": (_swap_mean_split, "product-formula", "kernel wave mean"),
     "kernel-odd-negated": (_negate_kernel_odd_part, "product-formula", "eigen-equation"),
     "gegenbauer-degree": (_gegenbauer_degree_off_by_one, "addition-theorems",
                           "reproducing kernel"),
+    "deposit-stencil-swapped": (_swap_deposit_stencil_rows, "bessel-kingman",
+                                "gaussian closure"),
 }
 
 
