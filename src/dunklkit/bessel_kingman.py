@@ -252,6 +252,8 @@ def convolve_measures(lam: float, sigma: RadialProfileMeasure, tau: RadialProfil
     core_a = sigma.grid[-1] if sigma.grid.size else np.max(ax)
     core_b = tau.grid[-1] if tau.grid.size else np.max(bx)
     z_max = 1.0001 * (core_a + core_b)
+    if z_max == 0.0:  # both at 0 alone: one atom there, no grid
+        return RadialProfileMeasure(atoms=[(0.0, float(np.sum(aw) * np.sum(bw)))], lam=lam)
     c = max(_median_radius(ax, aw) + _median_radius(bx, bw), z_max / grid_n)
     h_u = c * np.arcsinh(z_max / c) / (grid_n - 1)
     # far atoms of each input (0 for the others): a pair's key is the larger

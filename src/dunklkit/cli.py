@@ -5,7 +5,10 @@ file (if any) merged with command line flags, flags winning.  A sha256
 prefix of that configuration is stamped into every output file next to
 the tool version and the seed, so any table can be traced back to the
 parameters that produced it.  Outputs carry no timestamps: one
-configuration, one byte stream.
+configuration, one byte stream.  CSV tables write every float with its
+shortest round-trip digits in float repr notation, so each value parses
+back to the same bits; a NaN or infinite entry is a ConfigError, never a
+cell.
 
 Exit codes:
     0   success
@@ -31,7 +34,7 @@ from .core import _as_kv, dunkl_kernel_unitary, generalized_bessel_unitary
 from .errors import ConfigError, NumericalError, _finite
 from .markov import (_CLOSURE_TOL, _N_BLOCKS, _resolve_threads, marginal_ks, semigroup_from_json,
                      simulate_paths)
-from .measures import measure_from_json, measure_to_json
+from .measures import _csv_rows, _write_csv, measure_from_json, measure_to_json
 from .special import bessel_j
 from .transform import GridFunction, TransformPlan, dunkl_transform_grid, heat_kernel
 from .verify import run_all
@@ -167,21 +170,14 @@ def _emit_json(cfg: RunConfig, payload: dict, path: str | None = "out",
         fh.write("\n")
 
 
-def _fmt_cell(v) -> str:
-    return f"{float(v):.17g}"
-
-
 def _write_table(cfg: RunConfig, columns: list[str], rows: list[list[float]],
                  **extra_meta) -> None:
     if cfg.fmt == "json":
         _emit_json(cfg, {"columns": columns, "rows": rows}, **extra_meta)
         return
+    blocks = _csv_rows(np.reshape(np.asarray(rows, dtype=float), (len(rows), len(columns))))
     with _sink(cfg.out) as fh:
-        for key, val in _meta(cfg, **extra_meta).items():
-            fh.write(f"# {key}: {'none' if val is None else val}\n")
-        fh.write(",".join(columns) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt_cell(c) for c in row) + "\n")
+        _write_csv(fh, _file_header(cfg, **extra_meta), columns, blocks)
 
 
 # ---------------------------------------------------------------------------

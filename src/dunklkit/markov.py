@@ -52,7 +52,7 @@ from .bessel_kingman import (
 from .core import MultiplicityVector, _as_kv, _axis_product, _coords, dunkl_kernel_unitary
 from .errors import (ConfigError, ConsistencyError, PositivityError, _floats, _node_count,
                      _positive_time)
-from .measures import _BLOCK, RadialProfileMeasure, as_weighted_atoms, dirac
+from .measures import _BLOCK, RadialProfileMeasure, _csv_rows, _write_csv, as_weighted_atoms, dirac
 from .rank_one import kernel_unitary, spherical_mean as _rank_one_mean
 from .special import _bessel_ratio
 from .transform import _heat_axis, axis_rule, heat_kernel, spherical_mean_radial
@@ -459,19 +459,20 @@ class PathEnsemble:
         return np.sqrt(np.sum(self.states[:, time_index, :] ** 2, axis=-1))
 
     def to_csv(self, path: str, header: dict | None = None) -> None:
-        """Rows path_id,time,x1..xN; '#'-prefixed metadata lines on top."""
+        """Rows path_id,time,x1..xN; '#'-prefixed metadata lines on top.
+
+        Every float is written with its shortest round-trip digits in
+        float.__repr__ notation, so it parses back to the same bits; a NaN
+        or infinite state is a ConfigError.
+        """
         n_paths, n_times, n_axes = self.states.shape
-        path_rows = "".join(f"%d,{t:.17g}" + ",%.17g" * n_axes + "\n" for t in self.times.tolist())
-        step = max(1, 4096 // max(n_times, 1))   # paths per write, so memory stays bounded
+        table = np.empty((n_paths, n_times, 1 + n_axes))
+        table[:, :, 0] = self.times
+        table[:, :, 1:] = self.states
+        rows = _csv_rows(table.reshape(-1, 1 + n_axes), np.repeat(np.arange(n_paths), n_times))
+        columns = ["path_id", "time"] + [f"x{i+1}" for i in range(n_axes)]
         with open(path, "w", newline="") as fh:
-            for key, val in (header or {}).items():
-                fh.write(f"# {key}: {val}\n")
-            fh.write(",".join(["path_id", "time"] + [f"x{i+1}" for i in range(n_axes)]) + "\n")
-            for p0 in range(0, n_paths, step):
-                states = self.states[p0:p0 + step]
-                pids = np.repeat(np.arange(p0, p0 + len(states), dtype=float), n_times)[:, None]
-                cells = np.hstack([pids, states.reshape(-1, n_axes)]).ravel().tolist()
-                fh.write(path_rows * len(states) % tuple(cells))
+            _write_csv(fh, header or {}, columns, rows)
 
 
 def _resolve_threads(threads: int | None, n_blocks: int) -> int:

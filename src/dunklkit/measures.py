@@ -14,6 +14,9 @@ measure_to_json writes the text json.dumps would write, byte for byte, but
 formats the float arrays with orjson: its Ryu encoder gives the same
 shortest round-trip digits as float repr, and the few magnitudes it writes
 in another notation are rewritten by float repr.  The reader is json.loads.
+Every CSV table the package writes goes through _csv_rows, the same
+encoder with its notation fixed in the text: float repr's bytes, so each
+value parses back to the same bits.
 
 The closed-form families carry Gauss nodes, so the contract is spectrally
 accurate for smooth f even when the density has integrable endpoint
@@ -28,6 +31,7 @@ exact, moments 1-3 in u to rounding.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -165,6 +169,69 @@ def _float_array_json(a: np.ndarray) -> str:
     redo = ((mag >= lo) & (mag < hi)) | (mag >= big)
     parts[redo] = list(map(float.__repr__, a[redo].tolist()))
     return "[" + ", ".join(parts.tolist()) + "]"
+
+
+# The same three notation differences, fixed in orjson's text: "+" and a
+# two-digit exponent, and [1e-5, 1e-4) moved from 0.0000ddd to d.dde-05.
+# The last applies at a token start only, since 30.000090499533105 holds
+# "0.0000" too.
+_EXP_PLUS = re.compile(rb"e(?=\d)")
+_EXP_PAD = re.compile(rb"e-(?=\d[,\]])")
+_TINY = re.compile(rb"0\.0000(\d)(\d*)")
+
+
+def _tiny_repr(m: re.Match) -> bytes:
+    if m.string[m.start() - 1] not in b"[,-":  # inside a token, not at its start
+        return m[0]
+    return m[1] + (b"." + m[2] if m[2] else b"") + b"e-05"
+
+
+def _csv_block(table: np.ndarray, ids: np.ndarray | None) -> bytes:
+    """CSV rows of one finite 2-D float block, led by the ids when given."""
+    text = orjson.dumps(table.ravel(), option=orjson.OPT_SERIALIZE_NUMPY)
+    if b"e" in text:
+        text = _EXP_PAD.sub(b"e-0", _EXP_PLUS.sub(b"e+", text))
+    # gated on the values in [1e-5, 1e-4), widened as _REPR_BANDS is: a search
+    # of the text for "0.0000" costs 20 times more
+    mag = np.abs(table)
+    if np.any((mag >= 0.999e-5) & (mag < 1.001e-4)):
+        text = _TINY.sub(_tiny_repr, text)
+    # [a,b,c,d] -> a,b\nc,d\n: every n_cols-th comma ends a row
+    out = np.frombuffer(bytearray(text), np.uint8)[1:]
+    out[-1] = ord("\n")
+    ends = np.flatnonzero(out == ord(","))[table.shape[1] - 1::table.shape[1]]
+    out[ends] = ord("\n")
+    if ids is None:
+        return out.tobytes()
+    # "[i,j,k]" -> "i,j,k,": one "id," spliced in front of each row
+    cells = np.frombuffer(bytearray(orjson.dumps(ids, option=orjson.OPT_SERIALIZE_NUMPY)),
+                          np.uint8)[1:]
+    cells[-1] = ord(",")
+    widths = np.diff(np.flatnonzero(cells == ord(",")), prepend=-1)
+    return np.insert(out, np.repeat(np.concatenate([[0], ends + 1]), widths), cells).tobytes()
+
+
+def _csv_rows(table, ids=None):
+    """The CSV rows of a finite 2-D float table, optionally led by an integer
+    column (ids, one per row): bytes per block of _row_blocks rows, every
+    float in float.__repr__ notation (shortest round-trip digits).  A NaN or
+    infinite entry is a ConfigError, raised here, before any row is made:
+    orjson would write it as null.
+    """
+    table = np.asarray(table, dtype=float)
+    if not np.isfinite(table).all():
+        raise ConfigError("table holds a NaN or infinite number; CSV rows cannot carry it")
+    return (_csv_block(table[rows], None if ids is None else ids[rows])
+            for rows in _row_blocks(*table.shape))
+
+
+def _write_csv(fh, header: dict, columns: list[str], rows) -> None:
+    """Write '# key: value' lines, the column names and the _csv_rows blocks
+    to the text file fh."""
+    fh.write("".join(f"# {key}: {val}\n" for key, val in header.items()))
+    fh.write(",".join(columns) + "\n")
+    for block in rows:
+        fh.write(block.decode())
 
 
 def measure_to_json(mu: LineMeasure, meta: dict | None = None) -> str:

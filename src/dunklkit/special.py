@@ -107,6 +107,9 @@ def _bessel_large_real(alpha: float, x: np.ndarray) -> np.ndarray:
     the recurrence does not start, integer orders past _J01_MAX."""
     half = float(alpha + 0.5).is_integer()
     steps = alpha < _SERIES_RADIUS and (half or float(alpha).is_integer())
+    # the recurrence steps to the order it treats alpha as: within rounding
+    # of a half-integer, that half-integer
+    top = float(alpha + 0.5) - 0.5 if half else alpha
     near = None if half or not steps else x <= _J01_MAX  # None: no element is past _J01_MAX
     out = None
     if not steps or (near is not None and not near.all()):
@@ -125,12 +128,12 @@ def _bessel_large_real(alpha: float, x: np.ndarray) -> np.ndarray:
             tt = t * t
             s = 1.0 + tt
             prev = (1.0 - tt) / s
-            cur = prev if alpha < 0.5 else (2.0 * t / s) / x
+            cur = prev if top < 0.5 else (2.0 * t / s) / x
         else:
             prev = j0(x)
-            cur = prev if alpha < 0.5 else 2.0 * j1(x) / x
+            cur = prev if top < 0.5 else 2.0 * j1(x) / x
         nu = 0.5 if half else 1.0
-        while nu < alpha:
+        while nu < top:
             prev, cur = cur, (4.0 * nu * (nu + 1.0) / x) / x * (cur - prev)
             nu += 1.0
         if out is None:

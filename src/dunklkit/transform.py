@@ -16,8 +16,6 @@ angle rule at the radial index, at every N.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import math
 from dataclasses import dataclass
@@ -30,7 +28,7 @@ from .bessel_kingman import _pair_nodes
 from .core import (_as_kv, _axis_c_norm, _axis_product, _coords, dunkl_kernel_unitary,
                    dunkl_laplacian, intertwiner_atoms)
 from .errors import ConfigError, QuadratureError, _finite, _floats, _node_count, _positive_time
-from .measures import _row_blocks
+from .measures import _csv_rows, _row_blocks, _write_csv
 from .quadrature import QuadratureRule, _tensor_grid, gauss_jacobi
 from .rank_one import kernel_unitary
 from .special import _scaled_bessel_imag, bessel_j, radial_bessel_operator
@@ -98,43 +96,39 @@ class GridFunction:
     # -- CSV ---------------------------------------------------------------
 
     def to_csv(self, path: str, header: dict | None = None) -> None:
-        """Write one row per grid point: x1,...,xN,value[,value_im]."""
-        pts = self.points()
+        """Write one row per grid point: x1,...,xN,value[,value_im].
+
+        Every float is written with its shortest round-trip digits in
+        float.__repr__ notation, so from_csv reads back the same bits; a
+        NaN or infinite value is a ConfigError.
+        """
         vals = self.values.ravel()
         cplx = np.iscomplexobj(vals)
+        rows = _csv_rows(np.column_stack([self.points(), vals.real]
+                                         + ([vals.imag] if cplx else [])))
+        cols = [f"x{i+1}" for i in range(self.n_axes)]
+        cols += ["value_re", "value_im"] if cplx else ["value"]
         with open(path, "w", newline="") as fh:
-            for key, val in (header or {}).items():
-                fh.write(f"# {key}: {val}\n")
-            writer = csv.writer(fh, lineterminator="\n")
-            cols = [f"x{i+1}" for i in range(self.n_axes)]
-            cols += ["value_re", "value_im"] if cplx else ["value"]
-            writer.writerow(cols)
-            for p, v in zip(pts, vals):
-                row = [f"{c:.17g}" for c in p]
-                if cplx:
-                    row += [f"{v.real:.17g}", f"{v.imag:.17g}"]
-                else:
-                    row.append(f"{float(v.real):.17g}")
-                writer.writerow(row)
+            _write_csv(fh, header or {}, cols, rows)
 
     @classmethod
     def from_csv(cls, path: str) -> "GridFunction":
         with open(path) as fh:
-            lines = [ln for ln in fh if ln.strip() and not ln.startswith("#")]
-        reader = csv.reader(io.StringIO("".join(lines)))
-        cols = next(reader)
+            lines = [ln.strip().split(",") for ln in fh if ln.strip() and not ln.startswith("#")]
+        cols, *rows = lines or [[]]
         cplx = "value_im" in cols
         n = len(cols) - (2 if cplx else 1)
         if n < 1 or cols[:n] != [f"x{i+1}" for i in range(n)]:
             raise ConfigError(f"unrecognized grid csv columns: {cols}")
-        data = np.array([[float(c) for c in row] for row in reader])
+        data = np.array([[float(c) for c in row] for row in rows])
         if data.size == 0:
             raise ConfigError("grid csv has no data rows")
         axes = tuple(np.unique(data[:, i]) for i in range(n))
         shape = tuple(a.size for a in axes)
         if data.shape[0] != int(np.prod(shape)):
             raise ConfigError("grid csv rows do not fill a tensor-product grid")
-        vals = data[:, n] + 1j * data[:, n + 1] if cplx else data[:, n]
+        # the two columns as one complex each: re + 1j * im drops the sign of a zero
+        vals = data[:, n:].copy().view(complex)[:, 0] if cplx else data[:, n]
         order = np.lexsort(tuple(data[:, i] for i in reversed(range(n))))
         return cls(axes, vals[order].reshape(shape))
 

@@ -79,6 +79,17 @@ def test_atom_cap_is_checked_before_the_identity_shortcut(atom_cap, identity_fir
         convolve_measures(0.5, *pair, atom_cap=atom_cap)
 
 
+@pytest.mark.parametrize("first, second", [
+    ([(0.0, 0.5)], [(0.0, 0.5)]), ([(0.0, 0.5)], [(0.0, 0.25), (0.0, 0.25)]),
+], ids=["half-half", "half-split"])
+def test_convolution_of_two_measures_at_zero_is_an_atom_at_zero(first, second):
+    # all the mass at 0 gave z_max = 0, 0/0 RuntimeWarnings (errors under
+    # the suite's warning filter) and a ConfigError for a NaN grid
+    mu = convolve_measures(1.5, RadialProfileMeasure(atoms=first, lam=1.5),
+                           RadialProfileMeasure(atoms=second, lam=1.5))
+    assert mu.grid.size == 0 and mu.atoms == [(0.0, 0.25)] and mu.lam == 1.5
+
+
 @pytest.mark.parametrize("call", [
     lambda v: convolve_measures(1.0, rayleigh_measure(1.0, 0.4, n=8),
                                 rayleigh_measure(1.0, 0.7, n=8), points_per_pair=v),

@@ -110,6 +110,18 @@ def test_eval_bessel_json_to_stdout(tmp_path, capsys):
     assert doc["meta"]["version"] == __version__
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_eval_csv_refuses_non_finite_values(tmp_path, capsys, monkeypatch, bad):
+    # orjson writes these as null, which no CSV cell may carry
+    monkeypatch.setattr("dunklkit.cli.bessel_j", lambda alpha, x: np.where(x > 1.0, bad, 1.0))
+    cfg = write_config(tmp_path, "b.json", {"target": "bessel", "alpha": 0.5, "x": [0.5, 2.0]})
+    out = tmp_path / "b.csv"
+    code, _, err = run_cli(capsys, "eval", "--config", cfg, "--out", str(out))
+    assert code == 2
+    assert "NaN or infinite" in json.loads(err)["error"]["message"]
+    assert not out.exists()
+
+
 def test_eval_unknown_target_and_keys(tmp_path, capsys):
     cfg = write_config(tmp_path, "bad.json", {"target": "zeta", "k": [1.0]})
     code, _, err = run_cli(capsys, "eval", "--config", cfg)

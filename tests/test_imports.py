@@ -120,8 +120,9 @@ def test_bessel_checker_flags_imports(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# orjson has one importer, measures.py: its float text differs from json's in
-# notation, and only measure_to_json corrects that
+# orjson has one importer, measures.py: its float text differs from float
+# repr's in notation, and only measures.py corrects that, for the JSON arrays
+# of measure_to_json and the CSV rows of every table writer (_csv_rows)
 
 SCRIPTS = MODULES + sorted((ROOT / "bench").glob("*.py"))
 

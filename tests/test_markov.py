@@ -590,6 +590,7 @@ def test_path_ensemble_csv_format(tmp_path):
 
 
 def test_path_ensemble_csv_bytes_match_per_value_formatting(tmp_path):
+    # every float as float repr writes it (shortest round-trip digits);
     # enough paths to span several write blocks, plus signed zeros and extremes
     rng = np.random.default_rng(7)
     states = rng.standard_normal((3000, 3, 2)) * np.exp(rng.uniform(-30, 30, (3000, 3, 2)))
@@ -601,9 +602,20 @@ def test_path_ensemble_csv_bytes_match_per_value_formatting(tmp_path):
     want = [f"# {key}: {val}\n" for key, val in header.items()] + ["path_id,time,x1,x2\n"]
     for pid in range(states.shape[0]):
         for j, tj in enumerate(ens.times):
-            coords = ",".join(f"{c:.17g}" for c in states[pid, j])
-            want.append(f"{pid},{tj:.17g},{coords}\n")
+            coords = ",".join(repr(float(c)) for c in states[pid, j])
+            want.append(f"{pid},{float(tj)!r},{coords}\n")
     assert path.read_bytes() == "".join(want).encode()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_path_ensemble_csv_refuses_non_finite_states(tmp_path, bad):
+    # orjson writes these as null, which no CSV cell may carry
+    states = np.zeros((4, 2, 2))
+    states[3, 1, 0] = bad
+    path = tmp_path / "paths.csv"
+    with pytest.raises(ConfigError, match="NaN or infinite"):
+        PathEnsemble(times=np.array([0.0, 1.0]), states=states, seed=0).to_csv(str(path))
+    assert not path.exists()
 
 
 @pytest.mark.parametrize("k", [1.0, 0.5])

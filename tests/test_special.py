@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from scipy.special import gammaln, ive, j0, j1, jv
 
 from dunklkit.errors import ConfigError, NumericalError
+from dunklkit.rank_one import kernel_unitary
 from dunklkit.special import (
     _IVE_MAX,
     _J01_MAX,
@@ -120,6 +121,20 @@ def test_bessel_j_half_integer_large_argument(alpha):
     assert np.all(np.isfinite(got))
     assert max(_envelope_error(alpha, xx, g) for xx, g in zip(x, got)) <= 5e-15
     np.testing.assert_array_equal(bessel_j(alpha, -x), got)
+
+
+@pytest.mark.parametrize("alpha", [0.5000000000000001, 0.49999999999999994])
+def test_bessel_j_order_within_rounding_of_a_half_integer(alpha):
+    # alpha + 0.5 rounds to 1, so the recurrence treats alpha as 1/2; it used
+    # to step on the raw order: one step too many above 1/2 (z j read 0.0233
+    # against sin z = -0.0047), none below (j_{-1/2}, z cos z)
+    z = 128.81
+    assert bessel_j(alpha, z) * z == pytest.approx(np.sin(z), abs=1e-15)
+
+
+def test_unitary_kernel_bounded_at_order_within_rounding_of_one_half():
+    # k = 1.0642e-16 gives the order k + 1/2 = 0.5000000000000001; the modulus read 1.00024
+    assert abs(kernel_unitary(1.0642e-16, 7.525390625, 17.1171875)) <= 1.0 + 1e-15
 
 
 @pytest.mark.parametrize("alpha", _HALF_INT_ORDERS)

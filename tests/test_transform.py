@@ -80,6 +80,49 @@ def test_grid_function_csv_roundtrip(tmp_path, complex_values):
     assert first.startswith("# purpose: test")
 
 
+def _finite_bits(rng, n: int) -> np.ndarray:
+    """n finite doubles from random bit patterns, over the whole float range."""
+    bits = rng.integers(0, 2**64, 2 * n, dtype=np.uint64).view(np.float64)
+    return bits[np.isfinite(bits)][:n]
+
+
+@pytest.mark.parametrize("complex_values", [False, True])
+def test_grid_function_csv_parses_back_to_the_same_bits(tmp_path, complex_values):
+    # random bit patterns, signed zeros and the [1e-5, 1e-4) decade, whose
+    # notation orjson and float repr spell differently, on several write blocks
+    rng = np.random.default_rng(17)
+    axes = (np.unique(_finite_bits(rng, 150)), np.sort(rng.uniform(1e-5, 1e-4, 120)))
+    shape = (axes[0].size, axes[1].size)
+    vals = np.empty(shape, complex if complex_values else float)
+    vals.real = _finite_bits(rng, vals.size).reshape(shape)
+    vals.real.flat[:4] = (0.0, -0.0, 5e-324, -np.finfo(float).max)
+    if complex_values:
+        vals.imag = rng.uniform(-1e-4, 1e-4, shape)
+        vals.imag.flat[:3] = (-0.0, 0.0, 1e300)
+    gf = GridFunction(axes, vals)
+    path = str(tmp_path / "grid.csv")
+    gf.to_csv(path)
+    again = GridFunction.from_csv(path)
+    assert again.values.dtype == vals.dtype
+    assert again.values.tobytes() == vals.tobytes()
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(again.axes, axes))
+
+
+@pytest.mark.parametrize("axes, values", [
+    ((np.linspace(0.0, 1.0, 3),), np.array([1.0, np.nan, 2.0])),
+    ((np.linspace(0.0, 1.0, 3),), np.array([1.0, -np.inf, 2.0])),
+    ((np.linspace(0.0, 1.0, 3),), np.array([1.0, 2.0, complex(0.0, np.inf)])),
+    ((np.linspace(0.0, 1.0, 3),), np.array([1.0, complex(np.nan, 0.0), 2.0])),
+    ((np.array([0.0, 1.0, np.inf]),), np.ones(3)),
+], ids=["nan", "minus-inf", "complex-inf-imag", "complex-nan-real", "inf-axis"])
+def test_grid_function_csv_refuses_non_finite_entries(tmp_path, axes, values):
+    # orjson writes these as null, which no CSV cell may carry
+    path = tmp_path / "grid.csv"
+    with pytest.raises(ConfigError, match="NaN or infinite"):
+        GridFunction(axes, values).to_csv(str(path))
+    assert not path.exists()
+
+
 def test_grid_function_npz_roundtrip(tmp_path):
     axes = (np.linspace(-2.0, 2.0, 7),)
     gf = GridFunction(axes, np.exp(1j * axes[0]))
