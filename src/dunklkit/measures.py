@@ -10,13 +10,12 @@ contract is
 
 over that view; LineMeasure.integrate and the Hankel transform take it.
 
-measure_to_json writes the text json.dumps would write, byte for byte, but
-formats the float arrays with orjson: its Ryu encoder gives the same
-shortest round-trip digits as float repr, and the few magnitudes it writes
-in another notation are rewritten by float repr.  The reader is json.loads.
-Every CSV table the package writes goes through _csv_rows, the same
-encoder with its notation fixed in the text: float repr's bytes, so each
-value parses back to the same bits.
+Every float array the package writes as text goes through _float_tokens:
+orjson's Ryu encoder gives the same shortest round-trip digits as float
+repr, and the few magnitudes it writes in another notation are fixed in its
+bytes, so each token is float repr's and parses back to the same bits.
+measure_to_json writes the text json.dumps would write, byte for byte (the
+reader is json.loads), and every CSV table goes through _csv_rows.
 
 The closed-form families carry Gauss nodes, so the contract is spectrally
 accurate for smooth f even when the density has integrable endpoint
@@ -31,7 +30,6 @@ exact, moments 1-3 in u to rounding.
 from __future__ import annotations
 
 import json
-import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -151,61 +149,51 @@ def dirac(position: float, lam: float | None = None) -> RadialProfileMeasure:
     return RadialProfileMeasure(atoms=[(position, 1.0)], lam=lam)
 
 
-# Magnitudes where orjson's notation differs from float.__repr__: it writes
-# [1e-5, 1e-4) as 0.0000ddd, e-5..e-9 exponents without a leading zero and
-# exponents from e16 up without "+"; elsewhere the text is the same.  Shortest
-# digits can round across a decade, so each bound is widened by 0.1%.
-_REPR_BANDS = (0.999e-9, 1.001e-4, 0.999e16)
+def _float_tokens(a: np.ndarray) -> bytes:
+    """orjson's text "[a,b,...]" of a finite 1-D float (or integer) array, each
+    token made float.__repr__'s in the bytes: a "+" into exponents from e16 up,
+    a 0 into e-5..e-9, and [1e-5, 1e-4) from 0.0000dR to d.Re-05 (or de-05)."""
+    a = np.ascontiguousarray(a)
+    raw = orjson.dumps(a, option=orjson.OPT_SERIALIZE_NUMPY)
+    # the value test is exact: shortest digits round back to their double, so
+    # they stay on its side of the doubles nearest 1e-5 and 1e-4
+    mag = np.abs(a)
+    tiny = np.flatnonzero((mag >= 1e-5) & (mag < 1e-4))
+    if b"e" not in raw and not tiny.size:
+        return raw
+    text = np.frombuffer(raw, np.uint8)
+    e = np.flatnonzero(text == ord("e"))
+    plus = e[text[e + 1] != ord("-")] + 1
+    pad = e[(text[e + 1] == ord("-")) & ((text[e + 3] < ord("0")) | (text[e + 3] > ord("9")))] + 2
+    # token i lies between bound[i] and bound[i + 1]: the "[", the commas, the "]"
+    bound = np.r_[0, np.flatnonzero(text == ord(",")), text.size - 1] if tiny.size else tiny
+    lead, ends = bound[tiny] + 1 + np.signbit(a[tiny]), bound[tiny + 1]  # lead at "0.0000"
+    dots = lead[ends - lead > 7] + 7
+    at = np.concatenate([plus, pad, dots, np.repeat(ends, 4)])
+    put = b"+" * plus.size + b"0" * pad.size + b"." * dots.size + b"e-05" * tiny.size
+    out = np.insert(text, at, np.frombuffer(put, np.uint8))
+    if tiny.size:  # np.insert put each byte in front of the one at its index: shift the drops
+        drop = (lead[:, None] + np.arange(6)).ravel()
+        out = np.delete(out, drop + np.searchsorted(np.sort(at), drop, side="right"))
+    return out.tobytes()
 
 
 def _float_array_json(a: np.ndarray) -> str:
     """json.dumps(a.tolist()) of a finite 1-D float array, byte for byte."""
-    if not a.size:
-        return "[]"
-    parts = np.array(orjson.dumps(np.ascontiguousarray(a), option=orjson.OPT_SERIALIZE_NUMPY)
-                     [1:-1].decode().split(","), dtype=object)
-    lo, hi, big = _REPR_BANDS
-    mag = np.abs(a)
-    redo = ((mag >= lo) & (mag < hi)) | (mag >= big)
-    parts[redo] = list(map(float.__repr__, a[redo].tolist()))
-    return "[" + ", ".join(parts.tolist()) + "]"
-
-
-# The same three notation differences, fixed in orjson's text: "+" and a
-# two-digit exponent, and [1e-5, 1e-4) moved from 0.0000ddd to d.dde-05.
-# The last applies at a token start only, since 30.000090499533105 holds
-# "0.0000" too.
-_EXP_PLUS = re.compile(rb"e(?=\d)")
-_EXP_PAD = re.compile(rb"e-(?=\d[,\]])")
-_TINY = re.compile(rb"0\.0000(\d)(\d*)")
-
-
-def _tiny_repr(m: re.Match) -> bytes:
-    if m.string[m.start() - 1] not in b"[,-":  # inside a token, not at its start
-        return m[0]
-    return m[1] + (b"." + m[2] if m[2] else b"") + b"e-05"
+    return _float_tokens(a).replace(b",", b", ").decode()
 
 
 def _csv_block(table: np.ndarray, ids: np.ndarray | None) -> bytes:
     """CSV rows of one finite 2-D float block, led by the ids when given."""
-    text = orjson.dumps(table.ravel(), option=orjson.OPT_SERIALIZE_NUMPY)
-    if b"e" in text:
-        text = _EXP_PAD.sub(b"e-0", _EXP_PLUS.sub(b"e+", text))
-    # gated on the values in [1e-5, 1e-4), widened as _REPR_BANDS is: a search
-    # of the text for "0.0000" costs 20 times more
-    mag = np.abs(table)
-    if np.any((mag >= 0.999e-5) & (mag < 1.001e-4)):
-        text = _TINY.sub(_tiny_repr, text)
     # [a,b,c,d] -> a,b\nc,d\n: every n_cols-th comma ends a row
-    out = np.frombuffer(bytearray(text), np.uint8)[1:]
+    out = np.frombuffer(bytearray(_float_tokens(table.ravel())), np.uint8)[1:]
     out[-1] = ord("\n")
     ends = np.flatnonzero(out == ord(","))[table.shape[1] - 1::table.shape[1]]
     out[ends] = ord("\n")
     if ids is None:
         return out.tobytes()
     # "[i,j,k]" -> "i,j,k,": one "id," spliced in front of each row
-    cells = np.frombuffer(bytearray(orjson.dumps(ids, option=orjson.OPT_SERIALIZE_NUMPY)),
-                          np.uint8)[1:]
+    cells = np.frombuffer(bytearray(_float_tokens(ids)), np.uint8)[1:]
     cells[-1] = ord(",")
     widths = np.diff(np.flatnonzero(cells == ord(",")), prepend=-1)
     return np.insert(out, np.repeat(np.concatenate([[0], ends + 1]), widths), cells).tobytes()
@@ -237,8 +225,8 @@ def _write_csv(fh, header: dict, columns: list[str], rows) -> None:
 def measure_to_json(mu: LineMeasure, meta: dict | None = None) -> str:
     """json.dumps of the measure's fields (and meta), byte for byte.
 
-    grid, density and weights go through _float_array_json (orjson, with
-    float repr where its notation differs); atoms, lambda and meta through
+    grid, density and weights go through _float_array_json (the tokens of
+    _float_tokens, ", "-separated); atoms, lambda and meta through
     json.dumps.  A NaN or infinite number is a ConfigError, since
     measure_from_json would refuse the text.
     """

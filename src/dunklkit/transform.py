@@ -27,7 +27,8 @@ import numpy as np
 from .bessel_kingman import _pair_nodes
 from .core import (_as_kv, _axis_c_norm, _axis_product, _coords, dunkl_kernel_unitary,
                    dunkl_laplacian, intertwiner_atoms)
-from .errors import ConfigError, QuadratureError, _finite, _floats, _node_count, _positive_time
+from .errors import (ConfigError, NumericalError, QuadratureError, _finite, _floats, _node_count,
+                     _positive_time)
 from .measures import _csv_rows, _row_blocks, _write_csv
 from .quadrature import QuadratureRule, _tensor_grid, gauss_jacobi
 from .rank_one import kernel_unitary
@@ -120,7 +121,12 @@ class GridFunction:
         n = len(cols) - (2 if cplx else 1)
         if n < 1 or cols[:n] != [f"x{i+1}" for i in range(n)]:
             raise ConfigError(f"unrecognized grid csv columns: {cols}")
-        data = np.array([[float(c) for c in row] for row in rows])
+        if any(len(row) != len(cols) for row in rows):
+            raise ConfigError(f"grid csv rows must have {len(cols)} cells, one per column")
+        try:
+            data = np.array([[float(c) for c in row] for row in rows])
+        except ValueError as exc:
+            raise ConfigError(f"grid csv holds a non-numeric cell: {exc}") from None
         if data.size == 0:
             raise ConfigError("grid csv has no data rows")
         axes = tuple(np.unique(data[:, i]) for i in range(n))
@@ -394,7 +400,8 @@ def _heat_axis(k: float, s: float, x, y):
         Gamma_s = (2s)^(-(k+1/2)) / c_k e^(-(|a|-|b|)^2/2)
                   * e^(-|u|) [j_(k-1/2)(iu) + u / (2k+1) j_(k+1/2)(iu)],
 
-    through the scaled Bessel values, valid for all magnitudes of x, y, s.
+    through the scaled Bessel values and with the prefactor inside the
+    exponential, finite for all magnitudes of x, y, s where the value is.
     """
     scale = 1.0 / np.sqrt(2.0 * s)
     a = np.asarray(x, dtype=float) * scale
@@ -402,20 +409,24 @@ def _heat_axis(k: float, s: float, x, y):
     u = a * b
     au = np.abs(u)
     kern = _scaled_bessel_imag(k - 0.5, au) + u / (2.0 * k + 1.0) * _scaled_bessel_imag(k + 0.5, au)
-    return (2.0 * s) ** (-(k + 0.5)) / _axis_c_norm(k) \
-        * np.exp(-0.5 * (np.abs(a) - np.abs(b)) ** 2) * kern
+    return np.exp(-(k + 0.5) * math.log(2.0 * s) - 0.5 * (np.abs(a) - np.abs(b)) ** 2) \
+        / _axis_c_norm(k) * kern
 
 
 def heat_kernel(kv, s: float, x, y):
     """Closed form of the heat kernel at time s; x and y broadcast over
     leading axes (last axis = coordinates).
 
-    Factorizes over axes; each factor is evaluated through scaled Bessel
-    functions so large |x|, |y|, or small s do not overflow.
+    Factorizes over axes through scaled Bessel functions, so large |x|, |y| or
+    small s do not overflow; a value past the float range is a NumericalError.
     """
     s = _positive_time(s, "heat kernel time")
-    return _axis_product(kv, lambda k, a, b: _heat_axis(k, s, a, b),
-                         np.atleast_1d(x), np.atleast_1d(y))
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = _axis_product(kv, lambda k, a, b: _heat_axis(k, s, a, b),
+                            np.atleast_1d(x), np.atleast_1d(y))
+    if not np.all(np.isfinite(out)):
+        raise NumericalError(f"heat kernel at time {s} overflows the float range")
+    return out
 
 
 def radial_heat_profile(kv, t: float, r):

@@ -96,6 +96,17 @@ def test_eval_heat_origin_value(tmp_path, capsys):
     assert float(rows[0][4]) == pytest.approx(want, rel=1e-14)
 
 
+def test_eval_heat_past_the_float_range_is_a_numerical_error(tmp_path, capsys):
+    # (2s)^(-7/2) at s = 1e-100 was a bare OverflowError, exit 1
+    cfg = write_config(tmp_path, "heat.json", {
+        "target": "heat", "k": [3.0], "s": 1e-100, "x": [0.0], "y": [0.0]})
+    out = tmp_path / "heat.csv"
+    code, _, err = run_cli(capsys, "eval", "--config", cfg, "--out", str(out))
+    assert code == 3
+    assert "overflows" in json.loads(err)["error"]["message"]
+    assert not out.exists()
+
+
 def test_eval_bessel_json_to_stdout(tmp_path, capsys):
     cfg = write_config(tmp_path, "b.json", {
         "target": "bessel", "alpha": 0.5,
@@ -365,6 +376,16 @@ def test_transform_roundtrip_through_files(tmp_path, capsys):
     back = GridFunction.from_csv(inv_out)
     orig = GridFunction.from_csv(src)
     assert np.max(np.abs(back.values.real - orig.values)) < 1e-5
+
+
+def test_transform_refuses_a_non_numeric_cell(tmp_path, capsys):
+    # float("abc") was a bare ValueError, exit 1
+    src = tmp_path / "f.csv"
+    src.write_text("x1,value\n0.0,1.0\nabc,2.0\n")
+    cfg = write_config(tmp_path, "t.json", {"k": [1.0], "input": str(src)})
+    code, _, err = run_cli(capsys, "transform", "--config", cfg, "--out", str(tmp_path / "o.csv"))
+    assert code == 2
+    assert "non-numeric" in json.loads(err)["error"]["message"]
 
 
 def test_transform_csv_has_one_line_ending(tmp_path, capsys):

@@ -121,8 +121,9 @@ def test_bessel_checker_flags_imports(tmp_path):
 
 # ---------------------------------------------------------------------------
 # orjson has one importer, measures.py: its float text differs from float
-# repr's in notation, and only measures.py corrects that, for the JSON arrays
-# of measure_to_json and the CSV rows of every table writer (_csv_rows)
+# repr's in notation, and one helper there, _float_tokens, fixes that in the
+# bytes, for the JSON arrays of measure_to_json (_float_array_json) and the
+# CSV rows of every table writer (_csv_block)
 
 SCRIPTS = MODULES + sorted((ROOT / "bench").glob("*.py"))
 
@@ -153,6 +154,38 @@ def test_orjson_checker_flags_imports(tmp_path):
     assert orjson_imports(src) == ["orjson (line 2)", "orjson (line 4)"]
     src.write_text("import json\nfrom .measures import measure_to_json\n")
     assert orjson_imports(src) == []
+
+
+def float_text_breaches(path: Path) -> list[str]:
+    """Uses of repr or any __repr__ in the module, called or passed (as to
+    map), and each of _float_array_json and _csv_block that does not call
+    _float_tokens."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    uses = [(node.lineno, name) for node in ast.walk(tree)
+            for name in [getattr(node, "id", getattr(node, "attr", None))]
+            if isinstance(node, (ast.Name, ast.Attribute)) and name in ("repr", "__repr__")]
+    found = [f"{name} (line {line})" for line, name in sorted(uses)]
+    for name in ("_float_array_json", "_csv_block"):
+        fn = next((node for node in ast.walk(tree)
+                   if isinstance(node, ast.FunctionDef) and node.name == name), None)
+        if fn is None or not any(isinstance(node, ast.Call)
+                                 and getattr(node.func, "id", None) == "_float_tokens"
+                                 for node in ast.walk(fn)):
+            found.append(f"{name} does not reach _float_tokens")
+    return found
+
+
+def test_float_text_has_one_writer():
+    assert float_text_breaches(ROOT / "src" / "dunklkit" / "measures.py") == []
+
+
+def test_float_text_checker_flags_second_formatting(tmp_path):
+    src = tmp_path / "mod.py"
+    src.write_text("def _float_array_json(a):\n    return _float_tokens(a).decode()\n"
+                   "def _csv_block(t, ids):\n    return ','.join(map(float.__repr__, t))\n"
+                   "def other(v):\n    return repr(v)\n")
+    assert float_text_breaches(src) == ["__repr__ (line 4)", "repr (line 6)",
+                                        "_csv_block does not reach _float_tokens"]
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,8 @@ from dunklkit import (
 )
 from dunklkit.measures import (
     RadialProfileMeasure,
+    _csv_rows,
+    _float_array_json,
     measure_from_json,
     measure_to_json,
 )
@@ -151,3 +153,25 @@ def test_measure_json_roundtrip(offsets, dens, atom_r, atom_w):
     assert np.array_equal(back.weights, mu.weights)
     assert back.atoms == mu.atoms
     assert back.lam == mu.lam
+
+
+# any finite double, with the magnitudes where orjson's notation differs from
+# float repr drawn often: [1e-5, 1e-4), e-5..e-9 and e16 up
+notation_floats = st.one_of(
+    st.floats(**FIN), st.floats(1e-5, 1e-4), st.floats(-1e-4, -1e-5),
+    st.floats(1e-9, 1e-5), st.floats(1e16, 1e300), st.sampled_from([0.0, -0.0, 5e-324, -1e-5]))
+
+
+@given(values=st.lists(notation_floats, max_size=40), n_cols=st.integers(1, 4),
+       with_ids=st.booleans())
+@example(values=[30.000090499533105, 1e-5, -2.5e-5, 9.999999999999999e-05, 1e16, 1e-7],
+         n_cols=2, with_ids=True)
+@settings(max_examples=300, deadline=None)
+def test_float_tokens_are_float_repr(values, n_cols, with_ids):
+    a = np.array(values, dtype=float)
+    assert _float_array_json(a) == json.dumps(a.tolist())
+    table = a[:a.size - a.size % n_cols].reshape(-1, n_cols)
+    ids = np.arange(table.shape[0]) if with_ids else None
+    lines = b"".join(_csv_rows(table, ids)).decode().splitlines()
+    want = [[str(i)] * with_ids + [repr(float(v)) for v in row] for i, row in enumerate(table)]
+    assert [line.split(",") for line in lines] == want

@@ -7,6 +7,7 @@ evaluation of the scaled-Bessel closed form.
 import hashlib
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -15,6 +16,7 @@ from dunklkit import (
     QuadratureError,
     GridFunction,
     MultiplicityVector,
+    NumericalError,
     SphereQuadrature,
     TransformPlan,
     bump,
@@ -141,6 +143,11 @@ def test_grid_function_csv_rejects_malformed(tmp_path):
     holes.write_text("x1,x2,value\n0,0,1\n0,1,2\n1,0,3\n")
     with pytest.raises(ConfigError):
         GridFunction.from_csv(str(holes))
+    # a non-numeric cell and a short row were bare ValueErrors
+    for i, text in enumerate(["x1,value\nabc,2.0\n", "x1,x2,value\n0,0,1\n1.0\n"]):
+        (tmp_path / f"cells{i}.csv").write_text(text)
+        with pytest.raises(ConfigError):
+            GridFunction.from_csv(str(tmp_path / f"cells{i}.csv"))
 
 
 # ---------------------------------------------------------------------------
@@ -582,6 +589,19 @@ def test_heat_kernel_extreme_arguments_stay_finite():
     val = heat_kernel(kv, 1e-3, np.array([30.0]), np.array([[30.0], [-30.0]]))
     assert np.all(np.isfinite(val))
     assert val[0] > 0
+
+
+def test_heat_kernel_at_tiny_times_is_finite_or_a_numerical_error():
+    # the prefactor (2s)^(-7/2) alone overflows at s = 1e-100, and was a bare
+    # OverflowError; with e^(-625) from y the value is about 1e75
+    kv = MultiplicityVector(k=(3.0,))
+    got = float(heat_kernel(kv, 1e-100, [0.0], [5e-49]))
+    s, y = mpmath.mpf(1e-100), mpmath.mpf(5e-49)
+    # c_3 = int e^(-x^2/2) (2 x^2)^3 dx = 120 sqrt(2 pi)
+    want = (2 * s) ** -3.5 * mpmath.exp(-y * y / (4 * s)) / (120 * mpmath.sqrt(2 * mpmath.pi))
+    assert got == pytest.approx(float(want), rel=1e-12)
+    with pytest.raises(NumericalError):
+        heat_kernel(kv, 1e-100, [0.0], [0.0])
 
 
 @pytest.mark.parametrize("s", [1e-8, 1e-10, 1e-12, 1e-14])
