@@ -17,7 +17,9 @@ z (the characters are).  A measure convolution deposits its nodes on an
 output grid uniform in u = c asinh(z / c), whose cells widen with z, and
 sizes n per pair: a pair whose support [|x-y|, x+y] spans a few of the
 local cells gains nothing from more nodes than the cubic deposit's four
-cell moments use.
+cell moments use.  The pairs stream through one pipeline: per row block,
+one count per pair (_pair_counts), one _pair_nodes call per run of equal
+counts, and deposit pieces of at least half a block.
 
 The same angle rule, at lam = k - 1/2, is the rank-one intertwiner: the
 measure of V_k at x is the law of x u with u weighted by (1 + u) against
@@ -34,6 +36,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import betainc, erf, gammainc, gammainccinv, gammaln
 
+from . import measures
 from .errors import (ConfigError, NumericalError, PositivityError, ResolutionError, _finite,
                      _node_count, _positive_time)
 from .measures import RadialProfileMeasure, _grid_measure, _row_blocks, as_weighted_atoms, dirac
@@ -138,58 +141,36 @@ def convolve_points(lam: float, x: float, y: float, n: int = 128) -> RadialProfi
     return mu
 
 
-def _pair_nodes(lam: float, ax, bx, n: int):
-    """Point convolutions of every pair (|a|, |b|) of ax and bx, in row blocks of ax.
+def _pair_nodes(lam: float, x, y, n: int):
+    """Point convolutions of the pairs (|x_i|, |y_i|) of two arrays of one
+    length, in row blocks of n nodes per pair.
 
-    Yields (rows, z, w) per block: the block's slice of ax, the nodes z(u)
-    of shape (len(ax[rows]), len(bx), n) and the n angle-rule masses.
+    Yields (rows, z, w) per block: the block's slice of the pairs, their
+    nodes z(u) of shape (len(x[rows]), n) and the n angle-rule masses.
     """
     u, w = _angle_rule(lam, n)
-    y = np.abs(bx)[:, None]
-    for rows in _row_blocks(ax.size, bx.size * n):
-        x = np.abs(ax[rows])[:, None, None]
-        z = 2.0 * x * y * u  # z^2 = x^2 + y^2 - 2xyu, in place on the node array
-        np.subtract(x * x + y * y, z, out=z)
+    for rows in _row_blocks(x.size, n):
+        a, b = np.abs(x[rows, None]), np.abs(y[rows, None])
+        z = 2.0 * a * b * u  # z^2 = a^2 + b^2 - 2abu, in place on the node array
+        np.subtract(a * a + b * b, z, out=z)
         yield rows, np.sqrt(np.maximum(z, 0.0, out=z), out=z), w
 
 
-def _node_tiers(ax, bx, h: float, top: int):
-    """The pair plane of ax and bx split into node tiers by the pair's
-    support width 2 min(|a|, |b|): (rows of ax, columns of bx, angle nodes)
-    per rectangle.  Tier n < top takes the pairs with min(|a|, |b|) below
-    n^2 h / 8 that no lower tier took, and tier top the rest; each tier is
-    (a in its band) x (b above the band's low end) plus (a above the band)
-    x (b in the band), so every pair lands in exactly one rectangle."""
-    ra, rb = np.abs(ax), np.abs(bx)
-    # n^2 h / 8 kept the Cauchy closure residual of the bessel-kingman suite at
-    # 4.65e-9 on a uniform 16,384-node grid, where n^2 h / 4 read 4.77e-9; on
-    # the graded 6,144-node grid both read 2.95e-9
-    bands = [(n, n * n * h / 8.0) for n in (2, 4, 8, 16) if n < top] + [(top, np.inf)]
-    lo = 0.0
-    for n, hi in bands:
-        for rows, cols in (((ra >= lo) & (ra < hi), rb >= lo), (ra >= hi, (rb >= lo) & (rb < hi))):
-            ia, ib = np.flatnonzero(rows), np.flatnonzero(cols)
-            if ia.size and ib.size:
-                yield ia, ib, n
-        lo = hi
+def _pair_counts(ra, rb, cell_a, cell_b, top: int):
+    """Angle-node count of every pair (ra[i], rb[j]), shape (len(ra), len(rb)).
 
-
-def _graded_tiers(ax, bx, c: float, h_u: float, top: int):
-    """_node_tiers for the output grid uniform in u = c asinh(z / c) of cell
-    h_u, run band by band on the pair plane: band j >= 1 takes the pairs with
-    max(|a|, |b|) in [c 2^j, c 2^(j+1)), band 0 those below 2c.  Where z is at
-    least c 2^j the local cell width is at least 2^j h_u, so band j tiers with
-    h = 2^j h_u.  Each band is (a in the band) x (b up to the band's top)
-    plus (a below the band) x (b in the band)."""
-    # band index j of each radius: 2^j <= max(r / c, 1) < 2^(j+1)
-    ja = np.frexp(np.maximum(np.abs(ax) / c, 1.0))[1] - 1
-    jb = np.frexp(np.maximum(np.abs(bx) / c, 1.0))[1] - 1
-    for j in np.union1d(ja, jb).tolist():
-        for rows, cols in ((ja == j, jb <= j), (ja < j, jb == j)):
-            ia, ib = np.flatnonzero(rows), np.flatnonzero(cols)
-            if ia.size and ib.size:
-                for sa, sb, n in _node_tiers(ax[ia], bx[ib], 2.0**j * h_u, top):
-                    yield ia[sa], ib[sb], n
+    The pair's support [|a - b|, a + b] has width 2 min(a, b), and its local
+    grid cell is h = max(cell_a[i], cell_b[j]), the cell of the band of
+    max(a, b).  It takes the first count n of the ladder 2, 4, 8, 12, 16, ...
+    below top with min(a, b) < n^2 h, or top.  (The threshold is the coarsest
+    of n^2 h / 8, / 4, / 2, 1 and 2 n^2 h that keeps the bessel-kingman and
+    markov suites within twice their residuals at n^2 h / 8; 2 n^2 h took the
+    Cauchy closure past its 1e-8 tolerance.)
+    """
+    ladder = np.array([n for n in (2, *range(4, top, 4)) if n < top])
+    width = np.minimum.outer(ra, rb) / np.maximum.outer(cell_a, cell_b)
+    counts = np.append(ladder, top).astype(np.min_scalar_type(top))
+    return counts[np.searchsorted(ladder * ladder, width, side="right")]
 
 
 def _median_radius(x, w) -> float:
@@ -215,9 +196,10 @@ def convolve_measures(lam: float, sigma: RadialProfileMeasure, tau: RadialProfil
     uniform in u = c asinh(z / c): fine below z = c, where the mass sits,
     and geometric in the tail.  The scale c is the sum of the two inputs'
     mass-weighted median radii.  A pair's node count comes from its
-    support width 2 min(|a|, |b|) against the local cell width h: 2, 4, 8
-    or 16 nodes while min(|a|, |b|) < n^2 h / 8, and points_per_pair,
-    which also caps every tier, above that.
+    support width 2 min(|a|, |b|) against the local cell width h: the
+    first n of 2, 4, 8, 12, 16, ... below points_per_pair with
+    min(|a|, |b|) < n^2 h, and points_per_pair, which caps every count,
+    above that.
 
     The grid ends just past the sum of the two contiguous supports (each
     input's grid, or its atoms when it has no grid).  A node beyond it
@@ -256,29 +238,57 @@ def convolve_measures(lam: float, sigma: RadialProfileMeasure, tau: RadialProfil
         return RadialProfileMeasure(atoms=[(0.0, float(np.sum(aw) * np.sum(bw)))], lam=lam)
     c = max(_median_radius(ax, aw) + _median_radius(bx, bw), z_max / grid_n)
     h_u = c * np.arcsinh(z_max / c) / (grid_n - 1)
+    # band j of a radius r: 2^j <= max(r / c, 1) < 2^(j+1), where the grid
+    # cell is at least 2^j h_u
+    ra, rb = np.abs(ax), np.abs(bx)
+    cell_a, cell_b = (np.ldexp(h_u, np.frexp(np.maximum(r / c, 1.0))[1] - 1) for r in (ra, rb))
     # far atoms of each input (0 for the others): a pair's key is the larger
     far_a = np.where(ax > core_a, ax, 0.0)
     far_b = np.where(bx > core_b, bx, 0.0)
     far_sums: dict[float, np.ndarray] = {}  # key -> [sum m, sum m z^2]
 
+    def nodes():
+        """(z, m) per _pair_nodes block of each run of equal node counts."""
+        for rows in _row_blocks(ax.size, bx.size):
+            counts = _pair_counts(ra[rows], rb, cell_a[rows], cell_b, points_per_pair).ravel()
+            order = np.argsort(counts, kind="stable")
+            counts = counts[order]
+            cuts = np.r_[0, np.flatnonzero(counts[1:] != counts[:-1]) + 1, counts.size].tolist()
+            for lo, hi in zip(cuts[:-1], cuts[1:]):
+                i, j = np.divmod(order[lo:hi], bx.size)
+                i += rows.start
+                run_m, run_key = aw[i] * bw[j], np.maximum(far_a[i], far_b[j])
+                far_run = run_key.any()  # only a far atom's pairs reach beyond z_max
+                for sub, z, w in _pair_nodes(lam, ra[i], rb[j], int(counts[lo])):
+                    m = run_m[sub, None] * w
+                    if not far_run or (ok := z <= z_max).all():
+                        yield z.ravel(), m.ravel()
+                        continue
+                    yield z[ok], m[ok]
+                    far = ~ok
+                    zz, mm = z[far], m[far]
+                    keys, inv = np.unique(np.broadcast_to(run_key[sub, None], z.shape)[far],
+                                          return_inverse=True)
+                    sums = np.stack([np.bincount(inv, mm), np.bincount(inv, mm * zz * zz)], axis=1)
+                    for k, s in zip(keys.tolist(), sums):
+                        far_sums[k] = far_sums.get(k, 0.0) + s
+
     def pieces():
-        for ia, ib, n in _graded_tiers(ax, bx, c, h_u, points_per_pair):
-            bw_ib, far_ib = bw[ib], far_b[ib]
-            for rows, z, w in _pair_nodes(lam, ax[ia], bx[ib], n):
-                rows = ia[rows]
-                m = w * (aw[rows][:, None] * bw_ib[None, :])[..., None]
-                ok = z <= z_max
-                if ok.all():
-                    yield z.ravel(), m.ravel()
-                    continue
-                yield z[ok], m[ok]
-                far = ~ok
-                key = np.maximum(far_a[rows][:, None], far_ib[None, :])[..., None]
-                zz, mm = z[far], m[far]
-                keys, inv = np.unique(np.broadcast_to(key, z.shape)[far], return_inverse=True)
-                sums = np.stack([np.bincount(inv, mm), np.bincount(inv, mm * zz * zz)], axis=1)
-                for k, s in zip(keys.tolist(), sums):
-                    far_sums[k] = far_sums.get(k, 0.0) + s
+        """The nodes in pieces of at least half a _BLOCK (the last may be
+        short): larger runs pass as they are and shorter ones are joined, so
+        the deposit's fixed cost is paid about once per block."""
+        half, staged, size = measures._BLOCK // 2, [], 0
+        for z, m in nodes():
+            if z.size >= half:
+                yield z, m
+                continue
+            staged.append((z, m))
+            size += z.size
+            if size >= half:
+                yield tuple(map(np.concatenate, zip(*staged)))
+                staged, size = [], 0
+        if staged:
+            yield tuple(map(np.concatenate, zip(*staged)))
 
     mu = _grid_measure(RadialProfileMeasure, c, z_max, grid_n, pieces(), lam=lam)
     mu.atoms = sorted((math.sqrt(s[1] / s[0]), float(s[0]))

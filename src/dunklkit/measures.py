@@ -15,7 +15,7 @@ orjson's Ryu encoder gives the same shortest round-trip digits as float
 repr, and the few magnitudes it writes in another notation are fixed in its
 bytes, so each token is float repr's and parses back to the same bits.
 measure_to_json writes the text json.dumps would write, byte for byte (the
-reader is json.loads), and every CSV table goes through _csv_rows.
+reader is orjson.loads), and every CSV table goes through _csv_rows.
 
 The closed-form families carry Gauss nodes, so the contract is spectrally
 accurate for smooth f even when the density has integrable endpoint
@@ -149,6 +149,12 @@ def dirac(position: float, lam: float | None = None) -> RadialProfileMeasure:
     return RadialProfileMeasure(atoms=[(position, 1.0)], lam=lam)
 
 
+# what an edit of _float_tokens puts in, by code: a tiny token's leading
+# digit with its point (0-9) or without (10-19), a "+", a pad "0", an "e-05"
+_PUTS = np.array([b"%d." % d for d in range(10)] + [b"%d" % d for d in range(10)]
+                 + [b"+", b"0", b"e-05"], dtype=object)
+
+
 def _float_tokens(a: np.ndarray) -> bytes:
     """orjson's text "[a,b,...]" of a finite 1-D float (or integer) array, each
     token made float.__repr__'s in the bytes: a "+" into exponents from e16 up,
@@ -168,14 +174,17 @@ def _float_tokens(a: np.ndarray) -> bytes:
     # token i lies between bound[i] and bound[i + 1]: the "[", the commas, the "]"
     bound = np.r_[0, np.flatnonzero(text == ord(",")), text.size - 1] if tiny.size else tiny
     lead, ends = bound[tiny] + 1 + np.signbit(a[tiny]), bound[tiny + 1]  # lead at "0.0000"
-    dots = lead[ends - lead > 7] + 7
-    at = np.concatenate([plus, pad, dots, np.repeat(ends, 4)])
-    put = b"+" * plus.size + b"0" * pad.size + b"." * dots.size + b"e-05" * tiny.size
-    out = np.insert(text, at, np.frombuffer(put, np.uint8))
-    if tiny.size:  # np.insert put each byte in front of the one at its index: shift the drops
-        drop = (lead[:, None] + np.arange(6)).ravel()
-        out = np.delete(out, drop + np.searchsorted(np.sort(at), drop, side="right"))
-    return out.tobytes()
+    digit = text[lead + 6] - ord("0") + 10 * (ends - lead == 7)
+    # one slice-and-join over the edits, sorted as position * 32 + _PUTS code;
+    # a tiny token's edit at its lead replaces the 7 bytes "0.0000d"
+    key = np.concatenate([plus * 32 + 20, pad * 32 + 21, lead * 32 + digit, ends * 32 + 22])
+    key.sort()
+    at, code = key >> 5, key & 31
+    parts = [None] * (2 * at.size + 1)
+    parts[::2] = [raw[i:j] for i, j in zip([0, *(at + 7 * (code < 20)).tolist()],
+                                           [*at.tolist(), len(raw)])]
+    parts[1::2] = _PUTS[code].tolist()
+    return b"".join(parts)
 
 
 def _float_array_json(a: np.ndarray) -> str:
@@ -245,8 +254,8 @@ def measure_to_json(mu: LineMeasure, meta: dict | None = None) -> str:
 
 def measure_from_json(text: str) -> RadialProfileMeasure:
     try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
+        payload = orjson.loads(text)  # NaN, Infinity and 1e400 are parse errors here
+    except json.JSONDecodeError as exc:  # orjson.JSONDecodeError subclasses it
         raise ConfigError(f"measure JSON is invalid: {exc}") from exc
     if not isinstance(payload, dict):
         raise ConfigError(f"measure JSON must be an object, got {type(payload).__name__}")

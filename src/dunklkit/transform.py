@@ -611,7 +611,7 @@ def spherical_mean_radial(kv, f0, x, t, n: int = 256):
     if not math.isfinite(rx2 + top * top):
         raise ConfigError("t must be finite, with |x|^2 + t^2 inside the float range")
     means = np.empty(r.size)
-    for rows, z, w in _pair_nodes(kv.lam, r, np.array([math.sqrt(rx2)]), n):
+    for rows, z, w in _pair_nodes(kv.lam, r, np.full(r.size, math.sqrt(rx2)), n):
         means[rows] = np.einsum("ik,k->i", _profile(f0, z).reshape(len(z), -1), w)
     return float(means[0]) if radii.ndim == 0 else means.reshape(radii.shape)
 

@@ -15,6 +15,7 @@ from dunklkit import (
     MultiplicityVector,
     PathEnsemble,
     PositivityError,
+    ResolutionError,
     convolve_k,
     kernel_unitary,
     marginal_ks,
@@ -181,6 +182,30 @@ def test_subordinated_kernel_hat_matches_cauchy_character():
     want = complex(np.conj(dunkl_kernel_unitary(KV1, x, xi))
                    * np.exp(-t * float(np.sqrt(np.sum(xi * xi)))))
     assert abs(got - want) < 1e-6
+
+
+K3 = MultiplicityVector(k=(3.0,))
+
+
+@pytest.mark.parametrize("t", [1e-3, 1e-10])
+def test_kernel_hats_resolve_short_times(t):
+    # the 160-node axis rule on |x| + sqrt(160 t) read 2.349 - 0.168i at
+    # t = 1e-10; the heat peaks at y = +-x now get a window of their own
+    x, xi = np.array([0.5]), np.array([1.0])
+    from dunklkit import dunkl_kernel_unitary
+    want = complex(np.conj(dunkl_kernel_unitary(K3, x, xi))) * np.exp(-t)
+    assert abs(gaussian_kernel_hat(K3, t, x, xi) - want) <= 1e-11
+    # one inner window per outer node: a step of 1e-3 then one of t
+    assert abs(composed_kernel_hat(K3, 1e-3, t, x, xi) - want * np.exp(-1e-3)) <= 1e-11
+
+
+def test_kernel_hats_refuse_what_they_cannot_resolve():
+    # at t = 1e-30 the heat window sqrt(160 t) is about a hundred ulps of |x|; both read 0j once
+    x, xi = np.array([0.5]), np.array([1.0])
+    with pytest.raises(ResolutionError, match="mass"):
+        gaussian_kernel_hat(K3, 1e-30, x, xi)
+    with pytest.raises(ResolutionError, match="mass"):
+        composed_kernel_hat(K3, 1e-30, 1e-30, x, xi)
 
 
 def test_kernel_hat_validation():

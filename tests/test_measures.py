@@ -151,6 +151,17 @@ def _edge_floats(rng) -> np.ndarray:
     return values[rng.permutation(values.size)]
 
 
+def test_json_reader_gives_json_loads_bits():
+    # measure_from_json parses with orjson; on every notation boundary it must
+    # read the bits json.loads reads
+    values = _edge_floats(np.random.default_rng(13))
+    text = json.dumps({"grid": list(range(values.size)), "density": values.tolist(),
+                       "atoms": [[abs(v), v] for v in values[:2000].tolist()]})
+    mu, payload = measure_from_json(text), json.loads(text)
+    assert mu.density.tobytes() == np.array(payload["density"]).tobytes()
+    assert np.array(mu.atoms).tobytes() == np.array(payload["atoms"]).tobytes()
+
+
 def _json_cases():
     rng = np.random.default_rng(11)
     edges = _edge_floats(rng)
