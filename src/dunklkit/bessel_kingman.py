@@ -74,7 +74,7 @@ def _match_index(lam: float, *measures: RadialProfileMeasure) -> None:
 
 def _angular_norm(lam: float) -> float:
     # Gamma(lam+1) / (sqrt(pi) Gamma(lam+1/2)); normalizes (1-u^2)^(lam-1/2) du
-    return float(np.exp(gammaln(lam + 1.0) - gammaln(lam + 0.5)) / np.sqrt(np.pi))
+    return float(np.exp(gammaln(lam + 1.0) - gammaln(lam + 0.5)) / math.sqrt(math.pi))
 
 
 def product_kernel(lam: float, x: float, y: float, z) -> np.ndarray:
@@ -110,13 +110,12 @@ def _angle_rule(lam: float, n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _point_nodes(lam: float, x: float, y: float, n: int):
-    """Point convolution of x, y > 0 on the n-node angle rule: the sorted nodes
-    z, their masses, densities against dz and angle nodes u (z^2 = x^2 + y^2 - 2xyu)."""
-    u, w = _angle_rule(lam, n)
-    z = np.sqrt(np.maximum(x * x + y * y - 2.0 * x * y * u, 0.0))
-    order = np.argsort(z)
-    z = z[order]
-    return z, w[order], product_kernel(lam, x, y, z) * z ** (2.0 * lam + 1.0), u[order]
+    """Point convolution of x, y > 0 on the n-node angle rule: _pair_nodes' z(u)
+    reversed into ascending z, their masses, densities against dz and angle nodes u."""
+    (_, z, w), = _pair_nodes(lam, np.array([x]), np.array([y]), n)
+    z = z[0, ::-1].copy()  # contiguous, as numpy's power may round strided input otherwise
+    return z, w[::-1], product_kernel(lam, x, y, z) * z ** (2.0 * lam + 1.0), \
+        _angle_rule(lam, n)[0][::-1]
 
 
 def convolve_points(lam: float, x: float, y: float, n: int = 128) -> RadialProfileMeasure:

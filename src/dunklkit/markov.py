@@ -50,13 +50,12 @@ from .bessel_kingman import (
     stable_half_subordinator,
 )
 from .core import MultiplicityVector, _as_kv, _axis_product, _coords, dunkl_kernel_unitary
-from .errors import (ConfigError, ConsistencyError, PositivityError, QuadratureError,
-                     ResolutionError, _floats, _node_count, _positive_time)
+from .errors import (ConfigError, ConsistencyError, PositivityError, _floats, _node_count,
+                     _positive_time)
 from .measures import _BLOCK, RadialProfileMeasure, _csv_rows, _write_csv, as_weighted_atoms, dirac
-from .quadrature import QuadratureRule, gauss_legendre
 from .rank_one import kernel_unitary, spherical_mean as _rank_one_mean
 from .special import _bessel_ratio
-from .transform import _heat_axis, axis_rule, heat_kernel, spherical_mean_radial
+from .transform import _heat_quadrature, heat_kernel, spherical_mean_radial
 
 __all__ = [
     "KRadialMeasure",
@@ -80,7 +79,7 @@ __all__ = [
 # the measure class
 
 _MASS_TOL = 1e-10  # |mass - 1| of a profile
-_NEG_TOL = 1e-7    # negative node mass a deposited profile may carry from rounding
+_NEG_TOL = 1e-7    # negative node mass a deposited profile may carry (cubic stencil)
 
 
 @dataclass
@@ -89,8 +88,9 @@ class KRadialMeasure:
 
     Stored through its radial profile (the pushforward under |.|), which
     must live at the hypergroup index lam of the multiplicity and carry
-    total mass 1 within _MASS_TOL.  Node masses of gridded profiles may
-    dip slightly negative through deposit rounding; _NEG_TOL bounds that.
+    total mass 1 within _MASS_TOL.  Node masses of gridded profiles may dip
+    negative where the cubic deposit stencil's negative weights land (not
+    from rounding); _NEG_TOL bounds that.
     """
 
     kv: MultiplicityVector
@@ -324,55 +324,22 @@ def semigroup_from_json(text: str) -> KernelSemigroup:
 # honest transforms of the transition kernels (quadrature, no factorization)
 
 
-_HAT_NODES = 160  # Gauss nodes per axis panel of the transition-kernel transforms
-# a transform is returned only where its rules give the heat kernel's mass, 1,
-# within this; over k in {0.5, 3}, |x| in {0, 0.5, 2, 100} and t in
-# [1e-300, 0.1], a value's error stayed below its mass's
-_HAT_MASS_TOL = 1e-9
-
-
-def _hat_rule(k: float, c: float, t: float) -> QuadratureRule:
-    """Rule for the heat kernel at time t from |x| = c, which lives on |y|
-    within w = sqrt(160 t) of c: axis_rule over |y| <= c + w while that
-    reaches 0, else Gauss-Legendre panels over +-[c - w, c + w] weighted by
-    (2 y^2)^k, so the peaks at y = +-x get every node however narrow."""
-    w = np.sqrt(160.0 * t)
-    if c <= w:
-        return axis_rule(k, c + w, _HAT_NODES)
-    right = gauss_legendre(_HAT_NODES, c - w, c + w)
-    weights = right.weights * 2.0**k * right.nodes ** (2.0 * k)
-    if not np.isfinite(weights).all():
-        raise QuadratureError(f"heat window weights near |x| = {c:g} overflow the float range")
-    return QuadratureRule(np.r_[-right.nodes[::-1], right.nodes], np.r_[weights[::-1], weights])
-
-
-def _check_heat_mass(mass, t: float) -> None:
-    if not abs(mass - 1.0) <= _HAT_MASS_TOL:  # a NaN fails too
-        raise ResolutionError(f"the transform's nodes miss the heat kernel at time {t:g}: "
-                              f"its mass reads {mass}, not 1")
-
-
-def _heat_hat_axis(k: float, t: float, x_i: float, xi_i: float) -> complex:
-    """One axis of gaussian_kernel_hat on _hat_rule, after its mass check."""
-    rule = _hat_rule(k, abs(float(x_i)), t)
-    heat = rule.weights * _heat_axis(k, t, x_i, rule.nodes)
-    _check_heat_mass(np.sum(heat), t)
-    return np.sum(heat * np.conj(kernel_unitary(k, xi_i, rule.nodes)))
-
-
 def gaussian_kernel_hat(kv, t: float, x, xi) -> complex:
     """Transform of the heat transition kernel,
 
         int E_k(-i xi, y) Gamma_k(t, x, y) w_k(y) dy,
 
-    by direct per-axis quadrature (_hat_rule).  Nothing about k-invariance
+    by direct per-axis quadrature on the heat window of x (_heat_quadrature, a
+    ResolutionError where it misses the kernel's mass).  Nothing about k-invariance
     enters, so comparing against E_k(-ix, xi) e^(-t |xi|^2) is a real check.
-    A ResolutionError where the rule misses the kernel's mass (_HAT_MASS_TOL).
     """
     t = _positive_time(t, "kernel time")
-    with np.errstate(over="ignore", invalid="ignore"):
-        return complex(_axis_product(kv, lambda k, a, b: _heat_hat_axis(k, t, a, b),
-                                     np.atleast_1d(x), np.atleast_1d(xi)))
+
+    def axis(k, x_i, xi_i):
+        rule, heat = _heat_quadrature(k, t, x_i)
+        return np.sum(heat * np.conj(kernel_unitary(k, xi_i, rule.nodes)))
+
+    return complex(_axis_product(kv, axis, np.atleast_1d(x), np.atleast_1d(xi)))
 
 
 def composed_kernel_hat(kv, s: float, t: float, x, xi) -> complex:
@@ -380,20 +347,18 @@ def composed_kernel_hat(kv, s: float, t: float, x, xi) -> complex:
 
         int int E_k(-i xi, y) Gamma_k(t, z, y) w_k(y) dy Gamma_k(s, x, z) w_k(z) dz,
 
-    by nested per-axis quadrature: the inner integral is gaussian_kernel_hat's
-    at every node z.  The semigroup law makes this equal gaussian_kernel_hat(s + t)
-    and that is how it is verified.  A ResolutionError as there.
+    by nested per-axis quadrature: the inner integral is gaussian_kernel_hat's, on
+    the heat windows of all nodes z at once.  The semigroup law makes this equal
+    gaussian_kernel_hat(s + t) and that is how it is verified.  A ResolutionError as there.
     """
     s, t = _positive_time(s, "kernel time s"), _positive_time(t, "kernel time t")
 
     def axis(k, x_i, xi_i):
-        rule = _hat_rule(k, abs(float(x_i)), s)
-        outer = rule.weights * _heat_axis(k, s, x_i, rule.nodes)
-        _check_heat_mass(np.sum(outer), s)
-        return np.sum(outer * np.array([_heat_hat_axis(k, t, z, xi_i) for z in rule.nodes]))
+        outer, heat_s = _heat_quadrature(k, s, x_i)
+        inner, heat_t = _heat_quadrature(k, t, outer.nodes)  # one window per outer node
+        return np.sum(heat_s[:, None] * heat_t * np.conj(kernel_unitary(k, xi_i, inner.nodes)))
 
-    with np.errstate(over="ignore", invalid="ignore"):
-        return complex(_axis_product(kv, axis, np.atleast_1d(x), np.atleast_1d(xi)))
+    return complex(_axis_product(kv, axis, np.atleast_1d(x), np.atleast_1d(xi)))
 
 
 _S_QUAD = 50.0  # mixture times up to which subordinated_kernel_hat runs the quadrature
@@ -410,19 +375,12 @@ def subordinated_kernel_hat(kv, t: float, x, xi) -> complex:
     """
     kv = _as_kv(kv)
     x, xi = _coords(kv, "x", x, point=True), _coords(kv, "xi", xi, point=True)
-    rho = stable_half_subordinator(t)
-    s_pos, s_mass = as_weighted_atoms(rho)
-    total = 0.0 + 0.0j
-    xi_sq = float(np.sum(xi * xi))
-    tail_kernel = None
-    for s, m in zip(s_pos, s_mass):
-        if s <= _S_QUAD:
-            total += m * gaussian_kernel_hat(kv, float(s), x, xi)
-        else:
-            if tail_kernel is None:
-                tail_kernel = complex(np.conj(dunkl_kernel_unitary(kv, x, xi)))
-            total += m * tail_kernel * np.exp(-s * xi_sq)
-    return complex(total)
+    s_pos, s_mass = as_weighted_atoms(stable_half_subordinator(t))
+    near = s_pos <= _S_QUAD
+    total = sum(m * gaussian_kernel_hat(kv, float(s), x, xi)
+                for s, m in zip(s_pos[near], s_mass[near]))
+    tail = np.sum(s_mass[~near] * np.exp(-s_pos[~near] * float(np.sum(xi * xi))))
+    return complex(total + np.conj(dunkl_kernel_unitary(kv, x, xi)) * tail)
 
 
 def subordinated_density(kv, t: float, x, y):

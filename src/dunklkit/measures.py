@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 import orjson
@@ -270,14 +271,15 @@ def measure_from_json(text: str) -> RadialProfileMeasure:
     if lam is not None and type(lam) not in (int, float):
         raise ConfigError(f"measure 'lambda' must be null or a number, got {lam!r}")
     try:
-        arrays = {key: np.asarray(payload[key], dtype=float) for key in ("grid", "density", "weights")
-                  if key != "weights" or payload.get(key) is not None}
+        lists = {key: payload[key] for key in ("grid", "density", "weights")
+                 if key != "weights" or payload.get(key) is not None}
+        if not {*map(type, chain(*lists.values(), *payload.get("atoms", [])))} <= {int, float}:
+            raise TypeError("a string, bool, null or list stands where a number belongs")
+        arrays = {key: np.asarray(v, dtype=float) for key, v in lists.items()}
         atoms = [(float(r), float(w)) for r, w in payload.get("atoms", [])]
         finite = np.isfinite(float(lam or 0.0)) and np.isfinite(atoms).all()
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"measure JSON holds a non-numeric or malformed entry: {exc}") from exc
-    if any(a.ndim != 1 for a in arrays.values()):
-        raise ConfigError("measure 'grid', 'density' and 'weights' must be flat lists")
     if not (finite and all(np.isfinite(a).all() for a in arrays.values())):
         raise ConfigError("measure JSON holds a NaN or infinite number")
     return RadialProfileMeasure(**arrays, atoms=atoms, lam=lam)

@@ -27,10 +27,10 @@ import numpy as np
 from .bessel_kingman import _pair_nodes
 from .core import (_as_kv, _axis_c_norm, _axis_product, _coords, dunkl_kernel_unitary,
                    dunkl_laplacian, intertwiner_atoms)
-from .errors import (ConfigError, NumericalError, QuadratureError, _finite, _floats, _node_count,
-                     _positive_time)
+from .errors import (ConfigError, NumericalError, QuadratureError, ResolutionError, _finite,
+                     _floats, _node_count, _positive_time)
 from .measures import _csv_rows, _row_blocks, _write_csv
-from .quadrature import QuadratureRule, _tensor_grid, gauss_jacobi
+from .quadrature import QuadratureRule, _tensor_grid, gauss_jacobi, gauss_legendre
 from .rank_one import kernel_unitary
 from .special import _scaled_bessel_imag, bessel_j, radial_bessel_operator
 
@@ -413,6 +413,43 @@ def _heat_axis(k: float, s: float, x, y):
         / _axis_c_norm(k) * kern
 
 
+_HEAT_NODES = 96  # Gauss nodes per half-axis panel of a heat window
+_HEAT_MASS_TOL = 1e-9  # |mass - 1| of a usable heat window
+
+
+def _heat_quadrature(k: float, t: float, x, y=None):
+    """Rule (nodes z, weights) of x's heat window at time t and the weights
+    times Gamma_t(x, z); broadcast over x, nodes on a new last axis.
+
+    The window spans lo - w to hi + w, w = sqrt(160 t), lo and hi the smaller
+    and larger of |x| and |y| (y defaults to x): axis_rule's nodes on |z| <= hi + w
+    while lo <= w, else Gauss-Legendre panels on +-[lo - w, hi + w] weighted by
+    (2 z^2)^k, every node near the peaks however narrow.  Weights past the float
+    range are a QuadratureError, a sum off the kernel's mass 1 by more than
+    _HEAT_MASS_TOL a ResolutionError (over k in {0.5, 3}, |x| in {0, 0.5, 2, 100}
+    and t in [1e-300, 0.1] a transform's error stayed below its mass's).
+    """
+    x = np.asarray(x, dtype=float)[..., None]
+    ends = np.abs(x), np.abs(x if y is None else y)
+    lo, hi, w = np.minimum(*ends), np.maximum(*ends), math.sqrt(160.0 * t)
+    axis = gauss_jacobi(_HEAT_NODES, 0.0, 2.0 * k, 0.0, 1.0)
+    panel = gauss_legendre(_HEAT_NODES, 0.0, 1.0)
+    near, top, width = lo <= w, hi + w, hi - lo + 2.0 * w
+    with np.errstate(over="ignore", invalid="ignore"):
+        right = np.where(near, top * axis.nodes, (lo - w) + width * panel.nodes)
+        weights = 2.0**k * np.where(near, top ** (2.0 * k + 1.0) * axis.weights,
+                                    width * panel.weights * right ** (2.0 * k))
+        if not np.isfinite(weights).all():
+            raise QuadratureError(f"heat window weights at time {t:g} overflow the float range")
+        rule = QuadratureRule(np.concatenate([-right[..., ::-1], right], axis=-1),
+                              np.concatenate([weights[..., ::-1], weights], axis=-1))
+        heat = rule.weights * _heat_axis(k, t, x, rule.nodes)
+        miss = np.max(np.abs(np.sum(heat, axis=-1) - 1.0))
+    if not miss <= _HEAT_MASS_TOL:  # a NaN fails too
+        raise ResolutionError(f"the heat window at time {t:g} misses the kernel's mass by {miss}")
+    return rule, heat
+
+
 def heat_kernel(kv, s: float, x, y):
     """Closed form of the heat kernel at time s; x and y broadcast over
     leading axes (last axis = coordinates).
@@ -456,22 +493,25 @@ def heat_kernel_spectral(kv, s: float, x, y):
 
 
 def chapman_kolmogorov_defect(kv, s1: float, s2: float, x, y) -> float:
-    """Relative defect of int Gamma_s1(x, z) Gamma_s2(z, y) w(z) dz
-    against Gamma_(s1+s2)(x, y).  The integrand factorizes over the axes, so
-    the integral is a product of 1-D sums on axis_rule(k_i, L, 96), with
-    L = max(|x_i|, |y_i|) + sqrt(160 max(s1, s2)): N * 192 nodes, no tensor grid."""
+    """Relative defect of int Gamma_s1(x, z) Gamma_s2(z, y) w(z) dz against
+    Gamma_(s1+s2)(x, y), a NumericalError where that underflows.  The integrand
+    factorizes over the axes: a product of 1-D sums, each on the heat window of
+    the shorter time over |x_i| to |y_i| (_heat_quadrature), where the product
+    of the two kernels lives; a ResolutionError where it misses its mass."""
     s1, s2 = _positive_time(s1, "heat kernel time s1"), _positive_time(s2, "heat kernel time s2")
     kv = _as_kv(kv)
     x, y = _coords(kv, "x", x, point=True), _coords(kv, "y", y, point=True)
-    extent = float(np.max(np.abs([x, y]))) + np.sqrt(160.0 * max(s1, s2))
+    if s2 < s1:  # the integrand is symmetric under (s1, x) <-> (s2, y)
+        s1, s2, x, y = s2, s1, y, x
 
     def axis(k, a, b):
-        rule = axis_rule(k, extent, 96)
-        return np.sum(rule.weights * _heat_axis(k, s1, a, rule.nodes)
-                      * _heat_axis(k, s2, b, rule.nodes))
+        rule, heat = _heat_quadrature(k, s1, a, b)
+        return np.sum(heat * _heat_axis(k, s2, b, rule.nodes))
 
     lhs = float(_axis_product(kv, axis, x, y))
     rhs = float(heat_kernel(kv, s1 + s2, x, y))
+    if rhs == 0.0:
+        raise NumericalError(f"the heat kernel at time {s1 + s2:g} underflows at these points")
     return abs(lhs - rhs) / abs(rhs)
 
 
@@ -526,14 +566,14 @@ def translated_normalization_defect(kv, t: float, x) -> float:
         | int tau_x F_t(y) w_k(y) dy  -  1 |
 
     with F_t the radial heat profile.  Exercises the translation and the
-    weighted quadrature together; the closed-form heat kernel never enters.
-    The translation couples the axes: y runs over the (192)^N tensor grid of
-    axis_rule(k_i, max |x_i| + sqrt(160 t), 96), over 40^N intertwiner atoms.
+    weighted quadrature together; the closed-form heat kernel enters only the
+    mass checks of the y-rules, whose tensor grid couples the heat windows of
+    the x_i (_heat_quadrature) over 40^N intertwiner atoms.
     """
     t = _positive_time(t, "heat kernel time")
     kv = _as_kv(kv)
     x = _coords(kv, "x", x, point=True)
-    rules = [axis_rule(k, float(np.max(np.abs(x))) + np.sqrt(160.0 * t), 96) for k in kv.k]
+    rules = [_heat_quadrature(k, t, x_i)[0] for k, x_i in zip(kv.k, x)]
     pts, wts = _tensor_grid([r.nodes for r in rules], [r.weights for r in rules])
     vals = radial_translate(kv, lambda r: radial_heat_profile(kv, t, r), x, pts, n_per_axis=40)
     return abs(float(np.sum(wts * vals)) - 1.0)

@@ -612,11 +612,11 @@ def _suite_darboux() -> list[CaseResult]:
 def _suite_chapman_kolmogorov() -> list[CaseResult]:
     """Two-step heat compositions against the single step, mass
     normalization of plain and translated heat kernels, and the closed form
-    against the kernel's frequency representation.  Composition (96 + 96
-    nodes per axis), mass (gaussian_kernel_hat at xi = 0, 160 + 160) and the
-    spectral route (128 + 128) go axis by axis, composition and mass up to
-    N = 3; the translated mass couples the axes on (192)^N points x 40^N
-    atoms, so it stays at N <= 2."""
+    against the kernel's frequency representation.  Composition and mass
+    (gaussian_kernel_hat at xi = 0) on heat windows (96 + 96 nodes per axis)
+    and the spectral route (128 + 128) go axis by axis, up to N = 3; the
+    translated mass couples the axes on (192)^N points x 40^N atoms, so it
+    stays at N <= 2."""
     t_ck = TOLERANCES["chapman-kolmogorov"]
     t_norm = TOLERANCES["heat-normalization"]
     t_trans = TOLERANCES["translated-normalization"]

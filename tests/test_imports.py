@@ -353,13 +353,18 @@ def test_engine_checker_flags_each_duplicate(tmp_path):
 
 
 # convolve_measures takes every pair's nodes from _pair_nodes, at whatever
-# node count its tier sets: no rule, root or node formula of its own
+# node count its tier sets: no rule, root or node formula of its own; and
+# _point_nodes reads its nodes off _pair_nodes, reversed, with no z(u)
+# formula or sort of its own (its angle nodes u come from _angle_rule, and
+# _gauss_roots has its own guard)
 
 NODE_BUILDERS = {"_angle_rule", "_gauss_roots", "_point_nodes"}
+POINT_NODE_BUILDERS = {"argsort", "sort"}
 
 
-def node_builder_breaches(path: Path, name: str = "convolve_measures") -> list[str]:
-    """Node-builder calls and numpy square roots reached from the named
+def node_builder_breaches(path: Path, name: str = "convolve_measures",
+                          builders=NODE_BUILDERS) -> list[str]:
+    """Calls of the builders and numpy square roots reached from the named
     function, in its body or a module-level function it calls (not through
     _pair_nodes, the one builder it may call); and no _pair_nodes call."""
     tree = ast.parse(path.read_text(), filename=str(path))
@@ -377,7 +382,7 @@ def node_builder_breaches(path: Path, name: str = "convolve_measures") -> list[s
                 continue
             callee = getattr(node.func, "id", getattr(node.func, "attr", None))
             owner = getattr(getattr(node.func, "value", None), "id", None)
-            if callee in NODE_BUILDERS or (callee == "sqrt" and owner in ("np", "numpy")):
+            if callee in builders or (callee == "sqrt" and owner in ("np", "numpy")):
                 found.append(f"{fn} calls {callee} (line {node.lineno})")
             elif callee == "_pair_nodes":
                 reached = True
@@ -390,6 +395,11 @@ def node_builder_breaches(path: Path, name: str = "convolve_measures") -> list[s
 
 def test_convolution_takes_its_nodes_from_pair_nodes():
     assert node_builder_breaches(ROOT / "src" / "dunklkit" / "bessel_kingman.py") == []
+
+
+def test_point_nodes_take_their_nodes_from_pair_nodes():
+    assert node_builder_breaches(ROOT / "src" / "dunklkit" / "bessel_kingman.py",
+                                 "_point_nodes", POINT_NODE_BUILDERS) == []
 
 
 def test_node_builder_checker_flags_a_second_builder(tmp_path):
@@ -412,6 +422,20 @@ def test_node_builder_checker_flags_a_second_builder(tmp_path):
                                           "convolve_measures does not reach _pair_nodes"]
     src.write_text(good.replace("convolve_measures", "convolve"))
     assert node_builder_breaches(src) == ["bessel_kingman.convolve_measures is missing"]
+    # _point_nodes may take its angle nodes from _angle_rule, but not sort its own z(u)
+    point = ("import numpy as np\n"
+             "def _point_nodes(lam, x, y, n):\n"
+             "    (_, z, w), = _pair_nodes(lam, np.array([x]), np.array([y]), n)\n"
+             "    return z[0, ::-1], w[::-1], _angle_rule(lam, n)[0][::-1]\n")
+    src.write_text(point)
+    assert node_builder_breaches(src, "_point_nodes", POINT_NODE_BUILDERS) == []
+    src.write_text("import numpy as np\n"
+                   "def _point_nodes(lam, x, y, n):\n    u, w = _angle_rule(lam, n)\n"
+                   "    z = np.sqrt(x * x + y * y - 2.0 * x * y * u)\n"
+                   "    order = np.argsort(z)\n    return z[order], w[order], u[order]\n")
+    assert node_builder_breaches(src, "_point_nodes", POINT_NODE_BUILDERS) == [
+        "_point_nodes calls argsort (line 5)", "_point_nodes calls sqrt (line 4)",
+        "_point_nodes does not reach _pair_nodes"]
 
 
 # ---------------------------------------------------------------------------
@@ -808,3 +832,70 @@ def test_dead_helper_checker_flags_orphans(tmp_path):
     two.write_text("from . import one\n")
     assert dead_helpers([one, two]) == ["one._by_attribute", "one._dead", "one._dead_chain",
                                         "one._recursive"]
+
+
+# ---------------------------------------------------------------------------
+# the heat window exists once: transform._heat_quadrature alone spans a heat
+# kernel's reach sqrt(160 t), and every heat-kernel integral takes its nodes
+# from it; markov builds no rule of its own, and composed_kernel_hat runs its
+# inner windows in one array pass
+
+HEAT_WINDOW = "transform:_heat_quadrature"
+LOOPS = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+
+
+def heat_window_breaches(paths) -> list[str]:
+    """sqrt calls over a literal 160 outside the heat window helper, rules
+    named in markov, and loops or comprehensions in composed_kernel_hat."""
+    found, defs = [], set()
+    for path in paths:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for scope, node in _scoped_nodes(tree):
+            where = f"{path.stem}:{scope or '<module>'}"
+            if isinstance(node, ast.FunctionDef):
+                defs.add(f"{path.stem}:{node.name}")
+            name = getattr(node, "id", getattr(node, "attr", getattr(node, "name", None)))
+            line = getattr(node, "lineno", None)
+            func = getattr(node, "func", None)  # set on calls only
+            if (getattr(func, "id", getattr(func, "attr", None)) == "sqrt" and where != HEAT_WINDOW
+                    and any(isinstance(c, ast.Constant) and c.value == 160 for c in ast.walk(node))):
+                found.append(f"heat window in {where} (line {line})")
+            elif path.stem == "markov" and name in ("axis_rule", "gauss_legendre"):
+                found.append(f"{name} named in {where} (line {line})")
+            elif where.startswith("markov:composed_kernel_hat") and isinstance(node, LOOPS):
+                found.append(f"{type(node).__name__} in {where} (line {line})")
+    found += [f"{name} is missing" for name in (HEAT_WINDOW, "markov:composed_kernel_hat")
+              if name not in defs]
+    return sorted(found)
+
+
+def test_heat_kernel_integrals_share_one_window():
+    assert heat_window_breaches(PACKAGE) == []
+
+
+def test_heat_window_checker_flags_a_second_window(tmp_path):
+    transform, markov = tmp_path / "transform.py", tmp_path / "markov.py"
+    transform.write_text("import math\n"
+                         "def _heat_quadrature(k, t, x):\n    w = math.sqrt(160.0 * t)\n"
+                         "def defect(k, t, x):\n    return _heat_quadrature(k, t, x)\n")
+    markov.write_text("from .transform import _heat_quadrature\n"
+                      "def composed_kernel_hat(k, s, t, x):\n"
+                      "    rule, heat = _heat_quadrature(k, s, x)\n"
+                      "    return _heat_quadrature(k, t, rule.nodes)\n")
+    assert heat_window_breaches([transform, markov]) == []
+    transform.write_text(transform.read_text().replace(
+        "return _heat_quadrature(k, t, x)", "return axis_rule(k, x + np.sqrt(160 * t), 96)"))
+    markov.write_text("from .transform import _heat_quadrature, axis_rule\n"
+                      "def composed_kernel_hat(k, s, t, x):\n"
+                      "    rule, heat = _heat_quadrature(k, s, x)\n"
+                      "    return [_heat_quadrature(k, t, z) for z in rule.nodes]\n"
+                      "def _hat_rule(k, c, t):\n    return axis_rule(k, c, 160)\n")
+    assert heat_window_breaches([transform, markov]) == [
+        "ListComp in markov:composed_kernel_hat (line 4)",
+        "axis_rule named in markov:<module> (line 1)",
+        "axis_rule named in markov:_hat_rule (line 6)",
+        "heat window in transform:defect (line 5)"]
+    transform.write_text("def _heat_window(k, t, x):\n    pass\n")
+    markov.write_text("def composed(k):\n    pass\n")
+    assert heat_window_breaches([transform, markov]) == [
+        "markov:composed_kernel_hat is missing", "transform:_heat_quadrature is missing"]

@@ -25,7 +25,8 @@ from dunklkit import (
 )
 from dunklkit.bessel_kingman import (cauchy_measure, hankel_transform, rayleigh_measure,
                                      stable_half_subordinator)
-from dunklkit.transform import heat_kernel, heat_kernel_spectral, radial_heat_profile
+from dunklkit.transform import (_heat_quadrature, heat_kernel, heat_kernel_spectral,
+                                radial_heat_profile)
 from dunklkit.markov import (
     _heat_step,
     _resolve_threads,
@@ -34,7 +35,7 @@ from dunklkit.markov import (
     subordinated_density,
     subordinated_kernel_hat,
 )
-from dunklkit.measures import dirac
+from dunklkit.measures import as_weighted_atoms, dirac
 
 KV1 = MultiplicityVector(k=(1.0,))
 KV2 = MultiplicityVector(k=(1.0, 0.5))
@@ -197,6 +198,29 @@ def test_kernel_hats_resolve_short_times(t):
     assert abs(gaussian_kernel_hat(K3, t, x, xi) - want) <= 1e-11
     # one inner window per outer node: a step of 1e-3 then one of t
     assert abs(composed_kernel_hat(K3, 1e-3, t, x, xi) - want * np.exp(-1e-3)) <= 1e-11
+
+
+def test_composed_kernel_hat_semigroup_law_on_two_axes():
+    # every outer node's inner window in one array pass, on both axes
+    x, xi = np.array([0.8, -0.5]), np.array([0.4, 0.9])
+    for s, t in ((0.25, 0.75), (1e-3, 1e-5)):
+        assert abs(composed_kernel_hat(KV2, s, t, x, xi)
+                   - gaussian_kernel_hat(KV2, s + t, x, xi)) <= 1e-12
+
+
+def test_array_passes_match_the_loops_they_replaced():
+    # composed_kernel_hat's inner windows for all outer nodes at once, against one
+    # gaussian_kernel_hat per node; subordinated_kernel_hat's near and tail arrays
+    # against one term per mixture time
+    from dunklkit import dunkl_kernel_unitary
+    x, xi = np.array([0.7]), np.array([0.9])
+    rule, heat = _heat_quadrature(1.0, 0.3, 0.7)
+    loop = sum(h * gaussian_kernel_hat(KV1, 0.45, [z], xi) for z, h in zip(rule.nodes, heat))
+    assert abs(composed_kernel_hat(KV1, 0.3, 0.45, x, xi) - loop) <= 1e-14
+    tail = complex(np.conj(dunkl_kernel_unitary(KV1, x, xi)))
+    loop = sum(m * (gaussian_kernel_hat(KV1, s, x, xi) if s <= 50.0 else tail * np.exp(-s * 0.81))
+               for s, m in zip(*as_weighted_atoms(stable_half_subordinator(0.8))))
+    assert abs(subordinated_kernel_hat(KV1, 0.8, x, xi) - loop) <= 1e-14
 
 
 def test_kernel_hats_refuse_what_they_cannot_resolve():

@@ -130,6 +130,13 @@ def test_json_rejects_unknown_keys_and_garbage():
     '{"grid": [], "density": [], "lambda": NaN}',
     '{"grid": [], "density": [], "lambda": -Infinity}',
     '{"grid": [], "density": [], "lambda": true}',
+    '{"grid": ["0", "1.5"], "density": [1, 2]}',
+    '{"grid": [0, 1.5], "density": ["1", "2"]}',
+    '{"grid": [0, 1], "density": [1, 1], "weights": ["0.5", 0.5]}',
+    '{"grid": [], "density": [], "atoms": [["3", "0.5"]]}',
+    '{"grid": [0, 1], "density": [1, true]}',
+    '{"grid": [], "density": [], "atoms": [[3, true]]}',
+    '{"grid": [0, null], "density": [1, 1]}',
 ])
 def test_json_rejects_malformed_and_non_finite_entries(text):
     with pytest.raises(ConfigError):

@@ -8,7 +8,7 @@ prefix to fail; the unmutated tree passes those cases (acceptance tests).
 import numpy as np
 import pytest
 
-from dunklkit import measures, rank_one, verify
+from dunklkit import measures, rank_one, transform, verify
 
 
 def _swap_mean_split(monkeypatch):
@@ -41,6 +41,14 @@ def _swap_deposit_stencil_rows(monkeypatch):
     monkeypatch.setattr(measures, "_CUBIC", measures._CUBIC[[0, 2, 1, 3]])
 
 
+def _negate_heat_odd_part(monkeypatch):
+    # Gamma_s(x, -y): the rank-one heat kernel's odd part negated, in the closed
+    # form and in every heat window (_heat_quadrature reads _heat_axis)
+    heat_axis = transform._heat_axis
+    monkeypatch.setattr(transform, "_heat_axis",
+                        lambda k, s, x, y: heat_axis(k, s, x, -np.asarray(y, dtype=float)))
+
+
 MUTANTS = {
     "mean-split-swapped": (_swap_mean_split, "product-formula", "kernel wave mean"),
     "kernel-odd-negated": (_negate_kernel_odd_part, "product-formula", "eigen-equation"),
@@ -48,6 +56,8 @@ MUTANTS = {
                           "reproducing kernel"),
     "deposit-stencil-swapped": (_swap_deposit_stencil_rows, "bessel-kingman",
                                 "gaussian closure"),
+    "heat-odd-negated": (_negate_heat_odd_part, "chapman-kolmogorov", "composition"),
+    "heat-odd-negated-markov": (_negate_heat_odd_part, "markov", "gaussian invariance"),
 }
 
 

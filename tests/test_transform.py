@@ -17,6 +17,7 @@ from dunklkit import (
     GridFunction,
     MultiplicityVector,
     NumericalError,
+    ResolutionError,
     SphereQuadrature,
     TransformPlan,
     bump,
@@ -668,6 +669,21 @@ def test_chapman_kolmogorov_axis_sums_match_the_tensor_grid():
     rhs = float(heat_kernel(KV2, s1 + s2, x, y))
     tensor = abs(lhs - rhs) / rhs
     assert abs(chapman_kolmogorov_defect(KV2, s1, s2, x, y) - tensor) <= 1e-13
+
+
+def test_chapman_kolmogorov_resolves_short_times():
+    # one axis_rule over max(|x|, |y|) + sqrt(160 s) read 0.163 at s = 1e-4 and
+    # 1.0e-4 / 1.4e-3 for the mixed times; the product of the two kernels now
+    # lies inside the heat window of the shorter time
+    kv = MultiplicityVector((1.0,))
+    assert chapman_kolmogorov_defect(kv, 1e-4, 1e-4, [5.0], [4.95]) < 1e-10
+    assert chapman_kolmogorov_defect(kv, 0.5, 1e-3, [0.7], [-0.4]) < 1e-10
+    assert chapman_kolmogorov_defect(kv, 1e-3, 0.5, [0.7], [-0.4]) < 1e-10
+    with pytest.raises(ResolutionError, match="mass"):
+        chapman_kolmogorov_defect(kv, 1e-30, 1e-30, [5.0], [4.95])
+    # Gamma_(2e-4)(5, 4) underflows to 0: the relative defect was a ZeroDivisionError
+    with pytest.raises(NumericalError, match="underflows"):
+        chapman_kolmogorov_defect(kv, 1e-4, 1e-4, [5.0], [4.0])
 
 
 @pytest.mark.parametrize("bad", [-1.0, 0.0, float("nan"), float("inf")])
