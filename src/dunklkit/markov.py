@@ -54,7 +54,7 @@ from .errors import (ConfigError, ConsistencyError, PositivityError, _floats, _n
                      _positive_time)
 from .measures import _BLOCK, RadialProfileMeasure, _csv_rows, _write_csv, as_weighted_atoms, dirac
 from .rank_one import kernel_unitary, spherical_mean as _rank_one_mean
-from .special import _bessel_ratio
+from .special import _IVE_MAX, _bessel_ratio
 from .transform import _heat_quadrature, heat_kernel, spherical_mean_radial
 
 __all__ = [
@@ -404,15 +404,20 @@ def _heat_step(k: float, a: np.ndarray, z: np.ndarray, g, v: np.ndarray) -> np.n
     is noncentral chi-square with 2k+1 degrees of freedom, |b|^2 = (z + |a|)^2
     + 2 g (normal z, Gamma(k) g), and the sign agrees with a where the uniform
     v < (1 + I_(k+1/2)(u) / I_(k-1/2)(u)) / 2 at u = |a| |b| (a tanh for
-    k = 0, recovering the classical Gaussian step).
+    k = 0, recovering the classical Gaussian step).  The ratio is in [0, 1),
+    so v < 1/2 keeps the sign whatever it is: the ratio is evaluated only
+    where v >= 1/2, and wherever u > _IVE_MAX, since its Hankel branch sizes
+    one sum on all of those elements together.
     """
     r_sq = (z + np.abs(a)) ** 2
     if k > 0.0:
         r_sq = r_sq + 2.0 * g
     b = np.sqrt(r_sq)
-    same = v < 0.5 * (1.0 + _bessel_ratio(k - 0.5, np.abs(a) * b))
-    sign = np.where(same, 1.0, -1.0) * np.where(a < 0.0, -1.0, 1.0)
-    return sign * b
+    u = np.abs(a) * b
+    same = v < 0.5
+    need = np.flatnonzero(~same | (u > _IVE_MAX))
+    same[need] = v[need] < 0.5 * (1.0 + _bessel_ratio(k - 0.5, u[need]))
+    return np.where(same != (a < 0.0), b, -b)
 
 
 @dataclass
@@ -512,21 +517,28 @@ def simulate_paths(kv, t_grid, n_paths: int, seed: int, kind: str = "gaussian",
             for b in range(len(bounds) - 1)]
 
     def run_blocks(b0: int, b1: int) -> None:
-        blocks = list(zip(rngs[b0:b1], np.diff(bounds[b0:b1 + 1])))
-        draw = lambda name, *args: np.concatenate([getattr(rng, name)(*args, size=m)
-                                                   for rng, m in blocks])
-        x = np.zeros((bounds[b1] - bounds[b0], kv.n_axes))
+        # each kind of draw fills one array of the run, each block's part from its own stream
+        lo = bounds[b0]
+        parts = [slice(a - lo, b - lo) for a, b in zip(bounds[b0:b1], bounds[b0 + 1:b1 + 1])]
+        normal, gamma, uniform = np.empty((3, bounds[b1] - lo))
+
+        def draw(name, out, *args):
+            for rng, part in zip(rngs[b0:b1], parts):
+                getattr(rng, name)(*args, out=out[part])
+            return out
+
+        x = np.zeros((bounds[b1] - lo, kv.n_axes))
         for j, dt in enumerate(dts, start=1):
             if subord:
-                z = draw("standard_normal")
+                z = draw("standard_normal", normal)
                 s = (0.5 * dt * dt) / np.maximum(z * z, 1e-300)
             else:
-                s = np.full(len(x), dt)
+                s = dt
             scale = np.sqrt(2.0 * s)
             for i, k in enumerate(kv.k):
-                z = draw("standard_normal")
-                g = draw("standard_gamma", k) if k > 0.0 else None
-                x[:, i] = scale * _heat_step(k, x[:, i] / scale, z, g, draw("random"))
+                z = draw("standard_normal", normal)
+                g = draw("standard_gamma", gamma, k) if k > 0.0 else None
+                x[:, i] = scale * _heat_step(k, x[:, i] / scale, z, g, draw("random", uniform))
             states[bounds[b0]:bounds[b1], j] = x
 
     workers = _resolve_threads(threads, len(rngs))
@@ -542,8 +554,13 @@ def simulate_paths(kv, t_grid, n_paths: int, seed: int, kind: str = "gaussian",
 
 def marginal_ks(kv, radii, kind: str, t: float) -> tuple[float, float]:
     """Kolmogorov-Smirnov statistic and p-value of sampled radii against
-    the exact radial distribution of the marginal at time t."""
-    from scipy.stats import kstest
+    the exact radial distribution of the marginal at time t.
+
+    The two-sided statistic D = max(D+, D-) over the sorted radii and the
+    exact p-value kstwo.sf(D, n), clipped to [0, 1]: the bits of
+    scipy.stats.kstest in its default mode, without its argument handling.
+    """
+    from scipy.stats import kstwo
 
     kv = _as_kv(kv)
     radii = _floats(radii, "radii")
@@ -551,5 +568,7 @@ def marginal_ks(kv, radii, kind: str, t: float) -> tuple[float, float]:
         raise ConfigError("radii must be a non-empty 1-D array of finite values >= 0")
     t = _positive_time(t, "t")
     _, cdf, _ = _process(kind)
-    res = kstest(radii, lambda r: cdf(kv.lam, t, r))
-    return float(res.statistic), float(res.pvalue)
+    n = radii.size
+    cdfvals = cdf(kv.lam, t, np.sort(radii))
+    d = max((np.arange(1.0, n + 1) / n - cdfvals).max(), (cdfvals - np.arange(0.0, n) / n).max())
+    return float(d), float(np.clip(kstwo.sf(d, n), 0.0, 1.0))

@@ -225,11 +225,22 @@ def _csv_rows(table, ids=None):
 
 def _write_csv(fh, header: dict, columns: list[str], rows) -> None:
     """Write '# key: value' lines, the column names and the _csv_rows blocks
-    to the text file fh."""
+    to the text file fh.
+
+    The header goes through fh, in its encoding; the blocks are ASCII, so
+    they go as they are to fh's binary buffer, after a flush that keeps all
+    text written before them in front.  A text-only stream (no buffer, such
+    as io.StringIO) takes them decoded.
+    """
     fh.write("".join(f"# {key}: {val}\n" for key, val in header.items()))
     fh.write(",".join(columns) + "\n")
+    raw = getattr(fh, "buffer", None)
+    if raw is None:
+        fh.writelines(block.decode() for block in rows)
+        return
+    fh.flush()
     for block in rows:
-        fh.write(block.decode())
+        raw.write(block)
 
 
 def measure_to_json(mu: LineMeasure, meta: dict | None = None) -> str:
@@ -253,6 +264,21 @@ def measure_to_json(mu: LineMeasure, meta: dict | None = None) -> str:
     return "{" + ", ".join(f"{json.dumps(k)}: {v}" for k, v in fields.items()) + "}"
 
 
+def _numbers(values, scan: bool) -> np.ndarray:
+    """values as a 1-D float array; TypeError unless each is a JSON number (int
+    or float, not bool).  numpy types strings 'U', nested lists 2-D and a null
+    'O', but a bool among numbers as a number: with scan, and for 'O', the
+    type of every element is checked."""
+    a = np.asarray(values)
+    if a.dtype.kind == "O" or (scan and a.dtype.kind in "fiu"):
+        if not {*map(type, values)} <= {int, float}:
+            raise TypeError("a string, bool, null or list stands where a number belongs")
+        a = np.asarray(values, dtype=float)
+    if a.ndim != 1 or a.dtype.kind not in "fiu":
+        raise TypeError("a string, bool or list stands where a number belongs")
+    return a.astype(float, copy=False)
+
+
 def measure_from_json(text: str) -> RadialProfileMeasure:
     try:
         payload = orjson.loads(text)  # NaN, Infinity and 1e400 are parse errors here
@@ -270,12 +296,12 @@ def measure_from_json(text: str) -> RadialProfileMeasure:
     lam = payload.get("lambda")
     if lam is not None and type(lam) not in (int, float):
         raise ConfigError(f"measure 'lambda' must be null or a number, got {lam!r}")
+    # number text has no "u" (of true) and no "f" (of false): one memchr each
+    scan = not isinstance(text, str) or "u" in text or "f" in text
     try:
-        lists = {key: payload[key] for key in ("grid", "density", "weights")
-                 if key != "weights" or payload.get(key) is not None}
-        if not {*map(type, chain(*lists.values(), *payload.get("atoms", [])))} <= {int, float}:
-            raise TypeError("a string, bool, null or list stands where a number belongs")
-        arrays = {key: np.asarray(v, dtype=float) for key, v in lists.items()}
+        arrays = {key: _numbers(payload[key], scan) for key in ("grid", "density", "weights")
+                  if key != "weights" or payload.get(key) is not None}
+        _numbers([*chain(*payload.get("atoms", []))], True)
         atoms = [(float(r), float(w)) for r, w in payload.get("atoms", [])]
         finite = np.isfinite(float(lam or 0.0)) and np.isfinite(atoms).all()
     except (TypeError, ValueError, OverflowError) as exc:

@@ -107,6 +107,21 @@ def test_eval_heat_past_the_float_range_is_a_numerical_error(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_eval_csv_to_stdout_is_the_file_bytes(tmp_path, capsysbinary):
+    # the row blocks go to stdout's binary buffer: text printed before the
+    # table stays in front of it, and the bytes are those of --out
+    cfg = write_config(tmp_path, "k.json", {
+        "target": "kernel", "k": [1.0, 0.5],
+        "x": [[0.3, -0.2], [1.1, 0.4], [-2.0, 1e-7]], "y": [[0.5, 0.5], [-1.5, 3.0]],
+    })
+    out = tmp_path / "k.csv"
+    assert main(["eval", "--config", cfg, "--out", str(out)]) == 0
+    capsysbinary.readouterr()
+    print("before")
+    assert main(["eval", "--config", cfg]) == 0
+    assert capsysbinary.readouterr().out == b"before\n" + out.read_bytes()
+
+
 def test_eval_bessel_json_to_stdout(tmp_path, capsys):
     cfg = write_config(tmp_path, "b.json", {
         "target": "bessel", "alpha": 0.5,

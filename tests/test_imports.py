@@ -899,3 +899,86 @@ def test_heat_window_checker_flags_a_second_window(tmp_path):
     markov.write_text("def composed(k):\n    pass\n")
     assert heat_window_breaches([transform, markov]) == [
         "markov:composed_kernel_hat is missing", "transform:_heat_quadrature is missing"]
+
+
+# ---------------------------------------------------------------------------
+# CSV rows go from _csv_rows to the stream as bytes: measures._write_csv alone
+# writes the blocks, and nothing decodes them on the way
+
+CSV_WRITER = "measures:_write_csv"
+
+
+def _callee(node) -> str | None:
+    return getattr(node.func, "id", getattr(node.func, "attr", None))
+
+
+def csv_block_breaches(paths) -> list[str]:
+    """_csv_rows results used other than as an argument of _write_csv, directly
+    or through a local name; .decode() calls in any function that makes or
+    writes blocks, except in _write_csv's `if ... is None:` branch for a
+    stream with no binary buffer; and a missing _write_csv."""
+    found, defs = set(), set()
+    for path in paths:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for fn in ast.walk(tree):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            where = f"{path.stem}:{fn.name}"
+            defs.add(where)
+            nodes = list(ast.walk(fn))
+            calls = [n for n in nodes if isinstance(n, ast.Call)]
+            written = {id(a) for c in calls if _callee(c) == "_write_csv" for a in c.args}
+            named = {id(n.value): n.targets[0].id for n in nodes
+                     if isinstance(n, ast.Assign) and isinstance(n.value, ast.Call)
+                     and _callee(n.value) == "_csv_rows" and len(n.targets) == 1
+                     and isinstance(n.targets[0], ast.Name)}
+            makes = [c for c in calls if _callee(c) == "_csv_rows"]
+            found.update(f"blocks leave through {where} (line {c.lineno})" for c in makes
+                         if id(c) not in named and id(c) not in written)
+            found.update(f"blocks leave through {where} (line {n.lineno})" for n in nodes
+                         if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+                         and n.id in named.values() and id(n) not in written)
+            if not makes and fn.name not in ("_write_csv", "_csv_rows", "_csv_block"):
+                continue
+            text_only = {id(n) for branch in nodes if isinstance(branch, ast.If)
+                         and isinstance(branch.test, ast.Compare)
+                         and isinstance(branch.test.ops[0], ast.Is)
+                         and getattr(branch.test.comparators[0], "value", 0) is None
+                         for stmt in branch.body for n in ast.walk(stmt)}
+            found.update(f".decode() in {where} (line {c.lineno})" for c in calls
+                         if _callee(c) == "decode"
+                         and not (where == CSV_WRITER and id(c) in text_only))
+    if CSV_WRITER not in defs:
+        found.add(f"{CSV_WRITER} is missing")
+    return sorted(found)
+
+
+def test_csv_blocks_reach_the_stream_as_bytes():
+    assert csv_block_breaches(PACKAGE) == []
+
+
+def test_csv_block_checker_flags_a_second_writer_and_decodes(tmp_path):
+    measures, caller = tmp_path / "measures.py", tmp_path / "grid.py"
+    measures.write_text("def _csv_rows(t):\n    return (b'' for _ in t)\n"
+                        "def _write_csv(fh, header, columns, rows):\n"
+                        "    raw = getattr(fh, 'buffer', None)\n"
+                        "    if raw is None:\n"
+                        "        fh.writelines(block.decode() for block in rows)\n"
+                        "        return\n"
+                        "    for block in rows:\n        raw.write(block)\n")
+    caller.write_text("def to_csv(fh, t):\n    rows = _csv_rows(t)\n"
+                      "    _write_csv(fh, {}, ['a'], rows)\n"
+                      "def to_stdout(fh, t):\n    _write_csv(fh, {}, ['a'], _csv_rows(t))\n")
+    assert csv_block_breaches([measures, caller]) == []
+    measures.write_text(measures.read_text().replace("raw.write(block)",
+                                                     "fh.write(block.decode())"))
+    caller.write_text("def to_csv(fh, t):\n    rows = _csv_rows(t)\n"
+                      "    fh.write(b''.join(rows).decode())\n"
+                      "def to_stdout(fh, t):\n    for block in _csv_rows(t):\n"
+                      "        fh.write(block)\n")
+    assert csv_block_breaches([measures, caller]) == [
+        ".decode() in grid:to_csv (line 3)", ".decode() in measures:_write_csv (line 9)",
+        "blocks leave through grid:to_csv (line 3)",
+        "blocks leave through grid:to_stdout (line 5)"]
+    measures.write_text("def _csv_rows(t):\n    return t\n")
+    assert csv_block_breaches([measures]) == ["measures:_write_csv is missing"]

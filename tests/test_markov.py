@@ -29,6 +29,7 @@ from dunklkit.transform import (_heat_quadrature, heat_kernel, heat_kernel_spect
                                 radial_heat_profile)
 from dunklkit.markov import (
     _heat_step,
+    _process,
     _resolve_threads,
     composed_kernel_hat,
     gaussian_kernel_hat,
@@ -36,6 +37,7 @@ from dunklkit.markov import (
     subordinated_kernel_hat,
 )
 from dunklkit.measures import as_weighted_atoms, dirac
+from dunklkit.special import _IVE_MAX, _bessel_ratio
 
 KV1 = MultiplicityVector(k=(1.0,))
 KV2 = MultiplicityVector(k=(1.0, 0.5))
@@ -607,6 +609,28 @@ def test_cauchy_marginals_match_cauchy_law():
     assert p >= 0.01
 
 
+@pytest.mark.parametrize("kind", ["gaussian", "cauchy"])
+def test_marginal_ks_gives_the_bits_of_kstest(kind):
+    # seeded radii of each law, and radii 3x and 1.1x too far out: the exact
+    # p-value takes its 2 * smirnov and 0 branches there
+    from scipy.stats import kstest
+
+    _, cdf, _ = _process(kind)
+    branches = set()
+    for n in (20, 140, 800, 1500, 12_000):
+        radii = simulate_paths(KV2, [0.0, 0.7], n, seed=n, kind=kind).radii()
+        for scale in (1.0, 1.1, 3.0):
+            want = kstest(radii * scale, lambda r: cdf(KV2.lam, 0.7, r))
+            got = marginal_ks(KV2, radii * scale, kind, 0.7)
+            assert np.array([*got]).tobytes() == np.array([want.statistic, want.pvalue]).tobytes()
+            d = got[0]
+            if d >= 0.5 or (n <= 140 and n * d * d > 4) or (n > 140 and 2.2 <= n * d * d < 370):
+                branches.add("2 smirnov")
+            if n > 140 and n * d * d >= 370:
+                branches.add("0")
+    assert branches == {"2 smirnov", "0"}
+
+
 def test_marginal_ks_unknown_kind():
     with pytest.raises(ConfigError):
         marginal_ks(KV1, np.ones(10), "poisson", 1.0)
@@ -678,3 +702,40 @@ def test_heat_step_keeps_the_sign_over_short_times(k, dt):
                    rng.random(a.size))
     assert np.all(np.isfinite(b))
     assert np.mean(b > 0.0) >= 0.999
+
+
+def _heat_step_on_every_path(k, a, z, g, v):
+    """The heat step with the Bessel ratio evaluated on every path (the oracle)."""
+    r_sq = (z + np.abs(a)) ** 2
+    if k > 0.0:
+        r_sq = r_sq + 2.0 * g
+    b = np.sqrt(r_sq)
+    same = v < 0.5 * (1.0 + _bessel_ratio(k - 0.5, np.abs(a) * b))
+    sign = np.where(same, 1.0, -1.0) * np.where(a < 0.0, -1.0, 1.0)
+    return sign * b
+
+
+@pytest.mark.parametrize("k", [0.0, 0.5, 1.0, 1.7, 3.2],
+                         ids=["nu=-1/2", "nu=0", "nu=1/2", "ive-nu=1.2", "ive-nu=2.7"])
+def test_heat_step_sign_test_keeps_every_bit(k):
+    # the ratio only where v >= 1/2 (and on the whole Hankel branch, u > 1e8)
+    # must give the bytes of the ratio on every path: a over 18 decades takes u
+    # through the continued fraction (u <= 1), ive and Hankel, with v on both
+    # sides of 1/2, v = 1/2 and the float below it, a = +-0, and b = 0
+    rng = np.random.default_rng(17)
+    n = 6000
+    a = rng.standard_normal(n) * 10.0 ** rng.uniform(-6.0, 12.0, n)
+    z, v = rng.standard_normal(n), rng.random(n)
+    g = rng.standard_gamma(k, n) if k > 0.0 else None
+    v[::7], v[1::7] = 0.5, np.nextafter(0.5, 0.0)
+    v[2:6] = [0.9, 0.1, 0.9, 0.3]
+    a[:6] = [0.0, -0.0, 0.0, -0.0, 1.5, -2.0]
+    z[:6] = [0.3, -0.4, 0.0, 0.0, -1.5, 2.0]
+    if g is not None:
+        g[:6] = [0.2, 0.1, 0.0, 0.0, 0.0, 0.0]  # b = 0 at entries 2-5
+    want = _heat_step_on_every_path(k, a, z, g, v)
+    assert _heat_step(k, a, z, g, v).tobytes() == want.tobytes()
+    u = np.abs(a * want)
+    for where in (u <= 1.0, (u > 1.0) & (u <= _IVE_MAX), u > _IVE_MAX):
+        assert np.any(where & (v < 0.5)) and np.any(where & (v >= 0.5))
+    assert np.any(want == 0.0) and np.any(np.signbit(want[want == 0.0]))

@@ -1,5 +1,6 @@
 """Line measures: construction, integration, serialization, deposits."""
 
+import io
 import json
 from fractions import Fraction
 
@@ -11,6 +12,8 @@ from dunklkit.measures import (
     LineMeasure,
     RadialProfileMeasure,
     _grid_measure,
+    _csv_rows,
+    _write_csv,
     as_weighted_atoms,
     deposit_on_grid,
     dirac,
@@ -292,3 +295,46 @@ def test_node_measure_weights_vanish_with_the_density():
                                        np.array([1.0, 1.0, 2.0]))
     np.testing.assert_array_equal(mu.weights, [0.0, 0.5, 0.5])
     np.testing.assert_array_equal(mu.node_masses, [0.0, 1.0, 2.0])
+
+
+@pytest.mark.parametrize("stream", ["text-over-bytes", "text-only"])
+def test_csv_writer_keeps_text_order_and_header_encoding(tmp_path, stream):
+    # the header goes through the text layer (a non-ASCII value in the
+    # stream's encoding), the row blocks as bytes after it, and text written
+    # before or after stays in place; a stream with no binary buffer takes
+    # the same rows as text
+    rng = np.random.default_rng(5)
+    table, ids = rng.standard_normal((20_000, 3)), np.arange(20_000)  # several row blocks
+    header, columns = {"note": "λ = ½ · Ω", "seed": 5}, ["id", "a", "b", "c"]
+    path = tmp_path / "t.csv"
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        _write_csv(fh, header, columns, _csv_rows(table, ids))
+    raw = io.BytesIO()
+    fh = (io.TextIOWrapper(raw, encoding="utf-8", newline="") if stream == "text-over-bytes"
+          else io.StringIO(newline=""))
+    fh.write("before\n")
+    _write_csv(fh, header, columns, _csv_rows(table, ids))
+    fh.write("after\n")
+    fh.flush()
+    text = raw.getvalue() if stream == "text-over-bytes" else fh.getvalue().encode()
+    assert text == b"before\n" + path.read_bytes() + b"after\n"
+    assert path.read_bytes().startswith("# note: λ = ½ · Ω\n".encode())
+
+
+@pytest.mark.parametrize("text", [
+    '{"grid": [0, 1], "density": [1, true]}', '{"grid": [0, 1], "density": [false, 1]}',
+    '{"grid": [0, 1], "density": [1, 1], "weights": [1, true]}',
+])
+def test_json_bools_among_numbers_are_refused_from_str_and_bytes(text):
+    # numpy reads [1, true] as numbers: the element scan must run on text that
+    # may hold a bool, and on bytes
+    for raw in (text, text.encode()):
+        with pytest.raises(ConfigError):
+            measure_from_json(raw)
+
+
+def test_json_reader_takes_bytes_and_letters_in_meta():
+    text = '{"grid": [0, 1.5], "density": [1, 2], "meta": {"note": "true, false, null"}}'
+    for raw in (text, text.encode()):
+        mu = measure_from_json(raw)
+        assert mu.grid.tolist() == [0.0, 1.5] and mu.density.tolist() == [1.0, 2.0]
