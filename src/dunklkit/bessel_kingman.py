@@ -44,7 +44,6 @@ from .quadrature import _gauss_roots, gauss_jacobi, log_panel_rule, panel_gauss_
 from .special import bessel_j, bessel_j_envelope
 
 __all__ = [
-    "product_kernel",
     "convolve_points",
     "convolve_measures",
     "hankel_transform",
@@ -77,15 +76,9 @@ def _angular_norm(lam: float) -> float:
     return float(np.exp(gammaln(lam + 1.0) - gammaln(lam + 0.5)) / math.sqrt(math.pi))
 
 
-def product_kernel(lam: float, x: float, y: float, z) -> np.ndarray:
-    """Density m_lam(x, y, z) of the point convolution w.r.t. z^(2lam+1) dz.
-
-    Vanishes outside [|x-y|, x+y].  Requires x, y > 0.
-    """
-    lam = _check_index(lam)
-    if x <= 0 or y <= 0:
-        raise ConfigError("product kernel needs x, y > 0; use convolve_points for the atoms")
-    z = np.asarray(z, dtype=float)
+def _product_kernel(lam: float, x: float, y: float, z: np.ndarray) -> np.ndarray:
+    """Density m_lam(x, y, z) of the point convolution w.r.t. z^(2lam+1) dz, for
+    a checked index and x, y > 0; vanishes outside [|x-y|, x+y]."""
     lo, hi = abs(x - y), x + y
     inside = (z > lo) & (z < hi)
     out = np.zeros_like(z)
@@ -93,7 +86,7 @@ def product_kernel(lam: float, x: float, y: float, z) -> np.ndarray:
     c = 2.0 ** (1.0 - 2.0 * lam) * _angular_norm(lam)
     quad = (zi**2 - lo**2) * (hi**2 - zi**2)
     out[inside] = c * quad ** (lam - 0.5) / (x * y * zi) ** (2.0 * lam)
-    return out[()] if out.ndim == 0 else out
+    return out
 
 
 @lru_cache(maxsize=128)
@@ -114,7 +107,7 @@ def _point_nodes(lam: float, x: float, y: float, n: int):
     reversed into ascending z, their masses, densities against dz and angle nodes u."""
     (_, z, w), = _pair_nodes(lam, np.array([x]), np.array([y]), n)
     z = z[0, ::-1].copy()  # contiguous, as numpy's power may round strided input otherwise
-    return z, w[::-1], product_kernel(lam, x, y, z) * z ** (2.0 * lam + 1.0), \
+    return z, w[::-1], _product_kernel(lam, x, y, z) * z ** (2.0 * lam + 1.0), \
         _angle_rule(lam, n)[0][::-1]
 
 

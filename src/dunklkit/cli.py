@@ -31,7 +31,7 @@ import numpy as np
 
 from . import __version__
 from .core import _as_kv, dunkl_kernel_unitary, generalized_bessel_unitary
-from .errors import ConfigError, NumericalError, _finite
+from .errors import ConfigError, NumericalError, _finite, _node_count
 from .markov import (_CLOSURE_TOL, _N_BLOCKS, _resolve_threads, marginal_ks, semigroup_from_json,
                      simulate_paths)
 from .measures import _csv_rows, _write_csv, measure_from_json, measure_to_json
@@ -199,7 +199,7 @@ def _points(value, n_axes: int, key: str) -> np.ndarray:
             raise ConfigError(f"'{key}': grid specs need explicit points beyond one axis")
         try:
             arr = np.linspace(float(value["start"]), float(value["stop"]),
-                              int(value["num"]))
+                              _node_count(value["num"], f"'{key}' grid spec num"))
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"'{key}' grid spec is incomplete: {exc}") from exc
         return arr[:, None]

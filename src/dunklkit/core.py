@@ -16,7 +16,8 @@ intertwining measure is a product of one-dimensional ones.
 from __future__ import annotations
 
 import itertools
-import json
+import numbers
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -37,7 +38,6 @@ __all__ = [
     "dunkl_kernel_unitary",
     "generalized_bessel_unitary",
     "intertwiner_atoms",
-    "sinhc",
     "alternating_sum_bessel",
 ]
 
@@ -47,12 +47,18 @@ _H_OPERATOR, _H_LAPLACIAN = 1e-5, 1e-4  # finite-difference steps of the two ope
 
 @dataclass(frozen=True)
 class MultiplicityVector:
-    """Nonnegative multiplicity per coordinate axis."""
+    """Nonnegative multiplicity per coordinate axis: k is one real number
+    (one axis) or a 1-D sequence or array of them; strings, bytes and bools
+    are not numbers here."""
 
     k: tuple[float, ...]
 
     def __post_init__(self):
-        k = (self.k,) if isinstance(self.k, (int, float)) else tuple(self.k)
+        k = self.k.tolist() if isinstance(self.k, np.ndarray) else self.k
+        k = (k,) if _is_real(k) else k
+        if not isinstance(k, Sequence) or isinstance(k, (str, bytes)) or not all(map(_is_real, k)):
+            raise ConfigError(f"multiplicity must be a real number or a 1-D sequence of them, "
+                              f"got {self.k!r}")
         if len(k) == 0:
             raise ConfigError("need at least one axis")
         object.__setattr__(self, "k", tuple(rank_one._check_k(v) for v in k))
@@ -81,23 +87,9 @@ class MultiplicityVector:
         lam = self.lam
         return self.c_norm / (2.0**lam * np.exp(gammaln(lam + 1.0)))
 
-    def to_json(self) -> str:
-        return json.dumps({"N": self.n_axes, "k": list(self.k)})
 
-    @classmethod
-    def from_json(cls, text: str) -> "MultiplicityVector":
-        try:
-            payload = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"multiplicity JSON is invalid: {exc}") from exc
-        if not isinstance(payload, dict):
-            raise ConfigError(f"multiplicity JSON must be an object, got {type(payload).__name__}")
-        if set(payload) != {"N", "k"}:
-            raise ConfigError(f"multiplicity JSON needs exactly N and k, got {sorted(payload)}")
-        k = payload["k"]
-        if not isinstance(k, list) or len(k) != payload["N"]:
-            raise ConfigError("k must be a list of length N")
-        return cls(k=tuple(k))
+def _is_real(v) -> bool:
+    return isinstance(v, numbers.Real) and not isinstance(v, (bool, np.bool_))
 
 
 def _axis_c_norm(k: float) -> float:
@@ -106,11 +98,7 @@ def _axis_c_norm(k: float) -> float:
 
 
 def _as_kv(kv) -> MultiplicityVector:
-    if isinstance(kv, MultiplicityVector):
-        return kv
-    if isinstance(kv, (int, float)):
-        return MultiplicityVector(k=(float(kv),))
-    return MultiplicityVector(k=tuple(kv))
+    return kv if isinstance(kv, MultiplicityVector) else MultiplicityVector(kv)
 
 
 def _coords(kv: MultiplicityVector, name: str, p, point: bool = False) -> np.ndarray:
@@ -262,7 +250,7 @@ def intertwiner_atoms(kv, x, n_per_axis: int = 64) -> tuple[np.ndarray, np.ndarr
 # multiplicity-one generalized Bessel via the alternating group sum
 
 
-def sinhc(u):
+def _sinhc(u):
     """sinh(u)/u with the removable singularity filled by its series."""
     u = np.asarray(u, dtype=float)
     small = np.abs(u) < 1e-4
@@ -291,4 +279,4 @@ def alternating_sum_bessel(x, y):
         x = x[None]
     if y.ndim == 0:
         y = y[None]
-    return np.prod(sinhc(np.atleast_1d(x * y)), axis=-1)
+    return np.prod(_sinhc(np.atleast_1d(x * y)), axis=-1)

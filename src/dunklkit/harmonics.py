@@ -81,10 +81,6 @@ class SphereQuadrature:
     def integrate_values(self, values):
         return np.tensordot(self.weights, np.asarray(values), axes=([0], [0]))
 
-    def average(self, f):
-        """Integral against the probability measure w_k dsigma / d_norm."""
-        return self.integrate(f) / self.kv.d_norm
-
 
 def sphere_moment(kv, i: int, j: int) -> float:
     """Exact even moment integral_{S^1} y1^(2i) y2^(2j) w_k dsigma."""
@@ -257,20 +253,18 @@ def kernel_series(kv, x, y, n_max: int = 20) -> complex:
     return total
 
 
-def funk_hecke_pair(kv, coeffs: np.ndarray, x, rule: SphereQuadrature | None = None):
+def funk_hecke_pair(kv, coeffs: np.ndarray, x):
     """Both sides of the Funk-Hecke identity for a degree-n harmonic Y:
 
         (1/d) int E_k(ix, eta) Y(eta) w_k dsigma(eta)
             = b_n i^n j_{n+lam}(|x|) Y(x).
 
-    Returns (lhs, rhs); their difference measures quadrature plus kernel
-    evaluation error only, the identity itself is exact.
+    Returns (lhs, rhs), the left side on the 96-node SphereQuadrature; their
+    difference measures quadrature plus kernel evaluation error only, the
+    identity itself is exact.
     """
     kv = _require_planar(kv)
-    if rule is None:
-        rule = SphereQuadrature(kv, n=96)
-    elif rule.kv != kv:
-        raise ConfigError(f"multiplicity {kv.k} does not match the rule's {rule.kv.k}")
+    rule = SphereQuadrature(kv, n=96)
     x = _coords(kv, "x", x, point=True)
     n = coeffs.size - 1
     vals = dunkl_kernel_unitary(kv, x, rule.points) * eval_homogeneous(coeffs, rule.points)

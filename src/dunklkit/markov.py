@@ -69,7 +69,6 @@ __all__ = [
     "gaussian_kernel_hat",
     "composed_kernel_hat",
     "subordinated_kernel_hat",
-    "subordinated_density",
     "simulate_paths",
     "marginal_ks",
 ]
@@ -274,10 +273,6 @@ class KernelSemigroup:
     def kernel(self, t: float) -> MarkovKernelHandle:
         return MarkovKernelHandle(self.measure(t), time=float(t), kind=self.kind)
 
-    def simulate(self, t_grid, n_paths: int, seed: int) -> "PathEnsemble":
-        """Exact paths of the semigroup's process (simulate_paths, default blocks and threads)."""
-        return simulate_paths(self.kv, t_grid, n_paths, seed, kind=self.kind)
-
 
 def _process(kind):
     """(radial profile, radial CDF, transition density) of one of the two
@@ -287,7 +282,7 @@ def _process(kind):
     if kind == "gaussian":
         return rayleigh_measure, rayleigh_radial_cdf, heat_kernel
     if kind == "cauchy":
-        return cauchy_measure, cauchy_radial_cdf, subordinated_density
+        return cauchy_measure, cauchy_radial_cdf, _subordinated_density
     raise ConfigError(f"unknown process kind {kind!r}; choose 'gaussian' or 'cauchy'")
 
 
@@ -298,8 +293,8 @@ def semigroup_from_json(text: str) -> KernelSemigroup:
 
     gaussian is the heat semigroup of rayleigh_measure profiles, cauchy its
     1/2-stable subordinate of cauchy_measure profiles; each has an exact
-    sampler and transition densities.  The profiles' resolution is fixed,
-    and a simulation takes its seed per call (KernelSemigroup.simulate).
+    sampler (simulate_paths with the same kind and k) and transition
+    densities.  The profiles' resolution is fixed.
     """
     try:
         payload = json.loads(text)
@@ -383,7 +378,7 @@ def subordinated_kernel_hat(kv, t: float, x, xi) -> complex:
     return complex(total + np.conj(dunkl_kernel_unitary(kv, x, xi)) * tail)
 
 
-def subordinated_density(kv, t: float, x, y):
+def _subordinated_density(kv, t: float, x, y):
     """Transition density of the k-Cauchy kernel against w_k(y) dy, as
     the 1/2-stable time mixture of closed-form heat kernels."""
     kv = _as_kv(kv)

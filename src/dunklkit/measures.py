@@ -36,7 +36,7 @@ from itertools import chain
 import numpy as np
 import orjson
 
-from .errors import ConfigError, PositivityError
+from .errors import ConfigError
 
 __all__ = [
     "LineMeasure",
@@ -120,18 +120,6 @@ class LineMeasure:
         if not points:
             raise ConfigError("empty measure has no support")
         return min(points), max(points)
-
-    def check_probability(self, tol: float = 1e-10) -> None:
-        m = self.mass()
-        if abs(m - 1.0) > tol:
-            raise PositivityError(f"measure mass {m} differs from 1 beyond {tol}")
-        neg = 0.0
-        if self.grid.size:
-            neg = min(0.0, float(np.min(self.node_masses)))
-        for _, w in self.atoms:
-            neg = min(neg, w)
-        if neg < -tol:
-            raise PositivityError(f"negative mass {neg} beyond tolerance {tol}")
 
 
 class RadialProfileMeasure(LineMeasure):

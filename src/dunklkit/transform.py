@@ -36,7 +36,6 @@ from .special import _scaled_bessel_imag, bessel_j, radial_bessel_operator
 
 __all__ = [
     "GridFunction",
-    "axis_rule",
     "TransformPlan",
     "dunkl_transform_grid",
     "heat_kernel",
@@ -73,6 +72,8 @@ class GridFunction:
     def __post_init__(self):
         self.axes = tuple(np.asarray(a, dtype=float) for a in self.axes)
         self.values = np.asarray(self.values)
+        if self.values.dtype.kind not in "iufc":
+            raise ConfigError(f"grid values must be numbers, got dtype {self.values.dtype}")
         for a in self.axes:
             if a.ndim != 1 or a.size < 2 or np.any(np.diff(a) <= 0):
                 raise ConfigError("grid axes must be strictly increasing 1-d arrays")
@@ -150,15 +151,18 @@ class GridFunction:
     def from_npz(cls, path: str) -> "GridFunction":
         with np.load(path, allow_pickle=False) as data:
             n = sum(1 for key in data.files if key.startswith("axis"))
-            axes = tuple(data[f"axis{i}"] for i in range(n))
-            return cls(axes, data["values"])
+            try:
+                return cls(tuple(data[f"axis{i}"] for i in range(n)), data["values"])
+            except (KeyError, ValueError) as exc:  # a missing array, or an object array
+                raise ConfigError(f"grid npz needs numeric arrays values, axis0, axis1, ...: "
+                                  f"{exc}") from None
 
 
 # ---------------------------------------------------------------------------
 # weighted quadrature grids
 
 
-def axis_rule(k: float, extent: float, n: int) -> QuadratureRule:
+def _axis_rule(k: float, extent: float, n: int) -> QuadratureRule:
     """Rule for integral_{-L}^{L} g(x) (2 x^2)^k dx, singular factor absorbed.
 
     Two Gauss-Jacobi panels of n nodes meeting at the origin; the weight
@@ -273,7 +277,7 @@ class TransformPlan:
     for Gaussian-type functions extent 12 with 96 nodes per axis reaches
     machine precision.
 
-    Every node set is mirror-symmetric (axis_rule), and per axis the kernel
+    Every node set is two Gauss-Jacobi panels mirrored at 0, and per axis the kernel
     E(i xi, x) = j_(k-1/2)(xi x) + i xi x / (2k+1) j_(k+1/2)(xi x) is even in
     its real part and odd in its imaginary part, so each axis stores just
     those two parts on the positive nodes, and forward and inverse run in
@@ -289,8 +293,8 @@ class TransformPlan:
         fextents = extents if freq_extent is None else _per_axis(self.kv, freq_extent,
                                                                  "freq_extent")
         fns = ns if freq_n is None else _per_axis(self.kv, freq_n, "freq_n")
-        self.rules = [axis_rule(*args) for args in zip(self.kv.k, extents, ns)]
-        self.freq_rules = [axis_rule(*args) for args in zip(self.kv.k, fextents, fns)]
+        self.rules = [_axis_rule(*args) for args in zip(self.kv.k, extents, ns)]
+        self.freq_rules = [_axis_rule(*args) for args in zip(self.kv.k, fextents, fns)]
         # per axis, the parts of E(i xi_a, x_j) / c_k at positive xi_a, x_j, times
         # the weights of x_j (forward) or, transposed, those of xi_a (inverse)
         self._forward, self._inverse = [], []
@@ -319,9 +323,6 @@ class TransformPlan:
     def grid(self) -> np.ndarray:
         """The space grid points, built once and read-only."""
         return self._grid
-
-    def freq_grid(self) -> np.ndarray:
-        return _tensor_grid([r.nodes for r in self.freq_rules])
 
     def sample(self, f) -> np.ndarray:
         values = np.asarray(f(self.grid()))
@@ -422,7 +423,7 @@ def _heat_quadrature(k: float, t: float, x, y=None):
     times Gamma_t(x, z); broadcast over x, nodes on a new last axis.
 
     The window spans lo - w to hi + w, w = sqrt(160 t), lo and hi the smaller
-    and larger of |x| and |y| (y defaults to x): axis_rule's nodes on |z| <= hi + w
+    and larger of |x| and |y| (y defaults to x): _axis_rule's nodes on |z| <= hi + w
     while lo <= w, else Gauss-Legendre panels on +-[lo - w, hi + w] weighted by
     (2 z^2)^k, every node near the peaks however narrow.  Weights past the float
     range are a QuadratureError, a sum off the kernel's mass 1 by more than
@@ -479,12 +480,12 @@ def heat_kernel_spectral(kv, s: float, x, y):
 
         (1/c_k^2) int e^(-s |xi|^2) E_k(-ix, xi) E_k(iy, xi) w_k(xi) dxi,
 
-    evaluated axis by axis on axis_rule(k_i, sqrt(80 / s), 128), where the
+    evaluated axis by axis on _axis_rule(k_i, sqrt(80 / s), 128), where the
     Gaussian factor is e^(-80).  Independent of the closed form."""
     s = _positive_time(s, "heat kernel time")
 
     def axis(k, a, b):
-        rule = axis_rule(k, np.sqrt(80.0 / s), 128)
+        rule = _axis_rule(k, np.sqrt(80.0 / s), 128)
         ker_x, ker_y = (kernel_unitary(k, rule.nodes, p[..., None]) for p in (a, b))
         return np.sum(rule.weights * np.exp(-s * rule.nodes**2) * np.conj(ker_x) * ker_y,
                       axis=-1) / _axis_c_norm(k) ** 2

@@ -7,7 +7,7 @@ Residuals are reported raw; the pass decision compares each case
 against its entry in TOLERANCES, the one table every bound lives in.
 Nothing overrides a bound: a PASS means the same thing on every run.
 
-Suites are registered in SUITES and run through run_suite / run_all;
+Suites are named by suite_names and run through run_suite / run_all;
 reports serialize to plain dicts for the command-line front end.
 """
 
@@ -67,7 +67,6 @@ from .transform import (
 
 __all__ = [
     "TOLERANCES",
-    "SUITES",
     "CaseResult",
     "SuiteReport",
     "run_suite",
@@ -502,7 +501,7 @@ def _suite_funk_hecke() -> list[CaseResult]:
             worst = 0.0
             for coeffs in harmonic_basis(kv, n):
                 for x in xs:
-                    lhs, rhs = funk_hecke_pair(kv, coeffs, x, rule=rule)
+                    lhs, rhs = funk_hecke_pair(kv, coeffs, x)
                     worst = max(worst, abs(lhs - rhs))
             out.append(CaseResult(f"pairing k={k} degree={n}", worst, t_))
         rng = np.random.default_rng(29)
@@ -821,7 +820,7 @@ def _suite_appendix() -> list[CaseResult]:
 # ---------------------------------------------------------------------------
 # registry and entry points
 
-SUITES = {
+_SUITES = {
     "product-formula": _suite_product_formula,
     "radial-product-formula": _suite_radial_product_formula,
     "positivity": _suite_positivity,
@@ -839,14 +838,14 @@ SUITES = {
 
 
 def suite_names() -> list[str]:
-    return list(SUITES)
+    return list(_SUITES)
 
 
 def run_suite(name: str) -> SuiteReport:
-    if name not in SUITES:
-        raise ConfigError(f"unknown suite '{name}'; available: {', '.join(SUITES)}")
+    if name not in _SUITES:
+        raise ConfigError(f"unknown suite '{name}'; available: {', '.join(_SUITES)}")
     start = time.perf_counter()
-    results = SUITES[name]()
+    results = _SUITES[name]()
     return SuiteReport(name, results, time.perf_counter() - start)
 
 
@@ -854,7 +853,7 @@ def run_all(names=None) -> list[SuiteReport]:
     """Run the named suites (default: all) in order.  Every name is checked
     before the first suite runs, so an unknown one costs no suite time."""
     names = names or suite_names()
-    unknown = sorted(set(names) - set(SUITES))
+    unknown = sorted(set(names) - set(_SUITES))
     if unknown:
-        raise ConfigError(f"unknown suites {unknown}; available: {', '.join(SUITES)}")
+        raise ConfigError(f"unknown suites {unknown}; available: {', '.join(_SUITES)}")
     return [run_suite(n) for n in names]

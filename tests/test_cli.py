@@ -403,6 +403,23 @@ def test_transform_refuses_a_non_numeric_cell(tmp_path, capsys):
     assert "non-numeric" in json.loads(err)["error"]["message"]
 
 
+@pytest.mark.parametrize("arrays", [
+    {"axis0": np.linspace(-6.0, 6.0, 41)},
+    {"axis0": np.linspace(-6.0, 6.0, 41), "axis2": np.linspace(-6.0, 6.0, 41),
+     "values": np.zeros((41, 41))},
+    {"axis0": np.linspace(-6.0, 6.0, 41), "values": np.array([None] * 41)},
+    {"axis0": np.linspace(-6.0, 6.0, 41), "values": np.array(["a"] * 41)},
+], ids=["no-values", "axis-gap", "object-values", "str-values"])
+def test_transform_refuses_a_malformed_npz(tmp_path, capsys, arrays):
+    # a bare KeyError, ValueError or numpy's ufunc error, exit 1 with a traceback
+    src = tmp_path / "f.npz"
+    np.savez(src, **arrays)
+    cfg = write_config(tmp_path, "t.json", {"k": [1.0], "input": str(src)})
+    code, _, err = run_cli(capsys, "transform", "--config", cfg, "--out", str(tmp_path / "o.csv"))
+    assert code == 2
+    assert json.loads(err)["error"]["kind"] == "config"
+
+
 def test_transform_csv_has_one_line_ending(tmp_path, capsys):
     # the '#' header lines ended in \n and the rows in the csv module's \r\n
     src = make_grid_csv(tmp_path, n=41, extent=6.0)
@@ -523,18 +540,26 @@ def test_convolve_needs_exactly_two_inputs(tmp_path, capsys):
                   "seed": 1}),
     ("simulate", {"kind": "gaussian", "k": [1.0], "t_grid": [0.0, "a"], "n_paths": 10,
                   "seed": 1}),
+    *[("eval", {"target": "bessel", "alpha": 0.5, "x": {"start": 0.0, "stop": 2.0, "num": num}})
+      for num in (2.5, True, "3", 0)],
+    *[("eval", {"target": "kernel", "k": k, "x": [1.0], "y": [0.5]})
+      for k in ("12", "1", True, [True, 1.0])],
 ], ids=["simulate-ks_times-str", "simulate-ks_times-entry", "simulate-threads-0",
         "semigroup-n_profile-str", "semigroup-n_profile-0", "transform-inverse-str",
         "transform-inverse-int", "semigroup-freq_max-str", "semigroup-tail_tol-str",
         "semigroup-max_nodes-fraction", "semigroup-r_min-negative", "semigroup-subordinated",
-        "simulate-subordinated", "simulate-t_grid-str"])
+        "simulate-subordinated", "simulate-t_grid-str", "eval-num-fraction", "eval-num-bool",
+        "eval-num-str", "eval-num-0", "eval-k-str-digits", "eval-k-str", "eval-k-bool",
+        "eval-k-bool-entry"])
 def test_malformed_values_are_config_errors(tmp_path, capsys, command, payload):
     # the strings and n_profile 0 escaped as ValueError or TypeError (exit
     # code 1, a failed suite's code, and a traceback); threads 0 ran as one
     # worker, and "false" and 1 ran the inverse transform; the Cauchy
     # max_nodes 2.5 and r_min -1 ended in ResolutionError and ConsistencyError.
     # The semigroup's params key is gone, so its rows are now an unknown key;
-    # "subordinated", once a second name of the Cauchy kind, is no kind
+    # "subordinated", once a second name of the Cauchy kind, is no kind.  A grid
+    # spec's int(num) wrote 2 rows for 2.5, 1 for true, 3 for "3" and none for 0;
+    # k "12" wrote a two-axis table headed k: [1.0, 2.0], and true ran as k = 1
     if command == "transform":
         payload = {**payload, "input": make_grid_csv(tmp_path)}
     cfg = write_config(tmp_path, "bad.json", payload)

@@ -29,7 +29,7 @@ from dunklkit import (
 )
 from dunklkit.harmonics import funk_hecke_pair
 from dunklkit.markov import (KRadialMeasure, composed_kernel_hat, gaussian_kernel_hat,
-                             subordinated_kernel_hat, translate_measure)
+                             semigroup_from_json, subordinated_kernel_hat, translate_measure)
 from dunklkit.cli import main
 from dunklkit.special import bessel_j, bessel_j_imag
 
@@ -68,36 +68,40 @@ def test_multiplicity_validation():
     assert MultiplicityVector(k=1.5).k == (1.5,)
 
 
-@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), "a", None, [1.0]])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), "a", None, [1.0],
+                                 True])
 def test_multiplicity_rejects_non_finite(bad, tmp_path, capsys):
-    # a string, null or list entry was float()'s ValueError or TypeError
+    # a string, null or list entry was float()'s ValueError or TypeError; a bool
+    # entry read as 0 or 1
     with pytest.raises(ConfigError):
         MultiplicityVector((bad, 1.0))
     with pytest.raises(ConfigError):
-        MultiplicityVector.from_json(json.dumps({"N": 2, "k": [bad, 1.0]}))
+        semigroup_from_json(json.dumps({"type": "gaussian", "k": [bad, 1.0]}))
     cfg = tmp_path / "eval.json"
     cfg.write_text(json.dumps({"target": "kernel", "k": [bad], "x": [1.0], "y": [0.5]}))
     assert main(["eval", "--config", str(cfg)]) == 2
     assert json.loads(capsys.readouterr().err)["error"]["kind"] == "config"
 
 
-def test_multiplicity_json_roundtrip():
-    kv = MultiplicityVector(k=(0.5, 2.0))
-    again = MultiplicityVector.from_json(kv.to_json())
-    assert again == kv
-    with pytest.raises(ConfigError):
-        MultiplicityVector.from_json('{"N": 2, "k": [1.0]}')
-    with pytest.raises(ConfigError):
-        MultiplicityVector.from_json('{"k": [1.0]}')
-    with pytest.raises(ConfigError):
-        MultiplicityVector.from_json("not json")
+@pytest.mark.parametrize("k, axes", [
+    (1, (1.0,)), (np.int64(1), (1.0,)), (np.float32(0.5), (0.5,)), (np.float64(2.0), (2.0,)),
+    (np.array(1.5), (1.5,)), ([1, 0.5], (1.0, 0.5)), ((np.int64(2), 0.5), (2.0, 0.5)),
+    (np.array([0.5, 1.0, 2.0]), (0.5, 1.0, 2.0)),
+], ids=["int", "numpy-int", "numpy-float32", "numpy-float64", "0-d-array", "list", "tuple",
+        "array"])
+def test_multiplicity_takes_a_real_or_a_sequence_of_reals(k, axes):
+    # numpy's integer and float32 scalars were a bare TypeError
+    assert MultiplicityVector(k).k == axes
 
 
-@pytest.mark.parametrize("text", ['1', '["N", "k"]', 'null'])
-def test_multiplicity_json_must_be_an_object(text):
-    # each was a TypeError
-    with pytest.raises(ConfigError):
-        MultiplicityVector.from_json(text)
+@pytest.mark.parametrize("k", [
+    "12", "1", b"1", True, np.True_, np.ones((1, 2)), None, {"k": 1.0}, 1 + 0j, iter([1.0]),
+], ids=["str-digits", "str", "bytes", "bool", "numpy-bool", "2-d-array", "none", "dict",
+        "complex", "iterator"])
+def test_multiplicity_refuses_what_is_not_a_real_sequence(k):
+    # "12" read digit by digit as k = (1, 2), and True as k = 1
+    with pytest.raises(ConfigError, match="multiplicity must be a real number"):
+        MultiplicityVector(k)
 
 
 def test_group_elements():

@@ -83,9 +83,10 @@ _ROOTS = ("cli", "verify")
 
 def _package_index():
     """Per module: its module-level definitions (def, class and assigned
-    names, each with its statement), the names it imports from the package
-    as (module, name), its aliases of package modules, and the statements
-    that run on import."""
+    names, each with its statement, and each class's methods as
+    "Class.method"), the names it imports from the package as (module,
+    name), its aliases of package modules, and the statements that run on
+    import."""
     defs, imports, aliases, on_import = {}, {}, {}, []
     for path in sorted(Path(dunklkit.__file__).parent.glob("*.py")):
         mod = path.stem
@@ -93,6 +94,8 @@ def _package_index():
         for stmt in ast.parse(path.read_text()).body:
             if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 defs[mod, stmt.name] = stmt
+                for meth in _methods(stmt):
+                    defs[mod, f"{stmt.name}.{meth.name}"] = meth
             elif isinstance(stmt, ast.ImportFrom) and stmt.level == 1:
                 for a in stmt.names:
                     if stmt.module is None and a.name in SUBMODULES:
@@ -107,6 +110,13 @@ def _package_index():
     return defs, imports, aliases, on_import
 
 
+def _methods(stmt) -> list:
+    """The methods a class statement defines; none for a def."""
+    if not isinstance(stmt, ast.ClassDef):
+        return []
+    return [node for node in stmt.body if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+
+
 def _resolve(defs, imports, mod, name):
     """The (module, name) that defines `name` as seen from `mod`, through
     re-exports; None outside the package."""
@@ -119,24 +129,35 @@ def _reached() -> set:
     """(module, name) of every definition that the CLI and the verify suites
     reach: whole root modules and every module's import-time statements,
     then every definition a reached body names, through `from . import`
-    aliases, re-exports and `module.attr` references; a reached class
-    brings all its methods."""
+    aliases, re-exports and `module.attr` references.  A reached class
+    brings its class-level statements and dunder methods; any other method
+    of it is reached once a reached body names it as an attribute."""
     defs, imports, aliases, on_import = _package_index()
     todo = [(mod, stmt) for mod, stmt in on_import]
-    todo += [(mod, stmt) for (mod, _), stmt in defs.items() if mod in _ROOTS]
-    reached, seen = set(), set()
+    todo += [(mod, stmt) for (mod, name), stmt in defs.items()
+             if mod in _ROOTS and "." not in name]
+    reached, seen, named, waiting = set(), set(), set(), {}
     while todo:
         mod, stmt = todo.pop()
         if id(stmt) in seen:
             continue
         seen.add(id(stmt))
-        for node in ast.walk(stmt):
-            key = None
+        deferred = [m for m in _methods(stmt)
+                    if not (m.name.startswith("__") and m.name.endswith("__"))]
+        for meth in deferred:  # a method waits for its attribute name
+            waiting.setdefault(meth.name, []).append((mod, f"{stmt.name}.{meth.name}"))
+        nodes = [node for part in ast.iter_child_nodes(stmt) if part not in deferred
+                 for node in ast.walk(part)] if deferred else ast.walk(stmt)
+        keys = []
+        for node in nodes:
             if isinstance(node, ast.Name):
-                key = _resolve(defs, imports, mod, node.id)
-            elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
-                  and node.value.id in aliases[mod]):
-                key = _resolve(defs, imports, aliases[mod][node.value.id], node.attr)
+                keys.append(_resolve(defs, imports, mod, node.id))
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+                if isinstance(node.value, ast.Name) and node.value.id in aliases[mod]:
+                    keys.append(_resolve(defs, imports, aliases[mod][node.value.id], node.attr))
+        keys += [key for name in named & set(waiting) for key in waiting.pop(name)]
+        for key in keys:
             if key is not None and key not in reached:
                 reached.add(key)
                 todo.append((key[0], defs[key]))
@@ -144,13 +165,77 @@ def _reached() -> set:
 
 
 def test_every_public_name_is_reached():
-    # a public name that neither `dunklkit check` nor the CLI reaches is
-    # surface that no user-facing route exercises: give it a suite case, as
-    # the second route of an identity, or take it out of the API
+    # a public name or method that neither `dunklkit check` nor the CLI
+    # reaches is surface that no user-facing route exercises: give it a
+    # suite case, as the second route of an identity, or take it out of
+    # the API
     defs, imports, _, _ = _package_index()
     reached = _reached()
-    assert [name for name in dunklkit.__all__
-            if _resolve(defs, imports, "__init__", name) not in reached] == []
+    keys = {name: _resolve(defs, imports, "__init__", name) for name in dunklkit.__all__}
+    keys.update({f"{name}.{meth.name}": (key[0], f"{key[1]}.{meth.name}")
+                 for name, key in list(keys.items()) if key is not None
+                 for meth in _methods(defs[key]) if not meth.name.startswith("_")})
+    assert sorted(name for name, key in keys.items() if key not in reached) == []
+
+
+# ---------------------------------------------------------------------------
+# a submodule's __all__ lists package API or names other package modules import
+
+# submodule-only public names, each kept for the reason given
+_SUBMODULE_ONLY = {
+    "measures.deposit_on_grid": "perfbench's tracer wraps it; it goes with the benchmark "
+                                "update that drops that span",
+    "special.gegenbauer_hypergeometric": "independent test oracle of gegenbauer; no package "
+                                         "code reads it, so a private name would be a dead helper",
+    "special.riemann_liouville": "independent test oracle of bessel_j; no package code reads "
+                                 "it, so a private name would be a dead helper",
+    "verify.CaseResult": "the type of SuiteReport.results",
+}
+
+
+def submodule_only_names(paths) -> list[str]:
+    """module.name for every name in a submodule's literal __all__ that no
+    other module imports, by `from .module import name` (at any depth) or
+    as `module.name` through `from . import module`.  __init__.py's
+    imports are dunklkit.__all__, which it derives from them."""
+    exported, used = {}, set()
+    for path in paths:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        aliases = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                for a in node.names:
+                    if node.module is None:
+                        aliases[a.asname or a.name] = a.name
+                    elif node.module != path.stem:
+                        used.add((node.module, a.name))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) in aliases:
+                used.add((aliases[node.value.id], node.attr))
+        for node in tree.body:
+            if (path.stem != "__init__" and isinstance(node, ast.Assign)
+                    and any(getattr(t, "id", None) == "__all__" for t in node.targets)):
+                exported[path.stem] = [elt.value for elt in node.value.elts]
+    return sorted(f"{mod}.{name}" for mod, names in exported.items() for name in names
+                  if (mod, name) not in used)
+
+
+def test_submodule_exports_are_package_api_or_imported():
+    package = sorted(Path(dunklkit.__file__).parent.glob("*.py"))
+    assert submodule_only_names(package) == sorted(_SUBMODULE_ONLY)  # a stale entry fails too
+
+
+def test_submodule_export_checker_flags_unused_names(tmp_path):
+    init, one, two = (tmp_path / f"{name}.py" for name in ("__init__", "one", "two"))
+    init.write_text("from .one import a\n__all__ = ['a']\n")
+    one.write_text("__all__ = ['a', 'b', 'c', 'd', 'e']\n"
+                   "def a(): pass\ndef b(): pass\ndef c(): pass\ndef d(): pass\n"
+                   "def e(): return d()\n")
+    two.write_text("from . import one\n"
+                   "def f():\n    from .one import b\n    return b() + one.c()\n")
+    assert submodule_only_names([init, one, two]) == ["one.d", "one.e"]
+    two.write_text("from .one import e\n")
+    assert submodule_only_names([init, one, two]) == ["one.b", "one.c", "one.d"]
 
 
 # ---------------------------------------------------------------------------
@@ -161,9 +246,6 @@ _CALLERS = ("src", "bench", "perfbench")
 _UNSET_BY_DESIGN = {
     "spherical_mean_radial.n": "the node budget that a resolution policy and a "
                                "refinement ladder study",
-    "LineMeasure.check_probability.tol": "the bound is the caller's: tests check "
-                                         "measures at 1e-12, 1e-10 and 1e-8",
-    "RadialProfileMeasure.check_probability.tol": "inherited from LineMeasure",
     "MarkovKernelHandle.apply.f": "exactly one of f, f0 is passed: f is the rank-one "
                                   "general test function, f0 the radial one the suites take",
 }

@@ -102,8 +102,9 @@ def test_jacobi_quadrature_is_bit_identical_to_the_explicit_build(k):
 
 
 def test_quadrature_average_of_constant():
+    # w_k dsigma / d_norm is a probability measure
     rule = SphereQuadrature(KV, n=16)
-    assert rule.average(lambda p: np.ones(p.shape[0])) == pytest.approx(1.0, rel=1e-14)
+    assert rule.integrate(lambda p: np.ones(p.shape[0])) / KV.d_norm == pytest.approx(1.0, rel=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -136,8 +137,8 @@ def test_harmonic_basis_orthonormal_and_harmonic(n):
         if n >= 2:
             np.testing.assert_allclose(apply_laplacian(KV, cp), 0.0, atol=1e-10)
         for q, cq in enumerate(basis):
-            inner = rule.average(
-                lambda pts: eval_homogeneous(cp, pts) * eval_homogeneous(cq, pts))
+            inner = rule.integrate(
+                lambda pts: eval_homogeneous(cp, pts) * eval_homogeneous(cq, pts)) / KV.d_norm
             assert inner == pytest.approx(1.0 if p == q else 0.0, abs=1e-11)
 
 
@@ -167,8 +168,9 @@ def test_reproducing_kernel_reproduces():
     x = np.array([0.7, 0.6])
     for n in (1, 2, 4):
         for coeffs in harmonic_basis(KV, n):
-            got = rule.average(
-                lambda pts: reproducing_kernel(KV, n, x, pts) * eval_homogeneous(coeffs, pts))
+            got = rule.integrate(
+                lambda pts: reproducing_kernel(KV, n, x, pts) * eval_homogeneous(coeffs, pts)
+            ) / KV.d_norm
             assert got == pytest.approx(eval_homogeneous(coeffs, x), abs=1e-10)
 
 
@@ -184,20 +186,23 @@ def test_kernel_series_converges_to_kernel():
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
 def test_funk_hecke_identity(n):
-    rule = SphereQuadrature(KV, n=96)
     x = np.array([1.3, 0.8])
     for coeffs in harmonic_basis(KV, n):
-        lhs, rhs = funk_hecke_pair(KV, coeffs, x, rule=rule)
+        lhs, rhs = funk_hecke_pair(KV, coeffs, x)
         assert abs(lhs - rhs) < 1e-9
 
 
-def test_funk_hecke_refuses_a_rule_of_another_multiplicity():
-    # a k = (2, 1) rule integrated against the wrong weight: lhs 0.0550, not -0.0312
-    coeffs = harmonic_basis(KV, 2)[0]
+@pytest.mark.parametrize("k", [(1.0, 0.5), (2.0, 1.0)])
+def test_funk_hecke_integrates_on_the_rule_of_its_multiplicity(k):
+    # the multiplicity comes once: the left side is the 96-node rule of that k,
+    # so a rule of another weight (lhs 0.0550, not -0.0312, before) cannot enter
+    kv = MultiplicityVector(k)
+    coeffs = harmonic_basis(kv, 2)[0]
     x = np.array([0.9, 0.2])
-    with pytest.raises(ConfigError, match="does not match the rule's"):
-        funk_hecke_pair(KV, coeffs, x, rule=SphereQuadrature((2.0, 1.0), n=96))
-    lhs, rhs = funk_hecke_pair(KV, coeffs, x, rule=SphereQuadrature(KV, n=96))
+    rule = SphereQuadrature(kv, n=96)
+    lhs, rhs = funk_hecke_pair(kv, coeffs, x)
+    vals = dunkl_kernel_unitary(kv, x, rule.points) * eval_homogeneous(coeffs, rule.points)
+    assert lhs == complex(rule.integrate_values(vals) / kv.d_norm)
     assert abs(lhs - rhs) < 1e-9
 
 

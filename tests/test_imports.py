@@ -34,10 +34,15 @@ def _module_imports(tree: ast.Module):
 
 
 def _exported(tree: ast.Module) -> set[str]:
+    """The names __all__ lists; one derived from globals() lists every public
+    import."""
     for node in tree.body:
         if isinstance(node, ast.Assign) and any(
                 isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
-            return {elt.value for elt in node.value.elts}
+            if isinstance(node.value, (ast.List, ast.Tuple)):
+                return {elt.value for elt in node.value.elts}
+            if any(isinstance(n, ast.Name) and n.id == "globals" for n in ast.walk(node.value)):
+                return {name for name, _ in _module_imports(tree) if not name.startswith("_")}
     return set()
 
 
@@ -59,6 +64,10 @@ def test_checker_flags_an_unused_import(tmp_path):
     src.write_text("import os\nimport sys as system\nfrom json import dumps, loads\n"
                    "__all__ = ['loads']\nprint(system.argv)\n")
     assert unused_imports(src) == ["dumps (line 3)", "os (line 1)"]
+    # an __all__ derived from globals() exports the public imports, not the private ones
+    src.write_text("from json import dumps as _dumps, loads\nfrom types import ModuleType\n"
+                   "__all__ = [n for n, v in globals().items() if not isinstance(v, ModuleType)]\n")
+    assert unused_imports(src) == ["_dumps (line 1)"]
 
 
 # ---------------------------------------------------------------------------
@@ -860,7 +869,7 @@ def heat_window_breaches(paths) -> list[str]:
             if (getattr(func, "id", getattr(func, "attr", None)) == "sqrt" and where != HEAT_WINDOW
                     and any(isinstance(c, ast.Constant) and c.value == 160 for c in ast.walk(node))):
                 found.append(f"heat window in {where} (line {line})")
-            elif path.stem == "markov" and name in ("axis_rule", "gauss_legendre"):
+            elif path.stem == "markov" and name in ("_axis_rule", "gauss_legendre"):
                 found.append(f"{name} named in {where} (line {line})")
             elif where.startswith("markov:composed_kernel_hat") and isinstance(node, LOOPS):
                 found.append(f"{type(node).__name__} in {where} (line {line})")
@@ -884,16 +893,16 @@ def test_heat_window_checker_flags_a_second_window(tmp_path):
                       "    return _heat_quadrature(k, t, rule.nodes)\n")
     assert heat_window_breaches([transform, markov]) == []
     transform.write_text(transform.read_text().replace(
-        "return _heat_quadrature(k, t, x)", "return axis_rule(k, x + np.sqrt(160 * t), 96)"))
-    markov.write_text("from .transform import _heat_quadrature, axis_rule\n"
+        "return _heat_quadrature(k, t, x)", "return _axis_rule(k, x + np.sqrt(160 * t), 96)"))
+    markov.write_text("from .transform import _heat_quadrature, _axis_rule\n"
                       "def composed_kernel_hat(k, s, t, x):\n"
                       "    rule, heat = _heat_quadrature(k, s, x)\n"
                       "    return [_heat_quadrature(k, t, z) for z in rule.nodes]\n"
-                      "def _hat_rule(k, c, t):\n    return axis_rule(k, c, 160)\n")
+                      "def _hat_rule(k, c, t):\n    return _axis_rule(k, c, 160)\n")
     assert heat_window_breaches([transform, markov]) == [
         "ListComp in markov:composed_kernel_hat (line 4)",
-        "axis_rule named in markov:<module> (line 1)",
-        "axis_rule named in markov:_hat_rule (line 6)",
+        "_axis_rule named in markov:<module> (line 1)",
+        "_axis_rule named in markov:_hat_rule (line 6)",
         "heat window in transform:defect (line 5)"]
     transform.write_text("def _heat_window(k, t, x):\n    pass\n")
     markov.write_text("def composed(k):\n    pass\n")

@@ -33,7 +33,7 @@ from dunklkit.markov import (
     _resolve_threads,
     composed_kernel_hat,
     gaussian_kernel_hat,
-    subordinated_density,
+    _subordinated_density,
     subordinated_kernel_hat,
 )
 from dunklkit.measures import as_weighted_atoms, dirac
@@ -380,16 +380,17 @@ def test_semigroup_json_boundary_errors_are_typed(text):
 
 
 def test_semigroup_simulation_needs_seed():
+    # a semigroup's process is simulate_paths of its kind and multiplicity
     sg = semigroup_from_json(json.dumps({"type": "gaussian", "k": [1.0]}))
     with pytest.raises(ConfigError, match="seed must be an integer"):
-        sg.simulate([0.0, 0.5, 1.0], 8, None)
-    ens = sg.simulate([0.0, 0.5, 1.0], 8, 42)
+        simulate_paths(sg.kv, [0.0, 0.5, 1.0], 8, None, kind=sg.kind)
+    ens = simulate_paths(sg.kv, [0.0, 0.5, 1.0], 8, 42, kind=sg.kind)
     assert len(ens) == 8
     # custom families have no sampler
     sg2 = KernelSemigroup(KV1, lambda t: rayleigh_measure(KV1.lam, t)
                           if t > 0 else dirac(0.0, lam=KV1.lam))
     with pytest.raises(ConfigError):
-        sg2.simulate([0.0, 1.0], 4, seed=1)
+        simulate_paths(sg2.kv, [0.0, 1.0], 4, seed=1, kind=sg2.kind)
 
 
 # ---------------------------------------------------------------------------
@@ -451,7 +452,7 @@ def test_simulate_paths_validation():
     lambda t: composed_kernel_hat(KV1, 0.4, t, [0.3], [0.5]),
     lambda t: radial_heat_profile(KV1, t, 0.5),
     lambda t: heat_kernel_spectral(KV1, t, [0.3], [0.5]),
-    lambda t: subordinated_density(KV1, t, [0.3], [0.5]),
+    lambda t: _subordinated_density(KV1, t, [0.3], [0.5]),
 ], ids=["simulate_paths", "simulate_paths_cauchy", "rayleigh_measure", "cauchy_measure",
         "stable_half_subordinator", "heat_kernel", "gaussian_kernel_hat",
         "composed_kernel_hat_s", "composed_kernel_hat_t", "radial_heat_profile",

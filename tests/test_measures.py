@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from dunklkit.errors import ConfigError, PositivityError
+from dunklkit.errors import ConfigError
 from dunklkit.measures import (
     LineMeasure,
     RadialProfileMeasure,
@@ -69,9 +69,6 @@ def test_validation_errors():
         RadialProfileMeasure(grid=np.array([-1.0, 0.5]), density=np.zeros(2))
     with pytest.raises(ConfigError):
         dirac(-0.5)  # radial atoms live on r >= 0
-    mu = LineMeasure(grid=np.linspace(0, 1, 5), density=np.full(5, 0.7))
-    with pytest.raises(PositivityError):
-        mu.check_probability()
 
 
 @pytest.mark.parametrize("grid, density", [

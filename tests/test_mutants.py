@@ -1,14 +1,17 @@
 """One-line semantic mutants that a `dunklkit check` case must catch.
 
 Each row monkeypatches one object, runs only the suite that owns the case
-meant to catch it, and expects every case whose name starts with the row's
-prefix to fail; the unmutated tree passes those cases (acceptance tests).
+meant to catch it, and expects every case whose name the row's pattern
+matches from its start (re.match) to fail; the unmutated tree passes those
+cases (acceptance tests).
 """
+
+import re
 
 import numpy as np
 import pytest
 
-from dunklkit import measures, rank_one, transform, verify
+from dunklkit import bessel_kingman, measures, rank_one, transform, verify
 
 
 def _swap_mean_split(monkeypatch):
@@ -49,6 +52,25 @@ def _negate_heat_odd_part(monkeypatch):
                         lambda k, s, x, y: heat_axis(k, s, x, -np.asarray(y, dtype=float)))
 
 
+def _flip_intertwiner_tilt(monkeypatch):
+    # the intertwiner's tilt (1 + u) turned into (1 - u): on the symmetric angle
+    # rule, the masses w (1 - u) are the masses w (1 + u) in reverse order
+    nodes_of = rank_one._intertwiner_nodes
+
+    def patched(k, x, n):
+        nodes, masses = nodes_of(k, x, n)
+        return nodes, masses[::-1]
+
+    monkeypatch.setattr(rank_one, "_intertwiner_nodes", patched)
+
+
+def _angle_rule_exponent_off_by_half(monkeypatch):
+    # the angle law (1 - u^2)^lam in place of (1 - u^2)^(lam - 1/2); rank_one
+    # binds its own _angle_rule, so the intertwiner and the moment cases keep theirs
+    angle_rule = bessel_kingman._angle_rule
+    monkeypatch.setattr(bessel_kingman, "_angle_rule", lambda lam, n: angle_rule(lam + 0.5, n))
+
+
 MUTANTS = {
     "mean-split-swapped": (_swap_mean_split, "product-formula", "kernel wave mean"),
     "kernel-odd-negated": (_negate_kernel_odd_part, "product-formula", "eigen-equation"),
@@ -58,12 +80,15 @@ MUTANTS = {
                                 "gaussian closure"),
     "heat-odd-negated": (_negate_heat_odd_part, "chapman-kolmogorov", "composition"),
     "heat-odd-negated-markov": (_negate_heat_odd_part, "markov", "gaussian invariance"),
+    "intertwiner-tilt-flipped": (_flip_intertwiner_tilt, "orbit-integral", "routes"),
+    "angle-rule-exponent": (_angle_rule_exponent_off_by_half, "radial-product-formula",
+                            r"k=\(.*\) (case=|spectral route)"),
 }
 
 
 @pytest.mark.parametrize("name", list(MUTANTS))
 def test_mutant_fails_its_case(monkeypatch, name):
-    mutate, suite, prefix = MUTANTS[name]
+    mutate, suite, pattern = MUTANTS[name]
     mutate(monkeypatch)
-    cases = [r for r in verify.run_suite(suite).results if r.name.startswith(prefix)]
+    cases = [r for r in verify.run_suite(suite).results if re.match(pattern, r.name)]
     assert cases and not any(r.passed for r in cases), [(r.name, r.residual) for r in cases]

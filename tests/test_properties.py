@@ -110,19 +110,22 @@ def test_signed_product_measure_mass_and_support(k, xm, ym, sx, sy):
 @settings(max_examples=40, deadline=None)
 def test_spherical_mean_measure_is_probability(k, x, t):
     mu = spherical_mean_measure(k, x, t)
-    mu.check_probability(tol=1e-8)
+    assert abs(mu.mass() - 1.0) <= 1e-8
+    assert min([mu.node_masses.min(initial=0.0), *(w for _, w in mu.atoms)]) >= -1e-8
     lo, hi = mu.support_bounds()
     outer = abs(x) + t + 1e-9
     assert -outer <= lo <= hi <= outer
 
 
-@given(values=st.lists(st.floats(0.0, 5.0, **FIN), min_size=1, max_size=4))
+@given(values=st.lists(st.floats(0.0, 5.0, **FIN) | st.integers(0, 5), min_size=1, max_size=4))
 @settings(max_examples=100, deadline=None)
 def test_multiplicity_json_roundtrip(values):
+    # the axes survive the JSON list the CLI writes them as and reads them from;
+    # a list, a tuple and a 1-D array give the same axes, one per entry
     kv = MultiplicityVector(values)
-    back = MultiplicityVector.from_json(kv.to_json())
-    assert back.k == kv.k
-    assert json.loads(kv.to_json()) == json.loads(back.to_json())
+    assert MultiplicityVector(json.loads(json.dumps(list(kv.k)))) == kv
+    assert kv.k == tuple(float(v) for v in values)
+    assert MultiplicityVector(tuple(values)) == MultiplicityVector(np.asarray(values)) == kv
 
 
 @given(

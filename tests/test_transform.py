@@ -43,7 +43,7 @@ from dunklkit.markov import gaussian_kernel_hat
 from dunklkit.quadrature import _tensor_grid
 from dunklkit.rank_one import kernel_unitary, signed_product_measure, spherical_mean_measure
 from dunklkit.special import bessel_j
-from dunklkit.transform import _contract_axes, axis_rule
+from dunklkit.transform import _axis_rule, _contract_axes
 from scipy.special import gamma, roots_jacobi
 
 KV2 = MultiplicityVector(k=(1.0, 0.5))
@@ -158,7 +158,7 @@ def test_grid_function_csv_rejects_malformed(tmp_path):
 def test_axis_rule_gaussian_moment():
     # int (2 x^2)^k e^{-x^2} dx = 2^k Gamma(k + 1/2)
     for k in (0.0, 0.5, 1.7):
-        rule = axis_rule(k, 10.0, 80)
+        rule = _axis_rule(k, 10.0, 80)
         got = float(np.sum(rule.weights * np.exp(-rule.nodes**2)))
         assert got == pytest.approx(2.0**k * gamma(k + 0.5), rel=1e-13)
 
@@ -167,7 +167,7 @@ def test_axis_rule_gaussian_moment():
 @pytest.mark.parametrize("n", [1, 7, 40, 160])
 def test_axis_rule_is_bitwise_mirror_symmetric(k, n):
     # the weight (2 x^2)^k is even: the left panel is the right one mirrored
-    rule = axis_rule(k, 3.7, n)
+    rule = _axis_rule(k, 3.7, n)
     assert rule.n == 2 * n
     assert np.array_equal(rule.nodes, -rule.nodes[::-1])
     assert np.array_equal(rule.weights, rule.weights[::-1])
@@ -182,15 +182,15 @@ def test_axis_rule_rejects_bad_extent_and_count(extent, n):
     # 10.7 used to be truncated to 10; n = 0 and NaN extents raised bare
     # ValueErrors, and an infinite extent warned inside the Gauss build
     with pytest.raises(ConfigError):
-        axis_rule(1.0, extent, n)
+        _axis_rule(1.0, extent, n)
 
 
 @pytest.mark.parametrize("call", [
-    lambda: axis_rule(1.0, 1e200, 8),
-    lambda: axis_rule(1.0, 1.1e103, 8),
+    lambda: _axis_rule(1.0, 1e200, 8),
+    lambda: _axis_rule(1.0, 1.1e103, 8),
     lambda: gaussian_kernel_hat(KV2, 0.5, [1e200, 0.2], [0.0, 0.0]),
     lambda: heat_kernel_spectral(KV2, 1e-300, [0.5, 0.1], [0.3, 0.2]),
-    lambda: axis_rule(600.0, 1.0, 8),
+    lambda: _axis_rule(600.0, 1.0, 8),
     lambda: TransformPlan(MultiplicityVector((600.0,)), extent=4.0, n=8),
 ], ids=["axis_rule", "axis_rule-2^k", "gaussian_kernel_hat", "heat_kernel_spectral",
         "axis_rule-k600", "TransformPlan-k600"])
@@ -198,7 +198,7 @@ def test_axis_rule_rejects_bad_extent_and_count(extent, n):
 def test_gauss_jacobi_weight_overflow_is_a_quadrature_error(call):
     # half^(alpha + beta + 1) raised a bare OverflowError; at s = 1e-300 the
     # spectral extent sqrt(80 / s) is about 9e150.  At 1.1e103 the Gauss-Jacobi
-    # weights fit the float range but axis_rule's factor 2^k took them to inf
+    # weights fit the float range but _axis_rule's factor 2^k took them to inf
     # with a bare RuntimeWarning.  At k = 600 scipy's roots_jacobi itself
     # overflowed, warned and returned NaN weights
     with pytest.raises(QuadratureError, match="overflow"):
@@ -213,7 +213,7 @@ def test_gaussian_is_self_dual():
     plan = TransformPlan(KV2, extent=12.0, n=72)
     g = lambda p: np.exp(-0.5 * np.sum(p * p, axis=-1))
     fhat = plan.forward(plan.sample(g))
-    want = np.asarray(g(plan.freq_grid())).reshape(plan.freq_shape)
+    want = np.asarray(g(_tensor_grid([r.nodes for r in plan.freq_rules]))).reshape(plan.freq_shape)
     assert np.max(np.abs(fhat - want)) < 1e-12
     assert np.max(np.abs(fhat.imag)) < 1e-13
 
@@ -663,7 +663,7 @@ def test_chapman_kolmogorov_axis_sums_match_the_tensor_grid():
     # the per-axis product of 1-D sums against the (2n)^N tensor sum it replaced
     s1, s2, x, y = 0.3, 0.5, np.array([0.4, 0.1]), np.array([-0.6, 0.8])
     extent = 0.8 + np.sqrt(160.0 * s2)
-    rules = [axis_rule(k, extent, 96) for k in KV2.k]
+    rules = [_axis_rule(k, extent, 96) for k in KV2.k]
     pts, wts = _tensor_grid([r.nodes for r in rules], [r.weights for r in rules])
     lhs = np.sum(wts * heat_kernel(KV2, s1, x, pts) * heat_kernel(KV2, s2, y, pts))
     rhs = float(heat_kernel(KV2, s1 + s2, x, y))
@@ -672,7 +672,7 @@ def test_chapman_kolmogorov_axis_sums_match_the_tensor_grid():
 
 
 def test_chapman_kolmogorov_resolves_short_times():
-    # one axis_rule over max(|x|, |y|) + sqrt(160 s) read 0.163 at s = 1e-4 and
+    # one _axis_rule over max(|x|, |y|) + sqrt(160 s) read 0.163 at s = 1e-4 and
     # 1.0e-4 / 1.4e-3 for the mixed times; the product of the two kernels now
     # lies inside the heat window of the shorter time
     kv = MultiplicityVector((1.0,))

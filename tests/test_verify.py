@@ -14,7 +14,7 @@ import pytest
 from dunklkit import (ConfigError, TOLERANCES, MultiplicityVector, TransformPlan, bump,
                       run_all, run_suite, spherical_mean_spectral, suite_names)
 from dunklkit.markov import KernelSemigroup, semigroup_from_json
-from dunklkit.verify import SUITES, CaseResult, SuiteReport, _battery_means, _endpoint_case
+from dunklkit.verify import _SUITES, CaseResult, SuiteReport, _battery_means, _endpoint_case
 
 
 def test_suite_names_cover_tolerance_table():
@@ -53,7 +53,7 @@ def test_unknown_suite_and_bad_tolerance():
         run_suite("no-such-suite")
     # bounds come from TOLERANCES only: no entry point takes an override
     for fn in (run_suite, run_all, _endpoint_case, semigroup_from_json, KernelSemigroup,
-               *SUITES.values()):
+               *_SUITES.values()):
         assert "tol" not in inspect.signature(fn).parameters, fn.__name__
     with pytest.raises(TypeError):
         run_suite("appendix", tol=1e-30)
