@@ -89,12 +89,15 @@ def _load_config_file(path: str) -> dict:
     return data
 
 
+def _number(value, key: str) -> float:
+    """A JSON number (int or float, not bool) as a finite float; else ConfigError."""
+    if type(value) not in (int, float):
+        raise ConfigError(f"'{key}' must be a number, got {value!r}")
+    return _finite(value, f"'{key}'")
+
+
 def _positive_float(options: dict, key: str) -> float:
-    val = options[key]
-    try:
-        val = float(val)
-    except (TypeError, ValueError):
-        raise ConfigError(f"'{key}' must be a number, got {val!r}") from None
+    val = _number(options[key], key)
     if not val > 0.0:
         raise ConfigError(f"'{key}' must be positive, got {val}")
     options[key] = val
@@ -198,14 +201,17 @@ def _points(value, n_axes: int, key: str) -> np.ndarray:
         if n_axes != 1:
             raise ConfigError(f"'{key}': grid specs need explicit points beyond one axis")
         try:
-            arr = np.linspace(float(value["start"]), float(value["stop"]),
+            arr = np.linspace(_number(value["start"], f"{key}.start"),
+                              _number(value["stop"], f"{key}.stop"),
                               _node_count(value["num"], f"'{key}' grid spec num"))
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"'{key}' grid spec is incomplete: {exc}") from exc
         return arr[:, None]
     try:
+        for entry in np.asarray(value, dtype=object).ravel():  # ragged rows stay lists
+            _number(entry, key)
         arr = np.asarray(value, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"'{key}' is not numeric: {exc}") from exc
     if arr.ndim == 0:
         arr = arr[None]
@@ -237,7 +243,7 @@ def cmd_eval(cfg: RunConfig) -> int:
         raise ConfigError(f"unknown eval target '{target}'; choose from {_EVAL_TARGETS}")
 
     if target == "bessel":
-        alpha = float(_require(o, "alpha", "eval bessel"))
+        alpha = _number(_require(o, "alpha", "eval bessel"), "alpha")
         xs = _points(_require(o, "x", "eval bessel"), 1, "x")[:, 0]
         vals = bessel_j(alpha, xs)
         rows = [[x, v] for x, v in zip(xs, np.atleast_1d(vals))]
@@ -310,7 +316,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
         raise ConfigError(f"'ks_times' must be a list of times, got {ks_times!r}")
     ks_rows = []
     for t in ks_times:
-        t = _finite(t, "ks time")
+        t = _number(t, "ks_times")
         i = int(np.argmin(np.abs(t_grid - t)))  # the nearest grid time, if it is close
         if not np.isclose(t_grid[i], t):
             raise ConfigError(f"ks time {t} is not a point of t_grid")
@@ -394,7 +400,7 @@ def cmd_convolve(cfg: RunConfig) -> int:
     if "k" in o:
         lams.append(_as_kv(o["k"]).lam)
     lams += [m.lam for m in measures]
-    lams = [float(v) for v in lams if v is not None]
+    lams = [_number(v, "lambda") for v in lams if v is not None]
     if not lams:
         raise ConfigError("no index: give 'lambda' or 'k', or use measures that carry one")
     if max(lams) - min(lams) > 1e-12:

@@ -1,17 +1,17 @@
-"""h-harmonics on the circle for the group Z_2 x Z_2 (N = 2).
+"""h-harmonics on the sphere S^(N-1) for the sign-change group Z_2^N.
 
 A degree-n h-harmonic is a homogeneous polynomial killed by the Dunkl
-Laplacian; for the sign-change group the Laplacian acts on monomials
-x^a y^b through one coefficient per axis,
+Laplacian; its coefficients multiply the monomials of _exponents(N, n).
+The Laplacian lowers each exponent a of a monomial by 2, axis by axis,
+with one coefficient per axis,
 
     phi_k(a) = a (a - 1 + 2k)   (a even),
                (a - 1) (a + 2k) (a odd),
 
 so harmonic spaces, Gram matrices (through exact sphere moments), and
 reproducing kernels are all available without any quadrature error.
-The sphere quadrature itself folds the weight's endpoint powers into a
-per-quadrant Gauss-Jacobi rule and integrates trigonometric moments of
-w_k exactly.
+The sphere quadrature folds the weight's endpoint powers into one
+Gauss-Jacobi rule per stick-breaking level of the law of y^2.
 
 The module also carries the scalar expansion identities in the radial
 index lam (Gegenbauer addition theorem, plane-wave expansion), which the
@@ -20,13 +20,17 @@ verification suite replays as convergence checks.
 
 from __future__ import annotations
 
+import bisect
+import math
+from functools import lru_cache
+
 import numpy as np
 from scipy.linalg import null_space
 from scipy.special import betaln, gammaln
 
-from .core import MultiplicityVector, _as_kv, _coords, dunkl_kernel_unitary, intertwiner_atoms
-from .errors import ConfigError, ConsistencyError, _node_count
-from .quadrature import _quadrant_rule
+from .core import _as_kv, _coords, dunkl_kernel_unitary, group_elements, intertwiner_atoms
+from .errors import ConfigError, ConsistencyError, _floats, _node_count
+from .quadrature import _orthant_rule
 from .special import bessel_j, gegenbauer
 from .transform import radial_translate
 
@@ -45,30 +49,27 @@ __all__ = [
     "plane_wave_residual",
 ]
 
-
-def _require_planar(kv) -> MultiplicityVector:
-    kv = _as_kv(kv)
-    if kv.n_axes != 2:
-        raise ConfigError("harmonic machinery is implemented for N = 2")
-    return kv
+_MAX_ENTRIES = 2**23  # of a sphere rule's points, or of a degree's monomial pairs
 
 
 class SphereQuadrature:
-    """Quadrature for integral_{S^1} F(y) w_k(y) dsigma(y).
+    """Quadrature for integral_{S^(N-1)} F(y) w_k(y) dsigma(y).
 
-    Per quadrant, u = cos^2(theta) turns the integral into
-    2^(gamma-1) int_0^1 F u^(k1-1/2) (1-u)^(k2-1/2) du, and a Gauss-Jacobi
-    rule absorbs both endpoint powers; n nodes per quadrant integrate
-    trigonometric polynomials of degree ~4n against w_k exactly, for every
-    k >= 0.
+    In v = y^2 each of the 2^N sign orthants carries 2^(gamma-(N-1)) times
+    the law prod_i v_i^(k_i-1/2) dv that quadrature._orthant_rule integrates;
+    n nodes per level are exact for polynomials in y of degree up to 4n - 2,
+    for every k >= 0.  At N = 2 that is one Gauss-Jacobi rule in
+    u = cos^2(theta) per quadrant, at N = 1 the two signed points.
     """
 
     def __init__(self, kv, n: int = 64):
-        self.kv = _require_planar(kv)
-        dirs, w = _quadrant_rule(_node_count(n, "n"), *self.kv.k)
-        self.points = np.concatenate([dirs * sign for sign in
-                                      ((1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0))])
-        self.weights = np.tile(2.0 ** (self.kv.gamma - 1.0) * w, 4)
+        self.kv = kv = _as_kv(kv)
+        n, dim = _node_count(n, "n"), kv.n_axes
+        if n ** (dim - 1) * 2**dim * dim > _MAX_ENTRIES:
+            raise ConfigError(f"a sphere rule of {n} nodes per level at N = {dim} is too large")
+        dirs, w = _orthant_rule(n, kv.k)
+        self.points = (group_elements(dim)[:, None, :] * dirs).reshape(-1, dim)
+        self.weights = np.tile(2.0 ** (kv.gamma - (dim - 1)) * w, 2**dim)
 
     @property
     def mass(self) -> float:
@@ -82,12 +83,41 @@ class SphereQuadrature:
         return np.tensordot(self.weights, np.asarray(values), axes=([0], [0]))
 
 
-def sphere_moment(kv, i: int, j: int) -> float:
-    """Exact even moment integral_{S^1} y1^(2i) y2^(2j) w_k dsigma."""
-    kv = _require_planar(kv)
-    k1, k2 = kv.k
+def sphere_moment(kv, p) -> float:
+    """Exact even moment integral_{S^(N-1)} prod_i y_i^(2 p_i) w_k dsigma:
+    2^(gamma+1) prod_j B(a_j, sum_{i>j} a_i) with a_i = p_i + k_i + 1/2."""
+    kv = _as_kv(kv)
+    p = list(p) if np.iterable(p) else []
+    if len(p) != kv.n_axes:
+        raise ConfigError(f"sphere_moment needs {kv.n_axes} exponents, got {p!r}")
+    a = [_node_count(pi, "moment exponent", least=0) + ki + 0.5 for pi, ki in zip(p, kv.k)]
     return float(2.0 ** (kv.gamma + 1.0)
-                 * np.exp(betaln(i + k1 + 0.5, j + k2 + 0.5)))
+                 * np.exp(sum(betaln(a[j], sum(a[j + 1:])) for j in range(len(a) - 1))))
+
+
+@lru_cache(maxsize=None)
+def _exponents(dim: int, n: int) -> np.ndarray:
+    """Exponent rows of the degree-n monomials in dim variables, ascending (row a
+    is x^a y^(n-a) at dim = 2); read-only, empty for n < 0."""
+    if n >= 0 and math.comb(n + dim - 1, n) ** 2 * dim > _MAX_ENTRIES:
+        raise ConfigError(f"degree {n} in {dim} variables has too many monomials")
+    rows = [(n,)] if n >= 0 else []
+    if dim > 1:
+        rows = [(a, *rest) for a in range(n + 1) for rest in _exponents(dim - 1, n - a)]
+    table = np.array(rows, dtype=int).reshape(-1, dim)
+    table.flags.writeable = False
+    return table
+
+
+def _polynomial(kv, coeffs) -> tuple[np.ndarray, int]:
+    """coeffs as a float vector, and the one degree with coeffs.size monomials;
+    ConfigError where there is none (at N = 1 every degree has one monomial)."""
+    coeffs = _floats(coeffs, "coeffs")
+    rows = lambda n: math.comb(n + kv.n_axes - 1, n)
+    n = bisect.bisect_left(range(coeffs.size + 1), coeffs.size, key=rows)
+    if coeffs.ndim != 1 or rows(n) != coeffs.size or rows(n + 1) == coeffs.size:
+        raise ConfigError(f"{coeffs.size} coefficients fix no degree in {kv.n_axes} variables")
+    return coeffs, n
 
 
 def laplacian_coefficient(k: float, a: int) -> float:
@@ -98,94 +128,77 @@ def laplacian_coefficient(k: float, a: int) -> float:
 
 
 def apply_laplacian(kv, coeffs: np.ndarray) -> np.ndarray:
-    """Dunkl Laplacian on a homogeneous polynomial of degree n.
-
-    coeffs[a] multiplies x^a y^(n-a); the result is the coefficient
-    vector of a degree n-2 polynomial.
-    """
-    kv = _require_planar(kv)
-    k1, k2 = kv.k
-    n = coeffs.size - 1
-    out = np.zeros(max(n - 1, 0))
-    for a in range(n + 1):
-        c = coeffs[a]
-        if c == 0.0:
-            continue
-        if a >= 2:
-            out[a - 2] += laplacian_coefficient(k1, a) * c
-        if n - a >= 2:
-            out[a] += laplacian_coefficient(k2, n - a) * c
+    """Dunkl Laplacian on a homogeneous polynomial of degree n, whose coeffs
+    multiply the monomials of _exponents(N, n): the coefficient vector of the
+    degree n-2 polynomial, each exponent e_i >= 2 lowered by 2 with
+    laplacian_coefficient(k_i, e_i)."""
+    kv = _as_kv(kv)
+    coeffs, n = _polynomial(kv, coeffs)
+    exps, powers = _exponents(kv.n_axes, n), max(n - 1, 1) ** np.arange(kv.n_axes)[::-1]
+    keys = _exponents(kv.n_axes, n - 2) @ powers  # ascending, as the rows are
+    out = np.zeros(keys.size)
+    for r in np.flatnonzero(coeffs):
+        for i in np.flatnonzero(exps[r] >= 2):
+            out[np.searchsorted(keys, exps[r] @ powers - 2 * powers[i])] += (
+                laplacian_coefficient(kv.k[i], exps[r, i]) * coeffs[r])
     return out
 
 
 def _gram(kv, n: int, basis: np.ndarray) -> np.ndarray:
-    """Gram matrix of degree-n coefficient vectors in L^2(w_k dsigma / d_norm)."""
-    d = kv.d_norm
-    cols = basis.shape[1]
-    g = np.zeros((cols, cols))
-    for p in range(cols):
-        for q in range(p, cols):
-            total = 0.0
-            for a in range(n + 1):
-                for b in range(n + 1):
-                    if (a + b) % 2 or basis[a, p] == 0.0 or basis[b, q] == 0.0:
-                        continue
-                    total += basis[a, p] * basis[b, q] * sphere_moment(kv, (a + b) // 2,
-                                                                       (2 * n - a - b) // 2)
-            g[p, q] = g[q, p] = total / d
-    return g
-
-
-_basis_cache: dict[tuple, list[np.ndarray]] = {}
+    """Gram matrix B^T M B / d_norm of degree-n coefficient vectors (the columns
+    of B) in L^2(w_k dsigma / d_norm); M holds the sphere moments of the
+    monomial pairs, 0 where an exponent sum is odd."""
+    exps = _exponents(kv.n_axes, n)
+    pair = exps[:, None, :] + exps[None, :, :]
+    even = (pair % 2 == 0).all(axis=-1)
+    halves, at = np.unique(pair[even] // 2, axis=0, return_inverse=True)
+    m = np.zeros(even.shape)
+    m[even] = np.array([sphere_moment(kv, p) for p in halves])[at.ravel()]
+    return basis.T @ m @ basis / kv.d_norm
 
 
 def harmonic_basis(kv, n: int) -> list[np.ndarray]:
     """Orthonormal basis of the degree-n h-harmonics, as coefficient vectors.
 
-    Orthonormal in L^2(w_k dsigma / d_norm) on the circle; dimension 1
-    for n = 0 and 2 for n >= 1.  Memoized per (k, n); callers must not
-    mutate the returned vectors.
+    Orthonormal in L^2(w_k dsigma / d_norm) on S^(N-1); its size is the number
+    of degree-n monomials less that of degree n - 2.  Memoized per (k, n);
+    callers must not mutate the returned vectors.
     """
-    kv = _require_planar(kv)
-    key = (kv.k, n)
-    if key in _basis_cache:
-        return _basis_cache[key]
-    _basis_cache[key] = _build_basis(kv, n)
-    return _basis_cache[key]
+    return _build_basis(_as_kv(kv), _node_count(n, "degree", least=0))
 
 
+@lru_cache(maxsize=None)
 def _build_basis(kv, n: int) -> list[np.ndarray]:
-    if n == 0:
-        return [np.array([1.0])]
-    if n == 1:
-        raw = np.eye(2)
-    else:
-        rows = []
-        for a in range(n + 1):
-            e = np.zeros(n + 1)
-            e[a] = 1.0
-            rows.append(apply_laplacian(kv, e))
-        raw = null_space(np.stack(rows, axis=-1))
-        if raw.shape[1] != 2:
-            raise ConsistencyError(
-                f"harmonic space of degree {n} came out {raw.shape[1]}-dimensional")
-    g = _gram(kv, n, raw)
-    vals, vecs = np.linalg.eigh(g)
+    size = len(_exponents(kv.n_axes, n))
+    dim = size - len(_exponents(kv.n_axes, n - 2))
+    if dim == 0:
+        return []
+    raw = np.eye(size)
+    if n >= 2:
+        raw = null_space(np.stack([apply_laplacian(kv, e) for e in raw], axis=-1))
+    if raw.shape[1] != dim:
+        raise ConsistencyError(
+            f"harmonic space of degree {n} came out {raw.shape[1]}-dimensional, not {dim}")
+    vals, vecs = np.linalg.eigh(_gram(kv, n, raw))
     if np.min(vals) <= 0:
         raise ConsistencyError("harmonic Gram matrix is not positive definite")
     ortho = raw @ vecs @ np.diag(vals**-0.5)
     return [ortho[:, j] for j in range(ortho.shape[1])]
 
 
-def eval_homogeneous(coeffs: np.ndarray, pts) -> np.ndarray:
-    """Evaluate sum_a coeffs[a] x^a y^(n-a) at points (..., 2)."""
-    pts = np.asarray(pts, dtype=float)
-    n = coeffs.size - 1
-    x, y = pts[..., 0], pts[..., 1]
-    out = np.zeros(x.shape)
-    for a in range(n + 1):
-        if coeffs[a] != 0.0:
-            out = out + coeffs[a] * x**a * y ** (n - a)
+def eval_homogeneous(kv, coeffs: np.ndarray, pts) -> np.ndarray:
+    """Evaluate sum_r coeffs[r] prod_i x_i^e_ri at points (..., N), the rows
+    e_r of _exponents(N, n), one monomial at a time."""
+    kv = _as_kv(kv)
+    coeffs, n = _polynomial(kv, coeffs)
+    pts = _coords(kv, "pts", pts)
+    out = np.zeros(pts.shape[:-1])
+    for c, e in zip(coeffs, _exponents(kv.n_axes, n)):
+        if c != 0.0:  # one power per axis: a scalar exponent takes numpy's fast paths
+            term = c
+            for i, ei in enumerate(e):
+                term = term * pts[..., i] ** ei
+            out = out + term
     return out
 
 
@@ -205,23 +218,22 @@ def _series_weight(lam: float, n: int) -> float:
 def reproducing_kernel(kv, n: int, x, y):
     """Reproducing kernel P_n(x, y) of the degree-n harmonics: the sum of
     Y_j(x) Y_j(y) over the orthonormal basis (exact up to null-space
-    rounding).  The addition-theorems suite checks it against the
-    intertwined Gegenbauer form (_reproducing_kernel_gegenbauer).
+    rounding), from the monomials of x and y at once.  The addition-theorems
+    suite checks it against the intertwined Gegenbauer form
+    (_reproducing_kernel_gegenbauer).
     """
-    kv = _require_planar(kv)
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    total = 0.0
-    for coeffs in harmonic_basis(kv, n):
-        total = total + eval_homogeneous(coeffs, x) * eval_homogeneous(coeffs, y)
-    return total
+    kv = _as_kv(kv)
+    basis, exps = harmonic_basis(kv, n), _exponents(kv.n_axes, n)
+    coeffs = np.reshape(basis, (len(basis), len(exps)))
+    values = lambda p: np.prod(p[..., None, :] ** exps, axis=-1) @ coeffs.T
+    return np.sum(values(_coords(kv, "x", x)) * values(_coords(kv, "y", y)), axis=-1)
 
 
 def _reproducing_kernel_gegenbauer(kv, n: int, x, y) -> float:
-    """P_n(x, y) for one pair of planar points through the intertwiner:
+    """P_n(x, y) for one pair of points through the intertwiner:
     c_n (|x||y|)^n V_k[C~_n(<x/|x|, .>)](y/|y|) (Dunkl and Xu, Orthogonal
     Polynomials of Several Variables, 2001), sharing no code with the basis."""
-    rx, ry = float(np.hypot(*x)), float(np.hypot(*y))
+    rx, ry = math.hypot(*x), math.hypot(*y)
     if n == 0:
         return 1.0
     if rx == 0.0 or ry == 0.0:
@@ -240,16 +252,14 @@ def kernel_series(kv, x, y, n_max: int = 20) -> complex:
     truncated at n_max.  Converges super-exponentially once
     n > e |x||y| / 2.
     """
-    kv = _require_planar(kv)
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    rx, ry = float(np.hypot(*x)), float(np.hypot(*y))
+    kv = _as_kv(kv)
+    x, y = _coords(kv, "x", x, point=True), _coords(kv, "y", y, point=True)
+    rx, ry = math.hypot(*x), math.hypot(*y)
     lam = kv.lam
     total = 0.0 + 0.0j
-    for n in range(n_max + 1):
-        pn = reproducing_kernel(kv, n, x, y)
+    for n in range(_node_count(n_max, "n_max", least=0) + 1):
         total += (_series_weight(lam, n) * (1j**n)
-                  * bessel_j(n + lam, rx * ry) * pn)
+                  * bessel_j(n + lam, rx * ry) * reproducing_kernel(kv, n, x, y))
     return total
 
 
@@ -263,21 +273,21 @@ def funk_hecke_pair(kv, coeffs: np.ndarray, x):
     difference measures quadrature plus kernel evaluation error only, the
     identity itself is exact.
     """
-    kv = _require_planar(kv)
-    rule = SphereQuadrature(kv, n=96)
+    kv = _as_kv(kv)
+    coeffs, n = _polynomial(kv, coeffs)
     x = _coords(kv, "x", x, point=True)
-    n = coeffs.size - 1
-    vals = dunkl_kernel_unitary(kv, x, rule.points) * eval_homogeneous(coeffs, rule.points)
+    rule = SphereQuadrature(kv, n=96)
+    vals = dunkl_kernel_unitary(kv, x, rule.points) * eval_homogeneous(kv, coeffs, rule.points)
     lhs = rule.integrate_values(vals) / kv.d_norm
     rhs = (_series_weight(kv.lam, n) * (1j**n)
-           * bessel_j(n + kv.lam, float(np.hypot(*x))) * eval_homogeneous(coeffs, x))
+           * bessel_j(n + kv.lam, math.hypot(*x)) * eval_homogeneous(kv, coeffs, x))
     return complex(lhs), complex(rhs)
 
 
 def orbit_integral(kv, x, z, r: float) -> float:
     """Two-kernel spherical average
 
-        I(x, z, r) = (1/d) int_{S^1} E_k(ix, r eta) E_k(-iz, r eta) w_k dsigma(eta),
+        I(x, z, r) = (1/d) int_{S^(N-1)} E_k(ix, r eta) E_k(-iz, r eta) w_k dsigma(eta),
 
     evaluated through the intertwined radial form
 
@@ -291,7 +301,7 @@ def orbit_integral(kv, x, z, r: float) -> float:
     value is real and symmetric in x <-> z; x = 0 or z = 0 degenerates to
     the plain radialization j_lam(r |z|) resp. j_lam(r |x|).
     """
-    kv = _require_planar(kv)
+    kv = _as_kv(kv)
     return float(radial_translate(kv, lambda s: bessel_j(kv.lam, r * s), z, x, n_per_axis=64))
 
 

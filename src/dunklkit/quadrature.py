@@ -88,12 +88,20 @@ def gauss_jacobi(n: int, alpha: float, beta: float, a: float, b: float) -> Quadr
     return QuadratureRule(a + half * (x + 1.0), w * scale)
 
 
-def _quadrant_rule(n: int, k1: float, k2: float) -> tuple[np.ndarray, np.ndarray]:
-    """First quadrant of the circle weight (2 y1^2)^k1 (2 y2^2)^k2 in u = y1^2:
-    directions (sqrt(u), sqrt(1 - u)) of shape (n, 2) and the Gauss-Jacobi
-    weights of int_0^1 F u^(k1 - 1/2) (1 - u)^(k2 - 1/2) du."""
-    rule = gauss_jacobi(n, k2 - 0.5, k1 - 0.5, 0.0, 1.0)
-    return np.sqrt(np.stack([rule.nodes, 1.0 - rule.nodes], axis=-1)), rule.weights
+def _orthant_rule(n: int, k) -> tuple[np.ndarray, np.ndarray]:
+    """Directions sqrt(v), shape (n^(N-1), N), and weights for the integral over
+    the simplex against prod_i v_i^(k_i - 1/2) dv, the Dirichlet(k_i + 1/2) law
+    of v = y^2 on the sphere's positive orthant (Dunkl and Xu, 2001).  The
+    stick fractions u_j = v_j / (v_j + ... + v_N) are independent: level j is the
+    n-node rule for u^(k_j - 1/2) (1 - u)^(sum_{i>j} (k_i + 1/2) - 1), tensored."""
+    v, w = np.ones((1, 1)), np.ones(1)
+    for j in range(len(k) - 1):
+        rule = gauss_jacobi(n, k[j + 1] - 0.5 + sum(ki + 0.5 for ki in k[j + 2:]),
+                            k[j] - 0.5, 0.0, 1.0)
+        split = v[:, -1:, None] * np.stack([rule.nodes, 1.0 - rule.nodes], axis=-1)
+        v = np.concatenate([np.repeat(v[:, :-1], n, axis=0), split.reshape(-1, 2)], axis=1)
+        w = np.multiply.outer(w, rule.weights).ravel()
+    return np.sqrt(v), w
 
 
 def panel_gauss_legendre(edges: np.ndarray, n_per_panel) -> QuadratureRule:

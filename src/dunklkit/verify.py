@@ -212,18 +212,15 @@ def _suite_product_formula() -> list[CaseResult]:
     return out
 
 
-def _angle_law_moment_error(kv, x) -> float:
+def _angle_law_moment_error(kv, x, n: int) -> float:
     """Max error of the law of u = <xi, omega> / |x| (intertwiner atoms against
-    the signed points at N = 1, SphereQuadrature at N = 2; 16 nodes, exact here)
-    against the angle law at lam: E u^(2m) = (1/2)_m / (lam + 1)_m (relative)
-    and E u^(2m - 1) = 0, m <= 6."""
-    pts, masses = intertwiner_atoms(kv, x, n_per_axis=16)
-    dirs, w_dir = np.array([[1.0], [-1.0]]), np.full(2, 0.5)
-    if kv.n_axes == 2:
-        rule = SphereQuadrature(kv, n=16)
-        dirs, w_dir = rule.points, rule.weights / kv.d_norm
-    u = (dirs @ pts.T).ravel() / np.sqrt(x @ x)
-    w = np.multiply.outer(w_dir, masses).ravel()
+    SphereQuadrature, the two signed points at N = 1; n nodes, exact here from
+    n = 7) against the angle law at lam: E u^(2m) = (1/2)_m / (lam + 1)_m
+    (relative) and E u^(2m - 1) = 0, m <= 6."""
+    pts, masses = intertwiner_atoms(kv, x, n_per_axis=n)
+    rule = SphereQuadrature(kv, n=n)
+    u = (rule.points @ pts.T).ravel() / np.sqrt(x @ x)
+    w = np.multiply.outer(rule.weights / kv.d_norm, masses).ravel()
     moments = np.array([w @ u**j for j in range(1, 13)])
     m = np.arange(1, 7)
     want = np.cumprod((m - 0.5) / (kv.lam + m))
@@ -271,9 +268,10 @@ def _suite_radial_product_formula() -> list[CaseResult]:
             worst = max(worst, abs(spherical_mean_spectral(kv, plan, fhat, x, t) - radial))
             scale = max(scale, abs(radial))
         out.append(CaseResult(f"k={k} spectral route", worst / max(scale, 1e-6), t_))
-    for k, x in (((1.0,), [1.3]), ((0.5,), [-0.8]), ((1.0, 1.0), [0.9, -0.7]),
-                 ((2.0, 0.5), [-0.4, 1.1]), ((0.3, 1.7), [0.9, -0.7])):
-        res = _angle_law_moment_error(MultiplicityVector(k), np.array(x))
+    for k, x, n in (((1.0,), [1.3], 16), ((0.5,), [-0.8], 16), ((1.0, 1.0), [0.9, -0.7], 16),
+                    ((2.0, 0.5), [-0.4, 1.1], 16), ((0.3, 1.7), [0.9, -0.7], 16),
+                    ((1.0, 0.5, 0.3), [0.9, -0.7, 0.4], 8)):
+        res = _angle_law_moment_error(MultiplicityVector(k), np.array(x), n)
         out.append(CaseResult(f"k={k} moments", res, t_))
     return out
 
@@ -493,11 +491,12 @@ def _suite_funk_hecke() -> list[CaseResult]:
     forms, plus the degree-zero radialization of the kernel."""
     t_ = TOLERANCES["funk-hecke"]
     out = []
-    for k in ((1.0, 0.5), (2.0, 1.0)):
+    planar = [np.array([0.9, 0.2]), np.array([-1.4, 2.1]), np.array([2.4, -1.8])]
+    for k, xs, degrees, radii in (((1.0, 0.5), planar, 5, 20), ((2.0, 1.0), planar, 5, 20),
+                                  ((1.0, 0.5, 0.3), [np.array([0.9, 0.2, -0.6])], 3, 5)):
         kv = MultiplicityVector(k)
         rule = SphereQuadrature(kv, n=96)
-        xs = [np.array([0.9, 0.2]), np.array([-1.4, 2.1]), np.array([2.4, -1.8])]
-        for n in range(5):
+        for n in range(degrees):
             worst = 0.0
             for coeffs in harmonic_basis(kv, n):
                 for x in xs:
@@ -506,13 +505,13 @@ def _suite_funk_hecke() -> list[CaseResult]:
             out.append(CaseResult(f"pairing k={k} degree={n}", worst, t_))
         rng = np.random.default_rng(29)
         worst = 0.0
-        for rx in np.linspace(0.1, 3.0, 20):
-            phi = rng.uniform(0.0, 2.0 * np.pi)
-            z = rx * np.array([np.cos(phi), np.sin(phi)])
+        for rx in np.linspace(0.1, 3.0, radii):  # directions from N - 1 angles
+            phi = rng.uniform(0.0, 2.0 * np.pi, size=kv.n_axes - 1)
+            z = rx * np.append(np.cos(phi), 1.0) * np.cumprod(np.append(1.0, np.sin(phi)))
             quad = rule.integrate_values(
                 dunkl_kernel_unitary(kv, rule.points, z)) / kv.d_norm
             worst = max(worst, abs(quad - bessel_j(kv.lam, rx)))
-        out.append(CaseResult(f"radialization k={k} 20 radii", worst, t_))
+        out.append(CaseResult(f"radialization k={k} {radii} radii", worst, t_))
     return out
 
 
@@ -531,14 +530,14 @@ def _suite_addition_theorems() -> list[CaseResult]:
         worst = max(plane_wave_residual(lam, r, costheta, n_max=40)
                     for r in (0.5, 2.0, 5.0, 10.0))
         out.append(CaseResult(f"plane-wave lam={lam}", worst, t_add))
-    for k in ((1.0, 0.5), (2.0, 1.0)):
+    for k, draws in (((1.0, 0.5), 12), ((2.0, 1.0), 12), ((1.0, 0.5, 0.3), 3)):
         kv = MultiplicityVector(k)
         rng = np.random.default_rng(31)
         worst = worst_geg = 0.0
-        for _ in range(12):
-            x = rng.uniform(-1.0, 1.0, size=2)
+        for _ in range(draws):
+            x = rng.uniform(-1.0, 1.0, size=kv.n_axes)
             x *= rng.uniform(0.2, 2.0) / max(np.sqrt(x @ x), 1e-9)
-            y = rng.uniform(-1.0, 1.0, size=2)
+            y = rng.uniform(-1.0, 1.0, size=kv.n_axes)
             y *= rng.uniform(0.2, 2.0) / max(np.sqrt(y @ y), 1e-9)
             direct = complex(dunkl_kernel_unitary(kv, x, y))
             series = kernel_series(kv, x, y, n_max=20)
@@ -557,14 +556,14 @@ def _suite_orbit() -> list[CaseResult]:
     intertwined one-Bessel form, plus the degenerate closed forms."""
     t_ = TOLERANCES["orbit-integral"]
     out = []
-    for k in ((1.0, 0.5), (0.5, 2.0)):
+    for k, draws in (((1.0, 0.5), 8), ((0.5, 2.0), 8), ((1.0, 0.5, 0.3), 4)):
         kv = MultiplicityVector(k)
         rng = np.random.default_rng(37)
         worst = 0.0
         rule = SphereQuadrature(kv, n=96)
-        for _ in range(8):
-            x = rng.uniform(-1.5, 1.5, size=2)
-            z = rng.uniform(-1.5, 1.5, size=2)
+        for _ in range(draws):
+            x = rng.uniform(-1.5, 1.5, size=kv.n_axes)
+            z = rng.uniform(-1.5, 1.5, size=kv.n_axes)
             r = rng.uniform(0.2, 3.0)
             radial = orbit_integral(kv, x, z, r)
             vals = (dunkl_kernel_unitary(kv, x, r * rule.points)
@@ -572,10 +571,10 @@ def _suite_orbit() -> list[CaseResult]:
             direct = complex(rule.integrate_values(vals)) / kv.d_norm
             worst = max(worst, abs(direct - radial))
         out.append(CaseResult(f"routes k={k}", worst, t_))
-        x = rng.uniform(-1.5, 1.5, size=2)
-        res = max(abs(orbit_integral(kv, np.zeros(2), x, 1.7)
+        x = rng.uniform(-1.5, 1.5, size=kv.n_axes)
+        res = max(abs(orbit_integral(kv, np.zeros(kv.n_axes), x, 1.7)
                       - bessel_j(kv.lam, 1.7 * np.sqrt(x @ x))),
-                  abs(orbit_integral(kv, x, np.zeros(2), 1.7)
+                  abs(orbit_integral(kv, x, np.zeros(kv.n_axes), 1.7)
                       - bessel_j(kv.lam, 1.7 * np.sqrt(x @ x))))
         out.append(CaseResult(f"degenerate k={k}", float(res), t_))
     return out

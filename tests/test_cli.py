@@ -520,6 +520,15 @@ def test_convolve_needs_exactly_two_inputs(tmp_path, capsys):
     assert run_cli(capsys, "convolve", "--config", cfg)[0] == 2
 
 
+@pytest.mark.parametrize("lam", [True, "1.0"])
+def test_convolve_lambda_is_a_json_number(tmp_path, capsys, lam):
+    # float() read true and "1.0" as the heat profiles' own index 1.0 and ran
+    a, b = heat_measure_json(tmp_path, "a.json", 0.3), heat_measure_json(tmp_path, "b.json", 0.2)
+    cfg = write_config(tmp_path, "c.json", {"inputs": [a, b], "lambda": lam})
+    code, _, err = run_cli(capsys, "convolve", "--config", cfg)
+    assert code == 2 and "'lambda' must be a number" in err
+
+
 @pytest.mark.parametrize("command, payload", [
     ("simulate", {"kind": "gaussian", "k": [1.0], "t_grid": [0.0, 1.0], "n_paths": 10,
                   "seed": 1, "ks_times": "x"}),
@@ -544,13 +553,29 @@ def test_convolve_needs_exactly_two_inputs(tmp_path, capsys):
       for num in (2.5, True, "3", 0)],
     *[("eval", {"target": "kernel", "k": k, "x": [1.0], "y": [0.5]})
       for k in ("12", "1", True, [True, 1.0])],
+    ("eval", {"target": "bessel", "alpha": True, "x": [1.0]}),
+    ("eval", {"target": "bessel", "alpha": "1.5", "x": [1.0]}),
+    ("eval", {"target": "bessel", "alpha": 0.5, "x": {"start": True, "stop": 2.0, "num": 3}}),
+    ("eval", {"target": "bessel", "alpha": 0.5, "x": {"start": 0.0, "stop": "2", "num": 3}}),
+    ("eval", {"target": "heat", "k": [1.0], "s": True, "x": [1.0], "y": [0.5]}),
+    ("eval", {"target": "heat", "k": [1.0], "s": "0.3", "x": [1.0], "y": [0.5]}),
+    ("eval", {"target": "kernel", "k": [1.0], "x": [True, "0.5"], "y": [0.5]}),
+    ("eval", {"target": "kernel", "k": [1.0, 0.5], "x": [[1.0, "0.5"]], "y": [0.5, 1.0]}),
+    ("eval", {"target": "kernel", "k": [1.0], "x": [1.0], "y": False}),
+    ("transform", {"k": [1.0], "boundary_tol": True}),
+    ("transform", {"k": [1.0], "boundary_tol": "1e-3"}),
+    ("simulate", {"kind": "gaussian", "k": [1.0], "t_grid": [0.0, 1.0], "n_paths": 10,
+                  "seed": 1, "ks_times": [True]}),
 ], ids=["simulate-ks_times-str", "simulate-ks_times-entry", "simulate-threads-0",
         "semigroup-n_profile-str", "semigroup-n_profile-0", "transform-inverse-str",
         "transform-inverse-int", "semigroup-freq_max-str", "semigroup-tail_tol-str",
         "semigroup-max_nodes-fraction", "semigroup-r_min-negative", "semigroup-subordinated",
         "simulate-subordinated", "simulate-t_grid-str", "eval-num-fraction", "eval-num-bool",
         "eval-num-str", "eval-num-0", "eval-k-str-digits", "eval-k-str", "eval-k-bool",
-        "eval-k-bool-entry"])
+        "eval-k-bool-entry", "eval-alpha-bool", "eval-alpha-str", "eval-start-bool",
+        "eval-stop-str", "eval-s-bool", "eval-s-str", "eval-x-bool-and-str",
+        "eval-x-nested-str", "eval-y-bool", "transform-boundary_tol-bool",
+        "transform-boundary_tol-str", "simulate-ks_times-bool"])
 def test_malformed_values_are_config_errors(tmp_path, capsys, command, payload):
     # the strings and n_profile 0 escaped as ValueError or TypeError (exit
     # code 1, a failed suite's code, and a traceback); threads 0 ran as one
@@ -559,7 +584,10 @@ def test_malformed_values_are_config_errors(tmp_path, capsys, command, payload):
     # The semigroup's params key is gone, so its rows are now an unknown key;
     # "subordinated", once a second name of the Cauchy kind, is no kind.  A grid
     # spec's int(num) wrote 2 rows for 2.5, 1 for true, 3 for "3" and none for 0;
-    # k "12" wrote a two-axis table headed k: [1.0, 2.0], and true ran as k = 1
+    # k "12" wrote a two-axis table headed k: [1.0, 2.0], and true ran as k = 1.
+    # float() read alpha, s, boundary_tol, a grid's start and stop and point
+    # entries, and ks_times: true as 1 and "2" as 2 (alpha true wrote a table
+    # headed alpha: 1.0)
     if command == "transform":
         payload = {**payload, "input": make_grid_csv(tmp_path)}
     cfg = write_config(tmp_path, "bad.json", payload)

@@ -502,7 +502,7 @@ def test_spectral_route_checker_flags_a_full_tensor_mean(tmp_path):
 # itself nor through a helper of its module
 
 TRANSLATION_ROUTE = {"radial_translate", "SphereQuadrature", "intertwiner_atoms"}
-OWN_RULES = {"_angle_rule", "_quadrant_rule", "_tensor_grid", "_gauss_roots"}
+OWN_RULES = {"_angle_rule", "_orthant_rule", "_tensor_grid", "_gauss_roots"}
 
 
 def radial_mean_breaches(path: Path, name: str = "spherical_mean_radial") -> list[str]:

@@ -11,7 +11,7 @@ import re
 import numpy as np
 import pytest
 
-from dunklkit import bessel_kingman, measures, rank_one, transform, verify
+from dunklkit import bessel_kingman, measures, quadrature, rank_one, transform, verify
 
 
 def _swap_mean_split(monkeypatch):
@@ -71,6 +71,15 @@ def _angle_rule_exponent_off_by_half(monkeypatch):
     monkeypatch.setattr(bessel_kingman, "_angle_rule", lambda lam, n: angle_rule(lam + 0.5, n))
 
 
+def _swap_orthant_rule_exponents(monkeypatch):
+    # every stick-breaking level of the sphere rule with its two Jacobi exponents
+    # swapped, the law of 1 - u in place of u; only _orthant_rule reads
+    # quadrature's own gauss_jacobi, the other modules bind theirs
+    gauss_jacobi = quadrature.gauss_jacobi
+    monkeypatch.setattr(quadrature, "gauss_jacobi",
+                        lambda n, alpha, beta, a, b: gauss_jacobi(n, beta, alpha, a, b))
+
+
 MUTANTS = {
     "mean-split-swapped": (_swap_mean_split, "product-formula", "kernel wave mean"),
     "kernel-odd-negated": (_negate_kernel_odd_part, "product-formula", "eigen-equation"),
@@ -83,6 +92,7 @@ MUTANTS = {
     "intertwiner-tilt-flipped": (_flip_intertwiner_tilt, "orbit-integral", "routes"),
     "angle-rule-exponent": (_angle_rule_exponent_off_by_half, "radial-product-formula",
                             r"k=\(.*\) (case=|spectral route)"),
+    "orthant-rule-exponents": (_swap_orthant_rule_exponents, "funk-hecke", ""),
 }
 
 
